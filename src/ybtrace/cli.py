@@ -166,7 +166,10 @@ def _to_text(result):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an overlong number
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _operator_from_args(args):

@@ -11,17 +11,26 @@ the JSON forms; internal tensor digits are 0-indexed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .catalog import check_ybe, get_rmatrix
-from .errors import ConditionViolation, PreconditionViolation, UnknownName
+from .errors import (
+    ConditionViolation,
+    DimensionMismatch,
+    ParseError,
+    PreconditionViolation,
+    UnknownName,
+)
 from .eyb import EnhancedOperator, get_table1_entry, verify_eyb
-from .ring import ScalarContext, format_scalar
+from .ring import ScalarContext, format_scalar, json_field
 from .tensor import (
+    MAX_STATES,
     SquareMatrix,
     kron,
     matadd,
     matmul,
+    matrix_from_json,
     matrix_substitute,
     scalar_scale,
 )
@@ -149,7 +158,7 @@ def dress_diagonal(base, spec, check=True):
     base_matrix = _base_entries(base, getattr(base, "ctx", None), ctx)
     m = len(spec.j)
     if base_matrix.side != m * m:
-        raise ValueError("base side does not match the embedded subset")
+        raise DimensionMismatch("base side does not match the embedded subset")
     if check:
         _check_diagonal_conditions(base_matrix, spec, m)
     n = spec.n
@@ -209,7 +218,7 @@ def dress_block(base, spec, check=True):
     base_matrix = _base_entries(base, getattr(base, "ctx", None), ctx)
     m = len(spec.j)
     if base_matrix.side != m * m:
-        raise ValueError("base side does not match the embedded subset")
+        raise DimensionMismatch("base side does not match the embedded subset")
     if check:
         _check_block_conditions(base_matrix, spec)
     n = spec.n
@@ -387,14 +396,42 @@ def preset_dressings(name):
 # -- JSON forms ----------------------------------------------------------------
 
 
-def _parse_pair_key(key):
-    a, b = key.split(",")
-    return int(a), int(b)
+_PAIR_KEY_RE = re.compile(r"([0-9]+),([0-9]+)")
+
+
+def _spec_fields(obj, weights_key):
+    """(N, J, weights) of a spec object, each checked; ParseError names the field.
+
+    N is capped so that the dressed matrix has at most MAX_STATES rows.
+    """
+    n = json_field(obj, "N", int, "spec")
+    if n < 1:
+        raise ParseError("spec.N: expected a positive integer")
+    if n * n > MAX_STATES:
+        raise DimensionMismatch(
+            f"spec.N = {n} gives {n}^2 states, above the cap of {MAX_STATES}"
+        )
+    j = json_field(obj, "J", list, "spec")
+    if not all(type(a) is int for a in j):
+        raise ParseError("spec.J: expected a list of integers")
+    weights = {}
+    for key, text in json_field(obj, weights_key, dict, "spec", {}).items():
+        m = _PAIR_KEY_RE.fullmatch(key)
+        if m is None:
+            raise ParseError(f"spec.{weights_key}: key {key!r:.40} is not of the form 'a,b'")
+        if not isinstance(text, str):
+            raise ParseError(f"spec.{weights_key}.{key}: expected scalar text")
+        weights[(int(m[1]), int(m[2]))] = text
+    return n, tuple(j), weights
 
 
 def diagonal_spec_from_json(ctx, obj):
-    s = {_parse_pair_key(k): v for k, v in obj.get("s", {}).items()}
-    return DiagonalDressingSpec(ctx, obj["N"], tuple(obj["J"]), s)
+    """Inverse of diagonal_spec_to_json; ParseError on malformed input."""
+    n, j, s = _spec_fields(obj, "s")
+    try:
+        return DiagonalDressingSpec(ctx, n, j, s)
+    except ValueError as exc:
+        raise ParseError(f"spec: {exc}") from None
 
 
 def diagonal_spec_to_json(spec):
@@ -409,12 +446,21 @@ def diagonal_spec_to_json(spec):
 
 
 def block_spec_from_json(ctx, obj):
-    from .tensor import matrix_from_json
-
-    f = {_parse_pair_key(k): v for k, v in obj.get("f", {}).items()}
-    fb = matrix_from_json(ctx, obj["F"]) if "F" in obj else None
-    gb = matrix_from_json(ctx, obj["G"]) if "G" in obj else None
-    return BlockDressingSpec(ctx, obj["N"], tuple(obj["J"]), fb, gb, f)
+    """Inverse of block_spec_to_json; ParseError on malformed input."""
+    n, j, f = _spec_fields(obj, "f")
+    blocks = []
+    for key in ("F", "G"):
+        if key not in obj:
+            blocks.append(None)
+            continue
+        try:
+            blocks.append(matrix_from_json(ctx, obj[key]))
+        except ParseError as exc:
+            raise ParseError(f"spec.{key}: {exc}") from None
+    try:
+        return BlockDressingSpec(ctx, n, j, *blocks, f)
+    except ValueError as exc:
+        raise ParseError(f"spec: {exc}") from None
 
 
 def block_spec_to_json(spec):

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAUnit, UnknownName, UnknownRow
-from .ring import Scalar, ScalarContext, scalar_from_json, scalar_to_json
+from .errors import NotAUnit, ParseError, UnknownName, UnknownRow
+from .ring import Scalar, ScalarContext, json_field, scalar_from_json, scalar_to_json
 from .tensor import (
     SquareMatrix,
     invert,
@@ -275,9 +275,17 @@ def eyb_to_json(op, restrictions=()):
 
 
 def eyb_from_json(ctx, obj):
-    return EnhancedOperator(
-        matrix_from_json(ctx, obj["r"]),
-        matrix_from_json(ctx, obj["mu"]),
-        scalar_from_json(ctx, obj["alpha"]),
-        scalar_from_json(ctx, obj["beta"]),
-    )
+    """Inverse of eyb_to_json; ParseError naming the field on malformed input."""
+    parts = []
+    for key, load in (
+        ("r", matrix_from_json),
+        ("mu", matrix_from_json),
+        ("alpha", scalar_from_json),
+        ("beta", scalar_from_json),
+    ):
+        value = json_field(obj, key, dict, "operator")
+        try:
+            parts.append(load(ctx, value))
+        except ParseError as exc:
+            raise ParseError(f"operator.{key}: {exc}") from None
+    return EnhancedOperator(*parts)

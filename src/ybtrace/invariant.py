@@ -14,10 +14,16 @@ import math
 from dataclasses import dataclass
 
 from .braid import BraidWord, get_named_braid, NAMED_LINKS
-from .errors import NotDivisible, ProportionalityFailure, UnknownName
+from .errors import (
+    NotDivisible,
+    ProportionalityFailure,
+    StrandBoundViolation,
+    UnknownName,
+)
 from .eyb import EnhancedOperator, table1_entries
 from .ring import Scalar, ScalarContext, format_scalar, pow_int, try_div_exact
 from .tensor import (
+    MAX_STATES,
     SquareMatrix,
     embed_generator,
     invert,
@@ -38,6 +44,12 @@ def braid_representation(r, b, base=None):
     if base is None:
         base = math.isqrt(r.side)
     n = b.strands
+    # n >= bit_length keeps base ** n from being computed for a huge n
+    if base > 1 and (n >= MAX_STATES.bit_length() or base ** n > MAX_STATES):
+        raise StrandBoundViolation(
+            f"{n} strands of dimension {base} need {base}^{n} states, "
+            f"above the cap of {MAX_STATES}"
+        )
     total = base ** n
     if not b.letters:
         return SquareMatrix.identity(r.ctx, total)

@@ -213,6 +213,10 @@ def _canonical(ctx, items):
             elif prev is not None:
                 del acc[exps]
             continue
+        if bad >= len(ctx._radicands):
+            raise ValueError(
+                f"root {ctx.root_names[bad]!r} is used before its radicand is declared"
+            )
         pos = ngens + bad
         d = exps[pos]
         if d % 2:
@@ -781,18 +785,64 @@ def scalar_to_json(x):
     return {"terms": terms}
 
 
+_NUMERAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def json_field(obj, key, kind, where, default=None):
+    """``obj[key]`` checked to be a ``kind``; ParseError naming the field if not.
+
+    A missing key gives ``default`` when one is passed.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
+    if key not in obj and default is not None:
+        return default
+    if key not in obj:
+        raise ParseError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"{where}.{key}: expected {_KIND_NAMES[kind]}")
+    return value
+
+
+def _numeral(text, where):
+    """The Fraction written as ``-?digits(/digits)?``, the form the writers emit."""
+    if not isinstance(text, str) or not _NUMERAL_RE.fullmatch(text):
+        raise ParseError(f"{where}: expected a numeral such as '-3/2', got {text!r:.40}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
 def scalar_from_json(ctx, obj):
+    """Inverse of scalar_to_json; ParseError naming the field on malformed input.
+
+    Coefficients and exponents are numerals ``-?digits(/digits)?``, and an
+    adjoined root's exponent is 0 or 1, as the writer emits them.
+    """
+    ngens = len(ctx.generators)
     raw = []
-    for entry in obj["terms"]:
-        coeff = GaussianRational(Fraction(entry.get("re", "0")), Fraction(entry.get("im", "0")))
+    for k, entry in enumerate(json_field(obj, "terms", list, "scalar")):
+        where = f"scalar.terms[{k}]"
+        exps_obj = json_field(entry, "exps", dict, where, {})
+        coeff = GaussianRational(
+            _numeral(entry.get("re", "0"), where + ".re"),
+            _numeral(entry.get("im", "0"), where + ".im"),
+        )
         exps = [0] * len(ctx.names)
-        for name, etext in entry.get("exps", {}).items():
+        for name, etext in exps_obj.items():
             if name not in ctx._index:
-                raise UnknownName(f"unknown generator {name!r}")
-            d = Fraction(etext) * 2
+                raise ParseError(f"{where}.exps: unknown generator {name!r:.40}")
+            d = _numeral(etext, f"{where}.exps.{name}") * 2
             if d.denominator != 1:
-                raise ParseError(f"exponent {etext} is not a half-integer")
-            exps[ctx._index[name]] = int(d)
+                raise ParseError(f"{where}.exps.{name}: {etext} is not a half-integer")
+            pos = ctx._index[name]
+            if pos >= ngens and d not in (0, 2):
+                raise ParseError(f"{where}.exps.{name}: a root's exponent is 0 or 1")
+            exps[pos] = int(d)
         raw.append((tuple(exps), coeff))
     return Scalar(ctx, _canonical(ctx, raw))
 
@@ -808,8 +858,18 @@ def context_to_json(ctx):
 
 
 def context_from_json(obj):
-    return ScalarContext(
-        obj.get("generators", ()),
-        [(r["name"], r["radicand"]) for r in obj.get("roots", ())],
-    )
+    """Inverse of context_to_json; ParseError naming the field on malformed input."""
+    generators = json_field(obj, "generators", list, "context", [])
+    if not all(isinstance(name, str) for name in generators):
+        raise ParseError("context.generators: expected a list of strings")
+    roots = []
+    for k, root in enumerate(json_field(obj, "roots", list, "context", [])):
+        where = f"context.roots[{k}]"
+        roots.append(
+            (json_field(root, "name", str, where), json_field(root, "radicand", str, where))
+        )
+    try:
+        return ScalarContext(generators, roots)
+    except (ValueError, ParseError) as exc:
+        raise ParseError(f"context: {exc}") from None
 

@@ -16,9 +16,15 @@ from .errors import (
     InverseOutsideRing,
     NonInvertible,
     NotDivisible,
+    ParseError,
     PositionOutOfRange,
 )
-from .ring import scalar_from_json, scalar_to_json, substitute, try_div_exact
+from .ring import json_field, scalar_from_json, scalar_to_json, substitute, try_div_exact
+
+# Largest state count (matrix side) that braid_representation and
+# matrix_from_json accept: a braid on 12 strands of a two-dimensional space.
+# The tests, demos and benchmark workloads reach at most 3^5 = 243.
+MAX_STATES = 4096
 
 
 def _check_ctx(a, b):
@@ -258,136 +264,112 @@ def matrix_substitute(a, bindings, target=None):
 # -- inversion ----------------------------------------------------------------
 
 
-def _dense(a):
-    zero = a.ctx.zero()
-    rows = [[zero] * a.side for _ in range(a.side)]
-    for (r, c), v in a.entries.items():
-        rows[r][c] = v
-    return rows
+def _pieces(a):
+    """(rows, columns) of each connected piece of the entry pattern.
 
-
-def _det(rows, cols, ctx):
-    """Determinant by expansion along the first remaining row."""
-    if len(cols) == 1:
-        return rows[0][cols[0]]
-    total = ctx.zero()
-    sign = 1
-    for k, c in enumerate(cols):
-        pivot = rows[0][c]
-        if not pivot.is_zero():
-            rest = cols[:k] + cols[k + 1:]
-            minor = _det(rows[1:], rest, ctx)
-            term = pivot * minor
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
-
-
-def _invert_adjugate(a):
-    rows = _dense(a)
-    ctx = a.ctx
+    Entry (r, c) joins row r to column c; an empty row or column is a piece
+    of its own.
+    """
     n = a.side
-    det = _det(rows, list(range(n)), ctx)
-    if det.is_zero():
-        raise NonInvertible("matrix is singular")
-    entries = {}
-    for r in range(n):
-        for c in range(n):
-            minor_rows = [row for k, row in enumerate(rows) if k != c]
-            minor_cols = [k for k in range(n) if k != r]
-            cof = _det(minor_rows, minor_cols, ctx)
-            if (r + c) % 2:
-                cof = -cof
-            if cof.is_zero():
-                continue
-            try:
-                entries[(r, c)] = try_div_exact(cof, det)
-            except NotDivisible:
-                raise InverseOutsideRing(
-                    "inverse entries leave the ring (rational functions needed)"
-                ) from None
-    return SquareMatrix(ctx, n, entries)
+    parent = list(range(2 * n))  # row r is node r, column c is node n + c
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (r, c) in a.entries:
+        parent[find(r)] = find(n + c)
+    pieces = {}
+    for node in range(2 * n):
+        rows, cols = pieces.setdefault(find(node), ([], []))
+        if node < n:
+            rows.append(node)
+        else:
+            cols.append(node - n)
+    return pieces.values()
+
+
+def _bareiss_row(piv, row, factor, pivot_row, prev):
+    """(piv*row - factor*pivot_row) / prev on sparse rows; None stands for 1."""
+    out = dict(row) if piv is None else {k: piv * v for k, v in row.items()}
+    if factor is not None:
+        for k, v in pivot_row.items():
+            cur = out.get(k)
+            nxt = (cur - factor * v) if cur is not None else -(factor * v)
+            if nxt.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = nxt
+    if prev is not None:
+        out = {k: try_div_exact(v, prev) for k, v in out.items()}
+    return out
+
+
+def _invert_piece(work, rows, cols, n):
+    """Entries of B^-1 for the square piece B whose rows of [A | I] are work[rows].
+
+    Fraction-free Gauss-Jordan leaves [d*I | d*B^-1] up to a row order, where
+    d is the last pivot.  A unit pivot is scaled to 1 first: that is the same
+    elimination run on B with one row scaled by a unit, so every division by
+    the previous pivot stays exact.  None stands for a pivot of 1.
+    """
+    pivot_col = {}
+    prev = None
+    for col in cols:
+        candidates = [r for r in rows if r not in pivot_col and col in work[r]]
+        if not candidates:
+            raise NonInvertible("matrix is singular")
+        # a unit pivot if there is one, else the one with the fewest terms
+        p = min(candidates, key=lambda r: (not work[r][col].is_unit(),
+                                           len(work[r][col].terms)))
+        piv = work[p][col]
+        if piv.is_unit():
+            inv_piv = piv ** -1
+            work[p] = {k: inv_piv * v for k, v in work[p].items()}
+            piv = None
+        for r in rows:
+            factor = work[r].get(col)
+            # with no factor, the row only changes by piv/prev
+            if r != p and (factor is not None or piv is not prev):
+                work[r] = _bareiss_row(piv, work[r], factor, work[p], prev)
+        pivot_col[p] = col
+        prev = piv
+    return {
+        (pivot_col[r], k - n): v if prev is None else try_div_exact(v, prev)
+        for r in rows
+        for k, v in work[r].items()
+        if k >= n
+    }
 
 
 def invert(a):
-    """Exact inverse by unit-pivot elimination, adjugate fallback for side <= 4.
+    """Exact inverse by fraction-free (Bareiss) elimination on each block.
 
-    Raises NonInvertible for singular input and InverseOutsideRing when an
-    entry of the inverse would need a rational-function field.
+    The rows and columns split into the connected pieces of the entry
+    pattern, and each piece is inverted on its own, with one exact division
+    by its last pivot.  Raises NonInvertible when the matrix is singular and
+    InverseOutsideRing when its determinant is not a unit of the ring, so
+    that the inverse needs rational functions.
     """
     n = a.side
-    ctx = a.ctx
-    work = [dict() for _ in range(n)]
+    one = a.ctx.one()
+    # row r of [A | I]: entry (r, c) of A under key c, the 1 of I under n + r
+    work = [{n + r: one} for r in range(n)]
     for (r, c), v in a.entries.items():
         work[r][c] = v
-    aug = [{k: ctx.one()} for k in range(n)]
-    row_used = [False] * n
-    for col in range(n):
-        pivot_row = None
-        for r in range(n):
-            if row_used[r]:
-                continue
-            v = work[r].get(col)
-            if v is not None and v.is_unit():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            for r in range(n):
-                if not row_used[r] and work[r].get(col) is not None:
-                    pivot_row = r
-                    break
-        if pivot_row is None:
-            raise NonInvertible("matrix is singular")
-        pivot = work[pivot_row][col]
-        if pivot.is_unit():
-            inv_piv = pivot ** -1
-            work[pivot_row] = {k: inv_piv * v for k, v in work[pivot_row].items()}
-            aug[pivot_row] = {k: inv_piv * v for k, v in aug[pivot_row].items()}
-        else:
-            if n <= 4:
-                return _invert_adjugate(a)
-            try:
-                work[pivot_row] = {
-                    k: try_div_exact(v, pivot) for k, v in work[pivot_row].items()
-                }
-                aug[pivot_row] = {
-                    k: try_div_exact(v, pivot) for k, v in aug[pivot_row].items()
-                }
-            except NotDivisible:
-                raise InverseOutsideRing(
-                    "no unit pivot and row division failed"
-                ) from None
-        row_used[pivot_row] = True
-        for r in range(n):
-            if r == pivot_row:
-                continue
-            factor = work[r].get(col)
-            if factor is None:
-                continue
-            for k, v in work[pivot_row].items():
-                cur = work[r].get(k)
-                nxt = (cur - factor * v) if cur is not None else -(factor * v)
-                if nxt.is_zero():
-                    work[r].pop(k, None)
-                else:
-                    work[r][k] = nxt
-            for k, v in aug[pivot_row].items():
-                cur = aug[r].get(k)
-                nxt = (cur - factor * v) if cur is not None else -(factor * v)
-                if nxt.is_zero():
-                    aug[r].pop(k, None)
-                else:
-                    aug[r][k] = nxt
-    # pivot of column c lives in the row whose only work entry is {c: 1}
     entries = {}
-    for r in range(n):
-        keys = list(work[r].keys())
-        if len(keys) != 1 or not work[r][keys[0]].is_one():
+    for rows, cols in _pieces(a):
+        if len(rows) != len(cols):
             raise NonInvertible("matrix is singular")
-        final_row = keys[0]
-        for k, v in aug[r].items():
-            entries[(final_row, k)] = v
-    return SquareMatrix(ctx, n, entries)
+        try:
+            entries.update(_invert_piece(work, rows, cols, n))
+        except NotDivisible:
+            raise InverseOutsideRing(
+                "the determinant is not a unit; the inverse leaves the ring"
+            ) from None
+    return SquareMatrix(a.ctx, n, entries)
 
 
 # -- JSON form -----------------------------------------------------------------
@@ -403,7 +385,21 @@ def matrix_to_json(a):
 
 
 def matrix_from_json(ctx, obj):
+    """Inverse of matrix_to_json; ParseError naming the field on malformed input.
+
+    A side outside 0..MAX_STATES raises DimensionMismatch before anything is built.
+    """
+    side = json_field(obj, "side", int, "matrix")
+    if not 0 <= side <= MAX_STATES:
+        raise DimensionMismatch(f"matrix side {side} outside 0..{MAX_STATES}, the cap on states")
     entries = {}
-    for r, c, sj in obj["entries"]:
-        entries[(r, c)] = scalar_from_json(ctx, sj)
-    return SquareMatrix(ctx, obj["side"], entries)
+    for k, item in enumerate(json_field(obj, "entries", list, "matrix")):
+        where = f"matrix.entries[{k}]"
+        if not (isinstance(item, list) and len(item) == 3
+                and type(item[0]) is type(item[1]) is int):
+            raise ParseError(f"{where}: expected [row, column, scalar]")
+        try:
+            entries[(item[0], item[1])] = scalar_from_json(ctx, item[2])
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+    return SquareMatrix(ctx, side, entries)

@@ -166,7 +166,7 @@ def test_determinism(capsys):
     assert first == second
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     assert run(capsys, "no-such-verb")[0] == 2
     assert run(capsys, "invariant", "--rmatrix", "R2.1", "--braid", "nope")[0] == 3
     assert run(capsys, "invariant", "--rmatrix", "R2.1")[0] == 2
@@ -176,6 +176,67 @@ def test_exit_codes(capsys):
     code = run(capsys, "invariant", "--rmatrix", "R2.2", "--row", "1",
                "--link", "3_1", "--normalized")[0]
     assert code == 1
+    # malformed JSON files are parse errors: exit 3, nothing on stdout
+    for argv in _malformed_json_invocations(tmp_path):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, ""), argv
+        assert captured.err.startswith("parse error:"), argv
+    # a state space above the cap is refused before anything is built
+    for argv in (
+        ["invariant", "--rmatrix", "R2.1", "--row", "1", "--braid", "1", "--strands", "40"],
+        ["alexander", "--braid", "1", "--strands", "40"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), argv
+        assert "2^40 states, above the cap" in captured.err, argv
+    # a well-formed spec whose subset does not fit the base is an error
+    spec = tmp_path / "spec3.json"
+    spec.write_text(json.dumps({"N": 3, "J": [1, 2, 3]}))
+    code = main(["dress", "--file", str(spec), "--context", str(tmp_path / "ctx.json"),
+                 "--base", "R2.1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: base side does not match")
+
+
+def _malformed_json_invocations(tmp_path):
+    from ybtrace.catalog import get_rmatrix
+    from ybtrace.eyb import eyb_to_json, get_table1_eyb
+    from ybtrace.ring import context_to_json
+    from ybtrace.tensor import matrix_to_json
+
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+        return str(path)
+
+    op = get_table1_eyb("R2.1", 1)
+    ctx = write("ctx.json", context_to_json(op.ctx))
+    spec = get_rmatrix("R1.4")
+    ctx14 = write("ctx14.json", context_to_json(spec.ctx))
+    eyb_abc = eyb_to_json(op)
+    eyb_abc["alpha"]["terms"][0]["re"] = "abc"
+    eyb_exp = eyb_to_json(op)
+    eyb_exp["alpha"]["terms"][0]["re"] = "1e999999999"
+    no_entries = matrix_to_json(spec.matrix)
+    del no_entries["entries"]
+    matrix_abc = matrix_to_json(spec.matrix)
+    matrix_abc["entries"][0][2]["terms"][0]["re"] = "abc"
+    no_radicand = context_to_json(op.ctx)
+    del no_radicand["roots"][0]["radicand"]
+    return [
+        ["eyb-verify", "--file", write("eyb_abc.json", eyb_abc), "--context", ctx],
+        ["eyb-verify", "--file", write("eyb_exp.json", eyb_exp), "--context", ctx],
+        ["ybe-check", "--file", write("no_entries.json", no_entries), "--context", ctx14],
+        ["ybe-check", "--file", write("matrix_abc.json", matrix_abc), "--context", ctx14],
+        ["ybe-check", "--file", write("text.json", "{not json"), "--context", ctx14],
+        ["dress", "--file", write("spec.json", {"N": 3, "J": [1, 3], "s": {"1;2": "1"}}),
+         "--context", ctx, "--base", "R2.1"],
+        ["eyb-verify", "--file", write("eyb_ok.json", eyb_to_json(op)),
+         "--context", write("no_radicand.json", no_radicand)],
+    ]
 
 
 def test_emit_scalar_formatting():

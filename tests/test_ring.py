@@ -1,6 +1,8 @@
 """Scalar ring: canonical forms, root reduction, division, parsing."""
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from ybtrace.ring import (
     GaussianRational,
     Scalar,
     ScalarContext,
+    context_from_json,
     format_scalar,
     pow_int,
     scalar_from_json,
@@ -267,3 +270,40 @@ def test_division_round_trip_randomized():
             continue
         assert try_div_exact(a * b, b) == a
         done += 1
+
+
+def test_json_loaders_name_the_malformed_field(ctx_pq):
+    good = scalar_to_json(ctx_pq.parse("1/2*p - sqrt_pq"))
+    cases = {
+        "abc": "scalar.terms[0].re",
+        "1e999999999": "scalar.terms[0].re",  # Fraction would expand it
+        " 1": "scalar.terms[0].re",
+        "1/0": "scalar.terms[0].re",
+    }
+    for text, field in cases.items():
+        obj = json.loads(json.dumps(good))
+        obj["terms"][0]["re"] = text
+        with pytest.raises(ParseError, match=re.escape(field)):
+            scalar_from_json(ctx_pq, obj)
+    # a root's exponent other than 0 or 1 would expand a power of its radicand
+    obj = json.loads(json.dumps(good))
+    obj["terms"][1]["exps"]["sqrt_pq"] = "99999"
+    with pytest.raises(ParseError, match="root's exponent"):
+        scalar_from_json(ctx_pq, obj)
+    with pytest.raises(ParseError, match="unknown generator"):
+        scalar_from_json(ctx_pq, {"terms": [{"re": "1", "exps": {"z": "1"}}]})
+    with pytest.raises(ParseError, match="missing field 'terms'"):
+        scalar_from_json(ctx_pq, {})
+
+
+def test_context_json_errors_are_parse_errors():
+    for obj in (
+        {"generators": ["q", "q"]},
+        {"generators": [1]},
+        {"generators": ["q"], "roots": [{"name": "s"}]},
+        {"generators": ["q"], "roots": [{"name": "s", "radicand": "0"}]},
+        {"generators": ["q"], "roots": [{"name": "s", "radicand": "s^2"}]},
+        {"generators": ["q"], "roots": [{"name": "s", "radicand": "q +"}]},
+    ):
+        with pytest.raises(ParseError, match="context"):
+            context_from_json(obj)

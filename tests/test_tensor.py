@@ -212,3 +212,95 @@ def test_json_round_trip(ctx):
     assert obj["side"] == 2
     assert [e[:2] for e in obj["entries"]] == sorted(e[:2] for e in obj["entries"])
     assert matrix_from_json(ctx, obj) == m
+
+
+def _unimodular(ctx, side, rng):
+    """A dense matrix whose determinant is a unit: a diagonal of units times
+    elementary row operations with Laurent multipliers, which over a root
+    context may carry the root."""
+    gens = ctx.generators
+    units = [
+        ctx.parse(rng.choice(["1", "-1", "i", "2", "-1/3"]))
+        * ctx.gen(rng.choice(gens), rng.randint(-2, 2))
+        for _ in range(side)
+    ]
+    m = SquareMatrix.diagonal(ctx, units)
+    for _ in range(2 * side if side > 1 else 0):
+        r, c = rng.sample(range(side), 2)
+        mult = " + ".join(
+            f"{rng.randint(-3, 3)}*{name}^{rng.randint(-1 if name in gens else 0, 2)}"
+            for name in rng.sample(ctx.names, min(2, len(ctx.names)))
+        )
+        entries = {(k, k): ctx.one() for k in range(side)}
+        entries[(r, c)] = ctx.parse(mult)
+        m = matmul(SquareMatrix(ctx, side, entries), m)
+    return m
+
+
+def _permuted_block_sum(ctx, side, rng):
+    """Unimodular blocks placed under independent row and column permutations."""
+    rows = rng.sample(range(side), side)
+    cols = rng.sample(range(side), side)
+    entries = {}
+    start = 0
+    while start < side:
+        size = rng.randint(1, min(3, side - start))
+        block = _unimodular(ctx, size, rng)
+        for (r, c), v in block.entries.items():
+            entries[(rows[start + r], cols[start + c])] = v
+        start += size
+    return SquareMatrix(ctx, side, entries)
+
+
+def _assert_inverse(m):
+    inv = invert(m)
+    ident = _identity(m.ctx, m.side)
+    assert matmul(m, inv) == ident
+    assert matmul(inv, m) == ident
+
+
+def test_invert_block_with_unit_determinant_beside_identity():
+    # det [[1+p, 1/2], [1-p, 1/2]] = p is a unit, though no pivot of the
+    # block is; the identity beside it must not change that
+    ctx = ScalarContext(("p", "q"))
+    entries = {
+        (0, 0): ctx.parse("1+p"),
+        (0, 1): ctx.parse("1/2"),
+        (1, 0): ctx.parse("1-p"),
+        (1, 1): ctx.parse("1/2"),
+    }
+    entries.update({(k, k): ctx.one() for k in range(2, 5)})
+    _assert_inverse(SquareMatrix(ctx, 5, entries))
+
+
+@pytest.mark.parametrize("side", range(2, 9))
+def test_invert_seeded_unimodular_matrices(side):
+    rng = random.Random(side)
+    for ctx in (
+        ScalarContext(("p", "q")),
+        ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),)),
+    ):
+        _assert_inverse(_unimodular(ctx, side, rng))
+        _assert_inverse(_permuted_block_sum(ctx, side, rng))
+
+
+def test_invert_block_with_non_unit_determinant():
+    ctx = ScalarContext(("q",))
+    entries = {(0, 0): ctx.parse("q"), (0, 1): ctx.one(), (1, 0): ctx.parse("-1"),
+               (1, 1): ctx.one()}  # det = q + 1
+    entries.update({(k, k): ctx.one() for k in range(2, 5)})
+    with pytest.raises(InverseOutsideRing):
+        invert(SquareMatrix(ctx, 5, entries))
+
+
+def test_invert_singular_block_and_non_square_piece():
+    ctx = ScalarContext(("p", "q"))
+    singular = SquareMatrix.from_rows(
+        ctx, [[1, 0, 0], [0, "p", "q"], [0, "p^2", "p*q"]]
+    )
+    with pytest.raises(NonInvertible):
+        invert(singular)
+    # rows 0 and 1 meet only column 0; row 2 meets columns 1 and 2
+    lopsided = SquareMatrix.from_rows(ctx, [[1, 0, 0], ["p", 0, 0], [0, 1, "q"]])
+    with pytest.raises(NonInvertible):
+        invert(lopsided)
