@@ -39,14 +39,12 @@ from .tensor import (
     embed_generator,
     invert,
     kron,
-    kron_power,
     matadd,
     matmul,
     matrix_substitute,
-    partial_trace,
     scalar_scale,
     trace,
-    trace_product,
+    weighted_trace,
 )
 from .catalog import (
     CATALOG_NAMES,

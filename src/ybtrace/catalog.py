@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, NotAUnit, UnknownName
 from .ring import Scalar, ScalarContext
 from .tensor import (
+    MAX_STATES,
     SquareMatrix,
     embed_generator,
     invert,
@@ -129,12 +130,18 @@ def check_ybe(r, base=None):
     """Braid-form Yang-Baxter check on the triple tensor power.
 
     Returns a truthy result, or the first violated (row, col) with the
-    nonzero residual scalar.
+    nonzero residual scalar.  Raises DimensionMismatch, before anything is
+    built, when the base**3 states of the triple power exceed MAX_STATES.
     """
     if base is None:
         base = math.isqrt(r.side)
     if base * base != r.side:
         raise DimensionMismatch(f"side {r.side} is not a perfect square")
+    if base ** 3 > MAX_STATES:
+        raise DimensionMismatch(
+            f"the Yang-Baxter check on base {base} needs {base}^3 states, "
+            f"above the cap of {MAX_STATES}"
+        )
     r12 = embed_generator(r, 1, 3, base)
     r23 = embed_generator(r, 2, 3, base)
     lhs = matmul(matmul(r12, r23), r12)

@@ -105,8 +105,6 @@ def _to_jsonable(result):
                 for c in result.cells
             ],
         }
-    if isinstance(result, list):
-        return result
     return result
 
 
@@ -180,7 +178,12 @@ def _operator_from_args(args):
     return get_table1_eyb(args.rmatrix, args.row, args.sign)
 
 
-def _braid_from_args(args):
+def _resolve_braid(args):
+    """The braid named by --link, else the word --braid on --strands strands."""
+    if args.link:
+        return get_named_braid(args.link).braid
+    if args.braid is None:
+        raise UnknownName("give --braid or --link")
     return parse_braid(args.braid, args.strands)
 
 
@@ -218,7 +221,7 @@ def build_parser():
     p.add_argument("--rmatrix", choices=CATALOG_NAMES)
     p.add_argument("--row", type=int, default=1)
     p.add_argument("--sign", choices=["+", "-"], default="+")
-    p.add_argument("--preset", choices=("d3_R21", "d3_R22", "d4_R22"))
+    p.add_argument("--preset", choices=preset_names())
     p.add_argument("--braid", help="whitespace-separated letters, e.g. '1 1 1'")
     p.add_argument("--link", help="a named link instead of --braid")
     p.add_argument("--strands", type=int)
@@ -242,7 +245,7 @@ def build_parser():
                    help="generator index receiving the crossing powers")
 
     p = sub.add_parser("dress", help="assemble and verify a dressed solution")
-    p.add_argument("--preset", choices=("d3_R21", "d3_R22", "d4_R22"))
+    p.add_argument("--preset", choices=preset_names())
     p.add_argument("--file", help="diagonal dressing spec JSON")
     p.add_argument("--context", help="context JSON file (with --file)")
     p.add_argument("--base", choices=CATALOG_NAMES, help="base matrix (with --file)")
@@ -339,25 +342,13 @@ def _cmd_eyb_verify(args, out):
 
 def _cmd_invariant(args, out):
     op = _operator_from_args(args)
-    if args.link:
-        b = get_named_braid(args.link).braid
-    elif args.braid is not None:
-        b = _braid_from_args(args)
-    else:
-        raise UnknownName("give --braid or --link")
-    result = compute_ts(op, b, normalized=args.normalized)
+    result = compute_ts(op, _resolve_braid(args), normalized=args.normalized)
     out(emit(result, args.format))
     return 0
 
 
 def _cmd_alexander(args, out):
-    if args.link:
-        b = get_named_braid(args.link).braid
-    elif args.braid is not None:
-        b = _braid_from_args(args)
-    else:
-        raise UnknownName("give --braid or --link")
-    value = alexander_nabla(b)
+    value = alexander_nabla(_resolve_braid(args))
     out(emit(value, args.format))
     return 0
 
@@ -398,7 +389,7 @@ def _cmd_dress(args, out):
         base = get_rmatrix(args.base)
         base_matrix = matrix_substitute(base.matrix, {}, ctx)
         dressed = dress_diagonal(base_matrix, spec, check=not args.no_check)
-        base_op = _entry_over(args.base, args.base_row, ctx)
+        base_op = get_table1_entry(args.base, args.base_row).build(ctx=ctx)
         op = dressed_eyb(base_op, dressed, spec, mode=args.mode,
                          sign=args.sign, check=not args.no_check)
     else:
@@ -415,10 +406,6 @@ def _cmd_dress(args, out):
             if not args.no_check else
             f"dressed matrix side {dressed.side} with {len(dressed.entries)} entries; checks skipped")
     return 0
-
-
-def _entry_over(rmatrix, row, ctx):
-    return get_table1_entry(rmatrix, row).build(ctx=ctx)
 
 
 def _cmd_table(args, out):

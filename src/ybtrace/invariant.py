@@ -27,14 +27,12 @@ from .tensor import (
     SquareMatrix,
     embed_generator,
     invert,
-    kron_power,
     matadd,
     matmul,
     matrix_substitute,
-    partial_trace,
     scalar_scale,
     trace,
-    trace_product,
+    weighted_trace,
 )
 from .catalog import get_rmatrix
 
@@ -91,8 +89,7 @@ def compute_ts(op, b, normalized=False):
     """
     n = b.strands
     rep = braid_representation(op.r, b, op.base_dim)
-    weights = kron_power(op.mu, n)
-    raw = trace_product(rep, weights)
+    raw = weighted_trace(rep, op.mu, range(1, n + 1)).get(0, 0)
     raw = pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta, n))
     unknot = unknot_value(op)
     if not normalized:
@@ -264,12 +261,7 @@ def alexander_nabla(b):
     ctx, r, mu = _nabla_operator()
     n = b.strands
     rep = braid_representation(r, b, 2)
-    weights = kron_power(mu, n - 1) if n > 1 else None
-    if weights is not None:
-        closed = matmul(rep, _one_kron(mu.ctx, weights))
-    else:
-        closed = rep
-    m = partial_trace(closed, range(2, n + 1), 2)
+    m = weighted_trace(rep, mu, range(2, n + 1))
     off = [key for key in m.entries if key[0] != key[1]]
     d0 = m.get(0, 0)
     d1 = m.get(1, 1)
@@ -278,12 +270,6 @@ def alexander_nabla(b):
             "partial closure is not a multiple of the identity"
         )
     return d0
-
-
-def _one_kron(ctx, weights):
-    from .tensor import kron
-
-    return kron(SquareMatrix.identity(ctx, 2), weights)
 
 
 # -- classification -------------------------------------------------------------

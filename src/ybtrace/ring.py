@@ -554,6 +554,21 @@ def try_div_exact(num, den):
 
 # -- parsing and formatting ---------------------------------------------------
 
+# Bounds on scalar text.  Before each multiplication the parser bounds the
+# product's size and refuses, with ParseError, a product that could pass them;
+# a power is parsed as square-and-multiply, so each of its steps is checked.
+# The bound on terms is the product of the operands' term counts, times the
+# term counts of the radicands when both operands carry an adjoined root
+# (their product can hold the root's square).  So (1+q)^99999 and
+# sqrt_1mq2^99999 are refused after a few small steps, and the largest
+# multiplication a text can ask for has MAX_TERMS term pairs of coefficients
+# of at most MAX_COEFF_BITS bits.  The texts in this repository stay far below
+# both.  An integer literal has at most MAX_COEFF_BITS // 3 digits, and
+# MAX_NESTING bounds the depth of parentheses and unary minus signs.
+MAX_TERMS = 4096
+MAX_COEFF_BITS = 4096
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
 )
@@ -569,7 +584,10 @@ def _tokenize(text):
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             break
         if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            digits = m.group("int")
+            if len(digits) > MAX_COEFF_BITS // 3:
+                raise ParseError("integer literal too long", m.start("int"))
+            tokens.append(("int", int(digits), m.start("int")))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
@@ -579,11 +597,32 @@ def _tokenize(text):
     return tokens
 
 
+def _root_mask(x):
+    """Bit j set when some term of x carries the j-th adjoined root."""
+    ngens = len(x.ctx.generators)
+    mask = 0
+    for exps in x.terms:
+        for j, e in enumerate(exps[ngens:]):
+            if e:
+                mask |= 1 << j
+    return mask
+
+
+def _coeff_bits(x):
+    """Bit length of the largest numerator or denominator among x's coefficients."""
+    return max(
+        (max(abs(f.numerator).bit_length(), f.denominator.bit_length())
+         for c in x.terms.values() for f in (c.re, c.im)),
+        default=0,
+    )
+
+
 class _Parser:
     def __init__(self, ctx, text):
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -629,30 +668,55 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.next()
-                result = result * self.factor()
+                result = self.product(result, self.factor(), pos)
             elif kind == "op" and value == "/":
                 self.next()
                 rhs = self.factor()
                 if len(rhs.terms) != 1 or any(next(iter(rhs.terms))):
                     raise ParseError("division only by nonzero constants", pos)
                 try:
-                    result = result * pow_int(rhs, -1)
+                    inverse = pow_int(rhs, -1)
                 except (NotAUnit, ZeroDivisionError):
                     raise ParseError("division only by nonzero constants", pos) from None
+                result = self.product(result, inverse, pos)
             else:
                 return result
+
+    def product(self, a, b, pos):
+        """a * b, refused before multiplying when it could pass the bounds."""
+        terms = len(a.terms) * len(b.terms)
+        if _root_mask(a) & _root_mask(b):
+            for rad in self.ctx._radicands:
+                terms *= len(rad.terms)
+        if terms > MAX_TERMS:
+            raise ParseError(f"product of up to {terms} terms, above {MAX_TERMS}", pos)
+        bits = _coeff_bits(a) + _coeff_bits(b)
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(
+                f"product with {bits}-bit coefficients, above {MAX_COEFF_BITS}", pos)
+        return a * b
 
     def factor(self):
         base = self.atom()
         kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            doubled = self.exponent()
-            try:
-                return _pow_half(base, doubled)
-            except NotAUnit as exc:
-                raise ParseError(str(exc), pos) from None
-        return base
+        if kind != "op" or value != "^":
+            return base
+        self.next()
+        doubled = self.exponent()
+        try:
+            result = _pow_half(base, doubled % 2)  # 1, or the square root of a monomial
+            k = doubled // 2
+            if k < 0:
+                base, k = pow_int(base, -1), -k
+        except NotAUnit as exc:
+            raise ParseError(str(exc), pos) from None
+        while k:
+            if k & 1:
+                result = self.product(result, base, pos)
+            k >>= 1
+            if k:
+                base = self.product(base, base, pos)
+        return result
 
     def exponent(self):
         """Integer, or a parenthesized n or n/2, with optional sign."""
@@ -693,12 +757,17 @@ class _Parser:
             if value not in self.ctx._index:
                 raise ParseError(f"unknown generator {value!r}", pos)
             return self.ctx.gen(value)
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
+        if kind == "op" and value in "(-":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nested deeper than {MAX_NESTING}", pos)
+            if value == "(":
+                inner = self.expr()
+                self.expect_op(")")
+            else:
+                inner = -self.atom()
+            self.depth -= 1
             return inner
-        if kind == "op" and value == "-":
-            return -self.atom()
         raise ParseError("expected a value", pos)
 
 
@@ -706,6 +775,8 @@ def parse_scalar(ctx, text):
     """Parse scalar text: integers, ``i``, names, ``+ - * / ^``, parentheses.
 
     Exponents are integers or ``(n/2)``; ``/`` divides by constants only.
+    Text that could pass MAX_TERMS, MAX_COEFF_BITS or MAX_NESTING raises
+    ParseError before the work is done.
     """
     return _Parser(ctx, text).parse()
 

@@ -150,15 +150,6 @@ def kron(a, b):
     return SquareMatrix(a.ctx, side, entries)
 
 
-def kron_power(a, n):
-    if n == 0:
-        return SquareMatrix.identity(a.ctx, 1)
-    result = a
-    for _ in range(n - 1):
-        result = kron(result, a)
-    return result
-
-
 def embed_generator(r, i, n, base=None):
     """Embed a two-slot operator at tensor slots (i, i+1) of an n-fold space.
 
@@ -191,62 +182,68 @@ def trace(a):
     return total
 
 
-def trace_product(a, b):
-    """trace(matmul(a, b)) without forming the product."""
-    _check_ctx(a, b)
-    if a.side != b.side:
-        raise DimensionMismatch(f"sides differ: {a.side} vs {b.side}")
-    total = a.ctx.zero()
-    for (r, c), va in a.entries.items():
-        vb = b.entries.get((c, r))
-        if vb is not None:
-            total = total + va * vb
-    return total
+def weighted_trace(a, mu, slots):
+    """Trace over the 1-indexed tensor ``slots`` of a * (mu on those slots,
+    identity on the others); the base is mu.side.
 
-
-def _split_index(pos, base, arity):
-    digits = []
-    for _ in range(arity):
-        pos, d = divmod(pos, base)
-        digits.append(d)
-    digits.reverse()
-    return tuple(digits)
-
-
-def partial_trace(a, slots, base):
-    """Contract the named tensor slots (1-indexed); returns the rest.
-
-    Tracing every slot yields a 1x1 matrix holding the full trace.
+    Entry (r, c) of a adds a[r, c] * prod_s mu[c_s, r_s] to entry
+    (r_keep, c_keep) of the result, where r_s, c_s are the digits of r, c in
+    slot s and r_keep, c_keep the digits in the other slots, so no Kronecker
+    power is formed.  Each weight is the weight of its digit prefix times one
+    entry of mu, built once per call.  Empty ``slots`` return a; every slot
+    gives a 1x1 matrix holding the full weighted trace.
     """
-    arity = 0
-    side = a.side
-    while side > 1:
-        if side % base:
-            raise DimensionMismatch(f"side {a.side} is not a power of {base}")
-        side //= base
+    _check_ctx(a, mu)
+    base = mu.side
+    arity, side = 0, 1
+    while base > 1 and side < a.side:
+        side *= base
         arity += 1
-    slots = sorted(set(slots))
+    if base < 2 or side != a.side:
+        raise DimensionMismatch(f"side {a.side} is not a power of {base}")
+    slots = set(slots)
     if any(not 1 <= s <= arity for s in slots):
-        raise DimensionMismatch(f"slots {slots} outside 1..{arity}")
-    keep = [s for s in range(1, arity + 1) if s not in slots]
-    out_side = base ** len(keep)
+        raise DimensionMismatch(f"slots {sorted(slots)} outside 1..{arity}")
+    if not slots:
+        return a
+    # whether each slot is traced, least significant digit first
+    traced = [s in slots for s in range(arity, 0, -1)]
+    one = a.ctx.one()
+    memo = {}
+
+    def weight(depth, rt, ct):
+        """prod of mu[c_s, r_s] over the leading `depth` traced digits; None for 0."""
+        if depth == 0:
+            return one
+        key = (depth, rt, ct)
+        if key not in memo:
+            head = weight(depth - 1, rt // base, ct // base)
+            factor = mu.entries.get((ct % base, rt % base))
+            memo[key] = None if head is None or factor is None else head * factor
+        return memo[key]
+
     entries = {}
     for (r, c), v in a.entries.items():
-        rd = _split_index(r, base, arity)
-        cd = _split_index(c, base, arity)
-        if any(rd[s - 1] != cd[s - 1] for s in slots):
+        rt = ct = rk = ck = 0
+        t_place = k_place = 1
+        for is_traced in traced:
+            r, rd = divmod(r, base)
+            c, cd = divmod(c, base)
+            if is_traced:
+                rt += rd * t_place
+                ct += cd * t_place
+                t_place *= base
+            else:
+                rk += rd * k_place
+                ck += cd * k_place
+                k_place *= base
+        w = weight(len(slots), rt, ct)
+        if w is None:
             continue
-        row = 0
-        col = 0
-        for s in keep:
-            row = row * base + rd[s - 1]
-            col = col * base + cd[s - 1]
-        key = (row, col)
-        if key in entries:
-            entries[key] = entries[key] + v
-        else:
-            entries[key] = v
-    return SquareMatrix(a.ctx, out_side, entries)
+        term = v * w
+        key = (rk, ck)
+        entries[key] = entries[key] + term if key in entries else term
+    return SquareMatrix(a.ctx, base ** (arity - len(slots)), entries)
 
 
 def matrix_substitute(a, bindings, target=None):

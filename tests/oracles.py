@@ -3,10 +3,15 @@
 These deliberately avoid the library's composition helpers: the YBE oracle
 contracts tensor indices with explicit sums over nonzero entries, and the
 skein oracle computes the one-variable invariant by descending-diagram
-induction on braid closures, using no matrices at all.
+induction on braid closures, using no matrices at all.  The Kronecker-power
+contractions at the end are the reference for ``tensor.weighted_trace``:
+they form mu^(x n) and the product with it, which weighted_trace never does.
 """
 
 from __future__ import annotations
+
+from ybtrace.errors import DimensionMismatch
+from ybtrace.tensor import SquareMatrix, _check_ctx, kron
 
 
 def ybe_residuals(matrix, base):
@@ -232,3 +237,73 @@ def equal_up_to_unit(a, b):
         return False
     (_, coeff), = q.terms.items()
     return coeff.im == 0 and abs(coeff.re) == 1
+
+
+# -- Kronecker-power contractions ----------------------------------------------
+
+
+def kron_power(a, n):
+    if n == 0:
+        return SquareMatrix.identity(a.ctx, 1)
+    result = a
+    for _ in range(n - 1):
+        result = kron(result, a)
+    return result
+
+
+def trace_product(a, b):
+    """trace(matmul(a, b)) without forming the product."""
+    _check_ctx(a, b)
+    if a.side != b.side:
+        raise DimensionMismatch(f"sides differ: {a.side} vs {b.side}")
+    total = a.ctx.zero()
+    for (r, c), va in a.entries.items():
+        vb = b.entries.get((c, r))
+        if vb is not None:
+            total = total + va * vb
+    return total
+
+
+def _split_index(pos, base, arity):
+    digits = []
+    for _ in range(arity):
+        pos, d = divmod(pos, base)
+        digits.append(d)
+    digits.reverse()
+    return tuple(digits)
+
+
+def partial_trace(a, slots, base):
+    """Contract the named tensor slots (1-indexed); returns the rest.
+
+    Tracing every slot yields a 1x1 matrix holding the full trace.
+    """
+    arity = 0
+    side = a.side
+    while side > 1:
+        if side % base:
+            raise DimensionMismatch(f"side {a.side} is not a power of {base}")
+        side //= base
+        arity += 1
+    slots = sorted(set(slots))
+    if any(not 1 <= s <= arity for s in slots):
+        raise DimensionMismatch(f"slots {slots} outside 1..{arity}")
+    keep = [s for s in range(1, arity + 1) if s not in slots]
+    out_side = base ** len(keep)
+    entries = {}
+    for (r, c), v in a.entries.items():
+        rd = _split_index(r, base, arity)
+        cd = _split_index(c, base, arity)
+        if any(rd[s - 1] != cd[s - 1] for s in slots):
+            continue
+        row = 0
+        col = 0
+        for s in keep:
+            row = row * base + rd[s - 1]
+            col = col * base + cd[s - 1]
+        key = (row, col)
+        if key in entries:
+            entries[key] = entries[key] + v
+        else:
+            entries[key] = v
+    return SquareMatrix(a.ctx, out_side, entries)

@@ -1,7 +1,9 @@
 """Command-line interface: verbs, formats, determinism, exit codes."""
 
 import json
+import time
 
+from ybtrace import catalog
 from ybtrace.cli import emit, main
 from ybtrace.ring import ScalarContext
 
@@ -201,6 +203,55 @@ def test_exit_codes(capsys, tmp_path):
     assert captured.err.startswith("error: base side does not match")
 
 
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return str(path)
+
+
+def test_yang_baxter_check_above_the_cap_builds_nothing(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a triple tensor power was built")
+
+    monkeypatch.setattr(catalog, "embed_generator", refuse)
+    ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
+    one = {"terms": [{"re": "1"}]}
+    side289 = _write(tmp_path, "side289.json",
+                     {"side": 289, "entries": [[k, k, one] for k in range(289)]})
+    spec17 = _write(tmp_path, "spec17.json", {"N": 17, "J": [1, 2]})
+    for argv in (
+        ["ybe-check", "--file", side289, "--context", ctx],
+        ["ybe-check", "--file", side289, "--context", ctx, "--unchecked"],
+        ["dress", "--file", spec17, "--context", ctx, "--base", "R2.1"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), argv
+        assert "17^3 states, above the cap" in captured.err, argv
+
+
+def test_oversized_scalar_text_is_refused_at_once(capsys, tmp_path):
+    texts = ("(1+q)^99999", "sqrt_1mq2^99999", "((1+q)^64)^64")
+    root = {"name": "sqrt_1mq2", "radicand": "1-q^2"}
+    ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"], "roots": [root]})
+    op = _write(tmp_path, "op.json", {})
+    for k, text in enumerate(texts):
+        as_radicand = _write(tmp_path, f"rad{k}.json", {
+            "generators": ["p", "q"], "roots": [root, {"name": "r", "radicand": text}]})
+        as_weight = _write(tmp_path, f"spec{k}.json", {"N": 3, "J": [1, 3], "s": {"1,2": text}})
+        for argv in (
+            ["eyb-verify", "--file", op, "--context", as_radicand],
+            ["dress", "--file", as_weight, "--context", ctx, "--base", "R2.1"],
+        ):
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, ""), argv
+            assert captured.err.startswith("parse error:"), argv
+            assert elapsed < 1, argv
+
+
 def _malformed_json_invocations(tmp_path):
     from ybtrace.catalog import get_rmatrix
     from ybtrace.eyb import eyb_to_json, get_table1_eyb
@@ -208,9 +259,7 @@ def _malformed_json_invocations(tmp_path):
     from ybtrace.tensor import matrix_to_json
 
     def write(name, obj):
-        path = tmp_path / name
-        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
-        return str(path)
+        return _write(tmp_path, name, obj)
 
     op = get_table1_eyb("R2.1", 1)
     ctx = write("ctx.json", context_to_json(op.ctx))

@@ -85,6 +85,24 @@ def test_wrong_alpha_fails_trace_condition():
     assert not verdict.residual.is_zero()
 
 
+@pytest.mark.parametrize("rmatrix, row, alpha, beta, condition, residual", [
+    ("R2.1", 1, "1", "1", "trace2",
+     {(0, 0): "1 - sqrt_pq", (1, 1): "p^-1*q^-1 - p^-1*q^-1*sqrt_pq"}),
+    ("R2.1", 1, "2*sqrt_pq^-1", "1/2", "trace2-inverse",
+     {(0, 0): "3/4*p*q", (1, 1): "3/4"}),
+    ("R1.1", 2, "2*i", "1", "trace2",
+     {(0, 0): "(1-i) + (1-i)*q", (0, 1): "(1-i)*sqrt_1mq2",
+      (1, 0): "(1-i)*sqrt_1mq2", (1, 1): "(1-i) + (-1+i)*q"}),
+])
+def test_failing_condition_pins_the_residual(rmatrix, row, alpha, beta, condition, residual):
+    op = get_table1_eyb(rmatrix, row)
+    verdict = verify_eyb(
+        EnhancedOperator(op.r, op.mu, op.ctx.parse(alpha), op.ctx.parse(beta)))
+    assert verdict.condition == condition
+    assert verdict.residual == SquareMatrix(
+        op.ctx, 2, {key: op.ctx.parse(text) for key, text in residual.items()})
+
+
 def test_alpha_must_be_invertible():
     op = get_table1_eyb("R2.1", 1)
     bad = EnhancedOperator(op.r, op.mu, op.ctx.parse("1 + p"), op.beta)

@@ -1,4 +1,5 @@
-"""Malformed input: the braid parser and the JSON loaders raise only library errors.
+"""Malformed input: the braid and scalar parsers and the JSON loaders raise
+only library errors.
 
 Each JSON case starts from a document the matching writer emits, then
 replaces one node with an arbitrary JSON value or drops one key, so that
@@ -122,3 +123,17 @@ def test_json_loaders_reject_arbitrary_values(name, value):
 @given(text=st.text(max_size=20), strands=st.none() | st.integers())
 def test_parse_braid_raises_only_library_errors(text, strands):
     _only_library_errors(parse_braid, text, strands)
+
+
+# scalar text drawn from its own tokens, so that powers, products and
+# nesting are reached, and from arbitrary characters
+SCALAR_TOKENS = ["1", "2", "99999", "q", "p", "i", "sqrt_1mq2", "+", "-", "*", "/",
+                 "^", "(", ")", "(1/2)", " "]
+scalar_texts = st.text(max_size=20) | st.lists(
+    st.sampled_from(SCALAR_TOKENS), max_size=20).map("".join)
+
+
+@FUZZ
+@given(text=scalar_texts)
+def test_parse_scalar_raises_only_library_errors(text):
+    _only_library_errors(ROOT_CTX.parse, text)

@@ -3,15 +3,31 @@ regularized invariant, classification."""
 
 import pytest
 
-from oracles import conway_in_t, conway_polynomial, equal_up_to_unit
+from oracles import (
+    conway_in_t,
+    conway_polynomial,
+    equal_up_to_unit,
+    kron_power,
+    trace_product,
+)
 
-from ybtrace.braid import BraidWord, conjugate, get_named_braid, parse_braid, stabilize
+from ybtrace import invariant
+from ybtrace.braid import (
+    NAMED_LINKS,
+    BraidWord,
+    conjugate,
+    get_named_braid,
+    parse_braid,
+    stabilize,
+)
+from ybtrace.dressing import preset_dressings, preset_names
 from ybtrace.errors import NotDivisible
-from ybtrace.eyb import get_table1_entry, get_table1_eyb
+from ybtrace.eyb import get_table1_entry, get_table1_eyb, table1_entries
 from ybtrace.invariant import (
     ANNIHILATING_RELATIONS,
     SkeinFamily,
     alexander_nabla,
+    braid_representation,
     check_skein_family,
     classification_report,
     compute_ts,
@@ -19,7 +35,7 @@ from ybtrace.invariant import (
     unknot_value,
     verify_annihilating,
 )
-from ybtrace.ring import ScalarContext, substitute
+from ybtrace.ring import ScalarContext, pow_int, substitute, try_div_exact
 from ybtrace.tensor import SquareMatrix
 
 
@@ -251,3 +267,31 @@ def test_raw_invariant_result_fields(jones):
     norm = compute_ts(jones, braid, normalized=True)
     assert norm.normalized
     assert norm.value * norm.unknot_value == res.value
+
+
+def test_compute_ts_matches_kronecker_oracle(monkeypatch):
+    """Every row with both signs and the presets, over the named links, against
+    alpha^-w beta^-n Tr(rep mu^(x n)) with mu^(x n) formed as a Kronecker power.
+
+    The two signs share R, so each representation is built once and handed to
+    compute_ts through a cache.
+    """
+    reps = {}
+
+    def cached(r, b, base=None):
+        key = (frozenset(r.entries.items()), b)
+        if key not in reps:
+            reps[key] = braid_representation(r, b, base)
+        return reps[key]
+
+    monkeypatch.setattr(invariant, "braid_representation", cached)
+    ops = [(f"{e.rmatrix}/{e.row}{sign}", e.build(sign))
+           for e in table1_entries() for sign in "+-"]
+    ops += [(name, preset_dressings(name).eyb) for name in preset_names()]
+    for label, op in ops:
+        for name in NAMED_LINKS:
+            b = get_named_braid(name).braid
+            n = b.strands
+            raw = trace_product(cached(op.r, b, op.base_dim), kron_power(op.mu, n))
+            expected = pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta, n))
+            assert compute_ts(op, b).value == expected, (label, name)

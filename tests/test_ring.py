@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -307,3 +308,20 @@ def test_context_json_errors_are_parse_errors():
     ):
         with pytest.raises(ParseError, match="context"):
             context_from_json(obj)
+
+
+def test_parser_refuses_oversized_text_at_once():
+    ctx = ScalarContext(("p", "q"), (("sqrt_1mq2", "1-q^2"),))
+    for text in ("(1+q)^99999", "sqrt_1mq2^99999", "((1+q)^64)^64", "(1+p+q)^60",
+                 "2^99999", "(9^999)^999", "9" * 2000, "(" * 200 + "q" + ")" * 200,
+                 "-" * 2000 + "q"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            ctx.parse(text)
+        assert time.perf_counter() - start < 1, text[:20]
+    # the bounds leave room: a product step under MAX_TERMS term pairs parses
+    assert len(ctx.parse("(1+q)^100").terms) == 101
+    assert len(ctx.parse("sqrt_1mq2^100").terms) == 51
+    assert ctx.parse("(" * 50 + "q" + ")" * 50) == ctx.parse("q")
+    with pytest.raises(ParseError):
+        ScalarContext(("q",), (("r", "(1+q)^99999"),))

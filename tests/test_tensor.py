@@ -1,5 +1,7 @@
 """Sparse matrices: products, embeddings, traces, exact inversion."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -21,11 +23,12 @@ from ybtrace.tensor import (
     matmul,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
     scalar_scale,
     trace,
-    trace_product,
+    weighted_trace,
 )
+
+from oracles import kron_power, partial_trace, trace_product
 
 
 @pytest.fixture
@@ -106,13 +109,13 @@ def test_partial_trace_reproduces_weight(ctx):
 
     r = matrix_substitute(r, {}, ctx)
     mu = SquareMatrix.diagonal(ctx, ["sqrt_pq", "sqrt_pq^-1"])
-    closed = partial_trace(matmul(r, kron(mu, mu)), [2], 2)
+    closed = matmul(weighted_trace(r, mu, [2]), mu)
     assert closed == scalar_scale(mu, ctx.parse("sqrt_pq^-1"))
 
 
 def test_partial_trace_full_contraction(ctx):
     m = SquareMatrix.from_rows(ctx, [["p", 1], [0, "q"]])
-    total = partial_trace(m, [1], 2)
+    total = weighted_trace(m, _identity(ctx, 2), [1])
     assert total.side == 1
     assert total.get(0, 0) == trace(m)
 
@@ -125,9 +128,10 @@ def test_partial_trace_composes(ctx):
             f"{rng.randint(1, 5)}*p^{rng.randint(-1, 1)}"
         )
     m = SquareMatrix(ctx, 4, entries)
-    once = partial_trace(m, [2], 2)
-    assert partial_trace(once, [1], 2).get(0, 0) == trace(m)
-    assert partial_trace(m, [1, 2], 2).get(0, 0) == trace(m)
+    one = _identity(ctx, 2)
+    once = weighted_trace(m, one, [2])
+    assert weighted_trace(once, one, [1]).get(0, 0) == trace(m)
+    assert weighted_trace(m, one, [1, 2]).get(0, 0) == trace(m)
 
 
 def test_trace_cyclicity_random(ctx):
@@ -143,8 +147,50 @@ def test_trace_cyclicity_random(ctx):
             )
         a = SquareMatrix(ctx, 4, a_entries)
         b = SquareMatrix(ctx, 4, b_entries)
+        mu = SquareMatrix(ctx, 2, {k: b_entries[k] for k in b_entries if max(k) < 2})
         assert trace(matmul(a, b)) == trace(matmul(b, a))
-        assert trace_product(a, b) == trace(matmul(a, b))
+        assert weighted_trace(a, mu, [1, 2]).get(0, 0) == trace(matmul(a, kron(mu, mu)))
+
+
+def _weight_operator(mu, slots, arity):
+    """mu on the given slots and the identity on the others, as one matrix."""
+    one = _identity(mu.ctx, mu.side)
+    return functools.reduce(kron, [mu if s in slots else one for s in range(1, arity + 1)])
+
+
+@pytest.mark.parametrize("base, arity", [(2, 3), (2, 4), (3, 3)])
+def test_weighted_trace_matches_kronecker_oracle(base, arity):
+    ctx = ScalarContext(("p", "q"), (("sqrt_1mq2", "1-q^2"),))
+    rng = random.Random(base * 10 + arity)
+    side = base ** arity
+    texts = ["p", "q^-1", "1-q", "sqrt_1mq2", "2*p*sqrt_1mq2 + q", "-1/2", "i*p^2"]
+    a = SquareMatrix(ctx, side, {
+        (rng.randrange(side), rng.randrange(side)): ctx.parse(rng.choice(texts))
+        for _ in range(3 * side)
+    })
+    diagonal = SquareMatrix.diagonal(ctx, [rng.choice(texts) for _ in range(base)])
+    dense = SquareMatrix.from_rows(
+        ctx, [[rng.choice(texts) for _ in range(base)] for _ in range(base)])
+    for mu in (diagonal, dense):
+        for size in range(arity + 1):
+            for slots in itertools.combinations(range(1, arity + 1), size):
+                expected = partial_trace(
+                    matmul(a, _weight_operator(mu, slots, arity)), slots, base)
+                assert weighted_trace(a, mu, slots) == expected, slots
+        full = weighted_trace(a, mu, range(1, arity + 1))
+        assert full.side == 1
+        assert full.get(0, 0) == trace_product(a, kron_power(mu, arity))
+
+
+def test_weighted_trace_rejects_bad_shapes(ctx):
+    mu = SquareMatrix.diagonal(ctx, ["p", "q"])
+    with pytest.raises(DimensionMismatch):
+        weighted_trace(_identity(ctx, 6), mu, [1])
+    for slots in ([0], [3]):
+        with pytest.raises(DimensionMismatch):
+            weighted_trace(_identity(ctx, 4), mu, slots)
+    with pytest.raises(DimensionMismatch):
+        weighted_trace(_identity(ctx, 1), _identity(ctx, 1), [1])
 
 
 def test_invert_diagonal_monomials(ctx):
