@@ -12,78 +12,109 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add as _add
 
 from .errors import ContextMismatch, NotAUnit, NotDivisible, ParseError, UnknownName
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _fraction_sqrt(x):
-    """Exact square root of a nonnegative Fraction, or None."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
+def _rational(n, d):
+    """n/d as an int when d divides n, else as a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+_new = object.__new__
+
+
+def _gaussian(a, b, d):
+    """The GaussianRational (a + b*i)/d for ints a, b and d > 0."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    x = _new(GaussianRational)
+    x.a, x.b, x.d = a, b, d
+    return x
 
 
 class GaussianRational:
-    """A number a + b*i with exact rational a, b."""
+    """A number (a + b*i)/d with ints a, b, d, d > 0 and gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    Almost every coefficient is an integer (d = 1), and then arithmetic is
+    int arithmetic with no gcd.  ``re`` and ``im`` are an int when integral
+    and a Fraction otherwise.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self):
+        return _rational(self.a, self.d)
+
+    @property
+    def im(self):
+        return _rational(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gaussian(self.a + other.a, self.b + other.b, d1)
+        return _gaussian(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gaussian(self.a - other.a, self.b - other.b, d1)
+        return _gaussian(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _gaussian(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def inverse(self):
-        norm = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("inverse of zero")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _gaussian(d * a, -d * b, norm)
 
     def sqrt(self):
         """Exact square root if one exists in Q(i), else None.  Positive branch."""
-        if self.im == 0:
-            if self.re >= 0:
-                r = _fraction_sqrt(self.re)
-                return GaussianRational(r) if r is not None else None
-            r = _fraction_sqrt(-self.re)
-            return GaussianRational(0, r) if r is not None else None
-        return None
+        if self.b:
+            return None
+        a, d = abs(self.a), self.d
+        ra, rd = math.isqrt(a), math.isqrt(d)
+        if ra * ra != a or rd * rd != d:
+            return None
+        return _gaussian(ra, 0, rd) if self.a >= 0 else _gaussian(0, ra, rd)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
 
 
 class ScalarContext:
@@ -184,16 +215,18 @@ class ScalarContext:
         return self._radicands[self.root_names.index(root_name)]
 
 
-def _canonical(ctx, items):
+def _canonical(ctx, items, acc=None):
     """Merge raw (exps, coeff) pairs into canonical form, reducing roots.
 
     Root exponents are rewritten into {0, 1} by peeling squares into the
     radicand; negative root powers additionally multiply by the inverse of
-    the radicand, which must then be a unit.
+    the radicand, which must then be a unit.  The pairs are added into
+    ``acc``, a canonical term dict, when one is given.
     """
     ngens = len(ctx.generators)
     nroots = len(ctx.root_names)
-    acc = {}
+    if acc is None:
+        acc = {}
     pending = list(items)
     while pending:
         exps, coeff = pending.pop()
@@ -307,13 +340,31 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        ctx = self.ctx
         if not self.terms or not other.terms:
-            return Scalar(self.ctx, {})
-        raw = []
+            return Scalar(ctx, {})
+        # Canonical root exponents are 0 or 2 (doubled), so a product term
+        # needs reducing only where a root's exponent reaches 4.
+        ngens = len(ctx.generators)
+        acc = {}
+        squares = []
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                raw.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-        return Scalar(self.ctx, _canonical(self.ctx, raw))
+                exps = tuple(map(_add, e1, e2))
+                coeff = c1 * c2
+                if 4 in exps[ngens:]:
+                    squares.append((exps, coeff))
+                    continue
+                prev = acc.get(exps)
+                if prev is None:
+                    acc[exps] = coeff
+                else:
+                    total = prev + coeff
+                    if total:
+                        acc[exps] = total
+                    else:
+                        del acc[exps]
+        return Scalar(ctx, _canonical(ctx, squares, acc))
 
     __rmul__ = __mul__
 
@@ -879,11 +930,12 @@ def json_field(obj, key, kind, where, default=None):
 
 
 def _numeral(text, where):
-    """The Fraction written as ``-?digits(/digits)?``, the form the writers emit."""
+    """The int or Fraction written as ``-?digits(/digits)?``, the form the writers emit."""
     if not isinstance(text, str) or not _NUMERAL_RE.fullmatch(text):
         raise ParseError(f"{where}: expected a numeral such as '-3/2', got {text!r:.40}")
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if den else int(num)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: {exc}") from None
 

@@ -26,6 +26,12 @@ from .ring import json_field, scalar_from_json, scalar_to_json, substitute, try_
 # The tests, demos and benchmark workloads reach at most 3^5 = 243.
 MAX_STATES = 4096
 
+# Largest entry count embed_generator stores: a dense base-2 crossing (16
+# entries) embedded into MAX_STATES states.  Capping states alone lets a dense
+# side-256 matrix (base 16, 4096 states for the Yang-Baxter check) store about
+# a million entries per factor.
+MAX_ENTRIES = 4 * MAX_STATES
+
 
 def _check_ctx(a, b):
     if a.ctx is not b.ctx and a.ctx != b.ctx:
@@ -154,7 +160,8 @@ def embed_generator(r, i, n, base=None):
     """Embed a two-slot operator at tensor slots (i, i+1) of an n-fold space.
 
     Built by index arithmetic over the sparse entries; the identity factors
-    are never materialized.
+    are never materialized.  Raises DimensionMismatch, before anything is
+    built, when the result would store more than MAX_ENTRIES entries.
     """
     if base is None:
         base = math.isqrt(r.side)
@@ -164,6 +171,12 @@ def embed_generator(r, i, n, base=None):
         raise PositionOutOfRange(f"position {i} outside 1..{n - 1}")
     left = base ** (i - 1)
     right = base ** (n - i - 1)
+    stored = len(r.entries) * left * right
+    if stored > MAX_ENTRIES:
+        raise DimensionMismatch(
+            f"embedding {len(r.entries)} entries into {n} slots of base {base} "
+            f"stores {stored} entries, above the cap of {MAX_ENTRIES}"
+        )
     entries = {}
     for (rr, rc), v in r.entries.items():
         for a in range(left):

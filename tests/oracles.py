@@ -4,11 +4,16 @@ These deliberately avoid the library's composition helpers: the YBE oracle
 contracts tensor indices with explicit sums over nonzero entries, and the
 skein oracle computes the one-variable invariant by descending-diagram
 induction on braid closures, using no matrices at all.  The Kronecker-power
-contractions at the end are the reference for ``tensor.weighted_trace``:
-they form mu^(x n) and the product with it, which weighted_trace never does.
+contractions are the reference for ``tensor.weighted_trace``: they form
+mu^(x n) and the product with it, which weighted_trace never does.  The
+Fraction-based GaussianRational at the end is the reference for the ring's
+integer-triple coefficients.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from ybtrace.errors import DimensionMismatch
 from ybtrace.tensor import SquareMatrix, _check_ctx, kron
@@ -307,3 +312,73 @@ def partial_trace(a, slots, base):
         else:
             entries[key] = v
     return SquareMatrix(a.ctx, out_side, entries)
+
+
+# -- Fraction coefficients -------------------------------------------------------
+
+
+def _fraction_sqrt(x):
+    """Exact square root of a nonnegative Fraction, or None."""
+    if x < 0:
+        return None
+    num, den = x.numerator, x.denominator
+    rn = math.isqrt(num)
+    rd = math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        return None
+    return Fraction(rn, rd)
+
+
+class GaussianRational:
+    """A number a + b*i with exact rational a, b."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __add__(self, other):
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def inverse(self):
+        norm = self.re * self.re + self.im * self.im
+        if not norm:
+            raise ZeroDivisionError("inverse of zero")
+        return GaussianRational(self.re / norm, -self.im / norm)
+
+    def sqrt(self):
+        """Exact square root if one exists in Q(i), else None.  Positive branch."""
+        if self.im == 0:
+            if self.re >= 0:
+                r = _fraction_sqrt(self.re)
+                return GaussianRational(r) if r is not None else None
+            r = _fraction_sqrt(-self.re)
+            return GaussianRational(0, r) if r is not None else None
+        return None
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"

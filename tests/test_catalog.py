@@ -13,7 +13,7 @@ from ybtrace.catalog import (
     load_rmatrix_json,
     transform_rmatrix,
 )
-from ybtrace.errors import UnknownName
+from ybtrace.errors import DimensionMismatch, UnknownName
 from ybtrace.ring import ScalarContext, context_from_json, context_to_json
 from ybtrace.tensor import SquareMatrix, matrix_substitute, matrix_to_json
 
@@ -45,6 +45,16 @@ def test_broken_matrix_fails_with_witness():
     assert not verdict.residual.is_zero()
     oracle = ybe_residuals(broken, 2)
     assert oracle  # the independent contraction also sees a violation
+
+
+def test_yang_baxter_check_refuses_a_dense_matrix_above_the_entry_cap():
+    # base 16 passes the state cap (16^3 = 4096), but each embedded factor
+    # would store 16 copies of 65536 entries
+    ctx = ScalarContext(("q",))
+    one = ctx.one()
+    dense = SquareMatrix(ctx, 256, {(r, c): one for r in range(256) for c in range(256)})
+    with pytest.raises(DimensionMismatch, match="above the cap of 16384"):
+        check_ybe(dense)
 
 
 def test_unknown_name():

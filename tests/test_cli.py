@@ -230,6 +230,20 @@ def test_yang_baxter_check_above_the_cap_builds_nothing(capsys, tmp_path, monkey
         assert "17^3 states, above the cap" in captured.err, argv
 
 
+def test_dense_matrix_above_the_entry_cap_is_refused_at_once(capsys, tmp_path):
+    ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
+    one = {"terms": [{"re": "1"}]}
+    dense = _write(tmp_path, "dense256.json",
+                   {"side": 256, "entries": [[r, c, one] for r in range(256) for c in range(256)]})
+    start = time.perf_counter()
+    code = main(["ybe-check", "--file", dense, "--context", ctx])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "above the cap of 16384" in captured.err
+    assert elapsed < 1.0
+
+
 def test_oversized_scalar_text_is_refused_at_once(capsys, tmp_path):
     texts = ("(1+q)^99999", "sqrt_1mq2^99999", "((1+q)^64)^64")
     root = {"name": "sqrt_1mq2", "radicand": "1-q^2"}

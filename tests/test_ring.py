@@ -1,12 +1,15 @@
 """Scalar ring: canonical forms, root reduction, division, parsing."""
 
 import json
+import math
 import random
 import re
 import time
 from fractions import Fraction
 
 import pytest
+
+import oracles
 
 from ybtrace.errors import ContextMismatch, NotAUnit, NotDivisible, ParseError
 from ybtrace.ring import (
@@ -192,6 +195,52 @@ def test_context_validation():
 def test_gaussian_rational_inverse():
     c = GaussianRational(1, 2)
     assert c * c.inverse() == GaussianRational(1)
+
+
+def _random_rational(rng):
+    """Zero, a small or a 70-bit numerator, over a denominator in 1..12."""
+    kind = rng.random()
+    if kind < 0.2:
+        return Fraction(0)
+    bound = 6 if kind < 0.6 else 2**70
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 12))
+
+
+def _assert_matches_oracle(got, want):
+    """``got`` equals the oracle's ``want`` and is stored in lowest terms."""
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1, (got.a, got.b, got.d)
+    for part, oracle_part in ((got.re, want.re), (got.im, want.im)):
+        assert part == oracle_part
+        assert not isinstance(part, float)
+        assert isinstance(part, int) == (oracle_part.denominator == 1)
+    assert bool(got) == bool(want)
+
+
+def test_gaussian_rational_matches_fraction_oracle():
+    rng = random.Random(20261018)
+    for _ in range(5000):
+        re1, im1, re2, im2 = (_random_rational(rng) for _ in range(4))
+        x, y = GaussianRational(re1, im1), GaussianRational(re2, im2)
+        ox, oy = oracles.GaussianRational(re1, im1), oracles.GaussianRational(re2, im2)
+        _assert_matches_oracle(x, ox)
+        _assert_matches_oracle(x + y, ox + oy)
+        _assert_matches_oracle(x - y, ox - oy)
+        _assert_matches_oracle(-x, -ox)
+        _assert_matches_oracle(x * y, ox * oy)
+        if ox:
+            _assert_matches_oracle(x.inverse(), ox.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        for z, oz in ((x, ox), (x * x, ox * ox), (-(x * x), -(ox * ox))):
+            root, oracle_root = z.sqrt(), oz.sqrt()
+            assert (root is None) == (oracle_root is None)
+            if root is not None:
+                _assert_matches_oracle(root, oracle_root)
+        assert (x == y) == (ox == oy)
+        same = (x + y) - y
+        assert same == x and hash(same) == hash(x)
+        assert (x * y == y * x) and hash(x * y) == hash(y * x)
 
 
 def test_json_round_trip(ctx_pq):
