@@ -36,6 +36,7 @@ from .ring import (
 )
 from .tensor import (
     SquareMatrix,
+    apply_at,
     embed_generator,
     invert,
     kron,

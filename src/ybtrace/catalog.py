@@ -19,6 +19,7 @@ from .ring import Scalar, ScalarContext
 from .tensor import (
     MAX_STATES,
     SquareMatrix,
+    check_embedding,
     embed_generator,
     invert,
     kron,
@@ -226,8 +227,14 @@ def is_spin_preserving(matrix):
 def load_rmatrix_json(ctx, obj, checked=True):
     """Load a custom solution from the matrix JSON form.
 
-    When ``checked``, non-solutions of the YBE are rejected.
+    When ``checked``, non-solutions of the YBE are rejected, and a matrix
+    listing more positions than the check's embeddings may store raises
+    DimensionMismatch before any scalar is parsed.
     """
+    if checked and isinstance(obj, dict):
+        side, listed = obj.get("side"), obj.get("entries")
+        if type(side) is int and 0 < side <= MAX_STATES and isinstance(listed, list):
+            check_embedding(len(listed), 3, math.isqrt(side))
     matrix = matrix_from_json(ctx, obj)
     base = math.isqrt(matrix.side)
     if base * base != matrix.side:

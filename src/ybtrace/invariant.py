@@ -2,9 +2,16 @@
 
 For an enhanced operator S and a braid word, the raw invariant is
 alpha^(-writhe) beta^(-strands) Tr(rep(word) mu^(x strands)); dividing by
-the one-strand value Tr(mu)/beta gives the unknot-normalized form.  The
-representation is assembled by sparse multiplication of embedded crossing
-operators, never as a full Kronecker chain.
+the one-strand value Tr(mu)/beta gives the unknot-normalized form.
+
+The trace is taken one of two ways.  When mu has rank one, piv * mu = u v^T
+for a pivot entry piv of mu, its column u and its row v, and the trace is
+(v^(x n))^T rep u^(x n) / piv^n: the vector u^(x n) is pushed through the
+word one crossing at a time (``tensor.apply_at``), so the representation is
+never built, and one exact division by (beta * piv)^n ends it.  Every other
+mu takes the matrix path: the representation is assembled by sparse
+multiplication of embedded crossing operators, never as a full Kronecker
+chain, and contracted with ``weighted_trace``.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .ring import Scalar, ScalarContext, format_scalar, pow_int, try_div_exact
 from .tensor import (
     MAX_STATES,
     SquareMatrix,
+    apply_at,
     embed_generator,
     invert,
     matadd,
@@ -37,18 +45,23 @@ from .tensor import (
 from .catalog import get_rmatrix
 
 
-def braid_representation(r, b, base=None):
-    """Image of a braid word under the crossing operator r, sparsely."""
-    if base is None:
-        base = math.isqrt(r.side)
-    n = b.strands
+def _states(base, n):
+    """base ** n, or StrandBoundViolation when that exceeds MAX_STATES."""
     # n >= bit_length keeps base ** n from being computed for a huge n
     if base > 1 and (n >= MAX_STATES.bit_length() or base ** n > MAX_STATES):
         raise StrandBoundViolation(
             f"{n} strands of dimension {base} need {base}^{n} states, "
             f"above the cap of {MAX_STATES}"
         )
-    total = base ** n
+    return base ** n
+
+
+def braid_representation(r, b, base=None):
+    """Image of a braid word under the crossing operator r, sparsely."""
+    if base is None:
+        base = math.isqrt(r.side)
+    n = b.strands
+    total = _states(base, n)
     if not b.letters:
         return SquareMatrix.identity(r.ctx, total)
     rinv = invert(r) if any(k < 0 for k in b.letters) else None
@@ -80,17 +93,68 @@ def unknot_value(op):
     return try_div_exact(trace(op.mu), op.beta)
 
 
+def rank_one_factors(mu):
+    """(u, v, piv) with piv * mu == u v^T entrywise, or None when the rank of
+    mu is not one.
+
+    piv is a unit entry of mu if there is one, else the entry with the fewest
+    terms; u is its column and v its row, as sparse vectors.
+    """
+    if not mu.entries:
+        return None
+    pr, pc = min(mu.entries, key=lambda k: (not mu.entries[k].is_unit(),
+                                            len(mu.entries[k].terms)))
+    piv = mu.entries[(pr, pc)]
+    u = {r: x for (r, c), x in mu.entries.items() if c == pc}
+    v = {c: x for (r, c), x in mu.entries.items() if r == pr}
+    if len(mu.entries) != len(u) * len(v) or any(
+        r not in u or c not in v or piv * x != u[r] * v[c]
+        for (r, c), x in mu.entries.items()
+    ):
+        return None
+    return u, v, piv
+
+
+def _tensor_power(w, n, base, one):
+    """The n-fold tensor power of a sparse vector, keyed by state index."""
+    out = {0: one}
+    for _ in range(n):
+        out = {s * base + k: x * y for s, x in out.items() for k, y in w.items()}
+    return out
+
+
+def _pushed_trace(op, b, u, v, piv):
+    """Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv, by one push of u^(x n)."""
+    n, base, one = b.strands, op.base_dim, op.ctx.one()
+    _states(base, n)
+    vec = _tensor_power(u, n, base, one)
+    rinv = invert(op.r) if any(k < 0 for k in b.letters) else None
+    for letter in reversed(b.letters):
+        vec = apply_at(op.r if letter > 0 else rinv, abs(letter), n, vec, base)
+    row = _tensor_power(v, n, base, one)
+    raw = sum((x * row[s] for s, x in vec.items() if s in row), op.ctx.zero())
+    return try_div_exact(raw, pow_int(op.beta * piv, n))
+
+
 def compute_ts(op, b, normalized=False):
     """The trace invariant of the closure of ``b`` under operator ``op``.
 
-    Division by beta^n is performed exactly, so beta need not be a unit.
-    Normalization divides by the unknot value and raises NotDivisible when
-    that is impossible (in particular when the unknot value is zero).
+    A weight mu of rank one takes the push (module docstring); any other
+    takes the representation matrix.  Division by beta^n is performed
+    exactly, so beta need not be a unit.  Normalization divides by the
+    unknot value and raises NotDivisible when that is impossible (in
+    particular when the unknot value is zero).
     """
     n = b.strands
-    rep = braid_representation(op.r, b, op.base_dim)
-    raw = weighted_trace(rep, op.mu, range(1, n + 1)).get(0, 0)
-    raw = pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta, n))
+    # a side-1 weight keeps the matrix path, whose weighted_trace refuses it
+    factors = rank_one_factors(op.mu) if op.base_dim > 1 else None
+    if factors is None:
+        rep = braid_representation(op.r, b, op.base_dim)
+        raw = weighted_trace(rep, op.mu, range(1, n + 1)).get(0, 0)
+        raw = try_div_exact(raw, pow_int(op.beta, n))
+    else:
+        raw = _pushed_trace(op, b, *factors)
+    raw = pow_int(op.alpha, -b.writhe) * raw
     unknot = unknot_value(op)
     if not normalized:
         return InvariantResult(raw, False, unknot, op, b)

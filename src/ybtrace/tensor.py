@@ -156,6 +156,27 @@ def kron(a, b):
     return SquareMatrix(a.ctx, side, entries)
 
 
+def check_embedding(nnz, n, base):
+    """Raise DimensionMismatch when embedding a two-slot operator with ``nnz``
+    entries into n slots of ``base`` would store more than MAX_ENTRIES."""
+    stored = nnz * base ** (n - 2)
+    if stored > MAX_ENTRIES:
+        raise DimensionMismatch(
+            f"embedding {nnz} entries into {n} slots of base {base} "
+            f"stores {stored} entries, above the cap of {MAX_ENTRIES}"
+        )
+
+
+def _slot_base(r, i, n, base):
+    if base is None:
+        base = math.isqrt(r.side)
+    if base * base != r.side:
+        raise DimensionMismatch(f"side {r.side} is not a perfect square")
+    if not 1 <= i <= n - 1:
+        raise PositionOutOfRange(f"position {i} outside 1..{n - 1}")
+    return base
+
+
 def embed_generator(r, i, n, base=None):
     """Embed a two-slot operator at tensor slots (i, i+1) of an n-fold space.
 
@@ -163,20 +184,10 @@ def embed_generator(r, i, n, base=None):
     are never materialized.  Raises DimensionMismatch, before anything is
     built, when the result would store more than MAX_ENTRIES entries.
     """
-    if base is None:
-        base = math.isqrt(r.side)
-    if base * base != r.side:
-        raise DimensionMismatch(f"side {r.side} is not a perfect square")
-    if not 1 <= i <= n - 1:
-        raise PositionOutOfRange(f"position {i} outside 1..{n - 1}")
+    base = _slot_base(r, i, n, base)
+    check_embedding(len(r.entries), n, base)
     left = base ** (i - 1)
     right = base ** (n - i - 1)
-    stored = len(r.entries) * left * right
-    if stored > MAX_ENTRIES:
-        raise DimensionMismatch(
-            f"embedding {len(r.entries)} entries into {n} slots of base {base} "
-            f"stores {stored} entries, above the cap of {MAX_ENTRIES}"
-        )
     entries = {}
     for (rr, rc), v in r.entries.items():
         for a in range(left):
@@ -185,6 +196,31 @@ def embed_generator(r, i, n, base=None):
             for b in range(right):
                 entries[(row_hi + b, col_hi + b)] = v
     return SquareMatrix(r.ctx, base ** n, entries)
+
+
+def apply_at(r, i, n, vec, base=None):
+    """Image of a sparse vector under a two-slot operator at tensor slots
+    (i, i+1) of an n-fold space.
+
+    ``vec`` maps state indices to nonzero scalars.  Each state is split into
+    the digits before slot i, the digit pair at (i, i+1) and the digits
+    after it; only the stored entries of r in that pair's column are read,
+    so nothing is embedded.
+    """
+    base = _slot_base(r, i, n, base)
+    right = base ** (n - i - 1)
+    column = {}
+    for (rr, rc), v in r.entries.items():
+        column.setdefault(rc, []).append((rr, v))
+    out = {}
+    for state, x in vec.items():
+        head, low = divmod(state, right)
+        head, pair = divmod(head, r.side)
+        for row, v in column.get(pair, ()):
+            key = (head * r.side + row) * right + low
+            term = v * x
+            out[key] = out[key] + term if key in out else term
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def trace(a):

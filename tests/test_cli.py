@@ -187,6 +187,7 @@ def test_exit_codes(capsys, tmp_path):
     # a state space above the cap is refused before anything is built
     for argv in (
         ["invariant", "--rmatrix", "R2.1", "--row", "1", "--braid", "1", "--strands", "40"],
+        ["invariant", "--rmatrix", "R1.1", "--row", "2", "--braid", "1", "--strands", "40"],
         ["alexander", "--braid", "1", "--strands", "40"],
     ):
         code = main(argv)

@@ -1,6 +1,8 @@
 """Trace invariants, annihilating relations, skein sums, the one-variable
 regularized invariant, classification."""
 
+import random
+
 import pytest
 
 from oracles import (
@@ -21,8 +23,8 @@ from ybtrace.braid import (
     stabilize,
 )
 from ybtrace.dressing import preset_dressings, preset_names
-from ybtrace.errors import NotDivisible
-from ybtrace.eyb import get_table1_entry, get_table1_eyb, table1_entries
+from ybtrace.errors import NotDivisible, StrandBoundViolation
+from ybtrace.eyb import EnhancedOperator, get_table1_entry, get_table1_eyb, table1_entries
 from ybtrace.invariant import (
     ANNIHILATING_RELATIONS,
     SkeinFamily,
@@ -32,11 +34,12 @@ from ybtrace.invariant import (
     classification_report,
     compute_ts,
     get_relation,
+    rank_one_factors,
     unknot_value,
     verify_annihilating,
 )
 from ybtrace.ring import ScalarContext, pow_int, substitute, try_div_exact
-from ybtrace.tensor import SquareMatrix
+from ybtrace.tensor import SquareMatrix, scalar_scale, weighted_trace
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +298,121 @@ def test_compute_ts_matches_kronecker_oracle(monkeypatch):
             raw = trace_product(cached(op.r, b, op.base_dim), kron_power(op.mu, n))
             expected = pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta, n))
             assert compute_ts(op, b).value == expected, (label, name)
+
+
+# -- the rank-one push ------------------------------------------------------------
+
+RANK_ONE_ROWS = [("R3.1", 3), ("R3.1", 4), ("R2.1", 2), ("R2.1", 3), ("R2.1", 4),
+                 ("R2.1", 5), ("R2.2", 2), ("R2.2", 3), ("R1.1", 2), ("R1.1", 3),
+                 ("R1.1", 4), ("R1.1", 5), ("R1.2", 2), ("R1.2", 3)]
+
+
+def _matrix_path(op, b):
+    """alpha^-w beta^-n Tr(rep mu^(x n)) from the representation matrix."""
+    n = b.strands
+    rep = braid_representation(op.r, b, op.base_dim)
+    raw = weighted_trace(rep, op.mu, range(1, n + 1)).get(0, 0)
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta, n))
+
+
+def _random_words(rng, count, max_strands, max_letters):
+    words = []
+    for _ in range(count):
+        strands = rng.randint(1, max_strands)
+        size = rng.randint(0, max_letters) if strands > 1 else 0
+        words.append(BraidWord(strands, tuple(
+            rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(size))))
+    return words
+
+
+def _assert_factors(mu, factors):
+    u, v, piv = factors
+    outer = SquareMatrix(mu.ctx, mu.side, {(r, c): x * y for r, x in u.items()
+                                           for c, y in v.items()})
+    assert scalar_scale(mu, piv) == outer
+
+
+def test_rank_one_rows_are_the_fourteen_const_one_rows():
+    assert len(RANK_ONE_ROWS) == 14
+    for e in table1_entries():
+        for sign in "+-":
+            mu = e.build(sign).mu
+            factors = rank_one_factors(mu)
+            if (e.rmatrix, e.row) in RANK_ONE_ROWS:
+                assert e.tag == "const-1"
+                _assert_factors(mu, factors)
+            else:
+                assert factors is None, (e.rmatrix, e.row, sign)
+    for name in preset_names():
+        assert rank_one_factors(preset_dressings(name).eyb.mu) is None, name
+
+
+def test_rank_one_factors_refuses_a_full_pattern_of_rank_two():
+    ctx = ScalarContext(("p", "q"))
+    assert rank_one_factors(SquareMatrix.from_rows(ctx, [[1, 1], [1, 2]])) is None
+    assert rank_one_factors(SquareMatrix.from_rows(ctx, [[1, 0], [0, 0]])) is not None
+    assert rank_one_factors(SquareMatrix.from_rows(ctx, [[0, 0], [0, 0]])) is None
+    mu = SquareMatrix.from_rows(ctx, [["p", "p*q"], ["1+q", "q+q^2"]])
+    _assert_factors(mu, rank_one_factors(mu))
+
+
+def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
+    built = []
+
+    def spy(r, b, base=None):
+        built.append(b)
+        return braid_representation(r, b, base)
+
+    monkeypatch.setattr(invariant, "braid_representation", spy)
+    b = get_named_braid("5_2").braid
+    ops = [get_table1_eyb(m, row) for m in ("R2.1", "R3.1", "R1.1") for row in (1, 2)]
+    ops += [preset_dressings(name).eyb for name in preset_names()]
+    for op in ops:
+        built.clear()
+        compute_ts(op, b)
+        assert built == ([] if rank_one_factors(op.mu) else [b])
+
+
+def test_rank_one_push_matches_matrix_path():
+    """The 14 rank-one rows with both signs on the named links and on seeded
+    words of up to five strands with both letter signs."""
+    rng = random.Random(5)
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += _random_words(rng, 8, 5, 8)
+    for rmatrix, row in RANK_ONE_ROWS:
+        for sign in "+-":
+            op = get_table1_eyb(rmatrix, row, sign=sign)
+            for b in words:
+                assert compute_ts(op, b).value == _matrix_path(op, b), (rmatrix, row, sign, b)
+
+
+def test_rank_one_push_matches_matrix_path_in_base_three():
+    """A seeded side-9 R (the rows of a unipotent matrix permuted, so it
+    inverts in the ring) with a rank-one weight; no Yang-Baxter equation is
+    needed for the identity Tr(rep u^(x n) v^(x n)^T) = (v^(x n))^T rep u^(x n)."""
+    rng = random.Random(3)
+    ctx = ScalarContext(("p", "q"))
+    monomials = ["0", "0", "1", "-1", "2", "p", "q^-1", "p*q", "1+q"]
+    for trial in range(3):
+        upper = [["1" if r == c else (rng.choice(monomials) if c > r else "0")
+                  for c in range(9)] for r in range(9)]
+        rng.shuffle(upper)
+        r = SquareMatrix.from_rows(ctx, upper)
+        u = [rng.choice(monomials) for _ in range(3)]
+        v = [rng.choice(monomials[2:]) for _ in range(3)]
+        mu = SquareMatrix.from_rows(ctx, [[f"({a})*({b})" for b in v] for a in u])
+        op = EnhancedOperator(r, mu, ctx.parse("p"), ctx.parse("q^-1"))
+        factors = rank_one_factors(mu)
+        _assert_factors(mu, factors)
+        for b in _random_words(rng, 5, 4, 5):
+            assert compute_ts(op, b).value == _matrix_path(op, b), (trial, b)
+
+
+def test_rank_one_push_refuses_a_state_space_above_the_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a vector was pushed")
+
+    monkeypatch.setattr(invariant, "apply_at", refuse)
+    op = get_table1_eyb("R1.1", 2)
+    with pytest.raises(StrandBoundViolation, match="2\\^40 states, above the cap"):
+        compute_ts(op, BraidWord(40, (1,)))

@@ -1,9 +1,7 @@
 """Markov invariance of the trace invariant on random braids (hypothesis).
 
 compute_ts must give one value for a braid, its conjugates and its positive
-and negative stabilizations.  The rows are those whose values are cheap to
-compute: R1.1 rows 2-5 carry dense weights with a square root and are left
-to the fixed-word tests.
+and negative stabilizations, over every Table-1 row with both signs.
 """
 
 import pytest
@@ -21,7 +19,6 @@ PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=
 OPERATORS = {
     f"{e.rmatrix}/{e.row}{sign}": e.build(sign)
     for e in table1_entries()
-    if not (e.rmatrix == "R1.1" and e.row > 1)
     for sign in "+-"
 }
 

@@ -16,6 +16,7 @@ from ybtrace.errors import (
 from ybtrace.ring import ScalarContext
 from ybtrace.tensor import (
     SquareMatrix,
+    apply_at,
     embed_generator,
     invert,
     kron,
@@ -86,6 +87,24 @@ def test_embed_matches_kron_oracle():
     assert embed_generator(r, 2, 3, 2) == kron(i2, r)
     assert embed_generator(r, 1, 3, 2) == kron(r, i2)
     assert embed_generator(r, 2, 4, 2) == kron(i2, kron(r, i2))
+
+
+@pytest.mark.parametrize("base, arity", [(2, 2), (2, 4), (3, 3)])
+def test_apply_at_matches_embedded_product(base, arity):
+    """apply_at(r, i, n, vec) is the embedded r times vec, at every slot."""
+    ctx = ScalarContext(("p", "q"), (("sqrt_1mq2", "1-q^2"),))
+    rng = random.Random(base * 10 + arity)
+    side = base ** arity
+    texts = ["0", "p", "q^-1", "1-q", "sqrt_1mq2", "-1/2", "i*p^2"]
+    r = SquareMatrix.from_rows(
+        ctx, [[rng.choice(texts) for _ in range(base * base)] for _ in range(base * base)])
+    vec = {s: ctx.parse(rng.choice(texts[1:])) for s in rng.sample(range(side), side // 2)}
+    column = SquareMatrix(ctx, side, {(s, 0): x for s, x in vec.items()})
+    for i in range(1, arity):
+        image = matmul(embed_generator(r, i, arity, base), column)
+        assert apply_at(r, i, arity, vec, base) == {s: x for (s, _), x in image.entries.items()}
+    with pytest.raises(PositionOutOfRange):
+        apply_at(r, arity, arity, vec, base)
 
 
 def test_far_commutativity_of_embeddings():
