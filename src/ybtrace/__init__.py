@@ -11,6 +11,7 @@ from .errors import (
     ConditionViolation,
     ContextMismatch,
     DimensionMismatch,
+    ExponentOverflow,
     InverseOutsideRing,
     NonInvertible,
     NotAUnit,
@@ -25,6 +26,7 @@ from .errors import (
     YbtraceError,
 )
 from .ring import (
+    MAX_EXPONENT,
     GaussianRational,
     Scalar,
     ScalarContext,

@@ -224,6 +224,15 @@ def is_spin_preserving(matrix):
     return True
 
 
+def check_listed_positions(obj):
+    """Raise DimensionMismatch when the matrix JSON ``obj`` lists more positions
+    than the embeddings of ``check_ybe`` may store.  Parses no scalar."""
+    if isinstance(obj, dict):
+        side, listed = obj.get("side"), obj.get("entries")
+        if type(side) is int and 0 < side <= MAX_STATES and isinstance(listed, list):
+            check_embedding(len(listed), 3, math.isqrt(side))
+
+
 def load_rmatrix_json(ctx, obj, checked=True):
     """Load a custom solution from the matrix JSON form.
 
@@ -231,10 +240,8 @@ def load_rmatrix_json(ctx, obj, checked=True):
     listing more positions than the check's embeddings may store raises
     DimensionMismatch before any scalar is parsed.
     """
-    if checked and isinstance(obj, dict):
-        side, listed = obj.get("side"), obj.get("entries")
-        if type(side) is int and 0 < side <= MAX_STATES and isinstance(listed, list):
-            check_embedding(len(listed), 3, math.isqrt(side))
+    if checked:
+        check_listed_positions(obj)
     matrix = matrix_from_json(ctx, obj)
     base = math.isqrt(matrix.side)
     if base * base != matrix.side:

@@ -17,6 +17,7 @@ from . import __version__
 from .braid import NAMED_LINKS, get_named_braid, parse_braid
 from .catalog import (
     CATALOG_NAMES,
+    check_listed_positions,
     check_ybe,
     get_rmatrix,
     load_rmatrix_json,
@@ -307,8 +308,12 @@ def _cmd_ybe_check(args, out):
         if not args.context:
             raise UnknownName("--file needs --context")
         ctx = context_from_json(_load_json(args.context))
+        obj = _load_json(args.file)
+        # check_ybe below runs after an unchecked load too, so an oversized
+        # matrix is refused before any of its scalars is parsed
+        check_listed_positions(obj)
         try:
-            matrix = load_rmatrix_json(ctx, _load_json(args.file), checked=not args.unchecked)
+            matrix = load_rmatrix_json(ctx, obj, checked=not args.unchecked)
         except ValueError as exc:
             out(str(exc))
             return 1

@@ -17,6 +17,10 @@ class NotDivisible(YbtraceError):
     """Exact division has no quotient in the ring."""
 
 
+class ExponentOverflow(YbtraceError):
+    """An exponent would leave the range the scalar ring stores (ring.MAX_EXPONENT)."""
+
+
 class ParseError(YbtraceError):
     """Malformed scalar or braid text.  Carries the offending position."""
 

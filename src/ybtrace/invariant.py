@@ -103,7 +103,7 @@ def rank_one_factors(mu):
     if not mu.entries:
         return None
     pr, pc = min(mu.entries, key=lambda k: (not mu.entries[k].is_unit(),
-                                            len(mu.entries[k].terms)))
+                                            mu.entries[k].term_count()))
     piv = mu.entries[(pr, pc)]
     u = {r: x for (r, c), x in mu.entries.items() if c == pc}
     v = {c: x for (r, c), x in mu.entries.items() if r == pr}

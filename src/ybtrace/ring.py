@@ -5,6 +5,33 @@ Gaussian-rational coefficients.  Exponents may be half-integers (stored
 doubled), and a context may adjoin square-root symbols whose square rewrites
 to a declared radicand.  All values are immutable and kept in canonical
 form: no zero coefficients, root exponents reduced to 0 or 1.
+
+A Scalar stores its terms as a dict {key: int numerator} over one positive
+int denominator shared by all terms, with no common factor of the
+denominator and all numerators.  A key is one int that packs a monomial and
+a power of i in fixed bit fields, from the most significant down:
+
+    total doubled degree | one field per name, in ctx.names order | i
+
+* The total field is the unbounded top of the int.
+* A generator's field holds its doubled exponent plus a bias of
+  2*MAX_EXPONENT, under a guard bit.  Exponents lie in
+  [-MAX_EXPONENT, MAX_EXPONENT).
+* A root's field holds its doubled exponent, 0 or 2, under a guard bit.
+* The i field holds 0 or 1 under a guard bit.  A coefficient a + b*i at a
+  monomial is two keys: the monomial's key holds a, the same key plus 1
+  holds b.
+
+The product of two monomials is key1 + key2 - the context's zero key, and
+graded lexicographic order is int order.  One test of a product key against
+the guard bits finds the rare term that needs more work: i*i, which becomes
+a sign; a root's doubled exponent reaching 4, which is replaced by the
+radicand; and an exponent past MAX_EXPONENT, which raises ExponentOverflow
+instead of carrying into the next field.
+
+``Scalar.terms`` is a read view of this form: a new dict {doubled exponent
+tuple: GaussianRational} on each access.  The library's hot paths never
+build it; ``Scalar.term_count()`` counts the same terms.
 """
 
 from __future__ import annotations
@@ -12,11 +39,20 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add as _add
 
-from .errors import ContextMismatch, NotAUnit, NotDivisible, ParseError, UnknownName
+from .errors import (
+    ContextMismatch, ExponentOverflow, NotAUnit, NotDivisible, ParseError, UnknownName,
+)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Exponents lie in [-MAX_EXPONENT, MAX_EXPONENT): doubled, in [-_BIAS, _BIAS).
+MAX_EXPONENT = 4096
+_BIAS = 2 * MAX_EXPONENT
+_GEN_VALUES = 2 * _BIAS - 1  # mask of a generator field's value bits
+_GEN_BITS = (2 * _BIAS).bit_length()  # value bits and the guard bit
+_ROOT_BITS = 3  # 0 or 2, and the guard bit 4
+_I_BITS = 2  # 0 or 1, and the guard bit 2
 
 
 def _rational(n, d):
@@ -41,9 +77,9 @@ def _gaussian(a, b, d):
 class GaussianRational:
     """A number (a + b*i)/d with ints a, b, d, d > 0 and gcd(a, b, d) = 1.
 
-    Almost every coefficient is an integer (d = 1), and then arithmetic is
-    int arithmetic with no gcd.  ``re`` and ``im`` are an int when integral
-    and a Fraction otherwise.
+    Scalars do not store these: ``Scalar.terms`` builds them, and text and
+    JSON read coefficients through them.  ``re`` and ``im`` are an int when
+    integral and a Fraction otherwise.
     """
 
     __slots__ = ("a", "b", "d")
@@ -117,6 +153,51 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+class _Layout:
+    """The bit fields of the keys of a context with ngens generators and nroots roots."""
+
+    __slots__ = ("ngens", "shifts", "total_shift", "zero", "gen_guard", "root_guard",
+                 "guard", "root_fields", "fields")
+
+    def __init__(self, ngens, nroots):
+        shifts, pos = [], _I_BITS
+        for k in range(ngens + nroots - 1, -1, -1):
+            shifts.append(pos)
+            pos += _GEN_BITS if k < ngens else _ROOT_BITS
+        self.ngens = ngens
+        self.shifts = tuple(reversed(shifts))  # one per name, in ctx.names order
+        self.total_shift = pos
+        self.zero = sum(_BIAS << s for s in self.shifts[:ngens])
+        self.gen_guard = sum(2 * _BIAS << s for s in self.shifts[:ngens])
+        self.root_guard = sum(4 << s for s in self.shifts[ngens:])
+        self.guard = self.gen_guard | self.root_guard | 2
+        self.root_fields = sum(7 << s for s in self.shifts[ngens:])
+        # (shift, value mask, bias) per name
+        self.fields = tuple((s, _GEN_VALUES, _BIAS) if pos < ngens else (s, 7, 0)
+                            for pos, s in enumerate(self.shifts))
+
+    def key(self, exps):
+        """The key of the monomial with doubled exponents ``exps`` (roots 0 or 2)."""
+        k = sum(exps) << self.total_shift
+        for pos, (d, s) in enumerate(zip(exps, self.shifts)):
+            if pos < self.ngens:
+                if not -_BIAS <= d < _BIAS:
+                    raise ExponentOverflow(
+                        f"exponent {Fraction(d, 2)} outside "
+                        f"[-{MAX_EXPONENT}, {MAX_EXPONENT})")
+                d += _BIAS
+            k += d << s
+        return k
+
+    def exps(self, key):
+        """The doubled exponent tuple of a key (its i field is ignored)."""
+        return tuple(((key >> s) & mask) - bias for s, mask, bias in self.fields)
+
+    def overflow(self):
+        return ExponentOverflow(
+            f"a product has an exponent outside [-{MAX_EXPONENT}, {MAX_EXPONENT})")
+
+
 class ScalarContext:
     """Declares the generator names and adjoined square roots of a scalar ring.
 
@@ -126,7 +207,7 @@ class ScalarContext:
     imaginary unit.
     """
 
-    __slots__ = ("generators", "root_names", "names", "_index", "_radicands")
+    __slots__ = ("generators", "root_names", "names", "_index", "_radicands", "_layout")
 
     def __init__(self, generators, roots=()):
         self.generators = tuple(generators)
@@ -140,6 +221,7 @@ class ScalarContext:
                 raise ValueError(f"duplicate generator name {name!r}")
             seen.add(name)
         self._index = {name: k for k, name in enumerate(self.names)}
+        self._layout = _Layout(len(self.generators), len(self.root_names))
         self._radicands = []
         ngens = len(self.generators)
         for j, (name, rad_text) in enumerate(roots):
@@ -162,7 +244,8 @@ class ScalarContext:
         return (
             self.names == other.names
             and self.generators == other.generators
-            and [r.terms for r in self._radicands] == [r.terms for r in other._radicands]
+            and [(r._nums, r._den) for r in self._radicands]
+            == [(r._nums, r._den) for r in other._radicands]
         )
 
     def __hash__(self):
@@ -175,13 +258,19 @@ class ScalarContext:
     # -- constructors -----------------------------------------------------
 
     def zero(self):
-        return Scalar(self, {})
+        return _scalar(self, {})
 
     def scalar(self, value, imag=0):
+        zero = self._layout.zero
+        if type(value) is int and not imag:
+            return _scalar(self, {zero: value} if value else {})
         c = GaussianRational(value, imag)
-        if not c:
-            return Scalar(self, {})
-        return Scalar(self, {(0,) * len(self.names): c})
+        nums = {}
+        if c.a:
+            nums[zero] = c.a
+        if c.b:
+            nums[zero + 1] = c.b
+        return _scalar(self, nums, c.d)
 
     def one(self):
         return self.scalar(1)
@@ -200,7 +289,7 @@ class ScalarContext:
             if d.denominator != 1:
                 raise NotAUnit(f"exponent {e} of {name!r} is not a half-integer")
             exps[self._index[name]] = int(d)
-        return Scalar(self, _canonical(self, [(tuple(exps), c)]))
+        return _from_terms(self, [(tuple(exps), c)])
 
     def gen(self, name, power=1):
         return self.monomial(1, {name: power})
@@ -215,9 +304,25 @@ class ScalarContext:
         return self._radicands[self.root_names.index(root_name)]
 
 
-def _canonical(ctx, items, acc=None):
-    """Merge raw (exps, coeff) pairs into canonical form, reducing roots.
+def _scalar(ctx, nums, den=1):
+    """The Scalar with numerators ``nums`` over ``den``, reduced by one gcd."""
+    if den != 1:
+        if not nums:
+            den = 1
+        else:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: v // g for k, v in nums.items()}
+    x = _new(Scalar)
+    x.ctx, x._nums, x._den = ctx, nums, den
+    return x
 
+
+def _canonical(ctx, items, acc=None):
+    """Merge raw (exps, coeff) pairs into a canonical term dict, reducing roots.
+
+    ``exps`` are doubled exponent tuples and ``coeff`` GaussianRationals.
     Root exponents are rewritten into {0, 1} by peeling squares into the
     radicand; negative root powers additionally multiply by the inverse of
     the radicand, which must then be a unit.  The pairs are added into
@@ -264,31 +369,129 @@ def _canonical(ctx, items, acc=None):
     return acc
 
 
-class Scalar:
-    """An immutable element of the ring declared by a ScalarContext."""
+def _from_terms(ctx, items):
+    """The Scalar of raw (doubled exponent tuple, GaussianRational) pairs."""
+    items = list(items)
+    ngens = len(ctx.generators)
+    if any(d not in (0, 2) for exps, _ in items for d in exps[ngens:]):
+        items = list(_canonical(ctx, items).items())
+    layout = ctx._layout
+    den = math.lcm(*(c.d for _, c in items))
+    nums = {}
+    for exps, c in items:
+        k = layout.key(exps)
+        scale = den // c.d
+        for key, v in ((k, c.a), (k + 1, c.b)):
+            prev = nums.get(key)
+            v = v * scale if prev is None else prev + v * scale
+            if v:
+                nums[key] = v
+            elif prev is not None:
+                del nums[key]
+    return _scalar(ctx, nums, den)
 
-    __slots__ = ("ctx", "terms")
+
+def _settle(ctx, flagged, acc, den):
+    """Add the (key, numerator) term products that hit a guard bit into ``acc``.
+
+    i*i becomes a sign, and a root's doubled exponent 4 is replaced by the
+    radicand, whose terms may hit a guard bit again.  A generator's exponent
+    out of range raises ExponentOverflow.  A radicand with a denominator
+    gives Fraction numerators, which are scaled back to ints over a larger
+    denominator at the end.  Returns (acc, den).
+    """
+    layout = ctx._layout
+    zero, total, ngens = layout.zero, layout.total_shift, layout.ngens
+    pending = list(flagged)
+    fractions = False
+    while pending:
+        k, c = pending.pop()
+        if (k & 3) == 2:
+            k, c = k - 2, -c
+        if k & layout.gen_guard:
+            raise layout.overflow()
+        if k & layout.root_guard:
+            for j in range(len(layout.shifts) - ngens - 1, -1, -1):
+                s = layout.shifts[ngens + j]
+                if (k >> s) & 7 == 4:
+                    break
+            if j >= len(ctx._radicands):
+                raise ValueError(
+                    f"root {ctx.root_names[j]!r} is used before its radicand is declared"
+                )
+            rad = ctx._radicands[j]
+            base = k - (4 << s) - (4 << total) - zero
+            for rk, rc in rad._nums.items():
+                v = c * rc if rad._den == 1 else Fraction(c * rc, rad._den)
+                pending.append((base + rk, v))
+            fractions = fractions or rad._den != 1
+            continue
+        prev = acc.get(k)
+        c = c if prev is None else prev + c
+        if c:
+            acc[k] = c
+        elif prev is not None:
+            del acc[k]
+    if fractions:
+        scale = math.lcm(*(v.denominator for v in acc.values()))
+        acc = {k: int(v * scale) for k, v in acc.items()}
+        den *= scale
+    return acc, den
+
+
+class Scalar:
+    """An immutable element of the ring declared by a ScalarContext.
+
+    ``Scalar(ctx, terms)`` builds one from a dict {doubled exponent tuple:
+    GaussianRational}, the form ``terms`` reads back.
+    """
+
+    __slots__ = ("ctx", "_nums", "_den")
 
     def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = terms
+        x = _from_terms(ctx, terms.items())
+        self.ctx, self._nums, self._den = ctx, x._nums, x._den
+
+    @property
+    def terms(self):
+        """A new dict {doubled exponent tuple: GaussianRational}, one item per monomial."""
+        layout, nums, den = self.ctx._layout, self._nums, self._den
+        out = {}
+        for k, v in nums.items():
+            if k & 1:
+                if k - 1 in nums:
+                    continue
+                a, b = 0, v
+            else:
+                a, b = v, nums.get(k + 1, 0)
+            out[layout.exps(k)] = _gaussian(a, b, den)
+        return out
+
+    def term_count(self):
+        """The number of monomials, ``len(self.terms)`` without building it."""
+        nums = self._nums
+        count = len(nums)
+        for k in nums:
+            if k & 1 and k - 1 in nums:
+                count -= 1
+        return count
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._nums
 
     def is_one(self):
         return self == self.ctx.one()
 
     def is_unit(self):
         """True when the scalar has an inverse inside the ring."""
-        if len(self.terms) != 1:
+        if self.term_count() != 1:
             return False
-        exps = next(iter(self.terms))
-        ngens = len(self.ctx.generators)
-        for j, name in enumerate(self.ctx.root_names):
-            if exps[ngens + j] and not self.ctx._radicands[j].is_unit():
+        k = next(iter(self._nums))
+        layout = self.ctx._layout
+        for j, rad in enumerate(self.ctx._radicands):
+            if (k >> layout.shifts[layout.ngens + j]) & 7 and not rad.is_unit():
                 return False
         return True
 
@@ -305,66 +508,90 @@ class Scalar:
             return self.ctx.scalar(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        big, small = (self.terms, other.terms)
-        if len(big) < len(small):
-            big, small = small, big
-        acc = dict(big)
-        for exps, coeff in small.items():
-            prev = acc.get(exps)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[exps] = total
+    def __add__(self, other, sign=1):
+        """self + other, or self - other when sign is -1."""
+        if other.__class__ is not Scalar or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._nums, other._nums
+        da, db = self._den, other._den
+        if da == db:
+            den = da
+            acc = dict(a)
+        else:
+            g = math.gcd(da, db)
+            scale, db_scale = db // g, da // g
+            den = da * scale
+            acc = {k: v * scale for k, v in a.items()}
+            sign *= db_scale
+        get = acc.get
+        for k, v in b.items():
+            prev = get(k)
+            v = sign * v if prev is None else prev + sign * v
+            if v:
+                acc[k] = v
             elif prev is not None:
-                del acc[exps]
-        return Scalar(self.ctx, acc)
+                del acc[k]
+        return _scalar(self.ctx, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ctx, {e: -c for e, c in self.terms.items()})
+        return _scalar(self.ctx, {k: -v for k, v in self._nums.items()}, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         ctx = self.ctx
-        if not self.terms or not other.terms:
-            return Scalar(ctx, {})
-        # Canonical root exponents are 0 or 2 (doubled), so a product term
-        # needs reducing only where a root's exponent reaches 4.
-        ngens = len(ctx.generators)
-        acc = {}
-        squares = []
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(_add, e1, e2))
-                coeff = c1 * c2
-                if 4 in exps[ngens:]:
-                    squares.append((exps, coeff))
-                    continue
-                prev = acc.get(exps)
-                if prev is None:
-                    acc[exps] = coeff
+        if other.__class__ is not Scalar or other.ctx is not ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._nums, other._nums
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return _scalar(ctx, {})
+        layout = ctx._layout
+        zero, guard = layout.zero, layout.guard
+        acc, flagged = {}, []
+        if len(b) == 1:  # a times a monomial: no two products share a key
+            (k2, c2), = b.items()
+            k2 -= zero
+            for k1, c1 in a.items():
+                k = k1 + k2
+                if k & guard:
+                    flagged.append((k, c1 * c2))
                 else:
-                    total = prev + coeff
-                    if total:
-                        acc[exps] = total
+                    acc[k] = c1 * c2
+        else:
+            get = acc.get
+            for k1, c1 in a.items():
+                k1 -= zero
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    if k & guard:
+                        flagged.append((k, c1 * c2))
+                        continue
+                    c = c1 * c2
+                    prev = get(k)
+                    if prev is None:
+                        acc[k] = c
                     else:
-                        del acc[exps]
-        return Scalar(ctx, _canonical(ctx, squares, acc))
+                        c += prev
+                        if c:
+                            acc[k] = c
+                        else:
+                            del acc[k]
+        den = self._den * other._den
+        if flagged:
+            acc, den = _settle(ctx, flagged, acc, den)
+        return _scalar(ctx, acc, den)
 
     __rmul__ = __mul__
 
@@ -376,10 +603,10 @@ class Scalar:
             other = self.ctx.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self._den == other._den and self._nums == other._nums and self.ctx == other.ctx
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __str__(self):
         return format_scalar(self)
@@ -406,11 +633,10 @@ def pow_int(x, k):
                 base = base * base
         return result
     # negative power: single-term monomial whose root factors are invertible
-    if len(x.terms) != 1:
+    if x.term_count() != 1:
         raise NotAUnit(f"negative power of non-unit {format_scalar(x)}")
     (exps, coeff), = x.terms.items()
-    inv_term = (tuple(-e for e in exps), coeff.inverse())
-    inv = Scalar(ctx, _canonical(ctx, [inv_term]))
+    inv = _from_terms(ctx, [(tuple(-e for e in exps), coeff.inverse())])
     return pow_int(inv, -k)
 
 
@@ -418,16 +644,17 @@ def _pow_half(x, doubled):
     """x raised to doubled/2.  Odd values need a monomial with an exact root."""
     if doubled % 2 == 0:
         return pow_int(x, doubled // 2)
-    if len(x.terms) != 1:
+    terms = x.terms
+    if len(terms) != 1:
         raise NotAUnit(f"half power of non-monomial {format_scalar(x)}")
-    (exps, coeff), = x.terms.items()
+    (exps, coeff), = terms.items()
     root_coeff = coeff.sqrt()
     if root_coeff is None or any(e % 2 for e in exps):
         raise NotAUnit(f"no exact square root of {format_scalar(x)}")
     ngens = len(x.ctx.generators)
     if any(exps[k] for k in range(ngens, len(exps))):
         raise NotAUnit(f"half power of root factor in {format_scalar(x)}")
-    half = Scalar(x.ctx, {tuple(e // 2 for e in exps): root_coeff})
+    half = _from_terms(x.ctx, [(tuple(e // 2 for e in exps), root_coeff)])
     return pow_int(x, (doubled - 1) // 2) * half
 
 
@@ -496,10 +723,12 @@ def substitute(x, bindings, target=None):
         return image
 
     def apply(y):
+        # the real and the imaginary part of a coefficient map as two terms
         result = target.zero()
-        for exps, coeff in y.terms.items():
-            term = target.scalar(coeff.re, coeff.im)
-            for pos, d in enumerate(exps):
+        one = target._layout.zero
+        for k, v in y._nums.items():
+            term = _scalar(target, {one + (k & 1): v}, y._den)
+            for pos, d in enumerate(ctx._layout.exps(k)):
                 if d:
                     term = term * _pow_half(factor_image(pos), d)
             result = result + term
@@ -511,39 +740,67 @@ def substitute(x, bindings, target=None):
 # -- exact division ---------------------------------------------------------
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
+def _laurent_div(layout, num, den):
+    """Exact quotient of root-free numerator dicts, or NotDivisible.
 
-
-def _laurent_div(ctx, num_terms, den_terms):
-    """Exact division of root-free term dicts; raises NotDivisible."""
-    if not num_terms:
-        return {}
-    width = len(ctx.names)
-    den_min = [min(e[k] for e in den_terms) for k in range(width)]
-    num_min = [min(e[k] for e in num_terms) for k in range(width)]
-    den0 = {tuple(e[k] - den_min[k] for k in range(width)): c for e, c in den_terms.items()}
-    rem = {tuple(e[k] - num_min[k] for k in range(width)): c for e, c in num_terms.items()}
-    shift = tuple(n - d for n, d in zip(num_min, den_min))
-    lt_den = max(den0, key=_grlex_key)
-    lt_den_coeff = den0[lt_den]
-    quot = {}
+    Returns (quot, scale) with quot/scale * den == num.  This is division by
+    the leading term in graded lexicographic order, the largest key.  Shifted
+    by the per-generator minimum exponents of num and den, every quotient
+    monomial has nonnegative exponents, and a leading term outside that box
+    means there is no quotient.  The numerators stay ints: the remainder and
+    the quotient are scaled up when a step needs a fraction of the leading
+    coefficient.
+    """
+    gen_guard, zero = layout.gen_guard, layout.zero
+    box = 0
+    for s in layout.shifts[:layout.ngens]:
+        box += (min((k >> s) & _GEN_VALUES for k in num)
+                - min((k >> s) & _GEN_VALUES for k in den)) << s
+    lead = max(den) & ~1
+    la, lb = den.get(lead, 0), den.get(lead + 1, 0)
+    norm = la * la + lb * lb
+    den_items = list(den.items())
+    rem, quot, scale = dict(num), {}, 1
     while rem:
-        lt_rem = max(rem, key=_grlex_key)
-        diff = tuple(a - b for a, b in zip(lt_rem, lt_den))
-        if any(d < 0 for d in diff):
+        m = max(rem) & ~1
+        # m - lead must be >= the box shift in every generator field
+        if (m - lead - box) & gen_guard:
             raise NotDivisible("no exact quotient")
-        coeff = rem[lt_rem] * lt_den_coeff.inverse()
-        quot[diff] = coeff
-        for e, c in den0.items():
-            key = tuple(a + b for a, b in zip(diff, e))
-            prev = rem.get(key)
-            total = (-(coeff * c)) if prev is None else prev - coeff * c
-            if total:
-                rem[key] = total
+        ra, rb = rem.get(m, 0), rem.get(m + 1, 0)
+        ta, tb = ra * la + rb * lb, rb * la - ra * lb  # (ra + rb*i) * conj(lead)
+        if norm != 1:
+            g = math.gcd(ta, tb, norm)
+            if g != norm:
+                up = norm // g
+                rem = {k: v * up for k, v in rem.items()}
+                quot = {k: v * up for k, v in quot.items()}
+                scale *= up
+                ta, tb = ta * up, tb * up
+            ta, tb = ta // norm, tb // norm
+        base = m - lead
+        if (base + zero) & gen_guard:
+            raise layout.overflow()
+        if ta:
+            quot[base + zero] = ta
+        if tb:
+            quot[base + zero + 1] = tb
+        products = []
+        if ta:
+            products += [(dk, ta * dv) for dk, dv in den_items]
+        if tb:  # i*(dv at dk): the i field moves up, or i*i gives a sign
+            products += [(dk - 1, -tb * dv) if dk & 1 else (dk + 1, tb * dv)
+                         for dk, dv in den_items]
+        for dk, v in products:
+            k = base + dk
+            if k & gen_guard:
+                raise layout.overflow()
+            prev = rem.get(k)
+            v = -v if prev is None else prev - v
+            if v:
+                rem[k] = v
             elif prev is not None:
-                del rem[key]
-    return {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()}
+                del rem[k]
+    return quot, scale
 
 
 def try_div_exact(num, den):
@@ -558,22 +815,23 @@ def try_div_exact(num, den):
         raise ZeroDivisionError("division by zero scalar")
     if num.is_zero():
         return ctx.zero()
-    ngens = len(ctx.generators)
+    layout = ctx._layout
+    ngens, total = layout.ngens, layout.total_shift
     work_num, work_den = num, den
     for j in range(len(ctx.root_names) - 1, -1, -1):
-        pos = ngens + j
-        d0_terms, d1_terms = {}, {}
-        for exps, coeff in work_den.terms.items():
-            if exps[pos]:
-                stripped = exps[:pos] + (0,) + exps[pos + 1:]
-                d1_terms[stripped] = coeff
+        root_bit = 2 << layout.shifts[ngens + j]
+        strip = root_bit + (2 << total)
+        d0_nums, d1_nums = {}, {}
+        for k, v in work_den._nums.items():
+            if k & root_bit:
+                d1_nums[k - strip] = v
             else:
-                d0_terms[exps] = coeff
-        if not d1_terms:
+                d0_nums[k] = v
+        if not d1_nums:
             continue
         root = ctx.gen(ctx.root_names[j])
-        d0 = Scalar(ctx, d0_terms)
-        d1 = Scalar(ctx, d1_terms)
+        d0 = _scalar(ctx, d0_nums, work_den._den)
+        d1 = _scalar(ctx, d1_nums, work_den._den)
         rad = ctx._radicands[j]
         if d0.is_zero():
             work_num = work_num * root
@@ -584,20 +842,21 @@ def try_div_exact(num, den):
             work_den = d0 * d0 - rad * d1 * d1
         if work_den.is_zero():
             raise NotDivisible("denominator is a zero divisor of the root extension")
-    # split numerator by root pattern; divide each component
-    components = {}
-    for exps, coeff in work_num.terms.items():
-        pattern = exps[ngens:]
-        stripped = exps[:ngens] + (0,) * len(ctx.root_names)
-        components.setdefault(pattern, {})[stripped] = coeff
-    result = {}
-    for pattern, terms in components.items():
-        part = _laurent_div(ctx, terms, work_den.terms)
-        for exps, coeff in part.items():
-            if any(exps[ngens:]):
-                raise NotDivisible("no exact quotient")
-            result[exps[:ngens] + pattern] = coeff
-    quotient = Scalar(ctx, _canonical(ctx, list(result.items())))
+    # split the numerator by root pattern; divide each component
+    components, offsets = {}, {}
+    for k, v in work_num._nums.items():
+        pattern = k & layout.root_fields
+        offset = offsets.get(pattern)
+        if offset is None:
+            degree = sum((pattern >> s) & 7 for s in layout.shifts[ngens:])
+            offset = offsets[pattern] = pattern + (degree << total)
+        components.setdefault(offset, {})[k - offset] = v
+    quotient = ctx.zero()
+    for offset, part in components.items():
+        quot, scale = _laurent_div(layout, part, work_den._nums)
+        quotient = quotient + _scalar(
+            ctx, {k + offset: v * work_den._den for k, v in quot.items()},
+            scale * work_num._den)
     if quotient * den != num:
         raise NotDivisible("no exact quotient")
     return quotient
@@ -649,23 +908,22 @@ def _tokenize(text):
 
 
 def _root_mask(x):
-    """Bit j set when some term of x carries the j-th adjoined root."""
-    ngens = len(x.ctx.generators)
+    """The root fields of x's keys that some term sets; two scalars share a bit
+    exactly when they share a root."""
     mask = 0
-    for exps in x.terms:
-        for j, e in enumerate(exps[ngens:]):
-            if e:
-                mask |= 1 << j
-    return mask
+    for k in x._nums:
+        mask |= k
+    return mask & x.ctx._layout.root_fields
 
 
 def _coeff_bits(x):
-    """Bit length of the largest numerator or denominator among x's coefficients."""
-    return max(
-        (max(abs(f.numerator).bit_length(), f.denominator.bit_length())
-         for c in x.terms.values() for f in (c.re, c.im)),
-        default=0,
-    )
+    """Bit length of the largest numerator or denominator among x's coefficients,
+    each real and imaginary part in lowest terms."""
+    den, bits = x._den, 0
+    for v in x._nums.values():
+        g = math.gcd(v, den)
+        bits = max(bits, (abs(v) // g).bit_length(), (den // g).bit_length())
+    return bits
 
 
 class _Parser:
@@ -735,17 +993,20 @@ class _Parser:
 
     def product(self, a, b, pos):
         """a * b, refused before multiplying when it could pass the bounds."""
-        terms = len(a.terms) * len(b.terms)
+        terms = a.term_count() * b.term_count()
         if _root_mask(a) & _root_mask(b):
             for rad in self.ctx._radicands:
-                terms *= len(rad.terms)
+                terms *= rad.term_count()
         if terms > MAX_TERMS:
             raise ParseError(f"product of up to {terms} terms, above {MAX_TERMS}", pos)
         bits = _coeff_bits(a) + _coeff_bits(b)
         if bits > MAX_COEFF_BITS:
             raise ParseError(
                 f"product with {bits}-bit coefficients, above {MAX_COEFF_BITS}", pos)
-        return a * b
+        try:
+            return a * b
+        except ExponentOverflow as exc:
+            raise ParseError(str(exc), pos) from None
 
     def factor(self):
         base = self.atom()
@@ -754,12 +1015,14 @@ class _Parser:
             return base
         self.next()
         doubled = self.exponent()
+        if not -_BIAS <= doubled < _BIAS:
+            raise ParseError(f"exponent outside [-{MAX_EXPONENT}, {MAX_EXPONENT})", pos)
         try:
             result = _pow_half(base, doubled % 2)  # 1, or the square root of a monomial
             k = doubled // 2
             if k < 0:
                 base, k = pow_int(base, -1), -k
-        except NotAUnit as exc:
+        except (NotAUnit, ExponentOverflow) as exc:
             raise ParseError(str(exc), pos) from None
         while k:
             if k & 1:
@@ -827,35 +1090,53 @@ def parse_scalar(ctx, text):
 
     Exponents are integers or ``(n/2)``; ``/`` divides by constants only.
     Text that could pass MAX_TERMS, MAX_COEFF_BITS or MAX_NESTING raises
-    ParseError before the work is done.
+    ParseError before the work is done, and so does an exponent, written or
+    reached by a product, outside [-MAX_EXPONENT, MAX_EXPONENT).
     """
     return _Parser(ctx, text).parse()
 
 
-def _format_coeff(c):
+def _sorted_terms(x):
+    """(doubled exponent tuple, re, im) per monomial of x, in ascending grlex order.
+
+    ``re`` and ``im`` are ints when integral and Fractions otherwise.
+    """
+    layout, nums, den = x.ctx._layout, x._nums, x._den
+    out = []
+    for k in sorted(nums):
+        if k & 1:
+            if k - 1 in nums:
+                continue
+            a, b = 0, nums[k]
+        else:
+            a, b = nums[k], nums.get(k + 1, 0)
+        out.append((layout.exps(k), _rational(a, den), _rational(b, den)))
+    return out
+
+
+def _format_coeff(re, im):
     """Render a Gaussian rational; returns (text, needs_parens_when_multiplied)."""
-    if c.im == 0:
-        return str(c.re), False
-    if c.re == 0:
-        if c.im == 1:
+    if im == 0:
+        return str(re), False
+    if re == 0:
+        if im == 1:
             return "i", False
-        if c.im == -1:
+        if im == -1:
             return "-i", False
-        return f"{c.im}*i", False
-    im = f"{c.im}*i" if c.im not in (1, -1) else ("i" if c.im == 1 else "-i")
-    if c.im > 0:
-        return f"({c.re}+{im})", True
-    return f"({c.re}{im})", True
+        return f"{im}*i", False
+    imag = f"{im}*i" if im not in (1, -1) else ("i" if im == 1 else "-i")
+    if im > 0:
+        return f"({re}+{imag})", True
+    return f"({re}{imag})", True
 
 
 def format_scalar(x):
     """Canonical text form, terms in ascending graded-lexicographic order."""
-    if not x.terms:
+    if not x._nums:
         return "0"
     names = x.ctx.names
     pieces = []
-    for exps in sorted(x.terms, key=_grlex_key):
-        coeff = x.terms[exps]
+    for exps, re, im in _sorted_terms(x):
         factors = []
         for name, d in zip(names, exps):
             if d == 0:
@@ -867,7 +1148,7 @@ def format_scalar(x):
             else:
                 factors.append(f"{name}^({d}/2)")
         mono = "*".join(factors)
-        ctext, wrapped = _format_coeff(coeff)
+        ctext, _ = _format_coeff(re, im)
         if not mono:
             text = ctext
         elif ctext == "1":
@@ -892,11 +1173,10 @@ def format_scalar(x):
 def scalar_to_json(x):
     """JSON-ready dict: {"terms": [{"re", "im", "exps"}...]} with exact strings."""
     terms = []
-    for exps in sorted(x.terms, key=_grlex_key):
-        coeff = x.terms[exps]
+    for exps, re, im in _sorted_terms(x):
         entry = {
-            "re": str(coeff.re),
-            "im": str(coeff.im),
+            "re": str(re),
+            "im": str(im),
             "exps": {
                 name: str(Fraction(d, 2))
                 for name, d in zip(x.ctx.names, exps)
@@ -943,8 +1223,9 @@ def _numeral(text, where):
 def scalar_from_json(ctx, obj):
     """Inverse of scalar_to_json; ParseError naming the field on malformed input.
 
-    Coefficients and exponents are numerals ``-?digits(/digits)?``, and an
-    adjoined root's exponent is 0 or 1, as the writer emits them.
+    Coefficients and exponents are numerals ``-?digits(/digits)?``, an
+    adjoined root's exponent is 0 or 1, as the writer emits them, and every
+    exponent lies in [-MAX_EXPONENT, MAX_EXPONENT).
     """
     ngens = len(ctx.generators)
     raw = []
@@ -965,9 +1246,12 @@ def scalar_from_json(ctx, obj):
             pos = ctx._index[name]
             if pos >= ngens and d not in (0, 2):
                 raise ParseError(f"{where}.exps.{name}: a root's exponent is 0 or 1")
+            if not -_BIAS <= d < _BIAS:
+                raise ParseError(
+                    f"{where}.exps.{name}: outside [-{MAX_EXPONENT}, {MAX_EXPONENT})")
             exps[pos] = int(d)
         raw.append((tuple(exps), coeff))
-    return Scalar(ctx, _canonical(ctx, raw))
+    return _from_terms(ctx, raw)
 
 
 def context_to_json(ctx):

@@ -369,7 +369,7 @@ def _invert_piece(work, rows, cols, n):
             raise NonInvertible("matrix is singular")
         # a unit pivot if there is one, else the one with the fewest terms
         p = min(candidates, key=lambda r: (not work[r][col].is_unit(),
-                                           len(work[r][col].terms)))
+                                           work[r][col].term_count()))
         piv = work[p][col]
         if piv.is_unit():
             inv_piv = piv ** -1

@@ -6,8 +6,9 @@ skein oracle computes the one-variable invariant by descending-diagram
 induction on braid closures, using no matrices at all.  The Kronecker-power
 contractions are the reference for ``tensor.weighted_trace``: they form
 mu^(x n) and the product with it, which weighted_trace never does.  The
-Fraction-based GaussianRational at the end is the reference for the ring's
-integer-triple coefficients.
+Fraction-based GaussianRational is the reference for the ring's
+integer-triple coefficients, and the term-dict arithmetic at the end is the
+reference for the ring's packed terms.
 """
 
 from __future__ import annotations
@@ -382,3 +383,330 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+# -- term-dict ring arithmetic ---------------------------------------------------
+#
+# The ring's arithmetic as it was when a Scalar stored its terms as a dict
+# {doubled exponent tuple: GaussianRational}: the reference for the packed
+# keys and shared denominator of ``ring.Scalar``.  Each function takes and
+# returns such dicts (``Scalar.terms`` gives one); ``ctx`` supplies the names
+# and the radicands.
+
+
+def _term_add(acc, exps, coeff):
+    prev = acc.get(exps)
+    total = coeff if prev is None else prev + coeff
+    if total:
+        acc[exps] = total
+    elif prev is not None:
+        del acc[exps]
+
+
+def terms_add(a, b):
+    big, small = (a, b)
+    if len(big) < len(small):
+        big, small = small, big
+    acc = dict(big)
+    for exps, coeff in small.items():
+        _term_add(acc, exps, coeff)
+    return acc
+
+
+def terms_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def terms_sub(a, b):
+    return terms_add(a, terms_neg(b))
+
+
+def terms_canonical(ctx, items, acc=None):
+    """Merge raw (exps, coeff) pairs into canonical form, reducing roots."""
+    from ybtrace.errors import NotAUnit
+
+    ngens = len(ctx.generators)
+    nroots = len(ctx.root_names)
+    if acc is None:
+        acc = {}
+    pending = list(items)
+    while pending:
+        exps, coeff = pending.pop()
+        if not coeff:
+            continue
+        bad = -1
+        for j in range(nroots - 1, -1, -1):
+            d = exps[ngens + j]
+            if d not in (0, 2):
+                bad = j
+                break
+        if bad < 0:
+            _term_add(acc, exps, coeff)
+            continue
+        pos = ngens + bad
+        d = exps[pos]
+        if d % 2:
+            raise NotAUnit(f"fractional power of root {ctx.root_names[bad]!r}")
+        k, rho = divmod(d // 2, 2)
+        base = list(exps)
+        base[pos] = 2 * rho
+        factor = terms_pow_int(ctx, ctx._radicands[bad].terms, k)
+        for fexps, fcoeff in factor.items():
+            combined = tuple(b + f for b, f in zip(base, fexps))
+            pending.append((combined, coeff * fcoeff))
+    return acc
+
+
+def terms_mul(ctx, a, b):
+    if not a or not b:
+        return {}
+    ngens = len(ctx.generators)
+    acc = {}
+    squares = []
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            coeff = c1 * c2
+            if 4 in exps[ngens:]:
+                squares.append((exps, coeff))
+                continue
+            _term_add(acc, exps, coeff)
+    return terms_canonical(ctx, squares, acc)
+
+
+def terms_pow_int(ctx, x, k):
+    """Exact integer power.  Negative powers require a unit base."""
+    from ybtrace.errors import NotAUnit
+    from ybtrace.ring import GaussianRational
+
+    if k == 0:
+        return {(0,) * len(ctx.names): GaussianRational(1)}
+    if k > 0:
+        result = None
+        base = x
+        while k:
+            if k & 1:
+                result = base if result is None else terms_mul(ctx, result, base)
+            k >>= 1
+            if k:
+                base = terms_mul(ctx, base, base)
+        return result
+    if len(x) != 1:
+        raise NotAUnit("negative power of a non-unit")
+    (exps, coeff), = x.items()
+    inv = terms_canonical(ctx, [(tuple(-e for e in exps), coeff.inverse())])
+    return terms_pow_int(ctx, inv, -k)
+
+
+def _grlex_key(exps):
+    return (sum(exps), exps)
+
+
+def terms_laurent_div(ctx, num_terms, den_terms):
+    """Exact division of root-free term dicts; raises NotDivisible."""
+    from ybtrace.errors import NotDivisible
+
+    if not num_terms:
+        return {}
+    width = len(ctx.names)
+    den_min = [min(e[k] for e in den_terms) for k in range(width)]
+    num_min = [min(e[k] for e in num_terms) for k in range(width)]
+    den0 = {tuple(e[k] - den_min[k] for k in range(width)): c for e, c in den_terms.items()}
+    rem = {tuple(e[k] - num_min[k] for k in range(width)): c for e, c in num_terms.items()}
+    shift = tuple(n - d for n, d in zip(num_min, den_min))
+    lt_den = max(den0, key=_grlex_key)
+    lt_den_coeff = den0[lt_den]
+    quot = {}
+    while rem:
+        lt_rem = max(rem, key=_grlex_key)
+        diff = tuple(a - b for a, b in zip(lt_rem, lt_den))
+        if any(d < 0 for d in diff):
+            raise NotDivisible("no exact quotient")
+        coeff = rem[lt_rem] * lt_den_coeff.inverse()
+        quot[diff] = coeff
+        for e, c in den0.items():
+            key = tuple(a + b for a, b in zip(diff, e))
+            prev = rem.get(key)
+            total = (-(coeff * c)) if prev is None else prev - coeff * c
+            if total:
+                rem[key] = total
+            elif prev is not None:
+                del rem[key]
+    return {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()}
+
+
+def terms_try_div_exact(ctx, num, den):
+    """Quotient q with q*den == num, or NotDivisible; roots rationalized first."""
+    from ybtrace.errors import NotDivisible
+    from ybtrace.ring import GaussianRational
+
+    if not den:
+        raise ZeroDivisionError("division by zero scalar")
+    if not num:
+        return {}
+    ngens = len(ctx.generators)
+    work_num, work_den = num, den
+    for j in range(len(ctx.root_names) - 1, -1, -1):
+        pos = ngens + j
+        d0, d1 = {}, {}
+        for exps, coeff in work_den.items():
+            if exps[pos]:
+                stripped = exps[:pos] + (0,) + exps[pos + 1:]
+                d1[stripped] = coeff
+            else:
+                d0[exps] = coeff
+        if not d1:
+            continue
+        root_exps = [0] * len(ctx.names)
+        root_exps[pos] = 2
+        root = {tuple(root_exps): GaussianRational(1)}
+        rad = ctx._radicands[j].terms
+        if not d0:
+            work_num = terms_mul(ctx, work_num, root)
+            work_den = terms_mul(ctx, d1, rad)
+        else:
+            conj = terms_sub(d0, terms_mul(ctx, root, d1))
+            work_num = terms_mul(ctx, work_num, conj)
+            work_den = terms_sub(terms_mul(ctx, d0, d0),
+                                 terms_mul(ctx, terms_mul(ctx, rad, d1), d1))
+        if not work_den:
+            raise NotDivisible("denominator is a zero divisor of the root extension")
+    components = {}
+    for exps, coeff in work_num.items():
+        pattern = exps[ngens:]
+        stripped = exps[:ngens] + (0,) * len(ctx.root_names)
+        components.setdefault(pattern, {})[stripped] = coeff
+    result = {}
+    for pattern, terms in components.items():
+        part = terms_laurent_div(ctx, terms, work_den)
+        for exps, coeff in part.items():
+            if any(exps[ngens:]):
+                raise NotDivisible("no exact quotient")
+            result[exps[:ngens] + pattern] = coeff
+    quotient = terms_canonical(ctx, list(result.items()))
+    if terms_mul(ctx, quotient, den) != num:
+        raise NotDivisible("no exact quotient")
+    return quotient
+
+
+def _terms_pow_half(ctx, x, doubled):
+    """x raised to doubled/2.  Odd values need a monomial with an exact root."""
+    from ybtrace.errors import NotAUnit
+
+    if doubled % 2 == 0:
+        return terms_pow_int(ctx, x, doubled // 2)
+    if len(x) != 1:
+        raise NotAUnit("half power of non-monomial")
+    (exps, coeff), = x.items()
+    root_coeff = coeff.sqrt()
+    if root_coeff is None or any(e % 2 for e in exps):
+        raise NotAUnit("no exact square root")
+    ngens = len(ctx.generators)
+    if any(exps[k] for k in range(ngens, len(exps))):
+        raise NotAUnit("half power of root factor")
+    half = {tuple(e // 2 for e in exps): root_coeff}
+    return terms_mul(ctx, terms_pow_int(ctx, x, (doubled - 1) // 2), half)
+
+
+def terms_substitute(ctx, terms, bindings, target):
+    """Homomorphic substitution of generators; ``bindings`` maps names to scalars."""
+    from ybtrace.errors import NotAUnit
+    from ybtrace.ring import GaussianRational
+
+    ngens = len(ctx.generators)
+    one = (0,) * len(target.names)
+    factor_cache = {}
+
+    def factor_image(pos):
+        cached = factor_cache.get(pos)
+        if cached is not None:
+            return cached
+        if pos < ngens:
+            name = ctx.generators[pos]
+            image = (bindings[name] if name in bindings else target.gen(name)).terms
+        else:
+            rad = apply(ctx._radicands[pos - ngens].terms)
+            image = None
+            for k, tname in enumerate(target.root_names):
+                if target._radicands[k].terms == rad:
+                    image = target.gen(tname).terms
+                    break
+            if image is None:
+                try:
+                    image = _terms_pow_half(target, rad, 1)
+                except NotAUnit:
+                    raise NotAUnit("no representation for the square root") from None
+        factor_cache[pos] = image
+        return image
+
+    def apply(y):
+        result = {}
+        for exps, coeff in y.items():
+            term = {one: GaussianRational(coeff.re, coeff.im)}
+            for pos, d in enumerate(exps):
+                if d:
+                    term = terms_mul(target, term, _terms_pow_half(target, factor_image(pos), d))
+            result = terms_add(result, term)
+        return result
+
+    return apply(terms)
+
+
+def _format_coeff(c):
+    if c.im == 0:
+        return str(c.re), False
+    if c.re == 0:
+        if c.im == 1:
+            return "i", False
+        if c.im == -1:
+            return "-i", False
+        return f"{c.im}*i", False
+    im = f"{c.im}*i" if c.im not in (1, -1) else ("i" if c.im == 1 else "-i")
+    if c.im > 0:
+        return f"({c.re}+{im})", True
+    return f"({c.re}{im})", True
+
+
+def terms_format(ctx, terms):
+    """Canonical text form, terms in ascending graded-lexicographic order."""
+    if not terms:
+        return "0"
+    pieces = []
+    for exps in sorted(terms, key=_grlex_key):
+        factors = []
+        for name, d in zip(ctx.names, exps):
+            if d == 0:
+                continue
+            if d == 2:
+                factors.append(name)
+            elif d % 2 == 0:
+                factors.append(f"{name}^{d // 2}")
+            else:
+                factors.append(f"{name}^({d}/2)")
+        mono = "*".join(factors)
+        ctext, _ = _format_coeff(terms[exps])
+        if not mono:
+            text = ctext
+        elif ctext == "1":
+            text = mono
+        elif ctext == "-1":
+            text = "-" + mono
+        else:
+            text = f"{ctext}*{mono}"
+        pieces.append(text)
+    out = pieces[0]
+    for text in pieces[1:]:
+        if text.startswith("-") and not text.startswith("-("):
+            out += " - " + text[1:]
+        else:
+            out += " + " + text
+    return out
+
+
+def terms_to_json(ctx, terms):
+    """{"terms": [{"re", "im", "exps"}...]} with exact strings, grlex order."""
+    return {"terms": [
+        {"re": str(terms[exps].re), "im": str(terms[exps].im),
+         "exps": {name: str(Fraction(d, 2)) for name, d in zip(ctx.names, exps) if d}}
+        for exps in sorted(terms, key=_grlex_key)
+    ]}

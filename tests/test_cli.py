@@ -308,3 +308,53 @@ def test_emit_scalar_formatting():
     x = ctx.parse("t + t^3 - t^4")
     assert emit(x) == "t + t^3 - t^4"
     assert json.loads(emit(x, "json"))["terms"][0]["exps"] == {"t": "1"}
+
+
+def test_unchecked_dense_matrix_is_refused_before_parsing(capsys, tmp_path, monkeypatch):
+    from ybtrace import tensor
+
+    def no_parsing(*args):
+        raise AssertionError("a scalar was parsed")
+
+    ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
+    one = {"terms": [{"re": "1"}]}
+    dense = _write(tmp_path, "dense256.json",
+                   {"side": 256, "entries": [[r, c, one] for r in range(256) for c in range(256)]})
+    monkeypatch.setattr(tensor, "scalar_from_json", no_parsing)
+    code = main(["ybe-check", "--file", dense, "--context", ctx, "--unchecked"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "above the cap of 16384" in captured.err
+
+
+def test_unchecked_matrix_under_the_cap_keeps_its_errors(capsys, tmp_path):
+    ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
+    one = {"terms": [{"re": "1"}]}
+    cases = (
+        ({"side": 4, "entries": [[0, 0, {"terms": [{"re": "x"}]}]]}, 3, "parse error:"),
+        ({"side": 3, "entries": [[0, 0, one]]}, 1, "not a perfect square"),
+        ({"side": 4, "entries": [[k, k, one] for k in range(4)]}, 0, ""),
+    )
+    for k, (obj, want, err) in enumerate(cases):
+        path = _write(tmp_path, f"m{k}.json", obj)
+        code = main(["ybe-check", "--file", path, "--context", ctx, "--unchecked"])
+        captured = capsys.readouterr()
+        assert code == want and err in captured.err, (obj, captured)
+    assert captured.out == "YBE: ok\n"
+
+
+def test_exponent_beyond_the_range_exits_3(capsys, tmp_path):
+    from ybtrace.ring import MAX_EXPONENT
+
+    ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
+    big_radicand = _write(tmp_path, "rad.json", {
+        "generators": ["p", "q"], "roots": [{"name": "r", "radicand": "q^1" + "0" * 50}]})
+    one = {"terms": [{"re": "1"}]}
+    far = {"terms": [{"re": "1", "exps": {"q": str(MAX_EXPONENT)}}]}
+    matrix = _write(tmp_path, "m.json", {"side": 4, "entries": [[0, 0, far], [1, 1, one]]})
+    for argv in (["ybe-check", "--file", matrix, "--context", ctx],
+                 ["ybe-check", "--file", matrix, "--context", big_radicand]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, ""), argv
+        assert captured.err.startswith("parse error:"), argv

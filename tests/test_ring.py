@@ -374,3 +374,59 @@ def test_parser_refuses_oversized_text_at_once():
     assert ctx.parse("(" * 50 + "q" + ")" * 50) == ctx.parse("q")
     with pytest.raises(ParseError):
         ScalarContext(("q",), (("r", "(1+q)^99999"),))
+
+
+# -- exponent range -------------------------------------------------------------
+
+
+def test_exponent_text_beyond_the_range_is_a_parse_error(ctx_pq):
+    from ybtrace.ring import MAX_EXPONENT
+
+    assert format_scalar(ctx_pq.parse(f"q^{MAX_EXPONENT - 1}")) == f"q^{MAX_EXPONENT - 1}"
+    assert format_scalar(ctx_pq.parse(f"q^-{MAX_EXPONENT}")) == f"q^-{MAX_EXPONENT}"
+    assert ctx_pq.parse(f"q^({2 * MAX_EXPONENT - 1}/2)") == ctx_pq.gen(
+        "q", Fraction(2 * MAX_EXPONENT - 1, 2))
+    for text in (f"q^{MAX_EXPONENT}", f"q^(-{MAX_EXPONENT + 1})", "q^1" + "0" * 50,
+                 f"q^({2 * MAX_EXPONENT}/2)", f"(p*q^64)^{MAX_EXPONENT // 64}",
+                 f"q^{MAX_EXPONENT - 1}*q", f"p^-{MAX_EXPONENT}/2*p^-1", "1^99999"):
+        with pytest.raises(ParseError):
+            ctx_pq.parse(text)
+
+
+def test_exponent_json_beyond_the_range_is_a_parse_error(ctx_pq):
+    from ybtrace.ring import MAX_EXPONENT
+
+    good = {"terms": [{"re": "1", "exps": {"q": str(-MAX_EXPONENT)}}]}
+    assert scalar_from_json(ctx_pq, good) == ctx_pq.gen("q", -MAX_EXPONENT)
+    for etext in (str(MAX_EXPONENT), f"{2 * MAX_EXPONENT + 1}/2", "1" + "0" * 50):
+        obj = {"terms": [{"re": "1", "exps": {"p": "1", "q": etext}}]}
+        with pytest.raises(ParseError, match=re.escape("scalar.terms[0].exps.q")):
+            scalar_from_json(ctx_pq, obj)
+
+
+def test_products_past_the_exponent_range_raise_instead_of_wrapping(ctx_pq):
+    from ybtrace.errors import ExponentOverflow, YbtraceError
+    from ybtrace.ring import MAX_EXPONENT
+
+    assert issubclass(ExponentOverflow, YbtraceError)
+    x, squarings = ctx_pq.parse("-2*q*sqrt_pq"), 0
+    while True:
+        try:
+            y = x * x
+        except ExponentOverflow:
+            break
+        x, squarings = y, squarings + 1
+    # (q*sqrt_pq)^(2^k) = p^(2^(k-1)) q^(3*2^(k-1)) stays in range up to k = 11
+    assert squarings == 11
+    assert x == pow_int(ctx_pq.parse("2*p^(1/2)*q^(3/2)"), 2 ** 11)
+    q = ctx_pq.gen("q")
+    for fn in (lambda: pow_int(q, MAX_EXPONENT), lambda: pow_int(q, -MAX_EXPONENT - 1),
+               lambda: pow_int(ctx_pq.gen("q", -MAX_EXPONENT), -1),
+               lambda: ctx_pq.gen("p", MAX_EXPONENT - 1) * ctx_pq.parse("p + q"),
+               lambda: ctx_pq.gen("p", -MAX_EXPONENT) * ctx_pq.parse("q - p^(-1/2)"),
+               lambda: try_div_exact(ctx_pq.gen("q", MAX_EXPONENT - 1), q ** -1),
+               lambda: ctx_pq.gen("q", MAX_EXPONENT)):
+        with pytest.raises(ExponentOverflow):
+            fn()
+    edge = ctx_pq.gen("p", MAX_EXPONENT - 1) * ctx_pq.gen("q", -MAX_EXPONENT)
+    assert format_scalar(edge) == f"p^{MAX_EXPONENT - 1}*q^-{MAX_EXPONENT}"

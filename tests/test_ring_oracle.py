@@ -1,0 +1,118 @@
+"""The packed scalar ring against the term-dict arithmetic it replaced.
+
+``oracles.terms_*`` compute over {doubled exponent tuple: GaussianRational}
+dicts, the representation ``Scalar`` had before its terms became packed int
+keys over one shared denominator.  Random scalars cover two adjoined roots
+(the second radicand uses the first), ``i``, half-integer and negative
+exponents and coefficients with denominators.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+
+from ybtrace.errors import YbtraceError
+from ybtrace.ring import (
+    GaussianRational,
+    Scalar,
+    ScalarContext,
+    format_scalar,
+    pow_int,
+    scalar_to_json,
+    substitute,
+    try_div_exact,
+)
+
+# r*r = 1 - q^2 and s*s = q + i*r/2; u and w square to units, so monomials
+# in them have negative powers
+CTX_ROOTS = ScalarContext(("p", "q"), (("r", "1-q^2"), ("s", "q + i*r/2")))
+CTX_UNITS = ScalarContext(("t",), (("u", "t"), ("w", "-2*t^-1*u")))
+
+
+def _random_terms(rng, ctx, max_terms=5):
+    """A canonical term dict, built by the oracle from random raw terms."""
+    ngens = len(ctx.generators)
+    raw = []
+    for _ in range(rng.randint(0, max_terms)):
+        re = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6)))
+        im = Fraction(rng.randint(-3, 3), rng.choice((1, 2))) if rng.random() < 0.3 else 0
+        exps = [rng.randint(-5, 5) for _ in range(ngens)]
+        exps += [rng.choice((0, 0, 2, 4)) for _ in ctx.root_names]
+        raw.append((tuple(exps), GaussianRational(re, im)))
+    return oracles.terms_canonical(ctx, raw)
+
+
+def _random_monomial(rng, ctx):
+    ngens = len(ctx.generators)
+    exps = [rng.randint(-3, 3) for _ in range(ngens)]
+    exps += [rng.choice((0, 2)) for _ in ctx.root_names]
+    coeff = GaussianRational(Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))),
+                             rng.choice((0, 0, 1)))
+    return oracles.terms_canonical(ctx, [(tuple(exps), coeff)])
+
+
+def _outcome(fn, *args):
+    """The value fn returns, or the class of the library error it raises."""
+    try:
+        return fn(*args)
+    except (YbtraceError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS], ids=["roots", "units"])
+def test_arithmetic_matches_term_dict_oracle(ctx):
+    rng = random.Random(20261018)
+    for _ in range(400):
+        ta, tb = _random_terms(rng, ctx), _random_terms(rng, ctx)
+        a, b = Scalar(ctx, ta), Scalar(ctx, tb)
+        assert a.terms == ta and a.term_count() == len(ta)
+        assert (a + b).terms == oracles.terms_add(ta, tb)
+        assert (a - b).terms == oracles.terms_sub(ta, tb)
+        assert (-a).terms == oracles.terms_neg(ta)
+        assert (a * b).terms == oracles.terms_mul(ctx, ta, tb)
+        assert (a * 3).terms == oracles.terms_mul(ctx, ta, ctx.scalar(3).terms)
+        k = rng.randint(0, 3)
+        assert pow_int(a, k).terms == oracles.terms_pow_int(ctx, ta, k)
+        assert format_scalar(a) == oracles.terms_format(ctx, ta)
+        assert scalar_to_json(a) == oracles.terms_to_json(ctx, ta)
+        assert (a == b) == (ta == tb)
+
+
+@pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS], ids=["roots", "units"])
+def test_negative_powers_match_term_dict_oracle(ctx):
+    rng = random.Random(7)
+    for _ in range(200):
+        tm = _random_monomial(rng, ctx)
+        k = rng.randint(-4, -1)
+        got = _outcome(lambda: pow_int(Scalar(ctx, tm), k).terms)
+        assert got == _outcome(oracles.terms_pow_int, ctx, tm, k)
+
+
+@pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS], ids=["roots", "units"])
+def test_exact_division_matches_term_dict_oracle(ctx):
+    rng = random.Random(4242)
+    quotients = 0
+    for _ in range(150):
+        ta, tb = _random_terms(rng, ctx, 4), _random_terms(rng, ctx, 3)
+        if rng.random() < 0.5:
+            ta = oracles.terms_mul(ctx, ta, tb)
+        a, b = Scalar(ctx, ta), Scalar(ctx, tb)
+        got = _outcome(lambda: try_div_exact(a, b).terms)
+        assert got == _outcome(oracles.terms_try_div_exact, ctx, ta, tb)
+        quotients += isinstance(got, dict)
+    assert quotients > 50
+
+
+def test_substitute_matches_term_dict_oracle():
+    rng = random.Random(99)
+    ctx = CTX_ROOTS
+    images = ["4*p^2*q^-2", "-p^-1", "2*q", "1 + p", "i*p^(1/2)", "q^-1"]
+    for _ in range(200):
+        ta = _random_terms(rng, ctx, 4)
+        bindings = {name: ctx.parse(rng.choice(images))
+                    for name in rng.sample(ctx.generators, rng.randint(0, 2))}
+        got = _outcome(lambda: substitute(Scalar(ctx, ta), bindings, ctx).terms)
+        assert got == _outcome(oracles.terms_substitute, ctx, ta, bindings, ctx)
