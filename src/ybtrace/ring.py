@@ -29,9 +29,11 @@ a sign; a root's doubled exponent reaching 4, which is replaced by the
 radicand; and an exponent past MAX_EXPONENT, which raises ExponentOverflow
 instead of carrying into the next field.
 
-``Scalar.terms`` is a read view of this form: a new dict {doubled exponent
-tuple: GaussianRational} on each access.  The library's hot paths never
-build it; ``Scalar.term_count()`` counts the same terms.
+``Scalar.terms`` and ``GaussianRational`` are read views of this form:
+``terms`` is a new dict {doubled exponent tuple: GaussianRational} on each
+access, and ``Scalar(ctx, terms)`` builds a scalar from such a dict.  The
+library's hot paths never build it; ``Scalar.term_count()`` counts the
+same terms.
 """
 
 from __future__ import annotations
@@ -46,13 +48,16 @@ from .errors import (
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Exponents lie in [-MAX_EXPONENT, MAX_EXPONENT): doubled, in [-_BIAS, _BIAS).
+# Exponents lie in [-MAX_EXPONENT, MAX_EXPONENT), doubled in [-_BIAS, _BIAS).
+# Scalar text and JSON beyond it raise ParseError, and a product or power
+# beyond it raises ExponentOverflow.
 MAX_EXPONENT = 4096
 _BIAS = 2 * MAX_EXPONENT
 _GEN_VALUES = 2 * _BIAS - 1  # mask of a generator field's value bits
 _GEN_BITS = (2 * _BIAS).bit_length()  # value bits and the guard bit
 _ROOT_BITS = 3  # 0 or 2, and the guard bit 4
 _I_BITS = 2  # 0 or 1, and the guard bit 2
+_OUTSIDE = f"an exponent outside [-{MAX_EXPONENT}, {MAX_EXPONENT})"
 
 
 def _rational(n, d):
@@ -182,9 +187,7 @@ class _Layout:
         for pos, (d, s) in enumerate(zip(exps, self.shifts)):
             if pos < self.ngens:
                 if not -_BIAS <= d < _BIAS:
-                    raise ExponentOverflow(
-                        f"exponent {Fraction(d, 2)} outside "
-                        f"[-{MAX_EXPONENT}, {MAX_EXPONENT})")
+                    raise ExponentOverflow(_OUTSIDE)
                 d += _BIAS
             k += d << s
         return k
@@ -192,10 +195,6 @@ class _Layout:
     def exps(self, key):
         """The doubled exponent tuple of a key (its i field is ignored)."""
         return tuple(((key >> s) & mask) - bias for s, mask, bias in self.fields)
-
-    def overflow(self):
-        return ExponentOverflow(
-            f"a product has an exponent outside [-{MAX_EXPONENT}, {MAX_EXPONENT})")
 
 
 class ScalarContext:
@@ -409,7 +408,7 @@ def _settle(ctx, flagged, acc, den):
         if (k & 3) == 2:
             k, c = k - 2, -c
         if k & layout.gen_guard:
-            raise layout.overflow()
+            raise ExponentOverflow(_OUTSIDE)
         if k & layout.root_guard:
             for j in range(len(layout.shifts) - ngens - 1, -1, -1):
                 s = layout.shifts[ngens + j]
@@ -455,17 +454,7 @@ class Scalar:
     @property
     def terms(self):
         """A new dict {doubled exponent tuple: GaussianRational}, one item per monomial."""
-        layout, nums, den = self.ctx._layout, self._nums, self._den
-        out = {}
-        for k, v in nums.items():
-            if k & 1:
-                if k - 1 in nums:
-                    continue
-                a, b = 0, v
-            else:
-                a, b = v, nums.get(k + 1, 0)
-            out[layout.exps(k)] = _gaussian(a, b, den)
-        return out
+        return dict(_sorted_terms(self))
 
     def term_count(self):
         """The number of monomials, ``len(self.terms)`` without building it."""
@@ -508,8 +497,7 @@ class Scalar:
             return self.ctx.scalar(other)
         return NotImplemented
 
-    def __add__(self, other, sign=1):
-        """self + other, or self - other when sign is -1."""
+    def __add__(self, other):
         if other.__class__ is not Scalar or other.ctx is not self.ctx:
             other = self._coerce(other)
             if other is NotImplemented:
@@ -517,18 +505,16 @@ class Scalar:
         a, b = self._nums, other._nums
         da, db = self._den, other._den
         if da == db:
-            den = da
+            den, scale = da, 1
             acc = dict(a)
-        else:
+        else:  # over the lcm of the denominators
             g = math.gcd(da, db)
-            scale, db_scale = db // g, da // g
-            den = da * scale
-            acc = {k: v * scale for k, v in a.items()}
-            sign *= db_scale
+            den, scale = da * (db // g), da // g
+            acc = {k: v * (db // g) for k, v in a.items()}
         get = acc.get
         for k, v in b.items():
             prev = get(k)
-            v = sign * v if prev is None else prev + sign * v
+            v = scale * v if prev is None else prev + scale * v
             if v:
                 acc[k] = v
             elif prev is not None:
@@ -541,7 +527,10 @@ class Scalar:
         return _scalar(self.ctx, {k: -v for k, v in self._nums.items()}, self._den)
 
     def __sub__(self, other):
-        return self.__add__(other, -1)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -591,7 +580,14 @@ class Scalar:
         den = self._den * other._den
         if flagged:
             acc, den = _settle(ctx, flagged, acc, den)
-        return _scalar(ctx, acc, den)
+        if den != 1 and acc:  # _scalar, inlined on the hottest path
+            g = math.gcd(den, *acc.values())
+            if g != 1:
+                den //= g
+                acc = {k: v // g for k, v in acc.items()}
+        x = _new(Scalar)
+        x.ctx, x._nums, x._den = ctx, acc, den
+        return x
 
     __rmul__ = __mul__
 
@@ -779,7 +775,7 @@ def _laurent_div(layout, num, den):
             ta, tb = ta // norm, tb // norm
         base = m - lead
         if (base + zero) & gen_guard:
-            raise layout.overflow()
+            raise ExponentOverflow(_OUTSIDE)
         if ta:
             quot[base + zero] = ta
         if tb:
@@ -793,7 +789,7 @@ def _laurent_div(layout, num, den):
         for dk, v in products:
             k = base + dk
             if k & gen_guard:
-                raise layout.overflow()
+                raise ExponentOverflow(_OUTSIDE)
             prev = rem.get(k)
             v = -v if prev is None else prev - v
             if v:
@@ -1016,7 +1012,7 @@ class _Parser:
         self.next()
         doubled = self.exponent()
         if not -_BIAS <= doubled < _BIAS:
-            raise ParseError(f"exponent outside [-{MAX_EXPONENT}, {MAX_EXPONENT})", pos)
+            raise ParseError(_OUTSIDE, pos)
         try:
             result = _pow_half(base, doubled % 2)  # 1, or the square root of a monomial
             k = doubled // 2
@@ -1097,10 +1093,8 @@ def parse_scalar(ctx, text):
 
 
 def _sorted_terms(x):
-    """(doubled exponent tuple, re, im) per monomial of x, in ascending grlex order.
-
-    ``re`` and ``im`` are ints when integral and Fractions otherwise.
-    """
+    """(doubled exponent tuple, GaussianRational) per monomial of x, in ascending
+    graded lexicographic order."""
     layout, nums, den = x.ctx._layout, x._nums, x._den
     out = []
     for k in sorted(nums):
@@ -1110,24 +1104,24 @@ def _sorted_terms(x):
             a, b = 0, nums[k]
         else:
             a, b = nums[k], nums.get(k + 1, 0)
-        out.append((layout.exps(k), _rational(a, den), _rational(b, den)))
+        out.append((layout.exps(k), _gaussian(a, b, den)))
     return out
 
 
-def _format_coeff(re, im):
+def _format_coeff(c):
     """Render a Gaussian rational; returns (text, needs_parens_when_multiplied)."""
-    if im == 0:
-        return str(re), False
-    if re == 0:
-        if im == 1:
+    if c.im == 0:
+        return str(c.re), False
+    if c.re == 0:
+        if c.im == 1:
             return "i", False
-        if im == -1:
+        if c.im == -1:
             return "-i", False
-        return f"{im}*i", False
-    imag = f"{im}*i" if im not in (1, -1) else ("i" if im == 1 else "-i")
-    if im > 0:
-        return f"({re}+{imag})", True
-    return f"({re}{imag})", True
+        return f"{c.im}*i", False
+    im = f"{c.im}*i" if c.im not in (1, -1) else ("i" if c.im == 1 else "-i")
+    if c.im > 0:
+        return f"({c.re}+{im})", True
+    return f"({c.re}{im})", True
 
 
 def format_scalar(x):
@@ -1136,7 +1130,7 @@ def format_scalar(x):
         return "0"
     names = x.ctx.names
     pieces = []
-    for exps, re, im in _sorted_terms(x):
+    for exps, coeff in _sorted_terms(x):
         factors = []
         for name, d in zip(names, exps):
             if d == 0:
@@ -1148,7 +1142,7 @@ def format_scalar(x):
             else:
                 factors.append(f"{name}^({d}/2)")
         mono = "*".join(factors)
-        ctext, _ = _format_coeff(re, im)
+        ctext, wrapped = _format_coeff(coeff)
         if not mono:
             text = ctext
         elif ctext == "1":
@@ -1173,10 +1167,10 @@ def format_scalar(x):
 def scalar_to_json(x):
     """JSON-ready dict: {"terms": [{"re", "im", "exps"}...]} with exact strings."""
     terms = []
-    for exps, re, im in _sorted_terms(x):
+    for exps, coeff in _sorted_terms(x):
         entry = {
-            "re": str(re),
-            "im": str(im),
+            "re": str(coeff.re),
+            "im": str(coeff.im),
             "exps": {
                 name: str(Fraction(d, 2))
                 for name, d in zip(x.ctx.names, exps)
@@ -1247,8 +1241,7 @@ def scalar_from_json(ctx, obj):
             if pos >= ngens and d not in (0, 2):
                 raise ParseError(f"{where}.exps.{name}: a root's exponent is 0 or 1")
             if not -_BIAS <= d < _BIAS:
-                raise ParseError(
-                    f"{where}.exps.{name}: outside [-{MAX_EXPONENT}, {MAX_EXPONENT})")
+                raise ParseError(f"{where}.exps.{name}: {_OUTSIDE}")
             exps[pos] = int(d)
         raw.append((tuple(exps), coeff))
     return _from_terms(ctx, raw)
