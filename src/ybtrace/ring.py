@@ -184,12 +184,10 @@ class _Layout:
     def key(self, exps):
         """The key of the monomial with doubled exponents ``exps`` (roots 0 or 2)."""
         k = sum(exps) << self.total_shift
-        for pos, (d, s) in enumerate(zip(exps, self.shifts)):
-            if pos < self.ngens:
-                if not -_BIAS <= d < _BIAS:
-                    raise ExponentOverflow(_OUTSIDE)
-                d += _BIAS
-            k += d << s
+        for d, (s, _, bias) in zip(exps, self.fields):
+            if bias and not -bias <= d < bias:
+                raise ExponentOverflow(_OUTSIDE)
+            k += (d + bias) << s
         return k
 
     def exps(self, key):
