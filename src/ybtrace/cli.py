@@ -49,7 +49,7 @@ from .invariant import (
     get_relation,
     verify_annihilating,
 )
-from .ring import context_from_json, format_scalar, scalar_to_json
+from .ring import context_from_json, format_scalar, json_field, scalar_to_json
 from .tables import run_table
 from .tensor import matrix_substitute, matrix_to_json
 
@@ -332,7 +332,10 @@ def _cmd_eyb_verify(args, out):
         if not args.context:
             raise UnknownName("--file needs --context")
         ctx = context_from_json(_load_json(args.context))
-        op = eyb_from_json(ctx, _load_json(args.file))
+        obj = _load_json(args.file)
+        # as in ybe-check: an oversized R is refused before any scalar is parsed
+        check_listed_positions(json_field(obj, "r", dict, "operator"))
+        op = eyb_from_json(ctx, obj)
     else:
         if not args.rmatrix:
             raise UnknownName("give --rmatrix or --file")

@@ -5,6 +5,11 @@ remaining index pairs with weighted swaps (diagonal case) or with the
 F/G block data.  The compatibility conditions are checked by brute force
 over index tuples, and the assembled matrix is re-checked against the YBE.
 
+Both kinds of spec are validated by one function when they are built: J
+must be distinct labels within 1..N, every swap weight a unit at a pair
+within 1..N that the kind allows, and a block spec's F and G invertible and
+of side |J|.
+
 Index subsets and the s/f mappings are 1-indexed at the interface, matching
 the JSON forms; internal tensor digits are 0-indexed.
 """
@@ -18,6 +23,8 @@ from .catalog import check_ybe, get_rmatrix
 from .errors import (
     ConditionViolation,
     DimensionMismatch,
+    InverseOutsideRing,
+    NonInvertible,
     ParseError,
     PreconditionViolation,
     UnknownName,
@@ -27,6 +34,7 @@ from .ring import ScalarContext, format_scalar, json_field
 from .tensor import (
     MAX_STATES,
     SquareMatrix,
+    invert,
     kron,
     matadd,
     matmul,
@@ -34,6 +42,40 @@ from .tensor import (
     matrix_substitute,
     scalar_scale,
 )
+
+
+def _validate(spec, weights, forbidden, why, blocks=()):
+    """Normalise and check a spec in place; ValueError names what is wrong.
+
+    J is sorted and must be distinct labels within 1..N.  Each (label,
+    matrix) in ``blocks`` must be invertible over the ring and of side |J|.
+    The field ``weights`` maps pairs within 1..N to scalars or scalar text;
+    a pair for which ``forbidden(a, b)`` holds is refused with the phrase
+    ``why``, and every weight must be a unit.
+    """
+    j = tuple(sorted(spec.j))
+    if not all(1 <= a <= spec.n for a in j) or len(set(j)) != len(j):
+        raise ValueError(f"bad index subset {spec.j}")
+    object.__setattr__(spec, "j", j)
+    for label, block in blocks:
+        if block.side != len(j):
+            raise ValueError(f"{label} has side {block.side}, not |J| = {len(j)}")
+        try:
+            invert(block)
+        except (NonInvertible, InverseOutsideRing):
+            raise ValueError(f"{label} must be invertible over the ring") from None
+    parsed = {}
+    for key, value in getattr(spec, weights).items():
+        a, b = key
+        if not (1 <= a <= spec.n and 1 <= b <= spec.n):
+            raise ValueError(f"pair {key} lies outside 1..{spec.n}")
+        if forbidden(a, b):
+            raise ValueError(f"pair {key} {why}")
+        weight = spec.ctx.parse(value) if isinstance(value, str) else value
+        if not weight.is_unit():
+            raise ValueError(f"swap weight for {key} must be invertible")
+        parsed[(a, b)] = weight
+    object.__setattr__(spec, weights, parsed)
 
 
 @dataclass(frozen=True)
@@ -51,20 +93,8 @@ class DiagonalDressingSpec:
     s: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        j = tuple(sorted(self.j))
-        object.__setattr__(self, "j", j)
-        if not all(1 <= a <= self.n for a in j) or len(set(j)) != len(j):
-            raise ValueError(f"bad index subset {self.j}")
-        parsed = {}
-        for key, value in self.s.items():
-            a, b = key
-            if a in j and b in j:
-                raise ValueError(f"pair {key} lies inside the embedded block")
-            weight = self.ctx.parse(value) if isinstance(value, str) else value
-            if not weight.is_unit():
-                raise ValueError(f"swap weight for {key} must be invertible")
-            parsed[(a, b)] = weight
-        object.__setattr__(self, "s", parsed)
+        _validate(self, "s", lambda a, b: a in self.j and b in self.j,
+                  "lies inside the embedded block")
 
     def weight(self, a, b):
         """s_{ab} for 1-indexed a, b; defaults to 1."""
@@ -74,8 +104,9 @@ class DiagonalDressingSpec:
 
 @dataclass(frozen=True)
 class BlockDressingSpec:
-    """Block data: commuting invertible F, G on the embedded block and the
-    swap weights f for pairs fully outside it."""
+    """Block data: commuting invertible F, G of side |J| on the embedded block
+    and the swap weights f for pairs fully outside it.  J is checked as for a
+    diagonal spec; F and G default to the identity."""
 
     ctx: ScalarContext
     n: int
@@ -85,47 +116,52 @@ class BlockDressingSpec:
     f: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        j = tuple(sorted(self.j))
-        object.__setattr__(self, "j", j)
-        m = len(j)
-        fb = self.f_block if self.f_block is not None else SquareMatrix.identity(self.ctx, m)
-        gb = self.g_block if self.g_block is not None else SquareMatrix.identity(self.ctx, m)
-        from .tensor import invert
-        from .errors import InverseOutsideRing, NonInvertible
-
-        for label, block in (("F", fb), ("G", gb)):
-            try:
-                invert(block)
-            except (NonInvertible, InverseOutsideRing):
-                raise ValueError(f"{label} must be invertible over the ring") from None
-        object.__setattr__(self, "f_block", fb)
-        object.__setattr__(self, "g_block", gb)
-        parsed = {}
-        for key, value in self.f.items():
-            a, b = key
-            if a in j or b in j:
-                raise ValueError(f"pair {key} touches the embedded block")
-            weight = self.ctx.parse(value) if isinstance(value, str) else value
-            if not weight.is_unit():
-                raise ValueError(f"swap weight for {key} must be invertible")
-            parsed[(a, b)] = weight
-        object.__setattr__(self, "f", parsed)
+        for name in ("f_block", "g_block"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, SquareMatrix.identity(self.ctx, len(self.j)))
+        _validate(self, "f", lambda a, b: a in self.j or b in self.j,
+                  "touches the embedded block", (("F", self.f_block), ("G", self.g_block)))
 
     def weight(self, a, b):
         value = self.f.get((a, b))
         return self.ctx.one() if value is None else value
 
 
-def _base_entries(base, ctx, target_ctx):
+def _relabelled(base, spec):
+    """The base matrix over spec.ctx, and its entries with the base's labels
+    0..|J|-1 moved to J - 1 in dimension spec.n."""
     matrix = base.matrix if hasattr(base, "matrix") else base
-    if matrix.ctx != target_ctx:
-        matrix = matrix_substitute(matrix, {}, target_ctx)
-    return matrix
+    if matrix.ctx != spec.ctx:
+        matrix = matrix_substitute(matrix, {}, spec.ctx)
+    m, n = len(spec.j), spec.n
+    if matrix.side != m * m:
+        raise DimensionMismatch("base side does not match the embedded subset")
+    labels = [a - 1 for a in spec.j]
+    entries = {}
+    for (row, col), value in matrix.entries.items():
+        ku, lu = divmod(row, m)
+        iu, ju = divmod(col, m)
+        entries[(labels[ku] * n + labels[lu], labels[iu] * n + labels[ju])] = value
+    return matrix, entries
 
 
-def _check_diagonal_conditions(base_matrix, spec, m):
+def _assembled(spec, entries, check):
+    """The dressed matrix of ``entries``; when ``check``, ConditionViolation
+    unless it solves the YBE."""
+    dressed = SquareMatrix(spec.ctx, spec.n * spec.n, entries)
+    if check:
+        verdict = check_ybe(dressed, spec.n)
+        if not verdict:
+            raise ConditionViolation(
+                f"dressed matrix fails the YBE, residual {format_scalar(verdict.residual)}",
+                verdict.index,
+            )
+    return dressed
+
+
+def _check_diagonal_conditions(base_matrix, spec):
     """The three swap-compatibility families, brute force over entries."""
-    j = spec.j
+    j, m = spec.j, len(spec.j)
     outside = [a for a in range(1, spec.n + 1) if a not in j]
     for (row, col), value in base_matrix.entries.items():
         ku, lu = divmod(row, m)
@@ -154,37 +190,17 @@ def dress_diagonal(base, spec, check=True):
     When ``check``, the compatibility families and the YBE are verified
     symbolically; violations raise ConditionViolation with the indices.
     """
-    ctx = spec.ctx
-    base_matrix = _base_entries(base, getattr(base, "ctx", None), ctx)
-    m = len(spec.j)
-    if base_matrix.side != m * m:
-        raise DimensionMismatch("base side does not match the embedded subset")
+    base_matrix, entries = _relabelled(base, spec)
     if check:
-        _check_diagonal_conditions(base_matrix, spec, m)
+        _check_diagonal_conditions(base_matrix, spec)
     n = spec.n
-    jmap = {pos: label - 1 for pos, label in enumerate(spec.j)}
-    entries = {}
-    for (row, col), value in base_matrix.entries.items():
-        ku, lu = divmod(row, m)
-        iu, ju = divmod(col, m)
-        nrow = jmap[ku] * n + jmap[lu]
-        ncol = jmap[iu] * n + jmap[ju]
-        entries[(nrow, ncol)] = value
     inside = set(a - 1 for a in spec.j)
     for i in range(n):
         for jj in range(n):
             if i in inside and jj in inside:
                 continue
             entries[(jj * n + i, i * n + jj)] = spec.weight(jj + 1, i + 1)
-    dressed = SquareMatrix(ctx, n * n, entries)
-    if check:
-        verdict = check_ybe(dressed, n)
-        if not verdict:
-            raise ConditionViolation(
-                f"dressed matrix fails the YBE, residual {format_scalar(verdict.residual)}",
-                verdict.index,
-            )
-    return dressed
+    return _assembled(spec, entries, check)
 
 
 def _check_block_conditions(base_matrix, spec):
@@ -214,22 +230,13 @@ def _check_block_conditions(base_matrix, spec):
 
 def dress_block(base, spec, check=True):
     """Assemble the block-dressed matrix on dimension spec.n."""
-    ctx = spec.ctx
-    base_matrix = _base_entries(base, getattr(base, "ctx", None), ctx)
-    m = len(spec.j)
-    if base_matrix.side != m * m:
-        raise DimensionMismatch("base side does not match the embedded subset")
+    base_matrix, entries = _relabelled(base, spec)
     if check:
         _check_block_conditions(base_matrix, spec)
     n = spec.n
     labels = [a - 1 for a in spec.j]
     inside = set(labels)
     pos_of = {label: pos for pos, label in enumerate(labels)}
-    entries = {}
-    for (row, col), value in base_matrix.entries.items():
-        ku, lu = divmod(row, m)
-        iu, ju = divmod(col, m)
-        entries[(labels[ku] * n + labels[lu], labels[iu] * n + labels[ju])] = value
     for i in range(n):
         for jj in range(n):
             i_in, j_in = i in inside, jj in inside
@@ -248,15 +255,7 @@ def dress_block(base, spec, check=True):
                         entries[(k * n + i, i * n + jj)] = value
             else:
                 entries[(jj * n + i, i * n + jj)] = spec.weight(i + 1, jj + 1)
-    dressed = SquareMatrix(ctx, n * n, entries)
-    if check:
-        verdict = check_ybe(dressed, n)
-        if not verdict:
-            raise ConditionViolation(
-                f"dressed matrix fails the YBE, residual {format_scalar(verdict.residual)}",
-                verdict.index,
-            )
-    return dressed
+    return _assembled(spec, entries, check)
 
 
 def _is_diagonal(matrix):
@@ -290,13 +289,7 @@ def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True
                 raise PreconditionViolation(
                     "nontrivial diagonal dressing requires a diagonal base weight"
                 )
-            for a in range(1, n + 1):
-                if a - 1 in inside:
-                    continue
-                if spec.weight(a, a) != want:
-                    raise PreconditionViolation(
-                        f"s_{a}{a} must equal {sign}alpha for nontrivial padding"
-                    )
+            letter = "s"
         else:
             fb, gb = spec.f_block, spec.g_block
             for name, block in (("F", fb), ("G", gb)):
@@ -308,13 +301,12 @@ def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True
                     raise PreconditionViolation(
                         f"{name} must commute with the base weight"
                     )
-            for a in range(1, n + 1):
-                if a - 1 in inside:
-                    continue
-                if spec.weight(a, a) != want:
-                    raise PreconditionViolation(
-                        f"f_{a}{a} must equal {sign}alpha for nontrivial padding"
-                    )
+            letter = "f"
+        for a in range(1, n + 1):
+            if a - 1 not in inside and spec.weight(a, a) != want:
+                raise PreconditionViolation(
+                    f"{letter}_{a}{a} must equal {sign}alpha for nontrivial padding"
+                )
         pad = base_eyb.beta if signum > 0 else -base_eyb.beta
         for a in range(n):
             if a not in inside:

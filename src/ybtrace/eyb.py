@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAUnit, ParseError, UnknownName, UnknownRow
+from .errors import DimensionMismatch, NotAUnit, ParseError, UnknownName, UnknownRow
 from .ring import Scalar, ScalarContext, json_field, scalar_from_json, scalar_to_json
 from .tensor import (
     SquareMatrix,
@@ -69,12 +69,16 @@ def verify_eyb(op):
     """Check the three enhancement conditions symbolically.
 
     Returns a truthy result or the first failing condition with its
-    residual matrix.  alpha must be a unit; beta must be nonzero.
+    residual matrix.  alpha must be a unit; beta must be nonzero; mu's side
+    squared must be R's side, else DimensionMismatch before any product.
     """
     if op.alpha.is_zero() or not op.alpha.is_unit():
         raise NotAUnit("alpha must be an invertible monomial")
     if op.beta.is_zero():
         raise NotAUnit("beta must be nonzero")
+    if op.mu.side ** 2 != op.r.side:
+        raise DimensionMismatch(f"mu has side {op.mu.side}, so mu (x) mu does not match "
+                                f"R's side {op.r.side}")
     mumu = kron(op.mu, op.mu)
     diff = _residual(matmul(op.r, mumu), matmul(mumu, op.r))
     if not diff.is_zero():

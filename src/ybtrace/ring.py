@@ -29,11 +29,15 @@ a sign; a root's doubled exponent reaching 4, which is replaced by the
 radicand; and an exponent past MAX_EXPONENT, which raises ExponentOverflow
 instead of carrying into the next field.
 
-``Scalar.terms`` and ``GaussianRational`` are read views of this form:
-``terms`` is a new dict {doubled exponent tuple: GaussianRational} on each
-access, and ``Scalar(ctx, terms)`` builds a scalar from such a dict.  The
-library's hot paths never build it; ``Scalar.term_count()`` counts the
-same terms.
+Roots are reduced in that one place, ``_settle``.  A scalar built from terms
+whose root powers lie outside {0, 1} reaches it through ordinary
+multiplication: root^e is root^(e mod 2) times radicand^(e // 2).
+
+``GaussianRational`` is only the view and input type of this form:
+``Scalar.terms`` is a new dict {doubled exponent tuple: GaussianRational} on
+each access, and ``Scalar(ctx, terms)``, ``ScalarContext.scalar`` and
+``monomial`` and the JSON reader take coefficients through it.  The library's
+hot paths never build it; ``Scalar.term_count()`` counts the same terms.
 """
 
 from __future__ import annotations
@@ -316,66 +320,46 @@ def _scalar(ctx, nums, den=1):
     return x
 
 
-def _canonical(ctx, items, acc=None):
-    """Merge raw (exps, coeff) pairs into a canonical term dict, reducing roots.
-
-    ``exps`` are doubled exponent tuples and ``coeff`` GaussianRationals.
-    Root exponents are rewritten into {0, 1} by peeling squares into the
-    radicand; negative root powers additionally multiply by the inverse of
-    the radicand, which must then be a unit.  The pairs are added into
-    ``acc``, a canonical term dict, when one is given.
-    """
-    ngens = len(ctx.generators)
-    nroots = len(ctx.root_names)
-    if acc is None:
-        acc = {}
-    pending = list(items)
-    while pending:
-        exps, coeff = pending.pop()
-        if not coeff:
-            continue
-        bad = -1
-        for j in range(nroots - 1, -1, -1):
-            d = exps[ngens + j]
-            if d not in (0, 2):
-                bad = j
-                break
-        if bad < 0:
-            prev = acc.get(exps)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[exps] = total
-            elif prev is not None:
-                del acc[exps]
-            continue
-        if bad >= len(ctx._radicands):
-            raise ValueError(
-                f"root {ctx.root_names[bad]!r} is used before its radicand is declared"
-            )
-        pos = ngens + bad
-        d = exps[pos]
-        if d % 2:
-            raise NotAUnit(f"fractional power of root {ctx.root_names[bad]!r}")
-        k, rho = divmod(d // 2, 2)
-        base = list(exps)
-        base[pos] = 2 * rho
-        factor = pow_int(ctx._radicands[bad], k)
-        for fexps, fcoeff in factor.terms.items():
-            combined = tuple(b + f for b, f in zip(base, fexps))
-            pending.append((combined, coeff * fcoeff))
-    return acc
+def _radicand(ctx, j):
+    """The radicand of root j, or ValueError while the context is still declaring it."""
+    if j >= len(ctx._radicands):
+        raise ValueError(f"root {ctx.root_names[j]!r} is used before its radicand is declared")
+    return ctx._radicands[j]
 
 
 def _from_terms(ctx, items):
-    """The Scalar of raw (doubled exponent tuple, GaussianRational) pairs."""
-    items = list(items)
+    """The Scalar of raw (doubled exponent tuple, GaussianRational) pairs.
+
+    Zero coefficients are dropped first.  A root's power e outside {0, 1}
+    becomes root^(e mod 2) * radicand^(e // 2) by Scalar multiplication, so
+    that ``_settle`` is the one reduction of roots; a half-integer e, or a
+    negative e // 2 of a radicand that is not a unit, raises NotAUnit.
+    """
     ngens = len(ctx.generators)
-    if any(d not in (0, 2) for exps, _ in items for d in exps[ngens:]):
-        items = list(_canonical(ctx, items).items())
-    layout = ctx._layout
-    den = math.lcm(*(c.d for _, c in items))
-    nums = {}
+    plain, factors = [], []
     for exps, c in items:
+        if not c:
+            continue
+        bad = [pos for pos in range(len(exps) - 1, ngens - 1, -1) if exps[pos] not in (0, 2)]
+        if not bad:
+            plain.append((exps, c))
+            continue
+        exps, powers = list(exps), []
+        for pos in bad:
+            rad = _radicand(ctx, pos - ngens)
+            if exps[pos] % 2:
+                raise NotAUnit(f"fractional power of root {ctx.names[pos]!r}")
+            k, rho = divmod(exps[pos] // 2, 2)
+            exps[pos] = 2 * rho
+            powers.append(pow_int(rad, k))
+        term = _from_terms(ctx, [(tuple(exps), c)])
+        for power in powers:
+            term = term * power
+        factors.append(term)
+    layout = ctx._layout
+    den = math.lcm(*(c.d for _, c in plain))
+    nums = {}
+    for exps, c in plain:
         k = layout.key(exps)
         scale = den // c.d
         for key, v in ((k, c.a), (k + 1, c.b)):
@@ -385,7 +369,7 @@ def _from_terms(ctx, items):
                 nums[key] = v
             elif prev is not None:
                 del nums[key]
-    return _scalar(ctx, nums, den)
+    return sum(factors, _scalar(ctx, nums, den))
 
 
 def _settle(ctx, flagged, acc, den):
@@ -412,11 +396,7 @@ def _settle(ctx, flagged, acc, den):
                 s = layout.shifts[ngens + j]
                 if (k >> s) & 7 == 4:
                     break
-            if j >= len(ctx._radicands):
-                raise ValueError(
-                    f"root {ctx.root_names[j]!r} is used before its radicand is declared"
-                )
-            rad = ctx._radicands[j]
+            rad = _radicand(ctx, j)
             base = k - (4 << s) - (4 << total) - zero
             for rk, rc in rad._nums.items():
                 v = c * rc if rad._den == 1 else Fraction(c * rc, rad._den)

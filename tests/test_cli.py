@@ -327,6 +327,37 @@ def test_unchecked_dense_matrix_is_refused_before_parsing(capsys, tmp_path, monk
     assert "above the cap of 16384" in captured.err
 
 
+def test_eyb_verify_refuses_a_large_r_or_a_misshapen_mu_before_any_product(
+        capsys, tmp_path, monkeypatch):
+    from ybtrace import eyb, tensor
+
+    def unreachable(*args):
+        raise AssertionError("reached")
+
+    ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
+    one = {"terms": [{"re": "1"}]}
+
+    def dense(side):
+        return {"side": side, "entries": [[r, c, one] for r in range(side) for c in range(side)]}
+
+    def operator(name, r, mu):
+        return _write(tmp_path, name, {"r": r, "mu": mu, "alpha": one, "beta": one})
+
+    cases = (
+        (operator("large_r.json", dense(64), dense(8)), tensor, "scalar_from_json",
+         "above the cap of 16384"),
+        (operator("wide_mu.json", dense(4), dense(16)), eyb, "kron",
+         "mu has side 16, so mu (x) mu does not match R's side 4"),
+    )
+    for path, module, name, err in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, unreachable)
+            code = main(["eyb-verify", "--file", path, "--context", ctx])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), path
+        assert err in captured.err, path
+
+
 def test_unchecked_matrix_under_the_cap_keeps_its_errors(capsys, tmp_path):
     ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
     one = {"terms": [{"re": "1"}]}

@@ -19,11 +19,11 @@ from ybtrace.dressing import (
     preset_dressings,
     preset_names,
 )
-from ybtrace.errors import ConditionViolation, PreconditionViolation
+from ybtrace.errors import ConditionViolation, ParseError, PreconditionViolation
 from ybtrace.eyb import get_table1_entry, verify_eyb
 from ybtrace.invariant import compute_ts, unknot_value
 from ybtrace.ring import ScalarContext
-from ybtrace.tensor import SquareMatrix, invert, matrix_substitute
+from ybtrace.tensor import SquareMatrix, invert, matrix_substitute, matrix_to_json
 
 
 def _jones_ctx(extra=()):
@@ -176,3 +176,29 @@ def test_spec_validation():
         DiagonalDressingSpec(ctx, 3, (1, 1, 3))
     with pytest.raises(ValueError):
         BlockDressingSpec(ctx, 3, (1, 3), f={(1, 2): "q"})
+
+
+def test_block_spec_checks_j_and_block_sides_like_a_diagonal_spec():
+    ctx = _jones_ctx()
+    for j in ((1, 1), (0, 2), (1, 5)):
+        for spec_class in (DiagonalDressingSpec, BlockDressingSpec):
+            with pytest.raises(ValueError, match="bad index subset"):
+                spec_class(ctx, 3, j)
+        for loader in (diagonal_spec_from_json, block_spec_from_json):
+            with pytest.raises(ParseError, match="bad index subset"):
+                loader(ctx, {"N": 3, "J": list(j)})
+    one, two = SquareMatrix.identity(ctx, 1), SquareMatrix.identity(ctx, 2)
+    for blocks in ((one, two), (two, one)):
+        with pytest.raises(ValueError, match=r"has side ., not \|J\| = 2"):
+            BlockDressingSpec(ctx, 3, (1, 3), *blocks)
+    with pytest.raises(ParseError, match="spec: G has side 1"):
+        block_spec_from_json(ctx, {"N": 3, "J": [1, 3], "G": matrix_to_json(one)})
+
+
+def test_weights_outside_the_dimension_are_refused():
+    ctx = _jones_ctx()
+    for pair in ((0, 2), (2, 4), (7, 9)):
+        with pytest.raises(ValueError, match=r"lies outside 1\.\.3"):
+            DiagonalDressingSpec(ctx, 3, (1, 3), {pair: "q"})
+        with pytest.raises(ValueError, match=r"lies outside 1\.\.3"):
+            BlockDressingSpec(ctx, 3, (1, 3), f={pair: "q"})

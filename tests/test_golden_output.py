@@ -5,6 +5,7 @@ printed it before the scalar ring changed its internal representation.  A
 change that alters a value, the order of terms or the text of a coefficient
 fails here.  To write a file for a new command, run it with an unchanged
 library: ``PYTHONPATH=src python -m ybtrace.cli ARGS > tests/golden/NAME``.
+Commands that read a file take it from ``tests/inputs/``.
 """
 
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from ybtrace.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = Path(__file__).resolve().parent / "inputs"
 
 LINKS = ("0_1", "3_1", "4_1", "5_1", "5_2", "2^2_1", "4^2_1", "5^2_1",
          "6^2_1", "6^2_2", "6^2_3")
@@ -30,6 +32,12 @@ COMMANDS = (
        for preset in PRESETS]
     + [(f"dress_{preset}.json", ["dress", "--preset", preset, "--format", "json"])
        for preset in PRESETS]
+    + [(f"dress_file_{mode}_{check}.{'json' if fmt == 'json' else 'txt'}",
+        ["dress", "--file", str(INPUTS / "dress_spec.json"),
+         "--context", str(INPUTS / "dress_context.json"), "--base", "R2.1",
+         "--mode", mode, "--format", fmt] + (["--no-check"] if check == "no_check" else []))
+       for mode in ("trivial", "nontrivial") for check in ("check", "no_check")
+       for fmt in ("text", "json")]
 )
 
 

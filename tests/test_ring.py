@@ -265,9 +265,7 @@ def _random_scalar(rng, ctx, max_terms=6):
         exps = [rng.randint(-4, 4) for _ in ctx.generators]
         exps += [2 * rng.randint(0, 1) for _ in range(nroots)]
         terms.append((tuple(exps), coeff))
-    from ybtrace.ring import _canonical
-
-    return Scalar(ctx, _canonical(ctx, terms))
+    return Scalar(ctx, oracles.terms_canonical(ctx, terms))
 
 
 def test_ring_axioms_randomized():

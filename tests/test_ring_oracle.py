@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 
-from ybtrace.errors import YbtraceError
+from ybtrace.errors import NotAUnit, YbtraceError
 from ybtrace.ring import (
     GaussianRational,
     Scalar,
@@ -79,6 +79,36 @@ def test_arithmetic_matches_term_dict_oracle(ctx):
         assert format_scalar(a) == oracles.terms_format(ctx, ta)
         assert scalar_to_json(a) == oracles.terms_to_json(ctx, ta)
         assert (a == b) == (ta == tb)
+
+
+def _random_raw(rng, ctx):
+    """Raw {doubled exponent tuple: GaussianRational} terms: root exponents
+    negative, 2 or more, or fractional, and some zero coefficients."""
+    ngens = len(ctx.generators)
+    raw = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [rng.randint(-4, 4) for _ in range(ngens)]
+        exps += [rng.choice((0, 0, 2, 2, 4, 6, 8) if rng.random() < 0.85 else (-6, -4, -2, 1, -3))
+                 for _ in ctx.root_names]
+        raw[tuple(exps)] = GaussianRational(Fraction(rng.randint(-3, 3), rng.choice((1, 2))),
+                                            rng.choice((0, 0, 1)))
+    return raw
+
+
+@pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS], ids=["roots", "units"])
+def test_construction_matches_term_dict_oracle(ctx):
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(400):
+        raw = _random_raw(rng, ctx)
+        want = _outcome(oracles.terms_canonical, ctx, list(raw.items()))
+        assert _outcome(lambda: Scalar(ctx, raw).terms) == want, raw
+        exps, coeff = rng.choice(list(raw.items()))
+        powers = {name: Fraction(d, 2) for name, d in zip(ctx.names, exps)}
+        got = _outcome(lambda: ctx.monomial(coeff, powers).terms)
+        assert got == _outcome(oracles.terms_canonical, ctx, [(exps, coeff)]), (exps, coeff)
+        outcomes.add(want if isinstance(want, type) else bool(want))
+    assert outcomes == {True, False, NotAUnit}
 
 
 @pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS], ids=["roots", "units"])
