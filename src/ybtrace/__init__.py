@@ -27,7 +27,6 @@ from .errors import (
 )
 from .ring import (
     MAX_EXPONENT,
-    GaussianRational,
     Scalar,
     ScalarContext,
     format_scalar,

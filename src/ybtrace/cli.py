@@ -41,6 +41,7 @@ from .eyb import (
 )
 from .invariant import (
     ANNIHILATING_RELATIONS,
+    InvariantResult,
     SkeinFamily,
     alexander_nabla,
     check_skein_family,
@@ -49,9 +50,9 @@ from .invariant import (
     get_relation,
     verify_annihilating,
 )
-from .ring import context_from_json, format_scalar, json_field, scalar_to_json
-from .tables import run_table
-from .tensor import matrix_substitute, matrix_to_json
+from .ring import Scalar, context_from_json, format_scalar, json_field, scalar_to_json
+from .tables import TableReport, run_table
+from .tensor import SquareMatrix, matrix_substitute, matrix_to_json
 
 
 def emit(result, fmt="text"):
@@ -76,11 +77,6 @@ def _csv_field(text):
 
 
 def _to_jsonable(result):
-    from .invariant import InvariantResult
-    from .ring import Scalar
-    from .tables import TableReport
-    from .tensor import SquareMatrix
-
     if isinstance(result, Scalar):
         return scalar_to_json(result)
     if isinstance(result, SquareMatrix):
@@ -110,8 +106,6 @@ def _to_jsonable(result):
 
 
 def _to_rows(result):
-    from .tables import TableReport
-
     if isinstance(result, TableReport):
         return [
             {
@@ -130,11 +124,6 @@ def _to_rows(result):
 
 
 def _to_text(result):
-    from .invariant import InvariantResult
-    from .ring import Scalar
-    from .tables import TableReport
-    from .tensor import SquareMatrix
-
     if isinstance(result, Scalar):
         return format_scalar(result)
     if isinstance(result, InvariantResult):

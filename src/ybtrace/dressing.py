@@ -40,6 +40,7 @@ from .tensor import (
     matmul,
     matrix_from_json,
     matrix_substitute,
+    matrix_to_json,
     scalar_scale,
 )
 
@@ -456,8 +457,6 @@ def block_spec_from_json(ctx, obj):
 
 
 def block_spec_to_json(spec):
-    from .tensor import matrix_to_json
-
     return {
         "N": spec.n,
         "J": list(spec.j),

@@ -23,6 +23,7 @@ from .tensor import (
     SquareMatrix,
     invert,
     kron,
+    matadd,
     matmul,
     matrix_from_json,
     matrix_to_json,
@@ -60,8 +61,6 @@ class EybCheck:
 
 
 def _residual(a, b):
-    from .tensor import matadd
-
     return matadd(a, scalar_scale(b, a.ctx.scalar(-1)))
 
 

@@ -33,11 +33,11 @@ Roots are reduced in that one place, ``_settle``.  A scalar built from terms
 whose root powers lie outside {0, 1} reaches it through ordinary
 multiplication: root^e is root^(e mod 2) times radicand^(e // 2).
 
-``GaussianRational`` is only the view and input type of this form:
-``Scalar.terms`` is a new dict {doubled exponent tuple: GaussianRational} on
-each access, and ``Scalar(ctx, terms)``, ``ScalarContext.scalar`` and
-``monomial`` and the JSON reader take coefficients through it.  The library's
-hot paths never build it; ``Scalar.term_count()`` counts the same terms.
+A coefficient is given as an int, a Fraction or an (re, im) pair of them,
+and ``Scalar.terms`` reads it back as such a pair, each part an int when
+integral and a Fraction otherwise: a new dict {doubled exponent tuple:
+(re, im)} on each access, so ``Scalar(ctx, x.terms) == x``.  The library's
+own code never builds that view; ``Scalar.term_count()`` counts its terms.
 """
 
 from __future__ import annotations
@@ -72,94 +72,15 @@ def _rational(n, d):
 _new = object.__new__
 
 
-def _gaussian(a, b, d):
-    """The GaussianRational (a + b*i)/d for ints a, b and d > 0."""
-    if d != 1:
-        g = math.gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
-    x = _new(GaussianRational)
-    x.a, x.b, x.d = a, b, d
-    return x
-
-
-class GaussianRational:
-    """A number (a + b*i)/d with ints a, b, d, d > 0 and gcd(a, b, d) = 1.
-
-    Scalars do not store these: ``Scalar.terms`` builds them, and text and
-    JSON read coefficients through them.  ``re`` and ``im`` are an int when
-    integral and a Fraction otherwise.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            self.a, self.b, self.d = re, im, 1
-            return
-        re, im = Fraction(re), Fraction(im)
-        d = math.lcm(re.denominator, im.denominator)
-        self.a = re.numerator * (d // re.denominator)
-        self.b = im.numerator * (d // im.denominator)
-        self.d = d
-
-    @property
-    def re(self):
-        return _rational(self.a, self.d)
-
-    @property
-    def im(self):
-        return _rational(self.b, self.d)
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
-    def __add__(self, other):
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _gaussian(self.a + other.a, self.b + other.b, d1)
-        return _gaussian(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
-
-    def __sub__(self, other):
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _gaussian(self.a - other.a, self.b - other.b, d1)
-        return _gaussian(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
-
-    def __neg__(self):
-        return _gaussian(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _gaussian(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
-
-    def inverse(self):
-        a, b, d = self.a, self.b, self.d
-        norm = a * a + b * b
-        if not norm:
-            raise ZeroDivisionError("inverse of zero")
-        return _gaussian(d * a, -d * b, norm)
-
-    def sqrt(self):
-        """Exact square root if one exists in Q(i), else None.  Positive branch."""
-        if self.b:
-            return None
-        a, d = abs(self.a), self.d
-        ra, rd = math.isqrt(a), math.isqrt(d)
-        if ra * ra != a or rd * rd != d:
-            return None
-        return _gaussian(ra, 0, rd) if self.a >= 0 else _gaussian(0, ra, rd)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+def _coeff(c):
+    """Ints (a, b, d), d > 0, with (a + b*i)/d the coefficient ``c``: an int, a
+    Fraction or an (re, im) pair of them."""
+    re, im = c if isinstance(c, tuple) else (c, 0)
+    if type(re) is int and type(im) is int:
+        return re, im, 1
+    re, im = Fraction(re), Fraction(im)
+    d = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
 class _Layout:
@@ -230,8 +151,8 @@ class ScalarContext:
             if rad.is_zero():
                 raise ValueError(f"radicand of {name!r} is zero")
             cut = ngens + j
-            for exps in rad.terms:
-                if any(exps[k] for k in range(cut, len(self.names))):
+            for exps, _, _ in _sorted_terms(rad):
+                if any(exps[cut:]):
                     raise ValueError(
                         f"radicand of {name!r} references a later generator"
                     )
@@ -265,13 +186,13 @@ class ScalarContext:
         zero = self._layout.zero
         if type(value) is int and not imag:
             return _scalar(self, {zero: value} if value else {})
-        c = GaussianRational(value, imag)
+        a, b, d = _coeff((value, imag))
         nums = {}
-        if c.a:
-            nums[zero] = c.a
-        if c.b:
-            nums[zero + 1] = c.b
-        return _scalar(self, nums, c.d)
+        if a:
+            nums[zero] = a
+        if b:
+            nums[zero + 1] = b
+        return _scalar(self, nums, d)
 
     def one(self):
         return self.scalar(1)
@@ -281,7 +202,6 @@ class ScalarContext:
 
     def monomial(self, coeff, exponents):
         """Monomial with ``exponents`` a mapping name -> exponent (Fraction ok)."""
-        c = coeff if isinstance(coeff, GaussianRational) else GaussianRational(coeff)
         exps = [0] * len(self.names)
         for name, e in exponents.items():
             if name not in self._index:
@@ -290,7 +210,7 @@ class ScalarContext:
             if d.denominator != 1:
                 raise NotAUnit(f"exponent {e} of {name!r} is not a half-integer")
             exps[self._index[name]] = int(d)
-        return _from_terms(self, [(tuple(exps), c)])
+        return _from_terms(self, [(tuple(exps), _coeff(coeff))])
 
     def gen(self, name, power=1):
         return self.monomial(1, {name: power})
@@ -328,7 +248,8 @@ def _radicand(ctx, j):
 
 
 def _from_terms(ctx, items):
-    """The Scalar of raw (doubled exponent tuple, GaussianRational) pairs.
+    """The Scalar of raw (doubled exponent tuple, (a, b, d)) pairs, (a + b*i)/d
+    the coefficient.
 
     Zero coefficients are dropped first.  A root's power e outside {0, 1}
     becomes root^(e mod 2) * radicand^(e // 2) by Scalar multiplication, so
@@ -338,7 +259,7 @@ def _from_terms(ctx, items):
     ngens = len(ctx.generators)
     plain, factors = [], []
     for exps, c in items:
-        if not c:
+        if not (c[0] or c[1]):
             continue
         bad = [pos for pos in range(len(exps) - 1, ngens - 1, -1) if exps[pos] not in (0, 2)]
         if not bad:
@@ -357,12 +278,12 @@ def _from_terms(ctx, items):
             term = term * power
         factors.append(term)
     layout = ctx._layout
-    den = math.lcm(*(c.d for _, c in plain))
+    den = math.lcm(*(d for _, (_, _, d) in plain))
     nums = {}
-    for exps, c in plain:
+    for exps, (a, b, d) in plain:
         k = layout.key(exps)
-        scale = den // c.d
-        for key, v in ((k, c.a), (k + 1, c.b)):
+        scale = den // d
+        for key, v in ((k, a), (k + 1, b)):
             prev = nums.get(key)
             v = v * scale if prev is None else prev + v * scale
             if v:
@@ -420,19 +341,22 @@ class Scalar:
     """An immutable element of the ring declared by a ScalarContext.
 
     ``Scalar(ctx, terms)`` builds one from a dict {doubled exponent tuple:
-    GaussianRational}, the form ``terms`` reads back.
+    coefficient}, a coefficient an int, a Fraction or an (re, im) pair of
+    them; ``terms`` reads it back with (re, im) pairs.
     """
 
     __slots__ = ("ctx", "_nums", "_den")
 
     def __init__(self, ctx, terms):
-        x = _from_terms(ctx, terms.items())
+        x = _from_terms(ctx, [(exps, _coeff(c)) for exps, c in terms.items()])
         self.ctx, self._nums, self._den = ctx, x._nums, x._den
 
     @property
     def terms(self):
-        """A new dict {doubled exponent tuple: GaussianRational}, one item per monomial."""
-        return dict(_sorted_terms(self))
+        """A new dict {doubled exponent tuple: (re, im)}, one item per monomial."""
+        den = self._den
+        return {exps: (_rational(a, den), _rational(b, den))
+                for exps, a, b in _sorted_terms(self)}
 
     def term_count(self):
         """The number of monomials, ``len(self.terms)`` without building it."""
@@ -609,8 +533,9 @@ def pow_int(x, k):
     # negative power: single-term monomial whose root factors are invertible
     if x.term_count() != 1:
         raise NotAUnit(f"negative power of non-unit {format_scalar(x)}")
-    (exps, coeff), = x.terms.items()
-    inv = _from_terms(ctx, [(tuple(-e for e in exps), coeff.inverse())])
+    (exps, a, b), = _sorted_terms(x)
+    d = x._den  # 1 / ((a + b*i)/d) = (d*a - d*b*i) / (a^2 + b^2)
+    inv = _from_terms(ctx, [(tuple(-e for e in exps), (d * a, -d * b, a * a + b * b))])
     return pow_int(inv, -k)
 
 
@@ -618,17 +543,18 @@ def _pow_half(x, doubled):
     """x raised to doubled/2.  Odd values need a monomial with an exact root."""
     if doubled % 2 == 0:
         return pow_int(x, doubled // 2)
-    terms = x.terms
-    if len(terms) != 1:
+    if x.term_count() != 1:
         raise NotAUnit(f"half power of non-monomial {format_scalar(x)}")
-    (exps, coeff), = terms.items()
-    root_coeff = coeff.sqrt()
-    if root_coeff is None or any(e % 2 for e in exps):
+    # a/d is in lowest terms; its root is sqrt(|a|)/sqrt(d), times i when a < 0
+    (exps, a, b), = _sorted_terms(x)
+    ra, rd = math.isqrt(abs(a)), math.isqrt(x._den)
+    if b or ra * ra != abs(a) or rd * rd != x._den or any(e % 2 for e in exps):
         raise NotAUnit(f"no exact square root of {format_scalar(x)}")
     ngens = len(x.ctx.generators)
     if any(exps[k] for k in range(ngens, len(exps))):
         raise NotAUnit(f"half power of root factor in {format_scalar(x)}")
-    half = _from_terms(x.ctx, [(tuple(e // 2 for e in exps), root_coeff)])
+    root = (ra, 0, rd) if a > 0 else (0, ra, rd)
+    half = _from_terms(x.ctx, [(tuple(e // 2 for e in exps), root)])
     return pow_int(x, (doubled - 1) // 2) * half
 
 
@@ -955,7 +881,8 @@ class _Parser:
             elif kind == "op" and value == "/":
                 self.next()
                 rhs = self.factor()
-                if len(rhs.terms) != 1 or any(next(iter(rhs.terms))):
+                terms = _sorted_terms(rhs)
+                if len(terms) != 1 or any(terms[0][0]):
                     raise ParseError("division only by nonzero constants", pos)
                 try:
                     inverse = pow_int(rhs, -1)
@@ -1071,9 +998,9 @@ def parse_scalar(ctx, text):
 
 
 def _sorted_terms(x):
-    """(doubled exponent tuple, GaussianRational) per monomial of x, in ascending
-    graded lexicographic order."""
-    layout, nums, den = x.ctx._layout, x._nums, x._den
+    """(doubled exponent tuple, a, b) per monomial of x, with (a + b*i)/x._den
+    its coefficient, in ascending graded lexicographic order."""
+    layout, nums = x.ctx._layout, x._nums
     out = []
     for k in sorted(nums):
         if k & 1:
@@ -1082,33 +1009,27 @@ def _sorted_terms(x):
             a, b = 0, nums[k]
         else:
             a, b = nums[k], nums.get(k + 1, 0)
-        out.append((layout.exps(k), _gaussian(a, b, den)))
+        out.append((layout.exps(k), a, b))
     return out
 
 
-def _format_coeff(c):
-    """Render a Gaussian rational; returns (text, needs_parens_when_multiplied)."""
-    if c.im == 0:
-        return str(c.re), False
-    if c.re == 0:
-        if c.im == 1:
-            return "i", False
-        if c.im == -1:
-            return "-i", False
-        return f"{c.im}*i", False
-    im = f"{c.im}*i" if c.im not in (1, -1) else ("i" if c.im == 1 else "-i")
-    if c.im > 0:
-        return f"({c.re}+{im})", True
-    return f"({c.re}{im})", True
+def _format_coeff(re, im):
+    """The text of the coefficient re + im*i."""
+    if im == 0:
+        return str(re)
+    itext = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    if re == 0:
+        return itext
+    return f"({re}+{itext})" if im > 0 else f"({re}{itext})"
 
 
 def format_scalar(x):
     """Canonical text form, terms in ascending graded-lexicographic order."""
     if not x._nums:
         return "0"
-    names = x.ctx.names
+    names, den = x.ctx.names, x._den
     pieces = []
-    for exps, coeff in _sorted_terms(x):
+    for exps, a, b in _sorted_terms(x):
         factors = []
         for name, d in zip(names, exps):
             if d == 0:
@@ -1120,7 +1041,7 @@ def format_scalar(x):
             else:
                 factors.append(f"{name}^({d}/2)")
         mono = "*".join(factors)
-        ctext, wrapped = _format_coeff(coeff)
+        ctext = _format_coeff(_rational(a, den), _rational(b, den))
         if not mono:
             text = ctext
         elif ctext == "1":
@@ -1144,11 +1065,11 @@ def format_scalar(x):
 
 def scalar_to_json(x):
     """JSON-ready dict: {"terms": [{"re", "im", "exps"}...]} with exact strings."""
-    terms = []
-    for exps, coeff in _sorted_terms(x):
+    terms, den = [], x._den
+    for exps, a, b in _sorted_terms(x):
         entry = {
-            "re": str(coeff.re),
-            "im": str(coeff.im),
+            "re": str(_rational(a, den)),
+            "im": str(_rational(b, den)),
             "exps": {
                 name: str(Fraction(d, 2))
                 for name, d in zip(x.ctx.names, exps)
@@ -1204,10 +1125,8 @@ def scalar_from_json(ctx, obj):
     for k, entry in enumerate(json_field(obj, "terms", list, "scalar")):
         where = f"scalar.terms[{k}]"
         exps_obj = json_field(entry, "exps", dict, where, {})
-        coeff = GaussianRational(
-            _numeral(entry.get("re", "0"), where + ".re"),
-            _numeral(entry.get("im", "0"), where + ".im"),
-        )
+        coeff = _coeff((_numeral(entry.get("re", "0"), where + ".re"),
+                        _numeral(entry.get("im", "0"), where + ".im")))
         exps = [0] * len(ctx.names)
         for name, etext in exps_obj.items():
             if name not in ctx._index:

@@ -26,10 +26,11 @@ from .ring import json_field, scalar_from_json, scalar_to_json, substitute, try_
 # The tests, demos and benchmark workloads reach at most 3^5 = 243.
 MAX_STATES = 4096
 
-# Largest entry count embed_generator stores: a dense base-2 crossing (16
-# entries) embedded into MAX_STATES states.  Capping states alone lets a dense
-# side-256 matrix (base 16, 4096 states for the Yang-Baxter check) store about
-# a million entries per factor.
+# Largest entry count embed_generator and kron store: a dense base-2 crossing
+# (16 entries) embedded into MAX_STATES states.  Capping states alone lets a
+# dense side-256 matrix (base 16, 4096 states for the Yang-Baxter check) store
+# about a million entries per factor, and a dense mu of side 64 (the weight of
+# an R of side 4096) about 16 million in kron(mu, mu).
 MAX_ENTRIES = 4 * MAX_STATES
 
 
@@ -146,8 +147,16 @@ def matmul(a, b):
 
 
 def kron(a, b):
-    """Kronecker product; the left factor is most significant."""
+    """Kronecker product; the left factor is most significant.  Raises
+    DimensionMismatch, before anything is built, when the product would store
+    more than MAX_ENTRIES entries."""
     _check_ctx(a, b)
+    stored = len(a.entries) * len(b.entries)
+    if stored > MAX_ENTRIES:
+        raise DimensionMismatch(
+            f"Kronecker product of {len(a.entries)} and {len(b.entries)} entries "
+            f"stores {stored} entries, above the cap of {MAX_ENTRIES}"
+        )
     side = a.side * b.side
     entries = {}
     for (ra, ca), va in a.entries.items():

@@ -6,9 +6,8 @@ skein oracle computes the one-variable invariant by descending-diagram
 induction on braid closures, using no matrices at all.  The Kronecker-power
 contractions are the reference for ``tensor.weighted_trace``: they form
 mu^(x n) and the product with it, which weighted_trace never does.  The
-Fraction-based GaussianRational is the reference for the ring's
-integer-triple coefficients, and the term-dict arithmetic at the end is the
-reference for the ring's packed terms.
+term-dict arithmetic at the end, over the Fraction-based GaussianRational
+below, is the reference for the ring's packed terms and int coefficients.
 """
 
 from __future__ import annotations
@@ -241,8 +240,8 @@ def equal_up_to_unit(a, b):
         return False
     if len(q.terms) != 1:
         return False
-    (_, coeff), = q.terms.items()
-    return coeff.im == 0 and abs(coeff.re) == 1
+    (_, (re, im)), = q.terms.items()
+    return im == 0 and abs(re) == 1
 
 
 # -- Kronecker-power contractions ----------------------------------------------
@@ -390,8 +389,19 @@ class GaussianRational:
 # The ring's arithmetic as it was when a Scalar stored its terms as a dict
 # {doubled exponent tuple: GaussianRational}: the reference for the packed
 # keys and shared denominator of ``ring.Scalar``.  Each function takes and
-# returns such dicts (``Scalar.terms`` gives one); ``ctx`` supplies the names
-# and the radicands.
+# returns such dicts, with the GaussianRational above; ``ctx`` supplies the
+# names and the radicands.  ``terms_of`` turns a Scalar into one, and
+# ``pairs`` turns one into the {exps: (re, im)} input of ``Scalar(ctx, ...)``.
+
+
+def terms_of(x):
+    """The term dict of a Scalar."""
+    return {exps: GaussianRational(re, im) for exps, (re, im) in x.terms.items()}
+
+
+def pairs(terms):
+    """A term dict with (re, im) pairs for coefficients."""
+    return {exps: (c.re, c.im) for exps, c in terms.items()}
 
 
 def _term_add(acc, exps, coeff):
@@ -450,7 +460,7 @@ def terms_canonical(ctx, items, acc=None):
         k, rho = divmod(d // 2, 2)
         base = list(exps)
         base[pos] = 2 * rho
-        factor = terms_pow_int(ctx, ctx._radicands[bad].terms, k)
+        factor = terms_pow_int(ctx, terms_of(ctx._radicands[bad]), k)
         for fexps, fcoeff in factor.items():
             combined = tuple(b + f for b, f in zip(base, fexps))
             pending.append((combined, coeff * fcoeff))
@@ -477,7 +487,6 @@ def terms_mul(ctx, a, b):
 def terms_pow_int(ctx, x, k):
     """Exact integer power.  Negative powers require a unit base."""
     from ybtrace.errors import NotAUnit
-    from ybtrace.ring import GaussianRational
 
     if k == 0:
         return {(0,) * len(ctx.names): GaussianRational(1)}
@@ -538,7 +547,6 @@ def terms_laurent_div(ctx, num_terms, den_terms):
 def terms_try_div_exact(ctx, num, den):
     """Quotient q with q*den == num, or NotDivisible; roots rationalized first."""
     from ybtrace.errors import NotDivisible
-    from ybtrace.ring import GaussianRational
 
     if not den:
         raise ZeroDivisionError("division by zero scalar")
@@ -560,7 +568,7 @@ def terms_try_div_exact(ctx, num, den):
         root_exps = [0] * len(ctx.names)
         root_exps[pos] = 2
         root = {tuple(root_exps): GaussianRational(1)}
-        rad = ctx._radicands[j].terms
+        rad = terms_of(ctx._radicands[j])
         if not d0:
             work_num = terms_mul(ctx, work_num, root)
             work_den = terms_mul(ctx, d1, rad)
@@ -611,7 +619,6 @@ def _terms_pow_half(ctx, x, doubled):
 def terms_substitute(ctx, terms, bindings, target):
     """Homomorphic substitution of generators; ``bindings`` maps names to scalars."""
     from ybtrace.errors import NotAUnit
-    from ybtrace.ring import GaussianRational
 
     ngens = len(ctx.generators)
     one = (0,) * len(target.names)
@@ -623,13 +630,13 @@ def terms_substitute(ctx, terms, bindings, target):
             return cached
         if pos < ngens:
             name = ctx.generators[pos]
-            image = (bindings[name] if name in bindings else target.gen(name)).terms
+            image = terms_of(bindings[name] if name in bindings else target.gen(name))
         else:
-            rad = apply(ctx._radicands[pos - ngens].terms)
+            rad = apply(terms_of(ctx._radicands[pos - ngens]))
             image = None
             for k, tname in enumerate(target.root_names):
-                if target._radicands[k].terms == rad:
-                    image = target.gen(tname).terms
+                if terms_of(target._radicands[k]) == rad:
+                    image = terms_of(target.gen(tname))
                     break
             if image is None:
                 try:
@@ -642,7 +649,7 @@ def terms_substitute(ctx, terms, bindings, target):
     def apply(y):
         result = {}
         for exps, coeff in y.items():
-            term = {one: GaussianRational(coeff.re, coeff.im)}
+            term = {one: coeff}
             for pos, d in enumerate(exps):
                 if d:
                     term = terms_mul(target, term, _terms_pow_half(target, factor_image(pos), d))

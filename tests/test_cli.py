@@ -330,6 +330,7 @@ def test_unchecked_dense_matrix_is_refused_before_parsing(capsys, tmp_path, monk
 def test_eyb_verify_refuses_a_large_r_or_a_misshapen_mu_before_any_product(
         capsys, tmp_path, monkeypatch):
     from ybtrace import eyb, tensor
+    from ybtrace.ring import Scalar
 
     def unreachable(*args):
         raise AssertionError("reached")
@@ -348,14 +349,21 @@ def test_eyb_verify_refuses_a_large_r_or_a_misshapen_mu_before_any_product(
          "above the cap of 16384"),
         (operator("wide_mu.json", dense(4), dense(16)), eyb, "kron",
          "mu has side 16, so mu (x) mu does not match R's side 4"),
+        # R lists 200 positions, under the cap, and mu matches its side, but
+        # kron(mu, mu) would store 64^4 entries: refused before any product
+        (operator("dense_mu.json", {"side": 4096, "entries": [[k, k, one] for k in range(200)]},
+                  dense(64)), Scalar, "__mul__", "above the cap of 16384"),
     )
     for path, module, name, err in cases:
         with monkeypatch.context() as patch:
             patch.setattr(module, name, unreachable)
+            start = time.perf_counter()
             code = main(["eyb-verify", "--file", path, "--context", ctx])
+            elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, ""), path
         assert err in captured.err, path
+        assert elapsed < 2, path
 
 
 def test_unchecked_matrix_under_the_cap_keeps_its_errors(capsys, tmp_path):

@@ -11,9 +11,9 @@ import pytest
 
 import oracles
 
+from ybtrace import ring
 from ybtrace.errors import ContextMismatch, NotAUnit, NotDivisible, ParseError
 from ybtrace.ring import (
-    GaussianRational,
     Scalar,
     ScalarContext,
     context_from_json,
@@ -192,9 +192,12 @@ def test_context_validation():
         ScalarContext(("t",), (("r", "0"),))
 
 
-def test_gaussian_rational_inverse():
-    c = GaussianRational(1, 2)
-    assert c * c.inverse() == GaussianRational(1)
+CONSTANTS = ScalarContext(())
+
+
+def test_constant_scalar_inverse():
+    c = CONSTANTS.scalar(1, 2)
+    assert c * pow_int(c, -1) == CONSTANTS.one()
 
 
 def _random_rational(rng):
@@ -207,36 +210,41 @@ def _random_rational(rng):
 
 
 def _assert_matches_oracle(got, want):
-    """``got`` equals the oracle's ``want`` and is stored in lowest terms."""
-    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1, (got.a, got.b, got.d)
-    for part, oracle_part in ((got.re, want.re), (got.im, want.im)):
-        assert part == oracle_part
-        assert not isinstance(part, float)
-        assert isinstance(part, int) == (oracle_part.denominator == 1)
-    assert bool(got) == bool(want)
+    """The constant Scalar ``got`` equals the oracle's ``want``, is stored in
+    lowest terms, and reads back each part as an int exactly when integral."""
+    assert got._den > 0 and math.gcd(got._den, *got._nums.values()) == 1, got
+    assert got.terms == ({(): (want.re, want.im)} if want else {})
+    for part, oracle_part in zip(got.terms.get((), (0, 0)), (want.re, want.im)):
+        assert type(part) is (int if oracle_part.denominator == 1 else Fraction)
+    assert got.is_zero() == (not want)
 
 
-def test_gaussian_rational_matches_fraction_oracle():
+def test_constant_scalars_match_fraction_oracle():
+    """Constant Scalars, given as (re, im) or through ``scalar``, against the
+    oracle's Fraction arithmetic, inverse and square root."""
     rng = random.Random(20261018)
     for _ in range(5000):
         re1, im1, re2, im2 = (_random_rational(rng) for _ in range(4))
-        x, y = GaussianRational(re1, im1), GaussianRational(re2, im2)
+        x, y = CONSTANTS.scalar(re1, im1), Scalar(CONSTANTS, {(): (re2, im2)})
         ox, oy = oracles.GaussianRational(re1, im1), oracles.GaussianRational(re2, im2)
         _assert_matches_oracle(x, ox)
+        _assert_matches_oracle(y, oy)
         _assert_matches_oracle(x + y, ox + oy)
         _assert_matches_oracle(x - y, ox - oy)
         _assert_matches_oracle(-x, -ox)
         _assert_matches_oracle(x * y, ox * oy)
         if ox:
-            _assert_matches_oracle(x.inverse(), ox.inverse())
+            _assert_matches_oracle(pow_int(x, -1), ox.inverse())
         else:
-            with pytest.raises(ZeroDivisionError):
-                x.inverse()
+            with pytest.raises(NotAUnit):
+                pow_int(x, -1)
         for z, oz in ((x, ox), (x * x, ox * ox), (-(x * x), -(ox * ox))):
-            root, oracle_root = z.sqrt(), oz.sqrt()
-            assert (root is None) == (oracle_root is None)
-            if root is not None:
-                _assert_matches_oracle(root, oracle_root)
+            oracle_root = oz.sqrt()
+            if oz and oracle_root is not None:
+                _assert_matches_oracle(ring._pow_half(z, 1), oracle_root)
+            else:  # zero has no half power either
+                with pytest.raises(NotAUnit):
+                    ring._pow_half(z, 1)
         assert (x == y) == (ox == oy)
         same = (x + y) - y
         assert same == x and hash(same) == hash(x)
@@ -258,14 +266,14 @@ def _random_scalar(rng, ctx, max_terms=6):
     terms = []
     nroots = len(ctx.root_names)
     for _ in range(rng.randint(0, max_terms)):
-        coeff = GaussianRational(
+        coeff = oracles.GaussianRational(
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
             Fraction(rng.randint(-2, 2), 1) if rng.random() < 0.25 else 0,
         )
         exps = [rng.randint(-4, 4) for _ in ctx.generators]
         exps += [2 * rng.randint(0, 1) for _ in range(nroots)]
         terms.append((tuple(exps), coeff))
-    return Scalar(ctx, oracles.terms_canonical(ctx, terms))
+    return Scalar(ctx, oracles.pairs(oracles.terms_canonical(ctx, terms)))
 
 
 def test_ring_axioms_randomized():

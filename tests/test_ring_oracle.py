@@ -1,8 +1,10 @@
 """The packed scalar ring against the term-dict arithmetic it replaced.
 
 ``oracles.terms_*`` compute over {doubled exponent tuple: GaussianRational}
-dicts, the representation ``Scalar`` had before its terms became packed int
-keys over one shared denominator.  Random scalars cover two adjoined roots
+dicts, with the oracle's own Fraction-based GaussianRational: the
+representation ``Scalar`` had before its terms became packed int keys over
+one shared denominator.  ``oracles.terms_of`` and ``oracles.pairs`` convert
+between the two.  Random scalars cover two adjoined roots
 (the second radicand uses the first), ``i``, half-integer and negative
 exponents and coefficients with denominators.
 """
@@ -13,10 +15,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import GaussianRational, pairs, terms_of
 
 from ybtrace.errors import NotAUnit, YbtraceError
 from ybtrace.ring import (
-    GaussianRational,
     Scalar,
     ScalarContext,
     format_scalar,
@@ -67,18 +69,38 @@ def test_arithmetic_matches_term_dict_oracle(ctx):
     rng = random.Random(20261018)
     for _ in range(400):
         ta, tb = _random_terms(rng, ctx), _random_terms(rng, ctx)
-        a, b = Scalar(ctx, ta), Scalar(ctx, tb)
-        assert a.terms == ta and a.term_count() == len(ta)
-        assert (a + b).terms == oracles.terms_add(ta, tb)
-        assert (a - b).terms == oracles.terms_sub(ta, tb)
-        assert (-a).terms == oracles.terms_neg(ta)
-        assert (a * b).terms == oracles.terms_mul(ctx, ta, tb)
-        assert (a * 3).terms == oracles.terms_mul(ctx, ta, ctx.scalar(3).terms)
+        a, b = Scalar(ctx, pairs(ta)), Scalar(ctx, pairs(tb))
+        assert terms_of(a) == ta and a.term_count() == len(ta)
+        assert terms_of(a + b) == oracles.terms_add(ta, tb)
+        assert terms_of(a - b) == oracles.terms_sub(ta, tb)
+        assert terms_of(-a) == oracles.terms_neg(ta)
+        assert terms_of(a * b) == oracles.terms_mul(ctx, ta, tb)
+        assert terms_of(a * 3) == oracles.terms_mul(ctx, ta, terms_of(ctx.scalar(3)))
         k = rng.randint(0, 3)
-        assert pow_int(a, k).terms == oracles.terms_pow_int(ctx, ta, k)
-        assert format_scalar(a) == oracles.terms_format(ctx, ta)
-        assert scalar_to_json(a) == oracles.terms_to_json(ctx, ta)
+        assert terms_of(pow_int(a, k)) == oracles.terms_pow_int(ctx, ta, k)
         assert (a == b) == (ta == tb)
+
+
+@pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS], ids=["roots", "units"])
+def test_view_and_input_forms_match_term_dict_oracle(ctx):
+    """``x.terms`` gives (re, im) pairs, each part an int exactly when
+    integral, that rebuild x; ``monomial`` takes an int, a Fraction or a
+    pair; text and JSON agree with the oracle's."""
+    rng = random.Random(20261020)
+    for _ in range(400):
+        ta = _random_terms(rng, ctx)
+        x = Scalar(ctx, pairs(ta))
+        view = x.terms
+        assert Scalar(ctx, view) == x
+        for exps, (re, im) in view.items():
+            for part in (re, im):
+                assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+            coeff = (re, im) if im else re
+            powers = {name: Fraction(d, 2) for name, d in zip(ctx.names, exps)}
+            want = oracles.terms_canonical(ctx, [(exps, GaussianRational(re, im))])
+            assert terms_of(ctx.monomial(coeff, powers)) == want
+        assert format_scalar(x) == oracles.terms_format(ctx, ta)
+        assert scalar_to_json(x) == oracles.terms_to_json(ctx, ta)
 
 
 def _random_raw(rng, ctx):
@@ -102,10 +124,10 @@ def test_construction_matches_term_dict_oracle(ctx):
     for _ in range(400):
         raw = _random_raw(rng, ctx)
         want = _outcome(oracles.terms_canonical, ctx, list(raw.items()))
-        assert _outcome(lambda: Scalar(ctx, raw).terms) == want, raw
+        assert _outcome(lambda: terms_of(Scalar(ctx, pairs(raw)))) == want, raw
         exps, coeff = rng.choice(list(raw.items()))
         powers = {name: Fraction(d, 2) for name, d in zip(ctx.names, exps)}
-        got = _outcome(lambda: ctx.monomial(coeff, powers).terms)
+        got = _outcome(lambda: terms_of(ctx.monomial((coeff.re, coeff.im), powers)))
         assert got == _outcome(oracles.terms_canonical, ctx, [(exps, coeff)]), (exps, coeff)
         outcomes.add(want if isinstance(want, type) else bool(want))
     assert outcomes == {True, False, NotAUnit}
@@ -117,7 +139,7 @@ def test_negative_powers_match_term_dict_oracle(ctx):
     for _ in range(200):
         tm = _random_monomial(rng, ctx)
         k = rng.randint(-4, -1)
-        got = _outcome(lambda: pow_int(Scalar(ctx, tm), k).terms)
+        got = _outcome(lambda: terms_of(pow_int(Scalar(ctx, pairs(tm)), k)))
         assert got == _outcome(oracles.terms_pow_int, ctx, tm, k)
 
 
@@ -129,8 +151,8 @@ def test_exact_division_matches_term_dict_oracle(ctx):
         ta, tb = _random_terms(rng, ctx, 4), _random_terms(rng, ctx, 3)
         if rng.random() < 0.5:
             ta = oracles.terms_mul(ctx, ta, tb)
-        a, b = Scalar(ctx, ta), Scalar(ctx, tb)
-        got = _outcome(lambda: try_div_exact(a, b).terms)
+        a, b = Scalar(ctx, pairs(ta)), Scalar(ctx, pairs(tb))
+        got = _outcome(lambda: terms_of(try_div_exact(a, b)))
         assert got == _outcome(oracles.terms_try_div_exact, ctx, ta, tb)
         quotients += isinstance(got, dict)
     assert quotients > 50
@@ -144,5 +166,5 @@ def test_substitute_matches_term_dict_oracle():
         ta = _random_terms(rng, ctx, 4)
         bindings = {name: ctx.parse(rng.choice(images))
                     for name in rng.sample(ctx.generators, rng.randint(0, 2))}
-        got = _outcome(lambda: substitute(Scalar(ctx, ta), bindings, ctx).terms)
+        got = _outcome(lambda: terms_of(substitute(Scalar(ctx, pairs(ta)), bindings, ctx)))
         assert got == _outcome(oracles.terms_substitute, ctx, ta, bindings, ctx)

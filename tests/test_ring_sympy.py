@@ -15,7 +15,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from ybtrace.errors import NotDivisible
-from ybtrace.ring import GaussianRational, ScalarContext, substitute, try_div_exact
+from ybtrace.ring import ScalarContext, substitute, try_div_exact
 
 P, Q, S, T = sympy.symbols("p q s t")
 SYMBOLS = {"p": P, "q": Q, "s": S, "t": T}
@@ -23,9 +23,9 @@ SYMBOLS = {"p": P, "q": Q, "s": S, "t": T}
 
 def to_sympy(x):
     total = sympy.Integer(0)
-    for exps, coeff in x.terms.items():
-        term = sympy.Rational(coeff.re.numerator, coeff.re.denominator)
-        term += sympy.I * sympy.Rational(coeff.im.numerator, coeff.im.denominator)
+    for exps, (re, im) in x.terms.items():
+        term = sympy.Rational(re.numerator, re.denominator)
+        term += sympy.I * sympy.Rational(im.numerator, im.denominator)
         for name, doubled in zip(x.ctx.names, exps):
             term *= SYMBOLS[name] ** sympy.Rational(doubled, 2)
         total += term
@@ -42,7 +42,7 @@ def random_scalar(rng, ctx, max_terms=4, low=-3, high=3):
         re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         im = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.3 else 0
         exps = {name: rng.randint(low, high) for name in ctx.generators}
-        total = total + ctx.monomial(GaussianRational(re, im), exps)
+        total = total + ctx.monomial((re, im), exps)
     return total
 
 
