@@ -19,12 +19,15 @@ from .ring import Scalar, ScalarContext
 from .tensor import (
     MAX_STATES,
     SquareMatrix,
+    Verdict,
     check_embedding,
     embed_generator,
     invert,
     kron,
     matmul,
     matrix_from_json,
+    matrix_substitute,
+    matsub,
     scalar_scale,
 )
 
@@ -117,22 +120,20 @@ def get_rmatrix(name):
     return _cache[name]
 
 
-@dataclass(frozen=True)
-class YbeCheck:
-    ok: bool
-    index: tuple = None
-    residual: Scalar = None
-
-    def __bool__(self):
-        return self.ok
+def restricted_matrix(name, restrictions, ctx):
+    """The named catalog matrix over ``ctx`` with each (generator, text)
+    restriction substituted."""
+    bindings = {g: ctx.parse(text) for g, text in restrictions}
+    return matrix_substitute(get_rmatrix(name).matrix, bindings, ctx)
 
 
 def check_ybe(r, base=None):
     """Braid-form Yang-Baxter check on the triple tensor power.
 
-    Returns a truthy result, or the first violated (row, col) with the
-    nonzero residual scalar.  Raises DimensionMismatch, before anything is
-    built, when the base**3 states of the triple power exceed MAX_STATES.
+    Returns a truthy Verdict, or one with the smallest violated (row, col)
+    as ``index`` and its nonzero residual scalar.  Raises DimensionMismatch,
+    before anything is built, when the base**3 states of the triple power
+    exceed MAX_STATES.
     """
     if base is None:
         base = math.isqrt(r.side)
@@ -147,12 +148,11 @@ def check_ybe(r, base=None):
     r23 = embed_generator(r, 2, 3, base)
     lhs = matmul(matmul(r12, r23), r12)
     rhs = matmul(matmul(r23, r12), r23)
-    keys = sorted(set(lhs.entries) | set(rhs.entries))
-    for key in keys:
-        residual = lhs.get(*key) - rhs.get(*key)
-        if not residual.is_zero():
-            return YbeCheck(False, key, residual)
-    return YbeCheck(True)
+    diff = matsub(lhs, rhs)
+    if diff.is_zero():
+        return Verdict(True)
+    index = min(diff.entries)
+    return Verdict(False, index=index, residual=diff.entries[index])
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,6 @@ class TransformSpec:
     n: int = 0
 
 
-def _pair_digits(pos, base):
-    return divmod(pos, base)
-
-
 def transform_rmatrix(r, t, base=None):
     """Apply a TransformSpec; the result is checked to still satisfy the YBE."""
     matrix = r.matrix if isinstance(r, RMatrixSpec) else r
@@ -189,8 +185,8 @@ def transform_rmatrix(r, t, base=None):
     elif t.kind == "shift":
         entries = {}
         for (row, col), v in matrix.entries.items():
-            rk, rl = _pair_digits(row, base)
-            ck, cl = _pair_digits(col, base)
+            rk, rl = divmod(row, base)
+            ck, cl = divmod(col, base)
             nrow = ((rk + t.n) % base) * base + (rl + t.n) % base
             ncol = ((ck + t.n) % base) * base + (cl + t.n) % base
             entries[(nrow, ncol)] = v
@@ -198,8 +194,8 @@ def transform_rmatrix(r, t, base=None):
     elif t.kind == "flip":
         entries = {}
         for (row, col), v in matrix.entries.items():
-            rk, rl = _pair_digits(row, base)
-            ck, cl = _pair_digits(col, base)
+            rk, rl = divmod(row, base)
+            ck, cl = divmod(col, base)
             entries[(rl * base + rk, cl * base + ck)] = v
         out = SquareMatrix(matrix.ctx, matrix.side, entries)
     else:

@@ -21,6 +21,7 @@ from .catalog import (
     check_ybe,
     get_rmatrix,
     load_rmatrix_json,
+    restricted_matrix,
 )
 from .dressing import (
     diagonal_spec_from_json,
@@ -50,9 +51,9 @@ from .invariant import (
     get_relation,
     verify_annihilating,
 )
-from .ring import Scalar, context_from_json, format_scalar, json_field, scalar_to_json
+from .ring import Scalar, context_from_json, format_scalar, scalar_to_json
 from .tables import TableReport, run_table
-from .tensor import SquareMatrix, matrix_substitute, matrix_to_json
+from .tensor import matrix_to_json
 
 
 def emit(result, fmt="text"):
@@ -79,8 +80,6 @@ def _csv_field(text):
 def _to_jsonable(result):
     if isinstance(result, Scalar):
         return scalar_to_json(result)
-    if isinstance(result, SquareMatrix):
-        return matrix_to_json(result)
     if isinstance(result, InvariantResult):
         return {
             "value": scalar_to_json(result.value),
@@ -128,11 +127,6 @@ def _to_text(result):
         return format_scalar(result)
     if isinstance(result, InvariantResult):
         return format_scalar(result.value)
-    if isinstance(result, SquareMatrix):
-        lines = [f"side {result.side}"]
-        for (r, c) in sorted(result.entries):
-            lines.append(f"  [{r},{c}] = {format_scalar(result.entries[(r, c)])}")
-        return "\n".join(lines)
     if isinstance(result, TableReport):
         lines = []
         for cell in result.cells:
@@ -298,14 +292,17 @@ def _cmd_ybe_check(args, out):
             raise UnknownName("--file needs --context")
         ctx = context_from_json(_load_json(args.context))
         obj = _load_json(args.file)
-        # check_ybe below runs after an unchecked load too, so an oversized
-        # matrix is refused before any of its scalars is parsed
+        # an unchecked load is still checked below, so it too refuses an
+        # oversized matrix before any of its scalars is parsed
         check_listed_positions(obj)
         try:
             matrix = load_rmatrix_json(ctx, obj, checked=not args.unchecked)
         except ValueError as exc:
             out(str(exc))
             return 1
+        if not args.unchecked:  # the checked load has passed the Yang-Baxter check
+            out("YBE: ok")
+            return 0
     else:
         raise UnknownName("give --rmatrix or --file")
     verdict = check_ybe(matrix)
@@ -321,10 +318,7 @@ def _cmd_eyb_verify(args, out):
         if not args.context:
             raise UnknownName("--file needs --context")
         ctx = context_from_json(_load_json(args.context))
-        obj = _load_json(args.file)
-        # as in ybe-check: an oversized R is refused before any scalar is parsed
-        check_listed_positions(json_field(obj, "r", dict, "operator"))
-        op = eyb_from_json(ctx, obj)
+        op = eyb_from_json(ctx, _load_json(args.file))
     else:
         if not args.rmatrix:
             raise UnknownName("give --rmatrix or --file")
@@ -383,11 +377,11 @@ def _cmd_dress(args, out):
             raise UnknownName("--file needs --context and --base")
         ctx = context_from_json(_load_json(args.context))
         spec = diagonal_spec_from_json(ctx, _load_json(args.file))
-        base = get_rmatrix(args.base)
-        base_matrix = matrix_substitute(base.matrix, {}, ctx)
+        entry = get_table1_entry(args.base, args.base_row)
+        # the row's own R, dressed before the row's mu text is parsed
+        base_matrix = restricted_matrix(entry.rmatrix, entry.restrictions, ctx)
         dressed = dress_diagonal(base_matrix, spec, check=not args.no_check)
-        base_op = get_table1_entry(args.base, args.base_row).build(ctx=ctx)
-        op = dressed_eyb(base_op, dressed, spec, mode=args.mode,
+        op = dressed_eyb(entry.build(ctx=ctx), dressed, spec, mode=args.mode,
                          sign=args.sign, check=not args.no_check)
     else:
         raise UnknownName("give --preset or --file")

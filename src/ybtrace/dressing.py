@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .catalog import check_ybe, get_rmatrix
+from .catalog import check_ybe
 from .errors import (
     ConditionViolation,
     DimensionMismatch,
@@ -36,12 +36,11 @@ from .tensor import (
     SquareMatrix,
     invert,
     kron,
-    matadd,
     matmul,
     matrix_from_json,
     matrix_substitute,
     matrix_to_json,
-    scalar_scale,
+    matsub,
 )
 
 
@@ -224,9 +223,9 @@ def _check_block_conditions(base_matrix, spec):
         ("F and G do not commute", matmul(fb, gb), matmul(gb, fb)),
     )
     for message, lhs, rhs in pairs:
-        diff = matadd(lhs, scalar_scale(rhs, spec.ctx.scalar(-1)))
+        diff = matsub(lhs, rhs)
         if not diff.is_zero():
-            raise ConditionViolation(message, sorted(diff.entries)[0])
+            raise ConditionViolation(message, min(diff.entries))
 
 
 def dress_block(base, spec, check=True):
@@ -292,13 +291,8 @@ def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True
                 )
             letter = "s"
         else:
-            fb, gb = spec.f_block, spec.g_block
-            for name, block in (("F", fb), ("G", gb)):
-                diff = matadd(
-                    matmul(block, mu_base),
-                    scalar_scale(matmul(mu_base, block), ctx.scalar(-1)),
-                )
-                if not diff.is_zero():
+            for name, block in (("F", spec.f_block), ("G", spec.g_block)):
+                if not matsub(matmul(block, mu_base), matmul(mu_base, block)).is_zero():
                     raise PreconditionViolation(
                         f"{name} must commute with the base weight"
                     )
@@ -377,8 +371,7 @@ def preset_dressings(name):
         ctx = ScalarContext(gens, (("sqrt_pq", "p*q"),))
         base_eyb = get_table1_entry(base_name, base_row).build(ctx=ctx)
         spec = DiagonalDressingSpec(ctx, n, j, s)
-        base_matrix = matrix_substitute(get_rmatrix(base_name).matrix, {}, ctx)
-        dressed = dress_diagonal(base_matrix, spec, check=True)
+        dressed = dress_diagonal(base_eyb.r, spec, check=True)
         op = dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+")
         _preset_cache[name] = DressedPreset(
             name, ctx, spec, dressed, op, base_name, base_row

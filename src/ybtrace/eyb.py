@@ -21,17 +21,18 @@ from .errors import DimensionMismatch, NotAUnit, ParseError, UnknownName, Unknow
 from .ring import Scalar, ScalarContext, json_field, scalar_from_json, scalar_to_json
 from .tensor import (
     SquareMatrix,
+    Verdict,
     invert,
     kron,
-    matadd,
     matmul,
     matrix_from_json,
     matrix_to_json,
     matrix_substitute,
+    matsub,
     scalar_scale,
     weighted_trace,
 )
-from .catalog import get_rmatrix
+from .catalog import check_listed_positions, restricted_matrix
 
 
 @dataclass(frozen=True)
@@ -50,26 +51,12 @@ class EnhancedOperator:
         return self.mu.ctx
 
 
-@dataclass(frozen=True)
-class EybCheck:
-    ok: bool
-    condition: str = None
-    residual: SquareMatrix = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def _residual(a, b):
-    return matadd(a, scalar_scale(b, a.ctx.scalar(-1)))
-
-
 def verify_eyb(op):
     """Check the three enhancement conditions symbolically.
 
-    Returns a truthy result or the first failing condition with its
-    residual matrix.  alpha must be a unit; beta must be nonzero; mu's side
-    squared must be R's side, else DimensionMismatch before any product.
+    Returns a truthy Verdict or one naming the first failing condition, with
+    its residual matrix.  alpha must be a unit; beta must be nonzero; mu's
+    side squared must be R's side, else DimensionMismatch before any product.
     """
     if op.alpha.is_zero() or not op.alpha.is_unit():
         raise NotAUnit("alpha must be an invertible monomial")
@@ -79,21 +66,18 @@ def verify_eyb(op):
         raise DimensionMismatch(f"mu has side {op.mu.side}, so mu (x) mu does not match "
                                 f"R's side {op.r.side}")
     mumu = kron(op.mu, op.mu)
-    diff = _residual(matmul(op.r, mumu), matmul(mumu, op.r))
+    diff = matsub(matmul(op.r, mumu), matmul(mumu, op.r))
     if not diff.is_zero():
-        return EybCheck(False, "commute", diff)
-    # Tr_2(Y (mu x mu)) = Tr_2(Y (1 x mu)) mu
-    expected = scalar_scale(op.mu, op.alpha * op.beta)
-    got = matmul(weighted_trace(op.r, op.mu, [2]), op.mu)
-    diff = _residual(got, expected)
-    if not diff.is_zero():
-        return EybCheck(False, "trace2", diff)
-    expected = scalar_scale(op.mu, (op.alpha ** -1) * op.beta)
-    got = matmul(weighted_trace(invert(op.r), op.mu, [2]), op.mu)
-    diff = _residual(got, expected)
-    if not diff.is_zero():
-        return EybCheck(False, "trace2-inverse", diff)
-    return EybCheck(True)
+        return Verdict(False, "commute", residual=diff)
+    # Tr_2(Y (mu x mu)) = Tr_2(Y (1 x mu)) mu must be alpha^(+-1) beta mu for
+    # Y = R^(+-1); R is inverted only once the first condition holds
+    for condition, power in (("trace2", 1), ("trace2-inverse", -1)):
+        y = op.r if power == 1 else invert(op.r)
+        diff = matsub(matmul(weighted_trace(y, op.mu, [2]), op.mu),
+                      scalar_scale(op.mu, op.alpha ** power * op.beta))
+        if not diff.is_zero():
+            return Verdict(False, condition, residual=diff)
+    return Verdict(True)
 
 
 def sign_variants(op):
@@ -162,9 +146,7 @@ class Table1Entry:
         """
         if ctx is None:
             ctx = self.context()
-        rspec = get_rmatrix(self.rmatrix)
-        bindings = {name: ctx.parse(text) for name, text in self.restrictions}
-        r = matrix_substitute(rspec.matrix, bindings, ctx)
+        r = restricted_matrix(self.rmatrix, self.restrictions, ctx)
         mu = SquareMatrix.from_rows(
             ctx, [list(self.mu_rows[:2]), list(self.mu_rows[2:])]
         )
@@ -275,7 +257,12 @@ def eyb_to_json(op, restrictions=()):
 
 
 def eyb_from_json(ctx, obj):
-    """Inverse of eyb_to_json; ParseError naming the field on malformed input."""
+    """Inverse of eyb_to_json; ParseError naming the field on malformed input.
+
+    An R listing more positions than the Yang-Baxter check's embeddings may
+    store raises DimensionMismatch before any scalar is parsed.
+    """
+    check_listed_positions(json_field(obj, "r", dict, "operator"))
     parts = []
     for key, load in (
         ("r", matrix_from_json),

@@ -32,17 +32,17 @@ from .ring import Scalar, ScalarContext, format_scalar, pow_int, try_div_exact
 from .tensor import (
     MAX_STATES,
     SquareMatrix,
+    Verdict,
     apply_at,
     embed_generator,
     invert,
     matadd,
     matmul,
-    matrix_substitute,
     scalar_scale,
     trace,
     weighted_trace,
 )
-from .catalog import get_rmatrix
+from .catalog import restricted_matrix
 
 
 def _states(base, n):
@@ -166,37 +166,23 @@ def compute_ts(op, b, normalized=False):
 # -- annihilating relations and skein families --------------------------------
 
 
-@dataclass(frozen=True)
-class AnnihilatingCheck:
-    ok: bool
-    residual: SquareMatrix = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def verify_annihilating(r, relation):
-    """Whether sum(k_i R^i) vanishes exactly; powers may be negative."""
+    """Whether sum(k_i R^i) vanishes exactly; powers may be negative.
+
+    Returns a Verdict whose residual is the nonzero sum when it fails.
+    """
     terms = dict(relation)
     ctx = r.ctx
     rinv = invert(r) if any(p < 0 for p in terms) else None
-    total = None
+    total = SquareMatrix(ctx, r.side, {})
     for power, coeff in sorted(terms.items()):
         if isinstance(coeff, (int, str)):
             coeff = ctx.parse(str(coeff))
-        if power == 0:
-            mat = SquareMatrix.identity(ctx, r.side)
-        elif power > 0:
-            mat = r
-            for _ in range(power - 1):
-                mat = matmul(mat, r)
-        else:
-            mat = rinv
-            for _ in range(-power - 1):
-                mat = matmul(mat, rinv)
-        piece = scalar_scale(mat, coeff)
-        total = piece if total is None else matadd(total, piece)
-    return AnnihilatingCheck(total.is_zero(), None if total.is_zero() else total)
+        mat = SquareMatrix.identity(ctx, r.side)
+        for _ in range(abs(power)):
+            mat = matmul(mat, r if power > 0 else rinv)
+        total = matadd(total, scalar_scale(mat, coeff))
+    return Verdict(True) if total.is_zero() else Verdict(False, residual=total)
 
 
 @dataclass(frozen=True)
@@ -213,9 +199,7 @@ class RelationSpec:
         return ScalarContext(self.gens)
 
     def matrix(self, ctx=None):
-        ctx = ctx or self.context()
-        bindings = {name: ctx.parse(text) for name, text in self.restrictions}
-        return matrix_substitute(get_rmatrix(self.rmatrix).matrix, bindings, ctx)
+        return restricted_matrix(self.rmatrix, self.restrictions, ctx or self.context())
 
     def coeffs(self, ctx):
         return tuple((p, ctx.parse(text)) for p, text in self.coefficients)
@@ -274,24 +258,18 @@ class SkeinFamily:
         return BraidWord(self.base.strands, letters)
 
 
-@dataclass(frozen=True)
-class SkeinCheck:
-    ok: bool
-    residual: Scalar = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def check_skein_family(op, fam):
-    """Whether sum(k_i alpha^i T(L_i)) vanishes over the family members."""
+    """Whether sum(k_i alpha^i T(L_i)) vanishes over the family members.
+
+    Returns a Verdict whose residual is the nonzero sum when it fails.
+    """
     total = op.ctx.zero()
     for power, coeff in fam.terms:
         if isinstance(coeff, (int, str)):
             coeff = op.ctx.parse(str(coeff))
         value = compute_ts(op, fam.member(power)).value
         total = total + coeff * pow_int(op.alpha, power) * value
-    return SkeinCheck(total.is_zero(), None if total.is_zero() else total)
+    return Verdict(True) if total.is_zero() else Verdict(False, residual=total)
 
 
 # -- the regularized one-strand closure ----------------------------------------
@@ -305,10 +283,7 @@ def _nabla_operator():
     if "op" not in _nabla_cache:
         ctx = ScalarContext(("t",))
         t = ctx.gen("t")
-        base = get_rmatrix("R1.2").matrix
-        r = scalar_scale(
-            matrix_substitute(base, {"q": ctx.parse("t^-2")}, ctx), t
-        )
+        r = scalar_scale(restricted_matrix("R1.2", (("q", "t^-2"),), ctx), t)
         mu = SquareMatrix.diagonal(ctx, [t, -t])
         _nabla_cache["op"] = (ctx, r, mu)
     return _nabla_cache["op"]

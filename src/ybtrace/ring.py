@@ -218,12 +218,6 @@ class ScalarContext:
     def parse(self, text):
         return parse_scalar(self, text)
 
-    def radicand(self, root_name):
-        """The declared square of an adjoined root, as a Scalar."""
-        if root_name not in self.root_names:
-            raise UnknownName(f"unknown root {root_name!r}")
-        return self._radicands[self.root_names.index(root_name)]
-
 
 def _scalar(ctx, nums, den=1):
     """The Scalar with numerators ``nums`` over ``den``, reduced by one gcd."""
@@ -371,9 +365,6 @@ class Scalar:
 
     def is_zero(self):
         return not self._nums
-
-    def is_one(self):
-        return self == self.ctx.one()
 
     def is_unit(self):
         """True when the scalar has an inverse inside the ring."""
@@ -569,7 +560,6 @@ def substitute(x, bindings, target=None):
     """
     ctx = x.ctx
     if target is None:
-        target = None
         for value in bindings.values():
             if isinstance(value, Scalar):
                 target = value.ctx

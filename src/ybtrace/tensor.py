@@ -9,6 +9,7 @@ vector r in the image of basis vector c.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .errors import (
     ContextMismatch,
@@ -116,6 +117,34 @@ def matadd(a, b):
     for key, v in b.entries.items():
         acc[key] = acc[key] + v if key in acc else v
     return SquareMatrix(a.ctx, a.side, acc)
+
+
+def matsub(a, b):
+    """a - b: the residual of an exact identity check."""
+    _check_ctx(a, b)
+    if a.side != b.side:
+        raise DimensionMismatch(f"sides differ: {a.side} vs {b.side}")
+    acc = dict(a.entries)
+    for key, v in b.entries.items():
+        acc[key] = acc[key] - v if key in acc else -v
+    return SquareMatrix(a.ctx, a.side, acc)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The outcome of an exact identity check; truthy when the identity holds.
+
+    A failing verdict may name the failing ``condition``, the ``index`` where
+    it fails and the ``residual`` (lhs - rhs, a Scalar or a SquareMatrix).
+    """
+
+    ok: bool
+    condition: str = None
+    index: tuple = None
+    residual: object = None
+
+    def __bool__(self):
+        return self.ok
 
 
 def scalar_scale(a, s):

@@ -178,3 +178,41 @@ def test_custom_loader_rejects_non_solutions():
         load_rmatrix_json(ctx, matrix_to_json(bad))
     unchecked = load_rmatrix_json(ctx, matrix_to_json(bad), checked=False)
     assert unchecked == bad
+
+
+def _pair_state(digits, base):
+    return (digits[0] * base + digits[1]) * base + digits[2]
+
+
+@pytest.mark.parametrize("name, key, text", [
+    ("R2.1", (0, 0), "2"),
+    ("R1.1", (1, 2), "q"),
+    ("R3.1", (1, 1), "s"),
+    ("R1.4", (0, 1), "-1"),
+    ("R2.1", (0, 2), "1"),  # only R23 R12 R23 stores the witness's entry
+    ("R2.1", (2, 2), "-1"),  # only R12 R23 R12 stores it
+])
+def test_ybe_witness_is_the_smallest_residual_of_the_oracle(name, key, text):
+    spec = get_rmatrix(name)
+    entries = dict(spec.matrix.entries)
+    entries[key] = spec.ctx.parse(text)
+    broken = SquareMatrix(spec.ctx, 4, entries)
+    oracle = ybe_residuals(broken, 2)
+    first = min(oracle)
+    verdict = check_ybe(broken, 2)
+    assert not verdict
+    assert verdict.index == (_pair_state(first[0], 2), _pair_state(first[1], 2))
+    assert verdict.residual == oracle[first]
+
+
+def test_spin_preservation_follows_the_entry_pattern():
+    # a pair's spin is its count of '-' digits (digit 1); an entry conserves
+    # it when row and column pairs carry the same count
+    preserving = set()
+    for name in CATALOG_NAMES:
+        matrix = get_rmatrix(name).matrix
+        expected = all(bin(r).count("1") == bin(c).count("1") for r, c in matrix.entries)
+        assert is_spin_preserving(matrix) == expected, name
+        if expected:
+            preserving.add(name)
+    assert preserving == {"R3.1", "R2.1", "R2.2"}

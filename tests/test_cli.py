@@ -397,3 +397,58 @@ def test_exponent_beyond_the_range_exits_3(capsys, tmp_path):
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, ""), argv
         assert captured.err.startswith("parse error:"), argv
+
+
+def test_dress_file_dresses_the_rows_restricted_matrix(capsys, tmp_path):
+    from ybtrace.dressing import DiagonalDressingSpec, dress_diagonal
+    from ybtrace.eyb import get_table1_entry
+    from ybtrace.ring import context_to_json
+    from ybtrace.tensor import matrix_to_json
+
+    spec = _write(tmp_path, "spec.json", {"N": 3, "J": [1, 3]})
+    for base, row, gens in (("R3.1", 1, ("p", "q", "s")), ("R3.1", 2, ("p", "q", "s")),
+                            ("R2.1", 4, ("p", "q", "lam")), ("R2.1", 5, ("p", "q", "lam"))):
+        ctx = ScalarContext(gens)
+        ctx_file = _write(tmp_path, "ctx.json", context_to_json(ctx))
+        argv = ["dress", "--file", spec, "--context", ctx_file, "--base", base,
+                "--base-row", str(row), "--mode", "trivial"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and out.endswith("entries; checks passed\n"), argv
+        code, out = run(capsys, *argv, "--format", "json")
+        row_r = get_table1_entry(base, row).build(ctx=ctx).r
+        dressed = dress_diagonal(row_r, DiagonalDressingSpec(ctx, 3, (1, 3)))
+        assert code == 0 and json.loads(out)["matrix"] == matrix_to_json(dressed), argv
+
+
+def test_ybe_check_file_runs_the_check_once(capsys, tmp_path, monkeypatch):
+    from ybtrace import cli
+    from ybtrace.ring import context_to_json
+    from ybtrace.tensor import SquareMatrix, matrix_to_json
+
+    calls = []
+    original = catalog.check_ybe
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(catalog, "check_ybe", counted)
+    monkeypatch.setattr(cli, "check_ybe", counted)
+    spec = catalog.get_rmatrix("R1.4")
+    ctx = _write(tmp_path, "ctx.json", context_to_json(spec.ctx))
+    good = _write(tmp_path, "good.json", matrix_to_json(spec.matrix))
+    broken = SquareMatrix.from_rows(
+        spec.ctx, [[1, 0, 0, 0], [0, 1, "q", 0], [0, "q", 1, 0], [0, 0, 0, 1]])
+    verdict = original(broken)
+    bad = _write(tmp_path, "bad.json", matrix_to_json(broken))
+    for path, flags, want in (
+        (good, (), (0, "YBE: ok\n")),
+        (good, ("--unchecked",), (0, "YBE: ok\n")),
+        (bad, (), (1, f"matrix fails the Yang-Baxter check at {verdict.index}: "
+                      f"residual {verdict.residual}\n")),
+        (bad, ("--unchecked",), (1, f"YBE: FAIL at {verdict.index}, "
+                                    f"residual {verdict.residual}\n")),
+    ):
+        calls.clear()
+        assert run(capsys, "ybe-check", "--file", path, "--context", ctx, *flags) == want
+        assert len(calls) == 1, (path, flags)

@@ -202,3 +202,23 @@ def test_weights_outside_the_dimension_are_refused():
             DiagonalDressingSpec(ctx, 3, (1, 3), {pair: "q"})
         with pytest.raises(ValueError, match=r"lies outside 1\.\.3"):
             BlockDressingSpec(ctx, 3, (1, 3), f={pair: "q"})
+
+
+def test_nontrivial_block_padding_needs_commuting_blocks_and_alpha_weights():
+    ctx = _jones_ctx()
+    base_op = get_table1_entry("R2.1", 1).build(ctx=ctx)
+    shear = SquareMatrix.from_rows(ctx, [[1, 1], [0, 1]])
+    cases = (
+        (BlockDressingSpec(ctx, 3, (1, 3), shear), "F must commute with the base weight"),
+        (BlockDressingSpec(ctx, 3, (1, 3), g_block=shear), "G must commute with the base weight"),
+        (BlockDressingSpec(ctx, 3, (1, 3), f={(2, 2): "q"}),
+         "f_22 must equal +alpha for nontrivial padding"),
+    )
+    for spec, message in cases:
+        dressed = dress_block(_base_in(ctx), spec, check=False)
+        with pytest.raises(PreconditionViolation) as err:
+            dressed_eyb(base_op, dressed, spec, mode="nontrivial")
+        assert str(err.value) == message
+    spec = BlockDressingSpec(ctx, 3, (1, 3), f={(2, 2): "sqrt_pq^-1"})
+    op = dressed_eyb(base_op, dress_block(_base_in(ctx), spec), spec, mode="nontrivial")
+    assert verify_eyb(op) and op.mu.get(1, 1) == base_op.beta

@@ -15,9 +15,9 @@ from ybtrace.eyb import (
     table1_entries,
     verify_eyb,
 )
-from ybtrace.errors import NotAUnit, UnknownRow
+from ybtrace.errors import DimensionMismatch, NotAUnit, UnknownRow
 from ybtrace.ring import ScalarContext
-from ybtrace.tensor import SquareMatrix, kron, matmul, scalar_scale
+from ybtrace.tensor import SquareMatrix, kron, matadd, matmul, scalar_scale
 
 
 def test_registry_covers_all_cases():
@@ -182,3 +182,40 @@ def test_eyb_json_round_trip():
     back = eyb_from_json(op.ctx, obj)
     assert back.r == op.r and back.mu == op.mu
     assert back.alpha == op.alpha and back.beta == op.beta
+
+
+def test_failing_commute_condition_returns_its_residual():
+    op = get_table1_eyb("R2.1", 1)
+    mu = SquareMatrix.from_rows(op.ctx, [[1, 1], [0, 1]])
+    verdict = verify_eyb(EnhancedOperator(op.r, mu, op.alpha, op.beta))
+    assert not verdict
+    assert verdict.condition == "commute"
+    mumu = kron(mu, mu)
+    assert verdict.residual == matadd(matmul(op.r, mumu), scalar_scale(matmul(mumu, op.r), -1))
+    assert not verdict.residual.is_zero()
+
+
+def test_singular_r_failing_trace2_returns_a_verdict():
+    # R commutes with mu (x) mu but is singular: the trace condition fails
+    # before R would be inverted, so no NonInvertible is raised
+    ctx = ScalarContext(("q",))
+    r = SquareMatrix(ctx, 4, {(0, 0): ctx.one()})
+    verdict = verify_eyb(EnhancedOperator(r, SquareMatrix.identity(ctx, 2), ctx.one(), ctx.one()))
+    assert not verdict
+    assert verdict.condition == "trace2"
+    assert verdict.residual == SquareMatrix(ctx, 2, {(1, 1): ctx.scalar(-1)})
+
+
+def test_eyb_from_json_refuses_a_dense_r_before_parsing(monkeypatch):
+    from ybtrace import tensor
+
+    def no_parsing(*args):
+        raise AssertionError("a scalar was parsed")
+
+    ctx = ScalarContext(("p", "q"))
+    one = {"terms": [{"re": "1"}]}
+    dense = {"side": 256, "entries": [[r, c, one] for r in range(256) for c in range(256)]}
+    obj = {"r": dense, "mu": {"side": 16, "entries": []}, "alpha": one, "beta": one}
+    monkeypatch.setattr(tensor, "scalar_from_json", no_parsing)
+    with pytest.raises(DimensionMismatch, match="above the cap of 16384"):
+        eyb_from_json(ctx, obj)

@@ -39,7 +39,7 @@ from ybtrace.invariant import (
     verify_annihilating,
 )
 from ybtrace.ring import ScalarContext, pow_int, substitute, try_div_exact
-from ybtrace.tensor import SquareMatrix, scalar_scale, weighted_trace
+from ybtrace.tensor import SquareMatrix, invert, matadd, matmul, scalar_scale, weighted_trace
 
 
 @pytest.fixture(scope="module")
@@ -416,3 +416,31 @@ def test_rank_one_push_refuses_a_state_space_above_the_cap(monkeypatch):
     op = get_table1_eyb("R1.1", 2)
     with pytest.raises(StrandBoundViolation, match="2\\^40 states, above the cap"):
         compute_ts(op, BraidWord(40, (1,)))
+
+
+def test_failing_annihilating_relation_returns_the_sum_as_residual():
+    ctx = ScalarContext(("p", "q"))
+    r = get_relation("R2.1").matrix(ctx)
+    rinv = invert(r)
+    ident = SquareMatrix.identity(ctx, 4)
+    cases = (
+        ({1: ctx.one(), 0: ctx.one()}, matadd(r, ident)),
+        ({2: "1", -2: "p", 0: -1},
+         matadd(matadd(matmul(r, r), scalar_scale(matmul(rinv, rinv), ctx.parse("p"))),
+                scalar_scale(ident, -1))),
+    )
+    for relation, residual in cases:
+        verdict = verify_annihilating(r, relation)
+        assert not verdict
+        assert verdict.residual == residual
+
+
+def test_failing_skein_family_returns_the_sum_as_residual(jones):
+    ctx = jones.ctx
+    fam = SkeinFamily(parse_braid("1 1"), 1, ((2, ctx.one()), (-1, ctx.parse("p"))))
+    verdict = check_skein_family(jones, fam)
+    assert not verdict
+    expected = (pow_int(jones.alpha, 2) * compute_ts(jones, parse_braid("1 1 1 1")).value
+                + ctx.parse("p") * pow_int(jones.alpha, -1)
+                * compute_ts(jones, parse_braid("1 1 -1")).value)
+    assert verdict.residual == expected

@@ -16,6 +16,7 @@ from ybtrace.errors import (
 from ybtrace.ring import ScalarContext
 from ybtrace.tensor import (
     SquareMatrix,
+    Verdict,
     apply_at,
     embed_generator,
     invert,
@@ -24,6 +25,7 @@ from ybtrace.tensor import (
     matmul,
     matrix_from_json,
     matrix_to_json,
+    matsub,
     scalar_scale,
     trace,
     weighted_trace,
@@ -369,3 +371,20 @@ def test_invert_singular_block_and_non_square_piece():
     lopsided = SquareMatrix.from_rows(ctx, [[1, 0, 0], ["p", 0, 0], [0, 1, "q"]])
     with pytest.raises(NonInvertible):
         invert(lopsided)
+
+
+def test_matsub_stores_the_nonzero_differences(ctx):
+    a = SquareMatrix.from_rows(ctx, [["p", 1], [0, "q"]])
+    b = SquareMatrix.from_rows(ctx, [["p", 0], ["q", 1]])
+    diff = matsub(a, b)
+    assert diff == matadd(a, scalar_scale(b, -1))
+    assert diff.entries == {(0, 1): ctx.one(), (1, 0): ctx.parse("-q"),
+                            (1, 1): ctx.parse("q - 1")}
+    assert matsub(a, a).is_zero()
+    with pytest.raises(DimensionMismatch):
+        matsub(a, _identity(ctx, 3))
+
+
+def test_verdict_is_truthy_exactly_when_it_holds():
+    assert Verdict(True) and not Verdict(False, "commute")
+    assert Verdict(True).residual is None and Verdict(True).index is None
