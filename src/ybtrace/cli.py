@@ -346,6 +346,15 @@ def _cmd_alexander(args, out):
 
 def _cmd_skein_check(args, out):
     relation = get_relation(args.relation)
+    rmatrix = args.rmatrix or relation.rmatrix
+    op = get_table1_eyb(rmatrix, args.row, args.sign)
+    coeffs = []
+    for power, text in relation.coefficients:
+        try:
+            coeffs.append((power, op.ctx.parse(text)))
+        except ParseError as exc:  # the row fixes or lacks a generator of the relation
+            raise UnknownName(f"row {args.row} of {rmatrix} cannot carry relation "
+                              f"{args.relation}: its coefficient {text!r} has an {exc}") from None
     ctx_rel = relation.context()
     matrix = relation.matrix(ctx_rel)
     verdict = verify_annihilating(matrix, relation.coeffs(ctx_rel))
@@ -353,13 +362,10 @@ def _cmd_skein_check(args, out):
         out(f"annihilating relation {args.relation}: FAIL")
         return 1
     out(f"annihilating relation {args.relation}: ok")
-    rmatrix = args.rmatrix or relation.rmatrix
-    op = get_table1_eyb(rmatrix, args.row, args.sign)
     base = parse_braid(args.base, args.strands) if args.base or args.strands else parse_braid("", max(2, args.position + 1))
     if base.strands < args.position + 1:
         base = parse_braid(str(base), args.position + 1)
-    family = SkeinFamily(base, args.position,
-                         tuple((p, op.ctx.parse(c)) for p, c in relation.coefficients))
+    family = SkeinFamily(base, args.position, tuple(coeffs))
     check = check_skein_family(op, family)
     if check:
         out("skein family sum: 0")

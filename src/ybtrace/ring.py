@@ -437,39 +437,20 @@ class Scalar:
         a, b = self._nums, other._nums
         if len(a) < len(b):
             a, b = b, a
-        if not b:
-            return _scalar(ctx, {})
+        if len(b) != 1:  # zero, or a sum times a sum
+            return dot(ctx, ((self, other),))
+        # a times a monomial: no two products share a key
         layout = ctx._layout
-        zero, guard = layout.zero, layout.guard
+        guard = layout.guard
         acc, flagged = {}, []
-        if len(b) == 1:  # a times a monomial: no two products share a key
-            (k2, c2), = b.items()
-            k2 -= zero
-            for k1, c1 in a.items():
-                k = k1 + k2
-                if k & guard:
-                    flagged.append((k, c1 * c2))
-                else:
-                    acc[k] = c1 * c2
-        else:
-            get = acc.get
-            for k1, c1 in a.items():
-                k1 -= zero
-                for k2, c2 in b.items():
-                    k = k1 + k2
-                    if k & guard:
-                        flagged.append((k, c1 * c2))
-                        continue
-                    c = c1 * c2
-                    prev = get(k)
-                    if prev is None:
-                        acc[k] = c
-                    else:
-                        c += prev
-                        if c:
-                            acc[k] = c
-                        else:
-                            del acc[k]
+        (k2, c2), = b.items()
+        k2 -= layout.zero
+        for k1, c1 in a.items():
+            k = k1 + k2
+            if k & guard:
+                flagged.append((k, c1 * c2))
+            else:
+                acc[k] = c1 * c2
         den = self._den * other._den
         if flagged:
             acc, den = _settle(ctx, flagged, acc, den)
@@ -502,6 +483,50 @@ class Scalar:
 
     def __repr__(self):
         return f"<Scalar {format_scalar(self)}>"
+
+
+def dot(ctx, pairs):
+    """The sum of x * y over the (x, y) Scalar pairs, or ContextMismatch for a
+    pair outside ``ctx``.  All term products go into one accumulator over one
+    denominator, reduced once: the unique reduced form of the sum.
+    """
+    zero, guard = ctx._layout.zero, ctx._layout.guard
+    acc, flagged, den = {}, [], 1
+    get = acc.get
+    for x, y in pairs:
+        if x.ctx is not ctx or y.ctx is not ctx:
+            for z in (x, y):
+                if z.ctx != ctx:
+                    raise ContextMismatch(f"contexts differ: {ctx!r} vs {z.ctx!r}")
+        d = x._den * y._den
+        if den % d:  # over the lcm of the denominators
+            up = d // math.gcd(den, d)
+            den *= up
+            for k in acc:
+                acc[k] *= up
+            flagged = [(k, c * up) for k, c in flagged]
+        scale = den // d
+        for k1, c1 in x._nums.items():
+            k1 -= zero
+            c1 *= scale
+            for k2, c2 in y._nums.items():
+                k = k1 + k2
+                if k & guard:
+                    flagged.append((k, c1 * c2))
+                    continue
+                c = c1 * c2
+                prev = get(k)
+                if prev is None:
+                    acc[k] = c
+                else:
+                    c += prev
+                    if c:
+                        acc[k] = c
+                    else:
+                        del acc[k]
+    if flagged:
+        acc, den = _settle(ctx, flagged, acc, den)
+    return _scalar(ctx, acc, den)
 
 
 def pow_int(x, k):

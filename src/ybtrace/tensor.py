@@ -20,7 +20,9 @@ from .errors import (
     ParseError,
     PositionOutOfRange,
 )
-from .ring import json_field, scalar_from_json, scalar_to_json, substitute, try_div_exact
+from .ring import (
+    dot, json_field, scalar_from_json, scalar_to_json, substitute, try_div_exact,
+)
 
 # Largest state count (matrix side) that braid_representation and
 # matrix_from_json accept: a braid on 12 strands of a two-dimensional space.
@@ -43,11 +45,12 @@ def _check_ctx(a, b):
 class SquareMatrix:
     """Immutable sparse square matrix; zero entries are never stored."""
 
-    __slots__ = ("ctx", "side", "entries")
+    __slots__ = ("ctx", "side", "entries", "_inverse")
 
     def __init__(self, ctx, side, entries):
         self.ctx = ctx
         self.side = side
+        self._inverse = None
         clean = {}
         for (r, c) in sorted(entries):
             if not (0 <= r < side and 0 <= c < side):
@@ -153,6 +156,13 @@ def scalar_scale(a, s):
     return SquareMatrix(a.ctx, a.side, {k: s * v for k, v in a.entries.items()})
 
 
+def _sums(ctx, pairs):
+    """{key: sum of x * y over the (x, y) pairs listed under key}.  A lone
+    product is formed by ``*``, which is faster than ``dot`` on one pair."""
+    return {key: p[0][0] * p[0][1] if len(p) == 1 else dot(ctx, p)
+            for key, p in pairs.items()}
+
+
 def matmul(a, b):
     _check_ctx(a, b)
     if a.side != b.side:
@@ -160,19 +170,11 @@ def matmul(a, b):
     b_rows = {}
     for (r, c), v in b.entries.items():
         b_rows.setdefault(r, []).append((c, v))
-    acc = {}
+    pairs = {}
     for (r, k), va in a.entries.items():
-        row = b_rows.get(k)
-        if not row:
-            continue
-        for c, vb in row:
-            key = (r, c)
-            prod = va * vb
-            if key in acc:
-                acc[key] = acc[key] + prod
-            else:
-                acc[key] = prod
-    return SquareMatrix(a.ctx, a.side, acc)
+        for c, vb in b_rows.get(k, ()):
+            pairs.setdefault((r, c), []).append((va, vb))
+    return SquareMatrix(a.ctx, a.side, _sums(a.ctx, pairs))
 
 
 def kron(a, b):
@@ -250,15 +252,13 @@ def apply_at(r, i, n, vec, base=None):
     column = {}
     for (rr, rc), v in r.entries.items():
         column.setdefault(rc, []).append((rr, v))
-    out = {}
+    pairs = {}
     for state, x in vec.items():
         head, low = divmod(state, right)
         head, pair = divmod(head, r.side)
         for row, v in column.get(pair, ()):
-            key = (head * r.side + row) * right + low
-            term = v * x
-            out[key] = out[key] + term if key in out else term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            pairs.setdefault((head * r.side + row) * right + low, []).append((v, x))
+    return {k: v for k, v in _sums(r.ctx, pairs).items() if not v.is_zero()}
 
 
 def trace(a):
@@ -309,7 +309,7 @@ def weighted_trace(a, mu, slots):
             memo[key] = None if head is None or factor is None else head * factor
         return memo[key]
 
-    entries = {}
+    pairs = {}
     for (r, c), v in a.entries.items():
         rt = ct = rk = ck = 0
         t_place = k_place = 1
@@ -325,12 +325,9 @@ def weighted_trace(a, mu, slots):
                 ck += cd * k_place
                 k_place *= base
         w = weight(len(slots), rt, ct)
-        if w is None:
-            continue
-        term = v * w
-        key = (rk, ck)
-        entries[key] = entries[key] + term if key in entries else term
-    return SquareMatrix(a.ctx, base ** (arity - len(slots)), entries)
+        if w is not None:
+            pairs.setdefault((rk, ck), []).append((v, w))
+    return SquareMatrix(a.ctx, base ** (arity - len(slots)), _sums(a.ctx, pairs))
 
 
 def matrix_substitute(a, bindings, target=None):
@@ -376,15 +373,17 @@ def _pieces(a):
 
 
 def _bareiss_row(piv, row, factor, pivot_row, prev):
-    """(piv*row - factor*pivot_row) / prev on sparse rows; None stands for 1."""
-    out = dict(row) if piv is None else {k: piv * v for k, v in row.items()}
+    """(piv*row - factor*pivot_row) / prev on sparse rows; None stands for 1.
+    An entry in both rows is one ``dot`` unless piv is 1."""
+    out = {k: v if piv is None else piv * v for k, v in row.items()
+           if factor is None or k not in pivot_row}
     if factor is not None:
+        neg = -factor
         for k, v in pivot_row.items():
-            cur = out.get(k)
-            nxt = (cur - factor * v) if cur is not None else -(factor * v)
-            if nxt.is_zero():
-                out.pop(k, None)
-            else:
+            cur = row.get(k)
+            nxt = (neg * v if cur is None else cur + neg * v if piv is None
+                   else dot(neg.ctx, ((piv, cur), (neg, v))))
+            if not nxt.is_zero():
                 out[k] = nxt
     if prev is not None:
         out = {k: try_div_exact(v, prev) for k, v in out.items()}
@@ -435,8 +434,11 @@ def invert(a):
     pattern, and each piece is inverted on its own, with one exact division
     by its last pivot.  Raises NonInvertible when the matrix is singular and
     InverseOutsideRing when its determinant is not a unit of the ring, so
-    that the inverse needs rational functions.
+    that the inverse needs rational functions.  The inverse is kept on ``a``
+    and returned by later calls; a failure is raised again on every call.
     """
+    if a._inverse is not None:
+        return a._inverse
     n = a.side
     one = a.ctx.one()
     # row r of [A | I]: entry (r, c) of A under key c, the 1 of I under n + r
@@ -453,7 +455,8 @@ def invert(a):
             raise InverseOutsideRing(
                 "the determinant is not a unit; the inverse leaves the ring"
             ) from None
-    return SquareMatrix(a.ctx, n, entries)
+    a._inverse = SquareMatrix(a.ctx, n, entries)
+    return a._inverse
 
 
 # -- JSON form -----------------------------------------------------------------

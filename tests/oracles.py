@@ -6,6 +6,8 @@ skein oracle computes the one-variable invariant by descending-diagram
 induction on braid closures, using no matrices at all.  The Kronecker-power
 contractions are the reference for ``tensor.weighted_trace``: they form
 mu^(x n) and the product with it, which weighted_trace never does.  The
+``*_sequential`` contractions add each product to its entry with +, as the
+library did before it summed each entry with ``ring.dot``.  The
 term-dict arithmetic at the end, over the Fraction-based GaussianRational
 below, is the reference for the ring's packed terms and int coefficients.
 """
@@ -16,7 +18,7 @@ import math
 from fractions import Fraction
 
 from ybtrace.errors import DimensionMismatch
-from ybtrace.tensor import SquareMatrix, _check_ctx, kron
+from ybtrace.tensor import SquareMatrix, _check_ctx, _slot_base, kron
 
 
 def ybe_residuals(matrix, base):
@@ -312,6 +314,90 @@ def partial_trace(a, slots, base):
         else:
             entries[key] = v
     return SquareMatrix(a.ctx, out_side, entries)
+
+
+# -- contractions summed one product at a time ----------------------------------
+#
+# The library's matmul, apply_at and weighted_trace as they were before their
+# entries became one ring.dot each: every product is added to its entry's
+# running Scalar with +.
+
+
+def matmul_sequential(a, b):
+    _check_ctx(a, b)
+    if a.side != b.side:
+        raise DimensionMismatch(f"sides differ: {a.side} vs {b.side}")
+    b_rows = {}
+    for (r, c), v in b.entries.items():
+        b_rows.setdefault(r, []).append((c, v))
+    acc = {}
+    for (r, k), va in a.entries.items():
+        for c, vb in b_rows.get(k, ()):
+            key = (r, c)
+            prod = va * vb
+            acc[key] = acc[key] + prod if key in acc else prod
+    return SquareMatrix(a.ctx, a.side, acc)
+
+
+def apply_at_sequential(r, i, n, vec, base=None):
+    base = _slot_base(r, i, n, base)
+    right = base ** (n - i - 1)
+    column = {}
+    for (rr, rc), v in r.entries.items():
+        column.setdefault(rc, []).append((rr, v))
+    out = {}
+    for state, x in vec.items():
+        head, low = divmod(state, right)
+        head, pair = divmod(head, r.side)
+        for row, v in column.get(pair, ()):
+            key = (head * r.side + row) * right + low
+            term = v * x
+            out[key] = out[key] + term if key in out else term
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def weighted_trace_sequential(a, mu, slots):
+    _check_ctx(a, mu)
+    base = mu.side
+    arity, side = 0, 1
+    while base > 1 and side < a.side:
+        side *= base
+        arity += 1
+    if base < 2 or side != a.side:
+        raise DimensionMismatch(f"side {a.side} is not a power of {base}")
+    slots = set(slots)
+    if any(not 1 <= s <= arity for s in slots):
+        raise DimensionMismatch(f"slots {sorted(slots)} outside 1..{arity}")
+    if not slots:
+        return a
+    traced = [s in slots for s in range(arity, 0, -1)]
+    entries = {}
+    for (r, c), v in a.entries.items():
+        rt = ct = rk = ck = 0
+        t_place = k_place = 1
+        for is_traced in traced:
+            r, rd = divmod(r, base)
+            c, cd = divmod(c, base)
+            if is_traced:
+                rt += rd * t_place
+                ct += cd * t_place
+                t_place *= base
+            else:
+                rk += rd * k_place
+                ck += cd * k_place
+                k_place *= base
+        w = a.ctx.one()
+        for _ in range(len(slots)):  # mu[c_s, r_s] over the traced digits
+            factor = mu.entries.get((ct % base, rt % base))
+            if factor is None:
+                break
+            w = w * factor
+            rt, ct = rt // base, ct // base
+        else:
+            term = v * w
+            key = (rk, ck)
+            entries[key] = entries[key] + term if key in entries else term
+    return SquareMatrix(a.ctx, base ** (arity - len(slots)), entries)
 
 
 # -- Fraction coefficients -------------------------------------------------------

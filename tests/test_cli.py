@@ -1,7 +1,11 @@
 """Command-line interface: verbs, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from ybtrace import catalog
 from ybtrace.cli import emit, main
@@ -105,6 +109,18 @@ def test_skein_check(capsys):
     assert code == 0
     assert "annihilating relation R2.1: ok" in out
     assert "skein family sum: 0" in out
+
+
+def test_skein_check_row_that_fixes_a_relation_generator_is_a_usage_error(capsys):
+    # R3.1's default row 1 restricts s = 1, but the relation's coefficients use s
+    code = main(["skein-check", "--relation", "R3.1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: row 1 of R3.1 ")
+    assert "unknown generator 's'" in captured.err
+    code, out = run(capsys, "skein-check", "--relation", "R3.1", "--row", "3")
+    assert code == 0
+    assert out == "annihilating relation R3.1: ok\nskein family sum: 0\n"
 
 
 def test_dress_preset_and_json(tmp_path, capsys):
@@ -452,3 +468,12 @@ def test_ybe_check_file_runs_the_check_once(capsys, tmp_path, monkeypatch):
         calls.clear()
         assert run(capsys, "ybe-check", "--file", path, "--context", ctx, *flags) == want
         assert len(calls) == 1, (path, flags)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "ybtrace", "catalog"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, out = run(capsys, "catalog")
+    assert (done.returncode, done.stdout) == (code, out)

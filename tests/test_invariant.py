@@ -13,7 +13,7 @@ from oracles import (
     trace_product,
 )
 
-from ybtrace import invariant
+from ybtrace import invariant, tensor
 from ybtrace.braid import (
     NAMED_LINKS,
     BraidWord,
@@ -444,3 +444,24 @@ def test_failing_skein_family_returns_the_sum_as_residual(jones):
                 + ctx.parse("p") * pow_int(jones.alpha, -1)
                 * compute_ts(jones, parse_braid("1 1 -1")).value)
     assert verdict.residual == expected
+
+
+def test_compute_ts_inverts_each_operator_once(monkeypatch):
+    pieces = []
+    original = tensor._invert_piece
+
+    def counted(work, rows, cols, n):
+        pieces.append(rows)
+        return original(work, rows, cols, n)
+
+    monkeypatch.setattr(tensor, "_invert_piece", counted)
+    word = get_named_braid("4_1").braid
+    assert any(k < 0 for k in word.letters)
+    # R2.1/1 pushes a rank-one weight; R1.3/1 builds the representation matrix
+    for op in (get_table1_eyb("R2.1", 1), get_table1_eyb("R1.3", 1)):
+        pieces.clear()
+        first = compute_ts(op, word).value
+        inverted = len(pieces)
+        assert inverted > 0
+        assert compute_ts(op, word).value == first
+        assert len(pieces) == inverted

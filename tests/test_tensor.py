@@ -254,6 +254,17 @@ def test_invert_outside_ring():
         invert(m)
 
 
+def test_invert_keeps_the_inverse_but_not_a_failure():
+    ctx = ScalarContext(("q",))
+    m = SquareMatrix.from_rows(ctx, [["q", "1"], [0, "q^-1"]])
+    assert invert(m) is invert(m)
+    for bad, error in ((SquareMatrix.from_rows(ctx, [["q", "q"], ["q", "q"]]), NonInvertible),
+                       (SquareMatrix.diagonal(ctx, ["1+q"] * 2), InverseOutsideRing)):
+        for _ in range(2):
+            with pytest.raises(error):
+                invert(bad)
+
+
 def test_large_invert_via_unit_pivots():
     ctx = ScalarContext(("q",))
     entries = {}
