@@ -93,6 +93,7 @@ from .invariant import (
     classification_report,
     compute_ts,
     get_relation,
+    open_trace,
     unknot_value,
     verify_annihilating,
 )

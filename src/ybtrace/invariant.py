@@ -1,17 +1,19 @@
 """The weighted braid-trace invariant and its consequences.
 
-For an enhanced operator S and a braid word, the raw invariant is
-alpha^(-writhe) beta^(-strands) Tr(rep(word) mu^(x strands)); dividing by
-the one-strand value Tr(mu)/beta gives the unknot-normalized form.
+For an enhanced operator S and a braid word on n strands, the raw invariant
+is alpha^(-writhe) beta^(-n) Tr(rep(word) mu^(x n)); dividing by the
+one-strand value Tr(mu)/beta gives the unknot-normalized form.
 
-The trace is taken one of two ways.  When mu has rank one, piv * mu = u v^T
-for a pivot entry piv of mu, its column u and its row v, and the trace is
-(v^(x n))^T rep u^(x n) / piv^n: the vector u^(x n) is pushed through the
-word one crossing at a time (``tensor.apply_at``), so the representation is
-never built, and one exact division by (beta * piv)^n ends it.  Every other
-mu takes the matrix path: the representation is assembled by sparse
-multiplication of embedded crossing operators, never as a full Kronecker
-chain, and contracted with ``weighted_trace``.
+When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
+column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n:
+u^(x n) is pushed through the word one crossing at a time
+(``tensor.apply_at``), and one exact division by (beta * piv)^n ends it.
+Every other mu takes the matrix path: the representation is a sparse
+product of embedded crossing operators, contracted with ``weighted_trace``
+over the closed slots, divided by beta once per closed slot and multiplied
+by alpha^(-writhe).  ``open_trace`` closes strands 2..n the same way and
+returns the multiple of the identity left on strand 1.  ``alexander_nabla``
+is the open trace of row R1.2/1 at q = t^-2 (sqrt_q -> t^-1).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .errors import (
     StrandBoundViolation,
     UnknownName,
 )
-from .eyb import EnhancedOperator, table1_entries
-from .ring import Scalar, ScalarContext, format_scalar, pow_int, try_div_exact
+from .eyb import EnhancedOperator, get_table1_eyb, table1_entries
+from .ring import Scalar, ScalarContext, format_scalar, pow_int, substitute, try_div_exact
 from .tensor import (
     MAX_STATES,
     SquareMatrix,
@@ -124,7 +126,7 @@ def _tensor_power(w, n, base, one):
 
 
 def _pushed_trace(op, b, u, v, piv):
-    """Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv, by one push of u^(x n)."""
+    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv, by one push."""
     n, base, one = b.strands, op.base_dim, op.ctx.one()
     _states(base, n)
     vec = _tensor_power(u, n, base, one)
@@ -133,7 +135,22 @@ def _pushed_trace(op, b, u, v, piv):
         vec = apply_at(op.r if letter > 0 else rinv, abs(letter), n, vec, base)
     row = _tensor_power(v, n, base, one)
     raw = sum((x * row[s] for s, x in vec.items() if s in row), op.ctx.zero())
-    return try_div_exact(raw, pow_int(op.beta * piv, n))
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta * piv, n))
+
+
+def _matrix_closure(op, b, slots):
+    """alpha^(-writhe) beta^(-len(slots)) times the multiple of the identity
+    that ``weighted_trace`` leaves of rep(b) closed over ``slots``.
+
+    Raises ProportionalityFailure when what is left is not such a multiple;
+    closing every slot leaves a 1x1 matrix, which always is.
+    """
+    rep = braid_representation(op.r, b, op.base_dim)
+    left = weighted_trace(rep, op.mu, slots)
+    value = left.get(0, 0)
+    if left != SquareMatrix.diagonal(left.ctx, [value] * left.side):
+        raise ProportionalityFailure("partial closure is not a multiple of the identity")
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(value, pow_int(op.beta, len(slots)))
 
 
 def compute_ts(op, b, normalized=False):
@@ -149,12 +166,9 @@ def compute_ts(op, b, normalized=False):
     # a side-1 weight keeps the matrix path, whose weighted_trace refuses it
     factors = rank_one_factors(op.mu) if op.base_dim > 1 else None
     if factors is None:
-        rep = braid_representation(op.r, b, op.base_dim)
-        raw = weighted_trace(rep, op.mu, range(1, n + 1)).get(0, 0)
-        raw = try_div_exact(raw, pow_int(op.beta, n))
+        raw = _matrix_closure(op, b, range(1, n + 1))
     else:
         raw = _pushed_trace(op, b, *factors)
-    raw = pow_int(op.alpha, -b.writhe) * raw
     unknot = unknot_value(op)
     if not normalized:
         return InvariantResult(raw, False, unknot, op, b)
@@ -272,43 +286,21 @@ def check_skein_family(op, fam):
     return Verdict(True) if total.is_zero() else Verdict(False, residual=total)
 
 
-# -- the regularized one-strand closure ----------------------------------------
-
-_nabla_cache = {}
+# -- the open-strand closure ---------------------------------------------------
 
 
-def _nabla_operator():
-    """Crossing operator for the one-variable polynomial: t times the
-    R1.2 solution at q = t^-2, weighted by mu = diag(t, -t)."""
-    if "op" not in _nabla_cache:
-        ctx = ScalarContext(("t",))
-        t = ctx.gen("t")
-        r = scalar_scale(restricted_matrix("R1.2", (("q", "t^-2"),), ctx), t)
-        mu = SquareMatrix.diagonal(ctx, [t, -t])
-        _nabla_cache["op"] = (ctx, r, mu)
-    return _nabla_cache["op"]
+def open_trace(op, b):
+    """The closure of strands 2..n of ``b`` under ``op``, as the multiple of
+    the identity left on strand 1, or ProportionalityFailure."""
+    return _matrix_closure(op, b, range(2, b.strands + 1))
 
 
 def alexander_nabla(b):
-    """The Alexander invariant of the closure of ``b``, by closing all
-    strands but the first with mu-weighted traces.
-
-    The partially closed operator must be proportional to the identity on
-    the open strand; its ratio is returned (writhe and strand prefactors
-    are trivial here since alpha = beta = 1).
-    """
-    ctx, r, mu = _nabla_operator()
-    n = b.strands
-    rep = braid_representation(r, b, 2)
-    m = weighted_trace(rep, mu, range(2, n + 1))
-    off = [key for key in m.entries if key[0] != key[1]]
-    d0 = m.get(0, 0)
-    d1 = m.get(1, 1)
-    if off or d0 != d1:
-        raise ProportionalityFailure(
-            "partial closure is not a multiple of the identity"
-        )
-    return d0
+    """The Alexander invariant of the closure of ``b`` in the variable t:
+    the open trace of row R1.2/1, at q = t^-2."""
+    ctx = ScalarContext(("t",))
+    value = open_trace(get_table1_eyb("R1.2", 1), b)
+    return substitute(value, {"q": ctx.parse("t^-2")}, ctx)
 
 
 # -- classification -------------------------------------------------------------

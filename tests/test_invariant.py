@@ -23,7 +23,7 @@ from ybtrace.braid import (
     stabilize,
 )
 from ybtrace.dressing import preset_dressings, preset_names
-from ybtrace.errors import NotDivisible, StrandBoundViolation
+from ybtrace.errors import NotDivisible, ProportionalityFailure, StrandBoundViolation
 from ybtrace.eyb import EnhancedOperator, get_table1_entry, get_table1_eyb, table1_entries
 from ybtrace.invariant import (
     ANNIHILATING_RELATIONS,
@@ -34,6 +34,7 @@ from ybtrace.invariant import (
     classification_report,
     compute_ts,
     get_relation,
+    open_trace,
     rank_one_factors,
     unknot_value,
     verify_annihilating,
@@ -236,6 +237,66 @@ def test_nabla_markov_invariance():
 def test_nabla_split_links_vanish():
     assert alexander_nabla(parse_braid("2 2", 3)).is_zero()
     assert alexander_nabla(BraidWord(2)).is_zero()
+
+
+# -- torus knots against closed forms --------------------------------------------
+
+COPRIME_TORUS = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6))
+
+
+def _torus(p, q):
+    """T(p, q) as the closure of (sigma_1 ... sigma_(p-1))^q."""
+    return BraidWord(p, tuple(range(1, p)) * q)
+
+
+def test_jones_matches_the_torus_knot_closed_form(jones):
+    """V(T(p,q)) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
+    (Jones, Ann. of Math. 126, 1987)."""
+    for p, q in COPRIME_TORUS:
+        value, ctx = _collapse(compute_ts(jones, _torus(p, q), normalized=True).value)
+        closed = ctx.parse(f"t^{(p - 1) * (q - 1) // 2}") * try_div_exact(
+            ctx.parse(f"1 - t^{p + 1} - t^{q + 1} + t^{p + q}"), ctx.parse("1 - t^2"))
+        assert value == closed, (p, q)
+
+
+def test_nabla_matches_the_torus_knot_closed_form():
+    """Delta(T(p,q)) = (x^(pq) - 1)(x - 1) / ((x^p - 1)(x^q - 1)) at x = t^2."""
+    ctx = ScalarContext(("t",))
+    for p, q in COPRIME_TORUS:
+        closed = try_div_exact(ctx.parse(f"(t^{2 * p * q} - 1)*(t^2 - 1)"),
+                               ctx.parse(f"(t^{2 * p} - 1)*(t^{2 * q} - 1)"))
+        assert equal_up_to_unit(alexander_nabla(_torus(p, q)), closed), (p, q)
+
+
+# -- the open-strand closure ----------------------------------------------------
+
+# the three alexander-zero rows, each with the substitution that makes its
+# variable x = t^2
+ALEXANDER_ROWS = {("R2.2", 1): {"p": "t^2", "q": "1"}, ("R1.1", 1): {"q": "t"},
+                  ("R1.2", 1): {"q": "t^2"}}
+
+
+def test_open_trace_of_each_alexander_row_matches_the_skein_oracle():
+    """Both signs, on the named links and on seeded words of up to five strands."""
+    ctx = ScalarContext(("t",))
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += _random_words(random.Random(11), 40, 5, 8)
+    oracles = [conway_in_t(ctx, conway_polynomial(b.strands, b.letters)) for b in words]
+    for (rmatrix, row), bindings in ALEXANDER_ROWS.items():
+        for sign in "+-":
+            op = get_table1_eyb(rmatrix, row, sign=sign)
+            for b, oracle in zip(words, oracles):
+                value = substitute(open_trace(op, b), bindings, ctx)
+                assert equal_up_to_unit(value, oracle), (rmatrix, row, sign, b)
+
+
+def test_open_trace_refuses_a_partial_closure_off_the_identity():
+    trefoil = get_named_braid("3_1").braid
+    for op in (get_table1_eyb("R2.1", 2), preset_dressings("d3_R21").eyb):
+        with pytest.raises(ProportionalityFailure, match="not a multiple of the identity"):
+            open_trace(op, trefoil)
+    for rmatrix, row in ALEXANDER_ROWS:
+        assert not open_trace(get_table1_eyb(rmatrix, row), trefoil).is_zero()
 
 
 # -- classification --------------------------------------------------------------
@@ -457,8 +518,9 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
     monkeypatch.setattr(tensor, "_invert_piece", counted)
     word = get_named_braid("4_1").braid
     assert any(k < 0 for k in word.letters)
-    # R2.1/1 pushes a rank-one weight; R1.3/1 builds the representation matrix
-    for op in (get_table1_eyb("R2.1", 1), get_table1_eyb("R1.3", 1)):
+    # R2.1/2 pushes its rank-one weight; R1.3/1 builds the representation matrix
+    for op, pushed in ((get_table1_eyb("R2.1", 2), True), (get_table1_eyb("R1.3", 1), False)):
+        assert (rank_one_factors(op.mu) is not None) == pushed
         pieces.clear()
         first = compute_ts(op, word).value
         inverted = len(pieces)

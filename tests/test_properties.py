@@ -1,7 +1,9 @@
-"""Markov invariance of the trace invariant on random braids (hypothesis).
+"""Markov invariance and the sign law of the trace invariant on random
+braids (hypothesis).
 
 compute_ts must give one value for a braid, its conjugates and its positive
-and negative stabilizations, over every Table-1 row with both signs.
+and negative stabilizations, over every Table-1 row with both signs; and a
+row's sign '-' must multiply that value by -1 once per closure component.
 """
 
 import pytest
@@ -23,12 +25,13 @@ OPERATORS = {
 }
 
 
-def letters(strands, max_size):
+def letters(strands, max_size, min_size=0):
     """Words of generators sigma_k^(+-1), 1 <= k < strands."""
     if strands < 2:
         return st.just(())
     letter = st.tuples(st.integers(1, strands - 1), st.sampled_from([1, -1]))
-    return st.lists(letter, max_size=max_size).map(lambda w: tuple(k * s for k, s in w))
+    return st.lists(letter, min_size=min_size, max_size=max_size).map(
+        lambda w: tuple(k * s for k, s in w))
 
 
 @st.composite
@@ -46,3 +49,15 @@ def test_invariant_under_conjugation_and_stabilization(name, b, data):
     assert compute_ts(op, conjugate(b, by)).value == value
     sign = data.draw(st.sampled_from([1, -1]))
     assert compute_ts(op, stabilize(b, sign)).value == value
+
+
+@settings(PROPERTY, max_examples=30)
+@given(strands=st.integers(2, 4), data=st.data())
+def test_minus_sign_negates_once_per_component(strands, data):
+    """T_-(L) = (-1)^c T_+(L), c the number of components, on all 23 rows."""
+    b = BraidWord(strands, data.draw(letters(strands, 8, min_size=1)))
+    odd = b.closure_components() % 2
+    for e in table1_entries():
+        plus = compute_ts(OPERATORS[f"{e.rmatrix}/{e.row}+"], b).value
+        minus = compute_ts(OPERATORS[f"{e.rmatrix}/{e.row}-"], b).value
+        assert minus == (-plus if odd else plus), (e.rmatrix, e.row)
