@@ -114,6 +114,10 @@ def search_ansatz(rspec, candidates):
     return found
 
 
+# (entry, sign) -> the shared operator of Table1Entry.build; filled on first use
+_shared_ops = {}
+
+
 @dataclass(frozen=True)
 class Table1Entry:
     """One registry row: how to enhance a catalog matrix, and what it yields.
@@ -143,7 +147,17 @@ class Table1Entry:
 
         ``ctx`` may supply a larger context (for dressings with extra
         parameters); it must declare this row's generators and roots.
+
+        Without ``beta`` and ``ctx`` the operator is built once per (row,
+        sign) and shared for the life of the process, so R's kept inverse
+        carries across calls.  Do not mutate it: ``SquareMatrix.entries`` is
+        a plain dict.  With either argument a fresh operator is built.
         """
+        if sign not in ("+", "-"):
+            raise UnknownName(f"sign must be '+' or '-', got {sign!r}")
+        shared = beta is None and ctx is None
+        if shared and (self, sign) in _shared_ops:
+            return _shared_ops[self, sign]
         if ctx is None:
             ctx = self.context()
         r = restricted_matrix(self.rmatrix, self.restrictions, ctx)
@@ -158,9 +172,10 @@ class Table1Entry:
         if sign == "-":
             mu = scalar_scale(mu, ctx.scalar(-1))
             alpha = -alpha
-        elif sign != "+":
-            raise UnknownName(f"sign must be '+' or '-', got {sign!r}")
-        return EnhancedOperator(r, mu, alpha, beta_val)
+        op = EnhancedOperator(r, mu, alpha, beta_val)
+        if shared:
+            _shared_ops[self, sign] = op
+        return op
 
 
 _SQRT_PQ = (("sqrt_pq", "p*q"),)
@@ -240,6 +255,8 @@ def get_table1_entry(rmatrix, row):
 
 
 def get_table1_eyb(rmatrix, row, sign="+", beta=None):
+    """The row's operator; without ``beta`` it is the shared one of
+    ``Table1Entry.build``, kept for the life of the process: do not mutate it."""
     return get_table1_entry(rmatrix, row).build(sign, beta)
 
 

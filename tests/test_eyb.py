@@ -2,6 +2,8 @@
 
 import pytest
 
+from ybtrace import eyb
+from ybtrace.braid import NAMED_LINKS, get_named_braid
 from ybtrace.catalog import get_rmatrix
 from ybtrace.eyb import (
     EnhancedOperator,
@@ -15,9 +17,11 @@ from ybtrace.eyb import (
     table1_entries,
     verify_eyb,
 )
-from ybtrace.errors import DimensionMismatch, NotAUnit, UnknownRow
+from ybtrace.errors import DimensionMismatch, NotAUnit, UnknownName, UnknownRow
+from ybtrace.invariant import alexander_nabla, classification_report, compute_ts
 from ybtrace.ring import ScalarContext
-from ybtrace.tensor import SquareMatrix, kron, matadd, matmul, scalar_scale
+from ybtrace.tables import run_table
+from ybtrace.tensor import SquareMatrix, invert, kron, matadd, matmul, scalar_scale
 
 
 def test_registry_covers_all_cases():
@@ -219,3 +223,64 @@ def test_eyb_from_json_refuses_a_dense_r_before_parsing(monkeypatch):
     monkeypatch.setattr(tensor, "scalar_from_json", no_parsing)
     with pytest.raises(DimensionMismatch, match="above the cap of 16384"):
         eyb_from_json(ctx, obj)
+
+
+# -- the shared operators of Table1Entry.build -----------------------------------
+
+
+def test_build_shares_one_operator_per_row_and_sign():
+    for entry in TABLE1:
+        for sign in "+-":
+            op = get_table1_eyb(entry.rmatrix, entry.row, sign)
+            assert op is get_table1_eyb(entry.rmatrix, entry.row, sign)
+            assert op is entry.build(sign)
+        assert entry.build("+") is not entry.build("-")
+
+
+def test_build_with_beta_or_ctx_is_fresh_over_the_given_context():
+    entry = get_table1_entry("R2.1", 1)
+    shared = entry.build()
+    two = entry.context().scalar(2)
+    rescaled = entry.build(beta=two)
+    assert rescaled is not shared and rescaled is not entry.build(beta=two)
+    assert rescaled.beta == two and rescaled.mu == scalar_scale(shared.mu, two)
+    assert get_table1_eyb("R2.1", 1, beta=two) is not rescaled
+    ctx = ScalarContext(("p", "q", "x"), (("sqrt_pq", "p*q"),))
+    wider = entry.build("-", ctx=ctx)
+    assert wider is not entry.build("-", ctx=ctx)
+    assert wider.ctx is ctx and wider.r.ctx is ctx and wider.alpha.ctx is ctx
+    own = entry.build("-", ctx=entry.context())
+    assert own is not entry.build("-") and own == entry.build("-")
+
+
+def test_bad_sign_raises_every_time_and_stores_nothing():
+    entry = get_table1_entry("R1.3", 1)
+    before = dict(eyb._shared_ops)
+    for _ in range(2):
+        with pytest.raises(UnknownName, match="sign must be"):
+            entry.build("x")
+        with pytest.raises(UnknownName, match="sign must be"):
+            get_table1_eyb("R1.3", 1, "")
+    assert eyb._shared_ops == before
+
+
+def test_shared_operators_survive_the_tables_and_match_fresh_builds():
+    """Every caller through build(sign) leaves the shared operators as built,
+    and they give the fresh operators' values on the named links."""
+    for sign in "+-":
+        classification_report(sign=sign)
+    for which in (2, 3, 4):
+        assert run_table(which).ok
+    alexander_nabla(get_named_braid("4_1").braid)
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    for entry in TABLE1:
+        for sign in "+-":
+            shared = entry.build(sign)
+            fresh = entry.build(sign, ctx=entry.context())
+            assert shared is not fresh
+            assert shared.r == fresh.r and shared.mu == fresh.mu
+            assert shared.alpha == fresh.alpha and shared.beta == fresh.beta
+            if shared.r._inverse is not None:
+                assert shared.r._inverse == invert(fresh.r)
+            for word in words:
+                assert compute_ts(shared, word).value == compute_ts(fresh, word).value

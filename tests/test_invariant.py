@@ -13,7 +13,7 @@ from oracles import (
     trace_product,
 )
 
-from ybtrace import invariant, tensor
+from ybtrace import eyb, invariant, tensor
 from ybtrace.braid import (
     NAMED_LINKS,
     BraidWord,
@@ -518,8 +518,11 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
     monkeypatch.setattr(tensor, "_invert_piece", counted)
     word = get_named_braid("4_1").braid
     assert any(k < 0 for k in word.letters)
-    # R2.1/2 pushes its rank-one weight; R1.3/1 builds the representation matrix
-    for op, pushed in ((get_table1_eyb("R2.1", 2), True), (get_table1_eyb("R1.3", 1), False)):
+    # R2.1/2 pushes its rank-one weight; R1.3/1 builds the representation matrix.
+    # Fresh operators: the shared ones may already keep R's inverse.
+    for name, row, pushed in (("R2.1", 2, True), ("R1.3", 1, False)):
+        entry = get_table1_entry(name, row)
+        op = entry.build(ctx=entry.context())
         assert (rank_one_factors(op.mu) is not None) == pushed
         pieces.clear()
         first = compute_ts(op, word).value
@@ -527,3 +530,29 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
         assert inverted > 0
         assert compute_ts(op, word).value == first
         assert len(pieces) == inverted
+
+
+def test_alexander_nabla_builds_and_inverts_its_operator_once(monkeypatch):
+    calls = {"restricted_matrix": 0, "_invert_piece": 0}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(eyb, "restricted_matrix")
+    spy(tensor, "_invert_piece")
+    word = get_named_braid("4_1").braid
+    assert any(k < 0 for k in word.letters)
+    first = alexander_nabla(word)
+    calls.update(restricted_matrix=0, _invert_piece=0)
+    assert alexander_nabla(word) == first
+    assert calls == {"restricted_matrix": 0, "_invert_piece": 0}
+    # the spies see a fresh build and its inversion
+    entry = get_table1_entry("R1.2", 1)
+    compute_ts(entry.build(ctx=entry.context()), word)
+    assert calls["restricted_matrix"] == 1 and calls["_invert_piece"] > 0
