@@ -14,7 +14,7 @@ import math
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotAUnit, UnknownName
+from .errors import DimensionMismatch, NotAUnit, PreconditionViolation, UnknownName
 from .ring import Scalar, ScalarContext
 from .tensor import (
     MAX_STATES,
@@ -25,9 +25,9 @@ from .tensor import (
     invert,
     kron,
     matmul,
+    matmul_sub,
     matrix_from_json,
     matrix_substitute,
-    matsub,
     scalar_scale,
 )
 
@@ -134,6 +134,10 @@ def check_ybe(r, base=None):
     as ``index`` and its nonzero residual scalar.  Raises DimensionMismatch,
     before anything is built, when the base**3 states of the triple power
     exceed MAX_STATES.
+
+    Both sides share the product P = R12 R23, formed once: the residual
+    R12 R23 R12 - R23 R12 R23 is P R12 - R23 P by associativity, taken by
+    one ``matmul_sub``.
     """
     if base is None:
         base = math.isqrt(r.side)
@@ -146,9 +150,8 @@ def check_ybe(r, base=None):
         )
     r12 = embed_generator(r, 1, 3, base)
     r23 = embed_generator(r, 2, 3, base)
-    lhs = matmul(matmul(r12, r23), r12)
-    rhs = matmul(matmul(r23, r12), r23)
-    diff = matsub(lhs, rhs)
+    p = matmul(r12, r23)
+    diff = matmul_sub(p, r12, r23, p)
     if diff.is_zero():
         return Verdict(True)
     index = min(diff.entries)
@@ -171,7 +174,8 @@ class TransformSpec:
 
 
 def transform_rmatrix(r, t, base=None):
-    """Apply a TransformSpec; the result is checked to still satisfy the YBE."""
+    """Apply a TransformSpec; the result is checked to still satisfy the YBE,
+    else PreconditionViolation naming the check's first failing index."""
     matrix = r.matrix if isinstance(r, RMatrixSpec) else r
     if base is None:
         base = math.isqrt(matrix.side)
@@ -202,7 +206,7 @@ def transform_rmatrix(r, t, base=None):
         raise UnknownName(f"unknown transformation kind {t.kind!r}")
     verdict = check_ybe(out, base)
     if not verdict:
-        raise RuntimeError(
+        raise PreconditionViolation(
             f"transformed matrix violates the YBE at {verdict.index}"
         )
     return out

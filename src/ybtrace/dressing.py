@@ -37,10 +37,10 @@ from .tensor import (
     invert,
     kron,
     matmul,
+    matmul_sub,
     matrix_from_json,
     matrix_substitute,
     matrix_to_json,
-    matsub,
 )
 
 
@@ -207,23 +207,21 @@ def _check_block_conditions(base_matrix, spec):
     fb, gb = spec.f_block, spec.g_block
     ff = kron(fb, fb)
     gg = kron(gb, gb)
-    pairs = (
-        ("F (x) F does not commute with the base", matmul(ff, base_matrix), matmul(base_matrix, ff)),
-        ("G (x) G does not commute with the base", matmul(gg, base_matrix), matmul(base_matrix, gg)),
-    )
     ident = SquareMatrix.identity(spec.ctx, fb.side)
     f1 = kron(fb, ident)
     g1 = kron(gb, ident)
     one_f = kron(ident, fb)
     one_g = kron(ident, gb)
-    pairs += (
+    # (message, a, b, c, d): the condition a b = c d
+    checks = (
+        ("F (x) F does not commute with the base", ff, base_matrix, base_matrix, ff),
+        ("G (x) G does not commute with the base", gg, base_matrix, base_matrix, gg),
         ("mixed F/G exchange fails",
-         matmul(matmul(f1, base_matrix), g1),
-         matmul(matmul(one_g, base_matrix), one_f)),
-        ("F and G do not commute", matmul(fb, gb), matmul(gb, fb)),
+         matmul(f1, base_matrix), g1, matmul(one_g, base_matrix), one_f),
+        ("F and G do not commute", fb, gb, gb, fb),
     )
-    for message, lhs, rhs in pairs:
-        diff = matsub(lhs, rhs)
+    for message, *operands in checks:
+        diff = matmul_sub(*operands)
         if not diff.is_zero():
             raise ConditionViolation(message, min(diff.entries))
 
@@ -292,7 +290,7 @@ def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True
             letter = "s"
         else:
             for name, block in (("F", spec.f_block), ("G", spec.g_block)):
-                if not matsub(matmul(block, mu_base), matmul(mu_base, block)).is_zero():
+                if not matmul_sub(block, mu_base, mu_base, block).is_zero():
                     raise PreconditionViolation(
                         f"{name} must commute with the base weight"
                     )

@@ -25,6 +25,7 @@ from .tensor import (
     invert,
     kron,
     matmul,
+    matmul_sub,
     matrix_from_json,
     matrix_to_json,
     matrix_substitute,
@@ -66,7 +67,7 @@ def verify_eyb(op):
         raise DimensionMismatch(f"mu has side {op.mu.side}, so mu (x) mu does not match "
                                 f"R's side {op.r.side}")
     mumu = kron(op.mu, op.mu)
-    diff = matsub(matmul(op.r, mumu), matmul(mumu, op.r))
+    diff = matmul_sub(op.r, mumu, mumu, op.r)
     if not diff.is_zero():
         return Verdict(False, "commute", residual=diff)
     # Tr_2(Y (mu x mu)) = Tr_2(Y (1 x mu)) mu must be alpha^(+-1) beta mu for

@@ -295,12 +295,18 @@ def open_trace(op, b):
     return _matrix_closure(op, b, range(2, b.strands + 1))
 
 
+# the ring of alexander_nabla's values and its binding q = t^-2; filled on first use
+_nabla_target = {}
+
+
 def alexander_nabla(b):
     """The Alexander invariant of the closure of ``b`` in the variable t:
     the open trace of row R1.2/1, at q = t^-2."""
-    ctx = ScalarContext(("t",))
+    if not _nabla_target:
+        ctx = ScalarContext(("t",))
+        _nabla_target.update(ctx=ctx, bindings={"q": ctx.parse("t^-2")})
     value = open_trace(get_table1_eyb("R1.2", 1), b)
-    return substitute(value, {"q": ctx.parse("t^-2")}, ctx)
+    return substitute(value, _nabla_target["bindings"], _nabla_target["ctx"])
 
 
 # -- classification -------------------------------------------------------------

@@ -42,6 +42,13 @@ def _check_ctx(a, b):
         raise ContextMismatch("matrix contexts differ")
 
 
+def _check_operands(a, *others):
+    for b in others:
+        _check_ctx(a, b)
+        if a.side != b.side:
+            raise DimensionMismatch(f"sides differ: {a.side} vs {b.side}")
+
+
 class SquareMatrix:
     """Immutable sparse square matrix; zero entries are never stored."""
 
@@ -113,9 +120,7 @@ class SquareMatrix:
 
 
 def matadd(a, b):
-    _check_ctx(a, b)
-    if a.side != b.side:
-        raise DimensionMismatch(f"sides differ: {a.side} vs {b.side}")
+    _check_operands(a, b)
     acc = dict(a.entries)
     for key, v in b.entries.items():
         acc[key] = acc[key] + v if key in acc else v
@@ -123,10 +128,9 @@ def matadd(a, b):
 
 
 def matsub(a, b):
-    """a - b: the residual of an exact identity check."""
-    _check_ctx(a, b)
-    if a.side != b.side:
-        raise DimensionMismatch(f"sides differ: {a.side} vs {b.side}")
+    """a - b: the residual of an exact identity whose right side is not a
+    product; ``matmul_sub`` takes the residual of a product identity."""
+    _check_operands(a, b)
     acc = dict(a.entries)
     for key, v in b.entries.items():
         acc[key] = acc[key] - v if key in acc else -v
@@ -163,17 +167,35 @@ def _sums(ctx, pairs):
             for key, p in pairs.items()}
 
 
-def matmul(a, b):
-    _check_ctx(a, b)
-    if a.side != b.side:
-        raise DimensionMismatch(f"sides differ: {a.side} vs {b.side}")
+def _add_pairs(pairs, a_items, b):
+    """List each product x * y of a's (key, x) items and b's entries under
+    its output key in ``pairs``; b's rows are indexed once."""
     b_rows = {}
     for (r, c), v in b.entries.items():
         b_rows.setdefault(r, []).append((c, v))
-    pairs = {}
-    for (r, k), va in a.entries.items():
+    for (r, k), va in a_items:
         for c, vb in b_rows.get(k, ()):
             pairs.setdefault((r, c), []).append((va, vb))
+    return pairs
+
+
+def matmul(a, b):
+    _check_operands(a, b)
+    pairs = _add_pairs({}, a.entries.items(), b)
+    return SquareMatrix(a.ctx, a.side, _sums(a.ctx, pairs))
+
+
+def matmul_sub(a, b, c, d):
+    """a*b - c*d: the residual of a product identity.
+
+    Each output entry sums the pairs of both products in one ``ring.dot``,
+    with every entry of c negated once, so neither product is built on its
+    own.  The four operands' contexts and sides are checked before any
+    product is formed.
+    """
+    _check_operands(a, b, c, d)
+    pairs = _add_pairs({}, a.entries.items(), b)
+    _add_pairs(pairs, ((key, -v) for key, v in c.entries.items()), d)
     return SquareMatrix(a.ctx, a.side, _sums(a.ctx, pairs))
 
 

@@ -13,7 +13,7 @@ from ybtrace.catalog import (
     load_rmatrix_json,
     transform_rmatrix,
 )
-from ybtrace.errors import DimensionMismatch, UnknownName
+from ybtrace.errors import DimensionMismatch, PreconditionViolation, UnknownName
 from ybtrace.ring import ScalarContext, context_from_json, context_to_json
 from ybtrace.tensor import SquareMatrix, matrix_substitute, matrix_to_json
 
@@ -139,6 +139,17 @@ def test_transform_involutions():
     assert transform_rmatrix(once, flip, 2) == spec.matrix
     assert transform_rmatrix(transform_rmatrix(spec, shift, 2), shift, 2) == spec.matrix
     assert transform_rmatrix(spec, TransformSpec("shift", n=2), 2) == spec.matrix
+
+
+def test_transform_of_a_non_solution_raises_precondition_violation_naming_the_index():
+    spec = get_rmatrix("R2.1")
+    entries = dict(spec.matrix.entries)
+    entries[(0, 0)] = spec.ctx.scalar(2)
+    broken = SquareMatrix(spec.ctx, 4, entries)
+    index = check_ybe(broken.transpose(), 2).index
+    with pytest.raises(PreconditionViolation) as caught:
+        transform_rmatrix(broken, TransformSpec("transpose"), 2)
+    assert str(caught.value) == f"transformed matrix violates the YBE at {index}"
 
 
 def test_spin_preservation():

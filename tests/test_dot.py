@@ -18,7 +18,8 @@ import oracles
 
 from ybtrace import catalog, eyb, invariant, tensor
 from ybtrace.braid import BraidWord
-from ybtrace.errors import ContextMismatch, ExponentOverflow
+from ybtrace.dressing import preset_dressings
+from ybtrace.errors import ContextMismatch, DimensionMismatch, ExponentOverflow
 from ybtrace.ring import MAX_EXPONENT, Scalar, ScalarContext, dot, format_scalar
 
 CONTEXTS = {
@@ -199,8 +200,10 @@ def _check_ybe_sequential(r):
 def test_check_ybe_names_the_same_index_and_residual_on_broken_matrices():
     rng = random.Random(7)
     broken_count = 0
-    for name in catalog.CATALOG_NAMES:
-        r = catalog.get_rmatrix(name).matrix
+    # the base-2 catalog, then the base-3 and base-4 dressed presets
+    matrices = [catalog.get_rmatrix(name).matrix for name in catalog.CATALOG_NAMES]
+    matrices += [preset_dressings(name).matrix for name in ("d3_R21", "d4_R22")]
+    for r in matrices:
         ctx = r.ctx
         for _ in range(3):
             entries = dict(r.entries)
@@ -213,4 +216,70 @@ def test_check_ybe_names_the_same_index_and_residual_on_broken_matrices():
             if not ok:
                 _assert_same(verdict.residual, residual)
                 broken_count += 1
-    assert broken_count >= 2 * len(catalog.CATALOG_NAMES)
+    assert broken_count >= 2 * len(matrices)
+
+
+def test_verify_eyb_names_the_same_commute_residual_on_broken_weights():
+    rng = random.Random(11)
+    for op in _operators():
+        ctx = op.ctx
+        entries = dict(op.mu.entries)
+        key = (rng.randrange(2), rng.randrange(2))
+        entries[key] = entries.get(key, ctx.zero()) + ctx.gen(rng.choice(ctx.generators))
+        mu = tensor.SquareMatrix(ctx, 2, entries)
+        mumu = tensor.kron(mu, mu)
+        mm = oracles.matmul_sequential
+        want = tensor.matsub(mm(op.r, mumu), mm(mumu, op.r))
+        verdict = eyb.verify_eyb(eyb.EnhancedOperator(op.r, mu, op.alpha, op.beta))
+        if want.is_zero():
+            assert verdict.condition != "commute"
+        else:
+            assert verdict.condition == "commute"
+            _assert_same_matrix(verdict.residual, want)
+
+
+# -- matmul_sub against the difference of the sequential products ----------------
+
+
+def _random_matrix(rng, ctx, side):
+    entries = {(rng.randrange(side), rng.randrange(side)): _random_scalar(rng, ctx)
+               for _ in range(rng.randint(0, 2 * side))}
+    return tensor.SquareMatrix(ctx, side, entries)
+
+
+def test_matmul_sub_is_the_difference_of_the_sequential_products():
+    ctx = CONTEXTS["R1.1"]
+    rng = random.Random(20261018)
+    mm = oracles.matmul_sequential
+    for _ in range(80):
+        side = rng.choice((2, 3, 4, 8))
+        a, b, c, d = (_random_matrix(rng, ctx, side) for _ in range(4))
+        # operands shared between the products, as check_ybe passes them,
+        # and a second product that cancels part of the first
+        near_b = tensor.matadd(b, _random_matrix(rng, ctx, side))
+        for args in ((a, b, c, d), (a, b, b, a), (a, b, a, near_b)):
+            _assert_same_matrix(tensor.matmul_sub(*args),
+                                tensor.matsub(mm(*args[:2]), mm(*args[2:])))
+        assert tensor.matmul_sub(a, b, a, b).entries == {}
+
+
+def test_matmul_sub_checks_every_operand_before_any_product(monkeypatch):
+    ctx = CONTEXTS["R1.1"]
+    q = ctx.gen("q")
+    good = tensor.SquareMatrix(ctx, 2, {(0, 0): q, (0, 1): q, (1, 1): q})
+    wider = tensor.SquareMatrix(ctx, 3, {(0, 0): q, (2, 2): q})
+    other_ctx = ScalarContext(("q",))
+    other = tensor.SquareMatrix(other_ctx, 2, {(0, 0): other_ctx.gen("q")})
+
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(Scalar, "__mul__", no_product)
+    monkeypatch.setattr(Scalar, "__neg__", no_product)
+    monkeypatch.setattr(tensor, "dot", no_product)
+    for bad, error in ((wider, DimensionMismatch), (other, ContextMismatch)):
+        for slot in range(4):
+            args = [good] * 4
+            args[slot] = bad
+            with pytest.raises(error):
+                tensor.matmul_sub(*args)

@@ -96,11 +96,22 @@ def test_block_diagonal_f_with_inverse_g():
 
 
 def test_block_noncommuting_f_rejected():
-    ctx = _jones_ctx()
-    f = SquareMatrix.from_rows(ctx, [[1, 1], [0, 1]])
-    spec = BlockDressingSpec(ctx, 3, (1, 3), f, invert(f))
-    with pytest.raises(ConditionViolation):
-        dress_block(_base_in(ctx), spec, check=True)
+    ctx = _jones_ctx(("u", "v"))
+    shear = SquareMatrix.from_rows(ctx, [[1, 1], [0, 1]])
+    diag = SquareMatrix.diagonal(ctx, ["u", "v"])
+    swap = SquareMatrix.from_rows(ctx, [[0, 1], [1, 0]])
+    cases = (
+        (shear, invert(shear), "F (x) F does not commute with the base", (0, 1)),
+        (None, shear, "G (x) G does not commute with the base", (0, 1)),
+        (swap, diag, "F (x) F does not commute with the base", (1, 1)),
+        (diag, diag, "mixed F/G exchange fails", (1, 1)),
+    )
+    for f, g, message, index in cases:
+        spec = BlockDressingSpec(ctx, 3, (1, 3), f, g)
+        with pytest.raises(ConditionViolation) as err:
+            dress_block(_base_in(ctx), spec, check=True)
+        assert str(err.value) == f"{message} at indices {index}"
+        assert err.value.indices == index
 
 
 def test_trivially_dressed_invariants_are_unchanged():

@@ -13,7 +13,7 @@ from oracles import (
     trace_product,
 )
 
-from ybtrace import eyb, invariant, tensor
+from ybtrace import eyb, invariant, ring, tensor
 from ybtrace.braid import (
     NAMED_LINKS,
     BraidWord,
@@ -533,25 +533,28 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
 
 
 def test_alexander_nabla_builds_and_inverts_its_operator_once(monkeypatch):
-    calls = {"restricted_matrix": 0, "_invert_piece": 0}
+    calls = {"restricted_matrix": 0, "_invert_piece": 0, "parse_scalar": 0, "__init__": 0}
 
     def spy(module, name):
         original = getattr(module, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
     spy(eyb, "restricted_matrix")
     spy(tensor, "_invert_piece")
+    spy(ring, "parse_scalar")
+    spy(ring.ScalarContext, "__init__")
     word = get_named_braid("4_1").braid
     assert any(k < 0 for k in word.letters)
     first = alexander_nabla(word)
-    calls.update(restricted_matrix=0, _invert_piece=0)
+    calls.update(dict.fromkeys(calls, 0))
     assert alexander_nabla(word) == first
-    assert calls == {"restricted_matrix": 0, "_invert_piece": 0}
+    # nor is its target ring or the binding q = t^-2 made again
+    assert calls == dict.fromkeys(calls, 0)
     # the spies see a fresh build and its inversion
     entry = get_table1_entry("R1.2", 1)
     compute_ts(entry.build(ctx=entry.context()), word)
