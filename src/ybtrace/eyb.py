@@ -43,6 +43,11 @@ class EnhancedOperator:
     alpha: Scalar
     beta: Scalar
 
+    def __post_init__(self):
+        # the closure constants invariant.compute_ts keeps, filled on first
+        # use; not a field, so equality and hashing ignore it
+        object.__setattr__(self, "_closure", {})
+
     @property
     def base_dim(self):
         return self.mu.side

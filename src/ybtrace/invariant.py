@@ -14,6 +14,10 @@ over the closed slots, divided by beta once per closed slot and multiplied
 by alpha^(-writhe).  ``open_trace`` closes strands 2..n the same way and
 returns the multiple of the identity left on strand 1.  ``alexander_nabla``
 is the open trace of row R1.2/1 at q = t^-2 (sqrt_q -> t^-1).
+
+What depends only on the operator is kept on it on first use: the rank-one
+factors, the unknot value and, per strand count n, u^(x n), v^(x n) and
+(beta * piv)^n.  Nothing keyed by a braid word is kept.
 """
 
 from __future__ import annotations
@@ -91,8 +95,22 @@ class InvariantResult:
 
 
 def unknot_value(op):
-    """The one-strand closure value Tr(mu)/beta."""
+    """The one-strand closure value Tr(mu)/beta, computed afresh;
+    ``compute_ts`` keeps it on the operator."""
     return try_div_exact(trace(op.mu), op.beta)
+
+
+def _kept(op, key, make):
+    """The closure constant ``key`` of ``op``: ``make()`` on first use, then
+    kept on the operator, whose fields never change."""
+    kept = op._closure
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
+
+
+def _kept_unknot(op):
+    return _kept(op, "unknot", lambda: unknot_value(op))
 
 
 def rank_one_factors(mu):
@@ -126,16 +144,23 @@ def _tensor_power(w, n, base, one):
 
 
 def _pushed_trace(op, b, u, v, piv):
-    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv, by one push."""
+    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv, by one push.
+
+    u^(x n), v^(x n) and (beta * piv)^n are kept on ``op`` per n, once n is
+    known to be within the strand cap.
+    """
     n, base, one = b.strands, op.base_dim, op.ctx.one()
     _states(base, n)
-    vec = _tensor_power(u, n, base, one)
+    vec, row, scale = _kept(op, n, lambda: (
+        _tensor_power(u, n, base, one),
+        _tensor_power(v, n, base, one),
+        pow_int(op.beta * piv, n),
+    ))
     rinv = invert(op.r) if any(k < 0 for k in b.letters) else None
     for letter in reversed(b.letters):
         vec = apply_at(op.r if letter > 0 else rinv, abs(letter), n, vec, base)
-    row = _tensor_power(v, n, base, one)
     raw = sum((x * row[s] for s, x in vec.items() if s in row), op.ctx.zero())
-    return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta * piv, n))
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, scale)
 
 
 def _matrix_closure(op, b, slots):
@@ -160,16 +185,19 @@ def compute_ts(op, b, normalized=False):
     takes the representation matrix.  Division by beta^n is performed
     exactly, so beta need not be a unit.  Normalization divides by the
     unknot value and raises NotDivisible when that is impossible (in
-    particular when the unknot value is zero).
+    particular when the unknot value is zero).  The rank-one factors, the
+    unknot value and the push constants of each strand count are computed
+    on the first call that needs them and kept on ``op``.
     """
     n = b.strands
     # a side-1 weight keeps the matrix path, whose weighted_trace refuses it
-    factors = rank_one_factors(op.mu) if op.base_dim > 1 else None
+    factors = _kept(op, "factors",
+                    lambda: rank_one_factors(op.mu) if op.base_dim > 1 else None)
     if factors is None:
         raw = _matrix_closure(op, b, range(1, n + 1))
     else:
         raw = _pushed_trace(op, b, *factors)
-    unknot = unknot_value(op)
+    unknot = _kept_unknot(op)
     if not normalized:
         return InvariantResult(raw, False, unknot, op, b)
     if unknot.is_zero():
@@ -324,14 +352,14 @@ def _tag_expectation(tag, op, link, raw, ctx):
     if tag == "knots-1":
         if link.components != 1:
             return "-", None
-        normalized = try_div_exact(raw, unknot_value(op))
+        normalized = try_div_exact(raw, _kept_unknot(op))
         return "1 (knots)", normalized == ctx.one()
     if tag == "knots-0":
         if link.components != 1:
             return "-", None
         return "0 (knots)", raw.is_zero()
     if tag == "jones":
-        normalized = try_div_exact(raw, unknot_value(op))
+        normalized = try_div_exact(raw, _kept_unknot(op))
         if link.name == "0_1":
             return "1", normalized == ctx.one()
         return "nontrivial", normalized != ctx.one()

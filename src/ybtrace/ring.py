@@ -721,15 +721,23 @@ def _laurent_div(layout, num, den):
 def try_div_exact(num, den):
     """Quotient q with q*den == num, or NotDivisible.
 
-    Denominators containing adjoined roots are first rationalized against
-    the root, one root at a time from the innermost extension outward.
+    ``den`` may be a Scalar of num's context, an int or a Fraction; any
+    other divisor is a TypeError.  A unit divisor is one multiplication by
+    its inverse, exact because den * den^-1 == 1.  Any other denominator
+    containing adjoined roots is first rationalized against the root, one
+    root at a time from the innermost extension outward, and the quotient
+    is checked by multiplying it back.
     """
-    num._coerce(den)
+    den = num._coerce(den)
+    if den is NotImplemented:
+        raise TypeError("divisor must be a Scalar, an int or a Fraction")
     ctx = num.ctx
     if den.is_zero():
         raise ZeroDivisionError("division by zero scalar")
     if num.is_zero():
         return ctx.zero()
+    if den.is_unit():
+        return num * pow_int(den, -1)
     layout = ctx._layout
     ngens, total = layout.ngens, layout.total_shift
     work_num, work_den = num, den

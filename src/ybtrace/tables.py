@@ -93,27 +93,33 @@ class TableReport:
         return all(cell.match for cell in self.cells)
 
 
-def _jones_collapse():
-    ct = ScalarContext(("t", "q"))
-    return ct, {"p": ct.parse("t*q^-1")}
+# collapse name -> (target generators, {collapsed parameter: image})
+_COLLAPSES = {
+    "jones": (("t", "q"), {"p": "t*q^-1"}),
+    "d3": (("t", "q", "s", "b", "y"), {"p": "t*q^-1", "a": "s*b^-1*y^-1"}),
+    "d4": (("t", "q", "a", "b", "y", "c", "d", "g", "s", "w"),
+           {"p": "t*q^-1", "h": "s*g^-1"}),
+}
+
+# collapse name -> (target ring, bindings, {golden text: (value, its text)});
+# filled on first use
+_targets = {}
 
 
-def _d3_collapse():
-    ct = ScalarContext(("t", "q", "s", "b", "y"))
-    return ct, {"p": ct.parse("t*q^-1"), "a": ct.parse("s*b^-1*y^-1")}
-
-
-def _d4_collapse():
-    ct = ScalarContext(("t", "q", "a", "b", "y", "c", "d", "g", "s", "w"))
-    return ct, {"p": ct.parse("t*q^-1"), "h": ct.parse("s*g^-1")}
-
-
-def _cell(table, link, column, value, ct, bindings, golden):
+def _cell(table, link, column, value, collapse, golden):
+    if collapse not in _targets:
+        gens, images = _COLLAPSES[collapse]
+        ct = ScalarContext(gens)
+        _targets[collapse] = (ct, {k: ct.parse(v) for k, v in images.items()}, {})
+    ct, bindings, goldens = _targets[collapse]
+    if golden not in goldens:
+        expected = ct.parse(golden)
+        goldens[golden] = (expected, format_scalar(expected))
+    expected, expected_text = goldens[golden]
     computed = substitute(value, bindings, ct)
-    expected = ct.parse(golden)
     return TableCell(
         table, link, column,
-        format_scalar(computed), format_scalar(expected),
+        format_scalar(computed), expected_text,
         computed == expected,
     )
 
@@ -137,49 +143,42 @@ def _run_table1():
 def _run_table2():
     jones = get_table1_eyb("R2.1", 1)
     dressed = preset_dressings("d3_R21").eyb
-    ct_j, bind_j = _jones_collapse()
-    ct_d, bind_d = _d3_collapse()
     cells = []
     for name in KNOT_NAMES:
         braid = get_named_braid(name).braid
         value = compute_ts(jones, braid, normalized=True).value
-        cells.append(_cell(2, name, "jones", value, ct_j, bind_j, TABLE2_JONES[name]))
+        cells.append(_cell(2, name, "jones", value, "jones", TABLE2_JONES[name]))
         value = compute_ts(dressed, braid, normalized=True).value
-        cells.append(_cell(2, name, "dressed", value, ct_d, bind_d, TABLE2_DRESSED[name]))
+        cells.append(_cell(2, name, "dressed", value, "d3", TABLE2_DRESSED[name]))
     return TableReport(2, tuple(cells))
 
 
 def _run_table3():
     jones = get_table1_eyb("R2.1", 1)
     preset = preset_dressings("d3_R21")
-    ct_j, bind_j = _jones_collapse()
-    ct_d, bind_d = _d3_collapse()
     cells = []
     unknot = compute_ts(preset.eyb, get_named_braid("0_1").braid).value
-    cells.append(
-        _cell(3, "0_1", "dressed-unknot-raw", unknot, ct_d, bind_d, TABLE3_UNKNOT_RAW)
-    )
+    cells.append(_cell(3, "0_1", "dressed-unknot-raw", unknot, "d3", TABLE3_UNKNOT_RAW))
     for name in LINK_NAMES:
         braid = get_named_braid(name).braid
         value = compute_ts(jones, braid, normalized=True).value
-        cells.append(_cell(3, name, "jones", value, ct_j, bind_j, TABLE3_JONES[name]))
+        cells.append(_cell(3, name, "jones", value, "jones", TABLE3_JONES[name]))
         value = compute_ts(preset.eyb, braid, normalized=False).value
-        cells.append(_cell(3, name, "dressed", value, ct_d, bind_d, TABLE3_DRESSED[name]))
+        cells.append(_cell(3, name, "dressed", value, "d3", TABLE3_DRESSED[name]))
     return TableReport(3, tuple(cells))
 
 
 def _run_table4():
     preset = preset_dressings("d4_R22")
-    ct, bind = _d4_collapse()
     cells = []
     for name, golden in TABLE4_LINKS.items():
         braid = get_named_braid(name).braid
         value = compute_ts(preset.eyb, braid, normalized=True).value
-        cells.append(_cell(4, name, "dressed", value, ct, bind, golden))
+        cells.append(_cell(4, name, "dressed", value, "d4", golden))
     for name in KNOT_NAMES:
         braid = get_named_braid(name).braid
         value = compute_ts(preset.eyb, braid, normalized=True).value
-        cells.append(_cell(4, name, "dressed", value, ct, bind, "1"))
+        cells.append(_cell(4, name, "dressed", value, "d4", "1"))
     return TableReport(4, tuple(cells))
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from ybtrace import eyb
-from ybtrace.braid import NAMED_LINKS, get_named_braid
+from ybtrace.braid import NAMED_LINKS, BraidWord, get_named_braid
 from ybtrace.catalog import get_rmatrix
 from ybtrace.eyb import (
     EnhancedOperator,
@@ -266,7 +266,8 @@ def test_bad_sign_raises_every_time_and_stores_nothing():
 
 def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     """Every caller through build(sign) leaves the shared operators as built,
-    and they give the fresh operators' values on the named links."""
+    and they give the fresh operators' values on the named links and keep the
+    fresh operators' closure constants."""
     for sign in "+-":
         classification_report(sign=sign)
     for which in (2, 3, 4):
@@ -284,3 +285,7 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
                 assert shared.r._inverse == invert(fresh.r)
             for word in words:
                 assert compute_ts(shared, word).value == compute_ts(fresh, word).value
+            for n in shared._closure:
+                if isinstance(n, int):
+                    compute_ts(fresh, BraidWord(n))
+            assert shared._closure == fresh._closure

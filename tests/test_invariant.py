@@ -1,7 +1,9 @@
 """Trace invariants, annihilating relations, skein sums, the one-variable
 regularized invariant, classification."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,7 @@ from ybtrace.invariant import (
     verify_annihilating,
 )
 from ybtrace.ring import ScalarContext, pow_int, substitute, try_div_exact
+from ybtrace.tables import run_table
 from ybtrace.tensor import SquareMatrix, invert, matadd, matmul, scalar_scale, weighted_trace
 
 
@@ -532,22 +535,24 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
         assert len(pieces) == inverted
 
 
+def _spy(monkeypatch, calls, module, name):
+    """Count the calls of ``module.name`` in ``calls[name]``."""
+    original = getattr(module, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_alexander_nabla_builds_and_inverts_its_operator_once(monkeypatch):
-    calls = {"restricted_matrix": 0, "_invert_piece": 0, "parse_scalar": 0, "__init__": 0}
-
-    def spy(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    spy(eyb, "restricted_matrix")
-    spy(tensor, "_invert_piece")
-    spy(ring, "parse_scalar")
-    spy(ring.ScalarContext, "__init__")
+    calls = {}
+    _spy(monkeypatch, calls, eyb, "restricted_matrix")
+    _spy(monkeypatch, calls, tensor, "_invert_piece")
+    _spy(monkeypatch, calls, ring, "parse_scalar")
+    _spy(monkeypatch, calls, ring.ScalarContext, "__init__")
     word = get_named_braid("4_1").braid
     assert any(k < 0 for k in word.letters)
     first = alexander_nabla(word)
@@ -559,3 +564,76 @@ def test_alexander_nabla_builds_and_inverts_its_operator_once(monkeypatch):
     entry = get_table1_entry("R1.2", 1)
     compute_ts(entry.build(ctx=entry.context()), word)
     assert calls["restricted_matrix"] == 1 and calls["_invert_piece"] > 0
+
+
+def test_run_table_parses_its_goldens_and_bindings_once(monkeypatch):
+    for which in (1, 2, 3, 4):
+        assert run_table(which).ok
+    calls = {}
+    _spy(monkeypatch, calls, ring, "parse_scalar")
+    _spy(monkeypatch, calls, ring.ScalarContext, "__init__")
+    for which in (1, 2, 3, 4):
+        assert run_table(which).ok
+        assert calls == {"parse_scalar": 0, "__init__": 0}, which
+
+
+def test_compute_ts_keeps_its_closure_constants_per_operator_and_strand_count(monkeypatch):
+    calls = {}
+    for name in ("rank_one_factors", "unknot_value", "_tensor_power"):
+        _spy(monkeypatch, calls, invariant, name)
+    entry = get_table1_entry("R1.1", 2)
+    op = entry.build(ctx=entry.context())
+    trefoil, figure_eight = (get_named_braid(name).braid for name in ("3_1", "4_1"))
+    first = compute_ts(op, trefoil, normalized=True)
+    assert first.value == op.ctx.one()
+    assert calls == {"rank_one_factors": 1, "unknot_value": 1, "_tensor_power": 2}
+    calls.update(dict.fromkeys(calls, 0))
+    # the same strand count, by the same word or another
+    assert compute_ts(op, trefoil, normalized=True) == first
+    assert compute_ts(op, get_named_braid("5_1").braid).value == op.ctx.one()
+    assert calls == dict.fromkeys(calls, 0)
+    # another strand count makes its own tensor powers
+    assert figure_eight.strands != trefoil.strands
+    compute_ts(op, figure_eight)
+    assert calls == {"rank_one_factors": 0, "unknot_value": 0, "_tensor_power": 2}
+    # and a fresh build of the same row computes everything again
+    calls.update(dict.fromkeys(calls, 0))
+    assert compute_ts(entry.build(ctx=entry.context()), trefoil, normalized=True) == first
+    assert calls == {"rank_one_factors": 1, "unknot_value": 1, "_tensor_power": 2}
+    # the matrix path keeps its verdict that mu is not rank one
+    jones = get_table1_entry("R2.1", 1)
+    op = jones.build(ctx=jones.context())
+    first = compute_ts(op, trefoil)
+    calls.update(dict.fromkeys(calls, 0))
+    assert compute_ts(op, trefoil) == first
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def test_classification_report_warm_equals_cold_and_the_goldens(monkeypatch):
+    golden = Path(__file__).resolve().parent / "golden"
+    monkeypatch.setattr(eyb, "_shared_ops", {})
+    calls = {}
+    for spied in ("rank_one_factors", "unknot_value", "_tensor_power"):
+        _spy(monkeypatch, calls, invariant, spied)
+    for sign, name in (("+", "classify_plus.json"), ("-", "classify_minus.json")):
+        cold = classification_report(sign=sign)
+        assert calls["rank_one_factors"] == calls["unknot_value"] == len(table1_entries())
+        calls.update(dict.fromkeys(calls, 0))
+        warm = classification_report(sign=sign)
+        assert calls == dict.fromkeys(calls, 0)
+        assert warm == cold
+        assert cold == json.loads((golden / name).read_text())
+
+
+def test_a_braid_over_the_strand_cap_is_refused_every_time_and_keeps_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tensor power was built")
+
+    monkeypatch.setattr(invariant, "_tensor_power", refuse)
+    for rmatrix, row in (("R1.1", 2), ("R2.1", 1)):
+        entry = get_table1_entry(rmatrix, row)
+        op = entry.build(ctx=entry.context())
+        for _ in range(2):
+            with pytest.raises(StrandBoundViolation, match="2\\^40 states"):
+                compute_ts(op, BraidWord(40, (1,)))
+        assert set(op._closure) <= {"factors"}

@@ -146,6 +146,18 @@ def test_div_failure(ctx_t):
         try_div_exact(ctx_t.parse("1 + t"), ctx_t.parse("1 + t^2"))
 
 
+def test_div_coerces_an_int_or_fraction_divisor_and_refuses_others(ctx_t):
+    x = ctx_t.parse("3 - t + t^2")
+    assert try_div_exact(x, 2) == ctx_t.parse("3/2 - t/2 + t^2/2")
+    assert try_div_exact(x, Fraction(-3, 4)) == try_div_exact(x, ctx_t.scalar(Fraction(-3, 4)))
+    assert try_div_exact(ctx_t.zero(), 5) == ctx_t.zero()
+    with pytest.raises(ZeroDivisionError):
+        try_div_exact(x, 0)
+    for divisor in ("q", 2.0, None):
+        with pytest.raises(TypeError):
+            try_div_exact(x, divisor)
+
+
 def test_div_with_root_denominator(ctx_pq):
     den = ctx_pq.parse("sqrt_pq + sqrt_pq^-1")
     num = ctx_pq.parse("sqrt_pq*(1 + p*q)")

@@ -17,6 +17,7 @@ import pytest
 import oracles
 from oracles import GaussianRational, pairs, terms_of
 
+from ybtrace import ring
 from ybtrace.errors import NotAUnit, YbtraceError
 from ybtrace.ring import (
     Scalar,
@@ -144,7 +145,7 @@ def test_negative_powers_match_term_dict_oracle(ctx):
 
 
 @pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS], ids=["roots", "units"])
-def test_exact_division_matches_term_dict_oracle(ctx):
+def test_exact_division_matches_term_dict_oracle(ctx, monkeypatch):
     rng = random.Random(4242)
     quotients = 0
     for _ in range(150):
@@ -156,6 +157,39 @@ def test_exact_division_matches_term_dict_oracle(ctx):
         assert got == _outcome(oracles.terms_try_div_exact, ctx, ta, tb)
         quotients += isinstance(got, dict)
     assert quotients > 50
+    # monomial divisors: a unit (i and halves in the coefficient, roots of
+    # the unit radicands of CTX_UNITS) is one multiplication by its inverse,
+    # and a root of a radicand that is not a unit takes the long division
+    long_divisions = []
+    laurent_div = ring._laurent_div
+    monkeypatch.setattr(ring, "_laurent_div",
+                        lambda *args: long_divisions.append(args) or laurent_div(*args))
+    rng = random.Random(4343)
+    units, seen, general = 0, set(), 0
+    for _ in range(150):
+        ta, tb = _random_terms(rng, ctx, 4), _random_monomial(rng, ctx)
+        if rng.random() < 0.5:
+            ta = oracles.terms_mul(ctx, ta, tb)
+        a, b = Scalar(ctx, pairs(ta)), Scalar(ctx, pairs(tb))
+        long_divisions.clear()
+        got = _outcome(lambda: terms_of(try_div_exact(a, b)))
+        assert got == _outcome(oracles.terms_try_div_exact, ctx, ta, tb)
+        if a.is_zero():
+            continue
+        (exps, coeff), = tb.items()
+        if b.is_unit():
+            units += 1
+            assert not long_divisions and isinstance(got, dict)
+            seen.update(feature for feature, present in (
+                ("i", coeff.im), ("half", Fraction(coeff.re).denominator == 2),
+                ("root", any(exps[len(ctx.generators):]))) if present)
+        else:
+            general += 1
+            assert long_divisions and any(exps[len(ctx.generators):])
+    if ctx is CTX_UNITS:
+        assert units >= 100 and seen == {"i", "half", "root"}
+    else:
+        assert units >= 20 and seen == {"i", "half"} and general >= 60
 
 
 def test_substitute_matches_term_dict_oracle():
