@@ -16,8 +16,9 @@ returns the multiple of the identity left on strand 1.  ``alexander_nabla``
 is the open trace of row R1.2/1 at q = t^-2 (sqrt_q -> t^-1).
 
 What depends only on the operator is kept on it on first use: the rank-one
-factors, the unknot value and, per strand count n, u^(x n), v^(x n) and
-(beta * piv)^n.  Nothing keyed by a braid word is kept.
+factors, the unknot value, per strand count n u^(x n), v^(x n) and
+(beta * piv)^n, and per closed-slot count k the matrix path's beta^k.
+Nothing keyed by a braid word or a writhe is kept.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .errors import (
     UnknownName,
 )
 from .eyb import EnhancedOperator, get_table1_eyb, table1_entries
-from .ring import Scalar, ScalarContext, format_scalar, pow_int, substitute, try_div_exact
+from .ring import (
+    Scalar, ScalarContext, dot, format_scalar, pow_int, substitute, try_div_exact,
+)
 from .tensor import (
     MAX_STATES,
     SquareMatrix,
@@ -159,7 +162,7 @@ def _pushed_trace(op, b, u, v, piv):
     rinv = invert(op.r) if any(k < 0 for k in b.letters) else None
     for letter in reversed(b.letters):
         vec = apply_at(op.r if letter > 0 else rinv, abs(letter), n, vec, base)
-    raw = sum((x * row[s] for s, x in vec.items() if s in row), op.ctx.zero())
+    raw = dot(op.ctx, [(x, row[s]) for s, x in vec.items() if s in row])
     return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, scale)
 
 
@@ -167,15 +170,19 @@ def _matrix_closure(op, b, slots):
     """alpha^(-writhe) beta^(-len(slots)) times the multiple of the identity
     that ``weighted_trace`` leaves of rep(b) closed over ``slots``.
 
-    Raises ProportionalityFailure when what is left is not such a multiple;
-    closing every slot leaves a 1x1 matrix, which always is.
+    Raises ProportionalityFailure when what is left is not such a multiple.
+    Closing every slot leaves a 1x1 matrix, which always is one, so it is
+    not checked.  beta^k is kept on ``op`` per closed-slot count k, under
+    the key ("beta", k).
     """
     rep = braid_representation(op.r, b, op.base_dim)
     left = weighted_trace(rep, op.mu, slots)
     value = left.get(0, 0)
-    if left != SquareMatrix.diagonal(left.ctx, [value] * left.side):
+    if left.side != 1 and left != SquareMatrix.diagonal(left.ctx, [value] * left.side):
         raise ProportionalityFailure("partial closure is not a multiple of the identity")
-    return pow_int(op.alpha, -b.writhe) * try_div_exact(value, pow_int(op.beta, len(slots)))
+    k = len(slots)
+    scale = _kept(op, ("beta", k), lambda: pow_int(op.beta, k))
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(value, scale)
 
 
 def compute_ts(op, b, normalized=False):
@@ -186,8 +193,10 @@ def compute_ts(op, b, normalized=False):
     exactly, so beta need not be a unit.  Normalization divides by the
     unknot value and raises NotDivisible when that is impossible (in
     particular when the unknot value is zero).  The rank-one factors, the
-    unknot value and the push constants of each strand count are computed
-    on the first call that needs them and kept on ``op``.
+    unknot value, the push constants of each strand count and the matrix
+    path's beta^n are computed on the first call that needs them and kept
+    on ``op``; alpha^(-writhe) is formed on every call, by the ring's
+    key-arithmetic inverse when alpha is a unit.
     """
     n = b.strands
     # a side-1 weight keeps the matrix path, whose weighted_trace refuses it

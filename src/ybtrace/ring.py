@@ -530,29 +530,59 @@ def dot(ctx, pairs):
 
 
 def pow_int(x, k):
-    """Exact integer power.  Negative powers require a unit base."""
+    """Exact integer power.  A negative power needs a unit base, which
+    ``_unit_inverse`` inverts by key arithmetic before the positive power."""
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
-    ctx = x.ctx
     if k == 0:
-        return ctx.one()
-    if k > 0:
-        result = None
-        base = x
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-    # negative power: single-term monomial whose root factors are invertible
+        return x.ctx.one()
+    if k < 0:
+        x, k = _unit_inverse(x), -k
+    result = None
+    base = x
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def _unit_inverse(x):
+    """1/x for a unit x, or NotAUnit.
+
+    x is one monomial m with coefficient (a + b*i)/d, whose inverse has
+    coefficient d*(a - b*i)/(a^2 + b^2).  m^-1's key negates every generator
+    field of m: 2*zero - m on the root-free part, so one guard-bit test finds
+    the exponent -MAX_EXPONENT, whose negation is out of range
+    (ExponentOverflow).  A root factor is kept and times its radicand's
+    inverse, since 1/root == root/radicand; that radicand must be a unit.
+    """
     if x.term_count() != 1:
         raise NotAUnit(f"negative power of non-unit {format_scalar(x)}")
-    (exps, a, b), = _sorted_terms(x)
-    d = x._den  # 1 / ((a + b*i)/d) = (d*a - d*b*i) / (a^2 + b^2)
-    inv = _from_terms(ctx, [(tuple(-e for e in exps), (d * a, -d * b, a * a + b * b))])
-    return pow_int(inv, -k)
+    nums = x._nums
+    m = min(nums) & ~1
+    a, b = nums.get(m, 0), nums.get(m + 1, 0)
+    ctx = x.ctx
+    layout = ctx._layout
+    roots = m & layout.root_fields
+    factors, strip = [], 0
+    if roots:
+        for j, s in enumerate(layout.shifts[layout.ngens:]):
+            if roots >> s & 7:
+                factors.append(_unit_inverse(_radicand(ctx, j)))
+        strip = roots + (2 * len(factors) << layout.total_shift)
+    key = 2 * layout.zero - (m - strip)
+    if key & layout.gen_guard:
+        raise ExponentOverflow(_OUTSIDE)
+    key += strip
+    d = x._den
+    inv = _scalar(ctx, {k: v for k, v in ((key, d * a), (key + 1, -d * b)) if v},
+                  a * a + b * b)
+    for factor in factors:
+        inv = inv * factor
+    return inv
 
 
 def _pow_half(x, doubled):
@@ -721,13 +751,23 @@ def _laurent_div(layout, num, den):
 def try_div_exact(num, den):
     """Quotient q with q*den == num, or NotDivisible.
 
-    ``den`` may be a Scalar of num's context, an int or a Fraction; any
-    other divisor is a TypeError.  A unit divisor is one multiplication by
-    its inverse, exact because den * den^-1 == 1.  Any other denominator
-    containing adjoined roots is first rationalized against the root, one
-    root at a time from the innermost extension outward, and the quotient
-    is checked by multiplying it back.
+    One operand may be an int or a Fraction when the other is a Scalar; it
+    joins the Scalar's context.  Anything else is a TypeError.
+
+    * A divisor of exactly 1 returns num.
+    * Any other unit divisor is one multiplication by its inverse
+      (``_unit_inverse``), exact because den * den^-1 == 1.
+    * A root-free divisor takes the long division ``_laurent_div``, which
+      returns only with a zero remainder, so its quotient is not multiplied
+      back.
+    * A divisor with adjoined roots is first rationalized against each
+      root, one at a time from the innermost extension outward, and its
+      quotient is checked by multiplying it back.
     """
+    if not isinstance(num, Scalar):
+        if not isinstance(den, Scalar) or not isinstance(num, (int, Fraction)):
+            raise TypeError("division needs a Scalar operand")
+        num = den.ctx.scalar(num)
     den = num._coerce(den)
     if den is NotImplemented:
         raise TypeError("divisor must be a Scalar, an int or a Fraction")
@@ -736,11 +776,13 @@ def try_div_exact(num, den):
         raise ZeroDivisionError("division by zero scalar")
     if num.is_zero():
         return ctx.zero()
+    if den._den == 1 and den._nums == {ctx._layout.zero: 1}:
+        return num
     if den.is_unit():
-        return num * pow_int(den, -1)
+        return num * _unit_inverse(den)
     layout = ctx._layout
     ngens, total = layout.ngens, layout.total_shift
-    work_num, work_den = num, den
+    work_num, work_den, rationalized = num, den, False
     for j in range(len(ctx.root_names) - 1, -1, -1):
         root_bit = 2 << layout.shifts[ngens + j]
         strip = root_bit + (2 << total)
@@ -752,6 +794,7 @@ def try_div_exact(num, den):
                 d0_nums[k] = v
         if not d1_nums:
             continue
+        rationalized = True
         root = ctx.gen(ctx.root_names[j])
         d0 = _scalar(ctx, d0_nums, work_den._den)
         d1 = _scalar(ctx, d1_nums, work_den._den)
@@ -780,7 +823,7 @@ def try_div_exact(num, den):
         quotient = quotient + _scalar(
             ctx, {k + offset: v * work_den._den for k, v in quot.items()},
             scale * work_num._den)
-    if quotient * den != num:
+    if rationalized and quotient * den != num:
         raise NotDivisible("no exact quotient")
     return quotient
 

@@ -50,14 +50,18 @@ def _check_operands(a, *others):
 
 
 class SquareMatrix:
-    """Immutable sparse square matrix; zero entries are never stored."""
+    """Immutable sparse square matrix; zero entries are never stored.
 
-    __slots__ = ("ctx", "side", "entries", "_inverse")
+    What is derived from the entries alone is kept on first use: the
+    inverse (``invert``) and the entries grouped by column (``apply_at``).
+    """
+
+    __slots__ = ("ctx", "side", "entries", "_inverse", "_columns")
 
     def __init__(self, ctx, side, entries):
         self.ctx = ctx
         self.side = side
-        self._inverse = None
+        self._inverse = self._columns = None
         clean = {}
         for (r, c) in sorted(entries):
             if not (0 <= r < side and 0 <= c < side):
@@ -260,6 +264,15 @@ def embed_generator(r, i, n, base=None):
     return SquareMatrix(r.ctx, base ** n, entries)
 
 
+def _column_index(r):
+    """{column: [(row, entry)]} of r's stored entries, kept on r."""
+    column = {}
+    for (rr, rc), v in r.entries.items():
+        column.setdefault(rc, []).append((rr, v))
+    r._columns = column
+    return column
+
+
 def apply_at(r, i, n, vec, base=None):
     """Image of a sparse vector under a two-slot operator at tensor slots
     (i, i+1) of an n-fold space.
@@ -267,13 +280,12 @@ def apply_at(r, i, n, vec, base=None):
     ``vec`` maps state indices to nonzero scalars.  Each state is split into
     the digits before slot i, the digit pair at (i, i+1) and the digits
     after it; only the stored entries of r in that pair's column are read,
-    so nothing is embedded.
+    so nothing is embedded.  r's entries grouped by column are kept on r
+    (``_column_index``), so a push indexes each crossing once.
     """
     base = _slot_base(r, i, n, base)
     right = base ** (n - i - 1)
-    column = {}
-    for (rr, rc), v in r.entries.items():
-        column.setdefault(rc, []).append((rr, v))
+    column = _column_index(r) if r._columns is None else r._columns
     pairs = {}
     for state, x in vec.items():
         head, low = divmod(state, right)

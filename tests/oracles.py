@@ -7,7 +7,8 @@ induction on braid closures, using no matrices at all.  The Kronecker-power
 contractions are the reference for ``tensor.weighted_trace``: they form
 mu^(x n) and the product with it, which weighted_trace never does.  The
 ``*_sequential`` contractions add each product to its entry with +, as the
-library did before it summed each entry with ``ring.dot``.  The
+library did before it summed each entry with ``ring.dot``.  The checked
+inverse and division are the ring's routes before its fast paths.  The
 term-dict arithmetic at the end, over the Fraction-based GaussianRational
 below, is the reference for the ring's packed terms and int coefficients.
 """
@@ -398,6 +399,96 @@ def weighted_trace_sequential(a, mu, slots):
             key = (rk, ck)
             entries[key] = entries[key] + term if key in entries else term
     return SquareMatrix(a.ctx, base ** (arity - len(slots)), entries)
+
+
+# -- the ring's checked routes ---------------------------------------------------
+# Inverses and exact division as ``ring`` computed them before it inverted a
+# unit by key arithmetic and trusted the long division's zero remainder: the
+# reference for ``ring.pow_int`` and ``ring.try_div_exact``.
+
+
+def pow_int_by_terms(x, k):
+    """x^k.  A negative power rebuilds the inverse monomial from x's doubled
+    exponent tuple with ``ring._from_terms``: the generators' exponents
+    negated and the coefficient inverted, times radicand^-1 for each root,
+    itself inverted by this route."""
+    from ybtrace import ring
+    from ybtrace.errors import NotAUnit
+
+    if k >= 0:
+        return ring.pow_int(x, k)
+    if x.term_count() != 1:
+        raise NotAUnit(f"negative power of non-unit {ring.format_scalar(x)}")
+    ctx = x.ctx
+    ngens = len(ctx.generators)
+    (exps, a, b), = ring._sorted_terms(x)
+    radicand_inverses = [pow_int_by_terms(ring._radicand(ctx, pos - ngens), -1)
+                         for pos in range(ngens, len(exps)) if exps[pos]]
+    d = x._den  # 1 / ((a + b*i)/d) = (d*a - d*b*i) / (a^2 + b^2)
+    inv_exps = tuple(-e if pos < ngens else e for pos, e in enumerate(exps))
+    inv = ring._from_terms(ctx, [(inv_exps, (d * a, -d * b, a * a + b * b))])
+    for factor in radicand_inverses:
+        inv = inv * factor
+    return ring.pow_int(inv, -k)
+
+
+def checked_try_div_exact(num, den):
+    """num / den by one route for every divisor, units included: rationalize
+    against each root from the innermost outward, long-divide each root
+    pattern of the numerator, and multiply the quotient back."""
+    from ybtrace import ring
+    from ybtrace.errors import NotDivisible
+
+    den = num._coerce(den)
+    ctx = num.ctx
+    if den.is_zero():
+        raise ZeroDivisionError("division by zero scalar")
+    if num.is_zero():
+        return ctx.zero()
+    layout = ctx._layout
+    ngens, total = layout.ngens, layout.total_shift
+    work_num, work_den = num, den
+    for j in range(len(ctx.root_names) - 1, -1, -1):
+        root_bit = 2 << layout.shifts[ngens + j]
+        strip = root_bit + (2 << total)
+        d0_nums, d1_nums = {}, {}
+        for k, v in work_den._nums.items():
+            if k & root_bit:
+                d1_nums[k - strip] = v
+            else:
+                d0_nums[k] = v
+        if not d1_nums:
+            continue
+        root = ctx.gen(ctx.root_names[j])
+        d0 = ring._scalar(ctx, d0_nums, work_den._den)
+        d1 = ring._scalar(ctx, d1_nums, work_den._den)
+        rad = ctx._radicands[j]
+        if d0.is_zero():
+            work_num = work_num * root
+            work_den = d1 * rad
+        else:
+            conj = d0 - root * d1
+            work_num = work_num * conj
+            work_den = d0 * d0 - rad * d1 * d1
+        if work_den.is_zero():
+            raise NotDivisible("denominator is a zero divisor of the root extension")
+    components, offsets = {}, {}
+    for k, v in work_num._nums.items():
+        pattern = k & layout.root_fields
+        offset = offsets.get(pattern)
+        if offset is None:
+            degree = sum((pattern >> s) & 7 for s in layout.shifts[ngens:])
+            offset = offsets[pattern] = pattern + (degree << total)
+        components.setdefault(offset, {})[k - offset] = v
+    quotient = ctx.zero()
+    for offset, part in components.items():
+        quot, scale = ring._laurent_div(layout, part, work_den._nums)
+        quotient = quotient + ring._scalar(
+            ctx, {k + offset: v * work_den._den for k, v in quot.items()},
+            scale * work_num._den)
+    if quotient * den != num:
+        raise NotDivisible("no exact quotient")
+    return quotient
 
 
 # -- Fraction coefficients -------------------------------------------------------

@@ -1,0 +1,225 @@
+"""Unit inverses and exact division against the checked routes they replace.
+
+``ring.pow_int`` inverts a unit by key arithmetic, and ``ring.try_div_exact``
+returns the numerator for a divisor of 1, multiplies by that inverse for any
+other unit and takes the long division's zero remainder as the proof of a
+root-free divisor's quotient.  ``oracles.pow_int_by_terms`` rebuilds the
+inverse from its exponent tuple, and ``oracles.checked_try_div_exact``
+rationalizes, long-divides and multiplies back on every divisor.  Both fast
+paths are compared with them and with the term-dict oracles, on seeded
+scalars and on every division the tables and the inversion of seeded blocks
+make.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from oracles import terms_of
+from test_tensor import _unimodular
+
+from ybtrace import invariant, ring, tensor
+from ybtrace.errors import ExponentOverflow, NotAUnit, NotDivisible, YbtraceError
+from ybtrace.invariant import classification_report
+from ybtrace.ring import MAX_EXPONENT, ScalarContext, pow_int, try_div_exact
+from ybtrace.tables import run_table
+from ybtrace.tensor import invert
+
+# r*r = 1 - q^2 is not a unit; s*s = q + i*r/2 uses r.  u*u = t and
+# w*w = -2*t^-1*u are units, so monomials in them are too.  x*x = q^2 is a
+# square, so x - q is a zero divisor.
+CTX_ROOTS = ScalarContext(("p", "q"), (("r", "1-q^2"), ("s", "q + i*r/2")))
+CTX_UNITS = ScalarContext(("t",), (("u", "t"), ("w", "-2*t^-1*u")))
+CTX_SQUARE = ScalarContext(("q",), (("x", "q^2"),))
+CONTEXTS = [CTX_ROOTS, CTX_UNITS, CTX_SQUARE]
+IDS = ["roots", "units", "square"]
+
+COEFFS = ["1", "-1", "2", "-1/3", "1/2", "i", "-2*i", "(1+i)/2", "3-i"]
+
+
+def _outcome(fn, *args):
+    """The value fn returns, or the class of the error it raises."""
+    try:
+        return fn(*args)
+    except (YbtraceError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _as_terms(got):
+    """An outcome with its Scalar value read as a term dict."""
+    return got if isinstance(got, type) else terms_of(got)
+
+
+def _monomial(rng, ctx, edge=0.0, roots=True):
+    """A random monomial, with roots when ``roots`` is true; with probability
+    ``edge`` one generator sits at an end of the exponent range."""
+    exps = {g: rng.randint(-3, 3) for g in ctx.generators}
+    if rng.random() < edge:
+        exps[rng.choice(ctx.generators)] = rng.choice((-MAX_EXPONENT, MAX_EXPONENT - 1))
+    for name in ctx.root_names if roots else ():
+        exps[name] = rng.choice((0, 1))
+    return ctx.parse(rng.choice(COEFFS)) * ctx.monomial(1, exps)
+
+
+def _sum(rng, ctx, terms, roots=True):
+    total = ctx.zero()
+    for _ in range(terms):
+        total = total + _monomial(rng, ctx, roots=roots)
+    return total
+
+
+def _kind(den):
+    """The route try_div_exact takes for the divisor ``den``."""
+    if den == den.ctx.one():
+        return "one"
+    if den.is_unit():
+        return "unit"
+    if ring._root_mask(den):
+        return "root"
+    return "plain"
+
+
+def _check_division(num, den):
+    """try_div_exact(num, den) against both division oracles (the term-dict
+    one has no exponent range); returns its outcome."""
+    got = _outcome(try_div_exact, num, den)
+    assert got == _outcome(oracles.checked_try_div_exact, num, den), (num, den)
+    if got is not ExponentOverflow:
+        want = _outcome(oracles.terms_try_div_exact, num.ctx, terms_of(num), terms_of(den))
+        assert _as_terms(got) == want, (num, den)
+    return got
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_negative_powers_match_the_term_route(ctx):
+    rng = random.Random(15)
+    seen = set()
+    for trial in range(300):
+        x = _monomial(rng, ctx, edge=0.1) if trial % 5 else _sum(rng, ctx, rng.randint(0, 2))
+        k = rng.randint(-3, -1)
+        got = _outcome(pow_int, x, k)
+        assert got == _outcome(oracles.pow_int_by_terms, x, k), (x, k)
+        if got is not ExponentOverflow:  # the term dicts have no exponent range
+            assert _as_terms(got) == _outcome(oracles.terms_pow_int, ctx, terms_of(x), k)
+        if isinstance(got, type):
+            seen.add(got)
+        elif x.is_unit():
+            (exps, coeff), = terms_of(x).items()
+            seen.update(feature for feature, present in (
+                ("i", coeff.im), ("half", Fraction(coeff.re).denominator == 2),
+                ("root", any(exps[len(ctx.generators):]))) if present)
+    assert {"i", "half", NotAUnit, ExponentOverflow} <= seen
+    if ctx is not CTX_ROOTS:  # r's radicand 1 - q^2 is not a unit
+        assert "root" in seen
+
+
+def test_the_inverse_refuses_the_one_exponent_it_cannot_negate():
+    ctx = CTX_UNITS
+    low = ctx.monomial(1, {"t": -MAX_EXPONENT})
+    high = ctx.monomial(1, {"t": MAX_EXPONENT - 1})
+    for x in (low, low * ctx.gen("u"), ctx.parse("i/2") * low):
+        with pytest.raises(ExponentOverflow):
+            pow_int(x, -1)
+        with pytest.raises(ExponentOverflow):
+            oracles.pow_int_by_terms(x, -1)
+    assert pow_int(high, -1) == ctx.monomial(1, {"t": 1 - MAX_EXPONENT})
+    assert pow_int(ctx.gen("t", 1 - MAX_EXPONENT), -1) == high
+    # the root's inverse is root * radicand^-1: u^-1 = u * t^-1
+    assert pow_int(ctx.gen("u"), -1) == ctx.gen("u") * ctx.gen("t", -1)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_each_division_route_matches_the_checked_division(ctx):
+    rng = random.Random(1015)
+    outcomes = {}
+    for trial in range(400):
+        kind = ("one", "unit", "plain", "root")[trial % 4]
+        if kind == "one":
+            den = ctx.one()
+        elif kind == "unit":
+            den = _monomial(rng, ctx)
+        elif kind == "plain":
+            den = _sum(rng, ctx, rng.randint(2, 3), roots=False)
+        else:
+            den = _sum(rng, ctx, rng.randint(1, 3))
+        num = _sum(rng, ctx, rng.randint(0, 3))
+        if rng.random() < 0.5:
+            num = num * den
+        got = _check_division(num, den)
+        if not den.is_zero():
+            outcomes.setdefault(_kind(den), set()).add(
+                got if isinstance(got, type) else "exact")
+        if _kind(den) == "one" and not num.is_zero():
+            assert got is num
+    assert outcomes["one"] == outcomes["unit"] == {"exact"}
+    assert {"exact", NotDivisible} <= outcomes["plain"]
+    if ctx is not CTX_UNITS:  # there every monomial with a root is a unit
+        assert {"exact", NotDivisible} <= outcomes["root"]
+
+
+def test_division_at_the_exponent_edge_and_by_zero_divisors():
+    ctx = CTX_SQUARE
+    low = ctx.gen("q", -MAX_EXPONENT)
+    one_plus = ctx.parse("1 + q")
+    cases = [
+        (low, ctx.gen("q")),  # a unit divisor
+        (low * one_plus, ctx.gen("q") * one_plus),  # a root-free non-unit
+        (low * ctx.gen("x"), ctx.gen("q") * ctx.gen("x")),  # a root
+    ]
+    for num, den in cases:
+        assert _check_division(num, den) is ExponentOverflow
+    # x - q times x + q is 0, so neither divides anything
+    assert _check_division(ctx.parse("x + q"), ctx.parse("x - q")) is NotDivisible
+    assert _check_division(ctx.parse("2*x + q"), ctx.parse("x + 2*q")) == ctx.parse("q^-1*x")
+    assert _check_division(ctx.parse("1 + q"), ctx.parse("x + q^2")) is NotDivisible
+    assert _check_division(ctx.parse("3*q^2"), ctx.parse("x + 2*q")) == ctx.parse("2*q - x")
+
+
+def test_int_and_fraction_numerators_join_the_divisor_context():
+    ctx = ScalarContext(("t",))
+    t = ctx.gen("t")
+    assert try_div_exact(2, t) == ctx.parse("2*t^-1")
+    assert try_div_exact(Fraction(1, 2), ctx.scalar(3)) == ctx.scalar(Fraction(1, 6))
+    assert try_div_exact(0, ctx.parse("1 + t")) == ctx.zero()
+    with pytest.raises(NotDivisible):
+        try_div_exact(1, ctx.parse("1 + t"))
+    for num, den in ((2, 3), (Fraction(1, 2), 2), ("t", t), (2.0, t), (None, t)):
+        with pytest.raises(TypeError):
+            try_div_exact(num, den)
+
+
+def _spy_divisions(monkeypatch, census):
+    """Check each division invariant and tensor make against the oracles,
+    counting the divisor kinds in ``census``."""
+    def checked(num, den):
+        census[_kind(den)] = census.get(_kind(den), 0) + 1
+        got = _check_division(num, den)
+        if isinstance(got, type):
+            raise got("the division failed")
+        return got
+
+    monkeypatch.setattr(invariant, "try_div_exact", checked)
+    monkeypatch.setattr(tensor, "try_div_exact", checked)
+
+
+def test_every_division_of_the_tables_matches_the_checked_division(monkeypatch):
+    census = {}
+    _spy_divisions(monkeypatch, census)
+    for sign in "+-":
+        classification_report(sign=sign)
+    for which in (2, 3, 4):
+        assert run_table(which).ok
+    assert set(census) == {"one", "unit", "plain", "root"}, census
+
+
+def test_every_division_of_a_block_inversion_matches_the_checked_division(monkeypatch):
+    census = {}
+    _spy_divisions(monkeypatch, census)
+    ctx = ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),))
+    rng = random.Random(2)
+    for side in (2, 3):
+        for _ in range(4):
+            invert(_unimodular(ctx, side, rng))
+    assert {"plain", "root"} <= set(census), census

@@ -233,3 +233,15 @@ def test_nontrivial_block_padding_needs_commuting_blocks_and_alpha_weights():
     spec = BlockDressingSpec(ctx, 3, (1, 3), f={(2, 2): "sqrt_pq^-1"})
     op = dressed_eyb(base_op, dress_block(_base_in(ctx), spec), spec, mode="nontrivial")
     assert verify_eyb(op) and op.mu.get(1, 1) == base_op.beta
+
+
+def test_d3_r21_separates_two_links_that_jones_and_d4_r22_do_not():
+    """Two 4-component closures on 4 strands with one normalized R2.1/1
+    value: the d3_R21 dressing tells them apart and d4_R22 does not."""
+    a, b = parse_braid("-1 3 -1 3", 4), parse_braid("-1 1 -3 2 3 -2 -3 2", 4)
+    assert a.closure_components() == b.closure_components() == 4
+    jones = get_table1_entry("R2.1", 1).build()
+    assert compute_ts(jones, a, normalized=True).value == compute_ts(jones, b, normalized=True).value
+    d3, d4 = (preset_dressings(name).eyb for name in ("d3_R21", "d4_R22"))
+    assert compute_ts(d3, a).value != compute_ts(d3, b).value
+    assert compute_ts(d4, a).value == compute_ts(d4, b).value

@@ -18,7 +18,7 @@ from ybtrace.eyb import (
     verify_eyb,
 )
 from ybtrace.errors import DimensionMismatch, NotAUnit, UnknownName, UnknownRow
-from ybtrace.invariant import alexander_nabla, classification_report, compute_ts
+from ybtrace.invariant import alexander_nabla, classification_report, compute_ts, open_trace
 from ybtrace.ring import ScalarContext
 from ybtrace.tables import run_table
 from ybtrace.tensor import SquareMatrix, invert, kron, matadd, matmul, scalar_scale
@@ -267,7 +267,8 @@ def test_bad_sign_raises_every_time_and_stores_nothing():
 def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     """Every caller through build(sign) leaves the shared operators as built,
     and they give the fresh operators' values on the named links and keep the
-    fresh operators' closure constants."""
+    fresh operators' closure constants: the push's per strand count and the
+    matrix path's per closed-slot count."""
     for sign in "+-":
         classification_report(sign=sign)
     for which in (2, 3, 4):
@@ -288,4 +289,6 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
             for n in shared._closure:
                 if isinstance(n, int):
                     compute_ts(fresh, BraidWord(n))
+                elif n[0] == "beta":  # the matrix path's beta^k for k closed slots
+                    open_trace(fresh, BraidWord(n[1] + 1))
             assert shared._closure == fresh._closure

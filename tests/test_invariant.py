@@ -609,6 +609,48 @@ def test_compute_ts_keeps_its_closure_constants_per_operator_and_strand_count(mo
     assert calls == dict.fromkeys(calls, 0)
 
 
+def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
+    powers = []
+    original = invariant.pow_int
+    monkeypatch.setattr(invariant, "pow_int",
+                        lambda x, k: powers.append((x, k)) or original(x, k))
+    entry = get_table1_entry("R2.1", 1)
+    op = entry.build(ctx=entry.context())
+    assert rank_one_factors(op.mu) is None
+    trefoil, figure_eight = (get_named_braid(name).braid for name in ("3_1", "4_1"))
+    first = compute_ts(op, trefoil).value
+    assert (op.beta, 2) in powers
+    assert op._closure[("beta", 2)] == original(op.beta, 2)
+    powers.clear()
+    # the same slot count, by the same word or another: alpha^-w only
+    assert compute_ts(op, trefoil).value == first
+    compute_ts(op, get_named_braid("5_1").braid)
+    assert [x for x, _ in powers] == [op.alpha, op.alpha]
+    # three closed slots, and two again through the open trace of 3 strands
+    compute_ts(op, figure_eight)
+    assert (op.beta, 3) in powers
+    powers.clear()
+    open_trace(op, figure_eight)
+    assert [x for x, _ in powers] == [op.alpha]
+    assert set(op._closure) == {"factors", "unknot", ("beta", 2), ("beta", 3)}
+
+
+def test_a_second_push_builds_no_column_index(monkeypatch):
+    calls = {}
+    _spy(monkeypatch, calls, tensor, "_column_index")
+    entry = get_table1_entry("R1.1", 2)
+    op = entry.build(ctx=entry.context())
+    word = get_named_braid("4_1").braid
+    assert rank_one_factors(op.mu) is not None and any(k < 0 for k in word.letters)
+    first = compute_ts(op, word).value
+    assert calls["_column_index"] == 2  # R and its inverse
+    calls["_column_index"] = 0
+    assert compute_ts(op, word).value == first
+    compute_ts(op, get_named_braid("5_2").braid)
+    assert calls["_column_index"] == 0
+    assert op.r._columns is not None and invert(op.r)._columns is not None
+
+
 def test_classification_report_warm_equals_cold_and_the_goldens(monkeypatch):
     golden = Path(__file__).resolve().parent / "golden"
     monkeypatch.setattr(eyb, "_shared_ops", {})

@@ -1,9 +1,10 @@
-"""Markov invariance and the sign law of the trace invariant on random
-braids (hypothesis).
+"""Markov invariance, the sign law and the Table-1 tags of the trace
+invariant on random braids (hypothesis).
 
 compute_ts must give one value for a braid, its conjugates and its positive
-and negative stabilizations, over every Table-1 row with both signs; and a
-row's sign '-' must multiply that value by -1 once per closure component.
+and negative stabilizations, over every Table-1 row with both signs; a
+row's sign '-' must multiply that value by -1 once per closure component;
+and with sign '+' every row's tag but 'jones' must hold on every closure.
 """
 
 import pytest
@@ -12,9 +13,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from ybtrace.braid import BraidWord, conjugate, stabilize
+from ybtrace.braid import BraidWord, NamedLink, conjugate, stabilize
 from ybtrace.eyb import table1_entries
-from ybtrace.invariant import compute_ts
+from ybtrace.invariant import _tag_expectation, compute_ts
+from ybtrace.ring import format_scalar
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -61,3 +63,19 @@ def test_minus_sign_negates_once_per_component(strands, data):
         plus = compute_ts(OPERATORS[f"{e.rmatrix}/{e.row}+"], b).value
         minus = compute_ts(OPERATORS[f"{e.rmatrix}/{e.row}-"], b).value
         assert minus == (-plus if odd else plus), (e.rmatrix, e.row)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(strands=st.integers(2, 4), data=st.data())
+def test_every_tag_but_jones_holds_on_random_braids(strands, data):
+    """The 22 rows not tagged 'jones', sign '+'; the knot-only tags assert
+    nothing on a link."""
+    b = BraidWord(strands, data.draw(letters(strands, 8, min_size=1)))
+    link = NamedLink(str(b), b, b.closure_components())
+    entries = [e for e in table1_entries() if e.tag != "jones"]
+    assert len(entries) == 22
+    for e in entries:
+        op = OPERATORS[f"{e.rmatrix}/{e.row}+"]
+        raw = compute_ts(op, b).value
+        expected, matched = _tag_expectation(e.tag, op, link, raw, op.ctx)
+        assert matched is not False, (e.rmatrix, e.row, e.tag, expected, format_scalar(raw))
