@@ -1,34 +1,45 @@
 """The weighted braid-trace invariant and its consequences.
 
 For an enhanced operator S and a braid word on n strands, the raw invariant
-is alpha^(-writhe) beta^(-n) Tr(rep(word) mu^(x n)); dividing by the
-one-strand value Tr(mu)/beta gives the unknot-normalized form.
+is alpha^(-writhe) beta^(-n) Tr(rep(word) mu^(x n)) (Turaev, Invent. Math.
+92, 1988); dividing by the one-strand value Tr(mu)/beta gives the
+unknot-normalized form.  No representation of the whole word is formed.
 
 When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
 column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n:
 u^(x n) is pushed through the word one crossing at a time
 (``tensor.apply_at``), and one exact division by (beta * piv)^n ends it.
-Every other mu takes the matrix path: the representation is a sparse
-product of embedded crossing operators, contracted with ``weighted_trace``
-over the closed slots, divided by beta once per closed slot and multiplied
-by alpha^(-writhe).  ``open_trace`` closes strands 2..n the same way and
-returns the multiple of the identity left on strand 1.  ``alexander_nabla``
-is the open trace of row R1.2/1 at q = t^-2 (sqrt_q -> t^-1).
+
+Every other mu takes the half-word closure, which ``open_trace`` shares
+with the strands 2..n closed instead of all of them.  With rep = A B for
+the left and right halves of the word, the partial trace over the k
+closed slots of rep (1 (x) M), M = mu^(x k), is that of (1 (x) M) A B,
+because 1 (x) M acts on the traced slots only.  B is built as a sparse
+matrix; the rows of 1 (x) M are pulled back through A, one letter at a
+time by ``apply_at`` on the transposed crossing, and meet B's columns in
+one ``ring.dot`` per entry of the block left on the kept strands.  That
+block is divided by beta once per closed slot and multiplied by
+alpha^(-writhe).  ``alexander_nabla`` is the open trace of row R1.2/1 at
+q = t^-2 (sqrt_q -> t^-1).
 
 What depends only on the operator is kept on it on first use: the rank-one
 factors, the unknot value, per strand count n u^(x n), v^(x n) and
-(beta * piv)^n, and per closed-slot count k the matrix path's beta^k.
-Nothing keyed by a braid word or a writhe is kept.
+(beta * piv)^n; per strand count and kept strand count the rows of
+1 (x) M, when they hold at most ``tensor.MAX_ENTRIES`` entries; per
+closed-slot count k beta^k; and the transposes of R and R^-1.  Nothing
+keyed by a braid word or a writhe is kept.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from dataclasses import dataclass
 
 from .braid import BraidWord, get_named_braid, NAMED_LINKS
 from .errors import (
+    DimensionMismatch,
     NotDivisible,
     ProportionalityFailure,
     StrandBoundViolation,
@@ -39,6 +50,7 @@ from .ring import (
     Scalar, ScalarContext, dot, format_scalar, pow_int, substitute, try_div_exact,
 )
 from .tensor import (
+    MAX_ENTRIES,
     MAX_STATES,
     SquareMatrix,
     Verdict,
@@ -49,7 +61,6 @@ from .tensor import (
     matmul,
     scalar_scale,
     trace,
-    weighted_trace,
 )
 from .catalog import restricted_matrix
 
@@ -166,21 +177,79 @@ def _pushed_trace(op, b, u, v, piv):
     return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, scale)
 
 
-def _matrix_closure(op, b, slots):
-    """alpha^(-writhe) beta^(-len(slots)) times the multiple of the identity
-    that ``weighted_trace`` leaves of rep(b) closed over ``slots``.
+def _weight_rows(mu, keep, k, total, one):
+    """The nonzero rows of 1^(x keep) (x) mu^(x k), one at a time in row
+    order, each a sparse vector keyed by row * total + column, so that rows
+    merge into one vector; a row is built when it is asked for."""
+    base = mu.side
+    mu_rows = {}
+    for (r, c), x in mu.entries.items():
+        mu_rows.setdefault(r, {})[c] = x
+    digits = sorted(mu_rows.items())
+    for i in range(base ** keep):
+        for picks in itertools.product(digits, repeat=k):
+            state, row = i, {i: one}
+            for digit, entries in picks:
+                state = state * base + digit
+                row = {t * base + d: x * y for t, x in row.items() for d, y in entries.items()}
+            yield {state * total + t: x for t, x in row.items()}
 
-    Raises ProportionalityFailure when what is left is not such a multiple.
-    Closing every slot leaves a 1x1 matrix, which always is one, so it is
-    not checked.  beta^k is kept on ``op`` per closed-slot count k, under
-    the key ("beta", k).
+
+def _pullback(op, positive):
+    """R^T, or (R^-1)^T when not ``positive``: the crossing that pulls a row
+    vector back through a letter of that sign; kept on ``op`` under the key
+    ("transpose", positive)."""
+    return _kept(op, ("transpose", positive),
+                 lambda: (op.r if positive else invert(op.r)).transpose())
+
+
+def _closure(op, b, keep):
+    """alpha^(-writhe) beta^(-k) times the multiple of the identity left on
+    strands 1..keep when rep(b) mu^(x k) is traced over the other k strands,
+    by the half-word closure (module docstring).
+
+    Block entry (i, j) sums row (i, s) of (1 (x) mu^(x k)) A against column
+    (j, s) of B over the closed states s, for rep(b) = A B split at the
+    middle letter.  Rows within the entry cap are kept on ``op`` and pulled
+    back through A as one vector keyed by row * states + column; others
+    are built and pulled one at a time.
+    Raises StrandBoundViolation before anything is built or kept,
+    DimensionMismatch for a side-1 weight, which has no slot to close, and
+    ProportionalityFailure when the block is not a multiple of the identity
+    (a full closure leaves a 1x1 block, which always is one).
     """
-    rep = braid_representation(op.r, b, op.base_dim)
-    left = weighted_trace(rep, op.mu, slots)
-    value = left.get(0, 0)
-    if left.side != 1 and left != SquareMatrix.diagonal(left.ctx, [value] * left.side):
+    n, base, ctx = b.strands, op.base_dim, op.ctx
+    total = _states(base, n)
+    if base < 2:
+        raise DimensionMismatch(f"a weight of side {base} has no slot to close")
+    k = n - keep
+    split = len(b.letters) // 2
+    left = b.letters[:split]
+    right = braid_representation(op.r, BraidWord(n, b.letters[split:]), base).entries
+    pullbacks = {positive: _pullback(op, positive) for positive in {letter > 0 for letter in left}}
+    if base ** keep * len(op.mu.entries) ** k > MAX_ENTRIES:
+        batches = _weight_rows(op.mu, keep, k, total, ctx.one())
+    else:
+        batches = (_kept(op, ("rows", n, keep), lambda: {
+            key: x for row in _weight_rows(op.mu, keep, k, total, ctx.one())
+            for key, x in row.items()}),)
+    closed = base ** k
+    pairs = {}
+    for vec in batches:
+        for letter in left:
+            vec = apply_at(pullbacks[letter > 0], abs(letter), n, vec, base)
+        for key, y in vec.items():
+            state, x = divmod(key, total)
+            i, s = divmod(state, closed)
+            for j in range(base ** keep):
+                v = right.get((x, j * closed + s))
+                if v is not None:
+                    pairs.setdefault((i, j), []).append((y, v))
+    block = {key: dot(ctx, p) for key, p in pairs.items()}
+    block = {key: v for key, v in block.items() if not v.is_zero()}
+    value = block.get((0, 0), ctx.zero())
+    if block != ({} if value.is_zero() else {(i, i): value for i in range(base ** keep)}):
         raise ProportionalityFailure("partial closure is not a multiple of the identity")
-    k = len(slots)
     scale = _kept(op, ("beta", k), lambda: pow_int(op.beta, k))
     return pow_int(op.alpha, -b.writhe) * try_div_exact(value, scale)
 
@@ -188,22 +257,20 @@ def _matrix_closure(op, b, slots):
 def compute_ts(op, b, normalized=False):
     """The trace invariant of the closure of ``b`` under operator ``op``.
 
-    A weight mu of rank one takes the push (module docstring); any other
-    takes the representation matrix.  Division by beta^n is performed
-    exactly, so beta need not be a unit.  Normalization divides by the
-    unknot value and raises NotDivisible when that is impossible (in
-    particular when the unknot value is zero).  The rank-one factors, the
-    unknot value, the push constants of each strand count and the matrix
-    path's beta^n are computed on the first call that needs them and kept
-    on ``op``; alpha^(-writhe) is formed on every call, by the ring's
-    key-arithmetic inverse when alpha is a unit.
+    A weight mu of rank one takes the push, any other the half-word
+    closure (module docstring).  Division by beta^n is performed exactly,
+    so beta need not be a unit.  Normalization divides by the unknot value
+    and raises NotDivisible when that is impossible (in particular when the
+    unknot value is zero).  The rank-one factors, the unknot value and the
+    constants of each path are computed on the first call that needs them
+    and kept on ``op``; alpha^(-writhe) is formed on every call, by the
+    ring's key-arithmetic inverse when alpha is a unit.
     """
-    n = b.strands
-    # a side-1 weight keeps the matrix path, whose weighted_trace refuses it
+    # a side-1 weight takes the half-word closure, which refuses it
     factors = _kept(op, "factors",
                     lambda: rank_one_factors(op.mu) if op.base_dim > 1 else None)
     if factors is None:
-        raw = _matrix_closure(op, b, range(1, n + 1))
+        raw = _closure(op, b, 0)
     else:
         raw = _pushed_trace(op, b, *factors)
     unknot = _kept_unknot(op)
@@ -329,7 +396,7 @@ def check_skein_family(op, fam):
 def open_trace(op, b):
     """The closure of strands 2..n of ``b`` under ``op``, as the multiple of
     the identity left on strand 1, or ProportionalityFailure."""
-    return _matrix_closure(op, b, range(2, b.strands + 1))
+    return _closure(op, b, 1)
 
 
 # the ring of alexander_nabla's values and its binding q = t^-2; filled on first use

@@ -761,8 +761,15 @@ def try_div_exact(num, den):
       returns only with a zero remainder, so its quotient is not multiplied
       back.
     * A divisor with adjoined roots is first rationalized against each
-      root, one at a time from the innermost extension outward, and its
-      quotient is checked by multiplying it back.
+      root, one at a time from the innermost extension outward: num and den
+      are both multiplied by a conjugate product C, so den * C is root-free,
+      and the long division gives q with q * den * C == num * C.  Its
+      quotient is not multiplied back either.  den * C is a nonzero
+      root-free Laurent polynomial, and multiplication by such a polynomial
+      is injective on the ring, a free module over the root-free Laurent
+      polynomials (an integral domain) with the root monomials as basis.
+      So C is no zero divisor, and q * den == num.  A C that makes den * C
+      zero is refused.
     """
     if not isinstance(num, Scalar):
         if not isinstance(den, Scalar) or not isinstance(num, (int, Fraction)):
@@ -782,7 +789,7 @@ def try_div_exact(num, den):
         return num * _unit_inverse(den)
     layout = ctx._layout
     ngens, total = layout.ngens, layout.total_shift
-    work_num, work_den, rationalized = num, den, False
+    work_num, work_den = num, den
     for j in range(len(ctx.root_names) - 1, -1, -1):
         root_bit = 2 << layout.shifts[ngens + j]
         strip = root_bit + (2 << total)
@@ -794,7 +801,6 @@ def try_div_exact(num, den):
                 d0_nums[k] = v
         if not d1_nums:
             continue
-        rationalized = True
         root = ctx.gen(ctx.root_names[j])
         d0 = _scalar(ctx, d0_nums, work_den._den)
         d1 = _scalar(ctx, d1_nums, work_den._den)
@@ -823,8 +829,6 @@ def try_div_exact(num, den):
         quotient = quotient + _scalar(
             ctx, {k + offset: v * work_den._den for k, v in quot.items()},
             scale * work_num._den)
-    if rationalized and quotient * den != num:
-        raise NotDivisible("no exact quotient")
     return quotient
 
 

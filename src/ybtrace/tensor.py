@@ -280,8 +280,10 @@ def apply_at(r, i, n, vec, base=None):
     ``vec`` maps state indices to nonzero scalars.  Each state is split into
     the digits before slot i, the digit pair at (i, i+1) and the digits
     after it; only the stored entries of r in that pair's column are read,
-    so nothing is embedded.  r's entries grouped by column are kept on r
-    (``_column_index``), so a push indexes each crossing once.
+    so nothing is embedded.  The digits above the n slots pass through, so
+    vectors packed under keys index * base^n + state are pushed as one.
+    r's entries grouped by column are kept on r (``_column_index``), so a
+    push indexes each crossing once.
     """
     base = _slot_base(r, i, n, base)
     right = base ** (n - i - 1)

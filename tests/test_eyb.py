@@ -2,7 +2,7 @@
 
 import pytest
 
-from ybtrace import eyb
+from ybtrace import eyb, invariant
 from ybtrace.braid import NAMED_LINKS, BraidWord, get_named_braid
 from ybtrace.catalog import get_rmatrix
 from ybtrace.eyb import (
@@ -267,8 +267,9 @@ def test_bad_sign_raises_every_time_and_stores_nothing():
 def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     """Every caller through build(sign) leaves the shared operators as built,
     and they give the fresh operators' values on the named links and keep the
-    fresh operators' closure constants: the push's per strand count and the
-    matrix path's per closed-slot count."""
+    fresh operators' closure constants: the push's per strand count, the
+    half-word closure's weight rows per strand and kept slot count with
+    beta^k for the k closed slots, and the transposed crossings."""
     for sign in "+-":
         classification_report(sign=sign)
     for which in (2, 3, 4):
@@ -286,9 +287,14 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
                 assert shared.r._inverse == invert(fresh.r)
             for word in words:
                 assert compute_ts(shared, word).value == compute_ts(fresh, word).value
-            for n in shared._closure:
-                if isinstance(n, int):
-                    compute_ts(fresh, BraidWord(n))
-                elif n[0] == "beta":  # the matrix path's beta^k for k closed slots
-                    open_trace(fresh, BraidWord(n[1] + 1))
+            for key in shared._closure:
+                if isinstance(key, int):  # the push's constants for key strands
+                    compute_ts(fresh, BraidWord(key))
+                elif key[0] == "rows":  # with beta^k for the n - keep closed slots
+                    n, keep = key[1:]
+                    (open_trace if keep else compute_ts)(fresh, BraidWord(n))
+                elif key[0] == "transpose":
+                    invariant._pullback(fresh, key[1])
+                else:
+                    assert key in ("factors", "unknot") or key[0] == "beta", key
             assert shared._closure == fresh._closure

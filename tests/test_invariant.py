@@ -25,7 +25,9 @@ from ybtrace.braid import (
     stabilize,
 )
 from ybtrace.dressing import preset_dressings, preset_names
-from ybtrace.errors import NotDivisible, ProportionalityFailure, StrandBoundViolation
+from ybtrace.errors import (
+    DimensionMismatch, NotDivisible, ProportionalityFailure, StrandBoundViolation,
+)
 from ybtrace.eyb import EnhancedOperator, get_table1_entry, get_table1_eyb, table1_entries
 from ybtrace.invariant import (
     ANNIHILATING_RELATIONS,
@@ -43,7 +45,9 @@ from ybtrace.invariant import (
 )
 from ybtrace.ring import ScalarContext, pow_int, substitute, try_div_exact
 from ybtrace.tables import run_table
-from ybtrace.tensor import SquareMatrix, invert, matadd, matmul, scalar_scale, weighted_trace
+from ybtrace.tensor import (
+    MAX_ENTRIES, SquareMatrix, invert, kron, matadd, matmul, scalar_scale, weighted_trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +248,8 @@ def test_nabla_split_links_vanish():
 
 # -- torus knots against closed forms --------------------------------------------
 
-COPRIME_TORUS = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6))
+COPRIME_TORUS = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6),
+                 (6, 7), (7, 8))
 
 
 def _torus(p, q):
@@ -300,6 +305,89 @@ def test_open_trace_refuses_a_partial_closure_off_the_identity():
             open_trace(op, trefoil)
     for rmatrix, row in ALEXANDER_ROWS:
         assert not open_trace(get_table1_eyb(rmatrix, row), trefoil).is_zero()
+
+
+# -- the half-word closure against the whole word's matrix ------------------------
+
+# n = 1, empty words, one-letter words (an empty left half) and negative
+# letters in either half
+EDGE_WORDS = [BraidWord(1), BraidWord(2), BraidWord(4), BraidWord(2, (1,)),
+              BraidWord(2, (-1,)), BraidWord(3, (-2,)), BraidWord(3, (-1, 2)),
+              BraidWord(3, (1, -2)), BraidWord(4, (-3, -1, 2, 2)),
+              BraidWord(4, (1, 3, -2, -2, 1)), BraidWord(5, (1, -2, 3, -4, 2, -3)),
+              BraidWord(5, (-4, -4, 1, 3, -2, 2, 1))]
+
+
+def _assert_half_word_closure(op, words, label):
+    """The half-word closure of every word, all slots closed and slots 2..n
+    closed, equals the whole word's matrix path, and raises
+    ProportionalityFailure on exactly the same inputs; returns how many
+    raised."""
+    failures = 0
+    for b in words:
+        for keep, closure in ((0, lambda: invariant._closure(op, b, 0)),
+                              (1, lambda: open_trace(op, b))):
+            try:
+                expected = _matrix_path(op, b, keep)
+            except ProportionalityFailure:
+                failures += 1
+                with pytest.raises(ProportionalityFailure):
+                    closure()
+                continue
+            assert closure() == expected, (label, keep, b)
+    return failures
+
+
+def test_half_word_closure_matches_the_whole_words_matrix_on_every_operator():
+    """All 23 rows with both signs on the named links, the edge words and
+    seeded words of up to five strands; the three presets (base 3 and 4) on
+    the named links of up to three strands and seeded words of up to three."""
+    rng = random.Random(16)
+    links = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words = links + EDGE_WORDS + _random_words(rng, 6, 5, 8)
+    failures = 0
+    for entry in table1_entries():
+        for sign in "+-":
+            label = f"{entry.rmatrix}/{entry.row}{sign}"
+            failures += _assert_half_word_closure(entry.build(sign), words, label)
+    small = [b for b in links + EDGE_WORDS if b.strands <= 3]
+    for name in preset_names():
+        op = preset_dressings(name).eyb
+        failures += _assert_half_word_closure(
+            op, small + _random_words(rng, 6, 3, 6), name)
+    assert failures > 0
+
+
+def test_half_word_closure_keeps_no_rows_above_the_entry_cap():
+    """The weight rows of a dense rank-two mu on 8 strands hold 4^8 entries
+    for the full closure and 2 * 4^7 for the open one, above MAX_ENTRIES:
+    they are built row by row and not kept, and the values still match."""
+    jones = get_table1_eyb("R2.1", 1)
+    mu = SquareMatrix.from_rows(jones.ctx, [["1", "p"], ["2", "q"]])
+    assert rank_one_factors(mu) is None
+    op = EnhancedOperator(jones.r, mu, jones.alpha, jones.beta)
+    assert 4 ** 8 > MAX_ENTRIES >= 4 ** 7
+    b = BraidWord(8, (3, -5))
+    assert compute_ts(op, b).value == _matrix_path(op, b)
+    assert open_trace(op, b) == _matrix_path(op, b, 1)
+    assert ("rows", 8, 0) not in op._closure and ("rows", 8, 1) not in op._closure
+    for key, kept in op._closure.items():
+        size = len(kept.entries) if isinstance(kept, SquareMatrix) else (
+            len(kept) if isinstance(kept, dict) else 1)
+        assert size <= MAX_ENTRIES, key
+    # seven strands fit, and their full closure's rows are kept
+    b = BraidWord(7, (3, -5))
+    assert compute_ts(op, b).value == _matrix_path(op, b)
+    assert len(op._closure[("rows", 7, 0)]) == 4 ** 7
+
+
+def test_a_weight_of_side_one_is_refused():
+    ctx = ScalarContext(("q",))
+    one = SquareMatrix.identity(ctx, 1)
+    op = EnhancedOperator(one, one, ctx.one(), ctx.one())
+    for closure in (compute_ts, open_trace):
+        with pytest.raises(DimensionMismatch, match="side 1 has no slot to close"):
+            closure(op, BraidWord(3, (1, -2)))
 
 
 # -- classification --------------------------------------------------------------
@@ -371,12 +459,19 @@ RANK_ONE_ROWS = [("R3.1", 3), ("R3.1", 4), ("R2.1", 2), ("R2.1", 3), ("R2.1", 4)
                  ("R1.1", 4), ("R1.1", 5), ("R1.2", 2), ("R1.2", 3)]
 
 
-def _matrix_path(op, b):
-    """alpha^-w beta^-n Tr(rep mu^(x n)) from the representation matrix."""
+def _matrix_path(op, b, keep=0):
+    """alpha^-w beta^-(n - keep) times the multiple of the identity that
+    ``weighted_trace`` leaves on strands 1..keep of the whole word's
+    representation matrix, closed over the other strands; keep=0 gives
+    alpha^-w beta^-n Tr(rep mu^(x n)).  ProportionalityFailure when what is
+    left is not such a multiple."""
     n = b.strands
     rep = braid_representation(op.r, b, op.base_dim)
-    raw = weighted_trace(rep, op.mu, range(1, n + 1)).get(0, 0)
-    return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta, n))
+    left = weighted_trace(rep, op.mu, range(keep + 1, n + 1))
+    raw = left.get(0, 0)
+    if left != SquareMatrix.diagonal(left.ctx, [raw] * left.side):
+        raise ProportionalityFailure("not a multiple of the identity")
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta, n - keep))
 
 
 def _random_words(rng, count, max_strands, max_letters):
@@ -421,6 +516,8 @@ def test_rank_one_factors_refuses_a_full_pattern_of_rank_two():
 
 
 def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
+    """A weight of rank one builds no representation matrix; any other, and
+    every open trace, builds that of the right half of the word only."""
     built = []
 
     def spy(r, b, base=None):
@@ -429,12 +526,17 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
 
     monkeypatch.setattr(invariant, "braid_representation", spy)
     b = get_named_braid("5_2").braid
+    half = BraidWord(b.strands, b.letters[len(b.letters) // 2:])
+    assert half.letters == (2, 1, 1)
     ops = [get_table1_eyb(m, row) for m in ("R2.1", "R3.1", "R1.1") for row in (1, 2)]
     ops += [preset_dressings(name).eyb for name in preset_names()]
     for op in ops:
         built.clear()
         compute_ts(op, b)
-        assert built == ([] if rank_one_factors(op.mu) else [b])
+        assert built == ([] if rank_one_factors(op.mu) else [half])
+    built.clear()
+    open_trace(get_table1_eyb("R1.2", 1), b)
+    assert built == [half]
 
 
 def test_rank_one_push_matches_matrix_path():
@@ -528,6 +630,8 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
         op = entry.build(ctx=entry.context())
         assert (rank_one_factors(op.mu) is not None) == pushed
         pieces.clear()
+        compute_ts(op, get_named_braid("5_1").braid)  # no negative letter
+        assert pieces == []
         first = compute_ts(op, word).value
         inverted = len(pieces)
         assert inverted > 0
@@ -632,7 +736,18 @@ def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
     powers.clear()
     open_trace(op, figure_eight)
     assert [x for x, _ in powers] == [op.alpha]
-    assert set(op._closure) == {"factors", "unknot", ("beta", 2), ("beta", 3)}
+    # the rows of 1^(x keep) (x) mu^(x k) per strand count n and kept slot
+    # count keep, and the transposed crossings of the left halves' letters:
+    # the trefoil's is positive, the figure eight's (1, -2) both
+    assert set(op._closure) == {
+        "factors", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0), ("rows", 3, 0),
+        ("rows", 3, 1), ("transpose", True), ("transpose", False)}
+    assert op._closure[("transpose", True)] == op.r.transpose()
+    assert op._closure[("transpose", False)] == invert(op.r).transpose()
+    for n, keep in ((2, 0), (3, 0), (3, 1)):
+        weight = kron(SquareMatrix.identity(op.ctx, 2 ** keep), kron_power(op.mu, n - keep))
+        assert op._closure[("rows", n, keep)] == {
+            r * 2 ** n + c: x for (r, c), x in weight.entries.items()}, (n, keep)
 
 
 def test_a_second_push_builds_no_column_index(monkeypatch):

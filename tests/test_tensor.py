@@ -109,6 +109,25 @@ def test_apply_at_matches_embedded_product(base, arity):
         apply_at(r, arity, arity, vec, base)
 
 
+def test_apply_at_pushes_vectors_packed_above_the_n_slots_in_one_call():
+    """Digits above the n slots pass through, so vectors packed under keys
+    index * base^n + state are pushed as one vector."""
+    ctx = ScalarContext(("p", "q"))
+    rng = random.Random(16)
+    base, arity = 3, 3
+    side = base ** arity
+    texts = ["0", "p", "q^-1", "1-q", "-1/2", "i*p^2"]
+    r = SquareMatrix.from_rows(
+        ctx, [[rng.choice(texts) for _ in range(base * base)] for _ in range(base * base)])
+    vecs = [{s: ctx.parse(rng.choice(texts[1:])) for s in rng.sample(range(side), 5)}
+            for _ in range(4)]
+    packed = {k * side + s: x for k, vec in enumerate(vecs) for s, x in vec.items()}
+    for i in range(1, arity):
+        assert apply_at(r, i, arity, packed, base) == {
+            k * side + s: x for k, vec in enumerate(vecs)
+            for s, x in apply_at(r, i, arity, vec, base).items()}
+
+
 def test_far_commutativity_of_embeddings():
     for name in ("R3.1", "R2.1", "R2.2", "R2.3", "R1.1", "R1.2", "R1.3", "R1.4"):
         r = get_rmatrix(name).matrix
