@@ -24,12 +24,11 @@ from .tensor import (
     Verdict,
     invert,
     kron,
-    matmul,
+    matmul,  # not called here; perfbench's tracer self-test reads eyb.matmul
     matmul_sub,
     matrix_from_json,
     matrix_to_json,
     matrix_substitute,
-    matsub,
     scalar_scale,
     weighted_trace,
 )
@@ -75,12 +74,12 @@ def verify_eyb(op):
     diff = matmul_sub(op.r, mumu, mumu, op.r)
     if not diff.is_zero():
         return Verdict(False, "commute", residual=diff)
-    # Tr_2(Y (mu x mu)) = Tr_2(Y (1 x mu)) mu must be alpha^(+-1) beta mu for
-    # Y = R^(+-1); R is inverted only once the first condition holds
+    # Tr_2(Y (mu x mu)) = Tr_2(Y (1 x mu)) mu must be (c 1) mu, c = alpha^(+-1)
+    # beta, for Y = R^(+-1); R is inverted only once the first condition holds
     for condition, power in (("trace2", 1), ("trace2-inverse", -1)):
         y = op.r if power == 1 else invert(op.r)
-        diff = matsub(matmul(weighted_trace(y, op.mu, [2]), op.mu),
-                      scalar_scale(op.mu, op.alpha ** power * op.beta))
+        c = SquareMatrix.diagonal(op.ctx, [op.alpha ** power * op.beta] * op.mu.side)
+        diff = matmul_sub(weighted_trace(y, op.mu, [2]), op.mu, c, op.mu)
         if not diff.is_zero():
             return Verdict(False, condition, residual=diff)
     return Verdict(True)

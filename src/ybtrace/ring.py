@@ -45,6 +45,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import (
     ContextMismatch, ExponentOverflow, NotAUnit, NotDivisible, ParseError, UnknownName,
@@ -527,6 +529,61 @@ def dot(ctx, pairs):
     if flagged:
         acc, den = _settle(ctx, flagged, acc, den)
     return _scalar(ctx, acc, den)
+
+
+def dot_entries(ctx, plus, minus):
+    """{key: sum of x * y over plus' (key, x, y) triples minus the same sum over
+    minus'}, holding only the nonzero sums; ContextMismatch for a scalar
+    outside ``ctx``.
+
+    Each key is ``dot`` with its own accumulator and running denominator, and
+    the sign of a minus triple is part of the scale, so nothing is negated.
+    A zero, and a term product that hits a guard bit, stay in the
+    accumulator until the key's one ``_settle``, zero drop and gcd at the
+    end, so a product past the exponent range raises ExponentOverflow even
+    when it cancels.
+    """
+    zero = ctx._layout.zero
+    sums = {}  # key -> [accumulator, running denominator]
+    for triples, sign in ((plus, 1), (minus, -1)):
+        for key, x, y in triples:
+            if x.ctx is not ctx or y.ctx is not ctx:
+                for z in (x, y):
+                    if z.ctx != ctx:
+                        raise ContextMismatch(f"contexts differ: {ctx!r} vs {z.ctx!r}")
+            d = x._den * y._den
+            state = sums.get(key)
+            if state is None:
+                acc = {}
+                sums[key] = [acc, d]
+                scale = sign
+            else:
+                acc, den = state
+                if den % d:  # over the lcm of the denominators
+                    up = d // math.gcd(den, d)
+                    den = state[1] = den * up
+                    for k in acc:
+                        acc[k] *= up
+                scale = sign * (den // d)
+            get = acc.get
+            y_items = y._nums.items()
+            for k1, c1 in x._nums.items():
+                k1 -= zero
+                c1 *= scale
+                for k2, c2 in y_items:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+    guard = ctx._layout.guard
+    out = {}
+    for key, (acc, den) in sums.items():
+        if reduce(or_, acc, 0) & guard:
+            flagged = [(k, c) for k, c in acc.items() if k & guard]
+            for k, _ in flagged:
+                del acc[k]
+            acc, den = _settle(ctx, flagged, acc, den)
+        if any(acc.values()):
+            out[key] = _scalar(ctx, {k: c for k, c in acc.items() if c}, den)
+    return out
 
 
 def pow_int(x, k):
@@ -1141,7 +1198,7 @@ def scalar_to_json(x):
             "re": str(_rational(a, den)),
             "im": str(_rational(b, den)),
             "exps": {
-                name: str(Fraction(d, 2))
+                name: str(d // 2) if d % 2 == 0 else f"{d}/2"
                 for name, d in zip(x.ctx.names, exps)
                 if d
             },

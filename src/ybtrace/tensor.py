@@ -21,7 +21,8 @@ from .errors import (
     PositionOutOfRange,
 )
 from .ring import (
-    dot, json_field, scalar_from_json, scalar_to_json, substitute, try_div_exact,
+    dot, dot_entries, json_field, scalar_from_json, scalar_to_json, substitute,
+    try_div_exact,
 )
 
 # Largest state count (matrix side) that braid_representation and
@@ -132,8 +133,7 @@ def matadd(a, b):
 
 
 def matsub(a, b):
-    """a - b: the residual of an exact identity whose right side is not a
-    product; ``matmul_sub`` takes the residual of a product identity."""
+    """a - b; ``matmul_sub`` takes the residual of a product identity."""
     _check_operands(a, b)
     acc = dict(a.entries)
     for key, v in b.entries.items():
@@ -171,13 +171,19 @@ def _sums(ctx, pairs):
             for key, p in pairs.items()}
 
 
-def _add_pairs(pairs, a_items, b):
-    """List each product x * y of a's (key, x) items and b's entries under
-    its output key in ``pairs``; b's rows are indexed once."""
-    b_rows = {}
+def _rows(b):
+    """{row: [(column, entry)]} of b's stored entries."""
+    rows = {}
     for (r, c), v in b.entries.items():
-        b_rows.setdefault(r, []).append((c, v))
-    for (r, k), va in a_items:
+        rows.setdefault(r, []).append((c, v))
+    return rows
+
+
+def _add_pairs(a, b):
+    """{(r, c): the (x, y) pairs of a[r, k] and b[k, c]}; b's rows are indexed once."""
+    b_rows = _rows(b)
+    pairs = {}
+    for (r, k), va in a.entries.items():
         for c, vb in b_rows.get(k, ()):
             pairs.setdefault((r, c), []).append((va, vb))
     return pairs
@@ -185,22 +191,27 @@ def _add_pairs(pairs, a_items, b):
 
 def matmul(a, b):
     _check_operands(a, b)
-    pairs = _add_pairs({}, a.entries.items(), b)
-    return SquareMatrix(a.ctx, a.side, _sums(a.ctx, pairs))
+    return SquareMatrix(a.ctx, a.side, _sums(a.ctx, _add_pairs(a, b)))
+
+
+def _triples(a, b):
+    """The ((r, c), a[r, k], b[k, c]) triple of each product; b's rows are indexed once."""
+    b_rows = _rows(b)
+    return [((r, c), va, vb)
+            for (r, k), va in a.entries.items() for c, vb in b_rows.get(k, ())]
 
 
 def matmul_sub(a, b, c, d):
     """a*b - c*d: the residual of a product identity.
 
-    Each output entry sums the pairs of both products in one ``ring.dot``,
-    with every entry of c negated once, so neither product is built on its
-    own.  The four operands' contexts and sides are checked before any
-    product is formed.
+    The products of both sides go to one ``ring.dot_entries``, which keeps
+    one accumulator per output entry and subtracts c*d's products by their
+    sign, so neither product is built on its own and an entry that cancels
+    builds no Scalar.  The four operands' contexts and sides are checked
+    before any product is formed.
     """
     _check_operands(a, b, c, d)
-    pairs = _add_pairs({}, a.entries.items(), b)
-    _add_pairs(pairs, ((key, -v) for key, v in c.entries.items()), d)
-    return SquareMatrix(a.ctx, a.side, _sums(a.ctx, pairs))
+    return SquareMatrix(a.ctx, a.side, dot_entries(a.ctx, _triples(a, b), _triples(c, d)))
 
 
 def kron(a, b):

@@ -7,7 +7,9 @@ induction on braid closures, using no matrices at all.  The Kronecker-power
 contractions are the reference for ``tensor.weighted_trace``: they form
 mu^(x n) and the product with it, which weighted_trace never does.  The
 ``*_sequential`` contractions add each product to its entry with +, as the
-library did before it summed each entry with ``ring.dot``.  The checked
+library did before it summed each entry with ``ring.dot``, and
+``matmul_sub_by_pairs`` is the product residual as it was before its keyed
+kernel, one ``ring.dot`` per entry.  The checked
 inverse and division are the ring's routes before its fast paths.  The
 term-dict arithmetic at the end, over the Fraction-based GaussianRational
 below, is the reference for the ring's packed terms and int coefficients.
@@ -19,6 +21,7 @@ import math
 from fractions import Fraction
 
 from ybtrace.errors import DimensionMismatch
+from ybtrace.ring import dot
 from ybtrace.tensor import SquareMatrix, _check_ctx, _slot_base, kron
 
 
@@ -399,6 +402,27 @@ def weighted_trace_sequential(a, mu, slots):
             key = (rk, ck)
             entries[key] = entries[key] + term if key in entries else term
     return SquareMatrix(a.ctx, base ** (arity - len(slots)), entries)
+
+
+def matmul_sub_by_pairs(a, b, c, d):
+    """a*b - c*d as ``tensor.matmul_sub`` formed it before ``ring.dot_entries``:
+    each output entry's (x, y) pairs listed, with every entry of c negated
+    into a new Scalar, and summed by one ``ring.dot`` (a lone pair by *)."""
+    for other in (b, c, d):
+        _check_ctx(a, other)
+        if a.side != other.side:
+            raise DimensionMismatch(f"sides differ: {a.side} vs {other.side}")
+    pairs = {}
+    for x, y, negate in ((a, b, False), (c, d, True)):
+        y_rows = {}
+        for (r, k), v in y.entries.items():
+            y_rows.setdefault(r, []).append((k, v))
+        for (r, k), v in x.entries.items():
+            v = -v if negate else v
+            for col, w in y_rows.get(k, ()):
+                pairs.setdefault((r, col), []).append((v, w))
+    return SquareMatrix(a.ctx, a.side, {
+        key: p[0][0] * p[0][1] if len(p) == 1 else dot(a.ctx, p) for key, p in pairs.items()})
 
 
 # -- the ring's checked routes ---------------------------------------------------

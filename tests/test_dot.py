@@ -1,5 +1,6 @@
-"""``ring.dot`` against the sum of products it replaces, and the contractions
-built on it against the sequential ones in ``oracles``.
+"""``ring.dot`` against the sum of products it replaces, ``ring.dot_entries``
+against one ``dot`` per key, and the contractions built on them against the
+sequential ones and the earlier residual route in ``oracles``.
 
 ``dot`` must give the very Scalar that adding x * y one pair at a time
 gives: equal, with the same text and the same numerators over the same
@@ -20,7 +21,7 @@ from ybtrace import catalog, eyb, invariant, tensor
 from ybtrace.braid import BraidWord
 from ybtrace.dressing import preset_dressings
 from ybtrace.errors import ContextMismatch, DimensionMismatch, ExponentOverflow
-from ybtrace.ring import MAX_EXPONENT, Scalar, ScalarContext, dot, format_scalar
+from ybtrace.ring import MAX_EXPONENT, Scalar, ScalarContext, dot, dot_entries, format_scalar
 
 CONTEXTS = {
     "R1.1": ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),)),
@@ -248,19 +249,76 @@ def _random_matrix(rng, ctx, side):
 
 
 def test_matmul_sub_is_the_difference_of_the_sequential_products():
-    ctx = CONTEXTS["R1.1"]
     rng = random.Random(20261018)
     mm = oracles.matmul_sequential
-    for _ in range(80):
-        side = rng.choice((2, 3, 4, 8))
-        a, b, c, d = (_random_matrix(rng, ctx, side) for _ in range(4))
-        # operands shared between the products, as check_ybe passes them,
-        # and a second product that cancels part of the first
-        near_b = tensor.matadd(b, _random_matrix(rng, ctx, side))
-        for args in ((a, b, c, d), (a, b, b, a), (a, b, a, near_b)):
-            _assert_same_matrix(tensor.matmul_sub(*args),
-                                tensor.matsub(mm(*args[:2]), mm(*args[2:])))
-        assert tensor.matmul_sub(a, b, a, b).entries == {}
+    for ctx in CONTEXTS.values():
+        for _ in range(80):
+            side = rng.choice((2, 3, 4, 8))
+            a, b, c, d = (_random_matrix(rng, ctx, side) for _ in range(4))
+            # operands shared between the products, as check_ybe passes them,
+            # and a second product that cancels part of the first
+            near_b = tensor.matadd(b, _random_matrix(rng, ctx, side))
+            for args in ((a, b, c, d), (a, b, b, a), (a, b, a, near_b)):
+                got = tensor.matmul_sub(*args)
+                _assert_same_matrix(got, tensor.matsub(mm(*args[:2]), mm(*args[2:])))
+                _assert_same_matrix(got, oracles.matmul_sub_by_pairs(*args))
+            assert tensor.matmul_sub(a, b, a, b).entries == {}
+
+
+def _transformed(op, sign, rng):
+    """op.r under each of the benchmark's four YBE-preserving transformations:
+    the elementary similarity with a seeded +-g and kappa = +-g, g the row's
+    first generator and the slot of Q set by the sign, then transpose, shift
+    and flip."""
+    ctx = op.ctx
+    g = ctx.gen(ctx.generators[0])
+    one = ctx.one()
+    slot = (0, 1) if sign == "+" else (1, 0)
+    q = tensor.SquareMatrix(ctx, 2, {(0, 0): one, (1, 1): one,
+                                     slot: ctx.scalar(rng.choice((1, -1))) * g})
+    kappa = ctx.scalar(rng.choice((1, -1))) * g
+    specs = (catalog.TransformSpec("similarity", kappa=kappa, q=q),
+             catalog.TransformSpec("transpose"), catalog.TransformSpec("shift", n=1),
+             catalog.TransformSpec("flip"))
+    return [catalog.transform_rmatrix(op.r, t) for t in specs]
+
+
+def test_ybe_residual_of_every_transformed_row_matches_both_oracles():
+    rng = random.Random(20261018)
+    mm = oracles.matmul_sequential
+    perturbed = broken_count = 0
+    for e in eyb.table1_entries():
+        for sign in "+-":
+            op = e.build(sign)
+            ctx = op.ctx
+            for r in _transformed(op, sign, rng):
+                # as is, then with one stored entry moved by +-1 and by +-1/2
+                cases = [r]
+                for step in (1, Fraction(1, 2)):
+                    entries = dict(r.entries)
+                    key = rng.choice(sorted(entries))
+                    entries[key] = entries[key] + ctx.scalar(rng.choice((1, -1)) * step)
+                    cases.append(tensor.SquareMatrix(ctx, r.side, entries))
+                for k, case in enumerate(cases):
+                    r12, r23 = _embedded(case)
+                    p = tensor.matmul(r12, r23)
+                    got = tensor.matmul_sub(p, r12, r23, p)
+                    _assert_same_matrix(got, oracles.matmul_sub_by_pairs(p, r12, r23, p))
+                    _assert_same_matrix(
+                        got, tensor.matsub(mm(mm(r12, r23), r12), mm(mm(r23, r12), r23)))
+                    verdict = catalog.check_ybe(case)
+                    ok, index, residual = _check_ybe_sequential(case)
+                    assert (verdict.ok, verdict.index) == (ok, index)
+                    if k == 0:
+                        assert ok and got.is_zero()
+                        continue
+                    perturbed += 1
+                    if not ok:
+                        _assert_same(verdict.residual, residual)
+                        broken_count += 1
+    # some entries can move without breaking the equation; most cannot
+    assert perturbed == len(eyb.table1_entries()) * 2 * 4 * 2
+    assert broken_count > 3 * perturbed // 4
 
 
 def test_matmul_sub_checks_every_operand_before_any_product(monkeypatch):
@@ -277,9 +335,95 @@ def test_matmul_sub_checks_every_operand_before_any_product(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", no_product)
     monkeypatch.setattr(Scalar, "__neg__", no_product)
     monkeypatch.setattr(tensor, "dot", no_product)
+    monkeypatch.setattr(tensor, "dot_entries", no_product)
     for bad, error in ((wider, DimensionMismatch), (other, ContextMismatch)):
         for slot in range(4):
             args = [good] * 4
             args[slot] = bad
             with pytest.raises(error):
                 tensor.matmul_sub(*args)
+
+
+def test_matmul_sub_raises_for_an_overflow_that_cancels_and_for_a_foreign_entry():
+    ctx = ScalarContext(("q",))
+    q = ctx.gen("q")
+    for big, small in ((ctx.gen("q", MAX_EXPONENT - 1), q),
+                       (ctx.gen("q", -MAX_EXPONENT), q ** -1)):
+        # a*b - a*b is zero, but its products leave the exponent range
+        a = tensor.SquareMatrix(ctx, 2, {(0, 0): big, (0, 1): q, (1, 1): q})
+        b = tensor.SquareMatrix(ctx, 2, {(0, 0): small, (1, 0): q, (1, 1): q})
+        for matmul_sub in (tensor.matmul_sub, oracles.matmul_sub_by_pairs):
+            with pytest.raises(ExponentOverflow):
+                matmul_sub(a, b, a, b)
+    # a matrix over ctx that holds a scalar of another context
+    other = ScalarContext(("q", "p"))
+    good = tensor.SquareMatrix(ctx, 2, {(0, 0): q, (1, 1): q})
+    foreign = tensor.SquareMatrix(ctx, 2, {(0, 0): q, (1, 1): other.gen("p")})
+    for slot in range(4):
+        args = [good] * 4
+        args[slot] = foreign
+        for matmul_sub in (tensor.matmul_sub, oracles.matmul_sub_by_pairs):
+            with pytest.raises(ContextMismatch):
+                matmul_sub(*args)
+
+
+# -- dot_entries against one dot per key -------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_dot_entries_is_one_dot_per_key(name):
+    ctx = CONTEXTS[name]
+    rng = random.Random(20261018)
+    for _ in range(200):
+        plus, minus = ([(rng.randrange(4), _random_scalar(rng, ctx), _random_scalar(rng, ctx))
+                        for _ in range(rng.randint(0, 8))] for _ in range(2))
+        got = dot_entries(ctx, plus, minus)
+        for key in range(4):
+            want = dot(ctx, [(x, y) for k, x, y in plus if k == key]
+                       + [(-x, y) for k, x, y in minus if k == key])
+            if want.is_zero():
+                assert key not in got
+            else:
+                _assert_same(got[key], want)
+        # the same triples on both sides cancel in every key
+        assert dot_entries(ctx, plus + minus, minus + plus) == {}
+    assert dot_entries(ctx, [], []) == {}
+
+
+# -- verify_eyb's failing verdicts against the matrix route -------------------------
+
+
+def _trace_residual(y, mu, c):
+    """The trace condition's residual as verify_eyb formed it before it took one
+    residual call: Tr_2(Y (1 x mu)) mu - c mu by matmul, scalar_scale and matsub."""
+    return tensor.matsub(tensor.matmul(tensor.weighted_trace(y, mu, [2]), mu),
+                         tensor.scalar_scale(mu, c))
+
+
+def test_verify_eyb_fails_each_condition_with_the_matrix_routes_residual():
+    for op in _operators():
+        ctx = op.ctx
+        g = ctx.gen(ctx.generators[0])
+        # commute: g added to an off-diagonal entry of mu; one of the two breaks it
+        for key in ((1, 0), (0, 1)):
+            entries = dict(op.mu.entries)
+            entries[key] = entries.get(key, ctx.zero()) + g
+            mu = tensor.SquareMatrix(ctx, 2, entries)
+            verdict = eyb.verify_eyb(eyb.EnhancedOperator(op.r, mu, op.alpha, op.beta))
+            if verdict.condition == "commute":
+                break
+        assert verdict.condition == "commute"
+        mumu = tensor.kron(mu, mu)
+        _assert_same_matrix(verdict.residual, oracles.matmul_sub_by_pairs(op.r, mumu, mumu, op.r))
+        _assert_same_matrix(verdict.residual, tensor.matsub(tensor.matmul(op.r, mumu),
+                                                            tensor.matmul(mumu, op.r)))
+        # trace2: alpha times g; trace2-inverse: alpha times g and beta over g,
+        # so alpha*beta holds and alpha^-1*beta is off by g^-2
+        for condition, alpha, beta in (("trace2", op.alpha * g, op.beta),
+                                       ("trace2-inverse", op.alpha * g, op.beta * g ** -1)):
+            verdict = eyb.verify_eyb(eyb.EnhancedOperator(op.r, op.mu, alpha, beta))
+            assert verdict.condition == condition
+            y, c = ((op.r, alpha * beta) if condition == "trace2"
+                    else (tensor.invert(op.r), alpha ** -1 * beta))
+            _assert_same_matrix(verdict.residual, _trace_residual(y, op.mu, c))
+            assert not verdict.residual.is_zero()

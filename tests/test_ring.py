@@ -271,6 +271,15 @@ def test_json_round_trip(ctx_pq):
     assert exps <= {"p", "q", "sqrt_pq"}
 
 
+def test_json_writes_a_doubled_exponent_as_an_integer_or_a_half():
+    ctx = ScalarContext(("a", "b", "c", "d"))
+    x = Scalar(ctx, {(-3, -2, 1, 4): 1})
+    (term,) = scalar_to_json(x)["terms"]
+    assert term["exps"] == {"a": "-3/2", "b": "-1", "c": "1/2", "d": "2"}
+    assert [str(Fraction(d, 2)) for d in (-3, -2, 1, 4)] == list(term["exps"].values())
+    assert scalar_from_json(ctx, scalar_to_json(x)) == x
+
+
 # -- randomized properties ----------------------------------------------------
 
 
