@@ -7,27 +7,31 @@ unknot-normalized form.  No representation of the whole word is formed.
 
 When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
 column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n:
-u^(x n) is pushed through the word one crossing at a time
-(``tensor.apply_at``), and one exact division by (beta * piv)^n ends it.
+u^(x n), packed as a ``ring.PackedVector``, is pushed through the word one
+crossing at a time (``tensor.push_at``), one ``ring.contract`` against
+v^(x n) takes the dot product, and one exact division by (beta * piv)^n
+ends it.  No Scalar is formed between the crossings.
 
 Every other mu takes the half-word closure, which ``open_trace`` shares
 with the strands 2..n closed instead of all of them.  With rep = A B for
 the left and right halves of the word, the partial trace over the k
 closed slots of rep (1 (x) M), M = mu^(x k), is that of (1 (x) M) A B,
 because 1 (x) M acts on the traced slots only.  B is built as a sparse
-matrix; the rows of 1 (x) M are pulled back through A, one letter at a
-time by ``apply_at`` on the transposed crossing, and meet B's columns in
-one ``ring.dot`` per entry of the block left on the kept strands.  That
-block is divided by beta once per closed slot and multiplied by
-alpha^(-writhe).  ``alexander_nabla`` is the open trace of row R1.2/1 at
-q = t^-2 (sqrt_q -> t^-1).
+matrix from the embeddings kept on R and R^-1; the rows of 1 (x) M, packed
+as one vector, are pulled back through A, one letter at a time by
+``push_at`` on the transposed crossing, and one ``ring.contract`` against
+B's columns gives the block left on the kept strands.  That block is
+divided by beta once per closed slot and multiplied by alpha^(-writhe).
+``alexander_nabla`` is the open trace of row R1.2/1 at q = t^-2
+(sqrt_q -> t^-1).
 
 What depends only on the operator is kept on it on first use: the rank-one
-factors, the unknot value, per strand count n u^(x n), v^(x n) and
-(beta * piv)^n; per strand count and kept strand count the rows of
-1 (x) M, when they hold at most ``tensor.MAX_ENTRIES`` entries; per
-closed-slot count k beta^k; and the transposes of R and R^-1.  Nothing
-keyed by a braid word or a writhe is kept.
+factors, the unknot value, per strand count n the packed u^(x n), the
+contraction pairs of v^(x n) and (beta * piv)^n; per strand count and kept
+strand count the packed rows of 1 (x) M, when they hold at most
+``tensor.MAX_ENTRIES`` entries; per closed-slot count k beta^k; and the
+transposes of R and R^-1.  The crossings keep their tables and embeddings
+on their matrices.  Nothing keyed by a braid word or a writhe is kept.
 """
 
 from __future__ import annotations
@@ -47,18 +51,18 @@ from .errors import (
 )
 from .eyb import EnhancedOperator, get_table1_eyb, table1_entries
 from .ring import (
-    Scalar, ScalarContext, dot, format_scalar, pow_int, substitute, try_div_exact,
+    Scalar, ScalarContext, contract, format_scalar, pack, pow_int, substitute,
+    try_div_exact,
 )
 from .tensor import (
     MAX_ENTRIES,
     MAX_STATES,
     SquareMatrix,
     Verdict,
-    apply_at,
-    embed_generator,
     invert,
     matadd,
     matmul,
+    push_at,
     scalar_scale,
     trace,
 )
@@ -77,7 +81,9 @@ def _states(base, n):
 
 
 def braid_representation(r, b, base=None):
-    """Image of a braid word under the crossing operator r, sparsely."""
+    """Image of a braid word under the crossing operator r, sparsely, as the
+    product of the embeddings that r and its inverse keep
+    (``SquareMatrix.embedding``)."""
     if base is None:
         base = math.isqrt(r.side)
     n = b.strands
@@ -85,14 +91,10 @@ def braid_representation(r, b, base=None):
     if not b.letters:
         return SquareMatrix.identity(r.ctx, total)
     rinv = invert(r) if any(k < 0 for k in b.letters) else None
-    embeds = {}
     result = None
     for letter in b.letters:
-        key = letter
-        if key not in embeds:
-            gen = r if letter > 0 else rinv
-            embeds[key] = embed_generator(gen, abs(letter), n, base)
-        result = embeds[key] if result is None else matmul(result, embeds[key])
+        gen = (r if letter > 0 else rinv).embedding(abs(letter), n, base)
+        result = gen if result is None else matmul(result, gen)
     return result
 
 
@@ -160,20 +162,23 @@ def _tensor_power(w, n, base, one):
 def _pushed_trace(op, b, u, v, piv):
     """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv, by one push.
 
-    u^(x n), v^(x n) and (beta * piv)^n are kept on ``op`` per n, once n is
-    known to be within the strand cap.
+    u^(x n) packed, v^(x n) as the pairs of the closing contraction and
+    (beta * piv)^n are kept on ``op`` per n, once n is known to be within
+    the strand cap.
     """
-    n, base, one = b.strands, op.base_dim, op.ctx.one()
+    n, base, ctx = b.strands, op.base_dim, op.ctx
     _states(base, n)
     vec, row, scale = _kept(op, n, lambda: (
-        _tensor_power(u, n, base, one),
-        _tensor_power(v, n, base, one),
+        pack(ctx, _tensor_power(u, n, base, ctx.one())),
+        {s: ((0, y),) for s, y in _tensor_power(v, n, base, ctx.one()).items()},
         pow_int(op.beta * piv, n),
     ))
     rinv = invert(op.r) if any(k < 0 for k in b.letters) else None
     for letter in reversed(b.letters):
-        vec = apply_at(op.r if letter > 0 else rinv, abs(letter), n, vec, base)
-    raw = dot(op.ctx, [(x, row[s]) for s, x in vec.items() if s in row])
+        vec = push_at(op.r if letter > 0 else rinv, abs(letter), n, vec, base)
+    raw = contract(vec, row).get(0)
+    if raw is None:
+        raw = ctx.zero()
     return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, scale)
 
 
@@ -210,9 +215,10 @@ def _closure(op, b, keep):
 
     Block entry (i, j) sums row (i, s) of (1 (x) mu^(x k)) A against column
     (j, s) of B over the closed states s, for rep(b) = A B split at the
-    middle letter.  Rows within the entry cap are kept on ``op`` and pulled
-    back through A as one vector keyed by row * states + column; others
-    are built and pulled one at a time.
+    middle letter.  Rows within the entry cap are kept on ``op``, packed as
+    one vector keyed by row * states + column, and pulled back through A
+    together; others are built, packed and pulled one at a time.  The
+    block is one contraction of the pulled rows against B's columns.
     Raises StrandBoundViolation before anything is built or kept,
     DimensionMismatch for a side-1 weight, which has no slot to close, and
     ProportionalityFailure when the block is not a multiple of the identity
@@ -228,24 +234,24 @@ def _closure(op, b, keep):
     right = braid_representation(op.r, BraidWord(n, b.letters[split:]), base).entries
     pullbacks = {positive: _pullback(op, positive) for positive in {letter > 0 for letter in left}}
     if base ** keep * len(op.mu.entries) ** k > MAX_ENTRIES:
-        batches = _weight_rows(op.mu, keep, k, total, ctx.one())
+        batches = (pack(ctx, row) for row in _weight_rows(op.mu, keep, k, total, ctx.one()))
     else:
-        batches = (_kept(op, ("rows", n, keep), lambda: {
+        batches = (_kept(op, ("rows", n, keep), lambda: pack(ctx, {
             key: x for row in _weight_rows(op.mu, keep, k, total, ctx.one())
-            for key, x in row.items()}),)
+            for key, x in row.items()})),)
+    # B's entry (x, (j, s)) meets the pulled row (i, s) at column x
     closed = base ** k
-    pairs = {}
+    columns = {}
+    for (x, c), v in right.items():
+        j, s = divmod(c, closed)
+        for i in range(base ** keep):
+            columns.setdefault((i * closed + s) * total + x, []).append(((i, j), v))
+    block = {}
     for vec in batches:
         for letter in left:
-            vec = apply_at(pullbacks[letter > 0], abs(letter), n, vec, base)
-        for key, y in vec.items():
-            state, x = divmod(key, total)
-            i, s = divmod(state, closed)
-            for j in range(base ** keep):
-                v = right.get((x, j * closed + s))
-                if v is not None:
-                    pairs.setdefault((i, j), []).append((y, v))
-    block = {key: dot(ctx, p) for key, p in pairs.items()}
+            vec = push_at(pullbacks[letter > 0], abs(letter), n, vec, base)
+        for key, v in contract(vec, columns).items():
+            block[key] = block[key] + v if key in block else v
     block = {key: v for key, v in block.items() if not v.is_zero()}
     value = block.get((0, 0), ctx.zero())
     if block != ({} if value.is_zero() else {(i, i): value for i in range(base ** keep)}):

@@ -46,6 +46,7 @@ import math
 import re
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 from .errors import (
@@ -573,17 +574,217 @@ def dot_entries(ctx, plus, minus):
                 for k2, c2 in y_items:
                     k = k1 + k2
                     acc[k] = get(k, 0) + c1 * c2
+    return _finish_sums(ctx, sums, 1)
+
+
+def _settled(ctx, acc, den):
+    """(acc, den) with the guard-bit keys of a raw accumulator, changed in
+    place, settled; ``den`` grows when a radicand has a denominator.  Zeros
+    may remain."""
+    guard = ctx._layout.guard
+    flagged = [(k, c) for k, c in acc.items() if k & guard]
+    for k, _ in flagged:
+        del acc[k]
+    return _settle(ctx, flagged, acc, den)
+
+
+def _finish_sums(ctx, sums, scale):
+    """{key: Scalar} of the nonzero sums among {key: [raw accumulator, den]},
+    every denominator times ``scale``."""
     guard = ctx._layout.guard
     out = {}
     for key, (acc, den) in sums.items():
         if reduce(or_, acc, 0) & guard:
-            flagged = [(k, c) for k, c in acc.items() if k & guard]
-            for k, _ in flagged:
-                del acc[k]
-            acc, den = _settle(ctx, flagged, acc, den)
+            acc, den = _settled(ctx, acc, den)
         if any(acc.values()):
-            out[key] = _scalar(ctx, {k: c for k, c in acc.items() if c}, den)
+            if not all(acc.values()):
+                acc = {k: c for k, c in acc.items() if c}
+            out[key] = _scalar(ctx, acc, den * scale)
     return out
+
+
+# -- packed vectors ------------------------------------------------------------
+
+
+class PackedVector:
+    """A sparse vector of ring elements kept as raw terms.
+
+    Entry ``index`` is ``_packed[index]``, a {packed key: int numerator} dict,
+    over the one positive denominator ``_den`` that all entries share.  No
+    entry is empty, but no gcd is taken either: the terms are reduced to a
+    Scalar only by ``unpack`` and ``contract``.  Built by ``pack`` and
+    ``push``; two vectors are equal when their entries are.
+    """
+
+    __slots__ = ("ctx", "_packed", "_den")
+
+    def __init__(self, ctx, packed, den):
+        self.ctx, self._packed, self._den = ctx, packed, den
+
+    def __len__(self):
+        """The number of nonzero entries."""
+        return len(self._packed)
+
+    def unpack(self):
+        """{index: Scalar} of the entries, in the vector's order."""
+        ctx, den = self.ctx, self._den
+        return {index: _scalar(ctx, acc, den) for index, acc in self._packed.items()}
+
+    def __eq__(self, other):
+        if not isinstance(other, PackedVector):
+            return NotImplemented
+        return self.ctx == other.ctx and self.unpack() == other.unpack()
+
+
+def _check_scalars(ctx, values):
+    for x in values:
+        if x.ctx is not ctx and x.ctx != ctx:
+            raise ContextMismatch(f"contexts differ: {ctx!r} vs {x.ctx!r}")
+
+
+def pack(ctx, vec):
+    """The PackedVector of the nonzero entries of ``vec``, {index: Scalar of
+    ``ctx``}, over the lcm of their denominators; ContextMismatch for a
+    scalar outside ``ctx``."""
+    _check_scalars(ctx, vec.values())
+    den = math.lcm(*(x._den for x in vec.values()))
+    return PackedVector(ctx, {
+        index: x._nums if x._den == den
+        else {k: c * (den // x._den) for k, c in x._nums.items()}
+        for index, x in vec.items() if x._nums}, den)
+
+
+def crossing_table(ctx, side, columns):
+    """The form of a crossing that ``push`` applies.
+
+    ``columns`` maps each column of an operator of side ``side`` (a digit
+    pair) to its (row - column, Scalar) entries in row order.  Each Scalar
+    becomes (key - zero key, numerator) pairs over one denominator, the lcm
+    of the entries', so that a product of terms is one int addition and one
+    int multiplication.  ContextMismatch for an entry outside ``ctx``.
+    """
+    _check_scalars(ctx, (x for entries in columns.values() for _, x in entries))
+    zero = ctx._layout.zero
+    den = math.lcm(*(x._den for entries in columns.values() for _, x in entries))
+    table = {pair: [(delta, [(k - zero, c * (den // x._den)) for k, c in x._nums.items()])
+                    for delta, x in entries]
+             for pair, entries in columns.items()}
+    return ctx, side, table, den
+
+
+def push(vec, table, right):
+    """The image of the PackedVector ``vec`` under a crossing table applied at
+    the digit pair just above the lowest ``right`` states.
+
+    A state's pair digit is (state // right) % side; the crossing's column
+    for that digit sends the state to state + (row - column) * right with
+    its entry as factor, so the digits above and below the pair pass
+    through.  Every output index has one raw accumulator over the product of
+    the two denominators; an entry landing on a fresh index fills it with
+    its first term in one comprehension, which forms no zero.  Guard-bit
+    keys and zeros stay in the accumulators until the end, where one test
+    over all keys finds whether any index needs settling, so a product past
+    the exponent range raises ExponentOverflow even when it cancels, and a
+    radicand with a denominator rescales the whole vector.  Neither a gcd
+    nor a Scalar is formed.  ContextMismatch when the table belongs to
+    another context.
+    """
+    ctx, side, columns, den = table
+    if ctx is not vec.ctx and ctx != vec.ctx:
+        raise ContextMismatch(f"contexts differ: {vec.ctx!r} vs {ctx!r}")
+    out = {}
+    get = out.get
+    summed = False  # whether a product was added to a term, which may cancel
+    for state, x in vec._packed.items():
+        entries = columns.get(state // right % side)
+        if entries is None:
+            continue
+        x_items = x.items()
+        for delta, terms in entries:
+            index = state + delta * right
+            acc = get(index)
+            if acc is None:
+                k2, c2 = terms[0]
+                acc = out[index] = {k1 + k2: c1 * c2 for k1, c1 in x_items}
+                if len(terms) == 1:
+                    continue
+                terms = terms[1:]
+            summed = True
+            acc_get = acc.get
+            for k2, c2 in terms:
+                for k1, c1 in x_items:
+                    k = k1 + k2
+                    acc[k] = acc_get(k, 0) + c1 * c2
+    den *= vec._den
+    if reduce(or_, chain.from_iterable(out.values()), 0) & ctx._layout.guard:
+        return _settled_vector(ctx, out, den)
+    if summed and not all(map(all, map(dict.values, out.values()))):
+        out = {index: acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
+               for index, acc in out.items()}
+        out = {index: acc for index, acc in out.items() if acc}
+    return PackedVector(ctx, out, den)
+
+
+def _settled_vector(ctx, out, den):
+    """The PackedVector of raw accumulators over ``den``, each settled and
+    rid of zeros, over one denominator again when a settle grew one."""
+    guard = ctx._layout.guard
+    packed, grown = {}, {}
+    for index, acc in out.items():
+        acc, d = _settled(ctx, acc, den) if reduce(or_, acc, 0) & guard else (acc, den)
+        if any(acc.values()):
+            packed[index] = acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
+            if d != den:
+                grown[index] = d // den
+    if grown:
+        up = math.lcm(*grown.values())
+        packed = {index: {k: c * (up // grown.get(index, 1)) for k, c in acc.items()}
+                  for index, acc in packed.items()}
+        den *= up
+    return PackedVector(ctx, packed, den)
+
+
+def contract(vec, pairs):
+    """{key: sum of vec[s] * y over the (key, y) pairs listed under each
+    index s of ``vec``}, holding only the nonzero sums.
+
+    ``pairs`` maps an index to its (key, y) pairs, y a Scalar of the
+    vector's context (ContextMismatch otherwise).  Each key has one raw
+    accumulator over its own running denominator, as in ``dot_entries``.
+    """
+    ctx = vec.ctx
+    zero = ctx._layout.zero
+    sums = {}  # key -> [accumulator, running denominator]
+    for index, x in vec._packed.items():
+        listed = pairs.get(index)
+        if listed is None:
+            continue
+        x_items = x.items()
+        for key, y in listed:
+            if y.ctx is not ctx and y.ctx != ctx:
+                raise ContextMismatch(f"contexts differ: {ctx!r} vs {y.ctx!r}")
+            d = y._den
+            state = sums.get(key)
+            if state is None:
+                acc = {}
+                sums[key] = [acc, d]
+                scale = 1
+            else:
+                acc, den = state
+                if den % d:  # over the lcm of the denominators
+                    up = d // math.gcd(den, d)
+                    den = state[1] = den * up
+                    for k in acc:
+                        acc[k] *= up
+                scale = den // d
+            acc_get = acc.get
+            for k2, c2 in y._nums.items():
+                k2 -= zero
+                c2 *= scale
+                for k1, c1 in x_items:
+                    k = k1 + k2
+                    acc[k] = acc_get(k, 0) + c1 * c2
+    return _finish_sums(ctx, sums, vec._den)
 
 
 def pow_int(x, k):

@@ -21,8 +21,8 @@ from .errors import (
     PositionOutOfRange,
 )
 from .ring import (
-    dot, dot_entries, json_field, scalar_from_json, scalar_to_json, substitute,
-    try_div_exact,
+    crossing_table, dot, dot_entries, json_field, pack, push, scalar_from_json,
+    scalar_to_json, substitute, try_div_exact,
 )
 
 # Largest state count (matrix side) that braid_representation and
@@ -51,18 +51,21 @@ def _check_operands(a, *others):
 
 
 class SquareMatrix:
-    """Immutable sparse square matrix; zero entries are never stored.
+    """Immutable sparse square matrix; zero entries are never stored, and the
+    entries are kept in (row, column) order.
 
     What is derived from the entries alone is kept on first use: the
-    inverse (``invert``) and the entries grouped by column (``apply_at``).
+    inverse (``invert``), the crossing table that ``push_at`` applies, the
+    entries grouped by row (``matmul``'s right operand) and the embeddings
+    asked for by ``embedding``, these up to MAX_ENTRIES entries in total.
     """
 
-    __slots__ = ("ctx", "side", "entries", "_inverse", "_columns")
+    __slots__ = ("ctx", "side", "entries", "_inverse", "_table", "_row_index", "_embeddings")
 
     def __init__(self, ctx, side, entries):
         self.ctx = ctx
         self.side = side
-        self._inverse = self._columns = None
+        self._inverse = self._table = self._row_index = self._embeddings = None
         clean = {}
         for (r, c) in sorted(entries):
             if not (0 <= r < side and 0 <= c < side):
@@ -71,6 +74,15 @@ class SquareMatrix:
             if not v.is_zero():
                 clean[(r, c)] = v
         self.entries = clean
+
+    @classmethod
+    def _built(cls, ctx, side, entries):
+        """The matrix of entries the library built itself, nonzero and inside
+        ``side``: sorted, with neither check."""
+        a = object.__new__(cls)
+        a.ctx, a.side, a.entries = ctx, side, {key: entries[key] for key in sorted(entries)}
+        a._inverse = a._table = a._row_index = a._embeddings = None
+        return a
 
     @classmethod
     def from_rows(cls, ctx, rows):
@@ -117,6 +129,20 @@ class SquareMatrix:
 
     def __repr__(self):
         return f"<SquareMatrix side={self.side} nnz={len(self.entries)}>"
+
+    def embedding(self, i, n, base):
+        """``embed_generator(self, i, n, base)``, kept on this matrix under
+        (i, n, base) while its kept embeddings hold at most MAX_ENTRIES
+        entries in total, and built on every call past that."""
+        kept = self._embeddings
+        if kept is None:
+            kept = self._embeddings = {}
+        found = kept.get((i, n, base))
+        if found is None:
+            found = embed_generator(self, i, n, base)
+            if sum(len(e.entries) for e in kept.values()) + len(found.entries) <= MAX_ENTRIES:
+                kept[(i, n, base)] = found
+        return found
 
     def transpose(self):
         return SquareMatrix(
@@ -165,14 +191,20 @@ def scalar_scale(a, s):
 
 
 def _sums(ctx, pairs):
-    """{key: sum of x * y over the (x, y) pairs listed under key}.  A lone
-    product is formed by ``*``, which is faster than ``dot`` on one pair."""
-    return {key: p[0][0] * p[0][1] if len(p) == 1 else dot(ctx, p)
+    """{key: sum of x * y over the (x, y) pairs listed under key}, holding
+    only the nonzero sums.  A lone product is formed by ``*``, which is
+    faster than ``dot`` on one pair."""
+    sums = {key: p[0][0] * p[0][1] if len(p) == 1 else dot(ctx, p)
             for key, p in pairs.items()}
+    for key in [key for key, v in sums.items() if v.is_zero()]:
+        del sums[key]
+    return sums
 
 
 def _rows(b):
     """{row: [(column, entry)]} of b's stored entries."""
+    if b._row_index is not None:
+        return b._row_index
     rows = {}
     for (r, c), v in b.entries.items():
         rows.setdefault(r, []).append((c, v))
@@ -180,8 +212,9 @@ def _rows(b):
 
 
 def _add_pairs(a, b):
-    """{(r, c): the (x, y) pairs of a[r, k] and b[k, c]}; b's rows are indexed once."""
-    b_rows = _rows(b)
+    """{(r, c): the (x, y) pairs of a[r, k] and b[k, c]}; b's rows are indexed
+    once and kept on b."""
+    b_rows = b._row_index = _rows(b)
     pairs = {}
     for (r, k), va in a.entries.items():
         for c, vb in b_rows.get(k, ()):
@@ -191,7 +224,7 @@ def _add_pairs(a, b):
 
 def matmul(a, b):
     _check_operands(a, b)
-    return SquareMatrix(a.ctx, a.side, _sums(a.ctx, _add_pairs(a, b)))
+    return SquareMatrix._built(a.ctx, a.side, _sums(a.ctx, _add_pairs(a, b)))
 
 
 def _triples(a, b):
@@ -211,7 +244,8 @@ def matmul_sub(a, b, c, d):
     before any product is formed.
     """
     _check_operands(a, b, c, d)
-    return SquareMatrix(a.ctx, a.side, dot_entries(a.ctx, _triples(a, b), _triples(c, d)))
+    return SquareMatrix._built(a.ctx, a.side,
+                               dot_entries(a.ctx, _triples(a, b), _triples(c, d)))
 
 
 def kron(a, b):
@@ -260,6 +294,7 @@ def embed_generator(r, i, n, base=None):
     Built by index arithmetic over the sparse entries; the identity factors
     are never materialized.  Raises DimensionMismatch, before anything is
     built, when the result would store more than MAX_ENTRIES entries.
+    ``SquareMatrix.embedding`` keeps the result on r.
     """
     base = _slot_base(r, i, n, base)
     check_embedding(len(r.entries), n, base)
@@ -272,40 +307,41 @@ def embed_generator(r, i, n, base=None):
             col_hi = (a * r.side + rc) * right
             for b in range(right):
                 entries[(row_hi + b, col_hi + b)] = v
-    return SquareMatrix(r.ctx, base ** n, entries)
+    return SquareMatrix._built(r.ctx, base ** n, entries)
 
 
-def _column_index(r):
-    """{column: [(row, entry)]} of r's stored entries, kept on r."""
-    column = {}
+def _crossing_table(r):
+    """r's columns as the ``ring.crossing_table`` that ``ring.push`` applies,
+    kept on r."""
+    columns = {}
     for (rr, rc), v in r.entries.items():
-        column.setdefault(rc, []).append((rr, v))
-    r._columns = column
-    return column
+        columns.setdefault(rc, []).append((rr - rc, v))
+    r._table = crossing_table(r.ctx, r.side, columns)
+    return r._table
+
+
+def push_at(r, i, n, packed, base):
+    """The image of a ``ring.PackedVector`` under a two-slot operator at
+    tensor slots (i, i+1) of an n-fold space of the given base.
+
+    A state's digit pair at (i, i+1) selects a column of r, and only that
+    column's stored entries are applied (``ring.push``), so nothing is
+    embedded.  The digits above the n slots pass through, so vectors packed
+    under keys index * base^n + state are pushed as one.  r's crossing
+    table is kept on r, so a push builds it once per crossing.
+    """
+    base = _slot_base(r, i, n, base)
+    table = _crossing_table(r) if r._table is None else r._table
+    return push(packed, table, base ** (n - i - 1))
 
 
 def apply_at(r, i, n, vec, base=None):
-    """Image of a sparse vector under a two-slot operator at tensor slots
-    (i, i+1) of an n-fold space.
-
-    ``vec`` maps state indices to nonzero scalars.  Each state is split into
-    the digits before slot i, the digit pair at (i, i+1) and the digits
-    after it; only the stored entries of r in that pair's column are read,
-    so nothing is embedded.  The digits above the n slots pass through, so
-    vectors packed under keys index * base^n + state are pushed as one.
-    r's entries grouped by column are kept on r (``_column_index``), so a
-    push indexes each crossing once.
+    """Image of a sparse vector, {state index: Scalar}, under a two-slot
+    operator at tensor slots (i, i+1) of an n-fold space: ``vec`` packed,
+    pushed by ``push_at`` and unpacked to its nonzero entries.
     """
     base = _slot_base(r, i, n, base)
-    right = base ** (n - i - 1)
-    column = _column_index(r) if r._columns is None else r._columns
-    pairs = {}
-    for state, x in vec.items():
-        head, low = divmod(state, right)
-        head, pair = divmod(head, r.side)
-        for row, v in column.get(pair, ()):
-            pairs.setdefault((head * r.side + row) * right + low, []).append((v, x))
-    return {k: v for k, v in _sums(r.ctx, pairs).items() if not v.is_zero()}
+    return push_at(r, i, n, pack(r.ctx, vec), base).unpack()
 
 
 def trace(a):
@@ -374,7 +410,7 @@ def weighted_trace(a, mu, slots):
         w = weight(len(slots), rt, ct)
         if w is not None:
             pairs.setdefault((rk, ck), []).append((v, w))
-    return SquareMatrix(a.ctx, base ** (arity - len(slots)), _sums(a.ctx, pairs))
+    return SquareMatrix._built(a.ctx, base ** (arity - len(slots)), _sums(a.ctx, pairs))
 
 
 def matrix_substitute(a, bindings, target=None):
@@ -502,7 +538,9 @@ def invert(a):
             raise InverseOutsideRing(
                 "the determinant is not a unit; the inverse leaves the ring"
             ) from None
-    a._inverse = SquareMatrix(a.ctx, n, entries)
+    # a Bareiss product piv * v vanishes only in a ring with zero divisors
+    a._inverse = SquareMatrix._built(
+        a.ctx, n, {k: v for k, v in entries.items() if not v.is_zero()})
     return a._inverse
 
 

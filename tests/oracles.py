@@ -9,7 +9,8 @@ mu^(x n) and the product with it, which weighted_trace never does.  The
 ``*_sequential`` contractions add each product to its entry with +, as the
 library did before it summed each entry with ``ring.dot``, and
 ``matmul_sub_by_pairs`` is the product residual as it was before its keyed
-kernel, one ``ring.dot`` per entry.  The checked
+kernel, one ``ring.dot`` per entry; ``apply_at_by_pairs`` is the push as it
+was before the packed vector, one ``ring.dot`` per output state.  The checked
 inverse and division are the ring's routes before its fast paths.  The
 term-dict arithmetic at the end, over the Fraction-based GaussianRational
 below, is the reference for the ring's packed terms and int coefficients.
@@ -358,6 +359,25 @@ def apply_at_sequential(r, i, n, vec, base=None):
             term = v * x
             out[key] = out[key] + term if key in out else term
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def apply_at_by_pairs(r, i, n, vec, base=None):
+    """``tensor.apply_at`` as it was before ``ring.push``: each output state's
+    (entry, x) pairs listed under it and summed by one ``ring.dot`` (a lone
+    pair by *), zeros dropped."""
+    base = _slot_base(r, i, n, base)
+    right = base ** (n - i - 1)
+    column = {}
+    for (rr, rc), v in r.entries.items():
+        column.setdefault(rc, []).append((rr, v))
+    pairs = {}
+    for state, x in vec.items():
+        head, low = divmod(state, right)
+        head, pair = divmod(head, r.side)
+        for row, v in column.get(pair, ()):
+            pairs.setdefault((head * r.side + row) * right + low, []).append((v, x))
+    sums = {k: p[0][0] * p[0][1] if len(p) == 1 else dot(r.ctx, p) for k, p in pairs.items()}
+    return {k: v for k, v in sums.items() if not v.is_zero()}
 
 
 def weighted_trace_sequential(a, mu, slots):

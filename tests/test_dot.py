@@ -1,6 +1,7 @@
 """``ring.dot`` against the sum of products it replaces, ``ring.dot_entries``
-against one ``dot`` per key, and the contractions built on them against the
-sequential ones and the earlier residual route in ``oracles``.
+and the packed vector's contraction against one ``dot`` per key, and the
+contractions built on them against the sequential ones and the earlier
+residual and push routes in ``oracles``.
 
 ``dot`` must give the very Scalar that adding x * y one pair at a time
 gives: equal, with the same text and the same numerators over the same
@@ -21,7 +22,10 @@ from ybtrace import catalog, eyb, invariant, tensor
 from ybtrace.braid import BraidWord
 from ybtrace.dressing import preset_dressings
 from ybtrace.errors import ContextMismatch, DimensionMismatch, ExponentOverflow
-from ybtrace.ring import MAX_EXPONENT, Scalar, ScalarContext, dot, dot_entries, format_scalar
+from ybtrace.ring import (
+    MAX_EXPONENT, PackedVector, Scalar, ScalarContext, contract, dot, dot_entries,
+    format_scalar, pack,
+)
 
 CONTEXTS = {
     "R1.1": ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),)),
@@ -427,3 +431,124 @@ def test_verify_eyb_fails_each_condition_with_the_matrix_routes_residual():
                     else (tensor.invert(op.r), alpha ** -1 * beta))
             _assert_same_matrix(verdict.residual, _trace_residual(y, op.mu, c))
             assert not verdict.residual.is_zero()
+
+
+# -- the packed push against the pair-list and sequential oracles -------------------
+
+
+def _random_vector(rng, ctx, states):
+    """A sparse vector of nonzero random scalars over ``states`` indices."""
+    vec = {s: _random_scalar(rng, ctx) for s in rng.sample(range(states), rng.randint(1, states))}
+    return {s: x for s, x in vec.items() if not x.is_zero()}
+
+
+def _pushes(r, i, n, vec, base):
+    """The image of vec by every route: push_at on the packed vector,
+    apply_at, and the two oracles."""
+    return (tensor.push_at(r, i, n, pack(r.ctx, vec), base).unpack(),
+            tensor.apply_at(r, i, n, vec, base),
+            oracles.apply_at_by_pairs(r, i, n, vec, base),
+            oracles.apply_at_sequential(r, i, n, vec, base))
+
+
+def _assert_same_vectors(got, want):
+    assert list(got) == list(want)
+    for state, value in got.items():
+        _assert_same(value, want[state])
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_push_at_and_apply_at_are_the_pair_list_and_sequential_pushes(name):
+    """Random crossings of base 2 and 3 at every slot of 2 to 4 slots, on
+    vectors of the n slots and on vectors packed above them (index *
+    base^n + state); the images agree entry by entry and in order."""
+    ctx = CONTEXTS[name]
+    rng = random.Random(20261019)
+    for _ in range(40):
+        base = rng.choice((2, 2, 3))
+        n = rng.randint(2, 3 if base == 3 else 4)
+        r = _random_matrix(rng, ctx, base * base)
+        states = base ** n
+        vec = _random_vector(rng, ctx, states)
+        above = {k * states + s: x for k in range(3) for s, x in _random_vector(rng, ctx, states).items()}
+        for i in range(1, n):
+            for v in (vec, above):
+                routes = _pushes(r, i, n, v, base)
+                for want in routes[1:]:
+                    _assert_same_vectors(routes[0], want)
+
+
+def test_push_settles_guard_bits_as_the_oracles_do():
+    """i * i, a root squared onto a radicand with a denominator (which puts
+    the whole vector over a larger denominator), and an overflowing product
+    that cancels, which still raises."""
+    ctx = CONTEXTS["radicand-with-denominator"]
+    i, s, q = ctx.i(), ctx.gen("s"), ctx.gen("q")
+    r = tensor.SquareMatrix(ctx, 4, {(0, 0): i, (1, 0): s, (2, 1): q + s, (1, 2): s,
+                                     (3, 3): ctx.scalar(2)})
+    vec = {0: i + q, 1: s * q, 3: ctx.parse("p/5"), 4: 3 * s}
+    packed = tensor.push_at(r, 1, 3, pack(ctx, vec), 2)
+    routes = _pushes(r, 1, 3, vec, 2)
+    for want in routes[1:]:
+        _assert_same_vectors(packed.unpack(), want)
+    assert packed == pack(ctx, routes[3]) and len(packed) == len(routes[3])
+    # a product past the exponent range that cancels in its output state
+    plain = ScalarContext(("q",))
+    big, q = plain.gen("q", MAX_EXPONENT - 1), plain.gen("q")
+    r = tensor.SquareMatrix(plain, 4, {(0, 0): big, (0, 1): big, (3, 3): q})
+    for route in (lambda v: tensor.push_at(r, 1, 2, pack(plain, v), 2),
+                  lambda v: tensor.apply_at(r, 1, 2, v, 2),
+                  lambda v: oracles.apply_at_by_pairs(r, 1, 2, v, 2),
+                  lambda v: oracles.apply_at_sequential(r, 1, 2, v, 2)):
+        with pytest.raises(ExponentOverflow):
+            route({0: q, 1: -q, 3: q})
+
+
+def test_push_refuses_a_scalar_of_another_context():
+    ctx, other = CONTEXTS["R1.1"], ScalarContext(("q",))
+    q = ctx.gen("q")
+    r = tensor.SquareMatrix(ctx, 4, {(0, 0): q, (1, 2): q, (2, 1): q, (3, 3): q})
+    foreign_vec = {0: q, 2: other.gen("q")}
+    foreign_r = tensor.SquareMatrix(ctx, 4, {(0, 0): q, (3, 3): other.gen("q")})
+    routes = (lambda r, v: tensor.push_at(r, 1, 2, pack(ctx, v), 2),
+              lambda r, v: tensor.apply_at(r, 1, 2, v, 2),
+              lambda r, v: oracles.apply_at_by_pairs(r, 1, 2, v, 2),
+              lambda r, v: oracles.apply_at_sequential(r, 1, 2, v, 2))
+    for route in routes:
+        for args in ((r, foreign_vec), (foreign_r, {0: q, 3: q})):
+            with pytest.raises(ContextMismatch):
+                route(*args)
+    # a vector of one context pushed by the crossing of another
+    with pytest.raises(ContextMismatch):
+        tensor.push_at(r, 1, 2, pack(other, {0: other.gen("q")}), 2)
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_contract_is_one_dot_per_key(name):
+    ctx = CONTEXTS[name]
+    rng = random.Random(20261020)
+    for _ in range(150):
+        vec = _random_vector(rng, ctx, 6)
+        pairs = {s: [(rng.randrange(3), _random_scalar(rng, ctx)) for _ in range(rng.randint(0, 3))]
+                 for s in range(8) if rng.random() < 0.7}
+        got = contract(pack(ctx, vec), pairs)
+        for key in range(3):
+            want = dot(ctx, [(vec[s], y) for s, listed in pairs.items() if s in vec
+                             for k, y in listed if k == key])
+            if want.is_zero():
+                assert key not in got
+            else:
+                _assert_same(got[key], want)
+    with pytest.raises(ContextMismatch):
+        contract(pack(ctx, {0: ctx.one()}), {0: [(0, ScalarContext(("z",)).one())]})
+    assert contract(pack(ctx, {}), {0: [(0, ctx.one())]}) == {}
+
+
+def test_a_packed_vector_is_its_nonzero_entries():
+    ctx = CONTEXTS["R1.1"]
+    vec = {3: ctx.parse("1/2*q"), 0: ctx.zero(), 5: ctx.parse("sqrt_1mq2/3 - 1")}
+    packed = pack(ctx, vec)
+    assert isinstance(packed, PackedVector) and len(packed) == 2
+    assert list(packed.unpack()) == [3, 5]
+    assert packed.unpack() == {3: vec[3], 5: vec[5]}
+    assert packed == pack(ctx, {5: vec[5], 3: vec[3]}) != pack(ctx, {3: vec[3]})

@@ -43,7 +43,7 @@ from ybtrace.invariant import (
     unknot_value,
     verify_annihilating,
 )
-from ybtrace.ring import ScalarContext, pow_int, substitute, try_div_exact
+from ybtrace.ring import PackedVector, ScalarContext, pow_int, substitute, try_div_exact
 from ybtrace.tables import run_table
 from ybtrace.tensor import (
     MAX_ENTRIES, SquareMatrix, invert, kron, matadd, matmul, scalar_scale, weighted_trace,
@@ -373,12 +373,43 @@ def test_half_word_closure_keeps_no_rows_above_the_entry_cap():
     assert ("rows", 8, 0) not in op._closure and ("rows", 8, 1) not in op._closure
     for key, kept in op._closure.items():
         size = len(kept.entries) if isinstance(kept, SquareMatrix) else (
-            len(kept) if isinstance(kept, dict) else 1)
+            len(kept) if isinstance(kept, (dict, PackedVector)) else 1)
         assert size <= MAX_ENTRIES, key
     # seven strands fit, and their full closure's rows are kept
     b = BraidWord(7, (3, -5))
     assert compute_ts(op, b).value == _matrix_path(op, b)
     assert len(op._closure[("rows", 7, 0)]) == 4 ** 7
+
+
+def test_kept_embeddings_are_keyed_by_slot_and_bounded():
+    """Every Table-1 row with both signs, on the named links and seeded words
+    of 2 to 5 strands: R and R^-1 keep their embeddings under (i, n, base)
+    only, never under a word, at most MAX_ENTRIES entries in total, and
+    each is the embedding built afresh."""
+    rng = random.Random(19)
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += [b for b in _random_words(rng, 16, 5, 8) if b.strands >= 2]
+    assert {b.strands for b in words} >= {2, 3, 4, 5}
+    kept = 0
+    for entry in table1_entries():
+        for sign in "+-":
+            op = entry.build(sign, ctx=entry.context())
+            for b in words:
+                compute_ts(op, b)
+                try:
+                    open_trace(op, b)
+                except ProportionalityFailure:
+                    pass
+            for m in (op.r, op.r._inverse):
+                embeddings = (m._embeddings if m is not None else None) or {}
+                assert sum(len(e.entries) for e in embeddings.values()) <= MAX_ENTRIES
+                for key, e in embeddings.items():
+                    i, n, base = key
+                    assert base == op.base_dim and 1 <= i < n <= 5, key
+                    assert e == kron(kron(SquareMatrix.identity(op.ctx, base ** (i - 1)), m),
+                                     SquareMatrix.identity(op.ctx, base ** (n - i - 1)))
+                kept += len(embeddings)
+    assert kept > 0
 
 
 def test_a_weight_of_side_one_is_refused():
@@ -578,7 +609,8 @@ def test_rank_one_push_refuses_a_state_space_above_the_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("a vector was pushed")
 
-    monkeypatch.setattr(invariant, "apply_at", refuse)
+    monkeypatch.setattr(invariant, "pack", refuse)
+    monkeypatch.setattr(invariant, "push_at", refuse)
     op = get_table1_eyb("R1.1", 2)
     with pytest.raises(StrandBoundViolation, match="2\\^40 states, above the cap"):
         compute_ts(op, BraidWord(40, (1,)))
@@ -746,24 +778,25 @@ def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
     assert op._closure[("transpose", False)] == invert(op.r).transpose()
     for n, keep in ((2, 0), (3, 0), (3, 1)):
         weight = kron(SquareMatrix.identity(op.ctx, 2 ** keep), kron_power(op.mu, n - keep))
-        assert op._closure[("rows", n, keep)] == {
+        assert op._closure[("rows", n, keep)].unpack() == {
             r * 2 ** n + c: x for (r, c), x in weight.entries.items()}, (n, keep)
 
 
-def test_a_second_push_builds_no_column_index(monkeypatch):
-    calls = {}
-    _spy(monkeypatch, calls, tensor, "_column_index")
+def test_a_second_push_builds_no_crossing_table(monkeypatch):
+    built = []
+    original = tensor._crossing_table
+    monkeypatch.setattr(tensor, "_crossing_table", lambda r: built.append(r) or original(r))
     entry = get_table1_entry("R1.1", 2)
     op = entry.build(ctx=entry.context())
     word = get_named_braid("4_1").braid
     assert rank_one_factors(op.mu) is not None and any(k < 0 for k in word.letters)
     first = compute_ts(op, word).value
-    assert calls["_column_index"] == 2  # R and its inverse
-    calls["_column_index"] = 0
+    # R and its inverse, each once
+    assert len(built) == 2 and {id(r) for r in built} == {id(op.r), id(invert(op.r))}
+    built.clear()
     assert compute_ts(op, word).value == first
     compute_ts(op, get_named_braid("5_2").braid)
-    assert calls["_column_index"] == 0
-    assert op.r._columns is not None and invert(op.r)._columns is not None
+    assert built == []
 
 
 def test_classification_report_warm_equals_cold_and_the_goldens(monkeypatch):

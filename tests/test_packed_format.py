@@ -1,10 +1,11 @@
 """The packed scalar format stays behind ``ring.py``.
 
 A Scalar's numerators, denominator and key layout (``_nums``, ``_den`` and
-``_layout``) are read only inside ``ring.py``, and no other module imports a
+``_layout``) and a PackedVector's raw entries (``_packed``, over its
+``_den``) are read only inside ``ring.py``, and no other module imports a
 private name from it.  Then a change of the packing touches one file, and
-the kernels built on it (``dot``, ``dot_entries``) are the only way the
-other layers reach the terms.
+the kernels built on it (``dot``, ``dot_entries``, ``pack``, ``push``,
+``contract``) are the only way the other layers reach the terms.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import ybtrace
 
-PACKED = {"_nums", "_den", "_layout"}
+PACKED = {"_nums", "_den", "_layout", "_packed"}
 PACKAGE = Path(ybtrace.__file__).resolve().parent
 
 
@@ -41,6 +42,7 @@ def test_no_module_but_ring_reads_the_packed_format():
 def test_the_check_sees_a_read_and_a_private_import(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text("from .ring import _settle, dot\nfrom . import ring\n"
-                    "def f(x):\n    return x._nums, x.ctx._layout, ring._scalar\n")
+                    "def f(x, v):\n    return x._nums, x.ctx._layout, ring._scalar, v._packed\n")
     assert [v.split(" ", 1)[1] for v in _violations(path)] == [
-        "imports _settle from ring", "reads ._nums", "reads ._layout", "reads ._scalar"]
+        "imports _settle from ring", "reads ._nums", "reads ._layout", "reads ._scalar",
+        "reads ._packed"]

@@ -15,6 +15,7 @@ from ybtrace.errors import (
 )
 from ybtrace.ring import ScalarContext
 from ybtrace.tensor import (
+    MAX_ENTRIES,
     SquareMatrix,
     Verdict,
     apply_at,
@@ -23,6 +24,7 @@ from ybtrace.tensor import (
     kron,
     matadd,
     matmul,
+    matmul_sub,
     matrix_from_json,
     matrix_to_json,
     matsub,
@@ -126,6 +128,65 @@ def test_apply_at_pushes_vectors_packed_above_the_n_slots_in_one_call():
         assert apply_at(r, i, arity, packed, base) == {
             k * side + s: x for k, vec in enumerate(vecs)
             for s, x in apply_at(r, i, arity, vec, base).items()}
+
+
+def test_embeddings_are_kept_per_slot_up_to_the_entry_cap():
+    """A dense base-2 crossing (16 entries) embedded into 12 slots stores
+    MAX_ENTRIES entries: ``embedding`` keeps it, and builds a second slot on
+    every call, because together they would pass the cap.  Into 13 slots
+    the embedding is refused before anything is built or kept, and
+    ``embed_generator`` itself keeps nothing."""
+    ctx = ScalarContext(("q",))
+    r = SquareMatrix(ctx, 4, {(a, b): ctx.gen("q", a - b) for a in range(4) for b in range(4)})
+    assert embed_generator(r, 1, 3) == kron(r, _identity(ctx, 2)) and not r._embeddings
+    with pytest.raises(DimensionMismatch, match="above the cap"):
+        r.embedding(1, 13, 2)
+    assert not r._embeddings
+    first = r.embedding(1, 12, 2)
+    assert len(first.entries) == MAX_ENTRIES and first == embed_generator(r, 1, 12, 2)
+    assert r._embeddings == {(1, 12, 2): first} and r.embedding(1, 12, 2) is first
+    second = r.embedding(2, 12, 2)
+    assert r.embedding(2, 12, 2) is not second and r.embedding(2, 12, 2) == second
+    with pytest.raises(DimensionMismatch, match="above the cap"):
+        r.embedding(5, 13, 2)
+    # nothing more fits, however small; on a fresh copy it is kept
+    small = r.embedding(2, 3, 2)
+    assert small == kron(_identity(ctx, 2), r) and list(r._embeddings) == [(1, 12, 2)]
+    r = SquareMatrix(ctx, 4, r.entries)
+    small = r.embedding(2, 3, 2)
+    assert r.embedding(2, 3, 2) is small and list(r._embeddings) == [(2, 3, 2)]
+
+
+def test_library_built_matrices_are_the_checked_ones():
+    """matmul, matmul_sub, weighted_trace, invert and embed_generator build
+    their results without the public checks: the same entries, in the same
+    (row, column) order, as the public constructor gives, and no zero."""
+    r = get_rmatrix("R1.1").matrix
+    ctx = r.ctx
+    mu = SquareMatrix.diagonal(ctx, ["1", "-1"])
+    rinv = invert(r)
+    results = [matmul(r, rinv), matmul(r, r), matmul_sub(r, r, r, r), matmul_sub(r, rinv, rinv, r),
+               weighted_trace(r, mu, [2]), weighted_trace(r, mu, [1, 2]), rinv,
+               embed_generator(r, 2, 3), embed_generator(rinv, 1, 4)]
+    assert results[0] == _identity(ctx, 4) and results[2].entries == {}
+    for got in results:
+        checked = SquareMatrix(ctx, got.side, dict(reversed(list(got.entries.items()))))
+        assert got == checked and list(got.entries) == list(checked.entries)
+        assert all(not v.is_zero() for v in got.entries.values())
+    # the public constructor still checks both
+    with pytest.raises(DimensionMismatch, match="outside side"):
+        SquareMatrix(ctx, 2, {(0, 2): ctx.one()})
+    assert SquareMatrix(ctx, 2, {(1, 1): ctx.zero(), (0, 0): ctx.one()}).entries == {
+        (0, 0): ctx.one()}
+
+
+def test_matmul_keeps_the_row_index_of_its_right_operand():
+    r = get_rmatrix("R2.1").matrix
+    a, b = embed_generator(r, 1, 3, 2), embed_generator(r, 2, 3, 2)
+    first = matmul(a, b)
+    rows = b._row_index
+    assert rows is not None and a._row_index is None
+    assert matmul(a, b) == first and b._row_index is rows
 
 
 def test_far_commutativity_of_embeddings():
