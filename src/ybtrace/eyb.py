@@ -128,9 +128,11 @@ class Table1Entry:
     """One registry row: how to enhance a catalog matrix, and what it yields.
 
     ``tag`` is one of jones, alexander-zero, const-0, const-1, two-power-l,
-    knots-1, knots-0.  ``intertwine`` holds c when (mu x mu) R = c (mu x mu)
-    explains triviality.  Sign '+' selects the stored representative; '-'
-    the companion with mu and alpha negated.
+    knots-1, knots-0.  ``intertwine`` holds the unit c with
+    (mu x mu) R = c (mu x mu), set on exactly the 14 rows whose weight has
+    rank one; it makes their invariant c^w alpha^-w (Tr mu / beta)^n, which
+    ``invariant.compute_ts`` takes in closed form.  Sign '+' selects the
+    stored representative; '-' the companion with mu and alpha negated.
     """
 
     rmatrix: str
@@ -198,18 +200,18 @@ TABLE1 = (
     Table1Entry("R2.1", 1, ("p", "q"), _SQRT_PQ, (),
                 ("sqrt_pq", "0", "0", "sqrt_pq^-1"), "sqrt_pq^-1", "1", "jones"),
     Table1Entry("R2.1", 2, ("p", "q"), (), (),
-                ("1", "0", "0", "0"), "1", "1", "const-1"),
+                ("1", "0", "0", "0"), "1", "1", "const-1", "1"),
     Table1Entry("R2.1", 3, ("p", "q"), (), (),
-                ("0", "0", "0", "1"), "1", "1", "const-1"),
+                ("0", "0", "0", "1"), "1", "1", "const-1", "1"),
     Table1Entry("R2.1", 4, ("p", "lam"), (), (("q", "1"),),
-                ("1", "0", "lam", "0"), "1", "1", "const-1"),
+                ("1", "0", "lam", "0"), "1", "1", "const-1", "1"),
     Table1Entry("R2.1", 5, ("p", "lam"), (), (("q", "1"),),
-                ("0", "lam", "0", "1"), "1", "1", "const-1"),
+                ("0", "lam", "0", "1"), "1", "1", "const-1", "1"),
     Table1Entry("R2.2", 1, ("p", "q"), _SQRT_PQ, (),
                 ("sqrt_pq^-1", "0", "0", "-sqrt_pq^-1"), "sqrt_pq", "1",
                 "alexander-zero"),
     Table1Entry("R2.2", 2, ("p", "q"), (), (),
-                ("1", "0", "0", "0"), "1", "1", "const-1"),
+                ("1", "0", "0", "0"), "1", "1", "const-1", "1"),
     Table1Entry("R2.2", 3, ("p", "q"), (), (),
                 ("0", "0", "0", "1"), "-p*q", "1", "const-1", "-p*q"),
     Table1Entry("R2.3", 1, ("q",), (), (("p", "-1"),),
@@ -221,22 +223,22 @@ TABLE1 = (
                 "2", "1", "const-1", "2"),
     Table1Entry("R1.1", 3, ("q",), _SQRT_1MQ2, (),
                 ("(1+q)/2", "-sqrt_1mq2/2", "-sqrt_1mq2/2", "(1-q)/2"),
-                "2", "1", "const-1"),
+                "2", "1", "const-1", "2"),
     Table1Entry("R1.1", 4, ("q",), _SQRT_1MQ2, (),
                 ("(1+q)*q^-1/2", "sqrt_1mq2*q^-1/2",
                  "-sqrt_1mq2*q^-1/2", "(-1+q)*q^-1/2"),
-                "2", "1", "const-1"),
+                "2", "1", "const-1", "2"),
     Table1Entry("R1.1", 5, ("q",), _SQRT_1MQ2, (),
                 ("(1+q)*q^-1/2", "-sqrt_1mq2*q^-1/2",
                  "sqrt_1mq2*q^-1/2", "(-1+q)*q^-1/2"),
-                "2", "1", "const-1"),
+                "2", "1", "const-1", "2"),
     Table1Entry("R1.2", 1, ("q",), (("sqrt_q", "q"),), (),
                 ("sqrt_q^-1", "0", "0", "-sqrt_q^-1"), "sqrt_q", "1",
                 "alexander-zero"),
     Table1Entry("R1.2", 2, ("q",), (("sqrt_1pq", "1+q"),), (),
-                ("sqrt_1pq", "1", "0", "0"), "1", "sqrt_1pq", "const-1"),
+                ("sqrt_1pq", "1", "0", "0"), "1", "sqrt_1pq", "const-1", "1"),
     Table1Entry("R1.2", 3, ("q",), (("sqrt_1pq", "1+q"),), (),
-                ("sqrt_1pq", "-1", "0", "0"), "1", "sqrt_1pq", "const-1"),
+                ("sqrt_1pq", "-1", "0", "0"), "1", "sqrt_1pq", "const-1", "1"),
     Table1Entry("R1.3", 1, ("q",), (), (),
                 ("1", "-(1+q)", "0", "1"), "1", "1", "two-power-l"),
     Table1Entry("R1.4", 1, ("q",), (), (),

@@ -4,13 +4,23 @@ For an enhanced operator S and a braid word on n strands, the raw invariant
 is alpha^(-writhe) beta^(-n) Tr(rep(word) mu^(x n)) (Turaev, Invent. Math.
 92, 1988); dividing by the one-strand value Tr(mu)/beta gives the
 unknot-normalized form.  No representation of the whole word is formed.
+``compute_ts`` takes one of three routes.
 
 When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
-column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n:
-u^(x n), packed as a ``ring.PackedVector``, is pushed through the word one
-crossing at a time (``tensor.push_at``), one ``ring.contract`` against
-v^(x n) takes the dot product, and one exact division by (beta * piv)^n
-ends it.  No Scalar is formed between the crossings.
+column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n.
+If (v (x) v)^T R = c (v (x) v)^T for a unit c, the value is in closed
+form, c^w alpha^(-w) (Tr(mu) / beta)^n for writhe w.  Proof: then
+(v (x) v)^T R^(+-1) = c^(+-1) (v (x) v)^T on the two slots each letter
+acts on, so (v^(x n))^T rep = c^w (v^(x n))^T; and (v^(x n))^T u^(x n) =
+(v^T u)^n = (piv Tr(mu))^n.  This is the registry's ``intertwine``
+column, (mu x mu) R = c (mu x mu), and holds on all 14 rank-one rows.
+Nothing is pushed or divided, and R is not inverted.
+
+Without such a c, u^(x n), packed as a ``ring.PackedVector``, is pushed
+through the word one crossing at a time (``tensor.push_at``), one
+``ring.contract`` against v^(x n) takes the dot product, and one exact
+division by (beta * piv)^n ends it.  No Scalar is formed between the
+crossings.
 
 Every other mu takes the half-word closure, which ``open_trace`` shares
 with the strands 2..n closed instead of all of them.  With rep = A B for
@@ -26,12 +36,14 @@ divided by beta once per closed slot and multiplied by alpha^(-writhe).
 (sqrt_q -> t^-1).
 
 What depends only on the operator is kept on it on first use: the rank-one
-factors, the unknot value, per strand count n the packed u^(x n), the
-contraction pairs of v^(x n) and (beta * piv)^n; per strand count and kept
-strand count the packed rows of 1 (x) M, when they hold at most
-``tensor.MAX_ENTRIES`` entries; per closed-slot count k beta^k; and the
-transposes of R and R^-1.  The crossings keep their tables and embeddings
-on their matrices.  Nothing keyed by a braid word or a writhe is kept.
+factors, the unknot value, the eigenvalue c or the verdict that there is
+none; per strand count n the unknot value's n-th power when there is a c,
+else the packed u^(x n), the contraction pairs of v^(x n) and
+(beta * piv)^n; per strand count and kept strand count the packed rows of
+1 (x) M, when they hold at most ``tensor.MAX_ENTRIES`` entries; per
+closed-slot count k beta^k; and the transposes of R and R^-1.  The
+crossings keep their tables and embeddings on their matrices.  Nothing
+keyed by a braid word or a writhe is kept.
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ from dataclasses import dataclass
 from .braid import BraidWord, get_named_braid, NAMED_LINKS
 from .errors import (
     DimensionMismatch,
+    ExponentOverflow,
     NotDivisible,
     ProportionalityFailure,
     StrandBoundViolation,
@@ -159,15 +172,56 @@ def _tensor_power(w, n, base, one):
     return out
 
 
+def _eigenvalue(op, v, piv):
+    """The unit c with (v (x) v)^T R = c (v (x) v)^T, or None when there is
+    none.  c is read off at the slot (j, j) with v[j] = piv, where v (x) v
+    holds piv^2.  A check that cannot be finished in the ring (a division
+    that does not come out, an exponent out of range) gives None too."""
+    base, zero = op.base_dim, op.ctx.zero()
+    j = next(j for j, x in v.items() if x == piv)
+    try:
+        vv = {i * base + k: x * y for i, x in v.items() for k, y in v.items()}
+        image = {}
+        for (row, col), x in op.r.entries.items():
+            if row in vv:
+                image[col] = image.get(col, zero) + vv[row] * x
+        c = try_div_exact(image.get(j * (base + 1), zero), piv * piv)
+        scaled = {key: c * x for key, x in vv.items()}
+    except (NotDivisible, ExponentOverflow):
+        return None
+    if c.is_unit() and all(image.get(key, zero) == scaled.get(key, zero)
+                           for key in image.keys() | scaled.keys()):
+        return c
+    return None
+
+
+def _rank_one_trace(op, b, u, v, piv):
+    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv: in closed
+    form when v (x) v is a left eigenvector of R with a unit eigenvalue c,
+    else by one push.
+
+    The strand cap is checked first.  c, or the verdict that there is none,
+    is kept on ``op``; so is the unknot value's n-th power per n.  c^w and
+    alpha^(-w) are formed apart, so NotAUnit and ExponentOverflow come from
+    the same inputs as on the push.
+    """
+    n = b.strands
+    _states(op.base_dim, n)
+    c = _kept(op, "eigen", lambda: _eigenvalue(op, v, piv))
+    if c is None:
+        return _pushed_trace(op, b, u, v, piv)
+    return (pow_int(c, b.writhe) * pow_int(op.alpha, -b.writhe)
+            * _kept(op, ("unknot", n), lambda: pow_int(_kept_unknot(op), n)))
+
+
 def _pushed_trace(op, b, u, v, piv):
     """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv, by one push.
 
     u^(x n) packed, v^(x n) as the pairs of the closing contraction and
-    (beta * piv)^n are kept on ``op`` per n, once n is known to be within
-    the strand cap.
+    (beta * piv)^n are kept on ``op`` per n; the caller has checked n
+    against the strand cap.
     """
     n, base, ctx = b.strands, op.base_dim, op.ctx
-    _states(base, n)
     vec, row, scale = _kept(op, n, lambda: (
         pack(ctx, _tensor_power(u, n, base, ctx.one())),
         {s: ((0, y),) for s, y in _tensor_power(v, n, base, ctx.one()).items()},
@@ -263,14 +317,21 @@ def _closure(op, b, keep):
 def compute_ts(op, b, normalized=False):
     """The trace invariant of the closure of ``b`` under operator ``op``.
 
-    A weight mu of rank one takes the push, any other the half-word
-    closure (module docstring).  Division by beta^n is performed exactly,
+    A weight mu of rank one takes the closed form c^w alpha^(-w)
+    (Tr(mu) / beta)^n when (v (x) v)^T R = c (v (x) v)^T for a unit c, and
+    the push otherwise; any other mu takes the half-word closure (module
+    docstring).  Both rank-one routes check the strand cap first, and
+    raise NotAUnit and ExponentOverflow on the same inputs: c^w and
+    alpha^(-w) are formed apart.  The closed form does not invert R, so on
+    a singular R it gives a value where the push raises NonInvertible for
+    a negative letter; an operator that ``verify_eyb`` accepts has an
+    invertible R.  Division by beta^n is performed exactly,
     so beta need not be a unit.  Normalization divides by the unknot value
     and raises NotDivisible when that is impossible (in particular when the
-    unknot value is zero).  The rank-one factors, the unknot value and the
-    constants of each path are computed on the first call that needs them
-    and kept on ``op``; alpha^(-writhe) is formed on every call, by the
-    ring's key-arithmetic inverse when alpha is a unit.
+    unknot value is zero).  The rank-one factors, the unknot value, the
+    eigenvalue verdict and the constants of each path are computed on the
+    first call that needs them and kept on ``op``; alpha^(-writhe) is formed
+    on every call, by the ring's key arithmetic when alpha is a unit.
     """
     # a side-1 weight takes the half-word closure, which refuses it
     factors = _kept(op, "factors",
@@ -278,7 +339,7 @@ def compute_ts(op, b, normalized=False):
     if factors is None:
         raw = _closure(op, b, 0)
     else:
-        raw = _pushed_trace(op, b, *factors)
+        raw = _rank_one_trace(op, b, *factors)
     unknot = _kept_unknot(op)
     if not normalized:
         return InvariantResult(raw, False, unknot, op, b)

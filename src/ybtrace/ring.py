@@ -89,8 +89,8 @@ def _coeff(c):
 class _Layout:
     """The bit fields of the keys of a context with ngens generators and nroots roots."""
 
-    __slots__ = ("ngens", "shifts", "total_shift", "zero", "gen_guard", "root_guard",
-                 "guard", "root_fields", "fields")
+    __slots__ = ("ngens", "shifts", "gen_shifts", "total_shift", "zero", "gen_guard",
+                 "root_guard", "guard", "root_fields", "fields")
 
     def __init__(self, ngens, nroots):
         shifts, pos = [], _I_BITS
@@ -99,9 +99,10 @@ class _Layout:
             pos += _GEN_BITS if k < ngens else _ROOT_BITS
         self.ngens = ngens
         self.shifts = tuple(reversed(shifts))  # one per name, in ctx.names order
+        self.gen_shifts = self.shifts[:ngens]
         self.total_shift = pos
-        self.zero = sum(_BIAS << s for s in self.shifts[:ngens])
-        self.gen_guard = sum(2 * _BIAS << s for s in self.shifts[:ngens])
+        self.zero = sum(_BIAS << s for s in self.gen_shifts)
+        self.gen_guard = sum(2 * _BIAS << s for s in self.gen_shifts)
         self.root_guard = sum(4 << s for s in self.shifts[ngens:])
         self.guard = self.gen_guard | self.root_guard | 2
         self.root_fields = sum(7 << s for s in self.shifts[ngens:])
@@ -788,12 +789,21 @@ def contract(vec, pairs):
 
 
 def pow_int(x, k):
-    """Exact integer power.  A negative power needs a unit base, which
-    ``_unit_inverse`` inverts by key arithmetic before the positive power."""
+    """Exact integer power.  A one-term x with no root factor is raised as
+    one key by ``_monomial_power``; any other x by squaring, where a
+    negative power needs a unit base, which ``_unit_inverse`` inverts by key
+    arithmetic before the positive power."""
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
     if k == 0:
         return x.ctx.one()
+    if k == 1:
+        return x
+    nums = x._nums
+    if len(nums) == 1 or len(nums) == 2 and x.term_count() == 1:
+        m = min(nums) & ~1
+        if not m & x.ctx._layout.root_fields:
+            return _monomial_power(x, k, m)
     if k < 0:
         x, k = _unit_inverse(x), -k
     result = None
@@ -805,6 +815,34 @@ def pow_int(x, k):
         if k:
             base = base * base
     return result
+
+
+def _monomial_power(x, k, m):
+    """x^k, k != 0, for x the monomial of key m with no root factor and
+    coefficient (a + b*i)/d, as one key: each generator's doubled exponent
+    times k, ExponentOverflow outside the range (where squaring overflows
+    too).  The coefficient is (a + b*i)^k / d^k, for k < 0 that of 1/x to
+    the power -k."""
+    nums = x._nums
+    a, b, d = nums.get(m, 0), nums.get(m + 1, 0), x._den
+    layout = x.ctx._layout
+    for s in layout.gen_shifts:
+        if not -_BIAS <= k * (((m >> s) & _GEN_VALUES) - _BIAS) < _BIAS:
+            raise ExponentOverflow(_OUTSIDE)
+    # m - zero is the total and each field's exponent, unbiased: it scales by k
+    key = layout.zero + k * (m - layout.zero)
+    if k < 0:  # 1 / ((a + b*i)/d) = (d*a - d*b*i) / (a^2 + b^2)
+        a, b, d, k = d * a, -d * b, a * a + b * b, -k
+    if not b:
+        return _scalar(x.ctx, {key: a ** k}, d ** k)
+    re, im, den = 1, 0, d ** k
+    while k:
+        if k & 1:
+            re, im = re * a - im * b, re * b + im * a
+        k >>= 1
+        if k:
+            a, b = a * a - b * b, 2 * a * b
+    return _scalar(x.ctx, {slot: v for slot, v in ((key, re), (key + 1, im)) if v}, den)
 
 
 def _unit_inverse(x):

@@ -451,16 +451,29 @@ def matmul_sub_by_pairs(a, b, c, d):
 # reference for ``ring.pow_int`` and ``ring.try_div_exact``.
 
 
+def pow_by_squaring(x, k):
+    """x^k for k >= 0 by Scalar products, squaring x: the route ``ring.pow_int``
+    takes for a scalar that is not one root-free monomial."""
+    result, base = x.ctx.one(), x
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 def pow_int_by_terms(x, k):
-    """x^k.  A negative power rebuilds the inverse monomial from x's doubled
-    exponent tuple with ``ring._from_terms``: the generators' exponents
-    negated and the coefficient inverted, times radicand^-1 for each root,
-    itself inverted by this route."""
+    """x^k by squaring.  A negative power first rebuilds the inverse monomial
+    from x's doubled exponent tuple with ``ring._from_terms``: the generators'
+    exponents negated and the coefficient inverted, times radicand^-1 for
+    each root, itself inverted by this route."""
     from ybtrace import ring
     from ybtrace.errors import NotAUnit
 
     if k >= 0:
-        return ring.pow_int(x, k)
+        return pow_by_squaring(x, k)
     if x.term_count() != 1:
         raise NotAUnit(f"negative power of non-unit {ring.format_scalar(x)}")
     ctx = x.ctx
@@ -473,7 +486,7 @@ def pow_int_by_terms(x, k):
     inv = ring._from_terms(ctx, [(inv_exps, (d * a, -d * b, a * a + b * b))])
     for factor in radicand_inverses:
         inv = inv * factor
-    return ring.pow_int(inv, -k)
+    return pow_by_squaring(inv, -k)
 
 
 def checked_try_div_exact(num, den):

@@ -31,7 +31,6 @@ from ybtrace.catalog import (
 from ybtrace.dressing import preset_dressings, preset_names
 from ybtrace.eyb import (
     EnhancedOperator,
-    get_table1_entry,
     get_table1_eyb,
     sign_variants,
     table1_entries,
@@ -308,9 +307,10 @@ def test_acceptance_7_property_suites():
         for variant in (similar, transposed, shifted, flipped):
             assert compute_ts(variant, braid).value == reference, name
 
-    # triviality mechanism: intertwined rows give the constant invariant
-    for rmatrix, row in (("R3.1", 3), ("R3.1", 4), ("R2.2", 3), ("R1.1", 2)):
-        entry = get_table1_entry(rmatrix, row)
+    # triviality mechanism: the 14 intertwined rows give the constant invariant
+    intertwined = [entry for entry in table1_entries() if entry.intertwine is not None]
+    assert len(intertwined) == 14
+    for entry in intertwined:
         op = entry.build()
         mumu = kron(op.mu, op.mu)
         c = op.ctx.parse(entry.intertwine)

@@ -1,14 +1,16 @@
-"""Unit inverses and exact division against the checked routes they replace.
+"""Powers, unit inverses and exact division against the checked routes they
+replace.
 
-``ring.pow_int`` inverts a unit by key arithmetic, and ``ring.try_div_exact``
+``ring.pow_int`` raises a root-free monomial by key arithmetic and inverts
+any other unit that way before squaring, and ``ring.try_div_exact``
 returns the numerator for a divisor of 1, multiplies by that inverse for any
 other unit and takes the long division's zero remainder as the proof of a
-root-free divisor's quotient.  ``oracles.pow_int_by_terms`` rebuilds the
-inverse from its exponent tuple, and ``oracles.checked_try_div_exact``
-rationalizes, long-divides and multiplies back on every divisor.  Both fast
-paths are compared with them and with the term-dict oracles, on seeded
-scalars and on every division the tables and the inversion of seeded blocks
-make.
+root-free divisor's quotient.  ``oracles.pow_int_by_terms`` squares by
+Scalar products after rebuilding any inverse from its exponent tuple, and
+``oracles.checked_try_div_exact`` rationalizes, long-divides and multiplies
+back on every divisor.  The fast paths are compared with them and with the
+term-dict oracles, on seeded scalars and on every division the tables and
+the inversion of seeded blocks make.
 """
 
 import random
@@ -113,6 +115,45 @@ def test_negative_powers_match_the_term_route(ctx):
     assert {"i", "half", NotAUnit, ExponentOverflow} <= seen
     if ctx is not CTX_ROOTS:  # r's radicand 1 - q^2 is not a unit
         assert "root" in seen
+
+
+def _edge_powers(ctx, rng):
+    """(monomial, k) pairs with one generator's exponent e times k at and
+    next to each end of the exponent range, e a whole or half integer."""
+    for g in ctx.generators:
+        for e in (1, -1, Fraction(1, 2), Fraction(-3, 2), 3):
+            x = ctx.parse(rng.choice(COEFFS)) * ctx.monomial(1, {g: e})
+            for end in (MAX_EXPONENT, -MAX_EXPONENT):
+                k = int(end / e)
+                for step in (-1, 0, 1):
+                    yield x, k + step
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_monomial_powers_match_the_squaring_route(ctx):
+    """pow_int on seeded monomials, root-free ones by key arithmetic and the
+    others by squaring, with i and half exponents in their coefficients and
+    exponents, powers of both signs and powers at the range's edge."""
+    rng = random.Random(20)
+    cases = list(_edge_powers(ctx, rng))
+    for trial in range(300):
+        x = _monomial(rng, ctx, edge=0.1, roots=trial % 4 == 0)
+        if trial % 3 == 0:
+            x = x * ctx.monomial(1, {rng.choice(ctx.generators): Fraction(1, 2)})
+        cases.append((x, rng.choice((rng.randint(-7, 7), rng.randint(-600, 600)))))
+    seen = set()
+    for x, k in cases:
+        got = _outcome(pow_int, x, k)
+        assert got == _outcome(oracles.pow_int_by_terms, x, k), (x, k)
+        if got is not ExponentOverflow and abs(k) < 100:  # no exponent range there
+            assert _as_terms(got) == _outcome(oracles.terms_pow_int, ctx, terms_of(x), k)
+        (exps, coeff), = terms_of(x).items()
+        seen.update(feature for feature, present in (
+            ("i", coeff.im), ("half", any(e % 2 for e in exps)), ("negative", k < 0),
+            ("root", any(exps[len(ctx.generators):])), (got, isinstance(got, type)),
+            ("edge", not isinstance(got, type) and max(map(abs, terms_of(got).popitem()[0]))
+             >= 2 * MAX_EXPONENT - 2)) if present)
+    assert {"i", "half", "negative", "root", "edge", ExponentOverflow} <= seen
 
 
 def test_the_inverse_refuses_the_one_exponent_it_cannot_negate():

@@ -18,7 +18,7 @@ from ybtrace.eyb import (
     verify_eyb,
 )
 from ybtrace.errors import DimensionMismatch, NotAUnit, UnknownName, UnknownRow
-from ybtrace.invariant import alexander_nabla, classification_report, compute_ts, open_trace
+from ybtrace.invariant import alexander_nabla, classification_report, compute_ts
 from ybtrace.ring import ScalarContext
 from ybtrace.tables import run_table
 from ybtrace.tensor import SquareMatrix, invert, kron, matadd, matmul, scalar_scale
@@ -130,20 +130,33 @@ def test_sign_variants_verify_and_involute():
 
 
 def test_intertwining_rows():
+    """``intertwine`` is set on the 14 rank-one rows: (mu x mu) R = c (mu x mu)
+    for both signs, with c a unit.  On every row and sign it is set exactly
+    where compute_ts finds an eigenvalue of R for v (x) v, and equals it."""
     expectations = {
         ("R3.1", 3): "1",
         ("R3.1", 4): "s",
+        ("R2.1", 2): "1", ("R2.1", 3): "1", ("R2.1", 4): "1", ("R2.1", 5): "1",
+        ("R2.2", 2): "1",
         ("R2.2", 3): "-p*q",
-        ("R1.1", 2): "2",
+        ("R1.1", 2): "2", ("R1.1", 3): "2", ("R1.1", 4): "2", ("R1.1", 5): "2",
+        ("R1.2", 2): "1", ("R1.2", 3): "1",
     }
-    for (rmatrix, row), c_text in expectations.items():
-        entry = get_table1_entry(rmatrix, row)
-        assert entry.intertwine == c_text
-        op = entry.build()
-        mumu = kron(op.mu, op.mu)
-        lhs = matmul(mumu, op.r)
-        rhs = scalar_scale(mumu, op.ctx.parse(c_text))
-        assert lhs == rhs
+    for entry in TABLE1:
+        c_text = expectations.get((entry.rmatrix, entry.row))
+        assert entry.intertwine == c_text, (entry.rmatrix, entry.row)
+        for sign in "+-":
+            op = entry.build(sign, ctx=entry.context())
+            compute_ts(op, BraidWord(2, (1,)))
+            if c_text is None:
+                assert op._closure.get("eigen") is None, (entry.rmatrix, entry.row, sign)
+                continue
+            c = op.ctx.parse(c_text)
+            assert c.is_unit() and op._closure["eigen"] == c
+            mumu = kron(op.mu, op.mu)
+            lhs = matmul(mumu, op.r)
+            rhs = scalar_scale(mumu, c)
+            assert lhs == rhs
 
 
 def test_beta_rescaling_keeps_validity():
@@ -267,9 +280,11 @@ def test_bad_sign_raises_every_time_and_stores_nothing():
 def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     """Every caller through build(sign) leaves the shared operators as built,
     and they give the fresh operators' values on the named links and keep the
-    fresh operators' closure constants: the push's per strand count, the
-    half-word closure's weight rows per strand and kept slot count with
-    beta^k for the k closed slots, and the transposed crossings."""
+    fresh operators' closure constants: the eigenvalue verdict and the
+    unknot value's powers per strand count of the rank-one weights, the
+    push's per strand count, the half-word closure's weight rows per strand
+    and kept slot count with beta^k for the k closed slots, and the
+    transposed crossings."""
     for sign in "+-":
         classification_report(sign=sign)
     for which in (2, 3, 4):
@@ -290,11 +305,14 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
             for key in shared._closure:
                 if isinstance(key, int):  # the push's constants for key strands
                     compute_ts(fresh, BraidWord(key))
+                elif key[0] == "unknot":  # the closed form's unknot^n
+                    compute_ts(fresh, BraidWord(key[1]))
                 elif key[0] == "rows":  # with beta^k for the n - keep closed slots
-                    n, keep = key[1:]
-                    (open_trace if keep else compute_ts)(fresh, BraidWord(n))
+                    # by the half-word closure itself: compute_ts never takes
+                    # it for a rank-one weight, but a direct call may have
+                    invariant._closure(fresh, BraidWord(key[1]), key[2])
                 elif key[0] == "transpose":
                     invariant._pullback(fresh, key[1])
                 else:
-                    assert key in ("factors", "unknot") or key[0] == "beta", key
+                    assert key in ("factors", "eigen", "unknot") or key[0] == "beta", key
             assert shared._closure == fresh._closure

@@ -14,6 +14,7 @@ from oracles import (
     kron_power,
     trace_product,
 )
+from test_acceptance import _shift_mu
 
 from ybtrace import eyb, invariant, ring, tensor
 from ybtrace.braid import (
@@ -24,11 +25,15 @@ from ybtrace.braid import (
     parse_braid,
     stabilize,
 )
+from ybtrace.catalog import TransformSpec, transform_rmatrix
 from ybtrace.dressing import preset_dressings, preset_names
 from ybtrace.errors import (
-    DimensionMismatch, NotDivisible, ProportionalityFailure, StrandBoundViolation,
+    DimensionMismatch, ExponentOverflow, NotAUnit, NotDivisible, ProportionalityFailure,
+    StrandBoundViolation,
 )
-from ybtrace.eyb import EnhancedOperator, get_table1_entry, get_table1_eyb, table1_entries
+from ybtrace.eyb import (
+    EnhancedOperator, get_table1_entry, get_table1_eyb, table1_entries, verify_eyb,
+)
 from ybtrace.invariant import (
     ANNIHILATING_RELATIONS,
     SkeinFamily,
@@ -522,6 +527,16 @@ def _assert_factors(mu, factors):
     assert scalar_scale(mu, piv) == outer
 
 
+def _pushed_operator():
+    """A fresh operator on R1.1's R, over row 2's ring, whose rank-one weight
+    [[1, 1], [0, 0]] takes the push: v (x) v = (1, 1, 1, 1) is not a left
+    eigenvector of R.  It is not enhanced, which compute_ts does not need."""
+    entry = get_table1_entry("R1.1", 2)
+    op = entry.build(ctx=entry.context())
+    mu = SquareMatrix.from_rows(op.ctx, [[1, 1], [0, 0]])
+    return EnhancedOperator(op.r, mu, op.alpha, op.beta)
+
+
 def test_rank_one_rows_are_the_fourteen_const_one_rows():
     assert len(RANK_ONE_ROWS) == 14
     for e in table1_entries():
@@ -571,16 +586,58 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
 
 
 def test_rank_one_push_matches_matrix_path():
-    """The 14 rank-one rows with both signs on the named links and on seeded
-    words of up to five strands with both letter signs."""
+    """The 14 rank-one rows with both signs, which take the closed form, and
+    R1.1's R with a rank-one weight that is pushed, on the named links and
+    on seeded words of up to five strands with both letter signs."""
     rng = random.Random(5)
     words = [get_named_braid(name).braid for name in NAMED_LINKS]
     words += _random_words(rng, 8, 5, 8)
+    ops = [((rmatrix, row, sign), get_table1_eyb(rmatrix, row, sign=sign))
+           for rmatrix, row in RANK_ONE_ROWS for sign in "+-"]
+    ops.append(("pushed", _pushed_operator()))
+    for label, op in ops:
+        for b in words:
+            assert compute_ts(op, b).value == _matrix_path(op, b), (label, b)
+    assert ops[-1][1]._closure["eigen"] is None
+    assert all(op._closure["eigen"] is not None for _, op in ops[:-1])
+
+
+def _images(op, m, kappa):
+    """The similarity (Q = [[1, m], [0, 1]] and the unit kappa), transpose and
+    shift images of an enhanced operator of side 2, each with its weight
+    data carried along, so that each is enhanced again."""
+    ctx = op.ctx
+    q = SquareMatrix.from_rows(ctx, [[1, m], [0, 1]])
+    return {
+        "similarity": EnhancedOperator(
+            transform_rmatrix(op.r, TransformSpec("similarity", kappa=kappa, q=q), 2),
+            matmul(matmul(q, op.mu), invert(q)), kappa * op.alpha, op.beta),
+        "transpose": EnhancedOperator(
+            transform_rmatrix(op.r, TransformSpec("transpose"), 2),
+            op.mu.transpose(), op.alpha, op.beta),
+        "shift": EnhancedOperator(
+            transform_rmatrix(op.r, TransformSpec("shift", n=1), 2),
+            _shift_mu(op.mu, 1), op.alpha, op.beta),
+    }
+
+
+def test_images_of_the_rank_one_rows_keep_the_closed_form():
+    """The similarity, transpose and shift images of the 14 rank-one rows,
+    with both signs, find an eigenvalue and equal the matrix path on the
+    named links and on seeded words of up to five strands."""
+    rng = random.Random(20)
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += _random_words(rng, 6, 5, 8)
     for rmatrix, row in RANK_ONE_ROWS:
         for sign in "+-":
             op = get_table1_eyb(rmatrix, row, sign=sign)
-            for b in words:
-                assert compute_ts(op, b).value == _matrix_path(op, b), (rmatrix, row, sign, b)
+            kappa = op.ctx.gen(op.ctx.generators[-1], rng.choice((-1, 1)))
+            for kind, image in _images(op, rng.choice((1, -1, 2)), kappa).items():
+                label = (rmatrix, row, sign, kind)
+                assert verify_eyb(image), label
+                for b in words:
+                    assert compute_ts(image, b).value == _matrix_path(image, b), (label, b)
+                assert image._closure["eigen"].is_unit(), label
 
 
 def test_rank_one_push_matches_matrix_path_in_base_three():
@@ -611,9 +668,9 @@ def test_rank_one_push_refuses_a_state_space_above_the_cap(monkeypatch):
 
     monkeypatch.setattr(invariant, "pack", refuse)
     monkeypatch.setattr(invariant, "push_at", refuse)
-    op = get_table1_eyb("R1.1", 2)
-    with pytest.raises(StrandBoundViolation, match="2\\^40 states, above the cap"):
-        compute_ts(op, BraidWord(40, (1,)))
+    for op in (get_table1_eyb("R1.1", 2), _pushed_operator()):
+        with pytest.raises(StrandBoundViolation, match="2\\^40 states, above the cap"):
+            compute_ts(op, BraidWord(40, (1,)))
 
 
 def test_failing_annihilating_relation_returns_the_sum_as_residual():
@@ -655,11 +712,13 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
     monkeypatch.setattr(tensor, "_invert_piece", counted)
     word = get_named_braid("4_1").braid
     assert any(k < 0 for k in word.letters)
-    # R2.1/2 pushes its rank-one weight; R1.3/1 builds the representation matrix.
-    # Fresh operators: the shared ones may already keep R's inverse.
-    for name, row, pushed in (("R2.1", 2, True), ("R1.3", 1, False)):
-        entry = get_table1_entry(name, row)
-        op = entry.build(ctx=entry.context())
+    # R1.1's R with a rank-one weight pushes it; R1.3/1 builds the
+    # representation matrix.  Fresh operators: the shared ones may already
+    # keep R's inverse.
+    matrix_row = get_table1_entry("R1.3", 1)
+    for make, pushed in ((_pushed_operator, True),
+                         (lambda: matrix_row.build(ctx=matrix_row.context()), False)):
+        op = make()
         assert (rank_one_factors(op.mu) is not None) == pushed
         pieces.clear()
         compute_ts(op, get_named_braid("5_1").braid)  # no negative letter
@@ -715,18 +774,20 @@ def test_run_table_parses_its_goldens_and_bindings_once(monkeypatch):
 
 def test_compute_ts_keeps_its_closure_constants_per_operator_and_strand_count(monkeypatch):
     calls = {}
+    trefoil, figure_eight, cinquefoil = (
+        get_named_braid(name).braid for name in ("3_1", "4_1", "5_1"))
+    expected = {b: _matrix_path(_pushed_operator(), b) for b in (trefoil, cinquefoil)}
     for name in ("rank_one_factors", "unknot_value", "_tensor_power"):
         _spy(monkeypatch, calls, invariant, name)
-    entry = get_table1_entry("R1.1", 2)
-    op = entry.build(ctx=entry.context())
-    trefoil, figure_eight = (get_named_braid(name).braid for name in ("3_1", "4_1"))
+    op = _pushed_operator()
     first = compute_ts(op, trefoil, normalized=True)
-    assert first.value == op.ctx.one()
+    # the unknot value Tr(mu) / beta is 1, so the normalized value is the raw one
+    assert first.unknot_value == op.ctx.one() and first.value == expected[trefoil]
     assert calls == {"rank_one_factors": 1, "unknot_value": 1, "_tensor_power": 2}
     calls.update(dict.fromkeys(calls, 0))
     # the same strand count, by the same word or another
     assert compute_ts(op, trefoil, normalized=True) == first
-    assert compute_ts(op, get_named_braid("5_1").braid).value == op.ctx.one()
+    assert compute_ts(op, cinquefoil).value == expected[cinquefoil]
     assert calls == dict.fromkeys(calls, 0)
     # another strand count makes its own tensor powers
     assert figure_eight.strands != trefoil.strands
@@ -734,7 +795,7 @@ def test_compute_ts_keeps_its_closure_constants_per_operator_and_strand_count(mo
     assert calls == {"rank_one_factors": 0, "unknot_value": 0, "_tensor_power": 2}
     # and a fresh build of the same row computes everything again
     calls.update(dict.fromkeys(calls, 0))
-    assert compute_ts(entry.build(ctx=entry.context()), trefoil, normalized=True) == first
+    assert compute_ts(_pushed_operator(), trefoil, normalized=True) == first
     assert calls == {"rank_one_factors": 1, "unknot_value": 1, "_tensor_power": 2}
     # the matrix path keeps its verdict that mu is not rank one
     jones = get_table1_entry("R2.1", 1)
@@ -786,8 +847,7 @@ def test_a_second_push_builds_no_crossing_table(monkeypatch):
     built = []
     original = tensor._crossing_table
     monkeypatch.setattr(tensor, "_crossing_table", lambda r: built.append(r) or original(r))
-    entry = get_table1_entry("R1.1", 2)
-    op = entry.build(ctx=entry.context())
+    op = _pushed_operator()
     word = get_named_braid("4_1").braid
     assert rank_one_factors(op.mu) is not None and any(k < 0 for k in word.letters)
     first = compute_ts(op, word).value
@@ -797,6 +857,85 @@ def test_a_second_push_builds_no_crossing_table(monkeypatch):
     assert compute_ts(op, word).value == first
     compute_ts(op, get_named_braid("5_2").braid)
     assert built == []
+
+
+def test_the_closed_form_pushes_nothing_and_checks_each_operator_once(monkeypatch):
+    """A rank-one row whose v (x) v is a left eigenvector of R packs, pushes,
+    inverts and tabulates nothing, and divides only to find its eigenvalue
+    and its unknot value, once per operator; the unknot value's n-th power
+    is kept per strand count."""
+    words = [get_named_braid(name).braid for name in ("3_1", "4_1", "5_2", "2^2_1")]
+    assert any(k < 0 for b in words for k in b.letters)
+    rows = [get_table1_entry(rmatrix, row) for rmatrix, row in (("R2.1", 2), ("R1.1", 2))]
+    expected = {(e, b): _matrix_path(e.build(ctx=e.context()), b) for e in rows for b in words}
+    calls = {}
+    for module, name in ((invariant, "_eigenvalue"), (invariant, "pack"), (invariant, "push_at"),
+                         (invariant, "try_div_exact"), (tensor, "_invert_piece"),
+                         (tensor, "_crossing_table")):
+        _spy(monkeypatch, calls, module, name)
+    for entry in rows:
+        op = entry.build(ctx=entry.context())
+        calls.update(dict.fromkeys(calls, 0))
+        for b in words:
+            assert compute_ts(op, b).value == expected[entry, b], (entry.rmatrix, b)
+        assert calls == dict(dict.fromkeys(calls, 0), _eigenvalue=1, try_div_exact=2)
+        calls.update(dict.fromkeys(calls, 0))
+        for b in words:
+            assert compute_ts(op, b).value == expected[entry, b], (entry.rmatrix, b)
+        assert calls == dict.fromkeys(calls, 0)
+        assert set(op._closure) == {"factors", "eigen", "unknot", ("unknot", 2), ("unknot", 3)}
+        assert op._closure["eigen"] == op.ctx.parse(entry.intertwine)
+        for n in (2, 3):
+            assert op._closure[("unknot", n)] == pow_int(unknot_value(op), n)
+
+
+def test_the_closed_form_overflows_where_the_push_does():
+    """R3.1/4 has c = alpha = s: c^w alpha^-w is 1 up to 4095 letters of
+    either sign, and at 4096 one of the two powers leaves the exponent range,
+    as the pushed vector or alpha's power does."""
+    entry = get_table1_entry("R3.1", 4)
+    op = entry.build(ctx=entry.context())
+    factors = rank_one_factors(op.mu)
+    routes = (lambda b: compute_ts(op, b).value,
+              lambda b: invariant._pushed_trace(op, b, *factors))
+    for letter in (1, -1):
+        for route in routes:
+            assert route(BraidWord(2, (letter,) * 4095)) == op.ctx.one()
+            with pytest.raises(ExponentOverflow):
+                route(BraidWord(2, (letter,) * 4096))
+    assert op._closure["eigen"] == op.ctx.gen("s")
+
+
+def test_the_closed_form_refuses_a_non_unit_alpha_where_the_push_does():
+    """R2.1/2's R and mu with alpha = 1 + p: alpha^-w needs a unit at
+    writhe 2, and is (1 + p)^2 at writhe -2, on both routes."""
+    entry = get_table1_entry("R2.1", 2)
+    row = entry.build(ctx=entry.context())
+    op = EnhancedOperator(row.r, row.mu, row.ctx.parse("1 + p"), row.beta)
+    factors = rank_one_factors(op.mu)
+    for route in (lambda b: compute_ts(op, b).value,
+                  lambda b: invariant._pushed_trace(op, b, *factors)):
+        with pytest.raises(NotAUnit):
+            route(BraidWord(2, (1, 1)))
+        assert route(BraidWord(2, (-1, -1))) == op.ctx.parse("1 + 2*p + p^2")
+    assert op._closure["eigen"] == op.ctx.one()
+
+
+def test_a_warm_classification_pushes_nothing_for_the_rank_one_rows(monkeypatch):
+    """Every push_at call of a warm classification_report comes from the nine
+    rows whose weight is not rank one: their half-word closures."""
+    report = classification_report()
+    calls = {}
+    _spy(monkeypatch, calls, invariant, "push_at")
+    assert classification_report() == report
+    total = calls["push_at"]
+    assert total > 0
+    rank_one = [get_table1_entry(rmatrix, row) for rmatrix, row in RANK_ONE_ROWS]
+    calls["push_at"] = 0
+    classification_report(rank_one)
+    assert calls["push_at"] == 0
+    classification_report([e for e in table1_entries() if e not in rank_one])
+    assert calls["push_at"] == total
 
 
 def test_classification_report_warm_equals_cold_and_the_goldens(monkeypatch):
