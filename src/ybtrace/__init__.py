@@ -80,6 +80,7 @@ from .eyb import (
     get_table1_eyb,
     search_ansatz,
     sign_variants,
+    specialize,
     table1_entries,
     verify_eyb,
 )

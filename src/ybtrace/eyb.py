@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotAUnit, ParseError, UnknownName, UnknownRow
-from .ring import Scalar, ScalarContext, json_field, scalar_from_json, scalar_to_json
+from .ring import (
+    Scalar, ScalarContext, json_field, scalar_from_json, scalar_to_json, substitute,
+)
 from .tensor import (
     SquareMatrix,
     Verdict,
@@ -83,6 +85,23 @@ def verify_eyb(op):
         if not diff.is_zero():
             return Verdict(False, condition, residual=diff)
     return Verdict(True)
+
+
+def specialize(op, bindings, target):
+    """The image of ``op`` under the substitution ``bindings`` into the ring
+    ``target``: R and mu entry by entry, alpha and beta, each by
+    ``ring.substitute``.
+
+    The substitution is a ring homomorphism, and the invariant a polynomial
+    in the entries of R^(+-1) and mu and in alpha^-1 and beta^-1, so the
+    invariant of the image is the image of the invariant.
+    """
+    return EnhancedOperator(
+        matrix_substitute(op.r, bindings, target),
+        matrix_substitute(op.mu, bindings, target),
+        substitute(op.alpha, bindings, target),
+        substitute(op.beta, bindings, target),
+    )
 
 
 def sign_variants(op):

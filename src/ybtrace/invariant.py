@@ -32,8 +32,8 @@ as one vector, are pulled back through A, one letter at a time by
 ``push_at`` on the transposed crossing, and one ``ring.contract`` against
 B's columns gives the block left on the kept strands.  That block is
 divided by beta once per closed slot and multiplied by alpha^(-writhe).
-``alexander_nabla`` is the open trace of row R1.2/1 at q = t^-2
-(sqrt_q -> t^-1).
+``alexander_nabla`` is the open trace of row R1.2/1's image at q = t^-2
+(sqrt_q -> t^-1), kept after its first call.
 
 What depends only on the operator is kept on it on first use: the rank-one
 factors, the unknot value, the eigenvalue c or the verdict that there is
@@ -62,10 +62,9 @@ from .errors import (
     StrandBoundViolation,
     UnknownName,
 )
-from .eyb import EnhancedOperator, get_table1_eyb, table1_entries
+from .eyb import EnhancedOperator, get_table1_eyb, specialize, table1_entries
 from .ring import (
-    Scalar, ScalarContext, contract, format_scalar, pack, pow_int, substitute,
-    try_div_exact,
+    Scalar, ScalarContext, contract, format_scalar, pack, pow_int, try_div_exact,
 )
 from .tensor import (
     MAX_ENTRIES,
@@ -466,21 +465,32 @@ def open_trace(op, b):
     return _closure(op, b, 1)
 
 
-# the ring of alexander_nabla's values and its binding q = t^-2; filled on first use
-_nabla_target = {}
+# R1.2/1's image at q = t^-2; filled on first use
+_nabla_operator = []
 
 
 def alexander_nabla(b):
     """The Alexander invariant of the closure of ``b`` in the variable t:
-    the open trace of row R1.2/1, at q = t^-2."""
-    if not _nabla_target:
+    the open trace of row R1.2/1's image at q = t^-2 (``eyb.specialize``:
+    sqrt_q -> t^-1, so mu = diag(t, -t) and alpha = t^-1), built by the
+    first call and kept."""
+    if not _nabla_operator:
         ctx = ScalarContext(("t",))
-        _nabla_target.update(ctx=ctx, bindings={"q": ctx.parse("t^-2")})
-    value = open_trace(get_table1_eyb("R1.2", 1), b)
-    return substitute(value, _nabla_target["bindings"], _nabla_target["ctx"])
+        _nabla_operator.append(
+            specialize(get_table1_eyb("R1.2", 1), {"q": ctx.parse("t^-2")}, ctx))
+    return open_trace(_nabla_operator[0], b)
 
 
 # -- classification -------------------------------------------------------------
+
+
+def _is_unknot_value(raw, op):
+    """Whether raw / unknot == 1, decided as raw == unknot with no division;
+    a zero unknot value raises ZeroDivisionError, as the division would."""
+    unknot = _kept_unknot(op)
+    if unknot.is_zero():
+        raise ZeroDivisionError("division by zero scalar")
+    return raw == unknot
 
 
 def _tag_expectation(tag, op, link, raw, ctx):
@@ -495,17 +505,15 @@ def _tag_expectation(tag, op, link, raw, ctx):
     if tag == "knots-1":
         if link.components != 1:
             return "-", None
-        normalized = try_div_exact(raw, _kept_unknot(op))
-        return "1 (knots)", normalized == ctx.one()
+        return "1 (knots)", _is_unknot_value(raw, op)
     if tag == "knots-0":
         if link.components != 1:
             return "-", None
         return "0 (knots)", raw.is_zero()
     if tag == "jones":
-        normalized = try_div_exact(raw, _kept_unknot(op))
         if link.name == "0_1":
-            return "1", normalized == ctx.one()
-        return "nontrivial", normalized != ctx.one()
+            return "1", _is_unknot_value(raw, op)
+        return "nontrivial", not _is_unknot_value(raw, op)
     raise UnknownName(f"unknown tag {tag!r}")
 
 

@@ -907,7 +907,9 @@ def substitute(x, bindings, target=None):
     target context.  Unbound generators map to the target generator of the
     same name.  Adjoined roots map to the declared root of the substituted
     radicand when the target declares one, otherwise to an exact monomial
-    square root when that exists.
+    square root when that exists.  Each generator's image is raised once per
+    distinct exponent, and the images of the terms are added into one
+    accumulator over one denominator.
     """
     ctx = x.ctx
     if target is None:
@@ -943,7 +945,10 @@ def substitute(x, bindings, target=None):
                     raise ContextMismatch(
                         f"generator {name!r} missing from target context"
                     )
-                image = target.gen(name)
+                # the target's own generator (or root) of that name, by its key
+                layout = target._layout
+                image = _scalar(target, {layout.zero + (2 << layout.total_shift)
+                                         + (2 << layout.shifts[target._index[name]]): 1})
         else:
             # radicands only reference earlier positions, so this terminates
             rad = apply(ctx._radicands[pos - ngens])
@@ -963,17 +968,35 @@ def substitute(x, bindings, target=None):
         factor_cache[pos] = image
         return image
 
+    powers = {}  # (position, doubled exponent) -> the image raised to it
+    exps, one = ctx._layout.exps, target._layout.zero
+
     def apply(y):
-        # the real and the imaginary part of a coefficient map as two terms
-        result = target.zero()
-        one = target._layout.zero
+        # each term's monomial maps to a product of kept powers, which goes
+        # into one raw accumulator over one denominator times the term's
+        # numerator, or times i for the imaginary part of a coefficient
+        acc, den = {}, 1
+        get = acc.get
         for k, v in y._nums.items():
-            term = _scalar(target, {one + (k & 1): v}, y._den)
-            for pos, d in enumerate(ctx._layout.exps(k)):
+            image = None
+            for pos, d in enumerate(exps(k)):
                 if d:
-                    term = term * _pow_half(factor_image(pos), d)
-            result = result + term
-        return result
+                    power = powers.get((pos, d))
+                    if power is None:
+                        power = powers[pos, d] = _pow_half(factor_image(pos), d)
+                    image = power if image is None else image * power
+            nums, d = ({one: 1}, 1) if image is None else (image._nums, image._den)
+            if den % d:  # over the lcm of the denominators
+                up = d // math.gcd(den, d)
+                den *= up
+                for key in acc:
+                    acc[key] *= up
+            v *= den // d
+            for key, c in nums.items():
+                if k & 1:  # the i field moves up, or i*i gives a sign
+                    key, c = (key - 1, -c) if key & 1 else (key + 1, c)
+                acc[key] = get(key, 0) + v * c
+        return _scalar(target, {key: c for key, c in acc.items() if c}, den * y._den)
 
     return apply(x)
 

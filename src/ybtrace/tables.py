@@ -1,9 +1,15 @@
 """Reproduction of the reference invariant tables from scratch.
 
 Each runner recomputes every cell with the appropriate operator and
-normalization convention, collapses the parameters (t = pq, s = aby for the
-three-dimensional dressing, s = hg for the four-dimensional one), and diffs
-the result against the golden values embedded below.
+normalization convention and diffs the result against the golden values
+embedded below.  The parameters are collapsed (t = pq, s = aby for the
+three-dimensional dressing, s = hg for the four-dimensional one) on the
+operator, not on its values: each operator's image in the collapsed ring
+(``eyb.specialize``) is built once and kept, and every cell is computed on
+it.  The invariant is a polynomial in the operator's entries, so the image's
+value is the collapsed value; each collapse is injective on its operator's
+ring (sqrt_pq lands on t^(1/2)), so a normalization divides exactly on the
+image when it does on the operator, and the division is root-free.
 
 Conventions: both knot-table columns and the link-table plain column are
 unknot-normalized; the link-table dressed column is raw; the
@@ -17,9 +23,9 @@ from dataclasses import dataclass
 from .braid import KNOT_NAMES, LINK_NAMES, get_named_braid
 from .dressing import preset_dressings
 from .errors import UnknownName
-from .eyb import get_table1_eyb
+from .eyb import get_table1_eyb, specialize
 from .invariant import classification_report, compute_ts
-from .ring import ScalarContext, format_scalar, substitute
+from .ring import ScalarContext, format_scalar
 
 TABLE2_JONES = {
     "0_1": "1",
@@ -93,34 +99,46 @@ class TableReport:
         return all(cell.match for cell in self.cells)
 
 
-# collapse name -> (target generators, {collapsed parameter: image})
+# collapse name -> (target generators, {collapsed parameter: image}, the
+# operator it collapses)
 _COLLAPSES = {
-    "jones": (("t", "q"), {"p": "t*q^-1"}),
-    "d3": (("t", "q", "s", "b", "y"), {"p": "t*q^-1", "a": "s*b^-1*y^-1"}),
+    "jones": (("t", "q"), {"p": "t*q^-1"}, lambda: get_table1_eyb("R2.1", 1)),
+    "d3": (("t", "q", "s", "b", "y"), {"p": "t*q^-1", "a": "s*b^-1*y^-1"},
+           lambda: preset_dressings("d3_R21").eyb),
     "d4": (("t", "q", "a", "b", "y", "c", "d", "g", "s", "w"),
-           {"p": "t*q^-1", "h": "s*g^-1"}),
+           {"p": "t*q^-1", "h": "s*g^-1"}, lambda: preset_dressings("d4_R22").eyb),
 }
 
-# collapse name -> (target ring, bindings, {golden text: (value, its text)});
-# filled on first use
+# collapse name -> (target ring, the operator's image in it, {golden text:
+# (value, its text)}); filled on first use
 _targets = {}
 
 
-def _cell(table, link, column, value, collapse, golden):
+def _target(collapse):
     if collapse not in _targets:
-        gens, images = _COLLAPSES[collapse]
+        gens, images, operator = _COLLAPSES[collapse]
         ct = ScalarContext(gens)
-        _targets[collapse] = (ct, {k: ct.parse(v) for k, v in images.items()}, {})
-    ct, bindings, goldens = _targets[collapse]
+        bindings = {k: ct.parse(v) for k, v in images.items()}
+        _targets[collapse] = (ct, specialize(operator(), bindings, ct), {})
+    return _targets[collapse]
+
+
+def _collapsed(collapse):
+    """The collapse's operator, specialized to its target ring once."""
+    return _target(collapse)[1]
+
+
+def _cell(table, link, column, value, collapse, golden):
+    """The cell of ``value``, which lies in the collapse's target ring."""
+    ct, _, goldens = _target(collapse)
     if golden not in goldens:
         expected = ct.parse(golden)
         goldens[golden] = (expected, format_scalar(expected))
     expected, expected_text = goldens[golden]
-    computed = substitute(value, bindings, ct)
     return TableCell(
         table, link, column,
-        format_scalar(computed), expected_text,
-        computed == expected,
+        format_scalar(value), expected_text,
+        value == expected,
     )
 
 
@@ -141,8 +159,8 @@ def _run_table1():
 
 
 def _run_table2():
-    jones = get_table1_eyb("R2.1", 1)
-    dressed = preset_dressings("d3_R21").eyb
+    jones = _collapsed("jones")
+    dressed = _collapsed("d3")
     cells = []
     for name in KNOT_NAMES:
         braid = get_named_braid(name).braid
@@ -154,30 +172,30 @@ def _run_table2():
 
 
 def _run_table3():
-    jones = get_table1_eyb("R2.1", 1)
-    preset = preset_dressings("d3_R21")
+    jones = _collapsed("jones")
+    dressed = _collapsed("d3")
     cells = []
-    unknot = compute_ts(preset.eyb, get_named_braid("0_1").braid).value
+    unknot = compute_ts(dressed, get_named_braid("0_1").braid).value
     cells.append(_cell(3, "0_1", "dressed-unknot-raw", unknot, "d3", TABLE3_UNKNOT_RAW))
     for name in LINK_NAMES:
         braid = get_named_braid(name).braid
         value = compute_ts(jones, braid, normalized=True).value
         cells.append(_cell(3, name, "jones", value, "jones", TABLE3_JONES[name]))
-        value = compute_ts(preset.eyb, braid, normalized=False).value
+        value = compute_ts(dressed, braid, normalized=False).value
         cells.append(_cell(3, name, "dressed", value, "d3", TABLE3_DRESSED[name]))
     return TableReport(3, tuple(cells))
 
 
 def _run_table4():
-    preset = preset_dressings("d4_R22")
+    dressed = _collapsed("d4")
     cells = []
     for name, golden in TABLE4_LINKS.items():
         braid = get_named_braid(name).braid
-        value = compute_ts(preset.eyb, braid, normalized=True).value
+        value = compute_ts(dressed, braid, normalized=True).value
         cells.append(_cell(4, name, "dressed", value, "d4", golden))
     for name in KNOT_NAMES:
         braid = get_named_braid(name).braid
-        value = compute_ts(preset.eyb, braid, normalized=True).value
+        value = compute_ts(dressed, braid, normalized=True).value
         cells.append(_cell(4, name, "dressed", value, "d4", "1"))
     return TableReport(4, tuple(cells))
 

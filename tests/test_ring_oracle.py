@@ -10,6 +10,7 @@ exponents and coefficients with denominators.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ import oracles
 from oracles import GaussianRational, pairs, terms_of
 
 from ybtrace import ring
-from ybtrace.errors import NotAUnit, YbtraceError
+from ybtrace.errors import ContextMismatch, NotAUnit, UnknownName, YbtraceError
 from ybtrace.ring import (
     Scalar,
     ScalarContext,
@@ -202,3 +203,52 @@ def test_substitute_matches_term_dict_oracle():
                     for name in rng.sample(ctx.generators, rng.randint(0, 2))}
         got = _outcome(lambda: terms_of(substitute(Scalar(ctx, pairs(ta)), bindings, ctx)))
         assert got == _outcome(oracles.terms_substitute, ctx, ta, bindings, ctx)
+
+
+# (source ring, target ring, images a bound generator is drawn from): p is
+# always bound, q half the time.  Roots map to the target's declared roots or
+# to exact monomial roots; images have half exponents and i, and some are
+# not units, carry a root or have no square root
+SUBSTITUTIONS = (
+    (CTX_ROOTS,
+     ScalarContext(("t", "q"), (("rr", "1-q^2"), ("ss", "q + i*rr/2"))),
+     {"p": ["t^(1/2)", "-i*t^-1", "2*t*q^-1", "t^(1/2)*q^(-3/2)/3", "1 + t", "rr*t"],
+      "q": ["-q", "q^-1"]}),
+    (ScalarContext(("p", "q"), (("sqrt_pq", "p*q"),)),
+     ScalarContext(("t", "q")),
+     {"p": ["t*q^-1", "4*t^3*q^-1", "-t*q^-1", "i*t*q^-1", "t^(1/2)*q^-1", "1 + t"]}),
+)
+
+
+def test_substitute_into_another_ring_matches_term_dict_oracle():
+    """One accumulator over one denominator and one power per generator and
+    exponent give the oracle's image term by term, or its error."""
+    rng = random.Random(20261019)
+    outcomes = set()
+    for ctx, target, choices in SUBSTITUTIONS:
+        for _ in range(300):
+            ta = _random_terms(rng, ctx, 6)
+            bindings = {name: target.parse(rng.choice(images))
+                        for name, images in choices.items()
+                        if name == "p" or rng.random() < 0.5}
+            want = _outcome(oracles.terms_substitute, ctx, ta, bindings, target)
+            got = _outcome(lambda: terms_of(substitute(Scalar(ctx, pairs(ta)), bindings,
+                                                       target)))
+            assert got == want, (ta, bindings)
+            outcomes.add(want if isinstance(want, type) else "value")
+    assert outcomes == {"value", NotAUnit}
+
+
+def test_substitute_keeps_its_messages():
+    ctx = ScalarContext(("p", "q"), (("sqrt_pq", "p*q"),))
+    target = ScalarContext(("t",))
+    x = ctx.parse("p + sqrt_pq")
+    for bindings, error, message in (
+            ({"z": "t"}, UnknownName, "unknown generator 'z'"),
+            ({"sqrt_pq": "t"}, UnknownName, "cannot bind root 'sqrt_pq'"),
+            ({"p": ctx.parse("p")}, ContextMismatch, "outside the target context"),
+            ({"p": "t"}, ContextMismatch, "generator 'q' missing from target context"),
+            ({"p": "t^-1", "q": "1 + t"}, NotAUnit,
+             "no representation for the square root of t^-1 + 1")):
+        with pytest.raises(error, match=re.escape(message)):
+            substitute(x, bindings, target)
