@@ -37,7 +37,6 @@ from .ring import (
 )
 from .tensor import (
     SquareMatrix,
-    apply_at,
     embed_generator,
     invert,
     kron,

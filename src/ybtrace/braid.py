@@ -4,29 +4,25 @@ A braid on n strands is a sequence of nonzero letters; letter k stands for
 the k-th elementary crossing and -k for its inverse, 1 <= k <= n-1.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import CannotDestabilize, ParseError, StrandBoundViolation, UnknownName
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    strands: int
-    letters: tuple = ()
+class BraidWord(Record):
+    _fields = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands, letters=()):
+        if strands < 1:
             raise StrandBoundViolation("strand count must be at least 1")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for k in self.letters:
+        letters = tuple(letters)
+        for k in letters:
             if not isinstance(k, int) or k == 0:
                 raise StrandBoundViolation(f"invalid letter {k!r}")
-            if abs(k) > self.strands - 1:
+            if abs(k) > strands - 1:
                 raise StrandBoundViolation(
-                    f"letter {k} needs at least {abs(k) + 1} strands, have {self.strands}"
+                    f"letter {k} needs at least {abs(k) + 1} strands, have {strands}"
                 )
+        self.__dict__.update(strands=strands, letters=letters)
 
     @property
     def writhe(self):
@@ -124,11 +120,11 @@ def disjoint_union(a, b):
     return BraidWord(a.strands + b.strands, a.letters + shifted)
 
 
-@dataclass(frozen=True)
-class NamedLink:
-    name: str
-    braid: BraidWord
-    components: int
+class NamedLink(Record):
+    _fields = ("name", "braid", "components")
+
+    def __init__(self, name, braid, components):
+        self.__dict__.update(name=name, braid=braid, components=components)
 
 
 # Closures of these words are the named knots and links used by the

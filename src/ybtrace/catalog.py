@@ -8,14 +8,11 @@ is fixed once here and used consistently by every other module, and either
 choice yields the same invariants by the transpose symmetry.
 """
 
-from __future__ import annotations
-
 import math
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import DimensionMismatch, NotAUnit, PreconditionViolation, UnknownName
-from .ring import Scalar, ScalarContext
+from .ring import ScalarContext
 from .tensor import (
     MAX_STATES,
     SquareMatrix,
@@ -43,15 +40,15 @@ def _load_pair_table(ctx, table):
     return SquareMatrix.from_rows(ctx, rows)
 
 
-@dataclass(frozen=True)
-class RMatrixSpec:
+class RMatrixSpec(Record):
     """A named catalog solution with its context and nonsingularity limits."""
 
-    name: str
-    base_dim: int
-    ctx: ScalarContext
-    matrix: SquareMatrix
-    constraints: tuple = ()  # (generator, forbidden Scalar) pairs
+    _fields = ("name", "base_dim", "ctx", "matrix", "constraints")
+
+    def __init__(self, name, base_dim, ctx, matrix, constraints=()):
+        # constraints: (generator, forbidden Scalar) pairs
+        self.__dict__.update(name=name, base_dim=base_dim, ctx=ctx, matrix=matrix,
+                             constraints=constraints)
 
 
 _CATALOG_TABLES = {
@@ -158,8 +155,7 @@ def check_ybe(r, base=None):
     return Verdict(False, index=index, residual=diff.entries[index])
 
 
-@dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(Record):
     """One of the four YBE-preserving transformations.
 
     kind 'similarity' uses the unit scalar kappa and invertible Q; 'shift'
@@ -167,10 +163,10 @@ class TransformSpec:
     'flip' take no data.
     """
 
-    kind: str
-    kappa: Scalar = None
-    q: SquareMatrix = None
-    n: int = 0
+    _fields = ("kind", "kappa", "q", "n")
+
+    def __init__(self, kind, kappa=None, q=None, n=0):
+        self.__dict__.update(kind=kind, kappa=kappa, q=q, n=n)
 
 
 def transform_rmatrix(r, t, base=None):

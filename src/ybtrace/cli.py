@@ -6,8 +6,6 @@ failure, 2 usage error, 3 parse error.  Output is deterministic; identical
 invocations produce byte-identical output.
 """
 
-from __future__ import annotations
-
 import argparse
 import io
 import json

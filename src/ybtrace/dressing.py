@@ -14,11 +14,9 @@ Index subsets and the s/f mappings are 1-indexed at the interface, matching
 the JSON forms; internal tensor digits are 0-indexed.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .catalog import check_ybe
 from .errors import (
     ConditionViolation,
@@ -44,19 +42,20 @@ from .tensor import (
 )
 
 
-def _validate(spec, weights, forbidden, why, blocks=()):
-    """Normalise and check a spec in place; ValueError names what is wrong.
+def _validate(ctx, n, j, weights, forbidden, why, blocks=()):
+    """A spec's J, sorted, and its weights, parsed; ValueError names what is
+    wrong.
 
-    J is sorted and must be distinct labels within 1..N.  Each (label,
-    matrix) in ``blocks`` must be invertible over the ring and of side |J|.
-    The field ``weights`` maps pairs within 1..N to scalars or scalar text;
-    a pair for which ``forbidden(a, b)`` holds is refused with the phrase
-    ``why``, and every weight must be a unit.
+    J must be distinct labels within 1..N.  Each (label, matrix) in
+    ``blocks`` must be invertible over the ring and of side |J|.
+    ``weights`` maps pairs within 1..N to scalars or scalar text; a pair for
+    which ``forbidden(a, b, j)`` holds is refused with the phrase ``why``, and
+    every weight must be a unit.
     """
-    j = tuple(sorted(spec.j))
-    if not all(1 <= a <= spec.n for a in j) or len(set(j)) != len(j):
-        raise ValueError(f"bad index subset {spec.j}")
-    object.__setattr__(spec, "j", j)
+    sorted_j = tuple(sorted(j))
+    if not all(1 <= a <= n for a in sorted_j) or len(set(sorted_j)) != len(sorted_j):
+        raise ValueError(f"bad index subset {j}")
+    j = sorted_j
     for label, block in blocks:
         if block.side != len(j):
             raise ValueError(f"{label} has side {block.side}, not |J| = {len(j)}")
@@ -65,21 +64,20 @@ def _validate(spec, weights, forbidden, why, blocks=()):
         except (NonInvertible, InverseOutsideRing):
             raise ValueError(f"{label} must be invertible over the ring") from None
     parsed = {}
-    for key, value in getattr(spec, weights).items():
+    for key, value in weights.items():
         a, b = key
-        if not (1 <= a <= spec.n and 1 <= b <= spec.n):
-            raise ValueError(f"pair {key} lies outside 1..{spec.n}")
-        if forbidden(a, b):
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"pair {key} lies outside 1..{n}")
+        if forbidden(a, b, j):
             raise ValueError(f"pair {key} {why}")
-        weight = spec.ctx.parse(value) if isinstance(value, str) else value
+        weight = ctx.parse(value) if isinstance(value, str) else value
         if not weight.is_unit():
             raise ValueError(f"swap weight for {key} must be invertible")
         parsed[(a, b)] = weight
-    object.__setattr__(spec, weights, parsed)
+    return j, parsed
 
 
-@dataclass(frozen=True)
-class DiagonalDressingSpec:
+class DiagonalDressingSpec(Record):
     """Target dimension, embedded index subset, and the swap weights.
 
     ``s`` maps 1-indexed pairs (a, b) to the weight of the swap sending
@@ -87,14 +85,12 @@ class DiagonalDressingSpec:
     unspecified pairs default to 1.
     """
 
-    ctx: ScalarContext
-    n: int
-    j: tuple
-    s: dict = field(default_factory=dict)
+    _fields = ("ctx", "n", "j", "s")
 
-    def __post_init__(self):
-        _validate(self, "s", lambda a, b: a in self.j and b in self.j,
-                  "lies inside the embedded block")
+    def __init__(self, ctx, n, j, s=None):
+        j, s = _validate(ctx, n, j, {} if s is None else s,
+                         lambda a, b, j: a in j and b in j, "lies inside the embedded block")
+        self.__dict__.update(ctx=ctx, n=n, j=j, s=s)
 
     def weight(self, a, b):
         """s_{ab} for 1-indexed a, b; defaults to 1."""
@@ -102,25 +98,22 @@ class DiagonalDressingSpec:
         return self.ctx.one() if value is None else value
 
 
-@dataclass(frozen=True)
-class BlockDressingSpec:
+class BlockDressingSpec(Record):
     """Block data: commuting invertible F, G of side |J| on the embedded block
     and the swap weights f for pairs fully outside it.  J is checked as for a
     diagonal spec; F and G default to the identity."""
 
-    ctx: ScalarContext
-    n: int
-    j: tuple
-    f_block: SquareMatrix = None
-    g_block: SquareMatrix = None
-    f: dict = field(default_factory=dict)
+    _fields = ("ctx", "n", "j", "f_block", "g_block", "f")
 
-    def __post_init__(self):
-        for name in ("f_block", "g_block"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, SquareMatrix.identity(self.ctx, len(self.j)))
-        _validate(self, "f", lambda a, b: a in self.j or b in self.j,
-                  "touches the embedded block", (("F", self.f_block), ("G", self.g_block)))
+    def __init__(self, ctx, n, j, f_block=None, g_block=None, f=None):
+        if f_block is None:
+            f_block = SquareMatrix.identity(ctx, len(j))
+        if g_block is None:
+            g_block = SquareMatrix.identity(ctx, len(j))
+        j, f = _validate(ctx, n, j, {} if f is None else f,
+                         lambda a, b, j: a in j or b in j, "touches the embedded block",
+                         (("F", f_block), ("G", g_block)))
+        self.__dict__.update(ctx=ctx, n=n, j=j, f_block=f_block, g_block=g_block, f=f)
 
     def weight(self, a, b):
         value = self.f.get((a, b))
@@ -317,15 +310,12 @@ def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True
     return op
 
 
-@dataclass(frozen=True)
-class DressedPreset:
-    name: str
-    ctx: ScalarContext
-    spec: DiagonalDressingSpec
-    matrix: SquareMatrix
-    eyb: EnhancedOperator
-    base_rmatrix: str
-    base_row: int
+class DressedPreset(Record):
+    _fields = ("name", "ctx", "spec", "matrix", "eyb", "base_rmatrix", "base_row")
+
+    def __init__(self, name, ctx, spec, matrix, eyb, base_rmatrix, base_row):
+        self.__dict__.update(name=name, ctx=ctx, spec=spec, matrix=matrix, eyb=eyb,
+                             base_rmatrix=base_rmatrix, base_row=base_row)
 
 
 _PRESETS = {

@@ -13,13 +13,10 @@ carrying the same factor; the rescaling does not change validity or any
 invariant value.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import DimensionMismatch, NotAUnit, ParseError, UnknownName, UnknownRow
 from .ring import (
-    Scalar, ScalarContext, json_field, scalar_from_json, scalar_to_json, substitute,
+    ScalarContext, json_field, scalar_from_json, scalar_to_json, substitute,
 )
 from .tensor import (
     SquareMatrix,
@@ -37,17 +34,14 @@ from .tensor import (
 from .catalog import check_listed_positions, restricted_matrix
 
 
-@dataclass(frozen=True)
-class EnhancedOperator:
-    r: SquareMatrix
-    mu: SquareMatrix
-    alpha: Scalar
-    beta: Scalar
+class EnhancedOperator(Record):
+    _fields = ("r", "mu", "alpha", "beta")
 
-    def __post_init__(self):
-        # the closure constants invariant.compute_ts keeps, filled on first
-        # use; not a field, so equality and hashing ignore it
-        object.__setattr__(self, "_closure", {})
+    def __init__(self, r, mu, alpha, beta):
+        # _closure holds the closure constants invariant.compute_ts keeps,
+        # filled on first use; not a field, so equality, hashing and repr
+        # ignore it
+        self.__dict__.update(r=r, mu=mu, alpha=alpha, beta=beta, _closure={})
 
     @property
     def base_dim(self):
@@ -142,8 +136,7 @@ def search_ansatz(rspec, candidates):
 _shared_ops = {}
 
 
-@dataclass(frozen=True)
-class Table1Entry:
+class Table1Entry(Record):
     """One registry row: how to enhance a catalog matrix, and what it yields.
 
     ``tag`` is one of jones, alexander-zero, const-0, const-1, two-power-l,
@@ -154,16 +147,14 @@ class Table1Entry:
     stored representative; '-' the companion with mu and alpha negated.
     """
 
-    rmatrix: str
-    row: int
-    gens: tuple
-    roots: tuple = ()
-    restrictions: tuple = ()
-    mu_rows: tuple = ()
-    alpha: str = "1"
-    beta: str = "1"
-    tag: str = "const-1"
-    intertwine: str = None
+    _fields = ("rmatrix", "row", "gens", "roots", "restrictions", "mu_rows", "alpha",
+               "beta", "tag", "intertwine")
+
+    def __init__(self, rmatrix, row, gens, roots=(), restrictions=(), mu_rows=(),
+                 alpha="1", beta="1", tag="const-1", intertwine=None):
+        self.__dict__.update(rmatrix=rmatrix, row=row, gens=gens, roots=roots,
+                             restrictions=restrictions, mu_rows=mu_rows, alpha=alpha,
+                             beta=beta, tag=tag, intertwine=intertwine)
 
     def context(self):
         return ScalarContext(self.gens, self.roots)
@@ -182,8 +173,10 @@ class Table1Entry:
         if sign not in ("+", "-"):
             raise UnknownName(f"sign must be '+' or '-', got {sign!r}")
         shared = beta is None and ctx is None
-        if shared and (self, sign) in _shared_ops:
-            return _shared_ops[self, sign]
+        if shared:
+            op = _shared_ops.get((self, sign))
+            if op is not None:
+                return op
         if ctx is None:
             ctx = self.context()
         r = restricted_matrix(self.rmatrix, self.restrictions, ctx)

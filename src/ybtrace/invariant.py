@@ -46,13 +46,10 @@ crossings keep their tables and embeddings on their matrices.  Nothing
 keyed by a braid word or a writhe is kept.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .braid import BraidWord, get_named_braid, NAMED_LINKS
 from .errors import (
     DimensionMismatch,
@@ -62,9 +59,9 @@ from .errors import (
     StrandBoundViolation,
     UnknownName,
 )
-from .eyb import EnhancedOperator, get_table1_eyb, specialize, table1_entries
+from .eyb import get_table1_eyb, specialize, table1_entries
 from .ring import (
-    Scalar, ScalarContext, contract, format_scalar, pack, pow_int, try_div_exact,
+    ScalarContext, contract, format_scalar, pack, pow_int, try_div_exact,
 )
 from .tensor import (
     MAX_ENTRIES,
@@ -110,13 +107,12 @@ def braid_representation(r, b, base=None):
     return result
 
 
-@dataclass(frozen=True)
-class InvariantResult:
-    value: Scalar
-    normalized: bool
-    unknot_value: Scalar
-    eyb: EnhancedOperator
-    braid: BraidWord
+class InvariantResult(Record):
+    _fields = ("value", "normalized", "unknot_value", "eyb", "braid")
+
+    def __init__(self, value, normalized, unknot_value, eyb, braid):
+        self.__dict__.update(value=value, normalized=normalized, unknot_value=unknot_value,
+                             eyb=eyb, braid=braid)
 
     def __str__(self):
         return format_scalar(self.value)
@@ -369,15 +365,15 @@ def verify_annihilating(r, relation):
     return Verdict(True) if total.is_zero() else Verdict(False, residual=total)
 
 
-@dataclass(frozen=True)
-class RelationSpec:
+class RelationSpec(Record):
     """A named annihilating relation of a (possibly restricted) catalog matrix."""
 
-    name: str
-    rmatrix: str
-    gens: tuple
-    restrictions: tuple
-    coefficients: tuple  # (power, text) pairs
+    _fields = ("name", "rmatrix", "gens", "restrictions", "coefficients")
+
+    def __init__(self, name, rmatrix, gens, restrictions, coefficients):
+        # coefficients: (power, text) pairs
+        self.__dict__.update(name=name, rmatrix=rmatrix, gens=gens,
+                             restrictions=restrictions, coefficients=coefficients)
 
     def context(self):
         return ScalarContext(self.gens)
@@ -425,14 +421,14 @@ def get_relation(name):
     return ANNIHILATING_RELATIONS[name]
 
 
-@dataclass(frozen=True)
-class SkeinFamily:
+class SkeinFamily(Record):
     """Braids differing by a power of one crossing at a fixed word position."""
 
-    base: BraidWord
-    position: int
-    terms: tuple  # (power, coefficient Scalar) pairs
-    insert_at: int = None
+    _fields = ("base", "position", "terms", "insert_at")
+
+    def __init__(self, base, position, terms, insert_at=None):
+        # terms: (power, coefficient Scalar) pairs
+        self.__dict__.update(base=base, position=position, terms=terms, insert_at=insert_at)
 
     def member(self, power):
         at = len(self.base.letters) if self.insert_at is None else self.insert_at

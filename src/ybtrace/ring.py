@@ -40,8 +40,6 @@ integral and a Fraction otherwise: a new dict {doubled exponent tuple:
 own code never builds that view; ``Scalar.term_count()`` counts its terms.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from fractions import Fraction

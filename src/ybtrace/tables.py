@@ -16,10 +16,7 @@ unknot-normalized; the link-table dressed column is raw; the
 four-dimensional table is unknot-normalized.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
+from ._record import Record
 from .braid import KNOT_NAMES, LINK_NAMES, get_named_braid
 from .dressing import preset_dressings
 from .errors import UnknownName
@@ -79,20 +76,19 @@ TABLE4_LINKS = {
 TABLE3_UNKNOT_RAW = "t^(1/2) + 1 + t^(-1/2)"
 
 
-@dataclass(frozen=True)
-class TableCell:
-    table: int
-    link: str
-    column: str
-    computed: str
-    expected: str
-    match: bool
+class TableCell(Record):
+    _fields = ("table", "link", "column", "computed", "expected", "match")
+
+    def __init__(self, table, link, column, computed, expected, match):
+        self.__dict__.update(table=table, link=link, column=column, computed=computed,
+                             expected=expected, match=match)
 
 
-@dataclass(frozen=True)
-class TableReport:
-    table: int
-    cells: tuple
+class TableReport(Record):
+    _fields = ("table", "cells")
+
+    def __init__(self, table, cells):
+        self.__dict__.update(table=table, cells=cells)
 
     @property
     def ok(self):

@@ -6,11 +6,9 @@ most significant.  Entry (r, c) of a matrix is the coefficient of basis
 vector r in the image of basis vector c.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (
     ContextMismatch,
     DimensionMismatch,
@@ -21,7 +19,7 @@ from .errors import (
     PositionOutOfRange,
 )
 from .ring import (
-    crossing_table, dot, dot_entries, json_field, pack, push, scalar_from_json,
+    crossing_table, dot, dot_entries, json_field, push, scalar_from_json,
     scalar_to_json, substitute, try_div_exact,
 )
 
@@ -158,27 +156,17 @@ def matadd(a, b):
     return SquareMatrix(a.ctx, a.side, acc)
 
 
-def matsub(a, b):
-    """a - b; ``matmul_sub`` takes the residual of a product identity."""
-    _check_operands(a, b)
-    acc = dict(a.entries)
-    for key, v in b.entries.items():
-        acc[key] = acc[key] - v if key in acc else -v
-    return SquareMatrix(a.ctx, a.side, acc)
-
-
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """The outcome of an exact identity check; truthy when the identity holds.
 
     A failing verdict may name the failing ``condition``, the ``index`` where
     it fails and the ``residual`` (lhs - rhs, a Scalar or a SquareMatrix).
     """
 
-    ok: bool
-    condition: str = None
-    index: tuple = None
-    residual: object = None
+    _fields = ("ok", "condition", "index", "residual")
+
+    def __init__(self, ok, condition=None, index=None, residual=None):
+        self.__dict__.update(ok=ok, condition=condition, index=index, residual=residual)
 
     def __bool__(self):
         return self.ok
@@ -333,15 +321,6 @@ def push_at(r, i, n, packed, base):
     base = _slot_base(r, i, n, base)
     table = _crossing_table(r) if r._table is None else r._table
     return push(packed, table, base ** (n - i - 1))
-
-
-def apply_at(r, i, n, vec, base=None):
-    """Image of a sparse vector, {state index: Scalar}, under a two-slot
-    operator at tensor slots (i, i+1) of an n-fold space: ``vec`` packed,
-    pushed by ``push_at`` and unpacked to its nonzero entries.
-    """
-    base = _slot_base(r, i, n, base)
-    return push_at(r, i, n, pack(r.ctx, vec), base).unpack()
 
 
 def trace(a):

@@ -22,8 +22,8 @@ import math
 from fractions import Fraction
 
 from ybtrace.errors import DimensionMismatch
-from ybtrace.ring import dot
-from ybtrace.tensor import SquareMatrix, _check_ctx, _slot_base, kron
+from ybtrace.ring import dot, pack
+from ybtrace.tensor import SquareMatrix, _check_ctx, _check_operands, _slot_base, kron, push_at
 
 
 def ybe_residuals(matrix, base):
@@ -323,7 +323,7 @@ def partial_trace(a, slots, base):
 
 # -- contractions summed one product at a time ----------------------------------
 #
-# The library's matmul, apply_at and weighted_trace as they were before their
+# The library's matmul, the push and weighted_trace as they were before their
 # entries became one ring.dot each: every product is added to its entry's
 # running Scalar with +.
 
@@ -362,7 +362,7 @@ def apply_at_sequential(r, i, n, vec, base=None):
 
 
 def apply_at_by_pairs(r, i, n, vec, base=None):
-    """``tensor.apply_at`` as it was before ``ring.push``: each output state's
+    """``apply_at`` above as it was before ``ring.push``: each output state's
     (entry, x) pairs listed under it and summed by one ``ring.dot`` (a lone
     pair by *), zeros dropped."""
     base = _slot_base(r, i, n, base)
@@ -443,6 +443,29 @@ def matmul_sub_by_pairs(a, b, c, d):
                 pairs.setdefault((r, col), []).append((v, w))
     return SquareMatrix(a.ctx, a.side, {
         key: p[0][0] * p[0][1] if len(p) == 1 else dot(a.ctx, p) for key, p in pairs.items()})
+
+
+# -- matrix difference and dict push ---------------------------------------------
+#
+# No library code calls these; the tests state residuals and pushes with them.
+
+
+def matsub(a, b):
+    """a - b; ``tensor.matmul_sub`` takes the residual of a product identity."""
+    _check_operands(a, b)
+    acc = dict(a.entries)
+    for key, v in b.entries.items():
+        acc[key] = acc[key] - v if key in acc else -v
+    return SquareMatrix(a.ctx, a.side, acc)
+
+
+def apply_at(r, i, n, vec, base=None):
+    """Image of a sparse vector, {state index: Scalar}, under a two-slot
+    operator at tensor slots (i, i+1) of an n-fold space: ``vec`` packed,
+    pushed by ``tensor.push_at`` and unpacked to its nonzero entries.
+    """
+    base = _slot_base(r, i, n, base)
+    return push_at(r, i, n, pack(r.ctx, vec), base).unpack()
 
 
 # -- the ring's checked routes ---------------------------------------------------

@@ -183,7 +183,7 @@ def test_seeded_words_push_and_multiply_as_the_sequential_ones():
             _assert_same_matrix(invariant.braid_representation(op.r, word), rep)
             vec = {state: rng.choice(entries) for state in range(rep.side)}
             for g, i in gens:
-                pushed = tensor.apply_at(g, i, 3, vec)
+                pushed = oracles.apply_at(g, i, 3, vec)
                 want = oracles.apply_at_sequential(g, i, 3, vec)
                 assert list(pushed) == list(want)
                 for state, value in pushed.items():
@@ -195,7 +195,7 @@ def _check_ybe_sequential(r):
     """check_ybe's (ok, index, residual), with products summed one at a time."""
     r12, r23 = _embedded(r)
     mm = oracles.matmul_sequential
-    diff = tensor.matsub(mm(mm(r12, r23), r12), mm(mm(r23, r12), r23))
+    diff = oracles.matsub(mm(mm(r12, r23), r12), mm(mm(r23, r12), r23))
     if diff.is_zero():
         return True, None, None
     index = min(diff.entries)
@@ -234,7 +234,7 @@ def test_verify_eyb_names_the_same_commute_residual_on_broken_weights():
         mu = tensor.SquareMatrix(ctx, 2, entries)
         mumu = tensor.kron(mu, mu)
         mm = oracles.matmul_sequential
-        want = tensor.matsub(mm(op.r, mumu), mm(mumu, op.r))
+        want = oracles.matsub(mm(op.r, mumu), mm(mumu, op.r))
         verdict = eyb.verify_eyb(eyb.EnhancedOperator(op.r, mu, op.alpha, op.beta))
         if want.is_zero():
             assert verdict.condition != "commute"
@@ -264,7 +264,7 @@ def test_matmul_sub_is_the_difference_of_the_sequential_products():
             near_b = tensor.matadd(b, _random_matrix(rng, ctx, side))
             for args in ((a, b, c, d), (a, b, b, a), (a, b, a, near_b)):
                 got = tensor.matmul_sub(*args)
-                _assert_same_matrix(got, tensor.matsub(mm(*args[:2]), mm(*args[2:])))
+                _assert_same_matrix(got, oracles.matsub(mm(*args[:2]), mm(*args[2:])))
                 _assert_same_matrix(got, oracles.matmul_sub_by_pairs(*args))
             assert tensor.matmul_sub(a, b, a, b).entries == {}
 
@@ -309,7 +309,7 @@ def test_ybe_residual_of_every_transformed_row_matches_both_oracles():
                     got = tensor.matmul_sub(p, r12, r23, p)
                     _assert_same_matrix(got, oracles.matmul_sub_by_pairs(p, r12, r23, p))
                     _assert_same_matrix(
-                        got, tensor.matsub(mm(mm(r12, r23), r12), mm(mm(r23, r12), r23)))
+                        got, oracles.matsub(mm(mm(r12, r23), r12), mm(mm(r23, r12), r23)))
                     verdict = catalog.check_ybe(case)
                     ok, index, residual = _check_ybe_sequential(case)
                     assert (verdict.ok, verdict.index) == (ok, index)
@@ -400,7 +400,7 @@ def test_dot_entries_is_one_dot_per_key(name):
 def _trace_residual(y, mu, c):
     """The trace condition's residual as verify_eyb formed it before it took one
     residual call: Tr_2(Y (1 x mu)) mu - c mu by matmul, scalar_scale and matsub."""
-    return tensor.matsub(tensor.matmul(tensor.weighted_trace(y, mu, [2]), mu),
+    return oracles.matsub(tensor.matmul(tensor.weighted_trace(y, mu, [2]), mu),
                          tensor.scalar_scale(mu, c))
 
 
@@ -419,7 +419,7 @@ def test_verify_eyb_fails_each_condition_with_the_matrix_routes_residual():
         assert verdict.condition == "commute"
         mumu = tensor.kron(mu, mu)
         _assert_same_matrix(verdict.residual, oracles.matmul_sub_by_pairs(op.r, mumu, mumu, op.r))
-        _assert_same_matrix(verdict.residual, tensor.matsub(tensor.matmul(op.r, mumu),
+        _assert_same_matrix(verdict.residual, oracles.matsub(tensor.matmul(op.r, mumu),
                                                             tensor.matmul(mumu, op.r)))
         # trace2: alpha times g; trace2-inverse: alpha times g and beta over g,
         # so alpha*beta holds and alpha^-1*beta is off by g^-2
@@ -446,7 +446,7 @@ def _pushes(r, i, n, vec, base):
     """The image of vec by every route: push_at on the packed vector,
     apply_at, and the two oracles."""
     return (tensor.push_at(r, i, n, pack(r.ctx, vec), base).unpack(),
-            tensor.apply_at(r, i, n, vec, base),
+            oracles.apply_at(r, i, n, vec, base),
             oracles.apply_at_by_pairs(r, i, n, vec, base),
             oracles.apply_at_sequential(r, i, n, vec, base))
 
@@ -497,7 +497,7 @@ def test_push_settles_guard_bits_as_the_oracles_do():
     big, q = plain.gen("q", MAX_EXPONENT - 1), plain.gen("q")
     r = tensor.SquareMatrix(plain, 4, {(0, 0): big, (0, 1): big, (3, 3): q})
     for route in (lambda v: tensor.push_at(r, 1, 2, pack(plain, v), 2),
-                  lambda v: tensor.apply_at(r, 1, 2, v, 2),
+                  lambda v: oracles.apply_at(r, 1, 2, v, 2),
                   lambda v: oracles.apply_at_by_pairs(r, 1, 2, v, 2),
                   lambda v: oracles.apply_at_sequential(r, 1, 2, v, 2)):
         with pytest.raises(ExponentOverflow):
@@ -511,7 +511,7 @@ def test_push_refuses_a_scalar_of_another_context():
     foreign_vec = {0: q, 2: other.gen("q")}
     foreign_r = tensor.SquareMatrix(ctx, 4, {(0, 0): q, (3, 3): other.gen("q")})
     routes = (lambda r, v: tensor.push_at(r, 1, 2, pack(ctx, v), 2),
-              lambda r, v: tensor.apply_at(r, 1, 2, v, 2),
+              lambda r, v: oracles.apply_at(r, 1, 2, v, 2),
               lambda r, v: oracles.apply_at_by_pairs(r, 1, 2, v, 2),
               lambda r, v: oracles.apply_at_sequential(r, 1, 2, v, 2))
     for route in routes:

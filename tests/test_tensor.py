@@ -18,7 +18,6 @@ from ybtrace.tensor import (
     MAX_ENTRIES,
     SquareMatrix,
     Verdict,
-    apply_at,
     embed_generator,
     invert,
     kron,
@@ -27,13 +26,12 @@ from ybtrace.tensor import (
     matmul_sub,
     matrix_from_json,
     matrix_to_json,
-    matsub,
     scalar_scale,
     trace,
     weighted_trace,
 )
 
-from oracles import kron_power, partial_trace, trace_product
+from oracles import apply_at, kron_power, matsub, partial_trace, trace_product
 
 
 @pytest.fixture
