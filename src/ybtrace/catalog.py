@@ -12,20 +12,10 @@ import math
 
 from ._record import Record
 from .errors import DimensionMismatch, NotAUnit, PreconditionViolation, UnknownName
-from .ring import ScalarContext
+from .ring import PackedVector, ScalarContext, mul_rows, pack_rows
 from .tensor import (
-    MAX_STATES,
-    SquareMatrix,
-    Verdict,
-    check_embedding,
-    embed_generator,
-    invert,
-    kron,
-    matmul,
-    matmul_sub,
-    matrix_from_json,
-    matrix_substitute,
-    scalar_scale,
+    MAX_STATES, SquareMatrix, Verdict, check_embedding, invert, kron, matmul, matrix_from_json,
+    matrix_substitute, scalar_scale,
 )
 
 # pair order (++, -+, +-, --) -> big-endian pair order (++, +-, -+, --)
@@ -130,11 +120,12 @@ def check_ybe(r, base=None):
     Returns a truthy Verdict, or one with the smallest violated (row, col)
     as ``index`` and its nonzero residual scalar.  Raises DimensionMismatch,
     before anything is built, when the base**3 states of the triple power
-    exceed MAX_STATES.
+    exceed MAX_STATES, or R12 and R23 would hold more than MAX_ENTRIES.
 
-    Both sides share the product P = R12 R23, formed once: the residual
-    R12 R23 R12 - R23 R12 R23 is P R12 - R23 P by associativity, taken by
-    one ``matmul_sub``.
+    R is packed once and R12, R23 built from it by index arithmetic.  The
+    residual R12 R23 R12 - R23 R12 R23 is P R12 - R23 P, P = R12 R23, and
+    ``ring.mul_rows`` forms P, then the residual, on packed rows: only a
+    nonzero residual entry becomes a Scalar.
     """
     if base is None:
         base = math.isqrt(r.side)
@@ -145,14 +136,22 @@ def check_ybe(r, base=None):
             f"the Yang-Baxter check on base {base} needs {base}^3 states, "
             f"above the cap of {MAX_STATES}"
         )
-    r12 = embed_generator(r, 1, 3, base)
-    r23 = embed_generator(r, 2, 3, base)
-    p = matmul(r12, r23)
-    diff = matmul_sub(p, r12, r23, p)
-    if diff.is_zero():
+    check_embedding(len(r.entries), 3, base)
+    rows, den = pack_rows(r.ctx, r.entries)
+    r12, r23 = ({}, den), ({}, den)
+    for row, entries in rows.items():
+        for k in range(base):
+            row12 = r12[0][row * base + k] = {}
+            row23 = r23[0][k * r.side + row] = {}
+            for col, x in entries.items():
+                row12[col * base + k] = row23[k * r.side + col] = x
+    p = mul_rows(r.ctx, [(1, r12, r23)])
+    diff, den = mul_rows(r.ctx, [(1, p, r12), (-1, r23, p)])
+    if not diff:
         return Verdict(True)
-    index = min(diff.entries)
-    return Verdict(False, index=index, residual=diff.entries[index])
+    row = min(diff)
+    col, residual = min(PackedVector(r.ctx, diff[row], den).unpack().items())
+    return Verdict(False, index=(row, col), residual=residual)
 
 
 class TransformSpec(Record):
@@ -222,7 +221,7 @@ def is_spin_preserving(matrix):
 
 def check_listed_positions(obj):
     """Raise DimensionMismatch when the matrix JSON ``obj`` lists more positions
-    than the embeddings of ``check_ybe`` may store.  Parses no scalar."""
+    than the packed R12 and R23 rows of ``check_ybe`` may hold.  Parses no scalar."""
     if isinstance(obj, dict):
         side, listed = obj.get("side"), obj.get("entries")
         if type(side) is int and 0 < side <= MAX_STATES and isinstance(listed, list):

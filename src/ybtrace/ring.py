@@ -786,6 +786,53 @@ def contract(vec, pairs):
     return _finish_sums(ctx, sums, vec._den)
 
 
+def pack_rows(ctx, entries):
+    """The packed rows ({row: {col: {key: numerator}}}, den) that ``mul_rows``
+    takes, of {(row, col): Scalar of ``ctx``}, as ``pack`` packs them."""
+    vec, rows = pack(ctx, entries), {}
+    for (row, col), nums in vec._packed.items():
+        rows.setdefault(row, {})[col] = nums
+    return rows, vec._den
+
+
+def mul_rows(ctx, products):
+    """The packed rows of the sum of sign * a * b over the (sign, a, b) ``products``.
+    Each row of b is one term list, its keys tagged with the column above the
+    total field: an output row is one raw accumulator, settled as in ``push``."""
+    layout = ctx._layout
+    # a product of two keys has a total below 2 * _BIAS per name in size
+    shift = layout.total_shift + (4 * _BIAS * (len(layout.shifts) + 1)).bit_length()
+    den, out = math.lcm(*(da * db for _, (_, da), (_, db) in products)), {}
+    for sign, (a, da), (b, db) in products:
+        scale = sign * (den // (da * db))
+        flat = {}
+        for mid, right in b.items():
+            terms = flat[mid] = []
+            for col, y in right.items():
+                tag = (col << shift) - layout.zero
+                for k, c in y.items():
+                    terms.append((k + tag, c * scale))
+        for row, left in a.items():
+            acc = out.setdefault(row, {})
+            get = acc.get
+            for mid, x in left.items():
+                for k1, c1 in x.items():
+                    for k2, c2 in flat.get(mid, ()):
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + c1 * c2
+    guarded = reduce(or_, chain.from_iterable(out.values()), 0) & layout.guard
+    vec = _settled_vector(ctx, out, den) if guarded else PackedVector(ctx, out, den)
+    rows, half = {}, 1 << (shift - 1)
+    for row, acc in vec._packed.items():
+        if any(acc.values()):
+            cols = rows[row] = {}
+            for k, c in acc.items():
+                if c:
+                    col = (k + half) >> shift
+                    cols.setdefault(col, {})[k - (col << shift)] = c
+    return rows, vec._den
+
+
 def pow_int(x, k):
     """Exact integer power.  A one-term x with no root factor is raised as
     one key by ``_monomial_power``; any other x by squaring, where a

@@ -406,6 +406,8 @@ def matrix_substitute(a, bindings, target=None):
 
 # -- inversion ----------------------------------------------------------------
 
+_COFACTOR_SIDE = 4  # the largest piece that invert takes by cofactors
+
 
 def _pieces(a):
     """(rows, columns) of each connected piece of the entry pattern.
@@ -431,7 +433,7 @@ def _pieces(a):
             rows.append(node)
         else:
             cols.append(node - n)
-    return pieces.values()
+    return [(tuple(rows), tuple(cols)) for rows, cols in pieces.values()]
 
 
 def _bareiss_row(piv, row, factor, pivot_row, prev):
@@ -452,14 +454,44 @@ def _bareiss_row(piv, row, factor, pivot_row, prev):
     return out
 
 
+def _minor(ctx, work, rs, cs, memo):
+    """The minor of the rows rs and columns cs of ``work``, expanded along
+    rs[0] and kept in ``memo``; None when it lists no product."""
+    if len(rs) < 2:
+        return work[rs[0]].get(cs[0]) if rs else ctx.one()
+    if (rs, cs) not in memo:
+        row, pairs = work[rs[0]], []
+        for j, c in enumerate(cs):
+            sub = _minor(ctx, work, rs[1:], cs[:j] + cs[j + 1:], memo) if c in row else None
+            if sub is not None:
+                pairs.append((-row[c] if j % 2 else row[c], sub))
+        memo[rs, cs] = dot(ctx, pairs) if pairs else None
+    return memo[rs, cs]
+
+
+def _cofactor_piece(work, rows, cols, n):
+    """``_invert_piece`` as adj(B) by ``_minor`` times 1 / det(B), one ``try_div_exact``."""
+    ctx, memo = work[rows[0]][n + rows[0]].ctx, {}
+    det = _minor(ctx, work, rows, cols, memo)
+    if det is None or det.is_zero():
+        raise NonInvertible("matrix is singular")
+    inverse = try_div_exact(ctx.one(), det)
+    return {(c, r): -(cof * inverse) if (i + j) % 2 else cof * inverse
+            for i, r in enumerate(rows) for j, c in enumerate(cols)
+            for cof in (_minor(ctx, work, rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:], memo),)
+            if cof is not None and not cof.is_zero()}
+
+
 def _invert_piece(work, rows, cols, n):
     """Entries of B^-1 for the square piece B whose rows of [A | I] are work[rows].
 
-    Fraction-free Gauss-Jordan leaves [d*I | d*B^-1] up to a row order, where
-    d is the last pivot.  A unit pivot is scaled to 1 first: that is the same
-    elimination run on B with one row scaled by a unit, so every division by
-    the previous pivot stays exact.  None stands for a pivot of 1.
+    Cofactors up to _COFACTOR_SIDE; else fraction-free Gauss-Jordan leaves
+    [d*I | d*B^-1] up to a row order, d the last pivot.  A unit pivot is first
+    scaled to 1, the same elimination on B with a row scaled by a unit, so each
+    division by the previous pivot stays exact.  None stands for a pivot of 1.
     """
+    if len(rows) <= _COFACTOR_SIDE:
+        return _cofactor_piece(work, rows, cols, n)
     pivot_col = {}
     prev = None
     for col in cols:
@@ -490,14 +522,15 @@ def _invert_piece(work, rows, cols, n):
 
 
 def invert(a):
-    """Exact inverse by fraction-free (Bareiss) elimination on each block.
+    """Exact inverse, by cofactors or fraction-free (Bareiss) elimination.
 
     The rows and columns split into the connected pieces of the entry
-    pattern, and each piece is inverted on its own, with one exact division
-    by its last pivot.  Raises NonInvertible when the matrix is singular and
-    InverseOutsideRing when its determinant is not a unit of the ring, so
-    that the inverse needs rational functions.  The inverse is kept on ``a``
-    and returned by later calls; a failure is raised again on every call.
+    pattern, each inverted on its own: as adj/det up to _COFACTOR_SIDE, the
+    side of every piece of a two-dimensional solution, else by elimination,
+    whose cost alone is polynomial in the side.  Raises NonInvertible when the
+    matrix is singular and InverseOutsideRing when its determinant is not a
+    unit; elimination over a ring with zero divisors may raise it for a unit
+    too.  The inverse is kept on ``a``; a failure is raised again on every call.
     """
     if a._inverse is not None:
         return a._inverse

@@ -9,7 +9,8 @@ mu^(x n) and the product with it, which weighted_trace never does.  The
 ``*_sequential`` contractions add each product to its entry with +, as the
 library did before it summed each entry with ``ring.dot``, and
 ``matmul_sub_by_pairs`` is the product residual as it was before its keyed
-kernel, one ``ring.dot`` per entry; ``apply_at_by_pairs`` is the push as it
+kernel, one ``ring.dot`` per entry, and ``check_ybe_by_embedding`` the
+Yang-Baxter check as it was before its packed rows; ``apply_at_by_pairs`` is the push as it
 was before the packed vector, one ``ring.dot`` per output state.  The checked
 inverse and division are the ring's routes before its fast paths.  The
 term-dict arithmetic at the end, over the Fraction-based GaussianRational
@@ -23,7 +24,10 @@ from fractions import Fraction
 
 from ybtrace.errors import DimensionMismatch
 from ybtrace.ring import dot, pack
-from ybtrace.tensor import SquareMatrix, _check_ctx, _check_operands, _slot_base, kron, push_at
+from ybtrace.tensor import (
+    MAX_STATES, SquareMatrix, Verdict, _check_ctx, _check_operands, _slot_base, embed_generator,
+    kron, matmul, matmul_sub, push_at,
+)
 
 
 def ybe_residuals(matrix, base):
@@ -444,6 +448,30 @@ def matmul_sub_by_pairs(a, b, c, d):
     return SquareMatrix(a.ctx, a.side, {
         key: p[0][0] * p[0][1] if len(p) == 1 else dot(a.ctx, p) for key, p in pairs.items()})
 
+
+
+def check_ybe_by_embedding(r, base=None):
+    """``catalog.check_ybe`` as it was before the packed rows: R12 and R23
+    embedded by ``tensor.embed_generator``, P = R12 R23 by ``tensor.matmul``
+    and the residual P R12 - R23 P by ``tensor.matmul_sub``, with the same
+    refusals first."""
+    if base is None:
+        base = math.isqrt(r.side)
+    if base * base != r.side:
+        raise DimensionMismatch(f"side {r.side} is not a perfect square")
+    if base ** 3 > MAX_STATES:
+        raise DimensionMismatch(
+            f"the Yang-Baxter check on base {base} needs {base}^3 states, "
+            f"above the cap of {MAX_STATES}"
+        )
+    r12 = embed_generator(r, 1, 3, base)
+    r23 = embed_generator(r, 2, 3, base)
+    p = matmul(r12, r23)
+    diff = matmul_sub(p, r12, r23, p)
+    if diff.is_zero():
+        return Verdict(True)
+    index = min(diff.entries)
+    return Verdict(False, index=index, residual=diff.entries[index])
 
 # -- matrix difference and dict push ---------------------------------------------
 #

@@ -228,9 +228,9 @@ def _write(tmp_path, name, obj):
 
 def test_yang_baxter_check_above_the_cap_builds_nothing(capsys, tmp_path, monkeypatch):
     def refuse(*args):
-        raise AssertionError("a triple tensor power was built")
+        raise AssertionError("the rows of a triple tensor power were packed")
 
-    monkeypatch.setattr(catalog, "embed_generator", refuse)
+    monkeypatch.setattr(catalog, "pack_rows", refuse)
     ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
     one = {"terms": [{"re": "1"}]}
     side289 = _write(tmp_path, "side289.json",

@@ -20,10 +20,12 @@ import pytest
 
 import oracles
 from oracles import terms_of
-from test_tensor import _unimodular
+from test_tensor import _identity, _unimodular
 
-from ybtrace import invariant, ring, tensor
-from ybtrace.errors import ExponentOverflow, NotAUnit, NotDivisible, YbtraceError
+from ybtrace import eyb, invariant, ring, tables, tensor
+from ybtrace.errors import (
+    ExponentOverflow, InverseOutsideRing, NonInvertible, NotAUnit, NotDivisible, YbtraceError,
+)
 from ybtrace.invariant import classification_report
 from ybtrace.ring import MAX_EXPONENT, ScalarContext, pow_int, try_div_exact
 from ybtrace.tables import run_table
@@ -246,6 +248,11 @@ def _spy_divisions(monkeypatch, census):
 
 
 def test_every_division_of_the_tables_matches_the_checked_division(monkeypatch):
+    # fresh shared operators, collapsed operators and nabla image: kept ones
+    # from an earlier test would skip the divisions that build them
+    monkeypatch.setattr(eyb, "_shared_ops", {})
+    monkeypatch.setattr(tables, "_targets", {})
+    monkeypatch.setattr(invariant, "_nabla_operator", [])
     census = {}
     _spy_divisions(monkeypatch, census)
     for sign in "+-":
@@ -260,7 +267,97 @@ def test_every_division_of_a_block_inversion_matches_the_checked_division(monkey
     _spy_divisions(monkeypatch, census)
     ctx = ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),))
     rng = random.Random(2)
+    # blocks of side 2 and 3 invert by cofactors: each divides 1 by its unit det
     for side in (2, 3):
         for _ in range(4):
             invert(_unimodular(ctx, side, rng))
+    assert census == {"unit": 8}, census
+    # blocks of side 5 and 6 take elimination, which divides by its pivots
+    census.clear()
+    for side in (5, 6):
+        for _ in range(2):
+            invert(_unimodular(ctx, side, rng))
     assert {"plain", "root"} <= set(census), census
+
+
+# -- small pieces by cofactors against elimination ---------------------------------
+
+
+def _invert_fresh(m, monkeypatch, cut):
+    """invert on a fresh copy of m with pieces up to side ``cut`` by cofactors
+    (0: all by elimination), or the class of the error it raises."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor, "_COFACTOR_SIDE", cut)
+        return _outcome(invert, tensor.SquareMatrix(m.ctx, m.side, m.entries))
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_cofactors_match_elimination_on_seeded_unimodular_blocks(ctx, monkeypatch):
+    rng = random.Random(4)
+    for side in (1, 2, 3, 4):
+        for _ in range(5):
+            m = _unimodular(ctx, side, rng)
+            got = _invert_fresh(m, monkeypatch, 4)
+            assert got == _invert_fresh(m, monkeypatch, 0), m.entries
+            assert tensor.matmul(m, got) == _identity(ctx, side)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_both_inversion_routes_raise_the_same_errors(ctx, monkeypatch):
+    g = ctx.generators[-1]
+    cases = {
+        "non-unit det": [[g, 1], [-1, 1]],
+        "non-unit entry": [["1+" + g]],
+        "non-unit det of side 3": [[g, 1, 0], [0, g, 1], [1, 0, g]],
+        "singular": [[1, 0, 0], [0, g, g + "^2"], [0, g + "^-1", 1]],
+        "singular of side 4": [[g, 1, 0, 0], [1, g, 0, 1], [g + "+1", g + "+1", 0, 1],
+                               [0, 0, 1, 1]],
+        "non-square piece": [[1, 0, 0], [g, 0, 0], [0, 1, g]],
+    }
+    if ctx is CTX_SQUARE:  # x - q is a zero divisor, and x*x - q*q is zero
+        cases.update({"zero det": [["x", "q"], ["q", "x"]],
+                      "zero-divisor det": [["x", 1], ["q", 1]],
+                      "two-term unit": [["1/2*q + 1/2 + 1/2*x - 1/2*q^-1*x", 1], [0, 1]]})
+    errors = set()
+    for name, rows in cases.items():
+        m = tensor.SquareMatrix.from_rows(ctx, rows)
+        got = _invert_fresh(m, monkeypatch, 4)
+        assert got == _invert_fresh(m, monkeypatch, 0), name
+        errors.add(got if isinstance(got, type) else "inverse")
+    assert {InverseOutsideRing, NonInvertible} <= errors
+
+
+def test_a_unit_det_piece_divides_only_1_by_its_unit_det(monkeypatch):
+    divisions = []
+    original = tensor.try_div_exact
+
+    def spied(num, den):
+        divisions.append((num, den))
+        return original(num, den)
+
+    def refuse(*args):
+        raise AssertionError("a piece of side at most 4 was eliminated")
+
+    monkeypatch.setattr(tensor, "try_div_exact", spied)
+    monkeypatch.setattr(tensor, "_bareiss_row", refuse)
+    rng = random.Random(6)
+    for ctx in CONTEXTS:
+        for side in (1, 2, 3, 4):
+            m = _unimodular(ctx, side, rng)
+            divisions.clear()
+            inv = invert(m)
+            # one division per piece, and each cofactor times its quotient
+            assert len(divisions) == len(tensor._pieces(m))
+            assert all(num == ctx.one() and den.is_unit() for num, den in divisions)
+            assert tensor.matmul(m, inv) == _identity(ctx, side)
+
+
+def test_elimination_leaves_the_ring_where_cofactors_do_not(monkeypatch):
+    """A unimodular block of side 5 over a ring with zero divisors (x*x = q*q):
+    its det is a unit, but an exact division of the elimination has no
+    quotient, so ``invert`` raises InverseOutsideRing; adj/det is the inverse."""
+    rng = random.Random(5)
+    m = [_unimodular(CTX_SQUARE, 5, rng) for _ in range(3)][2]
+    assert _invert_fresh(m, monkeypatch, 4) is InverseOutsideRing
+    inverse = _invert_fresh(m, monkeypatch, 5)
+    assert tensor.matmul(m, inverse) == tensor.matmul(inverse, m) == _identity(CTX_SQUARE, 5)

@@ -432,10 +432,12 @@ def test_invert_block_with_unit_determinant_beside_identity():
 @pytest.mark.parametrize("side", range(2, 9))
 def test_invert_seeded_unimodular_matrices(side):
     rng = random.Random(side)
-    for ctx in (
-        ScalarContext(("p", "q")),
-        ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),)),
-    ):
+    contexts = [ScalarContext(("p", "q")), ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),))]
+    # x*x = q*q has zero divisors, where the elimination of a dense block of
+    # side 5 or more can leave the ring (test_division.py pins one)
+    if side <= 4:
+        contexts.append(ScalarContext(("q",), (("x", "q^2"),)))
+    for ctx in contexts:
         _assert_inverse(_unimodular(ctx, side, rng))
         _assert_inverse(_permuted_block_sum(ctx, side, rng))
 
