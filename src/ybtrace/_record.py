@@ -12,7 +12,8 @@ class Record:
     """A frozen record over the two or more field names in ``_fields``.
 
     Records are equal when they are of one class and their fields are equal.
-    The hash is the hash of the fields, so a record with an unhashable field
+    The hash is the hash of the fields, computed on the first call and kept
+    on the instance, outside the fields; a record with an unhashable field
     (a dict, a SquareMatrix) is unhashable.  No attribute can be assigned or
     deleted.  The repr is ``Name(field=value, ...)``.
     """
@@ -37,7 +38,13 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self.__dict__))
+        # the fields never change, so their hash is kept on the first call;
+        # an unhashable field raises here on every call and nothing is kept
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash(self._values(d))
+        return h
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -9,24 +9,32 @@ from .errors import CannotDestabilize, ParseError, StrandBoundViolation, Unknown
 
 
 class BraidWord(Record):
+    """A braid word on ``strands`` strands.
+
+    ``writhe``, the number of positive letters less the number of negative
+    ones, is counted once here and kept; it is not a field, so equality,
+    hashing and repr ignore it.  Letters and the strand count are ints, not
+    bools.
+    """
+
     _fields = ("strands", "letters")
 
     def __init__(self, strands, letters=()):
+        if isinstance(strands, bool):
+            raise StrandBoundViolation(f"invalid strand count {strands!r}")
         if strands < 1:
             raise StrandBoundViolation("strand count must be at least 1")
         letters = tuple(letters)
+        writhe = 0
         for k in letters:
-            if not isinstance(k, int) or k == 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k == 0:
                 raise StrandBoundViolation(f"invalid letter {k!r}")
             if abs(k) > strands - 1:
                 raise StrandBoundViolation(
                     f"letter {k} needs at least {abs(k) + 1} strands, have {strands}"
                 )
-        self.__dict__.update(strands=strands, letters=letters)
-
-    @property
-    def writhe(self):
-        return sum(1 if k > 0 else -1 for k in self.letters)
+            writhe += 1 if k > 0 else -1
+        self.__dict__.update(strands=strands, letters=letters, writhe=writhe)
 
     def permutation(self):
         """Where each top strand ends: perm[i] = bottom position (0-indexed)."""

@@ -124,17 +124,16 @@ def unknot_value(op):
     return try_div_exact(trace(op.mu), op.beta)
 
 
-def _kept(op, key, make):
-    """The closure constant ``key`` of ``op``: ``make()`` on first use, then
-    kept on the operator, whose fields never change."""
+def _kept(op, key, make, *args):
+    """The closure constant ``key`` of ``op``: ``make(*args)`` on first use,
+    then kept on the operator, whose fields never change.  A kept constant
+    costs one dict lookup."""
     kept = op._closure
-    if key not in kept:
-        kept[key] = make()
-    return kept[key]
-
-
-def _kept_unknot(op):
-    return _kept(op, "unknot", lambda: unknot_value(op))
+    try:
+        return kept[key]
+    except KeyError:
+        value = kept[key] = make(*args)
+        return value
 
 
 def rank_one_factors(mu):
@@ -202,11 +201,15 @@ def _rank_one_trace(op, b, u, v, piv):
     """
     n = b.strands
     _states(op.base_dim, n)
-    c = _kept(op, "eigen", lambda: _eigenvalue(op, v, piv))
+    c = _kept(op, "eigen", _eigenvalue, op, v, piv)
     if c is None:
         return _pushed_trace(op, b, u, v, piv)
-    return (pow_int(c, b.writhe) * pow_int(op.alpha, -b.writhe)
-            * _kept(op, ("unknot", n), lambda: pow_int(_kept_unknot(op), n)))
+    try:
+        power = op._closure["unknot", n]
+    except KeyError:
+        power = op._closure["unknot", n] = pow_int(_kept(op, "unknot", unknot_value, op), n)
+    w = b.writhe
+    return pow_int(c, w) * pow_int(op.alpha, -w) * power
 
 
 def _pushed_trace(op, b, u, v, piv):
@@ -305,7 +308,7 @@ def _closure(op, b, keep):
     value = block.get((0, 0), ctx.zero())
     if block != ({} if value.is_zero() else {(i, i): value for i in range(base ** keep)}):
         raise ProportionalityFailure("partial closure is not a multiple of the identity")
-    scale = _kept(op, ("beta", k), lambda: pow_int(op.beta, k))
+    scale = _kept(op, ("beta", k), pow_int, op.beta, k)
     return pow_int(op.alpha, -b.writhe) * try_div_exact(value, scale)
 
 
@@ -325,17 +328,21 @@ def compute_ts(op, b, normalized=False):
     and raises NotDivisible when that is impossible (in particular when the
     unknot value is zero).  The rank-one factors, the unknot value, the
     eigenvalue verdict and the constants of each path are computed on the
-    first call that needs them and kept on ``op``; alpha^(-writhe) is formed
-    on every call, by the ring's key arithmetic when alpha is a unit.
+    first call that needs them and kept on ``op``, and a later call reads
+    each with one dict lookup and builds no function object for it.  Per
+    call the closed form forms only c^w, alpha^(-w) and two products, by
+    the ring's key arithmetic when c and alpha are units; the writhe is
+    kept on the braid word.
     """
-    # a side-1 weight takes the half-word closure, which refuses it
-    factors = _kept(op, "factors",
-                    lambda: rank_one_factors(op.mu) if op.base_dim > 1 else None)
+    try:
+        factors = op._closure["factors"]
+    except KeyError:  # a side-1 weight takes the half-word closure, which refuses it
+        factors = op._closure["factors"] = rank_one_factors(op.mu) if op.base_dim > 1 else None
     if factors is None:
         raw = _closure(op, b, 0)
     else:
         raw = _rank_one_trace(op, b, *factors)
-    unknot = _kept_unknot(op)
+    unknot = _kept(op, "unknot", unknot_value, op)
     if not normalized:
         return InvariantResult(raw, False, unknot, op, b)
     if unknot.is_zero():
@@ -483,21 +490,21 @@ def alexander_nabla(b):
 def _is_unknot_value(raw, op):
     """Whether raw / unknot == 1, decided as raw == unknot with no division;
     a zero unknot value raises ZeroDivisionError, as the division would."""
-    unknot = _kept_unknot(op)
+    unknot = _kept(op, "unknot", unknot_value, op)
     if unknot.is_zero():
         raise ZeroDivisionError("division by zero scalar")
     return raw == unknot
 
 
-def _tag_expectation(tag, op, link, raw, ctx):
-    """(expected description, matched or None when not asserted)."""
-    two = ctx.scalar(2)
+def _tag_expectation(tag, op, link, raw):
+    """(expected description, matched or None when not asserted); the
+    constant tags compare raw with an int, so no Scalar is built."""
     if tag in ("alexander-zero", "const-0"):
         return "0", raw.is_zero()
     if tag == "const-1":
-        return "1", raw == ctx.one()
+        return "1", raw == 1
     if tag == "two-power-l":
-        return f"2^{link.components}", raw == pow_int(two, link.components)
+        return f"2^{link.components}", raw == 2 ** link.components
     if tag == "knots-1":
         if link.components != 1:
             return "-", None
@@ -526,10 +533,9 @@ def classification_report(entries=None, links=None, sign="+"):
     rows = []
     for entry in entries:
         op = entry.build(sign)
-        ctx = op.ctx
         for link in links:
             raw = compute_ts(op, link.braid).value
-            expected, matched = _tag_expectation(entry.tag, op, link, raw, ctx)
+            expected, matched = _tag_expectation(entry.tag, op, link, raw)
             rows.append(
                 {
                     "rmatrix": entry.rmatrix,

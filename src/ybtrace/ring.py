@@ -119,7 +119,7 @@ class _Layout:
 
     def exps(self, key):
         """The doubled exponent tuple of a key (its i field is ignored)."""
-        return tuple(((key >> s) & mask) - bias for s, mask, bias in self.fields)
+        return tuple([((key >> s) & mask) - bias for s, mask, bias in self.fields])
 
 
 class ScalarContext:
@@ -471,6 +471,10 @@ class Scalar:
         return pow_int(self, k)
 
     def __eq__(self, other):
+        if other.__class__ is int:  # compared with no Scalar built
+            nums = self._nums
+            return (self._den == 1 and len(nums) == 1
+                    and nums.get(self.ctx._layout.zero) == other) if other else not nums
         if isinstance(other, (int, Fraction)):
             other = self.ctx.scalar(other)
         if not isinstance(other, Scalar):
@@ -1431,20 +1435,25 @@ def parse_scalar(ctx, text):
     return _Parser(ctx, text).parse()
 
 
+def _sorted_keys(x):
+    """(key, a, b) per monomial of x, with key the monomial's key (its i field
+    0) and (a + b*i)/x._den its coefficient, in ascending graded
+    lexicographic order."""
+    nums = x._nums
+    out = []
+    for k in sorted(nums):
+        if not k & 1:
+            out.append((k, nums[k], nums.get(k + 1, 0)))
+        elif k - 1 not in nums:
+            out.append((k - 1, 0, nums[k]))
+    return out
+
+
 def _sorted_terms(x):
     """(doubled exponent tuple, a, b) per monomial of x, with (a + b*i)/x._den
     its coefficient, in ascending graded lexicographic order."""
-    layout, nums = x.ctx._layout, x._nums
-    out = []
-    for k in sorted(nums):
-        if k & 1:
-            if k - 1 in nums:
-                continue
-            a, b = 0, nums[k]
-        else:
-            a, b = nums[k], nums.get(k + 1, 0)
-        out.append((layout.exps(k), a, b))
-    return out
+    exps = x.ctx._layout.exps
+    return [(exps(k), a, b) for k, a, b in _sorted_keys(x)]
 
 
 def _format_coeff(re, im):
@@ -1458,23 +1467,21 @@ def _format_coeff(re, im):
 
 
 def format_scalar(x):
-    """Canonical text form, terms in ascending graded-lexicographic order."""
-    if not x._nums:
+    """Canonical text form, terms in ascending graded-lexicographic order.
+
+    An integer constant is ``str(n)``; otherwise each key's nonzero doubled
+    exponents are read from the layout's fields, with no exponent tuple."""
+    nums, ctx, den = x._nums, x.ctx, x._den
+    if not nums:
         return "0"
-    names, den = x.ctx.names, x._den
+    zero = ctx._layout.zero
+    if den == 1 and len(nums) == 1 and zero in nums:
+        return str(nums[zero])
+    fields = tuple(zip(ctx.names, ctx._layout.fields))
     pieces = []
-    for exps, a, b in _sorted_terms(x):
-        factors = []
-        for name, d in zip(names, exps):
-            if d == 0:
-                continue
-            if d == 2:
-                factors.append(name)
-            elif d % 2 == 0:
-                factors.append(f"{name}^{d // 2}")
-            else:
-                factors.append(f"{name}^({d}/2)")
-        mono = "*".join(factors)
+    for k, a, b in _sorted_keys(x):
+        mono = "*".join([name if d == 2 else f"{name}^({d}/2)" if d & 1 else f"{name}^{d // 2}"
+                         for name, (s, mask, bias) in fields if (d := ((k >> s) & mask) - bias)])
         ctext = _format_coeff(_rational(a, den), _rational(b, den))
         if not mono:
             text = ctext
@@ -1499,19 +1506,13 @@ def format_scalar(x):
 
 def scalar_to_json(x):
     """JSON-ready dict: {"terms": [{"re", "im", "exps"}...]} with exact strings."""
-    terms, den = [], x._den
-    for exps, a, b in _sorted_terms(x):
-        entry = {
-            "re": str(_rational(a, den)),
-            "im": str(_rational(b, den)),
-            "exps": {
-                name: str(d // 2) if d % 2 == 0 else f"{d}/2"
-                for name, d in zip(x.ctx.names, exps)
-                if d
-            },
-        }
-        terms.append(entry)
-    return {"terms": terms}
+    den = x._den
+    fields = tuple(zip(x.ctx.names, x.ctx._layout.fields))
+    return {"terms": [
+        {"re": str(_rational(a, den)), "im": str(_rational(b, den)),
+         "exps": {name: f"{d}/2" if d & 1 else str(d // 2)
+                  for name, (s, mask, bias) in fields if (d := ((k >> s) & mask) - bias)}}
+        for k, a, b in _sorted_keys(x)]}
 
 
 _NUMERAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")

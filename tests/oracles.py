@@ -13,8 +13,10 @@ kernel, one ``ring.dot`` per entry, and ``check_ybe_by_embedding`` the
 Yang-Baxter check as it was before its packed rows; ``apply_at_by_pairs`` is the push as it
 was before the packed vector, one ``ring.dot`` per output state.  The checked
 inverse and division are the ring's routes before its fast paths.  The
-term-dict arithmetic at the end, over the Fraction-based GaussianRational
-below, is the reference for the ring's packed terms and int coefficients.
+term-dict arithmetic, over the Fraction-based GaussianRational below, is
+the reference for the ring's packed terms and int coefficients, and the
+``*_by_exps`` text forms at the end are the scalar text and JSON as the
+packed ring printed them before their fast paths.
 """
 
 from __future__ import annotations
@@ -1002,3 +1004,87 @@ def terms_to_json(ctx, terms):
          "exps": {name: str(Fraction(d, 2)) for name, d in zip(ctx.names, exps) if d}}
         for exps in sorted(terms, key=_grlex_key)
     ]}
+
+
+# -- scalar text as the packed ring printed it before its fast paths ------------
+
+
+def _packed_terms_by_exps(x):
+    """(doubled exponent tuple, a, b) per monomial of the packed scalar x, with
+    (a + b*i)/x._den its coefficient, in ascending key order."""
+    layout, nums = x.ctx._layout, x._nums
+    out = []
+    for k in sorted(nums):
+        if k & 1:
+            if k - 1 in nums:
+                continue
+            a, b = 0, nums[k]
+        else:
+            a, b = nums[k], nums.get(k + 1, 0)
+        out.append((layout.exps(k), a, b))
+    return out
+
+
+def _packed_rational(n, d):
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _packed_format_coeff(re, im):
+    if im == 0:
+        return str(re)
+    itext = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    if re == 0:
+        return itext
+    return f"({re}+{itext})" if im > 0 else f"({re}{itext})"
+
+
+def format_scalar_by_exps(x):
+    """``ring.format_scalar`` as it was before its integer-constant text and
+    its field-by-field exponent reads: every monomial through an exponent
+    tuple and every coefficient through ``Fraction`` when not integral."""
+    if not x._nums:
+        return "0"
+    names, den = x.ctx.names, x._den
+    pieces = []
+    for exps, a, b in _packed_terms_by_exps(x):
+        factors = []
+        for name, d in zip(names, exps):
+            if d == 0:
+                continue
+            if d == 2:
+                factors.append(name)
+            elif d % 2 == 0:
+                factors.append(f"{name}^{d // 2}")
+            else:
+                factors.append(f"{name}^({d}/2)")
+        mono = "*".join(factors)
+        ctext = _packed_format_coeff(_packed_rational(a, den), _packed_rational(b, den))
+        if not mono:
+            text = ctext
+        elif ctext == "1":
+            text = mono
+        elif ctext == "-1":
+            text = "-" + mono
+        else:
+            text = f"{ctext}*{mono}"
+        pieces.append(text)
+    out = pieces[0]
+    for text in pieces[1:]:
+        if text.startswith("-") and not text.startswith("-("):
+            out += " - " + text[1:]
+        else:
+            out += " + " + text
+    return out
+
+
+def scalar_to_json_by_exps(x):
+    """``ring.scalar_to_json`` as it was before its field-by-field exponent reads."""
+    terms, den = [], x._den
+    for exps, a, b in _packed_terms_by_exps(x):
+        terms.append({
+            "re": str(_packed_rational(a, den)),
+            "im": str(_packed_rational(b, den)),
+            "exps": {name: str(d // 2) if d % 2 == 0 else f"{d}/2"
+                     for name, d in zip(x.ctx.names, exps) if d},
+        })
+    return {"terms": terms}

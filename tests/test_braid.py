@@ -1,5 +1,7 @@
 """Braid words, closure combinatorics, Markov moves, named links."""
 
+import random
+
 import pytest
 
 from ybtrace.braid import (
@@ -46,6 +48,31 @@ def test_word_validation():
         BraidWord(2, (2,))
     with pytest.raises(StrandBoundViolation):
         BraidWord(0)
+
+
+def test_a_bool_strand_count_is_refused_as_bool_letters_are():
+    """A bool is an int to Python, but ``True True True``, the text of
+    ``BraidWord(2, (True, True, True))`` if it were accepted, is no braid."""
+    for strands in (True, False):
+        with pytest.raises(StrandBoundViolation) as info:
+            BraidWord(strands)
+        assert str(info.value) == f"invalid strand count {strands}"
+    with pytest.raises(ParseError):
+        parse_braid("True True True")
+
+
+def test_writhe_is_the_signed_letter_count_on_seeded_words():
+    rng = random.Random(24)
+    for _ in range(300):
+        strands = rng.randint(1, 6)
+        letters = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                   for _ in range(rng.randint(0, 12) if strands > 1 else 0)]
+        b = BraidWord(strands, iter(letters))
+        count = sum(k > 0 for k in letters) - sum(k < 0 for k in letters)
+        assert b.writhe == count, letters
+        assert parse_braid(str(b), strands).writhe == count
+        assert stabilize(b, -1).writhe == count - 1
+        assert conjugate(b, (1, -1, 1)[:strands - 1]).writhe == count
 
 
 def test_stats_hopf():

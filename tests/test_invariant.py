@@ -954,6 +954,36 @@ def test_classification_report_warm_equals_cold_and_the_goldens(monkeypatch):
         assert cold == json.loads((golden / name).read_text())
 
 
+def test_tags_build_no_scalar_on_a_cell(monkeypatch):
+    """On a const-1, a const-0, a knots-1 and a jones cell, ``_tag_expectation``
+    compares with an int or with the kept unknot value: it calls neither
+    ``ScalarContext.scalar`` nor ``ScalarContext.one``, and neither does a
+    two-power-l cell, which answers as the comparison with 2^l built in the
+    ring does."""
+    links = [get_named_braid(name) for name in ("0_1", "3_1", "4_1", "2^2_1", "6^2_3")]
+    cells = []
+    # no row is tagged const-0; an alexander-zero row's values are all 0
+    for tag, row_tag in (("const-1", "const-1"), ("const-0", "alexander-zero"),
+                         ("knots-1", "knots-1"), ("jones", "jones"),
+                         ("two-power-l", "two-power-l")):
+        op = next(e for e in table1_entries() if e.tag == row_tag).build()
+        cells += [(tag, op, link, compute_ts(op, link.braid).value) for link in links]
+    calls = {}
+    for name in ("scalar", "one"):
+        _spy(monkeypatch, calls, ScalarContext, name)
+    found = {(tag, link.name): invariant._tag_expectation(tag, op, link, raw)
+             for tag, op, link, raw in cells}
+    assert calls == {"scalar": 0, "one": 0}
+    assert found["const-1", "3_1"] == ("1", True) and found["const-0", "4_1"] == ("0", True)
+    assert found["knots-1", "4_1"] == ("1 (knots)", True)
+    assert found["knots-1", "2^2_1"] == ("-", None)
+    assert found["jones", "0_1"] == ("1", True) and found["jones", "3_1"] == ("nontrivial", True)
+    for tag, op, link, raw in cells:
+        if tag == "two-power-l":
+            assert found[tag, link.name] == (
+                f"2^{link.components}", raw == pow_int(op.ctx.scalar(2), link.components))
+
+
 def test_a_braid_over_the_strand_cap_is_refused_every_time_and_keeps_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a tensor power was built")

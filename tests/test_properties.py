@@ -77,5 +77,5 @@ def test_every_tag_but_jones_holds_on_random_braids(strands, data):
     for e in entries:
         op = OPERATORS[f"{e.rmatrix}/{e.row}+"]
         raw = compute_ts(op, b).value
-        expected, matched = _tag_expectation(e.tag, op, link, raw, op.ctx)
+        expected, matched = _tag_expectation(e.tag, op, link, raw)
         assert matched is not False, (e.rmatrix, e.row, e.tag, expected, format_scalar(raw))

@@ -202,11 +202,40 @@ def test_operator_closure_constants_are_fresh_and_not_a_field():
     assert a == b and "_closure" not in repr(a)
 
 
+def test_kept_writhe_and_hash_stay_out_of_repr_and_equality():
+    """The writhe a BraidWord counts in ``__init__`` and the hash a record
+    keeps on its first ``hash`` are not fields: a record that keeps other
+    values, or none, is equal, hashes equal and prints the same."""
+    a, b = BraidWord(3, (1, -2, 1)), BraidWord(3, (1, -2, 1))
+    assert a.writhe == 1 and hash(a) == hash(a)
+    assert "_hash" in a.__dict__ and "_hash" not in b.__dict__
+    assert a == b and b == a and hash(b) == hash(a)
+    c = BraidWord(3, (1, -2, 1))
+    c.__dict__.update(writhe=7, _hash=0)
+    assert a == c and c == a and not a != c
+    assert repr(a) == repr(b) == repr(c) == "BraidWord(strands=3, letters=(1, -2, 1))"
+    entry = _table1_entry()
+    kept = hash(entry)
+    assert hash(entry) == kept == hash(_table1_entry()) and entry == _table1_entry()
+    assert repr(entry) == RECORDS["Table1Entry"][1]
+
+
+def test_an_unhashable_record_raises_on_every_hash_and_keeps_nothing():
+    for record in (Verdict(False, residual=SquareMatrix.identity(CTX, 2)), _op(),
+                   InvariantResult(CTX.one(), False, CTX.one(), _op(), BraidWord(1))):
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                hash(record)
+        assert "_hash" not in record.__dict__
+
+
 @pytest.mark.parametrize("letters, message", [
     ((0,), "invalid letter 0"),
     (("1",), "invalid letter '1'"),
     ((2,), "letter 2 needs at least 3 strands, have 2"),
     ((-3,), "letter -3 needs at least 4 strands, have 2"),
+    ((True, True, True), "invalid letter True"),
+    ((1, False), "invalid letter False"),
 ])
 def test_braid_word_refuses_bad_letters(letters, message):
     with pytest.raises(StrandBoundViolation) as info:

@@ -231,6 +231,19 @@ def _assert_matches_oracle(got, want):
     assert got.is_zero() == (not want)
 
 
+def test_comparing_with_an_int_answers_as_comparing_with_its_scalar():
+    """``x == n`` for an int n reads x's terms and builds no Scalar; it
+    answers as ``x == ctx.scalar(n)`` does, from either side."""
+    ctx = ScalarContext(("q",), (("r", "1-q^2"),))
+    values = [ctx.parse(text) for text in (
+        "0", "1", "-1", "2", "-3", "1/2", "i", "1+i", "2*i", "q", "q^0*2", "r", "2 + q", "2*q^-1")]
+    values.append(ctx.scalar(10 ** 20))
+    for x in values:
+        for n in (0, 1, -1, 2, -3, 10 ** 20):
+            assert (x == n) == (x == ctx.scalar(n)) == (n == x) != (x != n), (x, n)
+    assert ctx.parse("q^0*2") == 2 and ctx.scalar(10 ** 20) == 10 ** 20
+
+
 def test_constant_scalars_match_fraction_oracle():
     """Constant Scalars, given as (re, im) or through ``scalar``, against the
     oracle's Fraction arithmetic, inverse and square root."""
