@@ -4,7 +4,7 @@ For an enhanced operator S and a braid word on n strands, the raw invariant
 is alpha^(-writhe) beta^(-n) Tr(rep(word) mu^(x n)) (Turaev, Invent. Math.
 92, 1988); dividing by the one-strand value Tr(mu)/beta gives the
 unknot-normalized form.  No representation of the whole word is formed.
-``compute_ts`` takes one of three routes.
+``compute_ts`` takes one of two routes.
 
 When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
 column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n.
@@ -13,17 +13,13 @@ form, c^w alpha^(-w) (Tr(mu) / beta)^n for writhe w.  Proof: then
 (v (x) v)^T R^(+-1) = c^(+-1) (v (x) v)^T on the two slots each letter
 acts on, so (v^(x n))^T rep = c^w (v^(x n))^T; and (v^(x n))^T u^(x n) =
 (v^T u)^n = (piv Tr(mu))^n.  This is the registry's ``intertwine``
-column, (mu x mu) R = c (mu x mu), and holds on all 14 rank-one rows.
-Nothing is pushed or divided, and R is not inverted.
+column, (mu x mu) R = c (mu x mu), and holds on all 14 rank-one rows and
+on every enhanced operator the library builds from them.  Nothing is
+pushed or divided, and R is not inverted.
 
-Without such a c, u^(x n), packed as a ``ring.PackedVector``, is pushed
-through the word one crossing at a time (``tensor.push_at``), one
-``ring.contract`` against v^(x n) takes the dot product, and one exact
-division by (beta * piv)^n ends it.  No Scalar is formed between the
-crossings.
-
-Every other mu takes the half-word closure, which ``open_trace`` shares
-with the strands 2..n closed instead of all of them.  With rep = A B for
+Every other mu, a rank-one one without such a c included, takes the
+half-word closure, which ``open_trace`` shares with the strands 2..n
+closed instead of all of them.  With rep = A B for
 the left and right halves of the word, the partial trace over the k
 closed slots of rep (1 (x) M), M = mu^(x k), is that of (1 (x) M) A B,
 because 1 (x) M acts on the traced slots only.  B is built as a sparse
@@ -35,15 +31,14 @@ divided by beta once per closed slot and multiplied by alpha^(-writhe).
 ``alexander_nabla`` is the open trace of row R1.2/1's image at q = t^-2
 (sqrt_q -> t^-1), kept after its first call.
 
-What depends only on the operator is kept on it on first use: the rank-one
-factors, the unknot value, the eigenvalue c or the verdict that there is
-none; per strand count n the unknot value's n-th power when there is a c,
-else the packed u^(x n), the contraction pairs of v^(x n) and
-(beta * piv)^n; per strand count and kept strand count the packed rows of
-1 (x) M, when they hold at most ``tensor.MAX_ENTRIES`` entries; per
-closed-slot count k beta^k; and the transposes of R and R^-1.  The
-crossings keep their tables and embeddings on their matrices.  Nothing
-keyed by a braid word or a writhe is kept.
+What depends only on the operator is kept on it on first use: the
+eigenvalue c, or the verdict that there is none; the unknot value; per
+strand count n the unknot value's n-th power when there is a c; per
+strand count and kept strand count the packed rows of 1 (x) M, when they
+hold at most ``tensor.MAX_ENTRIES`` entries; per closed-slot count k
+beta^k; and the transposes of R and R^-1.  The crossings keep their
+tables and embeddings on their matrices.  Nothing keyed by a braid word
+or a writhe is kept.
 """
 
 import itertools
@@ -60,9 +55,7 @@ from .errors import (
     UnknownName,
 )
 from .eyb import get_table1_eyb, specialize, table1_entries
-from .ring import (
-    ScalarContext, contract, format_scalar, pack, pow_int, try_div_exact,
-)
+from .ring import ScalarContext, contract, format_scalar, pack, pow_int, try_div_exact
 from .tensor import (
     MAX_ENTRIES,
     MAX_STATES,
@@ -158,19 +151,17 @@ def rank_one_factors(mu):
     return u, v, piv
 
 
-def _tensor_power(w, n, base, one):
-    """The n-fold tensor power of a sparse vector, keyed by state index."""
-    out = {0: one}
-    for _ in range(n):
-        out = {s * base + k: x * y for s, x in out.items() for k, y in w.items()}
-    return out
-
-
-def _eigenvalue(op, v, piv):
-    """The unit c with (v (x) v)^T R = c (v (x) v)^T, or None when there is
-    none.  c is read off at the slot (j, j) with v[j] = piv, where v (x) v
-    holds piv^2.  A check that cannot be finished in the ring (a division
-    that does not come out, an exponent out of range) gives None too."""
+def _eigenvalue(op):
+    """The unit c with (v (x) v)^T R = c (v (x) v)^T for piv * mu = u v^T
+    (``rank_one_factors``), or None when there is none: when mu is not of
+    rank one or has side 1, or when no unit c fits.  c is read off at the
+    slot (j, j) with v[j] = piv, where v (x) v holds piv^2.  A check that
+    cannot be finished in the ring (a division that does not come out, an
+    exponent out of range) gives None too."""
+    factors = rank_one_factors(op.mu) if op.base_dim > 1 else None
+    if factors is None:
+        return None
+    _, v, piv = factors
     base, zero = op.base_dim, op.ctx.zero()
     j = next(j for j, x in v.items() if x == piv)
     try:
@@ -189,49 +180,23 @@ def _eigenvalue(op, v, piv):
     return None
 
 
-def _rank_one_trace(op, b, u, v, piv):
-    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv: in closed
-    form when v (x) v is a left eigenvector of R with a unit eigenvalue c,
-    else by one push.
+def _rank_one_trace(op, b, c):
+    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n in closed form,
+    c^w alpha^(-w) (Tr(mu) / beta)^n, for the eigenvalue c of ``_eigenvalue``.
 
-    The strand cap is checked first.  c, or the verdict that there is none,
-    is kept on ``op``; so is the unknot value's n-th power per n.  c^w and
-    alpha^(-w) are formed apart, so NotAUnit and ExponentOverflow come from
-    the same inputs as on the push.
+    The strand cap is checked first, as on the half-word closure.  The
+    unknot value's n-th power is kept on ``op`` per n.  c^w and alpha^(-w)
+    are formed apart, so NotAUnit and ExponentOverflow come from the same
+    inputs as on the half-word closure.
     """
     n = b.strands
     _states(op.base_dim, n)
-    c = _kept(op, "eigen", _eigenvalue, op, v, piv)
-    if c is None:
-        return _pushed_trace(op, b, u, v, piv)
     try:
         power = op._closure["unknot", n]
     except KeyError:
         power = op._closure["unknot", n] = pow_int(_kept(op, "unknot", unknot_value, op), n)
     w = b.writhe
     return pow_int(c, w) * pow_int(op.alpha, -w) * power
-
-
-def _pushed_trace(op, b, u, v, piv):
-    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n for mu = u v^T / piv, by one push.
-
-    u^(x n) packed, v^(x n) as the pairs of the closing contraction and
-    (beta * piv)^n are kept on ``op`` per n; the caller has checked n
-    against the strand cap.
-    """
-    n, base, ctx = b.strands, op.base_dim, op.ctx
-    vec, row, scale = _kept(op, n, lambda: (
-        pack(ctx, _tensor_power(u, n, base, ctx.one())),
-        {s: ((0, y),) for s, y in _tensor_power(v, n, base, ctx.one()).items()},
-        pow_int(op.beta * piv, n),
-    ))
-    rinv = invert(op.r) if any(k < 0 for k in b.letters) else None
-    for letter in reversed(b.letters):
-        vec = push_at(op.r if letter > 0 else rinv, abs(letter), n, vec, base)
-    raw = contract(vec, row).get(0)
-    if raw is None:
-        raw = ctx.zero()
-    return pow_int(op.alpha, -b.writhe) * try_div_exact(raw, scale)
 
 
 def _weight_rows(mu, keep, k, total, one):
@@ -316,32 +281,29 @@ def compute_ts(op, b, normalized=False):
     """The trace invariant of the closure of ``b`` under operator ``op``.
 
     A weight mu of rank one takes the closed form c^w alpha^(-w)
-    (Tr(mu) / beta)^n when (v (x) v)^T R = c (v (x) v)^T for a unit c, and
-    the push otherwise; any other mu takes the half-word closure (module
-    docstring).  Both rank-one routes check the strand cap first, and
-    raise NotAUnit and ExponentOverflow on the same inputs: c^w and
+    (Tr(mu) / beta)^n when (v (x) v)^T R = c (v (x) v)^T for a unit c; any
+    other mu, a rank-one one without such a c included, takes the half-word
+    closure (module docstring).  Both routes check the strand cap first,
+    and raise NotAUnit and ExponentOverflow on the same inputs: c^w and
     alpha^(-w) are formed apart.  The closed form does not invert R, so on
-    a singular R it gives a value where the push raises NonInvertible for
-    a negative letter; an operator that ``verify_eyb`` accepts has an
+    a singular R it gives a value where the closure raises NonInvertible
+    for a negative letter; an operator that ``verify_eyb`` accepts has an
     invertible R.  Division by beta^n is performed exactly,
     so beta need not be a unit.  Normalization divides by the unknot value
     and raises NotDivisible when that is impossible (in particular when the
-    unknot value is zero).  The rank-one factors, the unknot value, the
-    eigenvalue verdict and the constants of each path are computed on the
-    first call that needs them and kept on ``op``, and a later call reads
-    each with one dict lookup and builds no function object for it.  Per
-    call the closed form forms only c^w, alpha^(-w) and two products, by
-    the ring's key arithmetic when c and alpha are units; the writhe is
+    unknot value is zero).  The eigenvalue c or the verdict that there is
+    none, the unknot value and the constants of each route are computed on
+    the first call that needs them and kept on ``op``, and a later call
+    reads each with one dict lookup and builds no function object for it.
+    Per call the closed form forms only c^w, alpha^(-w) and two products,
+    by the ring's key arithmetic when c and alpha are units; the writhe is
     kept on the braid word.
     """
     try:
-        factors = op._closure["factors"]
-    except KeyError:  # a side-1 weight takes the half-word closure, which refuses it
-        factors = op._closure["factors"] = rank_one_factors(op.mu) if op.base_dim > 1 else None
-    if factors is None:
-        raw = _closure(op, b, 0)
-    else:
-        raw = _rank_one_trace(op, b, *factors)
+        c = op._closure["eigen"]
+    except KeyError:
+        c = op._closure["eigen"] = _eigenvalue(op)
+    raw = _closure(op, b, 0) if c is None else _rank_one_trace(op, b, c)
     unknot = _kept(op, "unknot", unknot_value, op)
     if not normalized:
         return InvariantResult(raw, False, unknot, op, b)

@@ -7,6 +7,7 @@ vector r in the image of basis vector c.
 """
 
 import math
+from fractions import Fraction
 
 from ._record import Record
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     PositionOutOfRange,
 )
 from .ring import (
-    crossing_table, dot, dot_entries, json_field, push, scalar_from_json,
+    Scalar, crossing_table, dot, dot_entries, json_field, push, scalar_from_json,
     scalar_to_json, substitute, try_div_exact,
 )
 
@@ -34,6 +35,19 @@ MAX_STATES = 4096
 # about a million entries per factor, and a dense mu of side 64 (the weight of
 # an R of side 4096) about 16 million in kron(mu, mu).
 MAX_ENTRIES = 4 * MAX_STATES
+
+
+def _entry(ctx, value):
+    """A matrix entry as a Scalar: a Scalar as it is, text parsed, and an int
+    or a Fraction through ``ctx.scalar``; TypeError for anything else."""
+    if isinstance(value, Scalar):
+        return value
+    if isinstance(value, str):
+        return ctx.parse(value)
+    if isinstance(value, (int, Fraction)):
+        return ctx.scalar(value)
+    raise TypeError(f"a matrix entry must be a Scalar, text, an int or a Fraction, "
+                    f"not {type(value).__name__}")
 
 
 def _check_ctx(a, b):
@@ -84,17 +98,14 @@ class SquareMatrix:
 
     @classmethod
     def from_rows(cls, ctx, rows):
-        """Build from nested lists; entries may be Scalars, ints, or text."""
+        """Build from nested lists of entries that ``_entry`` takes."""
         side = len(rows)
         entries = {}
         for r, row in enumerate(rows):
             if len(row) != side:
                 raise DimensionMismatch("rows are not square")
             for c, value in enumerate(row):
-                if isinstance(value, str):
-                    value = ctx.parse(value)
-                elif isinstance(value, int):
-                    value = ctx.scalar(value)
+                value = _entry(ctx, value)
                 if not value.is_zero():
                     entries[(r, c)] = value
         return cls(ctx, side, entries)
@@ -106,7 +117,8 @@ class SquareMatrix:
 
     @classmethod
     def diagonal(cls, ctx, values):
-        vals = [ctx.parse(v) if isinstance(v, str) else v for v in values]
+        """The diagonal matrix of entries that ``_entry`` takes."""
+        vals = [_entry(ctx, v) for v in values]
         return cls(ctx, len(vals), {(k, k): v for k, v in enumerate(vals)})
 
     def get(self, r, c):

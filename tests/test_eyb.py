@@ -282,9 +282,8 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     and they give the fresh operators' values on the named links and keep the
     fresh operators' closure constants: the eigenvalue verdict and the
     unknot value's powers per strand count of the rank-one weights, the
-    push's per strand count, the half-word closure's weight rows per strand
-    and kept slot count with beta^k for the k closed slots, and the
-    transposed crossings."""
+    half-word closure's weight rows per strand and kept slot count with
+    beta^k for the k closed slots, and the transposed crossings."""
     for sign in "+-":
         classification_report(sign=sign)
     for which in (2, 3, 4):
@@ -303,16 +302,14 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
             for word in words:
                 assert compute_ts(shared, word).value == compute_ts(fresh, word).value
             for key in shared._closure:
-                if isinstance(key, int):  # the push's constants for key strands
-                    compute_ts(fresh, BraidWord(key))
-                elif key[0] == "unknot":  # the closed form's unknot^n
+                if key[0] == "unknot":  # the closed form's unknot^n
                     compute_ts(fresh, BraidWord(key[1]))
                 elif key[0] == "rows":  # with beta^k for the n - keep closed slots
                     # by the half-word closure itself: compute_ts never takes
-                    # it for a rank-one weight, but a direct call may have
+                    # it for a weight in closed form, but a direct call may have
                     invariant._closure(fresh, BraidWord(key[1]), key[2])
                 elif key[0] == "transpose":
                     invariant._pullback(fresh, key[1])
                 else:
-                    assert key in ("factors", "eigen", "unknot") or key[0] == "beta", key
+                    assert key in ("eigen", "unknot") or key[0] == "beta", key
             assert shared._closure == fresh._closure

@@ -26,13 +26,16 @@ from ybtrace.braid import (
     stabilize,
 )
 from ybtrace.catalog import TransformSpec, transform_rmatrix
-from ybtrace.dressing import preset_dressings, preset_names
+from ybtrace.dressing import (
+    DiagonalDressingSpec, dress_diagonal, dressed_eyb, preset_dressings, preset_names,
+)
 from ybtrace.errors import (
     DimensionMismatch, ExponentOverflow, NotAUnit, NotDivisible, ProportionalityFailure,
     StrandBoundViolation,
 )
 from ybtrace.eyb import (
-    EnhancedOperator, get_table1_entry, get_table1_eyb, table1_entries, verify_eyb,
+    EnhancedOperator, get_table1_entry, get_table1_eyb, sign_variants, table1_entries,
+    verify_eyb,
 )
 from ybtrace.invariant import (
     ANNIHILATING_RELATIONS,
@@ -488,7 +491,7 @@ def test_compute_ts_matches_kronecker_oracle(monkeypatch):
             assert compute_ts(op, b).value == expected, (label, name)
 
 
-# -- the rank-one push ------------------------------------------------------------
+# -- rank-one weights ------------------------------------------------------------
 
 RANK_ONE_ROWS = [("R3.1", 3), ("R3.1", 4), ("R2.1", 2), ("R2.1", 3), ("R2.1", 4),
                  ("R2.1", 5), ("R2.2", 2), ("R2.2", 3), ("R1.1", 2), ("R1.1", 3),
@@ -527,10 +530,11 @@ def _assert_factors(mu, factors):
     assert scalar_scale(mu, piv) == outer
 
 
-def _pushed_operator():
+def _rank_one_operator_without_c():
     """A fresh operator on R1.1's R, over row 2's ring, whose rank-one weight
-    [[1, 1], [0, 0]] takes the push: v (x) v = (1, 1, 1, 1) is not a left
-    eigenvector of R.  It is not enhanced, which compute_ts does not need."""
+    [[1, 1], [0, 0]] takes the half-word closure: v (x) v = (1, 1, 1, 1) is
+    not a left eigenvector of R.  It is not enhanced, which compute_ts does
+    not need."""
     entry = get_table1_entry("R1.1", 2)
     op = entry.build(ctx=entry.context())
     mu = SquareMatrix.from_rows(op.ctx, [[1, 1], [0, 0]])
@@ -585,16 +589,17 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
     assert built == [half]
 
 
-def test_rank_one_push_matches_matrix_path():
+def test_rank_one_weights_match_matrix_path():
     """The 14 rank-one rows with both signs, which take the closed form, and
-    R1.1's R with a rank-one weight that is pushed, on the named links and
-    on seeded words of up to five strands with both letter signs."""
+    R1.1's R with a rank-one weight that takes the half-word closure, on the
+    named links and on seeded words of up to five strands with both letter
+    signs."""
     rng = random.Random(5)
     words = [get_named_braid(name).braid for name in NAMED_LINKS]
     words += _random_words(rng, 8, 5, 8)
     ops = [((rmatrix, row, sign), get_table1_eyb(rmatrix, row, sign=sign))
            for rmatrix, row in RANK_ONE_ROWS for sign in "+-"]
-    ops.append(("pushed", _pushed_operator()))
+    ops.append(("closure", _rank_one_operator_without_c()))
     for label, op in ops:
         for b in words:
             assert compute_ts(op, b).value == _matrix_path(op, b), (label, b)
@@ -640,10 +645,41 @@ def test_images_of_the_rank_one_rows_keep_the_closed_form():
                 assert image._closure["eigen"].is_unit(), label
 
 
-def test_rank_one_push_matches_matrix_path_in_base_three():
+def test_every_enhanced_rank_one_weight_the_library_builds_has_a_unit_eigenvalue():
+    """The 14 rank-one rows with both signs, each rescaled by beta = g and
+    1 + g for the row's first generator g, its three sign variants, its
+    similarity image (Q = [[1, 2], [0, 1]], kappa = the last generator's
+    inverse), its transpose image and its trivial diagonal dressing into
+    N = 3 with J = (1, 3): each is enhanced, keeps a rank-one weight and
+    has a unit eigenvalue c, so the closed form takes all of them."""
+    checked = 0
+    for rmatrix, row in RANK_ONE_ROWS:
+        entry = get_table1_entry(rmatrix, row)
+        for sign in "+-":
+            op = entry.build(sign)
+            ctx = op.ctx
+            g = ctx.gen(ctx.generators[0])
+            kappa = ctx.gen(ctx.generators[-1], -1)
+            images = _images(op, 2, kappa)
+            spec = DiagonalDressingSpec(ctx, 3, (1, 3))
+            ops = [op, entry.build(sign, beta=g), entry.build(sign, beta=1 + g),
+                   *sign_variants(op), images["similarity"], images["transpose"],
+                   dressed_eyb(op, dress_diagonal(op.r, spec), spec, mode="trivial")]
+            for k, enhanced in enumerate(ops):
+                label = (rmatrix, row, sign, k)
+                assert verify_eyb(enhanced), label
+                assert rank_one_factors(enhanced.mu) is not None, label
+                c = invariant._eigenvalue(enhanced)
+                assert c is not None and c.is_unit(), label
+                checked += 1
+    assert checked == 14 * 2 * 9
+
+
+def test_rank_one_weights_match_matrix_path_in_base_three():
     """A seeded side-9 R (the rows of a unipotent matrix permuted, so it
-    inverts in the ring) with a rank-one weight; no Yang-Baxter equation is
-    needed for the identity Tr(rep u^(x n) v^(x n)^T) = (v^(x n))^T rep u^(x n)."""
+    inverts in the ring) with a rank-one weight that has no eigenvalue c,
+    so that the half-word closure takes it; no Yang-Baxter equation is
+    needed for the trace."""
     rng = random.Random(3)
     ctx = ScalarContext(("p", "q"))
     monomials = ["0", "0", "1", "-1", "2", "p", "q^-1", "p*q", "1+q"]
@@ -660,6 +696,7 @@ def test_rank_one_push_matches_matrix_path_in_base_three():
         _assert_factors(mu, factors)
         for b in _random_words(rng, 5, 4, 5):
             assert compute_ts(op, b).value == _matrix_path(op, b), (trial, b)
+        assert op._closure["eigen"] is None, trial
 
 
 def test_rank_one_push_refuses_a_state_space_above_the_cap(monkeypatch):
@@ -668,7 +705,7 @@ def test_rank_one_push_refuses_a_state_space_above_the_cap(monkeypatch):
 
     monkeypatch.setattr(invariant, "pack", refuse)
     monkeypatch.setattr(invariant, "push_at", refuse)
-    for op in (get_table1_eyb("R1.1", 2), _pushed_operator()):
+    for op in (get_table1_eyb("R1.1", 2), _rank_one_operator_without_c()):
         with pytest.raises(StrandBoundViolation, match="2\\^40 states, above the cap"):
             compute_ts(op, BraidWord(40, (1,)))
 
@@ -712,14 +749,13 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
     monkeypatch.setattr(tensor, "_invert_piece", counted)
     word = get_named_braid("4_1").braid
     assert any(k < 0 for k in word.letters)
-    # R1.1's R with a rank-one weight pushes it; R1.3/1 builds the
-    # representation matrix.  Fresh operators: the shared ones may already
-    # keep R's inverse.
+    # R1.1's R with a rank-one weight and R1.3/1 both take the half-word
+    # closure.  Fresh operators: the shared ones may already keep R's inverse.
     matrix_row = get_table1_entry("R1.3", 1)
-    for make, pushed in ((_pushed_operator, True),
-                         (lambda: matrix_row.build(ctx=matrix_row.context()), False)):
+    for make, rank_one in ((_rank_one_operator_without_c, True),
+                           (lambda: matrix_row.build(ctx=matrix_row.context()), False)):
         op = make()
-        assert (rank_one_factors(op.mu) is not None) == pushed
+        assert (rank_one_factors(op.mu) is not None) == rank_one
         pieces.clear()
         compute_ts(op, get_named_braid("5_1").braid)  # no negative letter
         assert pieces == []
@@ -776,27 +812,28 @@ def test_compute_ts_keeps_its_closure_constants_per_operator_and_strand_count(mo
     calls = {}
     trefoil, figure_eight, cinquefoil = (
         get_named_braid(name).braid for name in ("3_1", "4_1", "5_1"))
-    expected = {b: _matrix_path(_pushed_operator(), b) for b in (trefoil, cinquefoil)}
-    for name in ("rank_one_factors", "unknot_value", "_tensor_power"):
+    expected = {b: _matrix_path(_rank_one_operator_without_c(), b) for b in (trefoil, cinquefoil)}
+    for name in ("rank_one_factors", "unknot_value", "_weight_rows", "pack"):
         _spy(monkeypatch, calls, invariant, name)
-    op = _pushed_operator()
+    built = {"rank_one_factors": 1, "unknot_value": 1, "_weight_rows": 1, "pack": 1}
+    op = _rank_one_operator_without_c()
     first = compute_ts(op, trefoil, normalized=True)
     # the unknot value Tr(mu) / beta is 1, so the normalized value is the raw one
     assert first.unknot_value == op.ctx.one() and first.value == expected[trefoil]
-    assert calls == {"rank_one_factors": 1, "unknot_value": 1, "_tensor_power": 2}
+    assert calls == built
     calls.update(dict.fromkeys(calls, 0))
     # the same strand count, by the same word or another
     assert compute_ts(op, trefoil, normalized=True) == first
     assert compute_ts(op, cinquefoil).value == expected[cinquefoil]
     assert calls == dict.fromkeys(calls, 0)
-    # another strand count makes its own tensor powers
+    # another strand count packs its own weight rows
     assert figure_eight.strands != trefoil.strands
     compute_ts(op, figure_eight)
-    assert calls == {"rank_one_factors": 0, "unknot_value": 0, "_tensor_power": 2}
+    assert calls == dict(built, rank_one_factors=0, unknot_value=0)
     # and a fresh build of the same row computes everything again
     calls.update(dict.fromkeys(calls, 0))
-    assert compute_ts(_pushed_operator(), trefoil, normalized=True) == first
-    assert calls == {"rank_one_factors": 1, "unknot_value": 1, "_tensor_power": 2}
+    assert compute_ts(_rank_one_operator_without_c(), trefoil, normalized=True) == first
+    assert calls == built
     # the matrix path keeps its verdict that mu is not rank one
     jones = get_table1_entry("R2.1", 1)
     op = jones.build(ctx=jones.context())
@@ -833,7 +870,7 @@ def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
     # count keep, and the transposed crossings of the left halves' letters:
     # the trefoil's is positive, the figure eight's (1, -2) both
     assert set(op._closure) == {
-        "factors", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0), ("rows", 3, 0),
+        "eigen", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0), ("rows", 3, 0),
         ("rows", 3, 1), ("transpose", True), ("transpose", False)}
     assert op._closure[("transpose", True)] == op.r.transpose()
     assert op._closure[("transpose", False)] == invert(op.r).transpose()
@@ -844,15 +881,18 @@ def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
 
 
 def test_a_second_push_builds_no_crossing_table(monkeypatch):
+    """The half-word closure of a rank-one weight without an eigenvalue c
+    tabulates each transposed crossing it keeps once, on its first call."""
     built = []
     original = tensor._crossing_table
     monkeypatch.setattr(tensor, "_crossing_table", lambda r: built.append(r) or original(r))
-    op = _pushed_operator()
+    op = _rank_one_operator_without_c()
     word = get_named_braid("4_1").braid
     assert rank_one_factors(op.mu) is not None and any(k < 0 for k in word.letters)
     first = compute_ts(op, word).value
-    # R and its inverse, each once
-    assert len(built) == 2 and {id(r) for r in built} == {id(op.r), id(invert(op.r))}
+    # the left half (1, -2) pulls back through R^T and (R^-1)^T, each tabulated once
+    kept = [op._closure[("transpose", positive)] for positive in (True, False)]
+    assert len(built) == 2 and {id(r) for r in built} == {id(r) for r in kept}
     built.clear()
     assert compute_ts(op, word).value == first
     compute_ts(op, get_named_braid("5_2").braid)
@@ -883,7 +923,7 @@ def test_the_closed_form_pushes_nothing_and_checks_each_operator_once(monkeypatc
         for b in words:
             assert compute_ts(op, b).value == expected[entry, b], (entry.rmatrix, b)
         assert calls == dict.fromkeys(calls, 0)
-        assert set(op._closure) == {"factors", "eigen", "unknot", ("unknot", 2), ("unknot", 3)}
+        assert set(op._closure) == {"eigen", "unknot", ("unknot", 2), ("unknot", 3)}
         assert op._closure["eigen"] == op.ctx.parse(entry.intertwine)
         for n in (2, 3):
             assert op._closure[("unknot", n)] == pow_int(unknot_value(op), n)
@@ -892,12 +932,11 @@ def test_the_closed_form_pushes_nothing_and_checks_each_operator_once(monkeypatc
 def test_the_closed_form_overflows_where_the_push_does():
     """R3.1/4 has c = alpha = s: c^w alpha^-w is 1 up to 4095 letters of
     either sign, and at 4096 one of the two powers leaves the exponent range,
-    as the pushed vector or alpha's power does."""
+    as the half-word closure's pulled rows or alpha's power do."""
     entry = get_table1_entry("R3.1", 4)
     op = entry.build(ctx=entry.context())
-    factors = rank_one_factors(op.mu)
     routes = (lambda b: compute_ts(op, b).value,
-              lambda b: invariant._pushed_trace(op, b, *factors))
+              lambda b: invariant._closure(op, b, 0))
     for letter in (1, -1):
         for route in routes:
             assert route(BraidWord(2, (letter,) * 4095)) == op.ctx.one()
@@ -908,13 +947,13 @@ def test_the_closed_form_overflows_where_the_push_does():
 
 def test_the_closed_form_refuses_a_non_unit_alpha_where_the_push_does():
     """R2.1/2's R and mu with alpha = 1 + p: alpha^-w needs a unit at
-    writhe 2, and is (1 + p)^2 at writhe -2, on both routes."""
+    writhe 2, and is (1 + p)^2 at writhe -2, in closed form and by the
+    half-word closure."""
     entry = get_table1_entry("R2.1", 2)
     row = entry.build(ctx=entry.context())
     op = EnhancedOperator(row.r, row.mu, row.ctx.parse("1 + p"), row.beta)
-    factors = rank_one_factors(op.mu)
     for route in (lambda b: compute_ts(op, b).value,
-                  lambda b: invariant._pushed_trace(op, b, *factors)):
+                  lambda b: invariant._closure(op, b, 0)):
         with pytest.raises(NotAUnit):
             route(BraidWord(2, (1, 1)))
         assert route(BraidWord(2, (-1, -1))) == op.ctx.parse("1 + 2*p + p^2")
@@ -942,7 +981,7 @@ def test_classification_report_warm_equals_cold_and_the_goldens(monkeypatch):
     golden = Path(__file__).resolve().parent / "golden"
     monkeypatch.setattr(eyb, "_shared_ops", {})
     calls = {}
-    for spied in ("rank_one_factors", "unknot_value", "_tensor_power"):
+    for spied in ("rank_one_factors", "unknot_value", "_weight_rows", "pack"):
         _spy(monkeypatch, calls, invariant, spied)
     for sign, name in (("+", "classify_plus.json"), ("-", "classify_minus.json")):
         cold = classification_report(sign=sign)
@@ -985,14 +1024,17 @@ def test_tags_build_no_scalar_on_a_cell(monkeypatch):
 
 
 def test_a_braid_over_the_strand_cap_is_refused_every_time_and_keeps_nothing(monkeypatch):
+    """Nothing but the operator's eigenvalue verdict is kept, and no weight
+    row is built or packed."""
     def refuse(*args):
-        raise AssertionError("a tensor power was built")
+        raise AssertionError("a weight row was built or packed")
 
-    monkeypatch.setattr(invariant, "_tensor_power", refuse)
+    monkeypatch.setattr(invariant, "_weight_rows", refuse)
+    monkeypatch.setattr(invariant, "pack", refuse)
     for rmatrix, row in (("R1.1", 2), ("R2.1", 1)):
         entry = get_table1_entry(rmatrix, row)
         op = entry.build(ctx=entry.context())
         for _ in range(2):
             with pytest.raises(StrandBoundViolation, match="2\\^40 states"):
                 compute_ts(op, BraidWord(40, (1,)))
-        assert set(op._closure) <= {"factors"}
+        assert set(op._closure) <= {"eigen"}

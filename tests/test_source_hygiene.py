@@ -1,0 +1,77 @@
+"""Source hygiene of the library, read with ``ast`` only: no import that its
+module never reads, and no top-level private name that no module reads."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "ybtrace"
+
+# Names a module imports for other code to reach through it.  perfbench's
+# tracer self-test wraps ``eyb.matmul``.
+REEXPORTED = {("eyb", "matmul")}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _reads(tree):
+    """Every name the tree loads, every attribute it reads and every name it
+    imports from another module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def _loads(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _imported(tree):
+    """The names bound by the module's top-level imports."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def _private_definitions(tree):
+    """The private names the module binds at top level, imports aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_top_level_import_is_read_in_its_module():
+    unread = []
+    for module, tree in _modules().items():
+        if module == "__init__":
+            continue
+        loads = _loads(tree)
+        unread += [(module, name) for name in _imported(tree)
+                   if name not in loads and (module, name) not in REEXPORTED]
+    assert unread == []
+
+
+def test_every_top_level_private_name_is_read_in_the_library():
+    modules = _modules()
+    reads = set().union(*map(_reads, modules.values()))
+    unread = [(module, name) for module, tree in modules.items()
+              for name in _private_definitions(tree) if name not in reads]
+    assert unread == []

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +38,22 @@ from oracles import apply_at, kron_power, matsub, partial_trace, trace_product
 @pytest.fixture
 def ctx():
     return ScalarContext(("p", "q"), (("sqrt_pq", "p*q"),))
+
+
+def test_from_rows_and_diagonal_take_the_same_entry_types(ctx):
+    """A Scalar, text, an int and a Fraction are entries of both constructors;
+    a float is refused by name."""
+    values = [1, Fraction(1, 2), "q", ctx.parse("p - 1")]
+    side = len(values)
+    rows = [[values[r] if r == c else 0 for c in range(side)] for r in range(side)]
+    assert SquareMatrix.from_rows(ctx, rows) == SquareMatrix.diagonal(ctx, values)
+    assert SquareMatrix.diagonal(ctx, values).entries == {
+        (0, 0): ctx.one(), (1, 1): ctx.scalar(Fraction(1, 2)), (2, 2): ctx.parse("q"),
+        (3, 3): ctx.parse("p - 1")}
+    for build in (lambda: SquareMatrix.diagonal(ctx, [1, 0.5]),
+                  lambda: SquareMatrix.from_rows(ctx, [[1, 0], [0, 0.5]])):
+        with pytest.raises(TypeError, match="not float"):
+            build()
 
 
 def _identity(ctx, side):
