@@ -63,7 +63,6 @@ from .braid import (
     LINK_NAMES,
     NAMED_LINKS,
     NamedLink,
-    braid_stats,
     conjugate,
     destabilize,
     disjoint_union,

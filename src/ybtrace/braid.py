@@ -86,11 +86,6 @@ def parse_braid(text, strands=None):
     return BraidWord(strands, tuple(letters))
 
 
-def braid_stats(b):
-    """(writhe, closure permutation, number of closure components)."""
-    return b.writhe, b.permutation(), b.closure_components()
-
-
 def conjugate(b, by):
     """g b g^{-1} for a conjugating word on the same strands."""
     if isinstance(by, BraidWord):

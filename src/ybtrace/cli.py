@@ -343,6 +343,9 @@ def _cmd_alexander(args, out):
 
 
 def _cmd_skein_check(args, out):
+    if args.position < 1:
+        raise UnknownName(f"--position {args.position} names no generator; "
+                          "they are numbered from 1")
     relation = get_relation(args.relation)
     rmatrix = args.rmatrix or relation.rmatrix
     op = get_table1_eyb(rmatrix, args.row, args.sign)

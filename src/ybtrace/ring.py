@@ -535,49 +535,66 @@ def dot(ctx, pairs):
     return _scalar(ctx, acc, den)
 
 
+def _keyed_sums(ctx, products):
+    """{key: sum of sign * x * y over the (key, x, x denominator, y, sign)
+    ``products``}, holding only the nonzero sums: the ring's one keyed loop,
+    reached by ``dot_entries`` and ``contract``.
+
+    x is a raw {packed key: int numerator} dict and y a Scalar, which must
+    lie in ``ctx`` (ContextMismatch otherwise).  Each key is ``dot`` with its
+    own accumulator and running denominator, and the sign is part of the
+    scale, so nothing is negated.  A zero, and a term product that hits a
+    guard bit, stay in the accumulator until the key's one ``_settle``, zero
+    drop and gcd at the end, so a product past the exponent range raises
+    ExponentOverflow even when it cancels.
+    """
+    zero, guard = ctx._layout.zero, ctx._layout.guard
+    sums = {}  # key -> [accumulator, running denominator]
+    for key, x, dx, y, sign in products:
+        if y.ctx is not ctx and y.ctx != ctx:
+            raise ContextMismatch(f"contexts differ: {ctx!r} vs {y.ctx!r}")
+        d = dx * y._den
+        state = sums.get(key)
+        if state is None:
+            state = sums[key] = [{}, d]
+        acc, den = state
+        if den % d:  # over the lcm of the denominators
+            up = d // math.gcd(den, d)
+            den = state[1] = den * up
+            for k in acc:
+                acc[k] *= up
+        scale = sign * (den // d)
+        get = acc.get
+        y_items = y._nums.items()
+        for k1, c1 in x.items():
+            k1 -= zero
+            c1 *= scale
+            for k2, c2 in y_items:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    out = {}
+    for key, (acc, den) in sums.items():
+        if reduce(or_, acc, 0) & guard:
+            acc, den = _settled(ctx, acc, den)
+        if any(acc.values()):
+            if not all(acc.values()):
+                acc = {k: c for k, c in acc.items() if c}
+            out[key] = _scalar(ctx, acc, den)
+    return out
+
+
 def dot_entries(ctx, plus, minus):
     """{key: sum of x * y over plus' (key, x, y) triples minus the same sum over
     minus'}, holding only the nonzero sums; ContextMismatch for a scalar
-    outside ``ctx``.
-
-    Each key is ``dot`` with its own accumulator and running denominator, and
-    the sign of a minus triple is part of the scale, so nothing is negated.
-    A zero, and a term product that hits a guard bit, stay in the
-    accumulator until the key's one ``_settle``, zero drop and gcd at the
-    end, so a product past the exponent range raises ExponentOverflow even
-    when it cancels.
+    outside ``ctx``.  One ``_keyed_sums``, a minus triple's sign in its scale.
     """
-    zero = ctx._layout.zero
-    sums = {}  # key -> [accumulator, running denominator]
+    products = []
     for triples, sign in ((plus, 1), (minus, -1)):
         for key, x, y in triples:
-            if x.ctx is not ctx or y.ctx is not ctx:
-                for z in (x, y):
-                    if z.ctx != ctx:
-                        raise ContextMismatch(f"contexts differ: {ctx!r} vs {z.ctx!r}")
-            d = x._den * y._den
-            state = sums.get(key)
-            if state is None:
-                acc = {}
-                sums[key] = [acc, d]
-                scale = sign
-            else:
-                acc, den = state
-                if den % d:  # over the lcm of the denominators
-                    up = d // math.gcd(den, d)
-                    den = state[1] = den * up
-                    for k in acc:
-                        acc[k] *= up
-                scale = sign * (den // d)
-            get = acc.get
-            y_items = y._nums.items()
-            for k1, c1 in x._nums.items():
-                k1 -= zero
-                c1 *= scale
-                for k2, c2 in y_items:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-    return _finish_sums(ctx, sums, 1)
+            if x.ctx is not ctx and x.ctx != ctx:
+                raise ContextMismatch(f"contexts differ: {ctx!r} vs {x.ctx!r}")
+            products.append((key, x._nums, x._den, y, sign))
+    return _keyed_sums(ctx, products)
 
 
 def _settled(ctx, acc, den):
@@ -589,21 +606,6 @@ def _settled(ctx, acc, den):
     for k, _ in flagged:
         del acc[k]
     return _settle(ctx, flagged, acc, den)
-
-
-def _finish_sums(ctx, sums, scale):
-    """{key: Scalar} of the nonzero sums among {key: [raw accumulator, den]},
-    every denominator times ``scale``."""
-    guard = ctx._layout.guard
-    out = {}
-    for key, (acc, den) in sums.items():
-        if reduce(or_, acc, 0) & guard:
-            acc, den = _settled(ctx, acc, den)
-        if any(acc.values()):
-            if not all(acc.values()):
-                acc = {k: c for k, c in acc.items() if c}
-            out[key] = _scalar(ctx, acc, den * scale)
-    return out
 
 
 # -- packed vectors ------------------------------------------------------------
@@ -685,19 +687,17 @@ def push(vec, table, right):
     through.  Every output index has one raw accumulator over the product of
     the two denominators; an entry landing on a fresh index fills it with
     its first term in one comprehension, which forms no zero.  Guard-bit
-    keys and zeros stay in the accumulators until the end, where one test
-    over all keys finds whether any index needs settling, so a product past
-    the exponent range raises ExponentOverflow even when it cancels, and a
-    radicand with a denominator rescales the whole vector.  Neither a gcd
-    nor a Scalar is formed.  ContextMismatch when the table belongs to
-    another context.
+    keys and zeros stay in the accumulators until ``_finished``, so a
+    product past the exponent range raises ExponentOverflow even when it
+    cancels, and a radicand with a denominator rescales the whole vector.
+    Neither a gcd nor a Scalar is formed.  ContextMismatch when the table
+    belongs to another context.
     """
     ctx, side, columns, den = table
     if ctx is not vec.ctx and ctx != vec.ctx:
         raise ContextMismatch(f"contexts differ: {vec.ctx!r} vs {ctx!r}")
     out = {}
     get = out.get
-    summed = False  # whether a product was added to a term, which may cancel
     for state, x in vec._packed.items():
         entries = columns.get(state // right % side)
         if entries is None:
@@ -712,39 +712,36 @@ def push(vec, table, right):
                 if len(terms) == 1:
                     continue
                 terms = terms[1:]
-            summed = True
             acc_get = acc.get
             for k2, c2 in terms:
                 for k1, c1 in x_items:
                     k = k1 + k2
                     acc[k] = acc_get(k, 0) + c1 * c2
-    den *= vec._den
+    return _finished(ctx, out, den * vec._den)
+
+
+def _finished(ctx, out, den):
+    """The PackedVector of the raw accumulators ``out`` over ``den``, the one
+    finish of ``push`` and ``mul_rows``.
+
+    One test over all keys finds whether any accumulator hit a guard bit;
+    if one did, every accumulator goes through ``_settled``, and the vector
+    goes over one denominator again when a settle grew one.  Then zeros and
+    empty accumulators are dropped.
+    """
     if reduce(or_, chain.from_iterable(out.values()), 0) & ctx._layout.guard:
-        return _settled_vector(ctx, out, den)
-    if summed and not all(map(all, map(dict.values, out.values()))):
-        out = {index: acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
-               for index, acc in out.items()}
-        out = {index: acc for index, acc in out.items() if acc}
-    return PackedVector(ctx, out, den)
-
-
-def _settled_vector(ctx, out, den):
-    """The PackedVector of raw accumulators over ``den``, each settled and
-    rid of zeros, over one denominator again when a settle grew one."""
-    guard = ctx._layout.guard
-    packed, grown = {}, {}
-    for index, acc in out.items():
-        acc, d = _settled(ctx, acc, den) if reduce(or_, acc, 0) & guard else (acc, den)
-        if any(acc.values()):
-            packed[index] = acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
-            if d != den:
-                grown[index] = d // den
-    if grown:
-        up = math.lcm(*grown.values())
-        packed = {index: {k: c * (up // grown.get(index, 1)) for k, c in acc.items()}
-                  for index, acc in packed.items()}
+        out = {index: _settled(ctx, acc, den) for index, acc in out.items()}
+        up = math.lcm(*(d // den for _, d in out.values()))
+        out = {index: acc if d == den * up else {k: c * (den * up // d) for k, c in acc.items()}
+               for index, (acc, d) in out.items()}
         den *= up
-    return PackedVector(ctx, packed, den)
+    if not (all(out.values()) and all(map(all, map(dict.values, out.values())))):
+        out = {index: acc for index, acc in out.items() if any(acc.values())}
+        for acc in out.values():
+            if not all(acc.values()):  # a few zeros: deleted in place
+                for k in [k for k, c in acc.items() if not c]:
+                    del acc[k]
+    return PackedVector(ctx, out, den)
 
 
 def contract(vec, pairs):
@@ -752,42 +749,12 @@ def contract(vec, pairs):
     index s of ``vec``}, holding only the nonzero sums.
 
     ``pairs`` maps an index to its (key, y) pairs, y a Scalar of the
-    vector's context (ContextMismatch otherwise).  Each key has one raw
-    accumulator over its own running denominator, as in ``dot_entries``.
+    vector's context (ContextMismatch otherwise).  One ``_keyed_sums``, each
+    entry's terms over the vector's denominator.
     """
-    ctx = vec.ctx
-    zero = ctx._layout.zero
-    sums = {}  # key -> [accumulator, running denominator]
-    for index, x in vec._packed.items():
-        listed = pairs.get(index)
-        if listed is None:
-            continue
-        x_items = x.items()
-        for key, y in listed:
-            if y.ctx is not ctx and y.ctx != ctx:
-                raise ContextMismatch(f"contexts differ: {ctx!r} vs {y.ctx!r}")
-            d = y._den
-            state = sums.get(key)
-            if state is None:
-                acc = {}
-                sums[key] = [acc, d]
-                scale = 1
-            else:
-                acc, den = state
-                if den % d:  # over the lcm of the denominators
-                    up = d // math.gcd(den, d)
-                    den = state[1] = den * up
-                    for k in acc:
-                        acc[k] *= up
-                scale = den // d
-            acc_get = acc.get
-            for k2, c2 in y._nums.items():
-                k2 -= zero
-                c2 *= scale
-                for k1, c1 in x_items:
-                    k = k1 + k2
-                    acc[k] = acc_get(k, 0) + c1 * c2
-    return _finish_sums(ctx, sums, vec._den)
+    den = vec._den
+    return _keyed_sums(vec.ctx, [(key, x, den, y, 1) for index, x in vec._packed.items()
+                                 for key, y in pairs.get(index, ())])
 
 
 def pack_rows(ctx, entries):
@@ -802,7 +769,7 @@ def pack_rows(ctx, entries):
 def mul_rows(ctx, products):
     """The packed rows of the sum of sign * a * b over the (sign, a, b) ``products``.
     Each row of b is one term list, its keys tagged with the column above the
-    total field: an output row is one raw accumulator, settled as in ``push``."""
+    total field: an output row is one raw accumulator, finished as in ``push``."""
     layout = ctx._layout
     # a product of two keys has a total below 2 * _BIAS per name in size
     shift = layout.total_shift + (4 * _BIAS * (len(layout.shifts) + 1)).bit_length()
@@ -824,16 +791,13 @@ def mul_rows(ctx, products):
                     for k2, c2 in flat.get(mid, ()):
                         k = k1 + k2
                         acc[k] = get(k, 0) + c1 * c2
-    guarded = reduce(or_, chain.from_iterable(out.values()), 0) & layout.guard
-    vec = _settled_vector(ctx, out, den) if guarded else PackedVector(ctx, out, den)
+    vec = _finished(ctx, out, den)
     rows, half = {}, 1 << (shift - 1)
     for row, acc in vec._packed.items():
-        if any(acc.values()):
-            cols = rows[row] = {}
-            for k, c in acc.items():
-                if c:
-                    col = (k + half) >> shift
-                    cols.setdefault(col, {})[k - (col << shift)] = c
+        cols = rows[row] = {}
+        for k, c in acc.items():
+            col = (k + half) >> shift
+            cols.setdefault(col, {})[k - (col << shift)] = c
     return rows, vec._den
 
 

@@ -237,11 +237,12 @@ def _triples(a, b):
 def matmul_sub(a, b, c, d):
     """a*b - c*d: the residual of a product identity.
 
-    The products of both sides go to one ``ring.dot_entries``, which keeps
-    one accumulator per output entry and subtracts c*d's products by their
-    sign, so neither product is built on its own and an entry that cancels
-    builds no Scalar.  The four operands' contexts and sides are checked
-    before any product is formed.
+    The products of both sides go to one ``ring.dot_entries``, the keyed
+    loop that ``weighted_trace`` and ``ring.contract`` share: one
+    accumulator per output entry, c*d's products subtracted by their sign,
+    so neither product is built on its own and an entry that cancels builds
+    no Scalar.  The four operands' contexts and sides are checked before any
+    product is formed.
     """
     _check_operands(a, b, c, d)
     return SquareMatrix._built(a.ctx, a.side,
@@ -351,8 +352,9 @@ def weighted_trace(a, mu, slots):
     (r_keep, c_keep) of the result, where r_s, c_s are the digits of r, c in
     slot s and r_keep, c_keep the digits in the other slots, so no Kronecker
     power is formed.  Each weight is the weight of its digit prefix times one
-    entry of mu, built once per call.  Empty ``slots`` return a; every slot
-    gives a 1x1 matrix holding the full weighted trace.
+    entry of mu, built once per call, and the (entry, weight) products go to
+    one ``ring.dot_entries``.  Empty ``slots`` return a; every slot gives a
+    1x1 matrix holding the full weighted trace.
     """
     _check_ctx(a, mu)
     base = mu.side
@@ -383,7 +385,7 @@ def weighted_trace(a, mu, slots):
             memo[key] = None if head is None or factor is None else head * factor
         return memo[key]
 
-    pairs = {}
+    triples = []
     for (r, c), v in a.entries.items():
         rt = ct = rk = ck = 0
         t_place = k_place = 1
@@ -400,8 +402,8 @@ def weighted_trace(a, mu, slots):
                 k_place *= base
         w = weight(len(slots), rt, ct)
         if w is not None:
-            pairs.setdefault((rk, ck), []).append((v, w))
-    return SquareMatrix._built(a.ctx, base ** (arity - len(slots)), _sums(a.ctx, pairs))
+            triples.append(((rk, ck), v, w))
+    return SquareMatrix._built(a.ctx, base ** (arity - len(slots)), dot_entries(a.ctx, triples, ()))
 
 
 def matrix_substitute(a, bindings, target=None):

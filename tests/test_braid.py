@@ -9,7 +9,6 @@ from ybtrace.braid import (
     KNOT_NAMES,
     LINK_NAMES,
     NAMED_LINKS,
-    braid_stats,
     conjugate,
     destabilize,
     disjoint_union,
@@ -76,23 +75,23 @@ def test_writhe_is_the_signed_letter_count_on_seeded_words():
 
 
 def test_stats_hopf():
-    w, perm, comps = braid_stats(parse_braid("1 1"))
-    assert w == 2
-    assert perm == (0, 1)
-    assert comps == 2
+    b = parse_braid("1 1")
+    assert b.writhe == 2
+    assert b.permutation() == (0, 1)
+    assert b.closure_components() == 2
 
 
 def test_stats_trefoil():
-    w, perm, comps = braid_stats(parse_braid("1 1 1"))
-    assert w == 3
-    assert perm == (1, 0)
-    assert comps == 1
+    b = parse_braid("1 1 1")
+    assert b.writhe == 3
+    assert b.permutation() == (1, 0)
+    assert b.closure_components() == 1
 
 
 def test_stats_figure_eight():
-    w, _, comps = braid_stats(parse_braid("1 -2 1 -2"))
-    assert w == 0
-    assert comps == 1
+    b = parse_braid("1 -2 1 -2")
+    assert b.writhe == 0
+    assert b.closure_components() == 1
 
 
 def test_permutation_braid_relation():

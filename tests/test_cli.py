@@ -123,6 +123,15 @@ def test_skein_check_row_that_fixes_a_relation_generator_is_a_usage_error(capsys
     assert out == "annihilating relation R3.1: ok\nskein family sum: 0\n"
 
 
+def test_skein_check_position_below_one_is_a_usage_error_before_any_check(capsys):
+    for position in ("0", "-2"):
+        code = main(["skein-check", "--relation", "R2.1", "--position", position])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"usage error: --position {position} names no generator; "
+                                "they are numbered from 1\n")
+
+
 def test_dress_preset_and_json(tmp_path, capsys):
     code, out = run(capsys, "dress", "--preset", "d3_R21")
     assert code == 0 and "checks passed" in out

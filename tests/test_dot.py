@@ -371,6 +371,21 @@ def test_matmul_sub_raises_for_an_overflow_that_cancels_and_for_a_foreign_entry(
                 matmul_sub(*args)
 
 
+def test_contract_and_weighted_trace_raise_for_an_overflow_that_cancels():
+    ctx = ScalarContext(("q",))
+    q = ctx.gen("q")
+    for big, small in ((ctx.gen("q", MAX_EXPONENT - 1), q),
+                       (ctx.gen("q", -MAX_EXPONENT), q ** -1)):
+        # big*small - big*small is zero in its key, but both products leave the range
+        with pytest.raises(ExponentOverflow):
+            contract(pack(ctx, {0: big, 1: q}), {0: [(0, small), (0, -small)], 1: [(1, q)]})
+        a = tensor.SquareMatrix(ctx, 4, {(0, 0): big, (1, 1): -big, (2, 2): q})
+        mu = tensor.SquareMatrix(ctx, 2, {(0, 0): small, (1, 1): small})
+        for weighted_trace in (tensor.weighted_trace, oracles.weighted_trace_sequential):
+            with pytest.raises(ExponentOverflow):
+                weighted_trace(a, mu, [2])
+
+
 # -- dot_entries against one dot per key -------------------------------------------
 
 

@@ -4,8 +4,11 @@ A Scalar's numerators, denominator and key layout (``_nums``, ``_den`` and
 ``_layout``) and a PackedVector's raw entries (``_packed``, over its
 ``_den``) are read only inside ``ring.py``, and no other module imports a
 private name from it.  Then a change of the packing touches one file, and
-the kernels built on it (``dot``, ``dot_entries``, ``pack``, ``push``,
-``contract``) are the only way the other layers reach the terms.
+the kernels built on it are the only way the other layers reach the terms:
+``dot``, ``pack``, ``push``, ``pack_rows`` and ``mul_rows``, and the one
+keyed loop, which ``dot_entries`` and ``contract`` reach and
+``tensor.weighted_trace`` and ``tensor.matmul_sub`` reach through
+``dot_entries``.
 """
 
 import ast
