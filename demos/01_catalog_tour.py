@@ -22,7 +22,7 @@ for name in CATALOG_NAMES:
     print(f"\n== {name} over generators {spec.ctx.generators} ==")
     for (r, c) in sorted(spec.matrix.entries):
         print(f"  [{r},{c}] = {format_scalar(spec.matrix.entries[(r, c)])}")
-    print("  satisfies the Yang-Baxter equation:", bool(check_ybe(spec.matrix, 2)))
+    print("  satisfies the Yang-Baxter equation:", bool(check_ybe(spec.matrix)))
     print("  spin preserving:", is_spin_preserving(spec.matrix))
 
 # The four symmetries: similarity by kappa (Q x Q) . (Q x Q)^-1, transpose,
@@ -38,6 +38,6 @@ transforms = [
 ]
 print("\n== symmetries applied to R2.1 ==")
 for t in transforms:
-    out = transform_rmatrix(spec, t, 2)
+    out = transform_rmatrix(spec, t)
     print(f"  {t.kind}: transformed matrix still solves the equation "
           f"({len(out.entries)} entries)")

@@ -8,14 +8,12 @@ is fixed once here and used consistently by every other module, and either
 choice yields the same invariants by the transpose symmetry.
 """
 
-import math
-
 from ._record import Record
 from .errors import DimensionMismatch, NotAUnit, PreconditionViolation, UnknownName
 from .ring import PackedVector, ScalarContext, mul_rows, pack_rows
 from .tensor import (
-    MAX_STATES, SquareMatrix, Verdict, check_embedding, invert, kron, matmul, matrix_from_json,
-    matrix_substitute, scalar_scale,
+    MAX_STATES, SquareMatrix, Verdict, _crossing_base, check_embedding, invert, kron, matmul,
+    matrix_from_json, matrix_substitute, scalar_scale,
 )
 
 # pair order (++, -+, +-, --) -> big-endian pair order (++, +-, -+, --)
@@ -33,12 +31,11 @@ def _load_pair_table(ctx, table):
 class RMatrixSpec(Record):
     """A named catalog solution with its context and nonsingularity limits."""
 
-    _fields = ("name", "base_dim", "ctx", "matrix", "constraints")
+    _fields = ("name", "ctx", "matrix", "constraints")
 
-    def __init__(self, name, base_dim, ctx, matrix, constraints=()):
+    def __init__(self, name, ctx, matrix, constraints=()):
         # constraints: (generator, forbidden Scalar) pairs
-        self.__dict__.update(name=name, base_dim=base_dim, ctx=ctx, matrix=matrix,
-                             constraints=constraints)
+        self.__dict__.update(name=name, ctx=ctx, matrix=matrix, constraints=constraints)
 
 
 _CATALOG_TABLES = {
@@ -103,7 +100,7 @@ def get_rmatrix(name):
         ctx = ScalarContext(gens)
         matrix = _load_pair_table(ctx, table)
         constraints = tuple((g, ctx.zero()) for g in nonzero)
-        _cache[name] = RMatrixSpec(name, 2, ctx, matrix, constraints)
+        _cache[name] = RMatrixSpec(name, ctx, matrix, constraints)
     return _cache[name]
 
 
@@ -114,29 +111,27 @@ def restricted_matrix(name, restrictions, ctx):
     return matrix_substitute(get_rmatrix(name).matrix, bindings, ctx)
 
 
-def check_ybe(r, base=None):
+def check_ybe(r):
     """Braid-form Yang-Baxter check on the triple tensor power.
 
     Returns a truthy Verdict, or one with the smallest violated (row, col)
     as ``index`` and its nonzero residual scalar.  Raises DimensionMismatch,
-    before anything is built, when the base**3 states of the triple power
-    exceed MAX_STATES, or R12 and R23 would hold more than MAX_ENTRIES.
+    before anything is built, when r's side is no square b*b, when the b**3
+    states of the triple power exceed MAX_STATES, or when R12 and R23 would
+    hold more than MAX_ENTRIES.
 
     R is packed once and R12, R23 built from it by index arithmetic.  The
     residual R12 R23 R12 - R23 R12 R23 is P R12 - R23 P, P = R12 R23, and
     ``ring.mul_rows`` forms P, then the residual, on packed rows: only a
     nonzero residual entry becomes a Scalar.
     """
-    if base is None:
-        base = math.isqrt(r.side)
-    if base * base != r.side:
-        raise DimensionMismatch(f"side {r.side} is not a perfect square")
+    base = _crossing_base(r.side)
     if base ** 3 > MAX_STATES:
         raise DimensionMismatch(
             f"the Yang-Baxter check on base {base} needs {base}^3 states, "
             f"above the cap of {MAX_STATES}"
         )
-    check_embedding(len(r.entries), 3, base)
+    check_embedding(len(r.entries), 3, r.side)
     rows, den = pack_rows(r.ctx, r.entries)
     r12, r23 = ({}, den), ({}, den)
     for row, entries in rows.items():
@@ -168,12 +163,12 @@ class TransformSpec(Record):
         self.__dict__.update(kind=kind, kappa=kappa, q=q, n=n)
 
 
-def transform_rmatrix(r, t, base=None):
+def transform_rmatrix(r, t):
     """Apply a TransformSpec; the result is checked to still satisfy the YBE,
-    else PreconditionViolation naming the check's first failing index."""
+    else PreconditionViolation naming the check's first failing index.  A
+    side that is no square b*b raises DimensionMismatch first."""
     matrix = r.matrix if isinstance(r, RMatrixSpec) else r
-    if base is None:
-        base = math.isqrt(matrix.side)
+    base = _crossing_base(matrix.side)
     if t.kind == "similarity":
         if t.kappa is None or not t.kappa.is_unit():
             raise NotAUnit("similarity needs an invertible kappa")
@@ -199,7 +194,7 @@ def transform_rmatrix(r, t, base=None):
         out = SquareMatrix(matrix.ctx, matrix.side, entries)
     else:
         raise UnknownName(f"unknown transformation kind {t.kind!r}")
-    verdict = check_ybe(out, base)
+    verdict = check_ybe(out)
     if not verdict:
         raise PreconditionViolation(
             f"transformed matrix violates the YBE at {verdict.index}"
@@ -220,29 +215,29 @@ def is_spin_preserving(matrix):
 
 
 def check_listed_positions(obj):
-    """Raise DimensionMismatch when the matrix JSON ``obj`` lists more positions
-    than the packed R12 and R23 rows of ``check_ybe`` may hold.  Parses no scalar."""
+    """Raise DimensionMismatch when the matrix JSON ``obj`` has a side that is
+    no square, or lists more positions than the packed R12 and R23 rows of
+    ``check_ybe`` may hold.  Parses no scalar."""
     if isinstance(obj, dict):
         side, listed = obj.get("side"), obj.get("entries")
         if type(side) is int and 0 < side <= MAX_STATES and isinstance(listed, list):
-            check_embedding(len(listed), 3, math.isqrt(side))
+            check_embedding(len(listed), 3, side)
 
 
 def load_rmatrix_json(ctx, obj, checked=True):
     """Load a custom solution from the matrix JSON form.
 
-    When ``checked``, non-solutions of the YBE are rejected, and a matrix
-    listing more positions than the check's embeddings may store raises
-    DimensionMismatch before any scalar is parsed.
+    A side that is no square raises DimensionMismatch.  When ``checked``,
+    non-solutions of the YBE are rejected, and a matrix listing more
+    positions than the check's embeddings may store, or of a side that is no
+    square, raises DimensionMismatch before any scalar is parsed.
     """
     if checked:
         check_listed_positions(obj)
     matrix = matrix_from_json(ctx, obj)
-    base = math.isqrt(matrix.side)
-    if base * base != matrix.side:
-        raise DimensionMismatch(f"side {matrix.side} is not a perfect square")
+    _crossing_base(matrix.side)
     if checked:
-        verdict = check_ybe(matrix, base)
+        verdict = check_ybe(matrix)
         if not verdict:
             raise ValueError(
                 f"matrix fails the Yang-Baxter check at {verdict.index}: "

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .braid import NAMED_LINKS, get_named_braid, parse_braid
+from .braid import NAMED_LINKS, BraidWord, get_named_braid, parse_braid
 from .catalog import (
     CATALOG_NAMES,
     check_listed_positions,
@@ -346,6 +346,8 @@ def _cmd_skein_check(args, out):
     if args.position < 1:
         raise UnknownName(f"--position {args.position} names no generator; "
                           "they are numbered from 1")
+    word = parse_braid(args.base, args.strands)
+    base = BraidWord(max(word.strands, args.position + 1), word.letters)
     relation = get_relation(args.relation)
     rmatrix = args.rmatrix or relation.rmatrix
     op = get_table1_eyb(rmatrix, args.row, args.sign)
@@ -363,9 +365,6 @@ def _cmd_skein_check(args, out):
         out(f"annihilating relation {args.relation}: FAIL")
         return 1
     out(f"annihilating relation {args.relation}: ok")
-    base = parse_braid(args.base, args.strands) if args.base or args.strands else parse_braid("", max(2, args.position + 1))
-    if base.strands < args.position + 1:
-        base = parse_braid(str(base), args.position + 1)
     family = SkeinFamily(base, args.position, tuple(coeffs))
     check = check_skein_family(op, family)
     if check:

@@ -143,7 +143,7 @@ def _assembled(spec, entries, check):
     unless it solves the YBE."""
     dressed = SquareMatrix(spec.ctx, spec.n * spec.n, entries)
     if check:
-        verdict = check_ybe(dressed, spec.n)
+        verdict = check_ybe(dressed)
         if not verdict:
             raise ConditionViolation(
                 f"dressed matrix fails the YBE, residual {format_scalar(verdict.residual)}",

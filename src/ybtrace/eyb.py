@@ -52,6 +52,13 @@ class EnhancedOperator(Record):
         return self.mu.ctx
 
 
+def _check_sides(op):
+    """DimensionMismatch unless mu's side squared is R's side."""
+    if op.mu.side ** 2 != op.r.side:
+        raise DimensionMismatch(f"mu has side {op.mu.side}, so mu (x) mu does not match "
+                                f"R's side {op.r.side}")
+
+
 def verify_eyb(op):
     """Check the three enhancement conditions symbolically.
 
@@ -63,9 +70,7 @@ def verify_eyb(op):
         raise NotAUnit("alpha must be an invertible monomial")
     if op.beta.is_zero():
         raise NotAUnit("beta must be nonzero")
-    if op.mu.side ** 2 != op.r.side:
-        raise DimensionMismatch(f"mu has side {op.mu.side}, so mu (x) mu does not match "
-                                f"R's side {op.r.side}")
+    _check_sides(op)
     mumu = kron(op.mu, op.mu)
     diff = matmul_sub(op.r, mumu, mumu, op.r)
     if not diff.is_zero():

@@ -42,7 +42,6 @@ or a writhe is kept.
 """
 
 import itertools
-import math
 
 from ._record import Record
 from .braid import BraidWord, get_named_braid, NAMED_LINKS
@@ -54,13 +53,14 @@ from .errors import (
     StrandBoundViolation,
     UnknownName,
 )
-from .eyb import get_table1_eyb, specialize, table1_entries
+from .eyb import _check_sides, get_table1_eyb, specialize, table1_entries
 from .ring import ScalarContext, contract, format_scalar, pack, pow_int, try_div_exact
 from .tensor import (
     MAX_ENTRIES,
     MAX_STATES,
     SquareMatrix,
     Verdict,
+    _crossing_base,
     invert,
     matadd,
     matmul,
@@ -82,20 +82,18 @@ def _states(base, n):
     return base ** n
 
 
-def braid_representation(r, b, base=None):
+def braid_representation(r, b):
     """Image of a braid word under the crossing operator r, sparsely, as the
     product of the embeddings that r and its inverse keep
     (``SquareMatrix.embedding``)."""
-    if base is None:
-        base = math.isqrt(r.side)
     n = b.strands
-    total = _states(base, n)
+    total = _states(_crossing_base(r.side), n)
     if not b.letters:
         return SquareMatrix.identity(r.ctx, total)
     rinv = invert(r) if any(k < 0 for k in b.letters) else None
     result = None
     for letter in b.letters:
-        gen = (r if letter > 0 else rinv).embedding(abs(letter), n, base)
+        gen = (r if letter > 0 else rinv).embedding(abs(letter), n)
         result = gen if result is None else matmul(result, gen)
     return result
 
@@ -236,11 +234,13 @@ def _closure(op, b, keep):
     one vector keyed by row * states + column, and pulled back through A
     together; others are built, packed and pulled one at a time.  The
     block is one contraction of the pulled rows against B's columns.
-    Raises StrandBoundViolation before anything is built or kept,
+    Raises DimensionMismatch unless mu's side squared is R's side, then
+    StrandBoundViolation, both before anything is built or kept,
     DimensionMismatch for a side-1 weight, which has no slot to close, and
     ProportionalityFailure when the block is not a multiple of the identity
     (a full closure leaves a 1x1 block, which always is one).
     """
+    _check_sides(op)
     n, base, ctx = b.strands, op.base_dim, op.ctx
     total = _states(base, n)
     if base < 2:
@@ -248,7 +248,7 @@ def _closure(op, b, keep):
     k = n - keep
     split = len(b.letters) // 2
     left = b.letters[:split]
-    right = braid_representation(op.r, BraidWord(n, b.letters[split:]), base).entries
+    right = braid_representation(op.r, BraidWord(n, b.letters[split:])).entries
     pullbacks = {positive: _pullback(op, positive) for positive in {letter > 0 for letter in left}}
     if base ** keep * len(op.mu.entries) ** k > MAX_ENTRIES:
         batches = (pack(ctx, row) for row in _weight_rows(op.mu, keep, k, total, ctx.one()))
@@ -266,7 +266,7 @@ def _closure(op, b, keep):
     block = {}
     for vec in batches:
         for letter in left:
-            vec = push_at(pullbacks[letter > 0], abs(letter), n, vec, base)
+            vec = push_at(pullbacks[letter > 0], abs(letter), n, vec)
         for key, v in contract(vec, columns).items():
             block[key] = block[key] + v if key in block else v
     block = {key: v for key, v in block.items() if not v.is_zero()}
@@ -283,13 +283,14 @@ def compute_ts(op, b, normalized=False):
     A weight mu of rank one takes the closed form c^w alpha^(-w)
     (Tr(mu) / beta)^n when (v (x) v)^T R = c (v (x) v)^T for a unit c; any
     other mu, a rank-one one without such a c included, takes the half-word
-    closure (module docstring).  Both routes check the strand cap first,
-    and raise NotAUnit and ExponentOverflow on the same inputs: c^w and
-    alpha^(-w) are formed apart.  The closed form does not invert R, so on
-    a singular R it gives a value where the closure raises NonInvertible
-    for a negative letter; an operator that ``verify_eyb`` accepts has an
-    invertible R.  Division by beta^n is performed exactly,
-    so beta need not be a unit.  Normalization divides by the unknot value
+    closure (module docstring).  Before either route, mu's side squared must
+    be R's side, else DimensionMismatch (as in ``verify_eyb``).  Both routes
+    then check the strand cap first, and raise NotAUnit and ExponentOverflow
+    on the same inputs: c^w and alpha^(-w) are formed apart.  The closed
+    form does not invert R, so on a singular R it gives a value where the
+    closure raises NonInvertible for a negative letter; an operator that
+    ``verify_eyb`` accepts has an invertible R.  Division by beta^n is
+    performed exactly, so beta need not be a unit.  Normalization divides by the unknot value
     and raises NotDivisible when that is impossible (in particular when the
     unknot value is zero).  The eigenvalue c or the verdict that there is
     none, the unknot value and the constants of each route are computed on
@@ -302,6 +303,7 @@ def compute_ts(op, b, normalized=False):
     try:
         c = op._closure["eigen"]
     except KeyError:
+        _check_sides(op)
         c = op._closure["eigen"] = _eigenvalue(op)
     raw = _closure(op, b, 0) if c is None else _rank_one_trace(op, b, c)
     unknot = _kept(op, "unknot", unknot_value, op)

@@ -140,18 +140,18 @@ class SquareMatrix:
     def __repr__(self):
         return f"<SquareMatrix side={self.side} nnz={len(self.entries)}>"
 
-    def embedding(self, i, n, base):
-        """``embed_generator(self, i, n, base)``, kept on this matrix under
-        (i, n, base) while its kept embeddings hold at most MAX_ENTRIES
-        entries in total, and built on every call past that."""
+    def embedding(self, i, n):
+        """``embed_generator(self, i, n)``, kept on this matrix under (i, n)
+        while its kept embeddings hold at most MAX_ENTRIES entries in total,
+        and built on every call past that."""
         kept = self._embeddings
         if kept is None:
             kept = self._embeddings = {}
-        found = kept.get((i, n, base))
+        found = kept.get((i, n))
         if found is None:
-            found = embed_generator(self, i, n, base)
+            found = embed_generator(self, i, n)
             if sum(len(e.entries) for e in kept.values()) + len(found.entries) <= MAX_ENTRIES:
-                kept[(i, n, base)] = found
+                kept[(i, n)] = found
         return found
 
     def transpose(self):
@@ -268,9 +268,18 @@ def kron(a, b):
     return SquareMatrix(a.ctx, side, entries)
 
 
-def check_embedding(nnz, n, base):
-    """Raise DimensionMismatch when embedding a two-slot operator with ``nnz``
-    entries into n slots of ``base`` would store more than MAX_ENTRIES."""
+def _crossing_base(side):
+    """b for a two-slot operator of side b*b; DimensionMismatch for any other side."""
+    base = math.isqrt(side)
+    if base * base != side:
+        raise DimensionMismatch(f"side {side} is not a perfect square")
+    return base
+
+
+def check_embedding(nnz, n, side):
+    """Raise DimensionMismatch when ``side`` is no square, or when embedding a two-slot
+    operator of that side with ``nnz`` entries into n slots would store more than MAX_ENTRIES."""
+    base = _crossing_base(side)
     stored = nnz * base ** (n - 2)
     if stored > MAX_ENTRIES:
         raise DimensionMismatch(
@@ -279,17 +288,15 @@ def check_embedding(nnz, n, base):
         )
 
 
-def _slot_base(r, i, n, base):
-    if base is None:
-        base = math.isqrt(r.side)
-    if base * base != r.side:
-        raise DimensionMismatch(f"side {r.side} is not a perfect square")
+def _slot_base(r, i, n):
+    """r's base, once i is checked to be a slot pair (i, i+1) of n slots."""
+    base = _crossing_base(r.side)
     if not 1 <= i <= n - 1:
         raise PositionOutOfRange(f"position {i} outside 1..{n - 1}")
     return base
 
 
-def embed_generator(r, i, n, base=None):
+def embed_generator(r, i, n):
     """Embed a two-slot operator at tensor slots (i, i+1) of an n-fold space.
 
     Built by index arithmetic over the sparse entries; the identity factors
@@ -297,8 +304,8 @@ def embed_generator(r, i, n, base=None):
     built, when the result would store more than MAX_ENTRIES entries.
     ``SquareMatrix.embedding`` keeps the result on r.
     """
-    base = _slot_base(r, i, n, base)
-    check_embedding(len(r.entries), n, base)
+    base = _slot_base(r, i, n)
+    check_embedding(len(r.entries), n, r.side)
     left = base ** (i - 1)
     right = base ** (n - i - 1)
     entries = {}
@@ -321,9 +328,9 @@ def _crossing_table(r):
     return r._table
 
 
-def push_at(r, i, n, packed, base):
+def push_at(r, i, n, packed):
     """The image of a ``ring.PackedVector`` under a two-slot operator at
-    tensor slots (i, i+1) of an n-fold space of the given base.
+    tensor slots (i, i+1) of an n-fold space of r's base.
 
     A state's digit pair at (i, i+1) selects a column of r, and only that
     column's stored entries are applied (``ring.push``), so nothing is
@@ -331,7 +338,7 @@ def push_at(r, i, n, packed, base):
     under keys index * base^n + state are pushed as one.  r's crossing
     table is kept on r, so a push builds it once per crossing.
     """
-    base = _slot_base(r, i, n, base)
+    base = _slot_base(r, i, n)
     table = _crossing_table(r) if r._table is None else r._table
     return push(packed, table, base ** (n - i - 1))
 
@@ -351,10 +358,12 @@ def weighted_trace(a, mu, slots):
     Entry (r, c) of a adds a[r, c] * prod_s mu[c_s, r_s] to entry
     (r_keep, c_keep) of the result, where r_s, c_s are the digits of r, c in
     slot s and r_keep, c_keep the digits in the other slots, so no Kronecker
-    power is formed.  Each weight is the weight of its digit prefix times one
-    entry of mu, built once per call, and the (entry, weight) products go to
-    one ``ring.dot_entries``.  Empty ``slots`` return a; every slot gives a
-    1x1 matrix holding the full weighted trace.
+    power is formed.  One pass over a's entries reads each entry's digits
+    and multiplies its weight out of mu's entries (one traced slot: mu's
+    entry itself), skipping the entry at its first zero factor, and the
+    (entry, weight) products go to one ``ring.dot_entries``.  Empty
+    ``slots`` return a; every slot gives a 1x1 matrix holding the full
+    weighted trace.
     """
     _check_ctx(a, mu)
     base = mu.side
@@ -371,37 +380,22 @@ def weighted_trace(a, mu, slots):
         return a
     # whether each slot is traced, least significant digit first
     traced = [s in slots for s in range(arity, 0, -1)]
-    one = a.ctx.one()
-    memo = {}
-
-    def weight(depth, rt, ct):
-        """prod of mu[c_s, r_s] over the leading `depth` traced digits; None for 0."""
-        if depth == 0:
-            return one
-        key = (depth, rt, ct)
-        if key not in memo:
-            head = weight(depth - 1, rt // base, ct // base)
-            factor = mu.entries.get((ct % base, rt % base))
-            memo[key] = None if head is None or factor is None else head * factor
-        return memo[key]
-
+    weights = mu.entries
     triples = []
     for (r, c), v in a.entries.items():
-        rt = ct = rk = ck = 0
-        t_place = k_place = 1
+        w, rk, ck, place = None, 0, 0, 1
         for is_traced in traced:
             r, rd = divmod(r, base)
             c, cd = divmod(c, base)
-            if is_traced:
-                rt += rd * t_place
-                ct += cd * t_place
-                t_place *= base
+            if not is_traced:
+                rk += rd * place
+                ck += cd * place
+                place *= base
+            elif (cd, rd) not in weights:
+                break
             else:
-                rk += rd * k_place
-                ck += cd * k_place
-                k_place *= base
-        w = weight(len(slots), rt, ct)
-        if w is not None:
+                w = weights[cd, rd] if w is None else w * weights[cd, rd]
+        else:
             triples.append(((rk, ck), v, w))
     return SquareMatrix._built(a.ctx, base ** (arity - len(slots)), dot_entries(a.ctx, triples, ()))
 

@@ -27,8 +27,8 @@ from fractions import Fraction
 from ybtrace.errors import DimensionMismatch
 from ybtrace.ring import dot, pack
 from ybtrace.tensor import (
-    MAX_STATES, SquareMatrix, Verdict, _check_ctx, _check_operands, _slot_base, embed_generator,
-    kron, matmul, matmul_sub, push_at,
+    MAX_STATES, SquareMatrix, Verdict, _check_ctx, _check_operands, _crossing_base, _slot_base,
+    embed_generator, kron, matmul, matmul_sub, push_at,
 )
 
 
@@ -350,8 +350,8 @@ def matmul_sequential(a, b):
     return SquareMatrix(a.ctx, a.side, acc)
 
 
-def apply_at_sequential(r, i, n, vec, base=None):
-    base = _slot_base(r, i, n, base)
+def apply_at_sequential(r, i, n, vec):
+    base = _slot_base(r, i, n)
     right = base ** (n - i - 1)
     column = {}
     for (rr, rc), v in r.entries.items():
@@ -367,11 +367,11 @@ def apply_at_sequential(r, i, n, vec, base=None):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def apply_at_by_pairs(r, i, n, vec, base=None):
+def apply_at_by_pairs(r, i, n, vec):
     """``apply_at`` above as it was before ``ring.push``: each output state's
     (entry, x) pairs listed under it and summed by one ``ring.dot`` (a lone
     pair by *), zeros dropped."""
-    base = _slot_base(r, i, n, base)
+    base = _slot_base(r, i, n)
     right = base ** (n - i - 1)
     column = {}
     for (rr, rc), v in r.entries.items():
@@ -452,22 +452,19 @@ def matmul_sub_by_pairs(a, b, c, d):
 
 
 
-def check_ybe_by_embedding(r, base=None):
+def check_ybe_by_embedding(r):
     """``catalog.check_ybe`` as it was before the packed rows: R12 and R23
     embedded by ``tensor.embed_generator``, P = R12 R23 by ``tensor.matmul``
     and the residual P R12 - R23 P by ``tensor.matmul_sub``, with the same
     refusals first."""
-    if base is None:
-        base = math.isqrt(r.side)
-    if base * base != r.side:
-        raise DimensionMismatch(f"side {r.side} is not a perfect square")
+    base = _crossing_base(r.side)
     if base ** 3 > MAX_STATES:
         raise DimensionMismatch(
             f"the Yang-Baxter check on base {base} needs {base}^3 states, "
             f"above the cap of {MAX_STATES}"
         )
-    r12 = embed_generator(r, 1, 3, base)
-    r23 = embed_generator(r, 2, 3, base)
+    r12 = embed_generator(r, 1, 3)
+    r23 = embed_generator(r, 2, 3)
     p = matmul(r12, r23)
     diff = matmul_sub(p, r12, r23, p)
     if diff.is_zero():
@@ -489,13 +486,12 @@ def matsub(a, b):
     return SquareMatrix(a.ctx, a.side, acc)
 
 
-def apply_at(r, i, n, vec, base=None):
+def apply_at(r, i, n, vec):
     """Image of a sparse vector, {state index: Scalar}, under a two-slot
     operator at tensor slots (i, i+1) of an n-fold space: ``vec`` packed,
     pushed by ``tensor.push_at`` and unpacked to its nonzero entries.
     """
-    base = _slot_base(r, i, n, base)
-    return push_at(r, i, n, pack(r.ctx, vec), base).unpack()
+    return push_at(r, i, n, pack(r.ctx, vec)).unpack()
 
 
 # -- the ring's checked routes ---------------------------------------------------

@@ -206,7 +206,7 @@ def test_acceptance_7_property_suites():
     # Yang-Baxter for catalog, transformed, and preset-dressed matrices
     for name in CATALOG_NAMES:
         spec = get_rmatrix(name)
-        assert check_ybe(spec.matrix, 2)
+        assert check_ybe(spec.matrix)
         q_mat = SquareMatrix.from_rows(spec.ctx, [[1, 1], [0, 1]])
         for t in (
             TransformSpec("similarity", kappa=spec.ctx.gen(spec.ctx.generators[0]), q=q_mat),
@@ -214,10 +214,10 @@ def test_acceptance_7_property_suites():
             TransformSpec("shift", n=1),
             TransformSpec("flip"),
         ):
-            transform_rmatrix(spec, t, 2)  # internally re-checked
+            transform_rmatrix(spec, t)  # internally re-checked
     for preset in preset_names():
         data = preset_dressings(preset)
-        assert check_ybe(data.matrix, data.spec.n)
+        assert check_ybe(data.matrix)
 
     # enhancement conditions for every registry row, both signs, and the
     # three companion variants
@@ -276,25 +276,25 @@ def test_acceptance_7_property_suites():
     kappa = ctx.gen("q")
     qq_inv = invert(q_mat)
     similar = EnhancedOperator(
-        transform_rmatrix(jones.r, TransformSpec("similarity", kappa=kappa, q=q_mat), 2),
+        transform_rmatrix(jones.r, TransformSpec("similarity", kappa=kappa, q=q_mat)),
         matmul(matmul(q_mat, jones.mu), qq_inv),
         kappa * jones.alpha,
         jones.beta,
     )
     transposed = EnhancedOperator(
-        transform_rmatrix(jones.r, TransformSpec("transpose"), 2),
+        transform_rmatrix(jones.r, TransformSpec("transpose")),
         jones.mu.transpose(),
         jones.alpha,
         jones.beta,
     )
     shifted = EnhancedOperator(
-        transform_rmatrix(jones.r, TransformSpec("shift", n=1), 2),
+        transform_rmatrix(jones.r, TransformSpec("shift", n=1)),
         _shift_mu(jones.mu, 1),
         jones.alpha,
         jones.beta,
     )
     flipped = EnhancedOperator(
-        transform_rmatrix(jones.r, TransformSpec("flip"), 2),
+        transform_rmatrix(jones.r, TransformSpec("flip")),
         jones.mu,
         jones.alpha,
         jones.beta,

@@ -21,7 +21,7 @@ from ybtrace.tensor import SquareMatrix, matrix_substitute, matrix_to_json
 def test_all_catalog_matrices_solve_ybe():
     for name in CATALOG_NAMES:
         spec = get_rmatrix(name)
-        assert check_ybe(spec.matrix, 2), name
+        assert check_ybe(spec.matrix), name
 
 
 def test_catalog_against_index_sum_oracle():
@@ -31,7 +31,7 @@ def test_catalog_against_index_sum_oracle():
 
 def test_identity_solves_ybe():
     ctx = ScalarContext(("q",))
-    assert check_ybe(SquareMatrix.identity(ctx, 4), 2)
+    assert check_ybe(SquareMatrix.identity(ctx, 4))
 
 
 def test_broken_matrix_fails_with_witness():
@@ -39,7 +39,7 @@ def test_broken_matrix_fails_with_witness():
     entries = dict(spec.matrix.entries)
     entries[(0, 0)] = spec.ctx.scalar(2)
     broken = SquareMatrix(spec.ctx, 4, entries)
-    verdict = check_ybe(broken, 2)
+    verdict = check_ybe(broken)
     assert not verdict
     assert verdict.index is not None
     assert not verdict.residual.is_zero()
@@ -101,8 +101,8 @@ def test_transforms_preserve_ybe():
     for name in CATALOG_NAMES:
         spec = get_rmatrix(name)
         for t in _transforms(spec.ctx):
-            out = transform_rmatrix(spec, t, 2)  # raises if the check fails
-            assert check_ybe(out, 2)
+            out = transform_rmatrix(spec, t)  # raises if the check fails
+            assert check_ybe(out)
 
 
 def test_similarity_with_identity_data():
@@ -110,13 +110,13 @@ def test_similarity_with_identity_data():
     t = TransformSpec(
         "similarity", kappa=spec.ctx.one(), q=SquareMatrix.identity(spec.ctx, 2)
     )
-    assert transform_rmatrix(spec, t, 2) == spec.matrix
+    assert transform_rmatrix(spec, t) == spec.matrix
 
 
 def test_transpose_of_r31_swaps_p_and_q():
     spec = get_rmatrix("R3.1")
     ctx = spec.ctx
-    out = transform_rmatrix(spec, TransformSpec("transpose"), 2)
+    out = transform_rmatrix(spec, TransformSpec("transpose"))
     swapped = matrix_substitute(
         spec.matrix, {"p": ctx.gen("q"), "q": ctx.gen("p")}, ctx
     )
@@ -125,7 +125,7 @@ def test_transpose_of_r31_swaps_p_and_q():
 
 def test_flip_fixes_symmetric_entry():
     spec = get_rmatrix("R1.4")
-    assert transform_rmatrix(spec, TransformSpec("flip"), 2) == spec.matrix
+    assert transform_rmatrix(spec, TransformSpec("flip")) == spec.matrix
 
 
 def test_transform_involutions():
@@ -133,12 +133,34 @@ def test_transform_involutions():
     transpose = TransformSpec("transpose")
     flip = TransformSpec("flip")
     shift = TransformSpec("shift", n=1)
-    once = transform_rmatrix(spec, transpose, 2)
-    assert transform_rmatrix(once, transpose, 2) == spec.matrix
-    once = transform_rmatrix(spec, flip, 2)
-    assert transform_rmatrix(once, flip, 2) == spec.matrix
-    assert transform_rmatrix(transform_rmatrix(spec, shift, 2), shift, 2) == spec.matrix
-    assert transform_rmatrix(spec, TransformSpec("shift", n=2), 2) == spec.matrix
+    once = transform_rmatrix(spec, transpose)
+    assert transform_rmatrix(once, transpose) == spec.matrix
+    once = transform_rmatrix(spec, flip)
+    assert transform_rmatrix(once, flip) == spec.matrix
+    assert transform_rmatrix(transform_rmatrix(spec, shift), shift) == spec.matrix
+    assert transform_rmatrix(spec, TransformSpec("shift", n=2)) == spec.matrix
+
+
+def test_the_check_and_the_transforms_work_the_base_out_of_the_side():
+    """A weighted swap of side 9, which solves the YBE for any weights,
+    passes the check, and shift and flip move its entries by base-3 digits;
+    a side that is no square is refused."""
+    ctx = ScalarContext(("q",))
+
+    def swap(pair):
+        """The swap (a, b) -> (b, a) weighted q^(3a + b), its pairs relabelled."""
+        return {(pair(b, a), pair(a, b)): ctx.gen("q", 3 * a + b)
+                for a in range(3) for b in range(3)}
+
+    r = SquareMatrix(ctx, 9, swap(lambda a, b: 3 * a + b))
+    assert check_ybe(r)
+    shift = swap(lambda a, b: 3 * ((a + 1) % 3) + (b + 1) % 3)
+    assert transform_rmatrix(r, TransformSpec("shift", n=1)) == SquareMatrix(ctx, 9, shift)
+    flip = swap(lambda a, b: 3 * b + a)
+    assert transform_rmatrix(r, TransformSpec("flip")) == SquareMatrix(ctx, 9, flip)
+    for fn in (check_ybe, lambda m: transform_rmatrix(m, TransformSpec("transpose"))):
+        with pytest.raises(DimensionMismatch, match="side 3 is not a perfect square"):
+            fn(SquareMatrix.identity(ctx, 3))
 
 
 def test_transform_of_a_non_solution_raises_precondition_violation_naming_the_index():
@@ -146,9 +168,9 @@ def test_transform_of_a_non_solution_raises_precondition_violation_naming_the_in
     entries = dict(spec.matrix.entries)
     entries[(0, 0)] = spec.ctx.scalar(2)
     broken = SquareMatrix(spec.ctx, 4, entries)
-    index = check_ybe(broken.transpose(), 2).index
+    index = check_ybe(broken.transpose()).index
     with pytest.raises(PreconditionViolation) as caught:
-        transform_rmatrix(broken, TransformSpec("transpose"), 2)
+        transform_rmatrix(broken, TransformSpec("transpose"))
     assert str(caught.value) == f"transformed matrix violates the YBE at {index}"
 
 
@@ -210,7 +232,7 @@ def test_ybe_witness_is_the_smallest_residual_of_the_oracle(name, key, text):
     broken = SquareMatrix(spec.ctx, 4, entries)
     oracle = ybe_residuals(broken, 2)
     first = min(oracle)
-    verdict = check_ybe(broken, 2)
+    verdict = check_ybe(broken)
     assert not verdict
     assert verdict.index == (_pair_state(first[0], 2), _pair_state(first[1], 2))
     assert verdict.residual == oracle[first]

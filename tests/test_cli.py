@@ -71,6 +71,21 @@ def test_eyb_verify(capsys):
     assert code == 0
 
 
+def test_eyb_verify_file_of_an_operator_that_fails_a_condition(capsys, tmp_path):
+    from ybtrace.eyb import EnhancedOperator, eyb_to_json, get_table1_eyb
+    from ybtrace.ring import context_to_json
+    from ybtrace.tensor import SquareMatrix
+
+    op = get_table1_eyb("R2.1", 1)
+    # the identity weight fails the partial-trace condition on R2.1's R
+    plain = EnhancedOperator(op.r, SquareMatrix.identity(op.ctx, 2), op.alpha, op.beta)
+    ctx = _write(tmp_path, "ctx.json", context_to_json(op.ctx))
+    path = _write(tmp_path, "op.json", eyb_to_json(plain))
+    code = main(["eyb-verify", "--file", path, "--context", ctx])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "EYB: FAIL condition trace2\n", "")
+
+
 def test_invariant_text_and_json(capsys):
     code, out = run(
         capsys, "invariant", "--rmatrix", "R2.1", "--row", "1",
@@ -132,6 +147,22 @@ def test_skein_check_position_below_one_is_a_usage_error_before_any_check(capsys
                                 "they are numbered from 1\n")
 
 
+def test_skein_check_builds_its_base_word_before_any_check(capsys):
+    """A base word that needs more strands than declared, or that does not
+    parse, fails before the relation is checked, so nothing is printed."""
+    cases = ((["--base", "1 1", "--strands", "1"], 1,
+              "error: letters need 2 strands, only 1 declared\n"),
+             (["--base", "x"], 3, "parse error: bad braid letter 'x'\n"))
+    for argv, want, err in cases:
+        code = main(["skein-check", "--relation", "R2.1"] + argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (want, "", err), argv
+    # a declared count below the position's need is raised to it
+    code, out = run(capsys, "skein-check", "--relation", "R2.1", "--strands", "1",
+                    "--position", "2")
+    assert (code, out) == (0, "annihilating relation R2.1: ok\nskein family sum: 0\n")
+
+
 def test_dress_preset_and_json(tmp_path, capsys):
     code, out = run(capsys, "dress", "--preset", "d3_R21")
     assert code == 0 and "checks passed" in out
@@ -180,6 +211,16 @@ def test_classify_csv(capsys):
     assert lines[0] == "rmatrix,row,link,value,expected,match"
     assert len(lines) == 1 + 23 * 11
     assert not any(line.endswith(",no") for line in lines[1:])
+
+
+def test_classify_text_is_one_line_of_fields_per_row(capsys):
+    fields = ("rmatrix", "row", "link", "value", "expected", "match")
+    rows = json.loads((Path(__file__).resolve().parent / "golden" / "classify_plus.json")
+                      .read_text())
+    lines = ["  ".join(fields)] + ["  ".join(str(row[k]) for k in fields) for row in rows]
+    code = main(["classify", "--format", "text"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "\n".join(lines) + "\n", "")
 
 
 def test_determinism(capsys):
@@ -233,6 +274,15 @@ def _write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
+
+
+def test_a_file_that_cannot_be_opened_exits_2(capsys, tmp_path):
+    ctx = _write(tmp_path, "ctx.json", {"generators": ["q"]})
+    missing = str(tmp_path / "missing.json")
+    code = main(["ybe-check", "--file", missing, "--context", ctx])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 def test_yang_baxter_check_above_the_cap_builds_nothing(capsys, tmp_path, monkeypatch):

@@ -457,13 +457,13 @@ def _random_vector(rng, ctx, states):
     return {s: x for s, x in vec.items() if not x.is_zero()}
 
 
-def _pushes(r, i, n, vec, base):
+def _pushes(r, i, n, vec):
     """The image of vec by every route: push_at on the packed vector,
     apply_at, and the two oracles."""
-    return (tensor.push_at(r, i, n, pack(r.ctx, vec), base).unpack(),
-            oracles.apply_at(r, i, n, vec, base),
-            oracles.apply_at_by_pairs(r, i, n, vec, base),
-            oracles.apply_at_sequential(r, i, n, vec, base))
+    return (tensor.push_at(r, i, n, pack(r.ctx, vec)).unpack(),
+            oracles.apply_at(r, i, n, vec),
+            oracles.apply_at_by_pairs(r, i, n, vec),
+            oracles.apply_at_sequential(r, i, n, vec))
 
 
 def _assert_same_vectors(got, want):
@@ -488,7 +488,7 @@ def test_push_at_and_apply_at_are_the_pair_list_and_sequential_pushes(name):
         above = {k * states + s: x for k in range(3) for s, x in _random_vector(rng, ctx, states).items()}
         for i in range(1, n):
             for v in (vec, above):
-                routes = _pushes(r, i, n, v, base)
+                routes = _pushes(r, i, n, v)
                 for want in routes[1:]:
                     _assert_same_vectors(routes[0], want)
 
@@ -502,8 +502,8 @@ def test_push_settles_guard_bits_as_the_oracles_do():
     r = tensor.SquareMatrix(ctx, 4, {(0, 0): i, (1, 0): s, (2, 1): q + s, (1, 2): s,
                                      (3, 3): ctx.scalar(2)})
     vec = {0: i + q, 1: s * q, 3: ctx.parse("p/5"), 4: 3 * s}
-    packed = tensor.push_at(r, 1, 3, pack(ctx, vec), 2)
-    routes = _pushes(r, 1, 3, vec, 2)
+    packed = tensor.push_at(r, 1, 3, pack(ctx, vec))
+    routes = _pushes(r, 1, 3, vec)
     for want in routes[1:]:
         _assert_same_vectors(packed.unpack(), want)
     assert packed == pack(ctx, routes[3]) and len(packed) == len(routes[3])
@@ -511,10 +511,10 @@ def test_push_settles_guard_bits_as_the_oracles_do():
     plain = ScalarContext(("q",))
     big, q = plain.gen("q", MAX_EXPONENT - 1), plain.gen("q")
     r = tensor.SquareMatrix(plain, 4, {(0, 0): big, (0, 1): big, (3, 3): q})
-    for route in (lambda v: tensor.push_at(r, 1, 2, pack(plain, v), 2),
-                  lambda v: oracles.apply_at(r, 1, 2, v, 2),
-                  lambda v: oracles.apply_at_by_pairs(r, 1, 2, v, 2),
-                  lambda v: oracles.apply_at_sequential(r, 1, 2, v, 2)):
+    for route in (lambda v: tensor.push_at(r, 1, 2, pack(plain, v)),
+                  lambda v: oracles.apply_at(r, 1, 2, v),
+                  lambda v: oracles.apply_at_by_pairs(r, 1, 2, v),
+                  lambda v: oracles.apply_at_sequential(r, 1, 2, v)):
         with pytest.raises(ExponentOverflow):
             route({0: q, 1: -q, 3: q})
 
@@ -525,17 +525,17 @@ def test_push_refuses_a_scalar_of_another_context():
     r = tensor.SquareMatrix(ctx, 4, {(0, 0): q, (1, 2): q, (2, 1): q, (3, 3): q})
     foreign_vec = {0: q, 2: other.gen("q")}
     foreign_r = tensor.SquareMatrix(ctx, 4, {(0, 0): q, (3, 3): other.gen("q")})
-    routes = (lambda r, v: tensor.push_at(r, 1, 2, pack(ctx, v), 2),
-              lambda r, v: oracles.apply_at(r, 1, 2, v, 2),
-              lambda r, v: oracles.apply_at_by_pairs(r, 1, 2, v, 2),
-              lambda r, v: oracles.apply_at_sequential(r, 1, 2, v, 2))
+    routes = (lambda r, v: tensor.push_at(r, 1, 2, pack(ctx, v)),
+              lambda r, v: oracles.apply_at(r, 1, 2, v),
+              lambda r, v: oracles.apply_at_by_pairs(r, 1, 2, v),
+              lambda r, v: oracles.apply_at_sequential(r, 1, 2, v))
     for route in routes:
         for args in ((r, foreign_vec), (foreign_r, {0: q, 3: q})):
             with pytest.raises(ContextMismatch):
                 route(*args)
     # a vector of one context pushed by the crossing of another
     with pytest.raises(ContextMismatch):
-        tensor.push_at(r, 1, 2, pack(other, {0: other.gen("q")}), 2)
+        tensor.push_at(r, 1, 2, pack(other, {0: other.gen("q")}))
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))

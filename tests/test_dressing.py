@@ -19,8 +19,8 @@ from ybtrace.dressing import (
     preset_dressings,
     preset_names,
 )
-from ybtrace.errors import ConditionViolation, ParseError, PreconditionViolation
-from ybtrace.eyb import get_table1_entry, verify_eyb
+from ybtrace.errors import ConditionViolation, ParseError, PreconditionViolation, UnknownName
+from ybtrace.eyb import EnhancedOperator, get_table1_entry, verify_eyb
 from ybtrace.invariant import compute_ts, unknot_value
 from ybtrace.ring import ScalarContext
 from ybtrace.tensor import SquareMatrix, invert, matrix_substitute, matrix_to_json
@@ -44,7 +44,7 @@ def test_unit_weights_always_dress():
 
 def test_preset_weights_satisfy_conditions():
     preset = preset_dressings("d3_R21")
-    assert check_ybe(preset.matrix, 3)
+    assert check_ybe(preset.matrix)
     assert ybe_residuals(preset.matrix, 3) == {}
     assert verify_eyb(preset.eyb)
 
@@ -65,7 +65,7 @@ def test_incompatible_weights_raise_and_break_ybe():
 def test_every_preset_assembles_and_verifies():
     for name in preset_names():
         preset = preset_dressings(name)
-        assert check_ybe(preset.matrix, preset.spec.n)
+        assert check_ybe(preset.matrix)
         assert verify_eyb(preset.eyb)
         assert preset.eyb.alpha == preset.ctx.parse(
             "sqrt_pq^-1" if name == "d3_R21" else "sqrt_pq"
@@ -84,7 +84,7 @@ def test_block_identity_dressing():
     ctx = _jones_ctx()
     spec = BlockDressingSpec(ctx, 3, (1, 3))
     dressed = dress_block(_base_in(ctx), spec, check=True)
-    assert check_ybe(dressed, 3)
+    assert check_ybe(dressed)
 
 
 def test_block_diagonal_f_with_inverse_g():
@@ -233,6 +233,31 @@ def test_nontrivial_block_padding_needs_commuting_blocks_and_alpha_weights():
     spec = BlockDressingSpec(ctx, 3, (1, 3), f={(2, 2): "sqrt_pq^-1"})
     op = dressed_eyb(base_op, dress_block(_base_in(ctx), spec), spec, mode="nontrivial")
     assert verify_eyb(op) and op.mu.get(1, 1) == base_op.beta
+
+
+def test_dressed_eyb_refuses_a_weight_a_mode_or_an_operator_it_cannot_take():
+    """Nontrivial padding of a diagonal dressing over a base weight that is
+    not diagonal, a mode that is neither trivial nor nontrivial, and, when
+    checked, an extended operator that fails an enhancement condition."""
+    ctx = _jones_ctx()
+    base_op = get_table1_entry("R2.1", 1).build(ctx=ctx)
+    spec = DiagonalDressingSpec(ctx, 3, (1, 3), {(2, 2): "q"})
+    dressed = dress_diagonal(_base_in(ctx), spec)
+    sheared = EnhancedOperator(base_op.r, SquareMatrix.from_rows(ctx, [[1, 1], [0, 1]]),
+                               base_op.alpha, base_op.beta)
+    with pytest.raises(PreconditionViolation) as err:
+        dressed_eyb(sheared, dressed, spec, mode="nontrivial")
+    assert str(err.value) == "nontrivial diagonal dressing requires a diagonal base weight"
+    with pytest.raises(UnknownName) as err:
+        dressed_eyb(base_op, dressed, spec, mode="both")
+    assert str(err.value) == "mode must be 'trivial' or 'nontrivial', got 'both'"
+    # the identity weight fails the partial-trace condition on R2.1's R
+    plain = EnhancedOperator(base_op.r, SquareMatrix.identity(ctx, 2), base_op.alpha, base_op.beta)
+    with pytest.raises(PreconditionViolation) as err:
+        dressed_eyb(plain, dressed, spec, mode="trivial")
+    assert str(err.value) == "dressed operator fails condition trace2"
+    unchecked = dressed_eyb(plain, dressed, spec, mode="trivial", check=False)
+    assert verify_eyb(unchecked).condition == "trace2"
 
 
 def test_d3_r21_separates_two_links_that_jones_and_d4_r22_do_not():

@@ -391,9 +391,9 @@ def test_half_word_closure_keeps_no_rows_above_the_entry_cap():
 
 def test_kept_embeddings_are_keyed_by_slot_and_bounded():
     """Every Table-1 row with both signs, on the named links and seeded words
-    of 2 to 5 strands: R and R^-1 keep their embeddings under (i, n, base)
-    only, never under a word, at most MAX_ENTRIES entries in total, and
-    each is the embedding built afresh."""
+    of 2 to 5 strands: R and R^-1 keep their embeddings under (i, n) only,
+    never under a word, at most MAX_ENTRIES entries in total, and each is
+    the embedding built afresh."""
     rng = random.Random(19)
     words = [get_named_braid(name).braid for name in NAMED_LINKS]
     words += [b for b in _random_words(rng, 16, 5, 8) if b.strands >= 2]
@@ -408,12 +408,12 @@ def test_kept_embeddings_are_keyed_by_slot_and_bounded():
                     open_trace(op, b)
                 except ProportionalityFailure:
                     pass
+            base = op.base_dim
             for m in (op.r, op.r._inverse):
                 embeddings = (m._embeddings if m is not None else None) or {}
                 assert sum(len(e.entries) for e in embeddings.values()) <= MAX_ENTRIES
-                for key, e in embeddings.items():
-                    i, n, base = key
-                    assert base == op.base_dim and 1 <= i < n <= 5, key
+                for (i, n), e in embeddings.items():
+                    assert 1 <= i < n <= 5, (i, n)
                     assert e == kron(kron(SquareMatrix.identity(op.ctx, base ** (i - 1)), m),
                                      SquareMatrix.identity(op.ctx, base ** (n - i - 1)))
                 kept += len(embeddings)
@@ -427,6 +427,34 @@ def test_a_weight_of_side_one_is_refused():
     for closure in (compute_ts, open_trace):
         with pytest.raises(DimensionMismatch, match="side 1 has no slot to close"):
             closure(op, BraidWord(3, (1, -2)))
+
+
+def test_a_weight_whose_side_squared_is_not_rs_side_is_refused_on_every_route():
+    """R of side 9 (base 3) with a weight of side 2: verify_eyb's refusal,
+    before the closed form (a rank-one weight), the closure (rank two) and
+    the open trace, and nothing is kept on the operator."""
+    ctx = ScalarContext(("q",))
+    r = SquareMatrix.identity(ctx, 9)
+    b = BraidWord(3, (1, 2))
+    message = r"^mu has side 2, so mu \(x\) mu does not match R's side 9$"
+    for mu in (SquareMatrix.diagonal(ctx, [1, 0]), SquareMatrix.diagonal(ctx, [1, 2])):
+        op = EnhancedOperator(r, mu, ctx.one(), ctx.one())
+        for route in (lambda: verify_eyb(op), lambda: compute_ts(op, b),
+                      lambda: open_trace(op, b)):
+            with pytest.raises(DimensionMismatch, match=message):
+                route()
+        assert op._closure == {}
+
+
+def test_the_base_of_a_representation_is_worked_out_of_rs_side():
+    ctx = ScalarContext(("q",))
+    b = BraidWord(3, (1, -2))
+    assert braid_representation(SquareMatrix.identity(ctx, 9), b) == SquareMatrix.identity(ctx, 27)
+    op = EnhancedOperator(SquareMatrix.identity(ctx, 9), SquareMatrix.identity(ctx, 3),
+                          ctx.one(), ctx.one())
+    assert compute_ts(op, b).value == 27 and open_trace(op, b) == 9
+    with pytest.raises(DimensionMismatch, match="side 3 is not a perfect square"):
+        braid_representation(SquareMatrix.identity(ctx, 3), BraidWord(2, ()))
 
 
 # -- classification --------------------------------------------------------------
@@ -472,10 +500,10 @@ def test_compute_ts_matches_kronecker_oracle(monkeypatch):
     """
     reps = {}
 
-    def cached(r, b, base=None):
+    def cached(r, b):
         key = (frozenset(r.entries.items()), b)
         if key not in reps:
-            reps[key] = braid_representation(r, b, base)
+            reps[key] = braid_representation(r, b)
         return reps[key]
 
     monkeypatch.setattr(invariant, "braid_representation", cached)
@@ -486,7 +514,7 @@ def test_compute_ts_matches_kronecker_oracle(monkeypatch):
         for name in NAMED_LINKS:
             b = get_named_braid(name).braid
             n = b.strands
-            raw = trace_product(cached(op.r, b, op.base_dim), kron_power(op.mu, n))
+            raw = trace_product(cached(op.r, b), kron_power(op.mu, n))
             expected = pow_int(op.alpha, -b.writhe) * try_div_exact(raw, pow_int(op.beta, n))
             assert compute_ts(op, b).value == expected, (label, name)
 
@@ -505,7 +533,7 @@ def _matrix_path(op, b, keep=0):
     alpha^-w beta^-n Tr(rep mu^(x n)).  ProportionalityFailure when what is
     left is not such a multiple."""
     n = b.strands
-    rep = braid_representation(op.r, b, op.base_dim)
+    rep = braid_representation(op.r, b)
     left = weighted_trace(rep, op.mu, range(keep + 1, n + 1))
     raw = left.get(0, 0)
     if left != SquareMatrix.diagonal(left.ctx, [raw] * left.side):
@@ -570,9 +598,9 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
     every open trace, builds that of the right half of the word only."""
     built = []
 
-    def spy(r, b, base=None):
+    def spy(r, b):
         built.append(b)
-        return braid_representation(r, b, base)
+        return braid_representation(r, b)
 
     monkeypatch.setattr(invariant, "braid_representation", spy)
     b = get_named_braid("5_2").braid
@@ -615,13 +643,13 @@ def _images(op, m, kappa):
     q = SquareMatrix.from_rows(ctx, [[1, m], [0, 1]])
     return {
         "similarity": EnhancedOperator(
-            transform_rmatrix(op.r, TransformSpec("similarity", kappa=kappa, q=q), 2),
+            transform_rmatrix(op.r, TransformSpec("similarity", kappa=kappa, q=q)),
             matmul(matmul(q, op.mu), invert(q)), kappa * op.alpha, op.beta),
         "transpose": EnhancedOperator(
-            transform_rmatrix(op.r, TransformSpec("transpose"), 2),
+            transform_rmatrix(op.r, TransformSpec("transpose")),
             op.mu.transpose(), op.alpha, op.beta),
         "shift": EnhancedOperator(
-            transform_rmatrix(op.r, TransformSpec("shift", n=1), 2),
+            transform_rmatrix(op.r, TransformSpec("shift", n=1)),
             _shift_mu(op.mu, 1), op.alpha, op.beta),
     }
 

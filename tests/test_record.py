@@ -42,9 +42,9 @@ RECORDS = {
     "NamedLink": (lambda: NamedLink("3_1", BraidWord(2, (1, 1, 1)), 1),
                   "NamedLink(name='3_1', braid=BraidWord(strands=2, letters=(1, 1, 1)), "
                   "components=1)", True),
-    "RMatrixSpec": (lambda: RMatrixSpec("R", 2, CTX, SquareMatrix.identity(CTX, 4),
+    "RMatrixSpec": (lambda: RMatrixSpec("R", CTX, SquareMatrix.identity(CTX, 4),
                                         (("q", CTX.zero()),)),
-                    "RMatrixSpec(name='R', base_dim=2, ctx=ScalarContext(['q']), "
+                    "RMatrixSpec(name='R', ctx=ScalarContext(['q']), "
                     "matrix=<SquareMatrix side=4 nnz=4>, constraints=(('q', <Scalar 0>),))",
                     False),
     "TransformSpec": (lambda: TransformSpec("similarity", CTX.gen("q"), None, 1),

@@ -1,5 +1,6 @@
 """Source hygiene of the library, read with ``ast`` only: no import that its
-module never reads, and no top-level private name that no module reads."""
+module never reads, no top-level private name that no module reads, and no
+parameter that its function never reads."""
 
 import ast
 from pathlib import Path
@@ -74,4 +75,25 @@ def test_every_top_level_private_name_is_read_in_the_library():
     reads = set().union(*map(_reads, modules.values()))
     unread = [(module, name) for module, tree in modules.items()
               for name in _private_definitions(tree) if name not in reads]
+    assert unread == []
+
+
+def _parameters(node):
+    args = node.args
+    named = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return [arg.arg for arg in named if arg is not None]
+
+
+def test_every_parameter_is_read_in_its_function():
+    """A parameter that its function never reads is an option that does
+    nothing.  Dunder protocol methods take the arguments their protocol
+    passes, read or not."""
+    unread = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                name = getattr(node, "name", "<lambda>")
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                unread += [(module, name, p) for p in _parameters(node) if p not in _loads(node)]
     assert unread == []

@@ -94,18 +94,18 @@ def test_r13_is_an_involution():
 
 def test_embed_edge_cases(ctx):
     r = get_rmatrix("R2.1").matrix
-    assert embed_generator(r, 1, 2, 2) == r
-    assert embed_generator(_identity(ctx, 4), 2, 3, 2) == _identity(ctx, 8)
+    assert embed_generator(r, 1, 2) == r
+    assert embed_generator(_identity(ctx, 4), 2, 3) == _identity(ctx, 8)
     with pytest.raises(PositionOutOfRange):
-        embed_generator(r, 3, 3, 2)
+        embed_generator(r, 3, 3)
 
 
 def test_embed_matches_kron_oracle():
     r = get_rmatrix("R2.1").matrix
     i2 = _identity(r.ctx, 2)
-    assert embed_generator(r, 2, 3, 2) == kron(i2, r)
-    assert embed_generator(r, 1, 3, 2) == kron(r, i2)
-    assert embed_generator(r, 2, 4, 2) == kron(i2, kron(r, i2))
+    assert embed_generator(r, 2, 3) == kron(i2, r)
+    assert embed_generator(r, 1, 3) == kron(r, i2)
+    assert embed_generator(r, 2, 4) == kron(i2, kron(r, i2))
 
 
 @pytest.mark.parametrize("base, arity", [(2, 2), (2, 4), (3, 3)])
@@ -120,10 +120,10 @@ def test_apply_at_matches_embedded_product(base, arity):
     vec = {s: ctx.parse(rng.choice(texts[1:])) for s in rng.sample(range(side), side // 2)}
     column = SquareMatrix(ctx, side, {(s, 0): x for s, x in vec.items()})
     for i in range(1, arity):
-        image = matmul(embed_generator(r, i, arity, base), column)
-        assert apply_at(r, i, arity, vec, base) == {s: x for (s, _), x in image.entries.items()}
+        image = matmul(embed_generator(r, i, arity), column)
+        assert apply_at(r, i, arity, vec) == {s: x for (s, _), x in image.entries.items()}
     with pytest.raises(PositionOutOfRange):
-        apply_at(r, arity, arity, vec, base)
+        apply_at(r, arity, arity, vec)
 
 
 def test_apply_at_pushes_vectors_packed_above_the_n_slots_in_one_call():
@@ -140,9 +140,9 @@ def test_apply_at_pushes_vectors_packed_above_the_n_slots_in_one_call():
             for _ in range(4)]
     packed = {k * side + s: x for k, vec in enumerate(vecs) for s, x in vec.items()}
     for i in range(1, arity):
-        assert apply_at(r, i, arity, packed, base) == {
+        assert apply_at(r, i, arity, packed) == {
             k * side + s: x for k, vec in enumerate(vecs)
-            for s, x in apply_at(r, i, arity, vec, base).items()}
+            for s, x in apply_at(r, i, arity, vec).items()}
 
 
 def test_embeddings_are_kept_per_slot_up_to_the_entry_cap():
@@ -155,21 +155,21 @@ def test_embeddings_are_kept_per_slot_up_to_the_entry_cap():
     r = SquareMatrix(ctx, 4, {(a, b): ctx.gen("q", a - b) for a in range(4) for b in range(4)})
     assert embed_generator(r, 1, 3) == kron(r, _identity(ctx, 2)) and not r._embeddings
     with pytest.raises(DimensionMismatch, match="above the cap"):
-        r.embedding(1, 13, 2)
+        r.embedding(1, 13)
     assert not r._embeddings
-    first = r.embedding(1, 12, 2)
-    assert len(first.entries) == MAX_ENTRIES and first == embed_generator(r, 1, 12, 2)
-    assert r._embeddings == {(1, 12, 2): first} and r.embedding(1, 12, 2) is first
-    second = r.embedding(2, 12, 2)
-    assert r.embedding(2, 12, 2) is not second and r.embedding(2, 12, 2) == second
+    first = r.embedding(1, 12)
+    assert len(first.entries) == MAX_ENTRIES and first == embed_generator(r, 1, 12)
+    assert r._embeddings == {(1, 12): first} and r.embedding(1, 12) is first
+    second = r.embedding(2, 12)
+    assert r.embedding(2, 12) is not second and r.embedding(2, 12) == second
     with pytest.raises(DimensionMismatch, match="above the cap"):
-        r.embedding(5, 13, 2)
+        r.embedding(5, 13)
     # nothing more fits, however small; on a fresh copy it is kept
-    small = r.embedding(2, 3, 2)
-    assert small == kron(_identity(ctx, 2), r) and list(r._embeddings) == [(1, 12, 2)]
+    small = r.embedding(2, 3)
+    assert small == kron(_identity(ctx, 2), r) and list(r._embeddings) == [(1, 12)]
     r = SquareMatrix(ctx, 4, r.entries)
-    small = r.embedding(2, 3, 2)
-    assert r.embedding(2, 3, 2) is small and list(r._embeddings) == [(2, 3, 2)]
+    small = r.embedding(2, 3)
+    assert r.embedding(2, 3) is small and list(r._embeddings) == [(2, 3)]
 
 
 def test_library_built_matrices_are_the_checked_ones():
@@ -197,7 +197,7 @@ def test_library_built_matrices_are_the_checked_ones():
 
 def test_matmul_keeps_the_row_index_of_its_right_operand():
     r = get_rmatrix("R2.1").matrix
-    a, b = embed_generator(r, 1, 3, 2), embed_generator(r, 2, 3, 2)
+    a, b = embed_generator(r, 1, 3), embed_generator(r, 2, 3)
     first = matmul(a, b)
     rows = b._row_index
     assert rows is not None and a._row_index is None
@@ -207,8 +207,8 @@ def test_matmul_keeps_the_row_index_of_its_right_operand():
 def test_far_commutativity_of_embeddings():
     for name in ("R3.1", "R2.1", "R2.2", "R2.3", "R1.1", "R1.2", "R1.3", "R1.4"):
         r = get_rmatrix(name).matrix
-        a = embed_generator(r, 1, 4, 2)
-        b = embed_generator(r, 3, 4, 2)
+        a = embed_generator(r, 1, 4)
+        b = embed_generator(r, 3, 4)
         assert matmul(a, b) == matmul(b, a)
 
 
