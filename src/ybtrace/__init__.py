@@ -7,7 +7,6 @@ higher dimensions.  All arithmetic is exact.
 """
 
 from .errors import (
-    CannotDestabilize,
     ConditionViolation,
     ContextMismatch,
     DimensionMismatch,
@@ -64,7 +63,6 @@ from .braid import (
     NAMED_LINKS,
     NamedLink,
     conjugate,
-    destabilize,
     disjoint_union,
     get_named_braid,
     parse_braid,
@@ -76,7 +74,6 @@ from .eyb import (
     TABLE1,
     get_table1_entry,
     get_table1_eyb,
-    search_ansatz,
     sign_variants,
     specialize,
     table1_entries,

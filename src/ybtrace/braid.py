@@ -5,7 +5,7 @@ the k-th elementary crossing and -k for its inverse, 1 <= k <= n-1.
 """
 
 from ._record import Record
-from .errors import CannotDestabilize, ParseError, StrandBoundViolation, UnknownName
+from .errors import ParseError, StrandBoundViolation, UnknownName
 
 
 class BraidWord(Record):
@@ -87,13 +87,8 @@ def parse_braid(text, strands=None):
 
 
 def conjugate(b, by):
-    """g b g^{-1} for a conjugating word on the same strands."""
-    if isinstance(by, BraidWord):
-        if by.strands > b.strands:
-            raise StrandBoundViolation("conjugator uses more strands")
-        g = by.letters
-    else:
-        g = tuple(by)
+    """g b g^{-1} for the conjugating letters ``by`` on b's strands."""
+    g = tuple(by)
     ginv = tuple(-k for k in reversed(g))
     return BraidWord(b.strands, g + b.letters + ginv)
 
@@ -102,18 +97,6 @@ def stabilize(b, sign=1):
     """Append the new top crossing on one extra strand; the closure is unchanged."""
     letter = b.strands if sign > 0 else -b.strands
     return BraidWord(b.strands + 1, b.letters + (letter,))
-
-
-def destabilize(b):
-    """Inverse of stabilize; the word must end in its only top letter."""
-    if b.strands < 2 or not b.letters:
-        raise CannotDestabilize("nothing to destabilize")
-    top = b.strands - 1
-    if abs(b.letters[-1]) != top:
-        raise CannotDestabilize("last letter is not the top generator")
-    if sum(1 for k in b.letters if abs(k) == top) != 1:
-        raise CannotDestabilize("top generator occurs more than once")
-    return BraidWord(b.strands - 1, b.letters[:-1])
 
 
 def disjoint_union(a, b):

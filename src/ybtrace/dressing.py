@@ -11,7 +11,7 @@ within 1..N that the kind allows, and a block spec's F and G invertible and
 of side |J|.
 
 Index subsets and the s/f mappings are 1-indexed at the interface, matching
-the JSON forms; internal tensor digits are 0-indexed.
+the diagonal spec's JSON form; internal tensor digits are 0-indexed.
 """
 
 import re
@@ -36,9 +36,7 @@ from .tensor import (
     kron,
     matmul,
     matmul_sub,
-    matrix_from_json,
     matrix_substitute,
-    matrix_to_json,
 )
 
 
@@ -120,10 +118,9 @@ class BlockDressingSpec(Record):
         return self.ctx.one() if value is None else value
 
 
-def _relabelled(base, spec):
+def _relabelled(matrix, spec):
     """The base matrix over spec.ctx, and its entries with the base's labels
     0..|J|-1 moved to J - 1 in dimension spec.n."""
-    matrix = base.matrix if hasattr(base, "matrix") else base
     if matrix.ctx != spec.ctx:
         matrix = matrix_substitute(matrix, {}, spec.ctx)
     m, n = len(spec.j), spec.n
@@ -260,8 +257,11 @@ def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True
     equals the undressed one.  In nontrivial mode the padding is sign*beta,
     allowed only when the diagonal weights at the padded indices equal
     sign*alpha (and, for block dressings, when F and G commute with the
-    base weight).
+    base weight).  A sign other than '+' or '-' raises UnknownName before
+    any work, in either mode.
     """
+    if sign not in ("+", "-"):
+        raise UnknownName(f"sign must be '+' or '-', got {sign!r}")
     ctx = spec.ctx
     n = spec.n
     labels = [a - 1 for a in spec.j]
@@ -273,8 +273,7 @@ def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True
     for (r, c), value in mu_base.entries.items():
         entries[(labels[r], labels[c])] = value
     if mode == "nontrivial":
-        signum = 1 if sign == "+" else -1
-        want = base_eyb.alpha if signum > 0 else -base_eyb.alpha
+        want = base_eyb.alpha if sign == "+" else -base_eyb.alpha
         if isinstance(spec, DiagonalDressingSpec):
             if not _is_diagonal(mu_base):
                 raise PreconditionViolation(
@@ -293,7 +292,7 @@ def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True
                 raise PreconditionViolation(
                     f"{letter}_{a}{a} must equal {sign}alpha for nontrivial padding"
                 )
-        pad = base_eyb.beta if signum > 0 else -base_eyb.beta
+        pad = base_eyb.beta if sign == "+" else -base_eyb.beta
         for a in range(n):
             if a not in inside:
                 entries[(a, a)] = pad
@@ -367,14 +366,15 @@ def preset_dressings(name):
     return _preset_cache[name]
 
 
-# -- JSON forms ----------------------------------------------------------------
+# -- JSON form -----------------------------------------------------------------
 
 
 _PAIR_KEY_RE = re.compile(r"([0-9]+),([0-9]+)")
 
 
-def _spec_fields(obj, weights_key):
-    """(N, J, weights) of a spec object, each checked; ParseError names the field.
+def diagonal_spec_from_json(ctx, obj):
+    """Inverse of diagonal_spec_to_json; ParseError naming the field on
+    malformed input.
 
     N is capped so that the dressed matrix has at most MAX_STATES rows.
     """
@@ -388,22 +388,16 @@ def _spec_fields(obj, weights_key):
     j = json_field(obj, "J", list, "spec")
     if not all(type(a) is int for a in j):
         raise ParseError("spec.J: expected a list of integers")
-    weights = {}
-    for key, text in json_field(obj, weights_key, dict, "spec", {}).items():
+    s = {}
+    for key, text in json_field(obj, "s", dict, "spec", {}).items():
         m = _PAIR_KEY_RE.fullmatch(key)
         if m is None:
-            raise ParseError(f"spec.{weights_key}: key {key!r:.40} is not of the form 'a,b'")
+            raise ParseError(f"spec.s: key {key!r:.40} is not of the form 'a,b'")
         if not isinstance(text, str):
-            raise ParseError(f"spec.{weights_key}.{key}: expected scalar text")
-        weights[(int(m[1]), int(m[2]))] = text
-    return n, tuple(j), weights
-
-
-def diagonal_spec_from_json(ctx, obj):
-    """Inverse of diagonal_spec_to_json; ParseError on malformed input."""
-    n, j, s = _spec_fields(obj, "s")
+            raise ParseError(f"spec.s.{key}: expected scalar text")
+        s[(int(m[1]), int(m[2]))] = text
     try:
-        return DiagonalDressingSpec(ctx, n, j, s)
+        return DiagonalDressingSpec(ctx, n, tuple(j), s)
     except ValueError as exc:
         raise ParseError(f"spec: {exc}") from None
 
@@ -415,36 +409,5 @@ def diagonal_spec_to_json(spec):
         "s": {
             f"{a},{b}": format_scalar(v)
             for (a, b), v in sorted(spec.s.items())
-        },
-    }
-
-
-def block_spec_from_json(ctx, obj):
-    """Inverse of block_spec_to_json; ParseError on malformed input."""
-    n, j, f = _spec_fields(obj, "f")
-    blocks = []
-    for key in ("F", "G"):
-        if key not in obj:
-            blocks.append(None)
-            continue
-        try:
-            blocks.append(matrix_from_json(ctx, obj[key]))
-        except ParseError as exc:
-            raise ParseError(f"spec.{key}: {exc}") from None
-    try:
-        return BlockDressingSpec(ctx, n, j, *blocks, f)
-    except ValueError as exc:
-        raise ParseError(f"spec: {exc}") from None
-
-
-def block_spec_to_json(spec):
-    return {
-        "N": spec.n,
-        "J": list(spec.j),
-        "F": matrix_to_json(spec.f_block),
-        "G": matrix_to_json(spec.g_block),
-        "f": {
-            f"{a},{b}": format_scalar(v)
-            for (a, b), v in sorted(spec.f.items())
         },
     }

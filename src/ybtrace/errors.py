@@ -59,10 +59,6 @@ class StrandBoundViolation(YbtraceError):
     """A braid letter references a strand outside the declared count."""
 
 
-class CannotDestabilize(YbtraceError):
-    """The word does not end in a single occurrence of the top generator."""
-
-
 class ProportionalityFailure(YbtraceError):
     """A partial closure was not a scalar multiple of the identity."""
 

@@ -113,30 +113,6 @@ def sign_variants(op):
     return s1, s2, s3
 
 
-def search_ansatz(rspec, candidates):
-    """Filter finite (mu, alpha, restrictions) candidates by verify_eyb.
-
-    Each candidate is (mu, alpha, beta, restrictions) with mu, alpha, beta
-    over one context and restrictions a mapping of rspec generators to
-    values in that context.  Candidates with zero mu, alpha, or beta are
-    rejected outright.  Results keep the input order.
-    """
-    found = []
-    for mu, alpha, beta, restrictions in candidates:
-        if mu.is_zero() or alpha.is_zero() or beta.is_zero():
-            continue
-        target = mu.ctx
-        r = matrix_substitute(rspec.matrix, dict(restrictions), target)
-        op = EnhancedOperator(r, mu, alpha, beta)
-        try:
-            verdict = verify_eyb(op)
-        except NotAUnit:
-            continue
-        if verdict:
-            found.append(op)
-    return found
-
-
 # (entry, sign) -> the shared operator of Table1Entry.build; filled on first use
 _shared_ops = {}
 
@@ -164,39 +140,34 @@ class Table1Entry(Record):
     def context(self):
         return ScalarContext(self.gens, self.roots)
 
-    def build(self, sign="+", beta=None, ctx=None):
-        """The operator for this row; ``beta`` rescales mu and beta together.
+    def build(self, sign="+", ctx=None):
+        """The operator for this row.
 
         ``ctx`` may supply a larger context (for dressings with extra
         parameters); it must declare this row's generators and roots.
 
-        Without ``beta`` and ``ctx`` the operator is built once per (row,
-        sign) and shared for the life of the process, so R's kept inverse
-        carries across calls.  Do not mutate it: ``SquareMatrix.entries`` is
-        a plain dict.  With either argument a fresh operator is built.
+        Without ``ctx`` the operator is built once per (row, sign) and shared
+        for the life of the process, so R's kept inverse carries across
+        calls.  Do not mutate it: ``SquareMatrix.entries`` is a plain dict.
+        With ``ctx`` a fresh operator is built.
         """
         if sign not in ("+", "-"):
             raise UnknownName(f"sign must be '+' or '-', got {sign!r}")
-        shared = beta is None and ctx is None
+        shared = ctx is None
         if shared:
             op = _shared_ops.get((self, sign))
             if op is not None:
                 return op
-        if ctx is None:
             ctx = self.context()
         r = restricted_matrix(self.rmatrix, self.restrictions, ctx)
         mu = SquareMatrix.from_rows(
             ctx, [list(self.mu_rows[:2]), list(self.mu_rows[2:])]
         )
         alpha = ctx.parse(self.alpha)
-        beta_val = ctx.parse(self.beta)
-        if beta is not None:
-            mu = scalar_scale(mu, beta)
-            beta_val = beta_val * beta
         if sign == "-":
             mu = scalar_scale(mu, ctx.scalar(-1))
             alpha = -alpha
-        op = EnhancedOperator(r, mu, alpha, beta_val)
+        op = EnhancedOperator(r, mu, alpha, ctx.parse(self.beta))
         if shared:
             _shared_ops[self, sign] = op
         return op
@@ -278,10 +249,10 @@ def get_table1_entry(rmatrix, row):
     return _BY_KEY[key]
 
 
-def get_table1_eyb(rmatrix, row, sign="+", beta=None):
-    """The row's operator; without ``beta`` it is the shared one of
-    ``Table1Entry.build``, kept for the life of the process: do not mutate it."""
-    return get_table1_entry(rmatrix, row).build(sign, beta)
+def get_table1_eyb(rmatrix, row, sign="+"):
+    """The row's shared operator of ``Table1Entry.build``, kept for the life
+    of the process: do not mutate it."""
+    return get_table1_entry(rmatrix, row).build(sign)
 
 
 # -- JSON form ---------------------------------------------------------------

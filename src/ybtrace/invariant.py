@@ -49,6 +49,7 @@ from .errors import (
     DimensionMismatch,
     ExponentOverflow,
     NotDivisible,
+    PositionOutOfRange,
     ProportionalityFailure,
     StrandBoundViolation,
     UnknownName,
@@ -318,7 +319,8 @@ def compute_ts(op, b, normalized=False):
 
 
 def verify_annihilating(r, relation):
-    """Whether sum(k_i R^i) vanishes exactly; powers may be negative.
+    """Whether sum(k_i R^i) vanishes exactly; ``relation`` maps each power
+    i, which may be negative, to its Scalar coefficient k_i over R's context.
 
     Returns a Verdict whose residual is the nonzero sum when it fails.
     """
@@ -327,8 +329,6 @@ def verify_annihilating(r, relation):
     rinv = invert(r) if any(p < 0 for p in terms) else None
     total = SquareMatrix(ctx, r.side, {})
     for power, coeff in sorted(terms.items()):
-        if isinstance(coeff, (int, str)):
-            coeff = ctx.parse(str(coeff))
         mat = SquareMatrix.identity(ctx, r.side)
         for _ in range(abs(power)):
             mat = matmul(mat, r if power > 0 else rinv)
@@ -393,12 +393,18 @@ def get_relation(name):
 
 
 class SkeinFamily(Record):
-    """Braids differing by a power of one crossing at a fixed word position."""
+    """Braids differing by a power of one crossing at a fixed word position.
+
+    ``terms`` are (power, coefficient Scalar) pairs.  The powers are inserted
+    before letter ``insert_at`` of the base word, which must lie in
+    0..len(base.letters), else PositionOutOfRange; None means at the end.
+    """
 
     _fields = ("base", "position", "terms", "insert_at")
 
     def __init__(self, base, position, terms, insert_at=None):
-        # terms: (power, coefficient Scalar) pairs
+        if insert_at is not None and not 0 <= insert_at <= len(base.letters):
+            raise PositionOutOfRange(f"insert_at {insert_at} outside 0..{len(base.letters)}")
         self.__dict__.update(base=base, position=position, terms=terms, insert_at=insert_at)
 
     def member(self, power):
@@ -410,14 +416,13 @@ class SkeinFamily(Record):
 
 
 def check_skein_family(op, fam):
-    """Whether sum(k_i alpha^i T(L_i)) vanishes over the family members.
+    """Whether sum(k_i alpha^i T(L_i)) vanishes over the family members; each
+    coefficient k_i is a Scalar over the operator's context.
 
     Returns a Verdict whose residual is the nonzero sum when it fails.
     """
     total = op.ctx.zero()
     for power, coeff in fam.terms:
-        if isinstance(coeff, (int, str)):
-            coeff = op.ctx.parse(str(coeff))
         value = compute_ts(op, fam.member(power)).value
         total = total + coeff * pow_int(op.alpha, power) * value
     return Verdict(True) if total.is_zero() else Verdict(False, residual=total)

@@ -913,32 +913,25 @@ def _pow_half(x, doubled):
     return pow_int(x, (doubled - 1) // 2) * half
 
 
-def substitute(x, bindings, target=None):
-    """Homomorphic substitution of generators, followed by canonicalization.
+def substitute(x, bindings, target):
+    """Homomorphic substitution of generators into the context ``target``,
+    followed by canonicalization.
 
-    ``bindings`` maps generator names to scalars (or scalar text) over the
-    target context.  Unbound generators map to the target generator of the
-    same name.  Adjoined roots map to the declared root of the substituted
-    radicand when the target declares one, otherwise to an exact monomial
-    square root when that exists.  Each generator's image is raised once per
-    distinct exponent, and the images of the terms are added into one
-    accumulator over one denominator.
+    ``bindings`` maps generator names to scalars over ``target``.  Unbound
+    generators map to the target generator of the same name.  Adjoined roots
+    map to the declared root of the substituted radicand when the target
+    declares one, otherwise to an exact monomial square root when that
+    exists.  Each generator's image is raised once per distinct exponent, and
+    the images of the terms are added into one accumulator over one
+    denominator.
     """
     ctx = x.ctx
-    if target is None:
-        for value in bindings.values():
-            if isinstance(value, Scalar):
-                target = value.ctx
-                break
-        if target is None:
-            target = ctx
     images = {}
-    for name, value in bindings.items():
+    for name, img in bindings.items():
         if name not in ctx._index:
             raise UnknownName(f"unknown generator {name!r}")
         if name in ctx.root_names:
             raise UnknownName(f"cannot bind root {name!r} directly")
-        img = target.parse(value) if isinstance(value, str) else value
         if img.ctx is not target and img.ctx != target:
             raise ContextMismatch("binding value lies outside the target context")
         images[name] = img

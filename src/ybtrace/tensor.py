@@ -400,16 +400,10 @@ def weighted_trace(a, mu, slots):
     return SquareMatrix._built(a.ctx, base ** (arity - len(slots)), dot_entries(a.ctx, triples, ()))
 
 
-def matrix_substitute(a, bindings, target=None):
-    entries = {}
-    ctx = target
-    for key, v in a.entries.items():
-        image = substitute(v, bindings, target)
-        ctx = image.ctx
-        entries[key] = image
-    if ctx is None:
-        ctx = a.ctx if target is None else target
-    return SquareMatrix(ctx, a.side, entries)
+def matrix_substitute(a, bindings, target):
+    """``ring.substitute`` of each entry of ``a`` into the context ``target``."""
+    return SquareMatrix(target, a.side,
+                        {key: substitute(v, bindings, target) for key, v in a.entries.items()})
 
 
 # -- inversion ----------------------------------------------------------------

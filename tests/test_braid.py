@@ -10,14 +10,12 @@ from ybtrace.braid import (
     LINK_NAMES,
     NAMED_LINKS,
     conjugate,
-    destabilize,
     disjoint_union,
     get_named_braid,
     parse_braid,
     stabilize,
 )
 from ybtrace.errors import (
-    CannotDestabilize,
     ParseError,
     StrandBoundViolation,
     UnknownName,
@@ -104,14 +102,8 @@ def test_markov_moves():
     tre = parse_braid("1 1 1")
     up = stabilize(tre, +1)
     assert up.strands == 3 and up.letters == (1, 1, 1, 2)
-    assert destabilize(up) == tre
     down = stabilize(tre, -1)
     assert down.letters == (1, 1, 1, -2)
-    assert destabilize(down) == tre
-    with pytest.raises(CannotDestabilize):
-        destabilize(tre)
-    with pytest.raises(CannotDestabilize):
-        destabilize(BraidWord(3, (2, 1, 2)))
 
 
 def test_conjugation_preserves_closure_data():

@@ -1,5 +1,7 @@
 """Catalog solutions, the YBE checker, symmetries, spin preservation."""
 
+import re
+
 import pytest
 
 from oracles import ybe_residuals
@@ -13,8 +15,11 @@ from ybtrace.catalog import (
     load_rmatrix_json,
     transform_rmatrix,
 )
-from ybtrace.errors import DimensionMismatch, PreconditionViolation, UnknownName
+from ybtrace.dressing import preset_dressings
+from ybtrace.errors import DimensionMismatch, NotAUnit, PreconditionViolation, UnknownName
+from ybtrace.invariant import get_relation
 from ybtrace.ring import ScalarContext, context_from_json, context_to_json
+from ybtrace.tables import run_table
 from ybtrace.tensor import SquareMatrix, matrix_substitute, matrix_to_json
 
 
@@ -60,6 +65,11 @@ def test_yang_baxter_check_refuses_a_dense_matrix_above_the_entry_cap():
 def test_unknown_name():
     with pytest.raises(UnknownName):
         get_rmatrix("R9.9")
+    for lookup, message in ((lambda: run_table(5), "no table 5; choose 1..4"),
+                            (lambda: get_relation("x"), "no annihilating relation named 'x'"),
+                            (lambda: preset_dressings("x"), "no preset dressing named 'x'")):
+        with pytest.raises(UnknownName, match=re.escape(message)):
+            lookup()
 
 
 def test_catalog_shapes():
@@ -128,6 +138,15 @@ def test_flip_fixes_symmetric_entry():
     assert transform_rmatrix(spec, TransformSpec("flip")) == spec.matrix
 
 
+def test_transform_refuses_a_kappa_that_is_no_unit_and_an_unknown_kind():
+    spec = get_rmatrix("R2.1")
+    q = SquareMatrix.identity(spec.ctx, 2)
+    with pytest.raises(NotAUnit, match="similarity needs an invertible kappa"):
+        transform_rmatrix(spec, TransformSpec("similarity", kappa=spec.ctx.parse("1 + q"), q=q))
+    with pytest.raises(UnknownName, match="unknown transformation kind 'rotate'"):
+        transform_rmatrix(spec, TransformSpec("rotate"))
+
+
 def test_transform_involutions():
     spec = get_rmatrix("R2.3")
     transpose = TransformSpec("transpose")
@@ -180,6 +199,8 @@ def test_spin_preservation():
     assert not is_spin_preserving(get_rmatrix("R1.1").matrix)
     ctx = ScalarContext(("q",))
     assert is_spin_preserving(SquareMatrix.identity(ctx, 4))
+    with pytest.raises(DimensionMismatch, match="spin preservation is defined for side 4"):
+        is_spin_preserving(SquareMatrix.identity(ctx, 9))
 
 
 def test_custom_loader_round_trip():

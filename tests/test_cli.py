@@ -260,6 +260,35 @@ def test_exit_codes(capsys, tmp_path):
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, ""), argv
         assert "2^40 states, above the cap" in captured.err, argv
+    # a missing input, a spec out of range and a side above the cap: the exit
+    # code and message of each, and nothing on stdout
+    ctx = str(tmp_path / "ctx.json")
+    n0 = _write(tmp_path, "n0.json", {"N": 0, "J": [1]})
+    n65 = _write(tmp_path, "n65.json", {"N": 65, "J": [1, 3]})
+    side4097 = _write(tmp_path, "side4097.json",
+                      {"side": 4097, "entries": [[0, 0, {"terms": [{"re": "1"}]}]]})
+    for argv, expected in (
+        (["ybe-check"], (2, "usage error: give --rmatrix or --file")),
+        (["ybe-check", "--file", side4097], (2, "usage error: --file needs --context")),
+        (["eyb-verify"], (2, "usage error: give --rmatrix or --file")),
+        (["dress"], (2, "usage error: give --preset or --file")),
+        (["dress", "--file", n0], (2, "usage error: --file needs --context and --base")),
+        (["dress", "--file", n0, "--context", ctx, "--base", "R2.1"],
+         (3, "parse error: spec.N: expected a positive integer")),
+        (["dress", "--file", n65, "--context", ctx, "--base", "R2.1"],
+         (1, "error: spec.N = 65 gives 65^2 states, above the cap of 4096")),
+        (["ybe-check", "--file", side4097, "--context", ctx],
+         (1, "error: matrix side 4097 outside 0..4096, the cap on states")),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err.rstrip("\n"), captured.out) == (*expected, ""), argv
+    # a relation checked on another matrix's row: its skein sum does not vanish
+    code = main(["skein-check", "--relation", "R2.1", "--rmatrix", "R3.1", "--row", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert captured.out == ("annihilating relation R2.1: ok\n"
+                            "skein family sum: nonzero residual -2 + 2*p*q\n")
     # a well-formed spec whose subset does not fit the base is an error
     spec = tmp_path / "spec3.json"
     spec.write_text(json.dumps({"N": 3, "J": [1, 2, 3]}))

@@ -9,8 +9,6 @@ from ybtrace.catalog import check_ybe, get_rmatrix
 from ybtrace.dressing import (
     BlockDressingSpec,
     DiagonalDressingSpec,
-    block_spec_from_json,
-    block_spec_to_json,
     diagonal_spec_from_json,
     diagonal_spec_to_json,
     dress_block,
@@ -23,7 +21,7 @@ from ybtrace.errors import ConditionViolation, ParseError, PreconditionViolation
 from ybtrace.eyb import EnhancedOperator, get_table1_entry, verify_eyb
 from ybtrace.invariant import compute_ts, unknot_value
 from ybtrace.ring import ScalarContext
-from ybtrace.tensor import SquareMatrix, invert, matrix_substitute, matrix_to_json
+from ybtrace.tensor import SquareMatrix, invert, matrix_substitute
 
 
 def _jones_ctx(extra=()):
@@ -173,10 +171,6 @@ def test_spec_json_round_trips():
     assert obj["N"] == 3 and obj["J"] == [1, 3]
     again = diagonal_spec_from_json(preset.ctx, obj)
     assert again.s == preset.spec.s
-    ctx = _jones_ctx()
-    block = BlockDressingSpec(ctx, 3, (1, 3), f={(2, 2): "q"})
-    back = block_spec_from_json(ctx, block_spec_to_json(block))
-    assert back.f == block.f and back.f_block == block.f_block
 
 
 def test_spec_validation():
@@ -195,15 +189,12 @@ def test_block_spec_checks_j_and_block_sides_like_a_diagonal_spec():
         for spec_class in (DiagonalDressingSpec, BlockDressingSpec):
             with pytest.raises(ValueError, match="bad index subset"):
                 spec_class(ctx, 3, j)
-        for loader in (diagonal_spec_from_json, block_spec_from_json):
-            with pytest.raises(ParseError, match="bad index subset"):
-                loader(ctx, {"N": 3, "J": list(j)})
+        with pytest.raises(ParseError, match="bad index subset"):
+            diagonal_spec_from_json(ctx, {"N": 3, "J": list(j)})
     one, two = SquareMatrix.identity(ctx, 1), SquareMatrix.identity(ctx, 2)
     for blocks in ((one, two), (two, one)):
         with pytest.raises(ValueError, match=r"has side ., not \|J\| = 2"):
             BlockDressingSpec(ctx, 3, (1, 3), *blocks)
-    with pytest.raises(ParseError, match="spec: G has side 1"):
-        block_spec_from_json(ctx, {"N": 3, "J": [1, 3], "G": matrix_to_json(one)})
 
 
 def test_weights_outside_the_dimension_are_refused():
@@ -258,6 +249,17 @@ def test_dressed_eyb_refuses_a_weight_a_mode_or_an_operator_it_cannot_take():
     assert str(err.value) == "dressed operator fails condition trace2"
     unchecked = dressed_eyb(plain, dressed, spec, mode="trivial", check=False)
     assert verify_eyb(unchecked).condition == "trace2"
+
+
+def test_dressed_eyb_refuses_a_sign_other_than_plus_or_minus_before_any_work():
+    """In either mode, and ahead of the mode check; the nontrivial mode once
+    took any sign but '+' as '-' and failed on the padding instead."""
+    preset = preset_dressings("d3_R21")
+    base_op = get_table1_entry("R2.1", 1).build(ctx=preset.ctx)
+    for mode in ("trivial", "nontrivial", "both"):
+        with pytest.raises(UnknownName) as err:
+            dressed_eyb(base_op, preset.matrix, preset.spec, mode=mode, sign="x")
+        assert str(err.value) == "sign must be '+' or '-', got 'x'"
 
 
 def test_d3_r21_separates_two_links_that_jones_and_d4_r22_do_not():

@@ -15,14 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ybtrace.braid import parse_braid
-from ybtrace.dressing import (
-    BlockDressingSpec,
-    block_spec_from_json,
-    block_spec_to_json,
-    diagonal_spec_from_json,
-    diagonal_spec_to_json,
-    preset_dressings,
-)
+from ybtrace.dressing import diagonal_spec_from_json, diagonal_spec_to_json, preset_dressings
 from ybtrace.errors import YbtraceError
 from ybtrace.eyb import eyb_from_json, eyb_to_json, get_table1_eyb
 from ybtrace.ring import ScalarContext, context_from_json, context_to_json
@@ -77,7 +70,6 @@ def _only_library_errors(load, *args):
 ROOT_CTX = ScalarContext(("p", "q"), (("sqrt_1mq2", "1-q^2"),))
 OP = get_table1_eyb("R2.1", 1)
 PRESET = preset_dressings("d3_R21")
-BLOCK = BlockDressingSpec(PRESET.ctx, 3, (1, 3), f={(2, 2): "q"})
 
 CASES = {
     "scalar": (
@@ -90,10 +82,6 @@ CASES = {
     "diagonal spec": (
         diagonal_spec_to_json(PRESET.spec),
         lambda obj: diagonal_spec_from_json(PRESET.ctx, obj),
-    ),
-    "block spec": (
-        block_spec_to_json(BLOCK),
-        lambda obj: block_spec_from_json(PRESET.ctx, obj),
     ),
 }
 

@@ -30,8 +30,8 @@ from ybtrace.dressing import (
     DiagonalDressingSpec, dress_diagonal, dressed_eyb, preset_dressings, preset_names,
 )
 from ybtrace.errors import (
-    DimensionMismatch, ExponentOverflow, NotAUnit, NotDivisible, ProportionalityFailure,
-    StrandBoundViolation,
+    DimensionMismatch, ExponentOverflow, NotAUnit, NotDivisible, PositionOutOfRange,
+    ProportionalityFailure, StrandBoundViolation,
 )
 from ybtrace.eyb import (
     EnhancedOperator, get_table1_entry, get_table1_eyb, sign_variants, table1_entries,
@@ -163,6 +163,17 @@ def test_skein_family_insert_position(jones):
     for at in (0, 1, 2):
         fam = SkeinFamily(parse_braid("1 1"), 1, terms, insert_at=at)
         assert check_skein_family(jones, fam)
+
+
+def test_skein_family_refuses_an_insert_position_outside_the_base_word(jones):
+    ctx = jones.ctx
+    terms = ((1, ctx.one()), (0, ctx.parse("p*q-1")), (-1, ctx.parse("-p*q")))
+    base = parse_braid("1 2 1")
+    assert SkeinFamily(base, 1, terms, insert_at=0).member(1).letters == (1, 1, 2, 1)
+    assert SkeinFamily(base, 1, terms, insert_at=3).member(-1).letters == (1, 2, 1, -1)
+    for at in (-1, 4, 99):
+        with pytest.raises(PositionOutOfRange, match=f"insert_at {at} outside 0..3"):
+            SkeinFamily(base, 1, terms, insert_at=at)
 
 
 def test_jones_against_bracket_state_sum():
@@ -298,7 +309,8 @@ def test_open_trace_of_each_alexander_row_matches_the_skein_oracle():
     words = [get_named_braid(name).braid for name in NAMED_LINKS]
     words += _random_words(random.Random(11), 40, 5, 8)
     oracles = [conway_in_t(ctx, conway_polynomial(b.strands, b.letters)) for b in words]
-    for (rmatrix, row), bindings in ALEXANDER_ROWS.items():
+    for (rmatrix, row), texts in ALEXANDER_ROWS.items():
+        bindings = {g: ctx.parse(text) for g, text in texts.items()}
         for sign in "+-":
             op = get_table1_eyb(rmatrix, row, sign=sign)
             for b, oracle in zip(words, oracles):
@@ -690,7 +702,9 @@ def test_every_enhanced_rank_one_weight_the_library_builds_has_a_unit_eigenvalue
             kappa = ctx.gen(ctx.generators[-1], -1)
             images = _images(op, 2, kappa)
             spec = DiagonalDressingSpec(ctx, 3, (1, 3))
-            ops = [op, entry.build(sign, beta=g), entry.build(sign, beta=1 + g),
+            rescaled = [EnhancedOperator(op.r, scalar_scale(op.mu, b), op.alpha, op.beta * b)
+                        for b in (g, 1 + g)]
+            ops = [op, *rescaled,
                    *sign_variants(op), images["similarity"], images["transpose"],
                    dressed_eyb(op, dress_diagonal(op.r, spec), spec, mode="trivial")]
             for k, enhanced in enumerate(ops):
@@ -745,7 +759,7 @@ def test_failing_annihilating_relation_returns_the_sum_as_residual():
     ident = SquareMatrix.identity(ctx, 4)
     cases = (
         ({1: ctx.one(), 0: ctx.one()}, matadd(r, ident)),
-        ({2: "1", -2: "p", 0: -1},
+        ({2: ctx.one(), -2: ctx.parse("p"), 0: ctx.scalar(-1)},
          matadd(matadd(matmul(r, r), scalar_scale(matmul(rinv, rinv), ctx.parse("p"))),
                 scalar_scale(ident, -1))),
     )

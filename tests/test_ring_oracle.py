@@ -243,12 +243,13 @@ def test_substitute_keeps_its_messages():
     ctx = ScalarContext(("p", "q"), (("sqrt_pq", "p*q"),))
     target = ScalarContext(("t",))
     x = ctx.parse("p + sqrt_pq")
+    t = target.gen("t")
     for bindings, error, message in (
-            ({"z": "t"}, UnknownName, "unknown generator 'z'"),
-            ({"sqrt_pq": "t"}, UnknownName, "cannot bind root 'sqrt_pq'"),
+            ({"z": t}, UnknownName, "unknown generator 'z'"),
+            ({"sqrt_pq": t}, UnknownName, "cannot bind root 'sqrt_pq'"),
             ({"p": ctx.parse("p")}, ContextMismatch, "outside the target context"),
-            ({"p": "t"}, ContextMismatch, "generator 'q' missing from target context"),
-            ({"p": "t^-1", "q": "1 + t"}, NotAUnit,
+            ({"p": t}, ContextMismatch, "generator 'q' missing from target context"),
+            ({"p": target.parse("t^-1"), "q": target.parse("1 + t")}, NotAUnit,
              "no representation for the square root of t^-1 + 1")):
         with pytest.raises(error, match=re.escape(message)):
             substitute(x, bindings, target)

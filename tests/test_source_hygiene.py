@@ -1,11 +1,13 @@
 """Source hygiene of the library, read with ``ast`` only: no import that its
-module never reads, no top-level private name that no module reads, and no
-parameter that its function never reads."""
+module never reads, no top-level private name that no module reads, no
+parameter that its function never reads, and no package export that only
+the tests call."""
 
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "ybtrace"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "ybtrace"
 
 # Names a module imports for other code to reach through it.  perfbench's
 # tracer self-test wraps ``eyb.matmul``.
@@ -97,3 +99,19 @@ def test_every_parameter_is_read_in_its_function():
                     continue
                 unread += [(module, name, p) for p in _parameters(node) if p not in _loads(node)]
     assert unread == []
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Each name ``ybtrace/__init__.py`` re-exports is loaded by name in a
+    library module, a demo, perfbench or the acceptance suite; a name that
+    only its own tests call is surface to delete."""
+    modules = _modules()
+    exported = {alias.asname or alias.name for node in modules.pop("__init__").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = list(modules.values()) + [
+        ast.parse(path.read_text(), str(path))
+        for path in [*sorted((ROOT / "demos").glob("*.py")),
+                     *sorted((ROOT / "perfbench").glob("*.py")),
+                     ROOT / "tests" / "test_acceptance.py"]]
+    loaded = set().union(*map(_loads, callers))
+    assert sorted(exported - loaded) == []

@@ -377,6 +377,8 @@ def test_dimension_mismatch(ctx):
         matmul(a, b)
     with pytest.raises(DimensionMismatch):
         matadd(a, b)
+    with pytest.raises(DimensionMismatch, match="rows are not square"):
+        SquareMatrix.from_rows(ctx, [[1, 0], [0]])
 
 
 def test_json_round_trip(ctx):
