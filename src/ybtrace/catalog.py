@@ -10,7 +10,7 @@ choice yields the same invariants by the transpose symmetry.
 
 from ._record import Record
 from .errors import DimensionMismatch, NotAUnit, PreconditionViolation, UnknownName
-from .ring import PackedVector, ScalarContext, mul_rows, pack_rows
+from .ring import PackedVector, ScalarContext, kronecker, mul_rows, pack_rows
 from .tensor import (
     MAX_STATES, SquareMatrix, Verdict, _crossing_base, check_embedding, invert, kron, matmul,
     matrix_from_json, matrix_substitute, scalar_scale,
@@ -118,12 +118,18 @@ def check_ybe(r):
     as ``index`` and its nonzero residual scalar.  Raises DimensionMismatch,
     before anything is built, when r's side is no square b*b, when the b**3
     states of the triple power exceed MAX_STATES, or when R12 and R23 would
-    hold more than MAX_ENTRIES.
+    hold more than MAX_ENTRIES; then ContextMismatch for an entry outside
+    r's context.
 
-    R is packed once and R12, R23 built from it by index arithmetic.  The
-    residual R12 R23 R12 - R23 R12 R23 is P R12 - R23 P, P = R12 R23, and
-    ``ring.mul_rows`` forms P, then the residual, on packed rows: only a
-    nonzero residual entry becomes a Scalar.
+    The residual R12 R23 R12 - R23 R12 R23 is P R12 - R23 P, P = R12 R23,
+    and the rows of R12 and R23 are built from R's entries by index
+    arithmetic.  Each residual entry is a signed sum of 2 * b**3 products of
+    three entries of R, so ``ring.kronecker(ctx, entries, 2 * b**3)``
+    maps R's entries to ints on which P and the residual are exact int
+    products and sums: an entry is zero exactly when its int is 0, and only
+    the first nonzero one is read back to a Scalar.  Where that map does not
+    apply (roots, i, exponents near the edge of the range, ints above its
+    bit cap), ``ring.mul_rows`` forms P, then the residual, on packed rows.
     """
     base = _crossing_base(r.side)
     if base ** 3 > MAX_STATES:
@@ -132,16 +138,53 @@ def check_ybe(r):
             f"above the cap of {MAX_STATES}"
         )
     check_embedding(len(r.entries), 3, r.side)
-    rows, den = pack_rows(r.ctx, r.entries)
-    r12, r23 = ({}, den), ({}, den)
-    for row, entries in rows.items():
+    ints = kronecker(r.ctx, r.entries, 2 * base ** 3)
+    if ints is None:
+        return _check_packed(r, base)
+    ints, read = ints
+    r12, r23 = _crossings(ints, base, r.side)
+    p, none = {}, {}
+    for row, left in r12.items():
+        acc = p[row] = {}
+        get = acc.get
+        for mid, x in left.items():
+            for col, y in r23.get(mid, none).items():
+                acc[col] = get(col, 0) + x * y
+    for row in sorted(p.keys() | r23.keys()):  # P R12 - R23 P, one row at a time
+        acc = {}
+        get = acc.get
+        for mid, x in p.get(row, none).items():
+            for col, y in r12.get(mid, none).items():
+                acc[col] = get(col, 0) + x * y
+        for mid, x in r23.get(row, none).items():
+            for col, y in p.get(mid, none).items():
+                acc[col] = get(col, 0) - x * y
+        cols = [col for col, v in acc.items() if v]
+        if cols:
+            col = min(cols)
+            return Verdict(False, index=(row, col), residual=read(acc[col]))
+    return Verdict(True)
+
+
+def _crossings(entries, base, side):
+    """The rows of R12 and R23 on base**3 states, {row: {col: value}}, from
+    R's {(row, col): value} ``entries``, by index arithmetic."""
+    r12, r23 = {}, {}
+    for (row, col), x in entries.items():
         for k in range(base):
-            row12 = r12[0][row * base + k] = {}
-            row23 = r23[0][k * r.side + row] = {}
-            for col, x in entries.items():
-                row12[col * base + k] = row23[k * r.side + col] = x
-    p = mul_rows(r.ctx, [(1, r12, r23)])
-    diff, den = mul_rows(r.ctx, [(1, p, r12), (-1, r23, p)])
+            r12.setdefault(row * base + k, {})[col * base + k] = x
+            r23.setdefault(k * side + row, {})[k * side + col] = x
+    return r12, r23
+
+
+def _check_packed(r, base):
+    """``check_ybe`` on packed rows: ``ring.mul_rows`` forms P, then the
+    residual, and only a nonzero residual entry becomes a Scalar."""
+    rows, den = pack_rows(r.ctx, r.entries)
+    r12, r23 = _crossings({(row, col): x for row, entries in rows.items()
+                           for col, x in entries.items()}, base, r.side)
+    p = mul_rows(r.ctx, [(1, (r12, den), (r23, den))])
+    diff, den = mul_rows(r.ctx, [(1, p, (r12, den)), (-1, (r23, den), p)])
     if not diff:
         return Verdict(True)
     row = min(diff)

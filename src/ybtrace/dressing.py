@@ -374,7 +374,7 @@ _PAIR_KEY_RE = re.compile(r"([0-9]+),([0-9]+)")
 
 def diagonal_spec_from_json(ctx, obj):
     """Inverse of diagonal_spec_to_json; ParseError naming the field on
-    malformed input.
+    malformed input, and naming both keys of a pair given twice.
 
     N is capped so that the dressed matrix has at most MAX_STATES rows.
     """
@@ -388,14 +388,18 @@ def diagonal_spec_from_json(ctx, obj):
     j = json_field(obj, "J", list, "spec")
     if not all(type(a) is int for a in j):
         raise ParseError("spec.J: expected a list of integers")
-    s = {}
+    s, keys = {}, {}
     for key, text in json_field(obj, "s", dict, "spec", {}).items():
         m = _PAIR_KEY_RE.fullmatch(key)
         if m is None:
             raise ParseError(f"spec.s: key {key!r:.40} is not of the form 'a,b'")
         if not isinstance(text, str):
             raise ParseError(f"spec.s.{key}: expected scalar text")
-        s[(int(m[1]), int(m[2]))] = text
+        pair = (int(m[1]), int(m[2]))
+        if pair in keys:
+            raise ParseError(
+                f"spec.s: keys {keys[pair]!r:.40} and {key!r:.40} name the same pair {pair}")
+        s[pair], keys[pair] = text, key
     try:
         return DiagonalDressingSpec(ctx, n, tuple(j), s)
     except ValueError as exc:

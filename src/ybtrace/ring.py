@@ -801,6 +801,85 @@ def mul_rows(ctx, products):
     return rows, vec._den
 
 
+# The integers of ``kronecker`` hold at most this many bits, as MAX_ENTRIES
+# caps what an embedding may store.
+MAX_KRONECKER_BITS = 1 << 16
+
+
+def kronecker(ctx, entries, count):
+    """({index: int}, read) for the Scalars ``entries`` of ``ctx`` by Kronecker
+    substitution, or None where it does not apply; ContextMismatch for an
+    entry outside ``ctx``.
+
+    The ints add and multiply as the entries do, and ``read(v)`` is the exact
+    Scalar of an int v formed as a signed sum of at most ``count`` products
+    of three entries' ints, so v is 0 exactly when that sum is.
+
+    * The entries' numerators go over L, the lcm of their denominators, so a
+      product of three of them is over L^3.
+    * Generator j's doubled exponents e lie in [lo_j, hi_j] and are all
+      lo_j plus multiples of g_j, their gcd.  A term maps to its coefficient
+      times 2^(B * idx), idx the mixed-radix number with digits
+      (e_j - lo_j) / g_j and radix 3 * w_j + 1, w_j = (hi_j - lo_j) / g_j.
+      A product of three terms has digits up to 3 * w_j, under the radix,
+      so its idx is the sum of theirs, and distinct monomials of such
+      products have distinct idx in [0, S), S the product of the radixes.
+    * A coefficient of such a sum is at most count * N^3 in size, N the
+      largest l1 norm of an entry's numerators over L, and B is one bit more
+      than that bound has, so the sum is the int with each coefficient one
+      balanced base-2^B digit, below 2^(B-1) in size: ``read`` gives them back.
+
+    None for a term with a root or an i, and for exponents where a product
+    of three entries could leave [-MAX_EXPONENT, MAX_EXPONENT) (where
+    the packed kernels raise ExponentOverflow), or for ints of S * B bits
+    above MAX_KRONECKER_BITS.
+    """
+    values = entries.values()
+    _check_scalars(ctx, values)
+    keys = [k for x in values for k in x._nums]
+    if reduce(or_, keys, 0) & (ctx._layout.root_fields | 1):
+        return None
+    big = math.lcm(*[x._den for x in values])
+    norm = max([sum(map(abs, x._nums.values())) * (big // x._den) for x in values], default=0)
+    gens, size, idxs = [], 1, [0] * len(keys)  # (lo, g, place, radix) per generator
+    for s in ctx._layout.gen_shifts:
+        exps = [(k >> s) & _GEN_VALUES for k in keys]
+        lo, hi = min(exps, default=_BIAS), max(exps, default=_BIAS)
+        if 3 * (lo - _BIAS) < -_BIAS or 3 * (hi - _BIAS) >= _BIAS:
+            return None
+        g = math.gcd(*(e - lo for e in exps)) or 1
+        idxs = [idx + (e - lo) // g * size for idx, e in zip(idxs, exps)]
+        radix = 3 * ((hi - lo) // g) + 1
+        gens.append((lo, g, size, radix))
+        size *= radix
+    width = (count * norm ** 3).bit_length() + 1
+    if size * width > MAX_KRONECKER_BITS:
+        return None
+    ints, idxs = {}, iter(idxs)  # the terms in the order of ``keys``
+    for index, x in entries.items():
+        scale = big // x._den
+        ints[index] = sum([c * scale << width * idx for c, idx in zip(x._nums.values(), idxs)])
+    den, mask, half = big ** 3, (1 << width) - 1, 1 << (width - 1)
+    roots = (0,) * len(ctx.root_names)
+
+    def read(v):
+        terms = []
+        for idx in range(size):
+            if not v:
+                break
+            c = v & mask
+            if c >= half:  # a negative digit borrows from the next one
+                c -= mask + 1
+            v = (v - c) >> width
+            if c:
+                exps = tuple([3 * (lo - _BIAS) + g * (idx // place % radix)
+                              for lo, g, place, radix in gens])
+                terms.append((exps + roots, (c, 0, den)))
+        return _from_terms(ctx, terms)
+
+    return ints, read
+
+
 def pow_int(x, k):
     """Exact integer power.  A one-term x with no root factor is raised as
     one key by ``_monomial_power``; any other x by squaring, where a

@@ -571,7 +571,8 @@ def matrix_to_json(a):
 
 
 def matrix_from_json(ctx, obj):
-    """Inverse of matrix_to_json; ParseError naming the field on malformed input.
+    """Inverse of matrix_to_json; ParseError naming the field on malformed input,
+    and naming both listings of a position listed twice.
 
     A side outside 0..MAX_STATES raises DimensionMismatch before anything is built.
     """
@@ -579,11 +580,16 @@ def matrix_from_json(ctx, obj):
     if not 0 <= side <= MAX_STATES:
         raise DimensionMismatch(f"matrix side {side} outside 0..{MAX_STATES}, the cap on states")
     entries = {}
-    for k, item in enumerate(json_field(obj, "entries", list, "matrix")):
+    listed = json_field(obj, "entries", list, "matrix")
+    for k, item in enumerate(listed):
         where = f"matrix.entries[{k}]"
         if not (isinstance(item, list) and len(item) == 3
                 and type(item[0]) is type(item[1]) is int):
             raise ParseError(f"{where}: expected [row, column, scalar]")
+        if (item[0], item[1]) in entries:
+            first = next(j for j, other in enumerate(listed) if other[:2] == item[:2])
+            raise ParseError(f"{where}: position ({item[0]}, {item[1]}) is listed "
+                             f"already at matrix.entries[{first}]")
         try:
             entries[(item[0], item[1])] = scalar_from_json(ctx, item[2])
         except ParseError as exc:

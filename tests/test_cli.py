@@ -314,6 +314,28 @@ def test_a_file_that_cannot_be_opened_exits_2(capsys, tmp_path):
     assert captured.err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
+def test_a_position_listed_twice_is_a_parse_error(capsys, tmp_path):
+    """A matrix file that lists (0, 0) as 5 and then as 1, which once kept the
+    last listing and passed the check, and a spec that names one pair by two
+    keys: exit 3, nothing on stdout, and both listings named."""
+    ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
+    one, five = {"terms": [{"re": "1"}]}, {"terms": [{"re": "5"}]}
+    twice = _write(tmp_path, "twice.json", {
+        "side": 4, "entries": [[0, 0, five], [0, 0, one]] + [[k, k, one] for k in (1, 2, 3)]})
+    spec = _write(tmp_path, "spec.json", {"N": 4, "J": [1], "s": {"3,1": "p", "03,1": "q"}})
+    listed = ("parse error: matrix.entries[1]: position (0, 0) is listed already at "
+              "matrix.entries[0]")
+    for argv, err in (
+        (["ybe-check", "--file", twice, "--context", ctx], listed),
+        (["ybe-check", "--file", twice, "--context", ctx, "--unchecked"], listed),
+        (["dress", "--file", spec, "--context", ctx, "--base", "R2.1"],
+         "parse error: spec.s: keys '3,1' and '03,1' name the same pair (3, 1)"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err.rstrip("\n"), captured.out) == (3, err, ""), argv
+
+
 def test_yang_baxter_check_above_the_cap_builds_nothing(capsys, tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the rows of a triple tensor power were packed")

@@ -1,5 +1,7 @@
 """Dressings: assembly, compatibility conditions, extended operators, presets."""
 
+import re
+
 import pytest
 
 from oracles import ybe_residuals
@@ -181,6 +183,13 @@ def test_spec_validation():
         DiagonalDressingSpec(ctx, 3, (1, 1, 3))
     with pytest.raises(ValueError):
         BlockDressingSpec(ctx, 3, (1, 3), f={(1, 2): "q"})
+
+
+def test_a_spec_that_names_one_pair_by_two_keys_is_refused():
+    ctx = _jones_ctx()
+    with pytest.raises(ParseError, match=re.escape(
+            "spec.s: keys '3,1' and '03,1' name the same pair (3, 1)")):
+        diagonal_spec_from_json(ctx, {"N": 4, "J": [1], "s": {"3,1": "p", "03,1": "q"}})
 
 
 def test_block_spec_checks_j_and_block_sides_like_a_diagonal_spec():

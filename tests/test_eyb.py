@@ -1,5 +1,7 @@
 """Enhanced operators: conditions, the registry rows, variants."""
 
+import re
+
 import pytest
 
 from ybtrace import eyb, invariant
@@ -14,7 +16,7 @@ from ybtrace.eyb import (
     sign_variants,
     verify_eyb,
 )
-from ybtrace.errors import DimensionMismatch, NotAUnit, UnknownName, UnknownRow
+from ybtrace.errors import DimensionMismatch, NotAUnit, ParseError, UnknownName, UnknownRow
 from ybtrace.invariant import alexander_nabla, classification_report, compute_ts
 from ybtrace.ring import ScalarContext
 from ybtrace.tables import run_table
@@ -175,6 +177,18 @@ def test_eyb_json_round_trip():
     back = eyb_from_json(op.ctx, obj)
     assert back.r == op.r and back.mu == op.mu
     assert back.alpha == op.alpha and back.beta == op.beta
+
+
+def test_eyb_from_json_refuses_a_position_listed_twice():
+    op = get_table1_eyb("R2.2", 1)
+    for key in ("r", "mu"):
+        obj = eyb_to_json(op, restrictions=())
+        listed = obj[key]["entries"]
+        listed.append([*listed[0][:2], {"terms": [{"re": "7"}]}])
+        with pytest.raises(ParseError, match=re.escape(
+                f"operator.{key}: matrix.entries[{len(listed) - 1}]: position "
+                f"({listed[0][0]}, {listed[0][1]}) is listed already at matrix.entries[0]")):
+            eyb_from_json(op.ctx, obj)
 
 
 def test_failing_commute_condition_returns_its_residual():

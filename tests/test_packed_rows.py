@@ -1,13 +1,15 @@
-"""The Yang-Baxter check on packed rows against the embedding route it replaced.
+"""The Yang-Baxter check against the embedding route it replaced.
 
-``catalog.check_ybe`` packs R's entries once, builds the rows of R12 and
-R23 by index arithmetic and takes P = R12 R23 and the residual
-P R12 - R23 P with ``ring.mul_rows``.  ``oracles.check_ybe_by_embedding``
-is the check as it was: R12 and R23 embedded as matrices, P by ``matmul``
-and the residual by ``matmul_sub``.  Both must give the same Verdict, with
-the same smallest index and the same residual Scalar, and raise the same
-errors, on the catalog, on every image the ``verify`` benchmark builds, on
-the dressed presets and on seeded perturbed and rooted matrices.
+``catalog.check_ybe`` builds the rows of R12 and R23 from R's entries by
+index arithmetic and takes P = R12 R23 and the residual P R12 - R23 P on
+the ints of ``ring.kronecker`` (Kronecker substitution), or with
+``ring.mul_rows`` on packed rows where that map does not apply.
+``oracles.check_ybe_by_embedding`` is the check as it was: R12 and R23
+embedded as matrices, P by ``matmul`` and the residual by ``matmul_sub``.
+Both must give the same Verdict, with the same smallest index and the same
+residual Scalar, and raise the same errors, on the catalog, on every image
+the ``verify`` benchmark builds, on the dressed presets, on seeded perturbed
+and rooted matrices and on the edge cases of the integer route.
 """
 
 import functools
@@ -22,7 +24,9 @@ from test_dot import CONTEXTS, _assert_same, _random_matrix, _transformed
 from ybtrace import catalog, eyb, ring, tensor
 from ybtrace.dressing import preset_dressings
 from ybtrace.errors import ContextMismatch, DimensionMismatch, ExponentOverflow, YbtraceError
-from ybtrace.ring import MAX_EXPONENT, PackedVector, ScalarContext, mul_rows, pack_rows
+from ybtrace.ring import (
+    MAX_EXPONENT, PackedVector, Scalar, ScalarContext, kronecker, mul_rows, pack_rows,
+)
 from ybtrace.tensor import SquareMatrix
 
 
@@ -44,6 +48,14 @@ def _assert_same_check(r):
     return got
 
 
+def _refuse_mul_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the packed route ran")
+
+    monkeypatch.setattr(ring, "mul_rows", refuse)
+    monkeypatch.setattr(catalog, "mul_rows", refuse)
+
+
 @functools.cache
 def _operators():
     return [(sign, e.build(sign)) for e in eyb.table1_entries() for sign in "+-"]
@@ -60,7 +72,8 @@ def test_catalog_rows_and_presets_pass_as_on_the_embedding_route():
         assert r.side == base * base and _assert_same_check(r)
 
 
-def test_every_image_the_verify_benchmark_builds_passes_as_on_the_embedding_route():
+def test_every_image_the_verify_benchmark_builds_passes_as_on_the_embedding_route(monkeypatch):
+    _refuse_mul_rows(monkeypatch)  # and all on the integer route
     rng = random.Random(20261019)
     images = [r for sign, op in _operators() for r in _transformed(op, sign, rng)]
     assert len(images) == 46 * 4
@@ -188,3 +201,153 @@ def test_a_passing_check_embeds_and_multiplies_no_matrix(monkeypatch):
     assert all(catalog.check_ybe(op.r) for _, op in _operators())
     r = _operators()[0][1].r
     assert not catalog.check_ybe(SquareMatrix(r.ctx, 4, {**r.entries, (0, 3): r.ctx.one()}))
+
+
+# -- the integer route -------------------------------------------------------------
+
+
+def _mul_rows_calls(monkeypatch):
+    """A list that grows by one on each call of ``ring.mul_rows``."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mul_rows(*args)
+
+    monkeypatch.setattr(catalog, "mul_rows", counted)
+    return calls
+
+
+def _weighted_flip(ctx, base, weights):
+    """The flip x (x) y -> y (x) x times weights[(x, y)] (1 when missing): a
+    solution for any weights, whose triple products use the weight of one
+    pair thrice only on the diagonal x = y = z."""
+    one = ctx.one()
+    return SquareMatrix(ctx, base * base, {(y * base + x, x * base + y): weights.get((x, y), one)
+                                           for x in range(base) for y in range(base)})
+
+
+# a 4x4 sign pattern whose residual at the smallest index is -16: -(2 * 2**3),
+# the bound that sets the slot width
+_FULL_WIDTH = ((1, -1, 1, -1), (1, -1, -1, 1), (-1, -1, -1, -1), (1, -1, 1, 1))
+
+
+def _edge_cases():
+    pq = ScalarContext(("p", "q"))
+    p, q = pq.gen("p"), pq.gen("q")
+    rooted = ScalarContext(("p", "q"), (("sqrt_pq", "p*q"),))  # a root no entry uses
+    cases = []
+    for big in (10 ** 30, -10 ** 30):
+        for unit in (pq.one(), pq.parse("q^(1/2)"), p * q ** -1):
+            cases.append(SquareMatrix.from_rows(
+                pq, [[big * c * unit for c in row] for row in _FULL_WIDTH]))
+    half = pq.parse("p^(1/2)*q^(-3/2)")
+    cases.append(_weighted_flip(pq, 2, {(0, 1): half, (1, 0): half * q, (1, 1): p - q}))
+    cases.append(SquareMatrix.from_rows(
+        pq, [["1/2", 0, 0, 0], [0, 0, "q/3", 0], [0, "p/5", "1-p*q/7", 0], [0, 0, 0, "-1/6"]]))
+    cases.append(SquareMatrix.from_rows(
+        pq, [["p^(1/2)/2", 0, 0, 1], [0, 0, "q^(3/2)/3", 0], [0, 1, "1-p/4", 0], [0, 0, 0, 1]]))
+    cases += [SquareMatrix(pq, 4, {}), SquareMatrix.identity(pq, 4),
+              SquareMatrix.identity(rooted, 4)]
+    for base, ctx in ((3, pq), (4, pq), (2, rooted)):
+        gens = [ctx.gen(name, k) for name in ("p", "q") for k in (-1, 1, 2)]
+        rng = random.Random(base)
+        weights = {(x, y): ctx.scalar(rng.choice((1, -1, Fraction(2, 3)))) * rng.choice(gens)
+                   for x in range(base) for y in range(base) if rng.random() < 0.7}
+        flip = _weighted_flip(ctx, base, weights)
+        cases.append(flip)
+        for _ in range(3):
+            entries = dict(flip.entries)
+            key = (rng.randrange(base * base), rng.randrange(base * base))
+            entries[key] = entries.get(key, ctx.zero()) + rng.choice(gens)
+            cases.append(SquareMatrix(ctx, base * base, entries))
+    return cases
+
+
+def test_edge_cases_of_the_integer_route_match_the_embedding_route(monkeypatch):
+    calls = _mul_rows_calls(monkeypatch)
+    verdicts = [_assert_same_check(r) for r in _edge_cases()]
+    assert calls == []  # every case took the integer route
+    assert True in map(bool, verdicts) and False in map(bool, verdicts)
+    # the sign pattern's residuals fill the slot width: one term of 16 * 10**90
+    for verdict in verdicts[:6]:
+        assert [abs(re) for re, _ in verdict.residual.terms.values()] == [16 * 10 ** 90]
+
+
+def test_exponents_at_the_gate_take_the_integer_route_and_past_it_the_packed_one(monkeypatch):
+    """A doubled exponent of +-2730 is the largest whose triple stays inside
+    the doubled range [-2 * MAX_EXPONENT, 2 * MAX_EXPONENT); one half step
+    past it the packed route runs, and raises ExponentOverflow exactly when
+    a triple product leaves the range."""
+    ctx = ScalarContext(("q",))
+    calls = _mul_rows_calls(monkeypatch)
+    edge, past = 2 * MAX_EXPONENT // 3, 2 * MAX_EXPONENT // 3 + 1  # doubled
+    assert 3 * edge < 2 * MAX_EXPONENT <= 3 * past
+    for sign in (1, -1):
+        at_gate = ctx.monomial(1, {"q": Fraction(sign * edge, 2)})
+        assert _assert_same_check(_weighted_flip(ctx, 2, {(0, 0): at_gate}))
+        assert calls == []
+        beyond = ctx.monomial(1, {"q": Fraction(sign * past, 2)})
+        # used at most twice by any triple product: the packed route passes it
+        assert _assert_same_check(_weighted_flip(ctx, 2, {(0, 1): beyond}))
+        assert len(calls) == 2
+        # used thrice on the diagonal: the packed route raises
+        got = _assert_same_check(_weighted_flip(ctx, 2, {(0, 0): beyond}))
+        assert got[0] is ExponentOverflow
+        calls.clear()
+
+
+def test_every_catalog_row_and_table1_operator_passes_without_mul_rows(monkeypatch):
+    _refuse_mul_rows(monkeypatch)
+    matrices = [catalog.get_rmatrix(name).matrix for name in catalog.CATALOG_NAMES]
+    matrices += [op.r for _, op in _operators()]
+    assert all(catalog.check_ybe(r) for r in matrices)
+
+
+def test_rooted_gaussian_over_cap_and_edge_matrices_take_the_packed_route(monkeypatch):
+    rooted = CONTEXTS["R1.1"]
+    ctx = ScalarContext(("q",))
+    wide = {(0, 0): ctx.gen("q", 1000), (1, 1): ctx.gen("q", -1000),
+            (0, 1): ctx.parse("q^(1/2)")}  # radix 3 * 4000 + 1 slots of 6 bits
+    cases = [
+        SquareMatrix(rooted, 4, {(k, k): rooted.gen("sqrt_1mq2") for k in range(4)}),
+        SquareMatrix(ctx, 4, {(k, k): ctx.i() for k in range(4)}),
+        _weighted_flip(ctx, 2, wide),
+        _weighted_flip(ctx, 2, {(1, 1): ctx.gen("q", -MAX_EXPONENT + 1)}),
+    ]
+    calls = _mul_rows_calls(monkeypatch)
+    for r in cases:
+        assert kronecker(r.ctx, r.entries, 16) is None
+        calls.clear()
+        _assert_same_check(r)
+        assert calls, r.entries
+
+
+def _root_free_scalar(rng, ctx):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        exps = tuple(rng.randint(-4, 4) for _ in ctx.generators) + (0,) * len(ctx.root_names)
+        terms[exps] = Fraction(rng.choice((1, -1)) * rng.choice((1, 2, 5, 1000)),
+                               rng.choice((1, 1, 2, 3)))
+    return Scalar(ctx, terms)
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_the_int_of_a_triple_product_reads_back_as_the_product(name):
+    ctx = CONTEXTS[name]
+    # one product of a monomial's cube: its coefficient N^3 fills the slot width
+    monomial = ctx.monomial(Fraction(-10 ** 30, 7), {ctx.generators[0]: Fraction(1, 2)})
+    ints, read = kronecker(ctx, {0: monomial}, 1)
+    _assert_same(read(ints[0] ** 3), monomial * monomial * monomial)
+    rng = random.Random(29)
+    for _ in range(40):
+        entries = {k: _root_free_scalar(rng, ctx) for k in range(rng.randint(1, 6))}
+        ints, read = kronecker(ctx, entries, 2)
+        assert ints.keys() == entries.keys()
+        _assert_same(read(0), ctx.zero())
+        for _ in range(5):
+            a, b, c, d, e, f = (rng.choice(list(entries)) for _ in range(6))
+            x, y, z = entries[a], entries[b], entries[c]
+            _assert_same(read(ints[a] * ints[b] * ints[c]), x * y * z)
+            _assert_same(read(ints[a] * ints[b] * ints[c] - ints[d] * ints[e] * ints[f]),
+                         x * y * z - entries[d] * entries[e] * entries[f])

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ybtrace.errors import (
     DimensionMismatch,
     InverseOutsideRing,
     NonInvertible,
+    ParseError,
     PositionOutOfRange,
 )
 from ybtrace.ring import ScalarContext
@@ -387,6 +389,17 @@ def test_json_round_trip(ctx):
     assert obj["side"] == 2
     assert [e[:2] for e in obj["entries"]] == sorted(e[:2] for e in obj["entries"])
     assert matrix_from_json(ctx, obj) == m
+
+
+def test_a_position_listed_twice_is_refused(ctx):
+    """Listed twice, with another value or the same one, a position is a
+    ParseError naming both listings, not the last listing kept."""
+    one, five = {"terms": [{"re": "1"}]}, {"terms": [{"re": "5"}]}
+    for second in (one, five):
+        obj = {"side": 4, "entries": [[1, 1, one], [0, 0, five], [2, 2, one], [0, 0, second]]}
+        with pytest.raises(ParseError, match=re.escape(
+                "matrix.entries[3]: position (0, 0) is listed already at matrix.entries[1]")):
+            matrix_from_json(ctx, obj)
 
 
 def _unimodular(ctx, side, rng):
