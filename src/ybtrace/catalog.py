@@ -10,10 +10,10 @@ choice yields the same invariants by the transpose symmetry.
 
 from ._record import Record
 from .errors import DimensionMismatch, NotAUnit, PreconditionViolation, UnknownName
-from .ring import PackedVector, ScalarContext, kronecker, mul_rows, pack_rows
+from .ring import ScalarContext, kronecker
 from .tensor import (
-    MAX_STATES, SquareMatrix, Verdict, _crossing_base, check_embedding, invert, kron, matmul,
-    matrix_from_json, matrix_substitute, scalar_scale,
+    MAX_STATES, SquareMatrix, Verdict, _crossing_base, check_embedding, embed_generator, invert,
+    kron, matmul, matmul_sub, matrix_from_json, matrix_substitute, scalar_scale,
 )
 
 # pair order (++, -+, +-, --) -> big-endian pair order (++, +-, -+, --)
@@ -129,7 +129,8 @@ def check_ybe(r):
     products and sums: an entry is zero exactly when its int is 0, and only
     the first nonzero one is read back to a Scalar.  Where that map does not
     apply (roots, i, exponents near the edge of the range, ints above its
-    bit cap), ``ring.mul_rows`` forms P, then the residual, on packed rows.
+    bit cap), R12 and R23 are embedded as matrices, ``tensor.matmul`` forms
+    P and ``tensor.matmul_sub`` the residual.
     """
     base = _crossing_base(r.side)
     if base ** 3 > MAX_STATES:
@@ -140,7 +141,13 @@ def check_ybe(r):
     check_embedding(len(r.entries), 3, r.side)
     ints = kronecker(r.ctx, r.entries, 2 * base ** 3)
     if ints is None:
-        return _check_packed(r, base)
+        r12, r23 = embed_generator(r, 1, 3), embed_generator(r, 2, 3)
+        p = matmul(r12, r23)
+        diff = matmul_sub(p, r12, r23, p).entries
+        if not diff:
+            return Verdict(True)
+        index = min(diff)
+        return Verdict(False, index=index, residual=diff[index])
     ints, read = ints
     r12, r23 = _crossings(ints, base, r.side)
     p, none = {}, {}
@@ -175,21 +182,6 @@ def _crossings(entries, base, side):
             r12.setdefault(row * base + k, {})[col * base + k] = x
             r23.setdefault(k * side + row, {})[k * side + col] = x
     return r12, r23
-
-
-def _check_packed(r, base):
-    """``check_ybe`` on packed rows: ``ring.mul_rows`` forms P, then the
-    residual, and only a nonzero residual entry becomes a Scalar."""
-    rows, den = pack_rows(r.ctx, r.entries)
-    r12, r23 = _crossings({(row, col): x for row, entries in rows.items()
-                           for col, x in entries.items()}, base, r.side)
-    p = mul_rows(r.ctx, [(1, (r12, den), (r23, den))])
-    diff, den = mul_rows(r.ctx, [(1, p, (r12, den)), (-1, (r23, den), p)])
-    if not diff:
-        return Verdict(True)
-    row = min(diff)
-    col, residual = min(PackedVector(r.ctx, diff[row], den).unpack().items())
-    return Verdict(False, index=(row, col), residual=residual)
 
 
 class TransformSpec(Record):

@@ -687,11 +687,13 @@ def push(vec, table, right):
     through.  Every output index has one raw accumulator over the product of
     the two denominators; an entry landing on a fresh index fills it with
     its first term in one comprehension, which forms no zero.  Guard-bit
-    keys and zeros stay in the accumulators until ``_finished``, so a
-    product past the exponent range raises ExponentOverflow even when it
-    cancels, and a radicand with a denominator rescales the whole vector.
-    Neither a gcd nor a Scalar is formed.  ContextMismatch when the table
-    belongs to another context.
+    keys and zeros stay in the accumulators until the finish, so a product
+    past the exponent range raises ExponentOverflow even when it cancels.
+    The finish tests all keys at once for a guard bit; if one is set, every
+    accumulator goes through ``_settled``, and the vector goes over one
+    denominator again when a radicand with a denominator grew one.  Then
+    zeros and empty accumulators are dropped.  Neither a gcd nor a Scalar
+    is formed.  ContextMismatch when the table belongs to another context.
     """
     ctx, side, columns, den = table
     if ctx is not vec.ctx and ctx != vec.ctx:
@@ -717,18 +719,7 @@ def push(vec, table, right):
                 for k1, c1 in x_items:
                     k = k1 + k2
                     acc[k] = acc_get(k, 0) + c1 * c2
-    return _finished(ctx, out, den * vec._den)
-
-
-def _finished(ctx, out, den):
-    """The PackedVector of the raw accumulators ``out`` over ``den``, the one
-    finish of ``push`` and ``mul_rows``.
-
-    One test over all keys finds whether any accumulator hit a guard bit;
-    if one did, every accumulator goes through ``_settled``, and the vector
-    goes over one denominator again when a settle grew one.  Then zeros and
-    empty accumulators are dropped.
-    """
+    den *= vec._den
     if reduce(or_, chain.from_iterable(out.values()), 0) & ctx._layout.guard:
         out = {index: _settled(ctx, acc, den) for index, acc in out.items()}
         up = math.lcm(*(d // den for _, d in out.values()))
@@ -755,50 +746,6 @@ def contract(vec, pairs):
     den = vec._den
     return _keyed_sums(vec.ctx, [(key, x, den, y, 1) for index, x in vec._packed.items()
                                  for key, y in pairs.get(index, ())])
-
-
-def pack_rows(ctx, entries):
-    """The packed rows ({row: {col: {key: numerator}}}, den) that ``mul_rows``
-    takes, of {(row, col): Scalar of ``ctx``}, as ``pack`` packs them."""
-    vec, rows = pack(ctx, entries), {}
-    for (row, col), nums in vec._packed.items():
-        rows.setdefault(row, {})[col] = nums
-    return rows, vec._den
-
-
-def mul_rows(ctx, products):
-    """The packed rows of the sum of sign * a * b over the (sign, a, b) ``products``.
-    Each row of b is one term list, its keys tagged with the column above the
-    total field: an output row is one raw accumulator, finished as in ``push``."""
-    layout = ctx._layout
-    # a product of two keys has a total below 2 * _BIAS per name in size
-    shift = layout.total_shift + (4 * _BIAS * (len(layout.shifts) + 1)).bit_length()
-    den, out = math.lcm(*(da * db for _, (_, da), (_, db) in products)), {}
-    for sign, (a, da), (b, db) in products:
-        scale = sign * (den // (da * db))
-        flat = {}
-        for mid, right in b.items():
-            terms = flat[mid] = []
-            for col, y in right.items():
-                tag = (col << shift) - layout.zero
-                for k, c in y.items():
-                    terms.append((k + tag, c * scale))
-        for row, left in a.items():
-            acc = out.setdefault(row, {})
-            get = acc.get
-            for mid, x in left.items():
-                for k1, c1 in x.items():
-                    for k2, c2 in flat.get(mid, ()):
-                        k = k1 + k2
-                        acc[k] = get(k, 0) + c1 * c2
-    vec = _finished(ctx, out, den)
-    rows, half = {}, 1 << (shift - 1)
-    for row, acc in vec._packed.items():
-        cols = rows[row] = {}
-        for k, c in acc.items():
-            col = (k + half) >> shift
-            cols.setdefault(col, {})[k - (col << shift)] = c
-    return rows, vec._den
 
 
 # The integers of ``kronecker`` hold at most this many bits, as MAX_ENTRIES

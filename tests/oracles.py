@@ -10,9 +10,9 @@ mu^(x n) and the product with it, which weighted_trace never does.  The
 library did before it summed each entry with ``ring.dot``, and
 ``matmul_sub_by_pairs`` is the product residual as it was before its keyed
 kernel, one ``ring.dot`` per entry, and ``check_ybe_by_embedding`` the
-Yang-Baxter check as it was before its packed rows; ``apply_at_by_pairs`` is the push as it
-was before the packed vector, one ``ring.dot`` per output state.  The checked
-inverse and division are the ring's routes before its fast paths.  The
+Yang-Baxter check on embedded matrices, the reference of its integer
+route; ``apply_at_by_pairs`` is the push as it was before the packed
+vector, one ``ring.dot`` per output state.  The checked inverse and division are the ring's routes before its fast paths.  The
 term-dict arithmetic, over the Fraction-based GaussianRational below, is
 the reference for the ring's packed terms and int coefficients, and the
 ``*_by_exps`` text forms at the end are the scalar text and JSON as the
@@ -453,10 +453,12 @@ def matmul_sub_by_pairs(a, b, c, d):
 
 
 def check_ybe_by_embedding(r):
-    """``catalog.check_ybe`` as it was before the packed rows: R12 and R23
-    embedded by ``tensor.embed_generator``, P = R12 R23 by ``tensor.matmul``
-    and the residual P R12 - R23 P by ``tensor.matmul_sub``, with the same
-    refusals first."""
+    """``catalog.check_ybe`` on embedded matrices: R12 and R23 embedded by
+    ``tensor.embed_generator``, P = R12 R23 by ``tensor.matmul`` and the
+    residual P R12 - R23 P by ``tensor.matmul_sub``, with the same refusals
+    first.  It is the reference of the integer route.  The check's fallback
+    is this same route, so its reference is ``test_dot._check_ybe_sequential``,
+    which sums the products one at a time."""
     base = _crossing_base(r.side)
     if base ** 3 > MAX_STATES:
         raise DimensionMismatch(

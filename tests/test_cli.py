@@ -338,9 +338,10 @@ def test_a_position_listed_twice_is_a_parse_error(capsys, tmp_path):
 
 def test_yang_baxter_check_above_the_cap_builds_nothing(capsys, tmp_path, monkeypatch):
     def refuse(*args):
-        raise AssertionError("the rows of a triple tensor power were packed")
+        raise AssertionError("the rows of a triple tensor power were built")
 
-    monkeypatch.setattr(catalog, "pack_rows", refuse)
+    monkeypatch.setattr(catalog, "kronecker", refuse)
+    monkeypatch.setattr(catalog, "embed_generator", refuse)
     ctx = _write(tmp_path, "ctx.json", {"generators": ["p", "q"]})
     one = {"terms": [{"re": "1"}]}
     side289 = _write(tmp_path, "side289.json",
@@ -567,16 +568,24 @@ def test_ybe_check_file_runs_the_check_once(capsys, tmp_path, monkeypatch):
         spec.ctx, [[1, 0, 0, 0], [0, 1, "q", 0], [0, "q", 1, 0], [0, 0, 0, 1]])
     verdict = original(broken)
     bad = _write(tmp_path, "bad.json", matrix_to_json(broken))
-    for path, flags, want in (
-        (good, (), (0, "YBE: ok\n")),
-        (good, ("--unchecked",), (0, "YBE: ok\n")),
-        (bad, (), (1, f"matrix fails the Yang-Baxter check at {verdict.index}: "
-                      f"residual {verdict.residual}\n")),
-        (bad, ("--unchecked",), (1, f"YBE: FAIL at {verdict.index}, "
-                                    f"residual {verdict.residual}\n")),
+    # the same matrix with a root for q: the check's fallback names the witness
+    rooted_ctx = ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),))
+    root_ctx = _write(tmp_path, "root_ctx.json", context_to_json(rooted_ctx))
+    rooted = _write(tmp_path, "rooted.json", matrix_to_json(SquareMatrix.from_rows(
+        rooted_ctx, [[1, 0, 0, 0], [0, 1, "sqrt_1mq2", 0], [0, "sqrt_1mq2", 1, 0], [0, 0, 0, 1]])))
+    for path, context, flags, want in (
+        (good, ctx, (), (0, "YBE: ok\n")),
+        (good, ctx, ("--unchecked",), (0, "YBE: ok\n")),
+        (bad, ctx, (), (1, f"matrix fails the Yang-Baxter check at {verdict.index}: "
+                           f"residual {verdict.residual}\n")),
+        (bad, ctx, ("--unchecked",), (1, f"YBE: FAIL at {verdict.index}, "
+                                         f"residual {verdict.residual}\n")),
+        (rooted, root_ctx, (), (1, "matrix fails the Yang-Baxter check at (1, 1): "
+                                   "residual -1 + q^2\n")),
+        (rooted, root_ctx, ("--unchecked",), (1, "YBE: FAIL at (1, 1), residual -1 + q^2\n")),
     ):
         calls.clear()
-        assert run(capsys, "ybe-check", "--file", path, "--context", ctx, *flags) == want
+        assert run(capsys, "ybe-check", "--file", path, "--context", context, *flags) == want
         assert len(calls) == 1, (path, flags)
 
 

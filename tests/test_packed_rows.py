@@ -2,14 +2,17 @@
 
 ``catalog.check_ybe`` builds the rows of R12 and R23 from R's entries by
 index arithmetic and takes P = R12 R23 and the residual P R12 - R23 P on
-the ints of ``ring.kronecker`` (Kronecker substitution), or with
-``ring.mul_rows`` on packed rows where that map does not apply.
-``oracles.check_ybe_by_embedding`` is the check as it was: R12 and R23
-embedded as matrices, P by ``matmul`` and the residual by ``matmul_sub``.
-Both must give the same Verdict, with the same smallest index and the same
-residual Scalar, and raise the same errors, on the catalog, on every image
-the ``verify`` benchmark builds, on the dressed presets, on seeded perturbed
-and rooted matrices and on the edge cases of the integer route.
+the ints of ``ring.kronecker`` (Kronecker substitution).  Where that map
+does not apply, its fallback embeds R12 and R23 as matrices and takes P by
+``matmul`` and the residual by ``matmul_sub``.
+``oracles.check_ybe_by_embedding`` is the check as it was, the same
+embedding route, and so the reference of the integer route: both must give
+the same Verdict, with the same smallest index and the same residual Scalar,
+and raise the same errors, on the catalog, on every image the ``verify``
+benchmark builds, on the dressed presets, on seeded perturbed and rooted
+matrices and on the edge cases of the integer route.  The inputs that take
+the fallback are checked against ``test_dot._check_ybe_sequential`` too,
+which sums the products one at a time and shares no kernel with it.
 """
 
 import functools
@@ -19,14 +22,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from test_dot import CONTEXTS, _assert_same, _random_matrix, _transformed
+from test_dot import CONTEXTS, _assert_same, _check_ybe_sequential, _random_matrix, _transformed
 
 from ybtrace import catalog, eyb, ring, tensor
 from ybtrace.dressing import preset_dressings
 from ybtrace.errors import ContextMismatch, DimensionMismatch, ExponentOverflow, YbtraceError
-from ybtrace.ring import (
-    MAX_EXPONENT, PackedVector, Scalar, ScalarContext, kronecker, mul_rows, pack_rows,
-)
+from ybtrace.ring import MAX_EXPONENT, Scalar, ScalarContext, kronecker
 from ybtrace.tensor import SquareMatrix
 
 
@@ -48,12 +49,25 @@ def _assert_same_check(r):
     return got
 
 
-def _refuse_mul_rows(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the packed route ran")
+def _assert_same_as_sequential(r, got):
+    """check_ybe's outcome ``got`` on r against the products summed one at a
+    time: the same verdict and index, and the same residual Scalar, or an
+    error of the same class."""
+    try:
+        want = _check_ybe_sequential(r)
+    except YbtraceError as exc:
+        assert isinstance(got, tuple) and got[0] is type(exc), r.entries
+        return
+    assert (got.ok, got.index) == want[:2], r.entries
+    if not got:
+        _assert_same(got.residual, want[2])
 
-    monkeypatch.setattr(ring, "mul_rows", refuse)
-    monkeypatch.setattr(catalog, "mul_rows", refuse)
+
+def _refuse_fallback(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fallback ran")
+
+    monkeypatch.setattr(catalog, "embed_generator", refuse)
 
 
 @functools.cache
@@ -73,7 +87,7 @@ def test_catalog_rows_and_presets_pass_as_on_the_embedding_route():
 
 
 def test_every_image_the_verify_benchmark_builds_passes_as_on_the_embedding_route(monkeypatch):
-    _refuse_mul_rows(monkeypatch)  # and all on the integer route
+    _refuse_fallback(monkeypatch)  # and all on the integer route
     rng = random.Random(20261019)
     images = [r for sign, op in _operators() for r in _transformed(op, sign, rng)]
     assert len(images) == 46 * 4
@@ -109,14 +123,14 @@ def test_seeded_rooted_matrices_match_the_embedding_route(name):
     for _ in range(40):
         r = _random_matrix(rng, ctx, 4)
         verdict = _assert_same_check(r)
+        _assert_same_as_sequential(r, verdict)
         outcomes.add(bool(verdict))
     assert False in outcomes
 
 
 def test_a_product_that_needs_a_settle_grows_the_denominator(monkeypatch):
-    """s*s = q/2 + i*r/3: a product of packed rows holding it is settled over
-    a larger denominator, and a check whose P holds it names the residual of
-    the embedding route."""
+    """s*s = q/2 + i*r/3 is settled over a larger denominator, and a check
+    whose P holds it names the residual of the embedding route."""
     ctx = CONTEXTS["radicand-with-denominator"]
     settled = []
     original = ring._settle
@@ -129,44 +143,14 @@ def test_a_product_that_needs_a_settle_grows_the_denominator(monkeypatch):
     s = ctx.gen("s")
     r = SquareMatrix(ctx, 4, {(k, k): s for k in range(4)})
     assert _assert_same_check(r)  # s * Id solves the equation
-    settled.clear()
-    packed = pack_rows(ctx, {(0, 0): s})
-    p, den = mul_rows(ctx, [(1, packed, packed)])
-    assert settled and den % 6 == 0
-    assert PackedVector(ctx, p[0], den).unpack() == {0: s * s}
     one = ctx.one()
     r = SquareMatrix(ctx, 4, {(0, 0): one, (1, 2): s, (2, 1): s, (2, 2): one, (3, 3): one})
     settled.clear()
     verdict = catalog.check_ybe(r)
     assert settled and verdict.index == (4, 4) and verdict.residual == s * s
+    assert verdict.residual._den == 6
     assert _assert_same_check(r) == verdict
-
-
-def test_mul_rows_is_the_matrix_product_and_residual():
-    rng = random.Random(20261019)
-    for ctx in CONTEXTS.values():
-        for _ in range(30):
-            side = rng.choice((2, 3, 4))
-            a, b, c, d = (_random_matrix(rng, ctx, side) for _ in range(4))
-            packed = [pack_rows(ctx, m.entries) for m in (a, b, c, d)]
-            for products, want in (
-                    ([(1, packed[0], packed[1])], tensor.matmul(a, b)),
-                    ([(1, packed[0], packed[1]), (-1, packed[2], packed[3])],
-                     tensor.matmul_sub(a, b, c, d)),
-                    ([(1, packed[0], packed[1]), (-1, packed[0], packed[1])],
-                     SquareMatrix(ctx, side, {}))):
-                rows, den = mul_rows(ctx, products)
-                got = {(row, col): x for row, entries in rows.items()
-                       for col, x in PackedVector(ctx, entries, den).unpack().items()}
-                assert got == want.entries
-                for key, x in got.items():
-                    _assert_same(x, want.entries[key])
-            # the output is an operand again
-            ab = mul_rows(ctx, [(1, packed[0], packed[1])])
-            rows, den = mul_rows(ctx, [(1, ab, packed[2])])
-            want = tensor.matmul(tensor.matmul(a, b), c)
-            assert {(row, col): x for row, entries in rows.items()
-                    for col, x in PackedVector(ctx, entries, den).unpack().items()} == want.entries
+    _assert_same_as_sequential(r, verdict)
 
 
 def test_errors_and_refusals_are_those_of_the_embedding_route():
@@ -195,7 +179,8 @@ def test_a_passing_check_embeds_and_multiplies_no_matrix(monkeypatch):
         raise AssertionError("a matrix kernel was called")
 
     for module, name in ((tensor, "embed_generator"), (tensor, "matmul"),
-                         (tensor, "matmul_sub"), (catalog, "matmul"),
+                         (tensor, "matmul_sub"), (catalog, "embed_generator"),
+                         (catalog, "matmul"), (catalog, "matmul_sub"),
                          (tensor.SquareMatrix, "embedding")):
         monkeypatch.setattr(module, name, refuse)
     assert all(catalog.check_ybe(op.r) for _, op in _operators())
@@ -206,15 +191,17 @@ def test_a_passing_check_embeds_and_multiplies_no_matrix(monkeypatch):
 # -- the integer route -------------------------------------------------------------
 
 
-def _mul_rows_calls(monkeypatch):
-    """A list that grows by one on each call of ``ring.mul_rows``."""
+def _fallback_calls(monkeypatch):
+    """A list that grows by one on each run of ``check_ybe``'s fallback, whose
+    one ``matmul`` forms P."""
     calls = []
+    original = catalog.matmul
 
     def counted(*args):
         calls.append(args)
-        return mul_rows(*args)
+        return original(*args)
 
-    monkeypatch.setattr(catalog, "mul_rows", counted)
+    monkeypatch.setattr(catalog, "matmul", counted)
     return calls
 
 
@@ -265,7 +252,7 @@ def _edge_cases():
 
 
 def test_edge_cases_of_the_integer_route_match_the_embedding_route(monkeypatch):
-    calls = _mul_rows_calls(monkeypatch)
+    calls = _fallback_calls(monkeypatch)
     verdicts = [_assert_same_check(r) for r in _edge_cases()]
     assert calls == []  # every case took the integer route
     assert True in map(bool, verdicts) and False in map(bool, verdicts)
@@ -274,13 +261,13 @@ def test_edge_cases_of_the_integer_route_match_the_embedding_route(monkeypatch):
         assert [abs(re) for re, _ in verdict.residual.terms.values()] == [16 * 10 ** 90]
 
 
-def test_exponents_at_the_gate_take_the_integer_route_and_past_it_the_packed_one(monkeypatch):
+def test_exponents_at_the_gate_take_the_integer_route_and_past_it_the_matrix_one(monkeypatch):
     """A doubled exponent of +-2730 is the largest whose triple stays inside
     the doubled range [-2 * MAX_EXPONENT, 2 * MAX_EXPONENT); one half step
-    past it the packed route runs, and raises ExponentOverflow exactly when
+    past it the matrix route runs, and raises ExponentOverflow exactly when
     a triple product leaves the range."""
     ctx = ScalarContext(("q",))
-    calls = _mul_rows_calls(monkeypatch)
+    calls = _fallback_calls(monkeypatch)
     edge, past = 2 * MAX_EXPONENT // 3, 2 * MAX_EXPONENT // 3 + 1  # doubled
     assert 3 * edge < 2 * MAX_EXPONENT <= 3 * past
     for sign in (1, -1):
@@ -288,23 +275,27 @@ def test_exponents_at_the_gate_take_the_integer_route_and_past_it_the_packed_one
         assert _assert_same_check(_weighted_flip(ctx, 2, {(0, 0): at_gate}))
         assert calls == []
         beyond = ctx.monomial(1, {"q": Fraction(sign * past, 2)})
-        # used at most twice by any triple product: the packed route passes it
-        assert _assert_same_check(_weighted_flip(ctx, 2, {(0, 1): beyond}))
-        assert len(calls) == 2
-        # used thrice on the diagonal: the packed route raises
-        got = _assert_same_check(_weighted_flip(ctx, 2, {(0, 0): beyond}))
+        # used at most twice by any triple product: the matrix route passes it
+        r = _weighted_flip(ctx, 2, {(0, 1): beyond})
+        got = _assert_same_check(r)
+        assert got and len(calls) == 1
+        _assert_same_as_sequential(r, got)
+        # used thrice on the diagonal: the matrix route raises
+        r = _weighted_flip(ctx, 2, {(0, 0): beyond})
+        got = _assert_same_check(r)
         assert got[0] is ExponentOverflow
+        _assert_same_as_sequential(r, got)
         calls.clear()
 
 
-def test_every_catalog_row_and_table1_operator_passes_without_mul_rows(monkeypatch):
-    _refuse_mul_rows(monkeypatch)
+def test_every_catalog_row_and_table1_operator_passes_without_the_fallback(monkeypatch):
+    _refuse_fallback(monkeypatch)
     matrices = [catalog.get_rmatrix(name).matrix for name in catalog.CATALOG_NAMES]
     matrices += [op.r for _, op in _operators()]
     assert all(catalog.check_ybe(r) for r in matrices)
 
 
-def test_rooted_gaussian_over_cap_and_edge_matrices_take_the_packed_route(monkeypatch):
+def test_rooted_gaussian_over_cap_and_edge_matrices_take_the_matrix_route(monkeypatch):
     rooted = CONTEXTS["R1.1"]
     ctx = ScalarContext(("q",))
     wide = {(0, 0): ctx.gen("q", 1000), (1, 1): ctx.gen("q", -1000),
@@ -315,12 +306,20 @@ def test_rooted_gaussian_over_cap_and_edge_matrices_take_the_packed_route(monkey
         _weighted_flip(ctx, 2, wide),
         _weighted_flip(ctx, 2, {(1, 1): ctx.gen("q", -MAX_EXPONENT + 1)}),
     ]
-    calls = _mul_rows_calls(monkeypatch)
+    calls = _fallback_calls(monkeypatch)
     for r in cases:
         assert kronecker(r.ctx, r.entries, 16) is None
         calls.clear()
-        _assert_same_check(r)
-        assert calls, r.entries
+        _assert_same_as_sequential(r, _assert_same_check(r))
+        assert len(calls) == 1, r.entries
+    # the dressed presets: their sqrt_pq weight keeps them off the integer route
+    for name, base in (("d3_R21", 3), ("d3_R22", 3), ("d4_R22", 4)):
+        r = preset_dressings(name).matrix
+        assert r.side == base * base and kronecker(r.ctx, r.entries, 2 * base ** 3) is None
+        calls.clear()
+        got = catalog.check_ybe(r)
+        assert got and len(calls) == 1, name
+        _assert_same_as_sequential(r, got)
 
 
 def _root_free_scalar(rng, ctx):

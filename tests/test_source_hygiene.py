@@ -1,9 +1,11 @@
-"""Source hygiene of the library, read with ``ast`` only: no import that its
+"""Source hygiene of the library, read with ``ast``: no import that its
 module never reads, no top-level private name that no module reads, no
 parameter that its function never reads, and no package export that only
-the tests call."""
+the tests call.  And no doc names a library attribute that is gone."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,3 +117,22 @@ def test_every_export_has_a_caller_outside_the_tests():
                      ROOT / "tests" / "test_acceptance.py"]]
     loaded = set().union(*map(_loads, callers))
     assert sorted(exported - loaded) == []
+
+
+# A backticked ``module.name`` of a library module, in Markdown or in a docstring.
+_DOC_NAME = re.compile(
+    r"`(ring|tensor|catalog|invariant|eyb|dressing|braid|tables|cli|errors)\.([A-Za-z_]\w*)")
+
+
+def test_every_backticked_library_name_in_the_docs_exists():
+    """README, the library and the tests name only attributes their module
+    has; ``ring.py`` and the like are file names."""
+    stale = []
+    for path in [ROOT / "README.md", *sorted(SOURCE.glob("*.py")),
+                 *sorted((ROOT / "tests").glob("*.py"))]:
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            for module, name in _DOC_NAME.findall(line):
+                if name != "py" and not hasattr(
+                        importlib.import_module(f"ybtrace.{module}"), name):
+                    stale.append((path.name, number, f"{module}.{name}"))
+    assert stale == []
