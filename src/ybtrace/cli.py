@@ -358,9 +358,8 @@ def _cmd_skein_check(args, out):
         except ParseError as exc:  # the row fixes or lacks a generator of the relation
             raise UnknownName(f"row {args.row} of {rmatrix} cannot carry relation "
                               f"{args.relation}: its coefficient {text!r} has an {exc}") from None
-    ctx_rel = relation.context()
-    matrix = relation.matrix(ctx_rel)
-    verdict = verify_annihilating(matrix, relation.coeffs(ctx_rel))
+    # the relation must annihilate the R that the skein sum is taken over
+    verdict = verify_annihilating(op.r, coeffs)
     if not verdict:
         out(f"annihilating relation {args.relation}: FAIL")
         return 1

@@ -4,7 +4,7 @@ For an enhanced operator S and a braid word on n strands, the raw invariant
 is alpha^(-writhe) beta^(-n) Tr(rep(word) mu^(x n)) (Turaev, Invent. Math.
 92, 1988); dividing by the one-strand value Tr(mu)/beta gives the
 unknot-normalized form.  No representation of the whole word is formed.
-``compute_ts`` takes one of two routes.
+``compute_ts`` takes one of three routes.
 
 When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
 column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n.
@@ -17,9 +17,20 @@ column, (mu x mu) R = c (mu x mu), and holds on all 14 rank-one rows and
 on every enhanced operator the library builds from them.  Nothing is
 pushed or divided, and R is not inverted.
 
-Every other mu, a rank-one one without such a c included, takes the
-half-word closure, which ``open_trace`` shares with the strands 2..n
-closed instead of all of them.  With rep = A B for
+Otherwise a charge filtration may apply: give label d the charge d and a
+state the sum of its digits.  If the entries of R and the off-diagonal
+entries of mu all change the charge one way or not at all, R, R^-1, every
+embedding and mu^(x n) are block triangular, and the trace of a product
+of such matrices is that of the product of their diagonal blocks.  So the
+invariant is that of the graded operator, R and mu with their
+charge-changing entries deleted (``_graded``).  When the graded R is a
+weighted swap, with entries only at (ab, ba), each label travels along its
+strand and the closure's labels are constant on its components: the trace
+is a sum over the colorings of the components (``_coloring_trace``), and
+rows R3.1/1-2, R2.3/1 and R1.3/1 take it.
+
+Every other operator takes the half-word closure, which ``open_trace``
+shares with the strands 2..n closed instead of all of them.  With rep = A B for
 the left and right halves of the word, the partial trace over the k
 closed slots of rep (1 (x) M), M = mu^(x k), is that of (1 (x) M) A B,
 because 1 (x) M acts on the traced slots only.  B is built as a sparse
@@ -32,7 +43,9 @@ divided by beta once per closed slot and multiplied by alpha^(-writhe).
 (sqrt_q -> t^-1), kept after its first call.
 
 What depends only on the operator is kept on it on first use: the
-eigenvalue c, or the verdict that there is none; the unknot value; per
+eigenvalue c, or the verdict that there is none, and when there is none
+the filtration's weights or the verdict that it does not apply; the
+unknot value; per
 strand count n the unknot value's n-th power when there is a c; per
 strand count and kept strand count the packed rows of 1 (x) M, when they
 hold at most ``tensor.MAX_ENTRIES`` entries; per closed-slot count k
@@ -278,25 +291,130 @@ def _closure(op, b, keep):
     return pow_int(op.alpha, -b.writhe) * try_div_exact(value, scale)
 
 
+def _graded(op):
+    """(swap, diagonal) when the charge filtration grades ``op`` to a weighted
+    swap with a diagonal weight, else None.
+
+    A label's charge is its digit, a pair index's the sum of its two digits.
+    Every entry of R and every off-diagonal entry of mu must change the
+    charge in one shared direction or not at all, and R's charge-preserving
+    entries must sit at (ab, ba).  ``swap`` maps (a, b) to R[(ab), (ba)] and
+    ``diagonal`` maps d to mu[d, d]; both hold nonzero entries only."""
+    base = op.base_dim
+    directions, swap = set(), {}
+    for (row, col), x in op.r.entries.items():
+        a, b = divmod(row, base)
+        c, d = divmod(col, base)
+        if a + b != c + d:
+            directions.add(a + b > c + d)
+        elif (c, d) == (b, a):
+            swap[a, b] = x
+        else:
+            return None
+    diagonal = {}
+    for (row, col), x in op.mu.entries.items():
+        if row == col:
+            diagonal[row] = x
+        else:
+            directions.add(row > col)
+    return None if len(directions) > 1 else (swap, diagonal)
+
+
+def _coloring_trace(op, b, graded):
+    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n as a sum over the labellings
+    of the closure's components, for the weights ``graded`` of ``_graded``.
+
+    A weighted swap carries each label along its strand, so a labelling
+    weighs prod_positions mu[l, l] times, per letter on slots (j, j+1),
+    R^(+-1)[(l_j l_j+1), (l_j+1 l_j)].  A negative letter's weight is read
+    off the transposed inverse that the half-word closure keeps
+    (``_pullback``), so R is inverted on the same inputs.  The refusals come
+    first and in the half-word closure's order: the strand cap, then
+    DimensionMismatch for a side-1 weight.
+    """
+    n, base = b.strands, op.base_dim
+    _states(base, n)
+    if base < 2:
+        raise DimensionMismatch(f"a weight of side {base} has no slot to close")
+    swap, diagonal = graded
+    weights = {True: swap}
+    if any(letter < 0 for letter in b.letters):
+        inverse = _pullback(op, False).entries
+        weights[False] = {(x, y): inverse[y * base + x, x * base + y]
+                          for x in range(base) for y in range(base)
+                          if (y * base + x, x * base + y) in inverse}
+    # the strand at each position, by its top position; each letter's pair
+    at, pairs = list(range(n)), []
+    for letter in b.letters:
+        j = abs(letter) - 1
+        pairs.append((letter > 0, at[j], at[j + 1]))
+        at[j], at[j + 1] = at[j + 1], at[j]
+    # the closure joins the strand ending at position p to the one starting there
+    component, sizes = [None] * n, []
+    for start in range(n):
+        p, size = start, 0
+        while component[p] is None:
+            component[p], p, size = len(sizes), at[p], size + 1
+        if size:
+            sizes.append(size)
+    crossings = {}
+    for positive, s, t in pairs:
+        key = (positive, component[s], component[t])
+        crossings[key] = crossings.get(key, 0) + 1
+    # a labelling's product skips its factors equal to 1, and the products
+    # that are 1 are counted apart
+    ones, total = 0, op.ctx.zero()
+    for colors in itertools.product(diagonal, repeat=len(sizes)):
+        value = None
+        for (positive, s, t), count in crossings.items():
+            w = weights[positive].get((colors[s], colors[t]))
+            if w is None:
+                break
+            if w != 1:
+                w = pow_int(w, count)
+                value = w if value is None else value * w
+        else:
+            for color, size in zip(colors, sizes):
+                w = diagonal[color]
+                if w != 1:
+                    w = pow_int(w, size)
+                    value = w if value is None else value * w
+            if value is None:
+                ones += 1
+            else:
+                total = total + value
+    if ones:
+        total = total + ones
+    scale = _kept(op, ("beta", n), pow_int, op.beta, n)
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(total, scale)
+
+
 def compute_ts(op, b, normalized=False):
     """The trace invariant of the closure of ``b`` under operator ``op``.
 
     A weight mu of rank one takes the closed form c^w alpha^(-w)
-    (Tr(mu) / beta)^n when (v (x) v)^T R = c (v (x) v)^T for a unit c; any
-    other mu, a rank-one one without such a c included, takes the half-word
-    closure (module docstring).  Before either route, mu's side squared must
-    be R's side, else DimensionMismatch (as in ``verify_eyb``).  Both routes
-    then check the strand cap first, and raise NotAUnit and ExponentOverflow
-    on the same inputs: c^w and alpha^(-w) are formed apart.  The closed
+    (Tr(mu) / beta)^n when (v (x) v)^T R = c (v (x) v)^T for a unit c.
+    Without such a c, an operator that the charge filtration grades to a
+    weighted swap with a diagonal weight takes the sum over the colorings
+    of the closure's components, and any other the half-word closure
+    (module docstring).  Before any route, mu's side squared must be R's
+    side, else DimensionMismatch (as in ``verify_eyb``).  Every route then
+    checks the strand cap first, and raises NotAUnit and ExponentOverflow
+    on the same inputs: c^w and alpha^(-w) are formed apart.  The coloring
+    sum inverts R, through the half-word closure's kept transpose, exactly
+    when the word has a negative letter, so it raises NonInvertible and
+    InverseOutsideRing where the closure does.  The closed
     form does not invert R, so on a singular R it gives a value where the
     closure raises NonInvertible for a negative letter; an operator that
     ``verify_eyb`` accepts has an invertible R.  Division by beta^n is
-    performed exactly, so beta need not be a unit.  Normalization divides by the unknot value
-    and raises NotDivisible when that is impossible (in particular when the
-    unknot value is zero).  The eigenvalue c or the verdict that there is
-    none, the unknot value and the constants of each route are computed on
-    the first call that needs them and kept on ``op``, and a later call
-    reads each with one dict lookup and builds no function object for it.
+    performed exactly, so beta need not be a unit.  Normalization divides by
+    the unknot value and raises NotDivisible when that is impossible (in
+    particular when the unknot value is zero).  The eigenvalue c or the
+    verdict that there is none, then the filtration's weights or the verdict
+    that they do not apply, the unknot value and the constants of each
+    route are computed on the first call that needs them and kept on
+    ``op``, and a later call reads each with one dict lookup and builds no
+    function object for it.
     Per call the closed form forms only c^w, alpha^(-w) and two products,
     by the ring's key arithmetic when c and alpha are units; the writhe is
     kept on the braid word.
@@ -306,7 +424,11 @@ def compute_ts(op, b, normalized=False):
     except KeyError:
         _check_sides(op)
         c = op._closure["eigen"] = _eigenvalue(op)
-    raw = _closure(op, b, 0) if c is None else _rank_one_trace(op, b, c)
+    if c is not None:
+        raw = _rank_one_trace(op, b, c)
+    else:
+        graded = _kept(op, "graded", _graded, op)
+        raw = _closure(op, b, 0) if graded is None else _coloring_trace(op, b, graded)
     unknot = _kept(op, "unknot", unknot_value, op)
     if not normalized:
         return InvariantResult(raw, False, unknot, op, b)

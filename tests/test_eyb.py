@@ -266,8 +266,9 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     and they give the fresh operators' values on the named links and keep the
     fresh operators' closure constants: the eigenvalue verdict and the
     unknot value's powers per strand count of the rank-one weights, the
-    half-word closure's weight rows per strand and kept slot count with
-    beta^k for the k closed slots, and the transposed crossings."""
+    charge filtration's verdict, the half-word closure's weight rows per
+    strand and kept slot count with beta^k for the k closed slots, the
+    coloring sum's beta^n, and the transposed crossings."""
     for sign in "+-":
         classification_report(sign=sign)
     for which in (2, 3, 4):
@@ -294,6 +295,10 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
                     invariant._closure(fresh, BraidWord(key[1]), key[2])
                 elif key[0] == "transpose":
                     invariant._pullback(fresh, key[1])
+                elif key == "graded":  # the charge filtration's verdict
+                    assert invariant._graded(fresh) == shared._closure[key]
+                elif key[0] == "beta" and shared._closure.get("graded") is not None:
+                    compute_ts(fresh, BraidWord(key[1]))  # the coloring sum's beta^n
                 else:
                     assert key in ("eigen", "unknot") or key[0] == "beta", key
             assert shared._closure == fresh._closure

@@ -20,18 +20,19 @@ from ybtrace import eyb, invariant, ring, tensor
 from ybtrace.braid import (
     NAMED_LINKS,
     BraidWord,
+    NamedLink,
     conjugate,
     get_named_braid,
     parse_braid,
     stabilize,
 )
-from ybtrace.catalog import TransformSpec, transform_rmatrix
+from ybtrace.catalog import TransformSpec, restricted_matrix, transform_rmatrix
 from ybtrace.dressing import (
     DiagonalDressingSpec, dress_diagonal, dressed_eyb, preset_dressings, preset_names,
 )
 from ybtrace.errors import (
-    DimensionMismatch, ExponentOverflow, NotAUnit, NotDivisible, PositionOutOfRange,
-    ProportionalityFailure, StrandBoundViolation,
+    DimensionMismatch, ExponentOverflow, InverseOutsideRing, NonInvertible, NotAUnit,
+    NotDivisible, PositionOutOfRange, ProportionalityFailure, StrandBoundViolation,
 )
 from ybtrace.eyb import (
     EnhancedOperator, get_table1_entry, get_table1_eyb, sign_variants, table1_entries,
@@ -536,6 +537,18 @@ def test_compute_ts_matches_kronecker_oracle(monkeypatch):
 RANK_ONE_ROWS = [("R3.1", 3), ("R3.1", 4), ("R2.1", 2), ("R2.1", 3), ("R2.1", 4),
                  ("R2.1", 5), ("R2.2", 2), ("R2.2", 3), ("R1.1", 2), ("R1.1", 3),
                  ("R1.1", 4), ("R1.1", 5), ("R1.2", 2), ("R1.2", 3)]
+WEIGHTED_SWAP_ROWS = [("R3.1", 1), ("R3.1", 2), ("R2.3", 1), ("R1.3", 1)]
+# the route compute_ts takes for each row, with either sign
+ROUTES = {(e.rmatrix, e.row): "closure" for e in table1_entries()}
+ROUTES.update(dict.fromkeys(RANK_ONE_ROWS, "closed form"))
+ROUTES.update(dict.fromkeys(WEIGHTED_SWAP_ROWS, "coloring"))
+
+
+def _route(op):
+    """The route that compute_ts took for ``op``, read off its kept verdicts."""
+    if op._closure["eigen"] is not None:
+        return "closed form"
+    return "closure" if op._closure["graded"] is None else "coloring"
 
 
 def _matrix_path(op, b, keep=0):
@@ -606,8 +619,10 @@ def test_rank_one_factors_refuses_a_full_pattern_of_rank_two():
 
 
 def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
-    """A weight of rank one builds no representation matrix; any other, and
-    every open trace, builds that of the right half of the word only."""
+    """The closed form and the coloring sum build no representation matrix;
+    the half-word closure, and every open trace, build that of the right
+    half of the word only.  Each of the 23 rows with either sign, fresh,
+    takes the route that ROUTES pins, and so does each preset."""
     built = []
 
     def spy(r, b):
@@ -618,12 +633,15 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
     b = get_named_braid("5_2").braid
     half = BraidWord(b.strands, b.letters[len(b.letters) // 2:])
     assert half.letters == (2, 1, 1)
-    ops = [get_table1_eyb(m, row) for m in ("R2.1", "R3.1", "R1.1") for row in (1, 2)]
-    ops += [preset_dressings(name).eyb for name in preset_names()]
-    for op in ops:
+    ops = [(ROUTES[e.rmatrix, e.row], e.build(sign, ctx=e.context()))
+           for e in table1_entries() for sign in "+-"]
+    ops += [("closure", preset_dressings(name).eyb) for name in preset_names()]
+    for route, op in ops:
         built.clear()
         compute_ts(op, b)
-        assert built == ([] if rank_one_factors(op.mu) else [half])
+        assert _route(op) == route
+        assert built == ([half] if route == "closure" else [])
+    assert sorted(route for route, _ in ops).count("coloring") == 8
     built.clear()
     open_trace(get_table1_eyb("R1.2", 1), b)
     assert built == [half]
@@ -791,13 +809,14 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
     monkeypatch.setattr(tensor, "_invert_piece", counted)
     word = get_named_braid("4_1").braid
     assert any(k < 0 for k in word.letters)
-    # R1.1's R with a rank-one weight and R1.3/1 both take the half-word
-    # closure.  Fresh operators: the shared ones may already keep R's inverse.
-    matrix_row = get_table1_entry("R1.3", 1)
-    for make, rank_one in ((_rank_one_operator_without_c, True),
-                           (lambda: matrix_row.build(ctx=matrix_row.context()), False)):
+    # R1.1's R with a rank-one weight and R1.4/1 take the half-word closure,
+    # R1.3/1 the coloring sum.  Fresh operators: the shared ones may already
+    # keep R's inverse.
+    rows = [get_table1_entry("R1.4", 1), get_table1_entry("R1.3", 1)]
+    for make, route in ((_rank_one_operator_without_c, "closure"),
+                        *((lambda e=e: e.build(ctx=e.context()), ROUTES[e.rmatrix, e.row])
+                          for e in rows)):
         op = make()
-        assert (rank_one_factors(op.mu) is not None) == rank_one
         pieces.clear()
         compute_ts(op, get_named_braid("5_1").braid)  # no negative letter
         assert pieces == []
@@ -806,6 +825,7 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
         assert inverted > 0
         assert compute_ts(op, word).value == first
         assert len(pieces) == inverted
+        assert _route(op) == route
 
 
 def _spy(monkeypatch, calls, module, name):
@@ -912,8 +932,9 @@ def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
     # count keep, and the transposed crossings of the left halves' letters:
     # the trefoil's is positive, the figure eight's (1, -2) both
     assert set(op._closure) == {
-        "eigen", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0), ("rows", 3, 0),
-        ("rows", 3, 1), ("transpose", True), ("transpose", False)}
+        "eigen", "graded", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0),
+        ("rows", 3, 0), ("rows", 3, 1), ("transpose", True), ("transpose", False)}
+    assert op._closure["eigen"] is None and op._closure["graded"] is None
     assert op._closure[("transpose", True)] == op.r.transpose()
     assert op._closure[("transpose", False)] == invert(op.r).transpose()
     for n, keep in ((2, 0), (3, 0), (3, 1)):
@@ -1003,19 +1024,21 @@ def test_the_closed_form_refuses_a_non_unit_alpha_where_the_push_does():
 
 
 def test_a_warm_classification_pushes_nothing_for_the_rank_one_rows(monkeypatch):
-    """Every push_at call of a warm classification_report comes from the nine
-    rows whose weight is not rank one: their half-word closures."""
+    """Every push_at call of a warm classification_report comes from the five
+    rows that take the half-word closure; the 14 in closed form and the four
+    weighted swaps push nothing."""
     report = classification_report()
     calls = {}
     _spy(monkeypatch, calls, invariant, "push_at")
     assert classification_report() == report
     total = calls["push_at"]
     assert total > 0
-    rank_one = [get_table1_entry(rmatrix, row) for rmatrix, row in RANK_ONE_ROWS]
+    pushless = [get_table1_entry(rmatrix, row)
+                for rmatrix, row in RANK_ONE_ROWS + WEIGHTED_SWAP_ROWS]
     calls["push_at"] = 0
-    classification_report(rank_one)
+    classification_report(pushless)
     assert calls["push_at"] == 0
-    classification_report([e for e in table1_entries() if e not in rank_one])
+    classification_report([e for e in table1_entries() if e not in pushless])
     assert calls["push_at"] == total
 
 
@@ -1066,17 +1089,219 @@ def test_tags_build_no_scalar_on_a_cell(monkeypatch):
 
 
 def test_a_braid_over_the_strand_cap_is_refused_every_time_and_keeps_nothing(monkeypatch):
-    """Nothing but the operator's eigenvalue verdict is kept, and no weight
-    row is built or packed."""
+    """Nothing but the operator's verdicts (its eigenvalue, and the charge
+    filtration's when there is none) is kept, and no weight row is built or
+    packed."""
     def refuse(*args):
         raise AssertionError("a weight row was built or packed")
 
     monkeypatch.setattr(invariant, "_weight_rows", refuse)
     monkeypatch.setattr(invariant, "pack", refuse)
-    for rmatrix, row in (("R1.1", 2), ("R2.1", 1)):
+    for rmatrix, row, verdicts in (("R1.1", 2, {"eigen"}), ("R2.1", 1, {"eigen", "graded"})):
         entry = get_table1_entry(rmatrix, row)
         op = entry.build(ctx=entry.context())
         for _ in range(2):
             with pytest.raises(StrandBoundViolation, match="2\\^40 states"):
                 compute_ts(op, BraidWord(40, (1,)))
-        assert set(op._closure) <= {"eigen"}
+        assert set(op._closure) == verdicts
+
+
+# -- the coloring sum of the weighted swaps ----------------------------------------
+
+
+
+def _charge(state, base):
+    """The sum of the digits of ``state`` in ``base``."""
+    total = 0
+    while state:
+        state, digit = divmod(state, base)
+        total += digit
+    return total
+
+
+def _charge_moves(op):
+    """The directions, True for up, in which R's and mu's entries change the
+    charge."""
+    base = op.base_dim
+    return {_charge(r, base) > _charge(c, base) for m in (op.r, op.mu)
+            for r, c in m.entries if _charge(r, base) != _charge(c, base)}
+
+
+def _graded_operator(op):
+    """``op`` with the entries of R and mu that change the charge deleted."""
+    base = op.base_dim
+
+    def graded(m):
+        return SquareMatrix(op.ctx, m.side, {
+            (r, c): x for (r, c), x in m.entries.items()
+            if _charge(r, base) == _charge(c, base)})
+
+    return EnhancedOperator(graded(op.r), graded(op.mu), op.alpha, op.beta)
+
+
+def _assert_every_route_agrees(op, words, label):
+    for b in words:
+        value = compute_ts(op, b).value
+        assert value == invariant._closure(op, b, 0) == _matrix_path(op, b), (label, b)
+
+
+def test_compute_ts_matches_the_closure_and_the_matrix_path_on_every_route():
+    """compute_ts against the half-word closure and the whole word's matrix:
+    the 23 rows with both signs, the similarity, transpose and shift images
+    of the weighted-swap rows, on the named links, seeded words of up to
+    five strands and T(p, p+1) for p <= 4; on the weighted-swap rows and
+    their images, more seeded words of up to four strands, and on the rows
+    themselves T(5, 6), and with sign + T(6, 7) and T(7, 8); the three
+    presets on words of up to three strands.  The images move the charge
+    one way at most, so they take the coloring sum too."""
+    rng = random.Random(31)
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += _random_words(rng, 8, 5, 8) + [_torus(p, p + 1) for p in range(2, 5)]
+    # links whose components cross each other under letters of both signs
+    mixed = _random_words(rng, 24, 4, 10)
+    assert sum(b.closure_components() > 1 and len({k > 0 for k in b.letters}) == 2
+               for b in mixed) >= 8
+    triangular = 0  # images whose charge-changing entries the route grades away
+    for entry in table1_entries():
+        for sign in "+-":
+            op = entry.build(sign, ctx=entry.context())
+            label = (entry.rmatrix, entry.row, sign)
+            swap = ROUTES[entry.rmatrix, entry.row] == "coloring"
+            torus = [_torus(p, p + 1) for p in range(5, 8 if sign == "+" else 6)]
+            _assert_every_route_agrees(op, words + (mixed + torus) * swap, label)
+            assert _route(op) == ROUTES[entry.rmatrix, entry.row], label
+            if swap:
+                kappa = op.ctx.gen(op.ctx.generators[-1], rng.choice((-1, 1)))
+                for kind, image in _images(op, rng.choice((1, -1, 2)), kappa).items():
+                    moves = len(_charge_moves(image))
+                    assert moves <= 1, (label, kind)
+                    triangular += moves
+                    _assert_every_route_agrees(image, words + mixed, (label, kind))
+                    assert _route(image) == "coloring", (label, kind)
+    assert triangular >= 8
+    small = [b for b in words if b.strands <= 3]
+    for name in preset_names():
+        _assert_every_route_agrees(preset_dressings(name).eyb, small, name)
+
+
+def test_an_operator_moving_the_charge_both_ways_declines_the_coloring_sum():
+    """R3.1/1's weighted swap with an entry that raises the charge, R[11, 00],
+    under a weight with one that lowers it, mu[0, 1]: no filtration makes it
+    a weighted swap, so it takes the half-word closure, and its values (which
+    the graded operator's do not give) still match."""
+    row = get_table1_eyb("R3.1", 1)
+    ctx = row.ctx
+    r = matadd(row.r, SquareMatrix(ctx, 4, {(3, 0): ctx.parse("p")}))
+    mu = SquareMatrix.from_rows(ctx, [[1, "q"], [0, 1]])
+    op = EnhancedOperator(r, mu, row.alpha, row.beta)
+    assert _charge_moves(op) == {True, False}
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    graded = _graded_operator(op)
+    differ = 0
+    for b in words:
+        value = compute_ts(op, b).value
+        assert value == _matrix_path(op, b), b
+        differ += value != compute_ts(graded, b).value
+    assert op._closure["eigen"] is None and op._closure["graded"] is None
+    assert _route(graded) == "coloring" and differ > 0
+
+
+def test_a_singular_weighted_swap_raises_what_the_closure_raises():
+    """A weighted swap with a zero weight is singular, and one with the
+    weight 1 + q inverts outside the ring: a negative letter raises
+    NonInvertible, or InverseOutsideRing, by the coloring sum as by the
+    half-word closure, every time; positive words invert nothing and
+    match."""
+    ctx = ScalarContext(("q",))
+    b = BraidWord(3, (1, -2, 1))
+    positive = [BraidWord(3, (1, 2, 1)), BraidWord(2, (1, 1)), get_named_braid("5_1").braid]
+    for weight, error in (("0", NonInvertible), ("1 + q", InverseOutsideRing)):
+        r = SquareMatrix.from_rows(ctx, [[1, 0, 0, 0], [0, 0, "q", 0],
+                                         [0, weight, 0, 0], [0, 0, 0, "q^-1"]])
+        mu = SquareMatrix.diagonal(ctx, [1, "q"])
+        fresh = [EnhancedOperator(r, mu, ctx.one(), ctx.one()) for _ in range(2)]
+        for route in (lambda: compute_ts(fresh[0], b), lambda: invariant._closure(fresh[1], b, 0)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    route()
+        assert _route(fresh[0]) == "coloring"
+        op = EnhancedOperator(SquareMatrix(ctx, 4, dict(r.entries)), mu, ctx.one(), ctx.one())
+        for word in positive:
+            assert compute_ts(op, word).value == _matrix_path(op, word), (weight, word)
+        assert op.r._inverse is None and ("transpose", False) not in op._closure
+
+
+def test_the_coloring_sum_refuses_a_braid_over_the_strand_cap_and_keeps_nothing(monkeypatch):
+    """R1.3/1 on 13 strands needs 2^13 states: compute_ts raises
+    StrandBoundViolation every time, as the half-word closure does, and
+    keeps nothing but its two verdicts; R is not inverted."""
+    def refuse(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(invariant, "pow_int", refuse)
+    entry = get_table1_entry("R1.3", 1)
+    op = entry.build(ctx=entry.context())
+    b = BraidWord(13, (1, -2, 12))
+    for route in (lambda: compute_ts(op, b), lambda: invariant._closure(op, b, 0)):
+        for _ in range(2):
+            with pytest.raises(StrandBoundViolation, match="2\\^13 states, above the cap"):
+                route()
+    assert op._closure == {"eigen": None, "graded": invariant._graded(op)}
+    assert op.r._inverse is None
+
+
+def test_each_row_triangular_in_one_direction_equals_its_graded_operator():
+    """ROADMAP item 13, step 1.  The 17 rows whose R and mu move the charge
+    one way at most, with both signs, equal their graded operators (the
+    charge-changing entries deleted) on the named links and seeded words;
+    R1.1/1-5 and R1.4/1 move it both ways.  The graded R preserves the
+    charge; for R2.3/1 and R1.3/1 it is the swap P with mu = +-1, and for
+    R1.2/1-3 it is R2.2's R at p = 1."""
+    rng = random.Random(13)
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += _random_words(rng, 12, 4, 8)
+    triangular = 0
+    for entry in table1_entries():
+        for sign in "+-":
+            op = entry.build(sign)
+            label = (entry.rmatrix, entry.row, sign)
+            if len(_charge_moves(op)) > 1:
+                assert entry.rmatrix in ("R1.1", "R1.4"), label
+                continue
+            triangular += 1
+            graded = _graded_operator(op)
+            assert _charge_moves(graded) == set(), label
+            for b in words:
+                assert compute_ts(op, b).value == compute_ts(graded, b).value, (label, b)
+            if entry.rmatrix in ("R2.3", "R1.3"):
+                assert graded.r == SquareMatrix.from_rows(
+                    op.ctx, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]), label
+                assert graded.mu == SquareMatrix.diagonal(op.ctx, [int(f"{sign}1")] * 2), label
+            if entry.rmatrix == "R1.2":
+                assert graded.r == restricted_matrix("R2.2", (("p", "1"),), op.ctx), label
+    assert triangular == 17 * 2
+
+
+def test_the_weighted_swap_rows_keep_their_tags_on_every_braid():
+    """On seeded braids of 1 to 8 strands, and on the similarity images of
+    the rows: R3.1/1 gives the unknot value on every knot (knots-1), R3.1/2
+    gives 0 on every knot (knots-0), and R2.3/1 and R1.3/1 give
+    2^components (two-power-l)."""
+    rng = random.Random(8)
+    words = _random_words(rng, 300, 8, 14)
+    links = [NamedLink(str(b), b, b.closure_components()) for b in words]
+    assert sum(link.components == 1 for link in links) >= 40
+    for rmatrix, row in WEIGHTED_SWAP_ROWS:
+        entry = get_table1_entry(rmatrix, row)
+        op = entry.build()
+        ctx = op.ctx
+        image = _images(op, 2, ctx.gen(ctx.generators[-1], -1))["similarity"]
+        for enhanced in (op, image):
+            asserted = 0
+            for link in links:
+                raw = compute_ts(enhanced, link.braid).value
+                _, matched = invariant._tag_expectation(entry.tag, enhanced, link, raw)
+                assert matched is not False, (rmatrix, row, link.name)
+                asserted += matched is not None
+            assert _route(enhanced) == "coloring"
+            assert asserted >= 40, (rmatrix, row)
