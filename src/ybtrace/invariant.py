@@ -246,8 +246,9 @@ def _closure(op, b, keep):
     (j, s) of B over the closed states s, for rep(b) = A B split at the
     middle letter.  Rows within the entry cap are kept on ``op``, packed as
     one vector keyed by row * states + column, and pulled back through A
-    together; others are built, packed and pulled one at a time.  The
-    block is one contraction of the pulled rows against B's columns.
+    together; others are built, packed and pulled one at a time.  Each
+    pull is a ``ring.push`` and the block one ``ring.contract`` of the
+    pulled rows against B's columns, both front ends of ``ring.join``.
     Raises DimensionMismatch unless mu's side squared is R's side, then
     StrandBoundViolation, both before anything is built or kept,
     DimensionMismatch for a side-1 weight, which has no slot to close, and

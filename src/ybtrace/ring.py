@@ -38,6 +38,9 @@ and ``Scalar.terms`` reads it back as such a pair, each part an int when
 integral and a Fraction otherwise: a new dict {doubled exponent tuple:
 (re, im)} on each access, so ``Scalar(ctx, x.terms) == x``.  The library's
 own code never builds that view; ``Scalar.term_count()`` counts its terms.
+
+Sums of products run in two loops: ``dot`` for one Scalar, and ``join`` for
+one sum per key, which ``push``, ``contract`` and ``dot_entries`` feed.
 """
 
 import math
@@ -535,77 +538,74 @@ def dot(ctx, pairs):
     return _scalar(ctx, acc, den)
 
 
-def _keyed_sums(ctx, products):
-    """{key: sum of sign * x * y over the (key, x, x denominator, y, sign)
-    ``products``}, holding only the nonzero sums: the ring's one keyed loop,
-    reached by ``dot_entries`` and ``contract``.
+def join(ctx, products):
+    """({key: raw accumulator}, denominator) of the sums of x * y / d over the
+    (key, x, d, y) ``products``: the ring's keyed loop, behind ``push``,
+    ``contract`` and ``dot_entries``.
 
-    x is a raw {packed key: int numerator} dict and y a Scalar, which must
-    lie in ``ctx`` (ContextMismatch otherwise).  Each key is ``dot`` with its
-    own accumulator and running denominator, and the sign is part of the
-    scale, so nothing is negated.  A zero, and a term product that hits a
-    guard bit, stay in the accumulator until the key's one ``_settle``, zero
-    drop and gcd at the end, so a product past the exponent range raises
-    ExponentOverflow even when it cancels.
+    x is a {packed key: int numerator} dict, y an iterable of (packed key,
+    int numerator) pairs and d a nonzero int, whose sign is the product's.
+    All accumulators are over one running denominator, the lcm of the d's.
+    Guard-bit keys and zeros stay in the accumulators until the finish, so
+    a product past the exponent range raises ExponentOverflow even when it
+    cancels.  The finish tests all keys at once for a guard bit; if one is
+    set, the accumulators that hold one are settled (``_settle``), and all
+    go over one denominator again when a radicand with a denominator grew
+    one.  Then zeros and empty accumulators are dropped.  Neither a gcd nor
+    a Scalar is formed.
     """
-    zero, guard = ctx._layout.zero, ctx._layout.guard
-    sums = {}  # key -> [accumulator, running denominator]
-    for key, x, dx, y, sign in products:
-        if y.ctx is not ctx and y.ctx != ctx:
-            raise ContextMismatch(f"contexts differ: {ctx!r} vs {y.ctx!r}")
-        d = dx * y._den
-        state = sums.get(key)
-        if state is None:
-            state = sums[key] = [{}, d]
-        acc, den = state
-        if den % d:  # over the lcm of the denominators
-            up = d // math.gcd(den, d)
-            den = state[1] = den * up
-            for k in acc:
-                acc[k] *= up
-        scale = sign * (den // d)
-        get = acc.get
-        y_items = y._nums.items()
+    zero = ctx._layout.zero
+    out, den, last = {}, 1, None
+    get = out.get
+    for key, x, d, y in products:
+        if d != last:
+            if den % d:  # over the lcm of the denominators
+                up = abs(d) // math.gcd(den, d)
+                den *= up
+                for acc in out.values():
+                    for k in acc:
+                        acc[k] *= up
+            last, scale = d, den // d
+        acc = get(key)
+        if acc is None:
+            acc = out[key] = {}
+        acc_get = acc.get
         for k1, c1 in x.items():
             k1 -= zero
             c1 *= scale
-            for k2, c2 in y_items:
+            for k2, c2 in y:
                 k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-    out = {}
-    for key, (acc, den) in sums.items():
-        if reduce(or_, acc, 0) & guard:
-            acc, den = _settled(ctx, acc, den)
-        if any(acc.values()):
-            if not all(acc.values()):
-                acc = {k: c for k, c in acc.items() if c}
-            out[key] = _scalar(ctx, acc, den)
-    return out
+                acc[k] = acc_get(k, 0) + c1 * c2
+    guard = ctx._layout.guard
+    if reduce(or_, chain.from_iterable(out.values()), 0) & guard:
+        dens = {}
+        for key, acc in out.items():
+            if reduce(or_, acc, 0) & guard:
+                flagged = [(k, c) for k, c in acc.items() if k & guard]
+                for k, _ in flagged:
+                    del acc[k]
+                out[key], dens[key] = _settle(ctx, flagged, acc, den)
+        up = math.lcm(den, *dens.values()) // den  # a radicand with a denominator
+        if up != 1:
+            out = {key: {k: c * (den * up // dens.get(key, den)) for k, c in acc.items()}
+                   for key, acc in out.items()}
+            den *= up
+    if not (all(out.values()) and all(map(all, map(dict.values, out.values())))):
+        out = {key: acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
+               for key, acc in out.items() if any(acc.values())}
+    return out, den
 
 
 def dot_entries(ctx, plus, minus):
     """{key: sum of x * y over plus' (key, x, y) triples minus the same sum over
     minus'}, holding only the nonzero sums; ContextMismatch for a scalar
-    outside ``ctx``.  One ``_keyed_sums``, a minus triple's sign in its scale.
+    outside ``ctx``.  One ``join``, a minus triple's sign in its denominator.
     """
-    products = []
-    for triples, sign in ((plus, 1), (minus, -1)):
-        for key, x, y in triples:
-            if x.ctx is not ctx and x.ctx != ctx:
-                raise ContextMismatch(f"contexts differ: {ctx!r} vs {x.ctx!r}")
-            products.append((key, x._nums, x._den, y, sign))
-    return _keyed_sums(ctx, products)
-
-
-def _settled(ctx, acc, den):
-    """(acc, den) with the guard-bit keys of a raw accumulator, changed in
-    place, settled; ``den`` grows when a radicand has a denominator.  Zeros
-    may remain."""
-    guard = ctx._layout.guard
-    flagged = [(k, c) for k, c in acc.items() if k & guard]
-    for k, _ in flagged:
-        del acc[k]
-    return _settle(ctx, flagged, acc, den)
+    products = [(key, x._nums, sign * x._den * y._den, y._nums.items())
+                for triples, sign in ((plus, 1), (minus, -1)) for key, x, y in triples
+                if x.ctx is ctx is y.ctx or _check_scalars(ctx, (x, y))]
+    out, den = join(ctx, products)
+    return {key: _scalar(ctx, acc, den) for key, acc in out.items()}
 
 
 # -- packed vectors ------------------------------------------------------------
@@ -642,9 +642,11 @@ class PackedVector:
 
 
 def _check_scalars(ctx, values):
+    """True, or ContextMismatch for a value outside ``ctx``."""
     for x in values:
         if x.ctx is not ctx and x.ctx != ctx:
             raise ContextMismatch(f"contexts differ: {ctx!r} vs {x.ctx!r}")
+    return True
 
 
 def pack(ctx, vec):
@@ -664,17 +666,13 @@ def crossing_table(ctx, side, columns):
 
     ``columns`` maps each column of an operator of side ``side`` (a digit
     pair) to its (row - column, Scalar) entries in row order.  Each Scalar
-    becomes (key - zero key, numerator) pairs over one denominator, the lcm
-    of the entries', so that a product of terms is one int addition and one
-    int multiplication.  ContextMismatch for an entry outside ``ctx``.
+    is kept as the list of its (key, numerator) pairs, the y terms of
+    ``join``, and its denominator.  ContextMismatch for an entry outside
+    ``ctx``.
     """
     _check_scalars(ctx, (x for entries in columns.values() for _, x in entries))
-    zero = ctx._layout.zero
-    den = math.lcm(*(x._den for entries in columns.values() for _, x in entries))
-    table = {pair: [(delta, [(k - zero, c * (den // x._den)) for k, c in x._nums.items()])
-                    for delta, x in entries]
-             for pair, entries in columns.items()}
-    return ctx, side, table, den
+    return ctx, side, {pair: [(delta, list(x._nums.items()), x._den) for delta, x in entries]
+                       for pair, entries in columns.items()}
 
 
 def push(vec, table, right):
@@ -684,55 +682,16 @@ def push(vec, table, right):
     A state's pair digit is (state // right) % side; the crossing's column
     for that digit sends the state to state + (row - column) * right with
     its entry as factor, so the digits above and below the pair pass
-    through.  Every output index has one raw accumulator over the product of
-    the two denominators; an entry landing on a fresh index fills it with
-    its first term in one comprehension, which forms no zero.  Guard-bit
-    keys and zeros stay in the accumulators until the finish, so a product
-    past the exponent range raises ExponentOverflow even when it cancels.
-    The finish tests all keys at once for a guard bit; if one is set, every
-    accumulator goes through ``_settled``, and the vector goes over one
-    denominator again when a radicand with a denominator grew one.  Then
-    zeros and empty accumulators are dropped.  Neither a gcd nor a Scalar
-    is formed.  ContextMismatch when the table belongs to another context.
+    through.  One ``join``, so the image is as raw as ``vec``: no gcd, no
+    Scalar.  ContextMismatch when the table belongs to another context.
     """
-    ctx, side, columns, den = table
+    ctx, side, columns = table
     if ctx is not vec.ctx and ctx != vec.ctx:
         raise ContextMismatch(f"contexts differ: {vec.ctx!r} vs {ctx!r}")
-    out = {}
-    get = out.get
-    for state, x in vec._packed.items():
-        entries = columns.get(state // right % side)
-        if entries is None:
-            continue
-        x_items = x.items()
-        for delta, terms in entries:
-            index = state + delta * right
-            acc = get(index)
-            if acc is None:
-                k2, c2 = terms[0]
-                acc = out[index] = {k1 + k2: c1 * c2 for k1, c1 in x_items}
-                if len(terms) == 1:
-                    continue
-                terms = terms[1:]
-            acc_get = acc.get
-            for k2, c2 in terms:
-                for k1, c1 in x_items:
-                    k = k1 + k2
-                    acc[k] = acc_get(k, 0) + c1 * c2
-    den *= vec._den
-    if reduce(or_, chain.from_iterable(out.values()), 0) & ctx._layout.guard:
-        out = {index: _settled(ctx, acc, den) for index, acc in out.items()}
-        up = math.lcm(*(d // den for _, d in out.values()))
-        out = {index: acc if d == den * up else {k: c * (den * up // d) for k, c in acc.items()}
-               for index, (acc, d) in out.items()}
-        den *= up
-    if not (all(out.values()) and all(map(all, map(dict.values, out.values())))):
-        out = {index: acc for index, acc in out.items() if any(acc.values())}
-        for acc in out.values():
-            if not all(acc.values()):  # a few zeros: deleted in place
-                for k in [k for k, c in acc.items() if not c]:
-                    del acc[k]
-    return PackedVector(ctx, out, den)
+    dx = vec._den
+    return PackedVector(ctx, *join(ctx, [
+        (state + delta * right, x, dx * d, terms) for state, x in vec._packed.items()
+        for delta, terms, d in columns.get(state // right % side, ())]))
 
 
 def contract(vec, pairs):
@@ -740,12 +699,13 @@ def contract(vec, pairs):
     index s of ``vec``}, holding only the nonzero sums.
 
     ``pairs`` maps an index to its (key, y) pairs, y a Scalar of the
-    vector's context (ContextMismatch otherwise).  One ``_keyed_sums``, each
-    entry's terms over the vector's denominator.
+    vector's context (ContextMismatch otherwise).  One ``join``.
     """
-    den = vec._den
-    return _keyed_sums(vec.ctx, [(key, x, den, y, 1) for index, x in vec._packed.items()
-                                 for key, y in pairs.get(index, ())])
+    ctx, dx = vec.ctx, vec._den
+    out, den = join(ctx, [(key, x, dx * y._den, y._nums.items())
+                          for index, x in vec._packed.items() for key, y in pairs.get(index, ())
+                          if y.ctx is ctx or _check_scalars(ctx, (y,))])
+    return {key: _scalar(ctx, acc, den) for key, acc in out.items()}
 
 
 # The integers of ``kronecker`` hold at most this many bits, as MAX_ENTRIES

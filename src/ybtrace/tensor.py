@@ -237,11 +237,11 @@ def _triples(a, b):
 def matmul_sub(a, b, c, d):
     """a*b - c*d: the residual of a product identity.
 
-    The products of both sides go to one ``ring.dot_entries``, the keyed
-    loop that ``weighted_trace`` and ``ring.contract`` share: one
-    accumulator per output entry, c*d's products subtracted by their sign,
-    so neither product is built on its own and an entry that cancels builds
-    no Scalar.  The four operands' contexts and sides are checked before any
+    The products of both sides go to one ``ring.dot_entries``, a front end
+    of ``ring.join``, the ring's loop for sums per key: one accumulator per
+    output entry, c*d's products subtracted by their sign, so neither
+    product is built on its own and an entry that cancels builds no
+    Scalar.  The four operands' contexts and sides are checked before any
     product is formed.
     """
     _check_operands(a, b, c, d)
@@ -333,10 +333,11 @@ def push_at(r, i, n, packed):
     tensor slots (i, i+1) of an n-fold space of r's base.
 
     A state's digit pair at (i, i+1) selects a column of r, and only that
-    column's stored entries are applied (``ring.push``), so nothing is
-    embedded.  The digits above the n slots pass through, so vectors packed
-    under keys index * base^n + state are pushed as one.  r's crossing
-    table is kept on r, so a push builds it once per crossing.
+    column's stored entries are applied (``ring.push``, a front end of
+    ``ring.join``), so nothing is embedded.  The digits above the n slots
+    pass through, so vectors packed under keys index * base^n + state are
+    pushed as one.  r's crossing table is kept on r, so a push builds it
+    once per crossing.
     """
     base = _slot_base(r, i, n)
     table = _crossing_table(r) if r._table is None else r._table
@@ -361,7 +362,8 @@ def weighted_trace(a, mu, slots):
     power is formed.  One pass over a's entries reads each entry's digits
     and multiplies its weight out of mu's entries (one traced slot: mu's
     entry itself), skipping the entry at its first zero factor, and the
-    (entry, weight) products go to one ``ring.dot_entries``.  Empty
+    (entry, weight) products go to one ``ring.dot_entries``, so each result
+    entry is one sum in ``ring.join``.  Empty
     ``slots`` return a; every slot gives a 1x1 matrix holding the full
     weighted trace.
     """
@@ -409,6 +411,7 @@ def matrix_substitute(a, bindings, target):
 # -- inversion ----------------------------------------------------------------
 
 _COFACTOR_SIDE = 4  # the largest piece that invert takes by cofactors
+_RETRY_SIDE = 8  # the largest piece whose failed elimination is retried by cofactors
 
 
 def _pieces(a):
@@ -523,35 +526,53 @@ def _invert_piece(work, rows, cols, n):
     }
 
 
+def _augmented(a, rows):
+    """{r: row r of [A | I]} for the ``rows``: entry (r, c) of A under key c,
+    the 1 of I under side + r."""
+    n, one = a.side, a.ctx.one()
+    work = {r: {n + r: one} for r in rows}
+    for (r, c), v in a.entries.items():
+        if r in work:
+            work[r][c] = v
+    return work
+
+
 def invert(a):
     """Exact inverse, by cofactors or fraction-free (Bareiss) elimination.
 
     The rows and columns split into the connected pieces of the entry
     pattern, each inverted on its own: as adj/det up to _COFACTOR_SIDE, the
     side of every piece of a two-dimensional solution, else by elimination,
-    whose cost alone is polynomial in the side.  Raises NonInvertible when the
-    matrix is singular and InverseOutsideRing when its determinant is not a
-    unit; elimination over a ring with zero divisors may raise it for a unit
-    too.  The inverse is kept on ``a``; a failure is raised again on every call.
+    whose cost alone is polynomial in the side.  Over a ring with zero
+    divisors an exact division of the elimination may have no quotient
+    although the determinant is a unit; such a piece up to _RETRY_SIDE is
+    inverted again by cofactors from its own rows.  Raises NonInvertible
+    when the matrix is singular and InverseOutsideRing when its determinant
+    is not a unit, or when elimination fails so on a piece above
+    _RETRY_SIDE.  The inverse is kept on ``a``; a failure is raised again on
+    every call.
     """
     if a._inverse is not None:
         return a._inverse
     n = a.side
-    one = a.ctx.one()
-    # row r of [A | I]: entry (r, c) of A under key c, the 1 of I under n + r
-    work = [{n + r: one} for r in range(n)]
-    for (r, c), v in a.entries.items():
-        work[r][c] = v
+    work = _augmented(a, range(n))
     entries = {}
     for rows, cols in _pieces(a):
         if len(rows) != len(cols):
             raise NonInvertible("matrix is singular")
         try:
-            entries.update(_invert_piece(work, rows, cols, n))
+            try:
+                piece = _invert_piece(work, rows, cols, n)
+            except NotDivisible:
+                if not _COFACTOR_SIDE < len(rows) <= _RETRY_SIDE:
+                    raise
+                work.update(_augmented(a, rows))  # elimination changed the rows
+                piece = _cofactor_piece(work, rows, cols, n)
         except NotDivisible:
             raise InverseOutsideRing(
                 "the determinant is not a unit; the inverse leaves the ring"
             ) from None
+        entries.update(piece)
     # a Bareiss product piv * v vanishes only in a ring with zero divisors
     a._inverse = SquareMatrix._built(
         a.ctx, n, {k: v for k, v in entries.items() if not v.is_zero()})

@@ -12,7 +12,9 @@ library did before it summed each entry with ``ring.dot``, and
 kernel, one ``ring.dot`` per entry, and ``check_ybe_by_embedding`` the
 Yang-Baxter check on embedded matrices, the reference of its integer
 route; ``apply_at_by_pairs`` is the push as it was before the packed
-vector, one ``ring.dot`` per output state.  The checked inverse and division are the ring's routes before its fast paths.  The
+vector, one ``ring.dot`` per output state; ``keyed_sums`` and
+``push_by_offset_table`` are the keyed loop and the push as they were
+before ``ring.join``.  The checked inverse and division are the ring's routes before its fast paths.  The
 term-dict arithmetic, over the Fraction-based GaussianRational below, is
 the reference for the ring's packed terms and int coefficients, and the
 ``*_by_exps`` text forms at the end are the scalar text and JSON as the
@@ -23,9 +25,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import or_
 
-from ybtrace.errors import DimensionMismatch
-from ybtrace.ring import dot, pack
+from ybtrace.errors import ContextMismatch, DimensionMismatch
+from ybtrace.ring import PackedVector, _scalar, _settle, dot, pack
 from ybtrace.tensor import (
     MAX_STATES, SquareMatrix, Verdict, _check_ctx, _check_operands, _crossing_base, _slot_base,
     embed_generator, kron, matmul, matmul_sub, push_at,
@@ -473,6 +478,170 @@ def check_ybe_by_embedding(r):
         return Verdict(True)
     index = min(diff.entries)
     return Verdict(False, index=index, residual=diff.entries[index])
+
+# -- the keyed loops before ring.join --------------------------------------------
+#
+# ``ring.push``, ``ring.contract`` and ``ring.dot_entries`` as they were when
+# each summed its own products: the push with its own packed loop and finish
+# over a crossing table whose term keys are offset by the zero key, and the
+# other two through ``keyed_sums``, with a running denominator per key.
+
+
+def settled(ctx, acc, den):
+    """(acc, den) with the guard-bit keys of a raw accumulator, changed in
+    place, settled; ``den`` grows when a radicand has a denominator.  Zeros
+    may remain."""
+    guard = ctx._layout.guard
+    flagged = [(k, c) for k, c in acc.items() if k & guard]
+    for k, _ in flagged:
+        del acc[k]
+    return _settle(ctx, flagged, acc, den)
+
+
+def keyed_sums(ctx, products):
+    """{key: sum of sign * x * y over the (key, x, x denominator, y, sign)
+    ``products``}, holding only the nonzero sums: the ring's keyed loop
+    before ``ring.join``, reached by ``dot_entries`` and ``contract``.
+
+    x is a raw {packed key: int numerator} dict and y a Scalar, which must
+    lie in ``ctx`` (ContextMismatch otherwise).  Each key is ``dot`` with its
+    own accumulator and running denominator, and the sign is part of the
+    scale, so nothing is negated.  A zero, and a term product that hits a
+    guard bit, stay in the accumulator until the key's one ``_settle``, zero
+    drop and gcd at the end, so a product past the exponent range raises
+    ExponentOverflow even when it cancels.
+    """
+    zero, guard = ctx._layout.zero, ctx._layout.guard
+    sums = {}  # key -> [accumulator, running denominator]
+    for key, x, dx, y, sign in products:
+        if y.ctx is not ctx and y.ctx != ctx:
+            raise ContextMismatch(f"contexts differ: {ctx!r} vs {y.ctx!r}")
+        d = dx * y._den
+        state = sums.get(key)
+        if state is None:
+            state = sums[key] = [{}, d]
+        acc, den = state
+        if den % d:  # over the lcm of the denominators
+            up = d // math.gcd(den, d)
+            den = state[1] = den * up
+            for k in acc:
+                acc[k] *= up
+        scale = sign * (den // d)
+        get = acc.get
+        y_items = y._nums.items()
+        for k1, c1 in x.items():
+            k1 -= zero
+            c1 *= scale
+            for k2, c2 in y_items:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    out = {}
+    for key, (acc, den) in sums.items():
+        if reduce(or_, acc, 0) & guard:
+            acc, den = settled(ctx, acc, den)
+        if any(acc.values()):
+            if not all(acc.values()):
+                acc = {k: c for k, c in acc.items() if c}
+            out[key] = _scalar(ctx, acc, den)
+    return out
+
+
+def dot_entries_by_keyed_sums(ctx, plus, minus):
+    """{key: sum of x * y over plus' (key, x, y) triples minus the same sum over
+    minus'}, holding only the nonzero sums; ContextMismatch for a scalar
+    outside ``ctx``.  One ``keyed_sums``, a minus triple's sign in its scale.
+    """
+    products = []
+    for triples, sign in ((plus, 1), (minus, -1)):
+        for key, x, y in triples:
+            if x.ctx is not ctx and x.ctx != ctx:
+                raise ContextMismatch(f"contexts differ: {ctx!r} vs {x.ctx!r}")
+            products.append((key, x._nums, x._den, y, sign))
+    return keyed_sums(ctx, products)
+
+
+def contract_by_keyed_sums(vec, pairs):
+    """{key: sum of vec[s] * y over the (key, y) pairs listed under each
+    index s of ``vec``}, holding only the nonzero sums.
+
+    ``pairs`` maps an index to its (key, y) pairs, y a Scalar of the
+    vector's context (ContextMismatch otherwise).  One ``keyed_sums``, each
+    entry's terms over the vector's denominator.
+    """
+    den = vec._den
+    return keyed_sums(vec.ctx, [(key, x, den, y, 1) for index, x in vec._packed.items()
+                                for key, y in pairs.get(index, ())])
+
+
+def offset_crossing_table(table):
+    """The crossing table that ``push_by_offset_table`` reads, from a
+    ``ring.crossing_table``: every term key less the zero key, and the
+    numerators over the lcm of the entries' denominators."""
+    ctx, side, columns = table
+    zero = ctx._layout.zero
+    den = math.lcm(*(d for entries in columns.values() for _, _, d in entries))
+    return ctx, side, {pair: [(delta, [(k - zero, c * (den // d)) for k, c in terms])
+                              for delta, terms, d in entries]
+                       for pair, entries in columns.items()}, den
+
+
+def push_by_offset_table(vec, table, right):
+    """The image of the PackedVector ``vec`` under a crossing table applied at
+    the digit pair just above the lowest ``right`` states.
+
+    A state's pair digit is (state // right) % side; the crossing's column
+    for that digit sends the state to state + (row - column) * right with
+    its entry as factor, so the digits above and below the pair pass
+    through.  Every output index has one raw accumulator over the product of
+    the two denominators; an entry landing on a fresh index fills it with
+    its first term in one comprehension, which forms no zero.  Guard-bit
+    keys and zeros stay in the accumulators until the finish, so a product
+    past the exponent range raises ExponentOverflow even when it cancels.
+    The finish tests all keys at once for a guard bit; if one is set, every
+    accumulator goes through ``settled``, and the vector goes over one
+    denominator again when a radicand with a denominator grew one.  Then
+    zeros and empty accumulators are dropped.  Neither a gcd nor a Scalar
+    is formed.  ContextMismatch when the table belongs to another context.
+    """
+    ctx, side, columns, den = table
+    if ctx is not vec.ctx and ctx != vec.ctx:
+        raise ContextMismatch(f"contexts differ: {vec.ctx!r} vs {ctx!r}")
+    out = {}
+    get = out.get
+    for state, x in vec._packed.items():
+        entries = columns.get(state // right % side)
+        if entries is None:
+            continue
+        x_items = x.items()
+        for delta, terms in entries:
+            index = state + delta * right
+            acc = get(index)
+            if acc is None:
+                k2, c2 = terms[0]
+                acc = out[index] = {k1 + k2: c1 * c2 for k1, c1 in x_items}
+                if len(terms) == 1:
+                    continue
+                terms = terms[1:]
+            acc_get = acc.get
+            for k2, c2 in terms:
+                for k1, c1 in x_items:
+                    k = k1 + k2
+                    acc[k] = acc_get(k, 0) + c1 * c2
+    den *= vec._den
+    if reduce(or_, chain.from_iterable(out.values()), 0) & ctx._layout.guard:
+        out = {index: settled(ctx, acc, den) for index, acc in out.items()}
+        up = math.lcm(*(d // den for _, d in out.values()))
+        out = {index: acc if d == den * up else {k: c * (den * up // d) for k, c in acc.items()}
+               for index, (acc, d) in out.items()}
+        den *= up
+    if not (all(out.values()) and all(map(all, map(dict.values, out.values())))):
+        out = {index: acc for index, acc in out.items() if any(acc.values())}
+        for acc in out.values():
+            if not all(acc.values()):  # a few zeros: deleted in place
+                for k in [k for k, c in acc.items() if not c]:
+                    del acc[k]
+    return PackedVector(ctx, out, den)
+
 
 # -- matrix difference and dict push ---------------------------------------------
 #

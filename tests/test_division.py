@@ -355,9 +355,21 @@ def test_a_unit_det_piece_divides_only_1_by_its_unit_det(monkeypatch):
 def test_elimination_leaves_the_ring_where_cofactors_do_not(monkeypatch):
     """A unimodular block of side 5 over a ring with zero divisors (x*x = q*q):
     its det is a unit, but an exact division of the elimination has no
-    quotient, so ``invert`` raises InverseOutsideRing; adj/det is the inverse."""
+    quotient, so ``invert`` inverts the piece again by cofactors.  The same
+    block with a row scaled by 1 + q, whose det is no unit, still raises
+    InverseOutsideRing, and so does the block when pieces above side 4 are
+    not retried."""
     rng = random.Random(5)
     m = [_unimodular(CTX_SQUARE, 5, rng) for _ in range(3)][2]
-    assert _invert_fresh(m, monkeypatch, 4) is InverseOutsideRing
-    inverse = _invert_fresh(m, monkeypatch, 5)
-    assert tensor.matmul(m, inverse) == tensor.matmul(inverse, m) == _identity(CTX_SQUARE, 5)
+    cofactors = _invert_fresh(m, monkeypatch, 5)
+    for cut in (4, 0):
+        inverse = _invert_fresh(m, monkeypatch, cut)
+        assert inverse == cofactors
+        assert tensor.matmul(m, inverse) == tensor.matmul(inverse, m) == _identity(CTX_SQUARE, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor, "_RETRY_SIDE", 4)
+        assert _invert_fresh(m, monkeypatch, 4) is InverseOutsideRing
+    scaled = tensor.SquareMatrix(CTX_SQUARE, 5, {
+        (r, c): v * CTX_SQUARE.parse("1 + q") if r == 0 else v for (r, c), v in m.entries.items()})
+    for cut in (4, 5):
+        assert _invert_fresh(scaled, monkeypatch, cut) is InverseOutsideRing

@@ -1,7 +1,8 @@
 """``ring.dot`` against the sum of products it replaces, ``ring.dot_entries``
-and the packed vector's contraction against one ``dot`` per key, and the
+and the packed vector's contraction against one ``dot`` per key, the
 contractions built on them against the sequential ones and the earlier
-residual and push routes in ``oracles``.
+residual and push routes in ``oracles``, and the front ends of
+``ring.join`` against the push and keyed loop it replaced.
 
 ``dot`` must give the very Scalar that adding x * y one pair at a time
 gives: equal, with the same text and the same numerators over the same
@@ -24,7 +25,7 @@ from ybtrace.dressing import preset_dressings
 from ybtrace.errors import ContextMismatch, DimensionMismatch, ExponentOverflow
 from ybtrace.ring import (
     MAX_EXPONENT, PackedVector, Scalar, ScalarContext, contract, dot, dot_entries,
-    format_scalar, pack,
+    format_scalar, pack, push,
 )
 
 CONTEXTS = {
@@ -567,3 +568,108 @@ def test_a_packed_vector_is_its_nonzero_entries():
     assert list(packed.unpack()) == [3, 5]
     assert packed.unpack() == {3: vec[3], 5: vec[5]}
     assert packed == pack(ctx, {5: vec[5], 3: vec[3]}) != pack(ctx, {3: vec[3]})
+
+
+# -- the join's front ends against the kernels they replace ----------------------
+
+
+def _old_push(vec, table, right):
+    return oracles.push_by_offset_table(vec, oracles.offset_crossing_table(table), right)
+
+
+def _assert_same_packed(got, want):
+    """The same entries in the same order, none of them zero."""
+    assert len(got) == len(want)
+    _assert_same_vectors(got.unpack(), want.unpack())
+
+
+def _assert_same_sums(got, want):
+    assert list(got) == list(want)
+    for key, value in got.items():
+        _assert_same(value, want[key])
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_the_join_front_ends_are_the_kernels_they_replace(name):
+    """``push``, ``contract`` and ``dot_entries`` against the parent's packed
+    push and keyed loop (``oracles``) on seeded packed vectors, crossings
+    and triples, zeros and mixed denominators included, and with every
+    minus triple's terms listed on the plus side as well."""
+    ctx = CONTEXTS[name]
+    rng = random.Random(20261021)
+    for _ in range(120):
+        base = rng.choice((2, 3))
+        r = _random_matrix(rng, ctx, base * base)
+        table = tensor._crossing_table(r)
+        vec = pack(ctx, _random_vector(rng, ctx, base ** 3))
+        for right in (1, base):
+            _assert_same_packed(push(vec, table, right), _old_push(vec, table, right))
+        pairs = {s: [(rng.randrange(3), _random_scalar(rng, ctx)) for _ in range(rng.randint(0, 3))]
+                 for s in range(base ** 3) if rng.random() < 0.7}
+        _assert_same_sums(contract(vec, pairs), oracles.contract_by_keyed_sums(vec, pairs))
+        plus, minus = ([(rng.randrange(4), _random_scalar(rng, ctx), _random_scalar(rng, ctx))
+                        for _ in range(rng.randint(0, 8))] for _ in range(2))
+        for args in ((plus, minus), (minus, plus), (plus + minus, minus)):
+            _assert_same_sums(dot_entries(ctx, *args),
+                              oracles.dot_entries_by_keyed_sums(ctx, *args))
+
+
+def test_the_join_settles_i_squared_and_roots_that_grow_the_denominator():
+    """i * i turns into a sign, and s * s into s's radicand q/2 + i*r/3, whose
+    denominator puts every key over a larger one; one key keeps no guard
+    bit and has to be rescaled with the others."""
+    ctx = CONTEXTS["radicand-with-denominator"]
+    i, s, r, q = ctx.i(), ctx.gen("s"), ctx.gen("r"), ctx.gen("q")
+    plus = [(0, i, i), (0, s, s), (1, ctx.parse("q/5"), q), (2, r, r),
+            (2, s, i * s)]
+    minus = [(1, q, q), (2, ctx.parse("1/7"), ctx.one())]
+    got = dot_entries(ctx, plus, minus)
+    _assert_same_sums(got, oracles.dot_entries_by_keyed_sums(ctx, plus, minus))
+    _assert_same(got[0], ctx.parse("-1 + q/2 + i*r/3"))
+    vec = pack(ctx, {0: s, 1: i, 2: ctx.parse("p/3")})
+    pairs = {0: [(0, s)], 1: [(0, i), (1, q)], 2: [(1, ctx.one())]}
+    _assert_same_sums(contract(vec, pairs), oracles.contract_by_keyed_sums(vec, pairs))
+    m = tensor.SquareMatrix(ctx, 4, {(0, 0): s, (1, 1): i, (2, 3): q, (3, 3): ctx.parse("1/3")})
+    table = tensor._crossing_table(m)
+    image = push(vec, table, 1)
+    _assert_same_packed(image, _old_push(vec, table, 1))
+    assert image._den % 2 == 0  # s * s brought its radicand's 1/2
+
+
+def test_the_join_raises_for_a_cancelling_overflow_and_a_foreign_scalar():
+    ctx = ScalarContext(("q",))
+    q = ctx.gen("q")
+    other = ScalarContext(("z",)).one()
+    for big, small in ((ctx.gen("q", MAX_EXPONENT - 1), q),
+                       (ctx.gen("q", -MAX_EXPONENT), q ** -1)):
+        # big * small leaves the exponent range, but cancels in its key
+        for entries in (lambda: dot_entries(ctx, [(0, big, small)], [(0, big, small)]),
+                        lambda: oracles.dot_entries_by_keyed_sums(
+                            ctx, [(0, big, small)], [(0, big, small)])):
+            with pytest.raises(ExponentOverflow):
+                entries()
+        vec = pack(ctx, {0: big, 1: -big})
+        m = tensor.SquareMatrix(ctx, 4, {(0, 0): small, (0, 1): small, (3, 3): q})
+        table = tensor._crossing_table(m)
+        for route in (lambda: push(vec, table, 1), lambda: _old_push(vec, table, 1),
+                      lambda: contract(vec, {0: [(0, small)], 1: [(0, small)]}),
+                      lambda: oracles.contract_by_keyed_sums(
+                          vec, {0: [(0, small)], 1: [(0, small)]})):
+            with pytest.raises(ExponentOverflow):
+                route()
+    for triples in ([(0, q, other)], [(0, other, q)]):
+        for entries in (dot_entries, oracles.dot_entries_by_keyed_sums):
+            with pytest.raises(ContextMismatch):
+                entries(ctx, triples, [])
+            with pytest.raises(ContextMismatch):
+                entries(ctx, [], triples)
+    for route in (contract, oracles.contract_by_keyed_sums):
+        with pytest.raises(ContextMismatch):
+            route(pack(ctx, {0: q}), {0: [(0, q), (1, other)]})
+        assert route(pack(ctx, {0: q}), {}) == {} == route(pack(ctx, {}), {0: [(0, q)]})
+    table = tensor._crossing_table(tensor.SquareMatrix(ctx, 4, {(0, 0): q}))
+    for route in (push, _old_push):
+        assert len(route(pack(ctx, {}), table, 1)) == 0
+        with pytest.raises(ContextMismatch):
+            route(pack(CONTEXTS["R1.1"], {0: CONTEXTS["R1.1"].one()}), table, 1)
+    assert dot_entries(ctx, [], []) == {} == oracles.dot_entries_by_keyed_sums(ctx, [], [])

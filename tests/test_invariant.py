@@ -361,11 +361,12 @@ def _assert_half_word_closure(op, words, label):
 
 def test_half_word_closure_matches_the_whole_words_matrix_on_every_operator():
     """All 23 rows with both signs on the named links, the edge words and
-    seeded words of up to five strands; the three presets (base 3 and 4) on
-    the named links of up to three strands and seeded words of up to three."""
+    seeded words of 2 to 5 strands; the three presets (base 3 and 4) on the
+    named links of up to three strands and seeded words of 2 or 3.  Each
+    seeded word has letters of both signs."""
     rng = random.Random(16)
     links = [get_named_braid(name).braid for name in NAMED_LINKS]
-    words = links + EDGE_WORDS + _random_words(rng, 6, 5, 8)
+    words = links + EDGE_WORDS + _mixed_words(rng, 6, 5, 8)
     failures = 0
     for entry in table1_entries():
         for sign in "+-":
@@ -375,7 +376,7 @@ def test_half_word_closure_matches_the_whole_words_matrix_on_every_operator():
     for name in preset_names():
         op = preset_dressings(name).eyb
         failures += _assert_half_word_closure(
-            op, small + _random_words(rng, 6, 3, 6), name)
+            op, small + _mixed_words(rng, 6, 3, 6), name)
     assert failures > 0
 
 
@@ -576,6 +577,20 @@ def _random_words(rng, count, max_strands, max_letters):
     return words
 
 
+def _mixed_words(rng, count, max_strands, max_letters):
+    """Seeded words of 2 to ``max_strands`` strands and 2 to ``max_letters``
+    letters, at least one of each sign."""
+    words = []
+    for _ in range(count):
+        strands = rng.randint(2, max_strands)
+        size = rng.randint(2, max_letters)
+        signs = [1, -1] + [rng.choice((1, -1)) for _ in range(size - 2)]
+        rng.shuffle(signs)
+        words.append(BraidWord(strands, tuple(
+            sign * rng.randint(1, strands - 1) for sign in signs)))
+    return words
+
+
 def _assert_factors(mu, factors):
     u, v, piv = factors
     outer = SquareMatrix(mu.ctx, mu.side, {(r, c): x * y for r, x in u.items()
@@ -654,7 +669,7 @@ def test_rank_one_weights_match_matrix_path():
     signs."""
     rng = random.Random(5)
     words = [get_named_braid(name).braid for name in NAMED_LINKS]
-    words += _random_words(rng, 8, 5, 8)
+    words += _mixed_words(rng, 8, 5, 8)
     ops = [((rmatrix, row, sign), get_table1_eyb(rmatrix, row, sign=sign))
            for rmatrix, row in RANK_ONE_ROWS for sign in "+-"]
     ops.append(("closure", _rank_one_operator_without_c()))
@@ -1148,17 +1163,18 @@ def _assert_every_route_agrees(op, words, label):
 def test_compute_ts_matches_the_closure_and_the_matrix_path_on_every_route():
     """compute_ts against the half-word closure and the whole word's matrix:
     the 23 rows with both signs, the similarity, transpose and shift images
-    of the weighted-swap rows, on the named links, seeded words of up to
-    five strands and T(p, p+1) for p <= 4; on the weighted-swap rows and
-    their images, more seeded words of up to four strands, and on the rows
+    of the weighted-swap rows, on the named links, seeded words of 2 to 5
+    strands and T(p, p+1) for p <= 4; on the weighted-swap rows and their
+    images, more seeded words of 2 to 4 strands, and on the rows
     themselves T(5, 6), and with sign + T(6, 7) and T(7, 8); the three
-    presets on words of up to three strands.  The images move the charge
-    one way at most, so they take the coloring sum too."""
+    presets on words of up to three strands.  Each seeded word has letters
+    of both signs.  The images move the charge one way at most, so they
+    take the coloring sum too."""
     rng = random.Random(31)
     words = [get_named_braid(name).braid for name in NAMED_LINKS]
-    words += _random_words(rng, 8, 5, 8) + [_torus(p, p + 1) for p in range(2, 5)]
+    words += _mixed_words(rng, 8, 5, 8) + [_torus(p, p + 1) for p in range(2, 5)]
     # links whose components cross each other under letters of both signs
-    mixed = _random_words(rng, 24, 4, 10)
+    mixed = _mixed_words(rng, 24, 4, 10)
     assert sum(b.closure_components() > 1 and len({k > 0 for k in b.letters}) == 2
                for b in mixed) >= 8
     triangular = 0  # images whose charge-changing entries the route grades away

@@ -5,11 +5,11 @@ A Scalar's numerators, denominator and key layout (``_nums``, ``_den`` and
 ``_den``) are read only inside ``ring.py``, and no other module imports a
 private name from it.  Then a change of the packing touches one file, and
 the kernels built on it are the only way the other layers reach the terms:
-``dot``, ``pack`` and ``push``; ``kronecker``, whose ints and their reader
-take the products of ``catalog.check_ybe``'s integer route; and the one
-keyed loop, which ``dot_entries`` and ``contract`` reach and
-``tensor.weighted_trace`` and ``tensor.matmul_sub`` (and so the check's
-fallback) reach through ``dot_entries``.
+``dot`` and ``pack``; ``kronecker``, whose ints and their reader take the
+products of ``catalog.check_ybe``'s integer route; and ``join``, the one
+loop for sums per key, which ``push``, ``contract`` and ``dot_entries``
+feed and ``tensor.weighted_trace`` and ``tensor.matmul_sub`` (and so the
+check's fallback) reach through ``dot_entries``.
 """
 
 import ast
