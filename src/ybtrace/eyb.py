@@ -3,7 +3,11 @@
 A quadruple is *enhanced* when R commutes with mu (x) mu and the partial
 trace over the second slot of R^{+-1} composed with mu (x) mu reproduces
 alpha^{+-1} beta mu.  These conditions make the weighted braid trace a link
-invariant.
+invariant.  ``verify_eyb`` decides an operator of base 2 whose R holds no
+root on Kronecker-substituted ints first: three int identities, the third
+with R^-1 replaced by its adjugate, under an exponent gate that keeps
+every product of either path in range.  Every other operator, and every
+one the ints do not show to pass, takes the exact path on Scalars.
 
 The registry below lists, for each catalog R-matrix, its enhancing rows
 together with their parameter restrictions and the character of the
@@ -14,9 +18,11 @@ invariant value.
 """
 
 from ._record import Record
-from .errors import DimensionMismatch, NotAUnit, ParseError, UnknownName, UnknownRow
+from .errors import (
+    DimensionMismatch, ExponentOverflow, NotAUnit, ParseError, UnknownName, UnknownRow,
+)
 from .ring import (
-    ScalarContext, json_field, scalar_from_json, scalar_to_json, substitute,
+    ScalarContext, json_field, kronecker, scalar_from_json, scalar_to_json, substitute,
 )
 from .tensor import (
     SquareMatrix,
@@ -64,14 +70,40 @@ def verify_eyb(op):
 
     Returns a truthy Verdict or one naming the first failing condition, with
     its residual matrix.  alpha must be a unit; beta must be nonzero; mu's
-    side squared must be R's side, else DimensionMismatch before any product.
+    side squared must be R's side, and mu's side at least 2, else
+    DimensionMismatch before any product.
+
+    With M = mu (x) mu, P = alpha beta mu and N = alpha^-1 beta mu, the
+    conditions are RM = MR, Tr_2(RM) = P and Tr_2(R^-1 M) = N, as
+    Tr_2(Y (1 x mu)) mu = Tr_2(Y M).  An R of side 4 with no root, sharing
+    one context with mu, alpha and beta, goes first to ``_holds_on_ints``.
+    It forms M, P and N as Scalars, which carry the roots, and maps R, M,
+    P, N and 1 by ``ring.kronecker`` for products of degree 5.  There
+    RM = MR, Tr_2(RM) = P and Tr_2(adj(R) M) = det(R) N, the third
+    condition times det R, must hold, and det R, the one int read back,
+    must be a unit, so R is never inverted.  The map's exponent gate has
+    reach 9 plus one per root: R^-1's entries reach 3 hi - 4 lo over R's
+    exponents, the exact path multiplies them by two of mu's, and reducing
+    a root's square, at most once per root, multiplies in a radicand term,
+    so no product of either path overflows.  Every other operator, and any
+    the ints do not pass (a refused map, an overflow forming P or N
+    included), takes the exact path, which builds the failing residual.
     """
     if op.alpha.is_zero() or not op.alpha.is_unit():
         raise NotAUnit("alpha must be an invertible monomial")
     if op.beta.is_zero():
         raise NotAUnit("beta must be nonzero")
     _check_sides(op)
+    if op.mu.side < 2:
+        raise DimensionMismatch(f"a weight of side {op.mu.side} has no slot to close")
     mumu = kron(op.mu, op.mu)
+    if _holds_on_ints(op, mumu):
+        return Verdict(True)
+    return _exact_conditions(op, mumu)
+
+
+def _exact_conditions(op, mumu):
+    """verify_eyb's Verdict on Scalars, from M = ``mumu``."""
     diff = matmul_sub(op.r, mumu, mumu, op.r)
     if not diff.is_zero():
         return Verdict(False, "commute", residual=diff)
@@ -84,6 +116,71 @@ def verify_eyb(op):
         if not diff.is_zero():
             return Verdict(False, condition, residual=diff)
     return Verdict(True)
+
+
+# the (column, other two columns) of the three terms, signed + - +, of a 3x3
+# cofactor of a 4x4 matrix that leaves out column j, for j = 0..3
+_COFACTOR = [[(k, tuple(c for c in cols if c != k)) for k in cols]
+             for cols in ([c for c in range(4) if c != j] for j in range(4))]
+
+
+def _adjugate(a):
+    """(adj a, det a) for a 4x4 matrix of ints, a list of rows.  The cofactor
+    of (i, j) is expanded along row i ^ 1, the other row of i's pair,
+    against the 2x2 minors of the other pair of rows, which sits below it
+    for i < 2 and above it for i >= 2; either way the signs run + - +."""
+    minors = [{(j, k): x[j] * y[k] - x[k] * y[j] for j in range(4) for k in range(j + 1, 4)}
+              for x, y in (a[2:], a[:2])]
+    adj = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        row, minor = a[i ^ 1], minors[i // 2]
+        for j, ((k0, m0), (k1, m1), (k2, m2)) in enumerate(_COFACTOR):
+            c = row[k0] * minor[m0] - row[k1] * minor[m1] + row[k2] * minor[m2]
+            adj[j][i] = -c if (i + j) % 2 else c
+    return adj, sum([x * adj[j][0] for j, x in enumerate(a[0])])
+
+
+def _holds_on_ints(op, mumu):
+    """True when the ints of ``verify_eyb``'s integer route show that an
+    operator meets all three conditions and that det R is a unit; False
+    sends it to the exact path.  Both sides of an identity are products of
+    as many entries, one side times the int of 1 where needed.  An entry of
+    adj(R) is 6 products of three of R's, and det R 24 of four, so a
+    difference sums at most 2 * 4 * 6 + 24 = 72 products.  mu is mapped for
+    the exponent gate only."""
+    ctx, r = op.ctx, op.r
+    if r.side != 4 or not (r.ctx is ctx and op.alpha.ctx is ctx and op.beta.ctx is ctx):
+        return False
+    # R and M at 0 and 16, mu, P and N at 32, 36 and 40, by row * side + column; 1 at 44
+    entries = {4 * i + j: x for (i, j), x in r.entries.items()}
+    entries.update({16 + 4 * i + j: x for (i, j), x in mumu.entries.items()})
+    entries.update({32 + 2 * i + j: x for (i, j), x in op.mu.entries.items()})
+    try:
+        for base, scale in ((36, op.alpha * op.beta), (40, op.alpha ** -1 * op.beta)):
+            entries.update({base + 2 * i + j: scale * x for (i, j), x in op.mu.entries.items()})
+    except ExponentOverflow:
+        return False
+    entries[44] = ctx.one()
+    mapped = kronecker(ctx, entries, 72, 5, 9 + len(ctx.root_names), range(16, 44))
+    if mapped is None:
+        return False
+    ints, read = mapped
+    v = [ints.get(k, 0) for k in range(45)]
+    rows, one = [v[k:k + 4] for k in range(0, 16, 4)], v[44]
+    cols = list(zip(*[v[k:k + 4] for k in range(16, 32, 4)]))  # M's columns
+    rm = [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in rows]
+    if rm != [[sum([x * y for x, y in zip(row, col)]) for col in zip(*rows)]
+              for row in zip(*cols)]:
+        return False
+    adj, det = _adjugate(rows)
+    for a in range(2):
+        for c in range(2):
+            traced = [(2 * a + b, 2 * c + b) for b in range(2)]
+            if (sum([rm[i][j] for i, j in traced]) != v[36 + 2 * a + c] * one
+                    or sum([x * y for i, j in traced for x, y in zip(adj[i], cols[j])]) * one
+                    != det * v[40 + 2 * a + c]):
+                return False
+    return read(det * one).is_unit()
 
 
 def specialize(op, bindings, target):

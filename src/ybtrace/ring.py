@@ -713,75 +713,92 @@ def contract(vec, pairs):
 MAX_KRONECKER_BITS = 1 << 16
 
 
-def kronecker(ctx, entries, count):
+def kronecker(ctx, entries, count, degree=3, reach=None, rooted=()):
     """({index: int}, read) for the Scalars ``entries`` of ``ctx`` by Kronecker
     substitution, or None where it does not apply; ContextMismatch for an
     entry outside ``ctx``.
 
     The ints add and multiply as the entries do, and ``read(v)`` is the exact
     Scalar of an int v formed as a signed sum of at most ``count`` products
-    of three entries' ints, so v is 0 exactly when that sum is.
+    of ``degree`` entries' ints, so v is 0 exactly when that sum is.  A sum
+    of products of fewer entries is 0 exactly when its int is, too.
 
     * The entries' numerators go over L, the lcm of their denominators, so a
-      product of three of them is over L^3.
-    * Generator j's doubled exponents e lie in [lo_j, hi_j] and are all
-      lo_j plus multiples of g_j, their gcd.  A term maps to its coefficient
-      times 2^(B * idx), idx the mixed-radix number with digits
-      (e_j - lo_j) / g_j and radix 3 * w_j + 1, w_j = (hi_j - lo_j) / g_j.
-      A product of three terms has digits up to 3 * w_j, under the radix,
-      so its idx is the sum of theirs, and distinct monomials of such
-      products have distinct idx in [0, S), S the product of the radixes.
-    * A coefficient of such a sum is at most count * N^3 in size, N the
+      product of ``degree`` of them is over L^degree.
+    * Each name's doubled exponents e lie in [lo, hi] and are all lo plus
+      multiples of g, their gcd.  A term maps to its coefficient times
+      2^(B * idx), idx the mixed-radix number with digits (e - lo) / g and
+      radix degree * w + 1, w = (hi - lo) / g.  A product of ``degree``
+      terms has digits up to degree * w, under the radix, so its idx is the
+      sum of theirs, and distinct monomials of such products have distinct
+      idx in [0, S), S the product of the radixes.
+    * A coefficient of such a sum is at most count * N^degree in size, N the
       largest l1 norm of an entry's numerators over L, and B is one bit more
       than that bound has, so the sum is the int with each coefficient one
       balanced base-2^B digit, below 2^(B-1) in size: ``read`` gives them back.
 
-    None for a term with a root or an i, and for exponents where a product
-    of three entries could leave [-MAX_EXPONENT, MAX_EXPONENT) (where
-    the packed kernels raise ExponentOverflow), or for ints of S * B bits
-    above MAX_KRONECKER_BITS.
+    Only the entries whose index is in ``rooted`` may hold a root, whose 0/1
+    exponent is one more digit.  The caller's sums must multiply at most one
+    of them into each product: a root's square is not reduced, so a sum
+    with one could be 0 in the ring and not as an int.
+
+    None for a term with an i, or with a root outside ``rooted``; for
+    exponents where a product of ``reach`` (default ``degree``) factors
+    could leave [-MAX_EXPONENT, MAX_EXPONENT) (where the packed kernels
+    raise ExponentOverflow), each factor a term of an entry or, with
+    ``rooted`` entries, of a radicand, which reducing a root's square
+    multiplies in; and for ints of S * B bits above MAX_KRONECKER_BITS.
     """
     values = entries.values()
     _check_scalars(ctx, values)
-    keys = [k for x in values for k in x._nums]
-    if reduce(or_, keys, 0) & (ctx._layout.root_fields | 1):
+    layout = ctx._layout
+    idxs = {k: 0 for x in values for k in x._nums}  # each monomial's idx, summed below
+    flags = reduce(or_, idxs, 0)
+    if flags & 1 or flags & layout.root_fields and any(
+            reduce(or_, x._nums, 0) & layout.root_fields
+            for index, x in entries.items() if index not in rooted):
         return None
+    reach = reach or degree
+    radicands = [k for rad in ctx._radicands for k in rad._nums] if rooted else []
     big = math.lcm(*[x._den for x in values])
     norm = max([sum(map(abs, x._nums.values())) * (big // x._den) for x in values], default=0)
-    gens, size, idxs = [], 1, [0] * len(keys)  # (lo, g, place, radix) per generator
-    for s in ctx._layout.gen_shifts:
-        exps = [(k >> s) & _GEN_VALUES for k in keys]
-        lo, hi = min(exps, default=_BIAS), max(exps, default=_BIAS)
-        if 3 * (lo - _BIAS) < -_BIAS or 3 * (hi - _BIAS) >= _BIAS:
-            return None
-        g = math.gcd(*(e - lo for e in exps)) or 1
-        idxs = [idx + (e - lo) // g * size for idx, e in zip(idxs, exps)]
-        radix = 3 * ((hi - lo) // g) + 1
-        gens.append((lo, g, size, radix))
+    fields, size = [], 1  # (lowest exponent of a product, g, place, radix) per name
+    for s, bits, bias in layout.fields:
+        exps = [(k >> s) & bits for k in idxs]
+        lo, hi = min(exps, default=bias), max(exps, default=bias)
+        if bias:
+            reached = [(k >> s) & bits for k in radicands] + [lo, hi]
+            if reach * (min(reached) - bias) < -bias or reach * (max(reached) - bias) >= bias:
+                return None
+        g = math.gcd(*[e - lo for e in exps]) or 1
+        if hi > lo:
+            for k, e in zip(idxs, exps):
+                idxs[k] += (e - lo) // g * size
+        radix = degree * ((hi - lo) // g) + 1
+        fields.append((degree * (lo - bias), g, size, radix))
         size *= radix
-    width = (count * norm ** 3).bit_length() + 1
+    width = (count * norm ** degree).bit_length() + 1
     if size * width > MAX_KRONECKER_BITS:
         return None
-    ints, idxs = {}, iter(idxs)  # the terms in the order of ``keys``
+    ints = {}
     for index, x in entries.items():
         scale = big // x._den
-        ints[index] = sum([c * scale << width * idx for c, idx in zip(x._nums.values(), idxs)])
-    den, mask, half = big ** 3, (1 << width) - 1, 1 << (width - 1)
-    roots = (0,) * len(ctx.root_names)
+        ints[index] = sum([c * scale << width * idxs[k] for k, c in x._nums.items()])
+    den, mask, half = big ** degree, (1 << width) - 1, 1 << (width - 1)
 
     def read(v):
-        terms = []
-        for idx in range(size):
-            if not v:
-                break
+        terms, idx = [], 0
+        while v:
+            skip = ((v & -v).bit_length() - 1) // width  # the zero digits at the bottom
+            v >>= skip * width
+            idx += skip
             c = v & mask
             if c >= half:  # a negative digit borrows from the next one
                 c -= mask + 1
             v = (v - c) >> width
-            if c:
-                exps = tuple([3 * (lo - _BIAS) + g * (idx // place % radix)
-                              for lo, g, place, radix in gens])
-                terms.append((exps + roots, (c, 0, den)))
+            exps = tuple([low + g * (idx // place % radix) for low, g, place, radix in fields])
+            terms.append((exps, (c, 0, den)))
+            idx += 1
         return _from_terms(ctx, terms)
 
     return ints, read
