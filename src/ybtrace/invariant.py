@@ -42,6 +42,23 @@ divided by beta once per closed slot and multiplied by alpha^(-writhe).
 ``alexander_nabla`` is the open trace of row R1.2/1's image at q = t^-2
 (sqrt_q -> t^-1), kept after its first call.
 
+Over a ring with one generator and no root the closure runs on ints first
+(``_closure_on_ints``), as ``verify_eyb`` does: ``ring.kronecker`` maps
+mu's entries and those of the kept transposes of R and R^-1 to ints, so a
+product of polynomials is one int product (Kronecker substitution).  The
+identity's rows are pushed through mu on each closed slot and then through
+every letter, and the closed diagonal is summed per block entry.  Each
+product there has exactly k + L entry factors for L letters, and a block
+entry sums at most 2 base^k (widest mu row)^k (widest crossing column)^L
+of them, counting the difference the proportionality test takes; these
+are the map's degree and count, so the test is exact on the ints and one
+int is read back.  Where the map does not apply (an i, an exponent past
+the gate, an int past ``ring.MAX_KRONECKER_BITS``) the half-word closure
+runs.  Rows R1.1/1 and R1.4/1 and ``alexander_nabla``'s operator take the
+int route; a ring with two generators or a root never does, because the
+mixed-radix packing of two exponents is dense (the collapsed Jones
+operator of tables 2-4, over (t, q), ran 4.5x slower on ints).
+
 What depends only on the operator is kept on it on first use: the
 eigenvalue c, or the verdict that there is none, and when there is none
 the filtration's weights or the verdict that it does not apply; the
@@ -51,10 +68,12 @@ strand count and kept strand count the packed rows of 1 (x) M, when they
 hold at most ``tensor.MAX_ENTRIES`` entries; per closed-slot count k
 beta^k; and the transposes of R and R^-1.  The crossings keep their
 tables and embeddings on their matrices.  Nothing keyed by a braid word
-or a writhe is kept.
+or a writhe is kept, so the int route, whose map depends on the word's
+length, keeps only the transposes.
 """
 
 import itertools
+from collections import Counter
 
 from ._record import Record
 from .braid import BraidWord, get_named_braid, NAMED_LINKS
@@ -68,7 +87,9 @@ from .errors import (
     UnknownName,
 )
 from .eyb import _check_sides, get_table1_eyb, specialize, table1_entries
-from .ring import ScalarContext, contract, format_scalar, pack, pow_int, try_div_exact
+from .ring import (
+    ScalarContext, contract, format_scalar, kronecker, pack, pow_int, try_div_exact,
+)
 from .tensor import (
     MAX_ENTRIES,
     MAX_STATES,
@@ -239,19 +260,14 @@ def _pullback(op, positive):
 
 def _closure(op, b, keep):
     """alpha^(-writhe) beta^(-k) times the multiple of the identity left on
-    strands 1..keep when rep(b) mu^(x k) is traced over the other k strands,
-    by the half-word closure (module docstring).
+    strands 1..keep when rep(b) mu^(x k) is traced over the other k strands.
 
-    Block entry (i, j) sums row (i, s) of (1 (x) mu^(x k)) A against column
-    (j, s) of B over the closed states s, for rep(b) = A B split at the
-    middle letter.  Rows within the entry cap are kept on ``op``, packed as
-    one vector keyed by row * states + column, and pulled back through A
-    together; others are built, packed and pulled one at a time.  Each
-    pull is a ``ring.push`` and the block one ``ring.contract`` of the
-    pulled rows against B's columns, both front ends of ``ring.join``.
     Raises DimensionMismatch unless mu's side squared is R's side, then
-    StrandBoundViolation, both before anything is built or kept,
-    DimensionMismatch for a side-1 weight, which has no slot to close, and
+    StrandBoundViolation, both before anything is built or kept, and
+    DimensionMismatch for a side-1 weight, which has no slot to close.  An
+    operator whose ring has one generator and no root takes the int route
+    (``_closure_on_ints``); any other, and one that ``ring.kronecker``
+    cannot map, the half-word closure (``_half_word_closure``).  Both raise
     ProportionalityFailure when the block is not a multiple of the identity
     (a full closure leaves a 1x1 block, which always is one).
     """
@@ -260,6 +276,37 @@ def _closure(op, b, keep):
     total = _states(base, n)
     if base < 2:
         raise DimensionMismatch(f"a weight of side {base} has no slot to close")
+    value = None
+    if len(ctx.generators) == 1 and not ctx.root_names:
+        value = _closure_on_ints(op, b, keep, total)
+    if value is None:
+        value = _half_word_closure(op, b, keep, total)
+    scale = _kept(op, ("beta", n - keep), pow_int, op.beta, n - keep)
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(value, scale)
+
+
+def _diagonal(block, side):
+    """The entry that ``block``, {(i, j): nonzero value} of side ``side``,
+    holds at every (i, i), or None when it holds nothing;
+    ProportionalityFailure when it is no multiple of the identity."""
+    value = block.get((0, 0))
+    if block != ({} if value is None else {(i, i): value for i in range(side)}):
+        raise ProportionalityFailure("partial closure is not a multiple of the identity")
+    return value
+
+
+def _half_word_closure(op, b, keep, total):
+    """The block value of ``_closure`` on Scalars (module docstring).
+
+    Block entry (i, j) sums row (i, s) of (1 (x) mu^(x k)) A against column
+    (j, s) of B over the closed states s, for rep(b) = A B split at the
+    middle letter.  Rows within the entry cap are kept on ``op``, packed as
+    one vector keyed by row * states + column, and pulled back through A
+    together; others are built, packed and pulled one at a time.  Each
+    pull is a ``ring.push`` and the block one ``ring.contract`` of the
+    pulled rows against B's columns, both front ends of ``ring.join``.
+    """
+    n, base, ctx = b.strands, op.base_dim, op.ctx
     k = n - keep
     split = len(b.letters) // 2
     left = b.letters[:split]
@@ -284,12 +331,75 @@ def _closure(op, b, keep):
             vec = push_at(pullbacks[letter > 0], abs(letter), n, vec)
         for key, v in contract(vec, columns).items():
             block[key] = block[key] + v if key in block else v
-    block = {key: v for key, v in block.items() if not v.is_zero()}
-    value = block.get((0, 0), ctx.zero())
-    if block != ({} if value.is_zero() else {(i, i): value for i in range(base ** keep)}):
-        raise ProportionalityFailure("partial closure is not a multiple of the identity")
-    scale = _kept(op, ("beta", k), pow_int, op.beta, k)
-    return pow_int(op.alpha, -b.writhe) * try_div_exact(value, scale)
+    value = _diagonal({key: v for key, v in block.items() if not v.is_zero()}, base ** keep)
+    return ctx.zero() if value is None else value
+
+
+def _closure_on_ints(op, b, keep, total):
+    """The block value of ``_closure`` on Kronecker ints, or None where
+    ``ring.kronecker`` does not map the entries.
+
+    mu's entries and those of the kept transposes of R and R^-1 that the
+    letters use (``_pullback``, so R is inverted where the half-word
+    closure inverts it) become ints.  The identity's rows, keyed by
+    row * states + column and in the half-word closure's batches, are
+    pushed as {state: int} dicts through mu on each closed slot, which
+    makes them the rows of 1^(x keep) (x) mu^(x k), and then through every
+    letter; block entry (i, j) sums the pushed row (i, s) at column (j, s)
+    over the closed states s.  Each such product has exactly k + L entry
+    factors for L letters, and an entry sums at most
+    base^k (widest mu row)^k (widest crossing column)^L of them; twice that
+    bounds the difference of two entries, so the ints decide the
+    proportionality test, and one is read back.  Nothing keyed by the word
+    is kept.
+    """
+    n, base, ctx, letters = b.strands, op.base_dim, op.ctx, b.letters
+    k = n - keep
+    mu = op.mu.entries
+    crossings = {positive: _pullback(op, positive).entries
+                 for positive in {letter > 0 for letter in letters}}
+    entries = dict(mu)
+    for positive, m in crossings.items():
+        entries.update(((positive, r, c), x) for (r, c), x in m.items())
+    rows = Counter(r for r, _ in mu).values()
+    columns = Counter((positive, c) for positive, m in crossings.items() for _, c in m).values()
+    count = 2 * base ** k * max(rows, default=0) ** k * max(columns, default=0) ** len(letters)
+    mapped = kronecker(ctx, entries, count, degree=k + len(letters))
+    if mapped is None:
+        return None
+    ints, read = mapped
+    # a step reads a state's digit at its slots, state // right % side, and
+    # moves the state by (row - column) * right per entry of that column
+    mu_table = {}
+    for r, c in mu:
+        mu_table.setdefault(r, []).append((c - r, ints[r, c]))
+    steps = [(mu_table, base, base ** (n - slot)) for slot in range(keep + 1, n + 1)]
+    pulls = {positive: {} for positive in crossings}
+    for positive, m in crossings.items():
+        for r, c in m:
+            pulls[positive].setdefault(c, []).append((r - c, ints[positive, r, c]))
+    steps += [(pulls[letter > 0], base * base, base ** (n - abs(letter) - 1))
+              for letter in letters]
+    batches = ({state * (total + 1): 1} for state in range(total))
+    if base ** keep * len(mu) ** k <= MAX_ENTRIES:
+        batches = ({state * (total + 1): 1 for state in range(total)},)
+    closed, block = base ** k, {}
+    for vec in batches:
+        for table, side, right in steps:
+            pushed = {}
+            get = pushed.get
+            for state, x in vec.items():
+                for delta, y in table.get(state // right % side, ()):
+                    key = state + delta * right
+                    pushed[key] = get(key, 0) + x * y
+            vec = pushed
+        for key, v in vec.items():
+            row, column = divmod(key, total)
+            if row % closed == column % closed:
+                at = row // closed, column // closed
+                block[at] = block.get(at, 0) + v
+    value = _diagonal({key: v for key, v in block.items() if v}, base ** keep)
+    return ctx.zero() if value is None else read(value)
 
 
 def _graded(op):

@@ -296,10 +296,13 @@ def _settle(ctx, flagged, acc, den):
     """Add the (key, numerator) term products that hit a guard bit into ``acc``.
 
     i*i becomes a sign, and a root's doubled exponent 4 is replaced by the
-    radicand, whose terms may hit a guard bit again.  A generator's exponent
-    out of range raises ExponentOverflow.  A radicand with a denominator
-    gives Fraction numerators, which are scaled back to ints over a larger
-    denominator at the end.  Returns (acc, den).
+    radicand, whose terms may hit a guard bit again.  The first root in
+    ``ctx.names`` order whose field has reached 4 goes first: its radicand
+    adds at most 2 to the roots declared before it, which are below 4, so
+    no field passes 4 and none carries into the next.  A generator's
+    exponent out of range raises ExponentOverflow.  A radicand with a
+    denominator gives Fraction numerators, which are scaled back to ints
+    over a larger denominator at the end.  Returns (acc, den).
     """
     layout = ctx._layout
     zero, total, ngens = layout.zero, layout.total_shift, layout.ngens
@@ -312,9 +315,8 @@ def _settle(ctx, flagged, acc, den):
         if k & layout.gen_guard:
             raise ExponentOverflow(_OUTSIDE)
         if k & layout.root_guard:
-            for j in range(len(layout.shifts) - ngens - 1, -1, -1):
-                s = layout.shifts[ngens + j]
-                if (k >> s) & 7 == 4:
+            for j, s in enumerate(layout.shifts[ngens:]):
+                if (k >> s) & 4:
                     break
             rad = _radicand(ctx, j)
             base = k - (4 << s) - (4 << total) - zero

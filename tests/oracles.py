@@ -3,7 +3,9 @@
 These deliberately avoid the library's composition helpers: the YBE oracle
 contracts tensor indices with explicit sums over nonzero entries, and the
 skein oracle computes the one-variable invariant by descending-diagram
-induction on braid closures, using no matrices at all.  The Kronecker-power
+induction on braid closures, using no matrices at all, and
+``nabla_by_burau`` computes it as a Burau determinant over int Laurent
+dicts, with no state sum.  The Kronecker-power
 contractions are the reference for ``tensor.weighted_trace``: they form
 mu^(x n) and the product with it, which weighted_trace never does.  The
 ``*_sequential`` contractions add each product to its entry with +, as the
@@ -260,6 +262,83 @@ def equal_up_to_unit(a, b):
         return False
     (_, (re, im)), = q.terms.items()
     return im == 0 and abs(re) == 1
+
+
+# -- the Burau determinant --------------------------------------------------------
+
+
+def _laurent_mul(a, b):
+    """The product of two Laurent polynomials {exponent: int}."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _laurent_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _laurent_det(rows):
+    """The determinant of a square matrix of Laurent polynomials, by
+    expansion along its first row."""
+    if not rows:
+        return {0: 1}
+    total = {}
+    for col, entry in enumerate(rows[0]):
+        if entry:
+            minor = [row[:col] + row[col + 1:] for row in rows[1:]]
+            total = _laurent_add(total, _laurent_mul(entry, _laurent_det(minor)),
+                                 -1 if col % 2 else 1)
+    return total
+
+
+def nabla_by_burau(strands, word):
+    """``alexander_nabla`` of the closure of ``word`` on ``strands``
+    strands, as {t-exponent: int}, by the unreduced Burau matrix and no
+    state sum.
+
+    psi(b) is the product, in word order, of the n x n matrices that are
+    the identity but on rows and columns i, i+1, where sigma_i puts
+    [[1 - x, x], [1, 0]] and sigma_i^-1 puts [[0, 1], [x^-1, 1 - x^-1]].  D
+    is the determinant of I - psi(b) with its last row and column deleted,
+    a Laurent polynomial in x = t^2, and the value is
+    (-1)^(c - 1) t^-(w + n - 1) D for c components and writhe w (Burau
+    1936; Birman, "Braids, links, and mapping class groups", Thm 3.11).
+    """
+    n = strands
+    psi = [[{0: 1} if r == c else {} for c in range(n)] for r in range(n)]
+    for letter in word:
+        i = abs(letter) - 1
+        block = ([[{0: 1, 1: -1}, {1: 1}], [{0: 1}, {}]] if letter > 0
+                 else [[{}, {0: 1}], [{-1: 1}, {0: 1, -1: -1}]])
+        # psi <- psi G: only columns i and i + 1 change
+        for row in psi:
+            a, b = row[i], row[i + 1]
+            row[i], row[i + 1] = (
+                _laurent_add(_laurent_mul(a, block[0][k]), _laurent_mul(b, block[1][k]))
+                for k in (0, 1))
+    minor = [[_laurent_add({0: 1} if r == c else {}, psi[r][c], -1) for c in range(n - 1)]
+             for r in range(n - 1)]
+    d = _laurent_det(minor)
+    position, components, seen = list(range(n)), 0, set()
+    for letter in word:
+        i = abs(letter) - 1
+        position[i], position[i + 1] = position[i + 1], position[i]
+    for start in range(n):
+        if start not in seen:
+            components += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = position[k]
+    writhe = sum(1 if letter > 0 else -1 for letter in word)
+    sign = -1 if components % 2 == 0 else 1
+    return {2 * e - (writhe + n - 1): sign * c for e, c in d.items()}
 
 
 # -- Kronecker-power contractions ----------------------------------------------

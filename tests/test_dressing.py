@@ -1,10 +1,12 @@
 """Dressings: assembly, compatibility conditions, extended operators, presets."""
 
+import random
 import re
 
 import pytest
 
 from oracles import ybe_residuals
+from test_invariant import _random_words
 
 from ybtrace.braid import get_named_braid, parse_braid
 from ybtrace.catalog import check_ybe, get_rmatrix
@@ -281,3 +283,45 @@ def test_d3_r21_separates_two_links_that_jones_and_d4_r22_do_not():
     d3, d4 = (preset_dressings(name).eyb for name in ("d3_R21", "d4_R22"))
     assert compute_ts(d3, a).value != compute_ts(d3, b).value
     assert compute_ts(d4, a).value == compute_ts(d4, b).value
+
+
+def _knots_and_braids():
+    """The named knots and 14 distinct seeded knots of 2 to 4 strands; the
+    named links and 20 seeded braids of 2 to 4 strands."""
+    from ybtrace.braid import KNOT_NAMES, NAMED_LINKS
+
+    words = [b for b in _random_words(random.Random(5), 100, 4, 8) if b.strands > 1]
+    seeded = list(dict.fromkeys(b for b in words if b.closure_components() == 1
+                                and len(b.letters) > 1))[:14]
+    knots = [get_named_braid(name).braid for name in KNOT_NAMES] + seeded
+    assert len(knots) == 19 and all(b.closure_components() == 1 for b in knots)
+    braids = [get_named_braid(name).braid for name in NAMED_LINKS] + words[:20]
+    return knots, braids
+
+
+def test_a_nontrivial_diagonal_dressing_adds_n_minus_j_on_knots():
+    """The paper's third claim on knots: a diagonal dressing carries each
+    label outside J along its strand, so a knot's dressed trace is the base
+    operator's raw value plus one sector per outside label, each
+    s_aa^w beta^n alpha^-w beta^-n = 1 in nontrivial mode, where s_aa =
+    alpha and mu is padded with beta: N - |J| on every preset.  With sign
+    '-', s_aa = -alpha and the padding -beta, each outside sector gives
+    (-1)^(w+n) = -1 on a knot.  Trivial mode pads mu with zeros and gives
+    the base value on every braid."""
+    knots, braids = _knots_and_braids()
+    for name in preset_names():
+        preset = preset_dressings(name)
+        base = get_table1_entry(preset.base_rmatrix, preset.base_row).build(ctx=preset.ctx)
+        outside = preset.spec.n - len(preset.spec.j)
+        for b in knots:
+            expected = compute_ts(base, b).value + outside
+            assert compute_ts(preset.eyb, b).value == expected, (name, b)
+        trivial = dressed_eyb(base, preset.matrix, preset.spec, mode="trivial")
+        for b in braids:
+            assert compute_ts(trivial, b).value == compute_ts(base, b).value, (name, b)
+    ctx = _jones_ctx()
+    base = get_table1_entry("R2.1", 1).build(ctx=ctx)
+    spec = DiagonalDressingSpec(ctx, 3, (1, 3), {(2, 2): "-sqrt_pq^-1"})
+    op = dressed_eyb(base, dress_diagonal(_base_in(ctx), spec), spec, mode="nontrivial", sign="-")
+    for b in knots:
+        assert compute_ts(op, b).value == compute_ts(base, b).value - 1, b

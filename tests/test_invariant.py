@@ -539,17 +539,25 @@ RANK_ONE_ROWS = [("R3.1", 3), ("R3.1", 4), ("R2.1", 2), ("R2.1", 3), ("R2.1", 4)
                  ("R2.1", 5), ("R2.2", 2), ("R2.2", 3), ("R1.1", 2), ("R1.1", 3),
                  ("R1.1", 4), ("R1.1", 5), ("R1.2", 2), ("R1.2", 3)]
 WEIGHTED_SWAP_ROWS = [("R3.1", 1), ("R3.1", 2), ("R2.3", 1), ("R1.3", 1)]
+# the closure rows over one generator and no root
+INT_ROWS = [("R1.1", 1), ("R1.4", 1)]
 # the route compute_ts takes for each row, with either sign
 ROUTES = {(e.rmatrix, e.row): "closure" for e in table1_entries()}
 ROUTES.update(dict.fromkeys(RANK_ONE_ROWS, "closed form"))
 ROUTES.update(dict.fromkeys(WEIGHTED_SWAP_ROWS, "coloring"))
+ROUTES.update(dict.fromkeys(INT_ROWS, "ints"))
 
 
 def _route(op):
-    """The route that compute_ts took for ``op``, read off its kept verdicts."""
+    """The route that compute_ts took for ``op``, read off its kept verdicts
+    and its ring: the closure over one generator and no root is the int
+    route, on words that ``ring.kronecker`` maps."""
     if op._closure["eigen"] is not None:
         return "closed form"
-    return "closure" if op._closure["graded"] is None else "coloring"
+    if op._closure["graded"] is not None:
+        return "coloring"
+    ctx = op.ctx
+    return "ints" if len(ctx.generators) == 1 and not ctx.root_names else "closure"
 
 
 def _matrix_path(op, b, keep=0):
@@ -1039,9 +1047,9 @@ def test_the_closed_form_refuses_a_non_unit_alpha_where_the_push_does():
 
 
 def test_a_warm_classification_pushes_nothing_for_the_rank_one_rows(monkeypatch):
-    """Every push_at call of a warm classification_report comes from the five
-    rows that take the half-word closure; the 14 in closed form and the four
-    weighted swaps push nothing."""
+    """Every push_at call of a warm classification_report comes from the
+    three rows that take the half-word closure; the 14 in closed form, the
+    four weighted swaps and the two on ints push nothing."""
     report = classification_report()
     calls = {}
     _spy(monkeypatch, calls, invariant, "push_at")

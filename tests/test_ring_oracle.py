@@ -34,6 +34,10 @@ from ybtrace.ring import (
 # in them have negative powers
 CTX_ROOTS = ScalarContext(("p", "q"), (("r", "1-q^2"), ("s", "q + i*r/2")))
 CTX_UNITS = ScalarContext(("t",), (("u", "t"), ("w", "-2*t^-1*u")))
+# radicands that use an earlier root that is not the first, and two that
+# use the same one
+CTX_NESTED = ScalarContext(("q",), (("t", "q"), ("r", "1+q"), ("s", "r")))
+CTX_SHARED = ScalarContext(("q",), (("r", "1+q"), ("s", "r"), ("u", "r")))
 
 
 def _random_terms(rng, ctx, max_terms=5):
@@ -66,7 +70,8 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS], ids=["roots", "units"])
+@pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS, CTX_NESTED, CTX_SHARED],
+                         ids=["roots", "units", "nested", "shared"])
 def test_arithmetic_matches_term_dict_oracle(ctx):
     rng = random.Random(20261018)
     for _ in range(400):
@@ -81,6 +86,17 @@ def test_arithmetic_matches_term_dict_oracle(ctx):
         k = rng.randint(0, 3)
         assert terms_of(pow_int(a, k)) == oracles.terms_pow_int(ctx, ta, k)
         assert (a == b) == (ta == tb)
+
+
+def test_a_root_square_reduced_into_an_earlier_root_settles_that_root():
+    """Reducing s^2 = r adds to r's field, which may already hold r^2: the
+    field that reached 4 is the one reduced, and no field carries into the
+    next.  (r s)^2 = (1 + q) r, and (r s u)^2 = (1 + q)^2."""
+    r_s = CTX_NESTED.parse("r*s")
+    for square in (r_s * r_s, pow_int(r_s, 2), ring.dot(CTX_NESTED, [(r_s, r_s)])):
+        assert square == CTX_NESTED.parse("r + q*r")
+    r_s_u = CTX_SHARED.parse("r*s*u")
+    assert r_s_u * r_s_u == CTX_SHARED.parse("1 + 2*q + q^2")
 
 
 @pytest.mark.parametrize("ctx", [CTX_ROOTS, CTX_UNITS], ids=["roots", "units"])
