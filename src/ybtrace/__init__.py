@@ -44,7 +44,6 @@ from .tensor import (
     matrix_substitute,
     scalar_scale,
     trace,
-    weighted_trace,
 )
 from .catalog import (
     CATALOG_NAMES,

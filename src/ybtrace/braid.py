@@ -48,21 +48,25 @@ class BraidWord(Record):
         return tuple(perm)
 
     def closure_components(self):
-        perm = self.permutation()
-        seen = [False] * self.strands
-        count = 0
-        for start in range(self.strands):
-            if seen[start]:
-                continue
-            count += 1
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                k = perm[k]
-        return count
+        return len(_cycles(self.permutation())[1])
 
     def __str__(self):
         return " ".join(str(k) for k in self.letters)
+
+
+def _cycles(perm):
+    """(the cycle of each point, each cycle's length) for a permutation of
+    0..n-1 given as a list of images, cycles numbered by their least point.
+    A permutation and its inverse have the same cycles, and the cycles of a
+    braid's permutation are its closure's components."""
+    cycle, sizes = [None] * len(perm), []
+    for start in range(len(perm)):
+        p, size = start, 0
+        while cycle[p] is None:
+            cycle[p], p, size = len(sizes), perm[p], size + 1
+        if size:
+            sizes.append(size)
+    return cycle, sizes
 
 
 def parse_braid(text, strands=None):

@@ -211,22 +211,13 @@ def transform_rmatrix(r, t):
         out = scalar_scale(matmul(matmul(qq, matrix), invert(qq)), t.kappa)
     elif t.kind == "transpose":
         out = matrix.transpose()
-    elif t.kind == "shift":
-        entries = {}
-        for (row, col), v in matrix.entries.items():
-            rk, rl = divmod(row, base)
-            ck, cl = divmod(col, base)
-            nrow = ((rk + t.n) % base) * base + (rl + t.n) % base
-            ncol = ((ck + t.n) % base) * base + (cl + t.n) % base
-            entries[(nrow, ncol)] = v
-        out = SquareMatrix(matrix.ctx, matrix.side, entries)
-    elif t.kind == "flip":
-        entries = {}
-        for (row, col), v in matrix.entries.items():
-            rk, rl = divmod(row, base)
-            ck, cl = divmod(col, base)
-            entries[(rl * base + rk, cl * base + ck)] = v
-        out = SquareMatrix(matrix.ctx, matrix.side, entries)
+    elif t.kind in ("shift", "flip"):
+        # the new index of each digit pair (hi, lo), listed at hi * base + lo
+        pairs = [lo * base + hi if t.kind == "flip"
+                 else (hi + t.n) % base * base + (lo + t.n) % base
+                 for hi in range(base) for lo in range(base)]
+        out = SquareMatrix(matrix.ctx, matrix.side, {
+            (pairs[row], pairs[col]): v for (row, col), v in matrix.entries.items()})
     else:
         raise UnknownName(f"unknown transformation kind {t.kind!r}")
     verdict = check_ybe(out)

@@ -82,7 +82,8 @@ def _to_jsonable(result):
         return {
             "value": scalar_to_json(result.value),
             "normalized": result.normalized,
-            "unknot_value": scalar_to_json(result.unknot_value),
+            "unknot_value": (None if result.unknot_value is None
+                             else scalar_to_json(result.unknot_value)),
         }
     if isinstance(result, TableReport):
         return {

@@ -22,7 +22,8 @@ from .errors import (
     DimensionMismatch, ExponentOverflow, NotAUnit, ParseError, UnknownName, UnknownRow,
 )
 from .ring import (
-    ScalarContext, json_field, kronecker, scalar_from_json, scalar_to_json, substitute,
+    ScalarContext, dot_entries, json_field, kronecker, scalar_from_json, scalar_to_json,
+    substitute,
 )
 from .tensor import (
     SquareMatrix,
@@ -35,7 +36,6 @@ from .tensor import (
     matrix_to_json,
     matrix_substitute,
     scalar_scale,
-    weighted_trace,
 )
 from .catalog import check_listed_positions, restricted_matrix
 
@@ -109,10 +109,18 @@ def _exact_conditions(op, mumu):
         return Verdict(False, "commute", residual=diff)
     # Tr_2(Y (mu x mu)) = Tr_2(Y (1 x mu)) mu must be (c 1) mu, c = alpha^(+-1)
     # beta, for Y = R^(+-1); R is inverted only once the first condition holds
+    base, weights = op.mu.side, op.mu.entries
     for condition, power in (("trace2", 1), ("trace2-inverse", -1)):
         y = op.r if power == 1 else invert(op.r)
-        c = SquareMatrix.diagonal(op.ctx, [op.alpha ** power * op.beta] * op.mu.side)
-        diff = matmul_sub(weighted_trace(y, op.mu, [2]), op.mu, c, op.mu)
+        c = SquareMatrix.diagonal(op.ctx, [op.alpha ** power * op.beta] * base)
+        # Tr_2(Y (1 x mu)): entry ((i s), (j t)) of Y times mu[t, s] adds to (i, j)
+        triples = []
+        for (row, col), v in y.entries.items():
+            (i, s), (j, t) = divmod(row, base), divmod(col, base)
+            if (t, s) in weights:
+                triples.append(((i, j), v, weights[t, s]))
+        traced = SquareMatrix(op.ctx, base, dot_entries(op.ctx, triples, ()))
+        diff = matmul_sub(traced, op.mu, c, op.mu)
         if not diff.is_zero():
             return Verdict(False, condition, residual=diff)
     return Verdict(True)
@@ -355,13 +363,13 @@ def get_table1_eyb(rmatrix, row, sign="+"):
 # -- JSON form ---------------------------------------------------------------
 
 
-def eyb_to_json(op, restrictions=()):
+def eyb_to_json(op):
     return {
         "r": matrix_to_json(op.r),
         "mu": matrix_to_json(op.mu),
         "alpha": scalar_to_json(op.alpha),
         "beta": scalar_to_json(op.beta),
-        "restrictions": [[name, str(value)] for name, value in restrictions],
+        "restrictions": [],
     }
 
 

@@ -76,7 +76,7 @@ import itertools
 from collections import Counter
 
 from ._record import Record
-from .braid import BraidWord, get_named_braid, NAMED_LINKS
+from .braid import BraidWord, _cycles, get_named_braid, NAMED_LINKS
 from .errors import (
     DimensionMismatch,
     ExponentOverflow,
@@ -461,13 +461,7 @@ def _coloring_trace(op, b, graded):
         pairs.append((letter > 0, at[j], at[j + 1]))
         at[j], at[j + 1] = at[j + 1], at[j]
     # the closure joins the strand ending at position p to the one starting there
-    component, sizes = [None] * n, []
-    for start in range(n):
-        p, size = start, 0
-        while component[p] is None:
-            component[p], p, size = len(sizes), at[p], size + 1
-        if size:
-            sizes.append(size)
+    component, sizes = _cycles(at)
     crossings = {}
     for positive, s, t in pairs:
         key = (positive, component[s], component[t])
@@ -518,9 +512,12 @@ def compute_ts(op, b, normalized=False):
     form does not invert R, so on a singular R it gives a value where the
     closure raises NonInvertible for a negative letter; an operator that
     ``verify_eyb`` accepts has an invertible R.  Division by beta^n is
-    performed exactly, so beta need not be a unit.  Normalization divides by
-    the unknot value and raises NotDivisible when that is impossible (in
-    particular when the unknot value is zero).  The eigenvalue c or the
+    performed exactly, so beta need not be a unit.  The result's
+    ``unknot_value`` is Tr(mu)/beta, or None on a raw call when that
+    quotient is not in the ring: the raw value needs only the division by
+    beta^n.  Normalization divides by the unknot value and raises
+    NotDivisible when that is impossible (in particular when the unknot
+    value is zero or not in the ring).  The eigenvalue c or the
     verdict that there is none, then the filtration's weights or the verdict
     that they do not apply, the unknot value and the constants of each
     route are computed on the first call that needs them and kept on
@@ -540,9 +537,13 @@ def compute_ts(op, b, normalized=False):
     else:
         graded = _kept(op, "graded", _graded, op)
         raw = _closure(op, b, 0) if graded is None else _coloring_trace(op, b, graded)
-    unknot = _kept(op, "unknot", unknot_value, op)
     if not normalized:
+        try:
+            unknot = _kept(op, "unknot", unknot_value, op)
+        except NotDivisible:
+            unknot = None
         return InvariantResult(raw, False, unknot, op, b)
+    unknot = _kept(op, "unknot", unknot_value, op)
     if unknot.is_zero():
         raise NotDivisible("unknot value is zero; cannot normalize")
     return InvariantResult(try_div_exact(raw, unknot), True, unknot, op, b)

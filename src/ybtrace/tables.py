@@ -1,6 +1,6 @@
 """Reproduction of the reference invariant tables from scratch.
 
-Each runner recomputes every cell with the appropriate operator and
+``run_table`` recomputes every cell with the appropriate operator and
 normalization convention and diffs the result against the golden values
 embedded below.  The parameters are collapsed (t = pq, s = aby for the
 three-dimensional dressing, s = hg for the four-dimensional one) on the
@@ -75,6 +75,19 @@ TABLE4_LINKS = {
 
 TABLE3_UNKNOT_RAW = "t^(1/2) + 1 + t^(-1/2)"
 
+# table -> its row groups, each (link names, columns); every link of a group
+# gets one cell per column, in order, and a column is (name, collapse,
+# normalized, {link: golden text})
+_TABLES = {
+    2: [(KNOT_NAMES, [("jones", "jones", True, TABLE2_JONES),
+                      ("dressed", "d3", True, TABLE2_DRESSED)])],
+    3: [(("0_1",), [("dressed-unknot-raw", "d3", False, {"0_1": TABLE3_UNKNOT_RAW})]),
+        (LINK_NAMES, [("jones", "jones", True, TABLE3_JONES),
+                      ("dressed", "d3", False, TABLE3_DRESSED)])],
+    4: [(tuple(TABLE4_LINKS), [("dressed", "d4", True, TABLE4_LINKS)]),
+        (KNOT_NAMES, [("dressed", "d4", True, dict.fromkeys(KNOT_NAMES, "1"))])],
+}
+
 
 class TableCell(Record):
     _fields = ("table", "link", "column", "computed", "expected", "match")
@@ -119,25 +132,6 @@ def _target(collapse):
     return _targets[collapse]
 
 
-def _collapsed(collapse):
-    """The collapse's operator, specialized to its target ring once."""
-    return _target(collapse)[1]
-
-
-def _cell(table, link, column, value, collapse, golden):
-    """The cell of ``value``, which lies in the collapse's target ring."""
-    ct, _, goldens = _target(collapse)
-    if golden not in goldens:
-        expected = ct.parse(golden)
-        goldens[golden] = (expected, format_scalar(expected))
-    expected, expected_text = goldens[golden]
-    return TableCell(
-        table, link, column,
-        format_scalar(value), expected_text,
-        value == expected,
-    )
-
-
 def _run_table1():
     rows = classification_report()
     cells = tuple(
@@ -154,51 +148,24 @@ def _run_table1():
     return TableReport(1, cells)
 
 
-def _run_table2():
-    jones = _collapsed("jones")
-    dressed = _collapsed("d3")
-    cells = []
-    for name in KNOT_NAMES:
-        braid = get_named_braid(name).braid
-        value = compute_ts(jones, braid, normalized=True).value
-        cells.append(_cell(2, name, "jones", value, "jones", TABLE2_JONES[name]))
-        value = compute_ts(dressed, braid, normalized=True).value
-        cells.append(_cell(2, name, "dressed", value, "d3", TABLE2_DRESSED[name]))
-    return TableReport(2, tuple(cells))
-
-
-def _run_table3():
-    jones = _collapsed("jones")
-    dressed = _collapsed("d3")
-    cells = []
-    unknot = compute_ts(dressed, get_named_braid("0_1").braid).value
-    cells.append(_cell(3, "0_1", "dressed-unknot-raw", unknot, "d3", TABLE3_UNKNOT_RAW))
-    for name in LINK_NAMES:
-        braid = get_named_braid(name).braid
-        value = compute_ts(jones, braid, normalized=True).value
-        cells.append(_cell(3, name, "jones", value, "jones", TABLE3_JONES[name]))
-        value = compute_ts(dressed, braid, normalized=False).value
-        cells.append(_cell(3, name, "dressed", value, "d3", TABLE3_DRESSED[name]))
-    return TableReport(3, tuple(cells))
-
-
-def _run_table4():
-    dressed = _collapsed("d4")
-    cells = []
-    for name, golden in TABLE4_LINKS.items():
-        braid = get_named_braid(name).braid
-        value = compute_ts(dressed, braid, normalized=True).value
-        cells.append(_cell(4, name, "dressed", value, "d4", golden))
-    for name in KNOT_NAMES:
-        braid = get_named_braid(name).braid
-        value = compute_ts(dressed, braid, normalized=True).value
-        cells.append(_cell(4, name, "dressed", value, "d4", "1"))
-    return TableReport(4, tuple(cells))
-
-
 def run_table(which):
     """Recompute the requested table and diff it against the golden values."""
-    runners = {1: _run_table1, 2: _run_table2, 3: _run_table3, 4: _run_table4}
-    if which not in runners:
+    if which == 1:
+        return _run_table1()
+    if which not in _TABLES:
         raise UnknownName(f"no table {which}; choose 1..4")
-    return runners[which]()
+    cells = []
+    for links, columns in _TABLES[which]:
+        for name in links:
+            braid = get_named_braid(name).braid
+            for column, collapse, normalized, goldens in columns:
+                ct, op, parsed = _target(collapse)
+                value = compute_ts(op, braid, normalized=normalized).value
+                golden = goldens[name]
+                if golden not in parsed:
+                    expected = ct.parse(golden)
+                    parsed[golden] = (expected, format_scalar(expected))
+                expected, expected_text = parsed[golden]
+                cells.append(TableCell(which, name, column, format_scalar(value), expected_text,
+                                       value == expected))
+    return TableReport(which, tuple(cells))

@@ -352,56 +352,6 @@ def trace(a):
     return total
 
 
-def weighted_trace(a, mu, slots):
-    """Trace over the 1-indexed tensor ``slots`` of a * (mu on those slots,
-    identity on the others); the base is mu.side.
-
-    Entry (r, c) of a adds a[r, c] * prod_s mu[c_s, r_s] to entry
-    (r_keep, c_keep) of the result, where r_s, c_s are the digits of r, c in
-    slot s and r_keep, c_keep the digits in the other slots, so no Kronecker
-    power is formed.  One pass over a's entries reads each entry's digits
-    and multiplies its weight out of mu's entries (one traced slot: mu's
-    entry itself), skipping the entry at its first zero factor, and the
-    (entry, weight) products go to one ``ring.dot_entries``, so each result
-    entry is one sum in ``ring.join``.  Empty
-    ``slots`` return a; every slot gives a 1x1 matrix holding the full
-    weighted trace.
-    """
-    _check_ctx(a, mu)
-    base = mu.side
-    arity, side = 0, 1
-    while base > 1 and side < a.side:
-        side *= base
-        arity += 1
-    if base < 2 or side != a.side:
-        raise DimensionMismatch(f"side {a.side} is not a power of {base}")
-    slots = set(slots)
-    if any(not 1 <= s <= arity for s in slots):
-        raise DimensionMismatch(f"slots {sorted(slots)} outside 1..{arity}")
-    if not slots:
-        return a
-    # whether each slot is traced, least significant digit first
-    traced = [s in slots for s in range(arity, 0, -1)]
-    weights = mu.entries
-    triples = []
-    for (r, c), v in a.entries.items():
-        w, rk, ck, place = None, 0, 0, 1
-        for is_traced in traced:
-            r, rd = divmod(r, base)
-            c, cd = divmod(c, base)
-            if not is_traced:
-                rk += rd * place
-                ck += cd * place
-                place *= base
-            elif (cd, rd) not in weights:
-                break
-            else:
-                w = weights[cd, rd] if w is None else w * weights[cd, rd]
-        else:
-            triples.append(((rk, ck), v, w))
-    return SquareMatrix._built(a.ctx, base ** (arity - len(slots)), dot_entries(a.ctx, triples, ()))
-
-
 def matrix_substitute(a, bindings, target):
     """``ring.substitute`` of each entry of ``a`` into the context ``target``."""
     return SquareMatrix(target, a.side,

@@ -6,8 +6,9 @@ skein oracle computes the one-variable invariant by descending-diagram
 induction on braid closures, using no matrices at all, and
 ``nabla_by_burau`` computes it as a Burau determinant over int Laurent
 dicts, with no state sum.  The Kronecker-power
-contractions are the reference for ``tensor.weighted_trace``: they form
-mu^(x n) and the product with it, which weighted_trace never does.  The
+contractions form mu^(x n) and the product with it, and are the reference
+for ``weighted_trace_sequential``, the weighted trace the invariant tests
+close a whole word's matrix with; the engine never forms either.  The
 ``*_sequential`` contractions add each product to its entry with +, as the
 library did before it summed each entry with ``ring.dot``, and
 ``matmul_sub_by_pairs`` is the product residual as it was before its keyed
@@ -413,9 +414,10 @@ def partial_trace(a, slots, base):
 
 # -- contractions summed one product at a time ----------------------------------
 #
-# The library's matmul, the push and weighted_trace as they were before their
-# entries became one ring.dot each: every product is added to its entry's
-# running Scalar with +.
+# The library's matmul, the push and weighted_trace (since removed; verify_eyb
+# contracts its one traced slot itself) as they were before their entries
+# became one ring.dot each: every product is added to its entry's running
+# Scalar with +.
 
 
 def matmul_sequential(a, b):

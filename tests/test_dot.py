@@ -161,16 +161,6 @@ def test_matmul_is_the_sequential_product_on_every_row():
             _assert_same_matrix(tensor.matmul(a, b), oracles.matmul_sequential(a, b))
 
 
-def test_weighted_trace_is_the_sequential_one_on_every_row():
-    for op in _operators():
-        r12, r23 = _embedded(op.r)
-        rep = tensor.matmul(r12, r23)
-        for a, slots in ((op.r, [1]), (op.r, [2]), (op.r, [1, 2]),
-                         (rep, [2, 3]), (rep, [1, 3]), (rep, [1, 2, 3])):
-            _assert_same_matrix(tensor.weighted_trace(a, op.mu, slots),
-                                oracles.weighted_trace_sequential(a, op.mu, slots))
-
-
 def test_seeded_words_push_and_multiply_as_the_sequential_ones():
     rng = random.Random(20261018)
     for op in _operators():
@@ -373,6 +363,9 @@ def test_matmul_sub_raises_for_an_overflow_that_cancels_and_for_a_foreign_entry(
 
 
 def test_contract_and_weighted_trace_raise_for_an_overflow_that_cancels():
+    """The push's contraction, the sequential weighted trace and verify_eyb's
+    trace condition on Scalars raise where products leave the exponent
+    range, though their sum cancels."""
     ctx = ScalarContext(("q",))
     q = ctx.gen("q")
     for big, small in ((ctx.gen("q", MAX_EXPONENT - 1), q),
@@ -382,9 +375,17 @@ def test_contract_and_weighted_trace_raise_for_an_overflow_that_cancels():
             contract(pack(ctx, {0: big, 1: q}), {0: [(0, small), (0, -small)], 1: [(1, q)]})
         a = tensor.SquareMatrix(ctx, 4, {(0, 0): big, (1, 1): -big, (2, 2): q})
         mu = tensor.SquareMatrix(ctx, 2, {(0, 0): small, (1, 1): small})
-        for weighted_trace in (tensor.weighted_trace, oracles.weighted_trace_sequential):
-            with pytest.raises(ExponentOverflow):
-                weighted_trace(a, mu, [2])
+        with pytest.raises(ExponentOverflow):
+            oracles.weighted_trace_sequential(a, mu, [2])
+        # base 3: R's entries at ((0 s), (0 s)) for s = 1, 2 meet mu[0, 0] mu[s, s]
+        # = 1 in R (mu x mu) and (mu x mu) R, so R commutes with mu (x) mu in
+        # range, and Tr_2(R (1 x mu)) sums big*small - big*small at (0, 0)
+        r = tensor.SquareMatrix(ctx, 9, {(1, 1): big, (2, 2): -big})
+        mu = tensor.SquareMatrix.diagonal(ctx, [small ** -1, small, small])
+        op = eyb.EnhancedOperator(r, mu, ctx.one(), ctx.one())
+        assert tensor.matmul_sub(r, tensor.kron(mu, mu), tensor.kron(mu, mu), r).is_zero()
+        with pytest.raises(ExponentOverflow):
+            eyb.verify_eyb(op)
 
 
 # -- dot_entries against one dot per key -------------------------------------------
@@ -416,7 +417,7 @@ def test_dot_entries_is_one_dot_per_key(name):
 def _trace_residual(y, mu, c):
     """The trace condition's residual as verify_eyb formed it before it took one
     residual call: Tr_2(Y (1 x mu)) mu - c mu by matmul, scalar_scale and matsub."""
-    return oracles.matsub(tensor.matmul(tensor.weighted_trace(y, mu, [2]), mu),
+    return oracles.matsub(tensor.matmul(oracles.weighted_trace_sequential(y, mu, [2]), mu),
                          tensor.scalar_scale(mu, c))
 
 

@@ -18,7 +18,7 @@ from ybtrace.eyb import (
 )
 from ybtrace.errors import DimensionMismatch, NotAUnit, ParseError, UnknownName, UnknownRow
 from ybtrace.invariant import alexander_nabla, classification_report, compute_ts
-from ybtrace.ring import ScalarContext
+from ybtrace.ring import ScalarContext, pow_int
 from ybtrace.tables import run_table
 from ybtrace.tensor import SquareMatrix, invert, kron, matadd, matmul, scalar_scale
 
@@ -173,7 +173,8 @@ def test_beta_rescaling_keeps_validity():
 
 def test_eyb_json_round_trip():
     op = get_table1_eyb("R2.2", 1)
-    obj = eyb_to_json(op, restrictions=())
+    obj = eyb_to_json(op)
+    assert obj["restrictions"] == []
     back = eyb_from_json(op.ctx, obj)
     assert back.r == op.r and back.mu == op.mu
     assert back.alpha == op.alpha and back.beta == op.beta
@@ -182,7 +183,7 @@ def test_eyb_json_round_trip():
 def test_eyb_from_json_refuses_a_position_listed_twice():
     op = get_table1_eyb("R2.2", 1)
     for key in ("r", "mu"):
-        obj = eyb_to_json(op, restrictions=())
+        obj = eyb_to_json(op)
         listed = obj[key]["entries"]
         listed.append([*listed[0][:2], {"terms": [{"re": "7"}]}])
         with pytest.raises(ParseError, match=re.escape(
@@ -267,8 +268,10 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     fresh operators' closure constants: the eigenvalue verdict and the
     unknot value's powers per strand count of the rank-one weights, the
     charge filtration's verdict, the half-word closure's weight rows per
-    strand and kept slot count with beta^k for the k closed slots, the
-    coloring sum's beta^n, and the transposed crossings."""
+    strand and kept slot count, beta^k for k closed slots on every route,
+    and the transposed crossings.  Each kept constant is replayed on the
+    fresh operator by itself, by the call that keeps it, so whatever ran
+    before on the shared operators, the two keep the same constants."""
     for sign in "+-":
         classification_report(sign=sign)
     for which in (2, 3, 4):
@@ -289,16 +292,15 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
             for key in shared._closure:
                 if key[0] == "unknot":  # the closed form's unknot^n
                     compute_ts(fresh, BraidWord(key[1]))
-                elif key[0] == "rows":  # with beta^k for the n - keep closed slots
-                    # by the half-word closure itself: compute_ts never takes
-                    # it for a weight in closed form, but a direct call may have
-                    invariant._closure(fresh, BraidWord(key[1]), key[2])
+                elif key[0] == "rows":  # kept by the half-word closure alone
+                    n, keep = key[1:]
+                    invariant._half_word_closure(fresh, BraidWord(n), keep, fresh.base_dim ** n)
                 elif key[0] == "transpose":
                     invariant._pullback(fresh, key[1])
                 elif key == "graded":  # the charge filtration's verdict
                     assert invariant._graded(fresh) == shared._closure[key]
-                elif key[0] == "beta" and shared._closure.get("graded") is not None:
-                    compute_ts(fresh, BraidWord(key[1]))  # the coloring sum's beta^n
+                elif key[0] == "beta":  # kept by the closure and the coloring sum alike
+                    invariant._kept(fresh, key, pow_int, fresh.beta, key[1])
                 else:
-                    assert key in ("eigen", "unknot") or key[0] == "beta", key
+                    assert key in ("eigen", "unknot"), key
             assert shared._closure == fresh._closure

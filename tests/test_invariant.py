@@ -12,7 +12,9 @@ from oracles import (
     conway_polynomial,
     equal_up_to_unit,
     kron_power,
+    nabla_by_burau,
     trace_product,
+    weighted_trace_sequential,
 )
 from test_acceptance import _shift_mu
 
@@ -55,7 +57,7 @@ from ybtrace.invariant import (
 from ybtrace.ring import PackedVector, ScalarContext, pow_int, substitute, try_div_exact
 from ybtrace.tables import run_table
 from ybtrace.tensor import (
-    MAX_ENTRIES, SquareMatrix, invert, kron, matadd, matmul, scalar_scale, weighted_trace,
+    MAX_ENTRIES, SquareMatrix, invert, kron, matadd, matmul, scalar_scale,
 )
 
 
@@ -305,18 +307,26 @@ ALEXANDER_ROWS = {("R2.2", 1): {"p": "t^2", "q": "1"}, ("R1.1", 1): {"q": "t"},
 
 
 def test_open_trace_of_each_alexander_row_matches_the_skein_oracle():
-    """Both signs, on the named links and on seeded words of up to five strands."""
+    """The paper's second claim: both signs, on the named links and on seeded
+    words of up to five strands, equal the skein oracle and the Burau
+    determinant up to a unit +-t^k, and with sign '-' the Burau determinant
+    exactly."""
     ctx = ScalarContext(("t",))
     words = [get_named_braid(name).braid for name in NAMED_LINKS]
     words += _random_words(random.Random(11), 40, 5, 8)
     oracles = [conway_in_t(ctx, conway_polynomial(b.strands, b.letters)) for b in words]
+    burau = [sum((ctx.scalar(c) * ctx.gen("t", e)
+                  for e, c in nabla_by_burau(b.strands, b.letters).items()), ctx.zero())
+             for b in words]
     for (rmatrix, row), texts in ALEXANDER_ROWS.items():
         bindings = {g: ctx.parse(text) for g, text in texts.items()}
         for sign in "+-":
             op = get_table1_eyb(rmatrix, row, sign=sign)
-            for b, oracle in zip(words, oracles):
+            for b, oracle, determinant in zip(words, oracles, burau):
                 value = substitute(open_trace(op, b), bindings, ctx)
                 assert equal_up_to_unit(value, oracle), (rmatrix, row, sign, b)
+                assert equal_up_to_unit(value, determinant), (rmatrix, row, sign, b)
+                assert sign == "+" or value == determinant, (rmatrix, row, b)
 
 
 def test_open_trace_refuses_a_partial_closure_off_the_identity():
@@ -562,13 +572,13 @@ def _route(op):
 
 def _matrix_path(op, b, keep=0):
     """alpha^-w beta^-(n - keep) times the multiple of the identity that
-    ``weighted_trace`` leaves on strands 1..keep of the whole word's
-    representation matrix, closed over the other strands; keep=0 gives
-    alpha^-w beta^-n Tr(rep mu^(x n)).  ProportionalityFailure when what is
-    left is not such a multiple."""
+    ``oracles.weighted_trace_sequential`` leaves on strands 1..keep of the
+    whole word's representation matrix, closed over the other strands;
+    keep=0 gives alpha^-w beta^-n Tr(rep mu^(x n)).  ProportionalityFailure
+    when what is left is not such a multiple."""
     n = b.strands
     rep = braid_representation(op.r, b)
-    left = weighted_trace(rep, op.mu, range(keep + 1, n + 1))
+    left = weighted_trace_sequential(rep, op.mu, range(keep + 1, n + 1))
     raw = left.get(0, 0)
     if left != SquareMatrix.diagonal(left.ctx, [raw] * left.side):
         raise ProportionalityFailure("not a multiple of the identity")
@@ -1253,6 +1263,131 @@ def test_a_singular_weighted_swap_raises_what_the_closure_raises():
         for word in positive:
             assert compute_ts(op, word).value == _matrix_path(op, word), (weight, word)
         assert op.r._inverse is None and ("transpose", False) not in op._closure
+
+
+def _outcome(route):
+    """("value", the route's value) or ("error", the type it raised)."""
+    try:
+        return "value", route()
+    except (NotDivisible, NonInvertible, InverseOutsideRing, NotAUnit,
+            ProportionalityFailure) as exc:
+        return "error", type(exc)
+
+
+def _unknot_outside_the_ring():
+    """Two operators, not enhanced, whose Tr(mu)/beta is not in the ring but
+    whose raw values are: (operator, word, raw value).  The first takes the
+    half-word closure, the second the coloring sum."""
+    ctx = ScalarContext(("q",), (("s", "1-q^2"),))
+    r = SquareMatrix(ctx, 4, {(2, 1): ctx.one(), (3, 0): ctx.parse("s/2"),
+                              (3, 2): ctx.parse("(1+q)/2")})
+    mu = SquareMatrix.from_rows(ctx, [["(1+q)/2", "s/2"], [0, 1]])
+    closure = EnhancedOperator(r, mu, ctx.scalar(-1), ctx.parse("1+q"))
+    pq = ScalarContext(("p", "q"), (("r", "p*q"),))
+    r = SquareMatrix(pq, 4, {(1, 2): pq.gen("p"), (2, 1): pq.one(), (3, 3): pq.gen("q")})
+    mu = SquareMatrix.diagonal(pq, [pq.gen("r", -1), 0])
+    coloring = EnhancedOperator(r, mu, pq.gen("q"), pq.parse("1+q"))
+    return [(closure, BraidWord(4, (3, 1, 2, 2)), ctx.parse("1/32 - q/32")),
+            (coloring, BraidWord(2, (1, 1)), pq.zero())]
+
+
+def test_a_raw_value_does_not_need_the_unknot_value_in_the_ring():
+    """compute_ts divides a raw value by beta^n only: where Tr(mu)/beta is
+    not in the ring it returns the raw value with unknot_value None, and a
+    normalized call raises NotDivisible, every time."""
+    routes = []
+    for op, b, raw in _unknot_outside_the_ring():
+        with pytest.raises(NotDivisible):
+            unknot_value(op)
+        assert _matrix_path(op, b) == raw
+        for _ in range(2):
+            result = compute_ts(op, b)
+            assert (result.value, result.normalized, result.unknot_value) == (raw, False, None)
+            with pytest.raises(NotDivisible):
+                compute_ts(op, b, normalized=True)
+        routes.append(_route(op))
+    assert routes == ["closure", "coloring"]
+
+
+# rings of the seeded operators below: units, other entry texts and betas,
+# which are no unit
+_SWEEP_RINGS = [
+    (ScalarContext(("q",), (("s", "1-q^2"),)), ["1", "-1", "q", "q^-1", "-q"],
+     ["s", "s/2", "(1+q)/2", "1-q", "2*s*q"], ["1+q", "1-q", "q+s"]),
+    (ScalarContext(("p", "q"), (("r", "p*q"),)), ["1", "-1", "p", "q", "r", "r^-1"],
+     ["1-p*q", "p+q", "1+r", "2*r"], ["1+q", "p+q", "1+r"]),
+    (ScalarContext(("x",)), ["1", "-1", "i", "i*x", "x", "x^-1"],
+     ["1+i*x", "1-x", "1/2", "x+x^2"], ["1+x", "1+i*x", "x+x^2"]),
+]
+
+
+def _seeded_operator(rng, ctx, units, others, betas):
+    """A base-2 operator, not enhanced: R a weighted swap (with
+    charge-raising entries or not) or six-vertex, both with unit weights
+    where the determinant needs them, or sparse; mu diagonal, rank one,
+    triangular or dense, two times in three beta times such a matrix;
+    alpha a signed monomial or 1; beta no unit."""
+    def pick(texts):
+        return ctx.parse(rng.choice(texts))
+
+    entries = units + others
+    shape = rng.choice(("swap", "swap", "six-vertex", "six-vertex", "sparse"))
+    if shape == "swap":
+        r = {key: pick(units) for key in ((0, 0), (1, 2), (2, 1), (3, 3))}
+        r.update((key, pick(others)) for key in rng.choice(([], [(3, 0)], [(1, 0), (3, 1)])))
+    elif shape == "six-vertex":
+        r = {key: pick(units) for key in ((0, 0), (1, 2), (2, 1), (3, 3))}
+        r.update((key, pick(entries)) for key in rng.choice(([(2, 2)], [(1, 1), (2, 2)])))
+    else:
+        keys = [(i, j) for i in range(4) for j in range(4)]
+        r = {key: pick(entries) for key in rng.sample(keys, rng.randint(3, 7))}
+    beta = ctx.parse(rng.choice(betas))
+    scale = beta if rng.random() < 2 / 3 else ctx.one()
+    kind = rng.choice(("diagonal", "rank one", "triangular", "dense"))
+    if kind == "rank one":
+        u, v = ([pick(entries), pick(entries) * rng.randint(0, 1)] for _ in range(2))
+        rows = [[scale * u[i] * v[j] for j in range(2)] for i in range(2)]
+    else:
+        rows = [[scale * pick(entries) for _ in range(2)] for _ in range(2)]
+        if kind != "dense":
+            rows[1][0] = ctx.zero()
+        if kind == "diagonal":
+            rows[0][1] = ctx.zero()
+    alpha = rng.choice((1, -1)) * ctx.gen(ctx.generators[0], rng.randint(-1, 1))
+    return EnhancedOperator(SquareMatrix(ctx, 4, r), SquareMatrix.from_rows(ctx, rows), alpha, beta)
+
+
+def test_seeded_operators_that_are_not_enhanced_match_the_matrix_path():
+    """150 seeded base-2 operators that verify_eyb does not accept, over a
+    ring with a root whose radicand has a 1, one with the root of a product
+    and one with i, on words of 2 to 4 strands with letters of both signs:
+    compute_ts and open_trace give the whole word's matrix value, or raise
+    the same error type.  The one exception is documented on compute_ts:
+    the closed form inverts no R, so on an R that is not invertible in the
+    ring it gives a value (or NotDivisible, for an unknot value outside the
+    ring) where the matrix path raises for a negative letter.  One raw
+    value has an unknot value outside the ring."""
+    rng = random.Random(37)
+    values, closed, outside, routes = 0, 0, 0, set()
+    for k in range(150):
+        op = _seeded_operator(rng, *_SWEEP_RINGS[k % 3])
+        assert not verify_eyb(op)
+        for b in _mixed_words(rng, 3, 4, 6):
+            for keep, route in ((0, lambda: compute_ts(op, b).value),
+                                (1, lambda: open_trace(op, b))):
+                got, want = _outcome(route), _outcome(lambda: _matrix_path(op, b, keep))
+                if got != want:  # the closed form on an R not invertible in the ring
+                    assert want[1] in (NonInvertible, InverseOutsideRing), (k, b, keep)
+                    assert got[0] == "value" or got[1] is NotDivisible, (k, b, keep)
+                    assert op._closure["eigen"] is not None, (k, b, keep)
+                    closed += 1
+                    continue
+                values += got[0] == "value"
+                # a raw value whose unknot value is not in the ring, which is not kept
+                outside += keep == 0 and got[0] == "value" and "unknot" not in op._closure
+        routes.add(_route(op))
+    assert values >= 250 and closed > 0 and outside > 0
+    assert routes == {"closed form", "coloring", "ints", "closure"}
 
 
 def test_the_coloring_sum_refuses_a_braid_over_the_strand_cap_and_keeps_nothing(monkeypatch):

@@ -8,8 +8,8 @@ the kernels built on it are the only way the other layers reach the terms:
 ``dot`` and ``pack``; ``kronecker``, whose ints and their reader take the
 products of ``catalog.check_ybe``'s integer route; and ``join``, the one
 loop for sums per key, which ``push``, ``contract`` and ``dot_entries``
-feed and ``tensor.weighted_trace`` and ``tensor.matmul_sub`` (and so the
-check's fallback) reach through ``dot_entries``.
+feed and ``eyb.verify_eyb``'s trace conditions and ``tensor.matmul_sub``
+(and so the check's fallback) reach through ``dot_entries``.
 """
 
 import ast
