@@ -2,8 +2,8 @@
 
 The package computes polynomial invariants of braid closures from the
 catalog of nonsingular constant R-matrices in dimension two, from their
-enhanced trace operators, and from diagonal and block dressings into
-higher dimensions.  All arithmetic is exact.
+enhanced trace operators, and from diagonal dressings into higher
+dimensions.  All arithmetic is exact.
 """
 
 from .errors import (

@@ -1,17 +1,16 @@
-"""Diagonal and block dressings: embedding a solution into a larger dimension.
+"""Diagonal dressings: embedding a solution into a larger dimension.
 
-A dressing keeps the base solution on the index subset J and fills the
-remaining index pairs with weighted swaps (diagonal case) or with the
-F/G block data.  The compatibility conditions are checked by brute force
-over index tuples, and the assembled matrix is re-checked against the YBE.
+A dressing keeps the base solution on the index subset J and fills every
+remaining index pair with a weighted swap.  The compatibility conditions
+are checked by brute force over index tuples, and the assembled matrix is
+re-checked against the YBE.
 
-Both kinds of spec are validated by one function when they are built: J
-must be distinct labels within 1..N, every swap weight a unit at a pair
-within 1..N that the kind allows, and a block spec's F and G invertible and
-of side |J|.
+A spec is validated when it is built: J must be distinct labels within
+1..N, and every swap weight a unit of the spec's context at a pair within
+1..N that J x J does not hold.
 
-Index subsets and the s/f mappings are 1-indexed at the interface, matching
-the diagonal spec's JSON form; internal tensor digits are 0-indexed.
+Index subsets and the s mapping are 1-indexed at the interface, matching
+the spec's JSON form; internal tensor digits are 0-indexed.
 """
 
 import re
@@ -20,59 +19,15 @@ from ._record import Record
 from .catalog import check_ybe
 from .errors import (
     ConditionViolation,
+    ContextMismatch,
     DimensionMismatch,
-    InverseOutsideRing,
-    NonInvertible,
     ParseError,
     PreconditionViolation,
     UnknownName,
 )
 from .eyb import EnhancedOperator, get_table1_entry, verify_eyb
 from .ring import ScalarContext, format_scalar, json_field
-from .tensor import (
-    MAX_STATES,
-    SquareMatrix,
-    invert,
-    kron,
-    matmul,
-    matmul_sub,
-    matrix_substitute,
-)
-
-
-def _validate(ctx, n, j, weights, forbidden, why, blocks=()):
-    """A spec's J, sorted, and its weights, parsed; ValueError names what is
-    wrong.
-
-    J must be distinct labels within 1..N.  Each (label, matrix) in
-    ``blocks`` must be invertible over the ring and of side |J|.
-    ``weights`` maps pairs within 1..N to scalars or scalar text; a pair for
-    which ``forbidden(a, b, j)`` holds is refused with the phrase ``why``, and
-    every weight must be a unit.
-    """
-    sorted_j = tuple(sorted(j))
-    if not all(1 <= a <= n for a in sorted_j) or len(set(sorted_j)) != len(sorted_j):
-        raise ValueError(f"bad index subset {j}")
-    j = sorted_j
-    for label, block in blocks:
-        if block.side != len(j):
-            raise ValueError(f"{label} has side {block.side}, not |J| = {len(j)}")
-        try:
-            invert(block)
-        except (NonInvertible, InverseOutsideRing):
-            raise ValueError(f"{label} must be invertible over the ring") from None
-    parsed = {}
-    for key, value in weights.items():
-        a, b = key
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"pair {key} lies outside 1..{n}")
-        if forbidden(a, b, j):
-            raise ValueError(f"pair {key} {why}")
-        weight = ctx.parse(value) if isinstance(value, str) else value
-        if not weight.is_unit():
-            raise ValueError(f"swap weight for {key} must be invertible")
-        parsed[(a, b)] = weight
-    return j, parsed
+from .tensor import MAX_STATES, SquareMatrix, _entry, matrix_substitute
 
 
 class DiagonalDressingSpec(Record):
@@ -80,15 +35,30 @@ class DiagonalDressingSpec(Record):
 
     ``s`` maps 1-indexed pairs (a, b) to the weight of the swap sending
     input (b, a) to output (a, b); pairs inside J x J are forbidden and
-    unspecified pairs default to 1.
+    unspecified pairs default to 1.  J is kept sorted; a weight is read as
+    a matrix entry is, and ValueError names what is wrong.
     """
 
     _fields = ("ctx", "n", "j", "s")
 
     def __init__(self, ctx, n, j, s=None):
-        j, s = _validate(ctx, n, j, {} if s is None else s,
-                         lambda a, b, j: a in j and b in j, "lies inside the embedded block")
-        self.__dict__.update(ctx=ctx, n=n, j=j, s=s)
+        sorted_j = tuple(sorted(j))
+        if not all(1 <= a <= n for a in sorted_j) or len(set(sorted_j)) != len(sorted_j):
+            raise ValueError(f"bad index subset {j}")
+        parsed = {}
+        for key, value in ({} if s is None else s).items():
+            a, b = key
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"pair {key} lies outside 1..{n}")
+            if a in sorted_j and b in sorted_j:
+                raise ValueError(f"pair {key} lies inside the embedded block")
+            weight = _entry(ctx, value)
+            if weight.ctx is not ctx and weight.ctx != ctx:
+                raise ContextMismatch(f"swap weight for {key} lies in {weight.ctx!r}, not {ctx!r}")
+            if not weight.is_unit():
+                raise ValueError(f"swap weight for {key} must be invertible")
+            parsed[(a, b)] = weight
+        self.__dict__.update(ctx=ctx, n=n, j=sorted_j, s=parsed)
 
     def weight(self, a, b):
         """s_{ab} for 1-indexed a, b; defaults to 1."""
@@ -96,64 +66,22 @@ class DiagonalDressingSpec(Record):
         return self.ctx.one() if value is None else value
 
 
-class BlockDressingSpec(Record):
-    """Block data: commuting invertible F, G of side |J| on the embedded block
-    and the swap weights f for pairs fully outside it.  J is checked as for a
-    diagonal spec; F and G default to the identity."""
+def dress_diagonal(base, spec, check=True):
+    """Assemble the diagonally dressed matrix on dimension spec.n.
 
-    _fields = ("ctx", "n", "j", "f_block", "g_block", "f")
-
-    def __init__(self, ctx, n, j, f_block=None, g_block=None, f=None):
-        if f_block is None:
-            f_block = SquareMatrix.identity(ctx, len(j))
-        if g_block is None:
-            g_block = SquareMatrix.identity(ctx, len(j))
-        j, f = _validate(ctx, n, j, {} if f is None else f,
-                         lambda a, b, j: a in j or b in j, "touches the embedded block",
-                         (("F", f_block), ("G", g_block)))
-        self.__dict__.update(ctx=ctx, n=n, j=j, f_block=f_block, g_block=g_block, f=f)
-
-    def weight(self, a, b):
-        value = self.f.get((a, b))
-        return self.ctx.one() if value is None else value
-
-
-def _relabelled(matrix, spec):
-    """The base matrix over spec.ctx, and its entries with the base's labels
-    0..|J|-1 moved to J - 1 in dimension spec.n."""
-    if matrix.ctx != spec.ctx:
-        matrix = matrix_substitute(matrix, {}, spec.ctx)
-    m, n = len(spec.j), spec.n
-    if matrix.side != m * m:
+    The base's labels 0..|J|-1 move to J - 1, and every pair of labels not
+    both in J gets its weighted swap.  When ``check``, the three
+    swap-compatibility families and the YBE are verified symbolically;
+    violations raise ConditionViolation with the indices.
+    """
+    if base.ctx != spec.ctx:
+        base = matrix_substitute(base, {}, spec.ctx)
+    j, m, n = spec.j, len(spec.j), spec.n
+    if base.side != m * m:
         raise DimensionMismatch("base side does not match the embedded subset")
-    labels = [a - 1 for a in spec.j]
+    outside = [a for a in range(1, n + 1) if a not in j] if check else []
     entries = {}
-    for (row, col), value in matrix.entries.items():
-        ku, lu = divmod(row, m)
-        iu, ju = divmod(col, m)
-        entries[(labels[ku] * n + labels[lu], labels[iu] * n + labels[ju])] = value
-    return matrix, entries
-
-
-def _assembled(spec, entries, check):
-    """The dressed matrix of ``entries``; when ``check``, ConditionViolation
-    unless it solves the YBE."""
-    dressed = SquareMatrix(spec.ctx, spec.n * spec.n, entries)
-    if check:
-        verdict = check_ybe(dressed)
-        if not verdict:
-            raise ConditionViolation(
-                f"dressed matrix fails the YBE, residual {format_scalar(verdict.residual)}",
-                verdict.index,
-            )
-    return dressed
-
-
-def _check_diagonal_conditions(base_matrix, spec):
-    """The three swap-compatibility families, brute force over entries."""
-    j, m = spec.j, len(spec.j)
-    outside = [a for a in range(1, spec.n + 1) if a not in j]
-    for (row, col), value in base_matrix.entries.items():
+    for (row, col), value in base.entries.items():
         ku, lu = divmod(row, m)
         iu, ju = divmod(col, m)
         k, l, i, jj = j[ku], j[lu], j[iu], j[ju]
@@ -172,82 +100,20 @@ def _check_diagonal_conditions(base_matrix, spec):
                         f"swap-compatibility family {which} fails",
                         (i, jj, k, l, mm),
                     )
-
-
-def dress_diagonal(base, spec, check=True):
-    """Assemble the diagonally dressed matrix on dimension spec.n.
-
-    When ``check``, the compatibility families and the YBE are verified
-    symbolically; violations raise ConditionViolation with the indices.
-    """
-    base_matrix, entries = _relabelled(base, spec)
+        entries[((k - 1) * n + l - 1, (i - 1) * n + jj - 1)] = value
+    for i in range(1, n + 1):
+        for jj in range(1, n + 1):
+            if i not in j or jj not in j:
+                entries[((jj - 1) * n + i - 1, (i - 1) * n + jj - 1)] = spec.weight(jj, i)
+    dressed = SquareMatrix(spec.ctx, n * n, entries)
     if check:
-        _check_diagonal_conditions(base_matrix, spec)
-    n = spec.n
-    inside = set(a - 1 for a in spec.j)
-    for i in range(n):
-        for jj in range(n):
-            if i in inside and jj in inside:
-                continue
-            entries[(jj * n + i, i * n + jj)] = spec.weight(jj + 1, i + 1)
-    return _assembled(spec, entries, check)
-
-
-def _check_block_conditions(base_matrix, spec):
-    fb, gb = spec.f_block, spec.g_block
-    ff = kron(fb, fb)
-    gg = kron(gb, gb)
-    ident = SquareMatrix.identity(spec.ctx, fb.side)
-    f1 = kron(fb, ident)
-    g1 = kron(gb, ident)
-    one_f = kron(ident, fb)
-    one_g = kron(ident, gb)
-    # (message, a, b, c, d): the condition a b = c d
-    checks = (
-        ("F (x) F does not commute with the base", ff, base_matrix, base_matrix, ff),
-        ("G (x) G does not commute with the base", gg, base_matrix, base_matrix, gg),
-        ("mixed F/G exchange fails",
-         matmul(f1, base_matrix), g1, matmul(one_g, base_matrix), one_f),
-        ("F and G do not commute", fb, gb, gb, fb),
-    )
-    for message, *operands in checks:
-        diff = matmul_sub(*operands)
-        if not diff.is_zero():
-            raise ConditionViolation(message, min(diff.entries))
-
-
-def dress_block(base, spec, check=True):
-    """Assemble the block-dressed matrix on dimension spec.n."""
-    base_matrix, entries = _relabelled(base, spec)
-    if check:
-        _check_block_conditions(base_matrix, spec)
-    n = spec.n
-    labels = [a - 1 for a in spec.j]
-    inside = set(labels)
-    pos_of = {label: pos for pos, label in enumerate(labels)}
-    for i in range(n):
-        for jj in range(n):
-            i_in, j_in = i in inside, jj in inside
-            if i_in and j_in:
-                continue
-            if i_in and not j_in:
-                # output (j, l) for l in the block, weighted by F
-                for l in labels:
-                    value = spec.f_block.entries.get((pos_of[l], pos_of[i]))
-                    if value is not None:
-                        entries[(jj * n + l, i * n + jj)] = value
-            elif j_in and not i_in:
-                for k in labels:
-                    value = spec.g_block.entries.get((pos_of[k], pos_of[jj]))
-                    if value is not None:
-                        entries[(k * n + i, i * n + jj)] = value
-            else:
-                entries[(jj * n + i, i * n + jj)] = spec.weight(i + 1, jj + 1)
-    return _assembled(spec, entries, check)
-
-
-def _is_diagonal(matrix):
-    return all(r == c for (r, c) in matrix.entries)
+        verdict = check_ybe(dressed)
+        if not verdict:
+            raise ConditionViolation(
+                f"dressed matrix fails the YBE, residual {format_scalar(verdict.residual)}",
+                verdict.index,
+            )
+    return dressed
 
 
 def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True):
@@ -255,49 +121,38 @@ def dressed_eyb(base_eyb, dressed, spec, mode="nontrivial", sign="+", check=True
 
     In trivial mode the weight is padded with zeros and every invariant
     equals the undressed one.  In nontrivial mode the padding is sign*beta,
-    allowed only when the diagonal weights at the padded indices equal
-    sign*alpha (and, for block dressings, when F and G commute with the
-    base weight).  A sign other than '+' or '-' raises UnknownName before
-    any work, in either mode.
+    allowed only when the base weight is diagonal and the swap weights s_aa
+    at the padded indices equal sign*alpha.  A sign other than '+' or '-'
+    raises UnknownName before any work, in either mode; a base weight of
+    side other than |J|, or a dressed matrix of side other than N^2, raises
+    DimensionMismatch before anything is built.
     """
     if sign not in ("+", "-"):
         raise UnknownName(f"sign must be '+' or '-', got {sign!r}")
-    ctx = spec.ctx
-    n = spec.n
-    labels = [a - 1 for a in spec.j]
-    inside = set(labels)
-    mu_base = base_eyb.mu
+    if mode not in ("trivial", "nontrivial"):
+        raise UnknownName(f"mode must be 'trivial' or 'nontrivial', got {mode!r}")
+    ctx, n, j, mu_base = spec.ctx, spec.n, spec.j, base_eyb.mu
+    if mu_base.side != len(j):
+        raise DimensionMismatch(f"base weight has side {mu_base.side}, not |J| = {len(j)}")
+    if dressed.side != n * n:
+        raise DimensionMismatch(f"dressed matrix has side {dressed.side}, not N^2 = {n * n}")
     if mu_base.ctx != ctx:
         mu_base = matrix_substitute(mu_base, {}, ctx)
-    entries = {}
-    for (r, c), value in mu_base.entries.items():
-        entries[(labels[r], labels[c])] = value
+    entries = {(j[r] - 1, j[c] - 1): value for (r, c), value in mu_base.entries.items()}
     if mode == "nontrivial":
+        if any(r != c for r, c in mu_base.entries):
+            raise PreconditionViolation(
+                "nontrivial diagonal dressing requires a diagonal base weight"
+            )
         want = base_eyb.alpha if sign == "+" else -base_eyb.alpha
-        if isinstance(spec, DiagonalDressingSpec):
-            if not _is_diagonal(mu_base):
-                raise PreconditionViolation(
-                    "nontrivial diagonal dressing requires a diagonal base weight"
-                )
-            letter = "s"
-        else:
-            for name, block in (("F", spec.f_block), ("G", spec.g_block)):
-                if not matmul_sub(block, mu_base, mu_base, block).is_zero():
-                    raise PreconditionViolation(
-                        f"{name} must commute with the base weight"
-                    )
-            letter = "f"
-        for a in range(1, n + 1):
-            if a - 1 not in inside and spec.weight(a, a) != want:
-                raise PreconditionViolation(
-                    f"{letter}_{a}{a} must equal {sign}alpha for nontrivial padding"
-                )
         pad = base_eyb.beta if sign == "+" else -base_eyb.beta
-        for a in range(n):
-            if a not in inside:
-                entries[(a, a)] = pad
-    elif mode != "trivial":
-        raise UnknownName(f"mode must be 'trivial' or 'nontrivial', got {mode!r}")
+        for a in range(1, n + 1):
+            if a not in j:
+                if spec.weight(a, a) != want:
+                    raise PreconditionViolation(
+                        f"s_{a}{a} must equal {sign}alpha for nontrivial padding"
+                    )
+                entries[(a - 1, a - 1)] = pad
     mu = SquareMatrix(ctx, n, entries)
     op = EnhancedOperator(dressed, mu, base_eyb.alpha, base_eyb.beta)
     if check:

@@ -1,31 +1,40 @@
 """Dressings: assembly, compatibility conditions, extended operators, presets."""
 
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from oracles import ybe_residuals
-from test_invariant import _random_words
+from test_invariant import _mixed_words, _random_words
 
 from ybtrace.braid import get_named_braid, parse_braid
-from ybtrace.catalog import check_ybe, get_rmatrix
+from ybtrace.catalog import check_ybe, get_rmatrix, restricted_matrix
 from ybtrace.dressing import (
-    BlockDressingSpec,
     DiagonalDressingSpec,
     diagonal_spec_from_json,
     diagonal_spec_to_json,
-    dress_block,
     dress_diagonal,
     dressed_eyb,
     preset_dressings,
     preset_names,
 )
-from ybtrace.errors import ConditionViolation, ParseError, PreconditionViolation, UnknownName
+from ybtrace.errors import (
+    ConditionViolation,
+    ContextMismatch,
+    DimensionMismatch,
+    ParseError,
+    PreconditionViolation,
+    UnknownName,
+)
 from ybtrace.eyb import EnhancedOperator, get_table1_entry, verify_eyb
 from ybtrace.invariant import compute_ts, unknot_value
-from ybtrace.ring import ScalarContext
-from ybtrace.tensor import SquareMatrix, invert, matrix_substitute
+from ybtrace.ring import ScalarContext, context_from_json
+from ybtrace.tensor import SquareMatrix, matrix_substitute
+
+INPUTS = Path(__file__).resolve().parent / "inputs"
 
 
 def _jones_ctx(extra=()):
@@ -80,40 +89,6 @@ def test_preset_d3_r21_weight_diagonal():
     ctx = preset.ctx
     assert mu == SquareMatrix.diagonal(ctx, ["sqrt_pq", "1", "sqrt_pq^-1"])
     assert unknot_value(preset.eyb) == ctx.parse("sqrt_pq + 1 + sqrt_pq^-1")
-
-
-def test_block_identity_dressing():
-    ctx = _jones_ctx()
-    spec = BlockDressingSpec(ctx, 3, (1, 3))
-    dressed = dress_block(_base_in(ctx), spec, check=True)
-    assert check_ybe(dressed)
-
-
-def test_block_diagonal_f_with_inverse_g():
-    ctx = ScalarContext(("p", "q", "u", "v"), (("sqrt_pq", "p*q"),))
-    f = SquareMatrix.diagonal(ctx, ["u", "v"])
-    spec = BlockDressingSpec(ctx, 3, (1, 3), f, invert(f))
-    dressed = dress_block(_base_in(ctx), spec, check=True)
-    assert ybe_residuals(dressed, 3) == {}
-
-
-def test_block_noncommuting_f_rejected():
-    ctx = _jones_ctx(("u", "v"))
-    shear = SquareMatrix.from_rows(ctx, [[1, 1], [0, 1]])
-    diag = SquareMatrix.diagonal(ctx, ["u", "v"])
-    swap = SquareMatrix.from_rows(ctx, [[0, 1], [1, 0]])
-    cases = (
-        (shear, invert(shear), "F (x) F does not commute with the base", (0, 1)),
-        (None, shear, "G (x) G does not commute with the base", (0, 1)),
-        (swap, diag, "F (x) F does not commute with the base", (1, 1)),
-        (diag, diag, "mixed F/G exchange fails", (1, 1)),
-    )
-    for f, g, message, index in cases:
-        spec = BlockDressingSpec(ctx, 3, (1, 3), f, g)
-        with pytest.raises(ConditionViolation) as err:
-            dress_block(_base_in(ctx), spec, check=True)
-        assert str(err.value) == f"{message} at indices {index}"
-        assert err.value.indices == index
 
 
 def test_trivially_dressed_invariants_are_unchanged():
@@ -183,8 +158,6 @@ def test_spec_validation():
         DiagonalDressingSpec(ctx, 3, (1, 3), {(1, 3): "q"})
     with pytest.raises(ValueError):
         DiagonalDressingSpec(ctx, 3, (1, 1, 3))
-    with pytest.raises(ValueError):
-        BlockDressingSpec(ctx, 3, (1, 3), f={(1, 2): "q"})
 
 
 def test_a_spec_that_names_one_pair_by_two_keys_is_refused():
@@ -194,18 +167,13 @@ def test_a_spec_that_names_one_pair_by_two_keys_is_refused():
         diagonal_spec_from_json(ctx, {"N": 4, "J": [1], "s": {"3,1": "p", "03,1": "q"}})
 
 
-def test_block_spec_checks_j_and_block_sides_like_a_diagonal_spec():
+def test_a_bad_index_subset_is_refused_by_the_spec_and_its_json_form():
     ctx = _jones_ctx()
     for j in ((1, 1), (0, 2), (1, 5)):
-        for spec_class in (DiagonalDressingSpec, BlockDressingSpec):
-            with pytest.raises(ValueError, match="bad index subset"):
-                spec_class(ctx, 3, j)
+        with pytest.raises(ValueError, match="bad index subset"):
+            DiagonalDressingSpec(ctx, 3, j)
         with pytest.raises(ParseError, match="bad index subset"):
             diagonal_spec_from_json(ctx, {"N": 3, "J": list(j)})
-    one, two = SquareMatrix.identity(ctx, 1), SquareMatrix.identity(ctx, 2)
-    for blocks in ((one, two), (two, one)):
-        with pytest.raises(ValueError, match=r"has side ., not \|J\| = 2"):
-            BlockDressingSpec(ctx, 3, (1, 3), *blocks)
 
 
 def test_weights_outside_the_dimension_are_refused():
@@ -213,28 +181,41 @@ def test_weights_outside_the_dimension_are_refused():
     for pair in ((0, 2), (2, 4), (7, 9)):
         with pytest.raises(ValueError, match=r"lies outside 1\.\.3"):
             DiagonalDressingSpec(ctx, 3, (1, 3), {pair: "q"})
-        with pytest.raises(ValueError, match=r"lies outside 1\.\.3"):
-            BlockDressingSpec(ctx, 3, (1, 3), f={pair: "q"})
 
 
-def test_nontrivial_block_padding_needs_commuting_blocks_and_alpha_weights():
+def test_weights_are_read_as_matrix_entries_and_refused_from_another_context():
+    """An int weight is read as a matrix entry is, and a Scalar of another
+    context is refused when the spec is built, not later inside a product;
+    a Scalar of an equal context is kept."""
+    ctx = _jones_ctx()
+    spec = DiagonalDressingSpec(ctx, 3, (1, 3), {(1, 2): -1, (2, 1): _jones_ctx().gen("q")})
+    assert spec.s == {(1, 2): -ctx.one(), (2, 1): ctx.gen("q")}
+    with pytest.raises(ValueError) as err:
+        DiagonalDressingSpec(ctx, 3, (1, 3), {(2, 3): 0})
+    assert str(err.value) == "swap weight for (2, 3) must be invertible"
+    with pytest.raises(ContextMismatch, match=re.escape("swap weight for (1, 2) lies in")):
+        DiagonalDressingSpec(ctx, 3, (1, 3), {(1, 2): ScalarContext(("q",)).gen("q")})
+
+
+def test_dressed_eyb_refuses_a_weight_or_a_matrix_of_the_wrong_side():
+    """A base weight of side other than |J|, or a dressed matrix of side
+    other than N^2, raises DimensionMismatch in either mode, checked or
+    not: a wider weight once raised a bare IndexError, and a narrower one
+    or a wrong matrix gave an operator unchecked."""
     ctx = _jones_ctx()
     base_op = get_table1_entry("R2.1", 1).build(ctx=ctx)
-    shear = SquareMatrix.from_rows(ctx, [[1, 1], [0, 1]])
     cases = (
-        (BlockDressingSpec(ctx, 3, (1, 3), shear), "F must commute with the base weight"),
-        (BlockDressingSpec(ctx, 3, (1, 3), g_block=shear), "G must commute with the base weight"),
-        (BlockDressingSpec(ctx, 3, (1, 3), f={(2, 2): "q"}),
-         "f_22 must equal +alpha for nontrivial padding"),
+        (DiagonalDressingSpec(ctx, 3, (1,)), 9, "base weight has side 2, not |J| = 1"),
+        (DiagonalDressingSpec(ctx, 4, (1, 2, 3)), 16, "base weight has side 2, not |J| = 3"),
+        (DiagonalDressingSpec(ctx, 3, (1, 3)), 4, "dressed matrix has side 4, not N^2 = 9"),
     )
-    for spec, message in cases:
-        dressed = dress_block(_base_in(ctx), spec, check=False)
-        with pytest.raises(PreconditionViolation) as err:
-            dressed_eyb(base_op, dressed, spec, mode="nontrivial")
-        assert str(err.value) == message
-    spec = BlockDressingSpec(ctx, 3, (1, 3), f={(2, 2): "sqrt_pq^-1"})
-    op = dressed_eyb(base_op, dress_block(_base_in(ctx), spec), spec, mode="nontrivial")
-    assert verify_eyb(op) and op.mu.get(1, 1) == base_op.beta
+    for spec, side, message in cases:
+        for mode in ("trivial", "nontrivial"):
+            for check in (True, False):
+                with pytest.raises(DimensionMismatch) as err:
+                    dressed_eyb(base_op, SquareMatrix.identity(ctx, side), spec, mode=mode,
+                                check=check)
+                assert str(err.value) == message
 
 
 def test_dressed_eyb_refuses_a_weight_a_mode_or_an_operator_it_cannot_take():
@@ -286,15 +267,15 @@ def test_d3_r21_separates_two_links_that_jones_and_d4_r22_do_not():
 
 
 def _knots_and_braids():
-    """The named knots and 14 distinct seeded knots of 2 to 4 strands; the
+    """The named knots and 20 distinct seeded knots of 2 to 4 strands; the
     named links and 20 seeded braids of 2 to 4 strands."""
     from ybtrace.braid import KNOT_NAMES, NAMED_LINKS
 
-    words = [b for b in _random_words(random.Random(5), 100, 4, 8) if b.strands > 1]
+    words = [b for b in _random_words(random.Random(5), 200, 4, 8) if b.strands > 1]
     seeded = list(dict.fromkeys(b for b in words if b.closure_components() == 1
-                                and len(b.letters) > 1))[:14]
+                                and len(b.letters) > 1))[:20]
     knots = [get_named_braid(name).braid for name in KNOT_NAMES] + seeded
-    assert len(knots) == 19 and all(b.closure_components() == 1 for b in knots)
+    assert len(knots) == 25 and all(b.closure_components() == 1 for b in knots)
     braids = [get_named_braid(name).braid for name in NAMED_LINKS] + words[:20]
     return knots, braids
 
@@ -307,7 +288,8 @@ def test_a_nontrivial_diagonal_dressing_adds_n_minus_j_on_knots():
     alpha and mu is padded with beta: N - |J| on every preset.  With sign
     '-', s_aa = -alpha and the padding -beta, each outside sector gives
     (-1)^(w+n) = -1 on a knot.  Trivial mode pads mu with zeros and gives
-    the base value on every braid."""
+    the base value on every braid.  The spec of ``tests/inputs/dress_spec.json``,
+    built as ``dress --file`` builds it over R2.1/1, adds N - |J| = 1."""
     knots, braids = _knots_and_braids()
     for name in preset_names():
         preset = preset_dressings(name)
@@ -325,3 +307,53 @@ def test_a_nontrivial_diagonal_dressing_adds_n_minus_j_on_knots():
     op = dressed_eyb(base, dress_diagonal(_base_in(ctx), spec), spec, mode="nontrivial", sign="-")
     for b in knots:
         assert compute_ts(op, b).value == compute_ts(base, b).value - 1, b
+    ctx = context_from_json(json.loads((INPUTS / "dress_context.json").read_text()))
+    spec = diagonal_spec_from_json(ctx, json.loads((INPUTS / "dress_spec.json").read_text()))
+    entry = get_table1_entry("R2.1", 1)
+    base = entry.build(ctx=ctx)
+    dressed = dress_diagonal(restricted_matrix(entry.rmatrix, entry.restrictions, ctx), spec)
+    op = dressed_eyb(base, dressed, spec, mode="nontrivial", sign="+")
+    assert spec.n - len(spec.j) == 1
+    for b in knots:
+        assert compute_ts(op, b).value == compute_ts(base, b).value + 1, b
+
+
+def _linking_number(braid):
+    """Half the signed count of the crossings between two components of the
+    closure, the components followed position by position."""
+    where = list(range(braid.strands))
+    for letter in braid.letters:
+        i = abs(letter) - 1
+        where[i], where[i + 1] = where[i + 1], where[i]
+    ends = {start: position for position, start in enumerate(where)}
+    component, first = {}, 0
+    for start in range(braid.strands):
+        position = start
+        while position not in component:
+            component[position] = first
+            position = ends[position]
+        first += 1
+    count, where = 0, list(range(braid.strands))
+    for letter in braid.letters:
+        i = abs(letter) - 1
+        if component[where[i]] != component[where[i + 1]]:
+            count += 1 if letter > 0 else -1
+        where[i], where[i + 1] = where[i + 1], where[i]
+    assert count % 2 == 0
+    return count // 2
+
+
+def test_d4_r22_is_two_plus_twice_a_power_of_gh_over_pq_on_two_component_links():
+    """On a 2-component link the J sector of d4_R22 is 0 and the outside
+    and mixed sectors leave 2 + 2 (gh/(pq))^lk, lk the linking number: on
+    the Hopf link and 80 seeded 2-component links of 2 to 4 strands with
+    letters of both signs."""
+    preset = preset_dressings("d4_R22")
+    ratio = preset.ctx.parse("g*h*p^-1*q^-1")
+    links = [b for b in _mixed_words(random.Random(11), 400, 4, 8)
+             if b.closure_components() == 2][:80]
+    assert len(links) == 80
+    assert _linking_number(parse_braid("1 1")) == 1
+    for b in [parse_braid("1 1")] + links:
+        expected = 2 + 2 * ratio ** _linking_number(b)
+        assert compute_ts(preset.eyb, b).value == expected, b

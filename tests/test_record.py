@@ -12,7 +12,7 @@ import pytest
 
 from ybtrace.braid import BraidWord, NamedLink, get_named_braid
 from ybtrace.catalog import RMatrixSpec, TransformSpec
-from ybtrace.dressing import BlockDressingSpec, DiagonalDressingSpec, DressedPreset
+from ybtrace.dressing import DiagonalDressingSpec, DressedPreset
 from ybtrace.errors import StrandBoundViolation
 from ybtrace.eyb import TABLE1, EnhancedOperator, Table1Entry
 from ybtrace.invariant import InvariantResult, RelationSpec, SkeinFamily, get_relation
@@ -54,11 +54,6 @@ RECORDS = {
     "DiagonalDressingSpec": (lambda: DiagonalDressingSpec(CTX, 3, (3, 1), {(1, 2): "q"}),
                              "DiagonalDressingSpec(ctx=ScalarContext(['q']), n=3, j=(1, 3), "
                              "s={(1, 2): <Scalar q>})", False),
-    "BlockDressingSpec": (lambda: BlockDressingSpec(CTX, 3, (1,), f={(2, 3): "-q"}),
-                          "BlockDressingSpec(ctx=ScalarContext(['q']), n=3, j=(1,), "
-                          "f_block=<SquareMatrix side=1 nnz=1>, "
-                          "g_block=<SquareMatrix side=1 nnz=1>, f={(2, 3): <Scalar -q>})",
-                          False),
     "DressedPreset": (lambda: DressedPreset("d", CTX, DiagonalDressingSpec(CTX, 2, (1,)),
                                             SquareMatrix.identity(CTX, 4), _op(), "R2.1", 1),
                       "DressedPreset(name='d', ctx=ScalarContext(['q']), "
@@ -169,8 +164,8 @@ def test_defaults():
     entry = Table1Entry("R1.2", 9, ("q",))
     assert (entry.roots, entry.restrictions, entry.mu_rows, entry.alpha, entry.beta,
             entry.tag, entry.intertwine) == ((), (), (), "1", "1", "const-1", None)
-    block = BlockDressingSpec(CTX, 4, (3, 1))
-    assert block.f_block == block.g_block == SquareMatrix.identity(CTX, 2)
+    spec = DiagonalDressingSpec(CTX, 4, (3, 1))
+    assert (spec.j, spec.s, spec.weight(2, 4)) == ((1, 3), {}, CTX.one())
 
 
 def test_keyword_arguments_keep_their_names():
@@ -179,7 +174,6 @@ def test_keyword_arguments_keep_their_names():
     assert Verdict(ok=False, residual=1).residual == 1
     assert SkeinFamily(base=BraidWord(2), position=1, terms=(), insert_at=0).insert_at == 0
     assert DiagonalDressingSpec(ctx=CTX, n=2, j=(1,), s={}).j == (1,)
-    assert BlockDressingSpec(ctx=CTX, n=2, j=(1,), f_block=None, g_block=None, f={}).f == {}
     assert _table1_entry() == TABLE1[0]
     assert RECORDS["RelationSpec"][0]() == get_relation("R1.3")
     assert get_named_braid("3_1") == RECORDS["NamedLink"][0]()
@@ -191,8 +185,6 @@ def test_weight_dicts_are_fresh_per_instance():
     given = {(2, 3): "q"}
     c = DiagonalDressingSpec(CTX, 3, (1,), given)
     assert c.s is not given and given == {(2, 3): "q"}
-    a, b = BlockDressingSpec(CTX, 3, (1,)), BlockDressingSpec(CTX, 3, (1,))
-    assert a.f == b.f == {} and a.f is not b.f
 
 
 def test_operator_closure_constants_are_fresh_and_not_a_field():
@@ -258,17 +250,8 @@ def test_braid_word_refuses_no_strands_and_keeps_letters_as_a_tuple():
      "pair (3, 1) lies inside the embedded block"),
     (lambda: DiagonalDressingSpec(CTX, 3, (1,), {(1, 2): "1+q"}),
      "swap weight for (1, 2) must be invertible"),
-    (lambda: BlockDressingSpec(CTX, 3, (1,), f={(2, 1): "q"}),
-     "pair (2, 1) touches the embedded block"),
-    (lambda: BlockDressingSpec(CTX, 3, (1,), f={(2, 3): "0"}),
+    (lambda: DiagonalDressingSpec(CTX, 3, (1,), {(2, 3): "0"}),
      "swap weight for (2, 3) must be invertible"),
-    (lambda: BlockDressingSpec(CTX, 3, (1,), SquareMatrix.identity(CTX, 2)),
-     "F has side 2, not |J| = 1"),
-    (lambda: BlockDressingSpec(CTX, 3, (1,), None, SquareMatrix(CTX, 1, {})),
-     "G must be invertible over the ring"),
-    (lambda: BlockDressingSpec(CTX, 3, (1, 2), None,
-                               SquareMatrix.from_rows(CTX, [[1, 0], [0, "1+q"]])),
-     "G must be invertible over the ring"),
 ])
 def test_dressing_specs_refuse_bad_data(make, message):
     with pytest.raises(ValueError) as info:

@@ -1,11 +1,13 @@
-"""Source hygiene of the library, read with ``ast``: no import that its
-module never reads, no top-level private name that no module reads, no
-parameter that its function never reads, and no package export that only
-the tests call.  And no doc names a library attribute that is gone."""
+"""Source hygiene of the library, read with ``ast``: no import from outside
+the package and the standard library, no import that its module never
+reads, no top-level private name that no module reads, no parameter that
+its function never reads, and no package export that only the tests call.
+And no doc names a library attribute that is gone."""
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +74,23 @@ def test_every_top_level_import_is_read_in_its_module():
         unread += [(module, name) for name in _imported(tree)
                    if name not in loads and (module, name) not in REEXPORTED]
     assert unread == []
+
+
+def test_every_import_is_relative_or_of_the_standard_library():
+    """The library has no runtime dependency: each import names the package
+    itself or a module of the standard library."""
+    outside = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [(module, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_every_top_level_private_name_is_read_in_the_library():
