@@ -4,7 +4,7 @@ For an enhanced operator S and a braid word on n strands, the raw invariant
 is alpha^(-writhe) beta^(-n) Tr(rep(word) mu^(x n)) (Turaev, Invent. Math.
 92, 1988); dividing by the one-strand value Tr(mu)/beta gives the
 unknot-normalized form.  No representation of the whole word is formed.
-``compute_ts`` takes one of three routes.
+``compute_ts`` takes one of four routes.
 
 When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
 column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n.
@@ -28,6 +28,25 @@ weighted swap, with entries only at (ab, ba), each label travels along its
 strand and the closure's labels are constant on its components: the trace
 is a sum over the colorings of the components (``_coloring_trace``), and
 rows R3.1/1-2, R2.3/1 and R1.3/1 take it.
+
+Otherwise an operator that passes the vanishing gate (``_vanishes``) gets
+0 with no state sum: Tr(mu) = 0, R meets the braid relation
+(``check_ybe``), the operator is enhanced (``verify_eyb``), and
+R^2 = c1 R + c0 for a unit c0 (``_is_hecke``).  Proof, the Markov-trace
+induction on the Hecke algebra (Jones, Ann. of Math. 126, 1987) applied to
+Turaev's operators: let A_n be the span of rep(b) over b in B_n, and
+M = mu^(x n).  R^-1 = c0^-1 (R - c1), so with the braid relations every
+product of the R_i^(+-1) reduces to the Hecke spanning set {T_w : w in
+S_n}; every w has a reduced word with at most one s_(n-1), so A_n =
+A_(n-1) + A_(n-1) R_(n-1) A_(n-1).  RM = MR makes M commute with A_n, and
+for x, y in A_(n-1), Tr(x M) = Tr_(n-1)(x mu^(x n-1)) Tr(mu) and
+Tr(x R_(n-1) y M) = Tr(yx R_(n-1) M) = alpha beta Tr_(n-1)(yx mu^(x n-1)),
+as Tr_2(R (mu (x) mu)) = alpha beta mu.  From Tr(mu) = 0 at n = 1,
+induction on n gives Tr(a M) = 0 for every a in A_n.  The route
+(``_vanishing_trace``) refuses where the coloring sum does and builds
+nothing keyed by the word.  Rows R2.2/1, R1.2/1 and R1.1/1 pass the gate
+with either sign, so ``alexander-zero`` follows from a checked structure;
+no other row, preset or table operator does, as their Tr(mu) is not 0.
 
 Every other operator takes the half-word closure, which ``open_trace``
 shares with the strands 2..n closed instead of all of them.  With rep = A B for
@@ -54,15 +73,16 @@ of them, counting the difference the proportionality test takes; these
 are the map's degree and count, so the test is exact on the ints and one
 int is read back.  Where the map does not apply (an i, an exponent past
 the gate, an int past ``ring.MAX_KRONECKER_BITS``) the half-word closure
-runs.  Rows R1.1/1 and R1.4/1 and ``alexander_nabla``'s operator take the
-int route; a ring with two generators or a root never does, because the
-mixed-radix packing of two exponents is dense (the collapsed Jones
-operator of tables 2-4, over (t, q), ran 4.5x slower on ints).
+runs.  Row R1.4/1, the open traces of R1.1/1 and ``alexander_nabla``'s
+operator take the int route; a ring with two generators or a root never
+does, because the mixed-radix packing of two exponents is dense (the
+collapsed Jones operator of tables 2-4, over (t, q), ran 4.5x slower on
+ints).
 
 What depends only on the operator is kept on it on first use: the
 eigenvalue c, or the verdict that there is none, and when there is none
-the filtration's weights or the verdict that it does not apply; the
-unknot value; per
+the filtration's weights or the verdict that it does not apply, and when
+it does not the vanishing gate's verdict; the unknot value; per
 strand count n the unknot value's n-th power when there is a c; per
 strand count and kept strand count the packed rows of 1 (x) M, when they
 hold at most ``tensor.MAX_ENTRIES`` entries; per closed-slot count k
@@ -80,13 +100,16 @@ from .braid import BraidWord, _cycles, get_named_braid, NAMED_LINKS
 from .errors import (
     DimensionMismatch,
     ExponentOverflow,
+    InverseOutsideRing,
+    NonInvertible,
+    NotAUnit,
     NotDivisible,
     PositionOutOfRange,
     ProportionalityFailure,
     StrandBoundViolation,
     UnknownName,
 )
-from .eyb import _check_sides, get_table1_eyb, specialize, table1_entries
+from .eyb import _check_sides, get_table1_eyb, specialize, table1_entries, verify_eyb
 from .ring import (
     ScalarContext, contract, format_scalar, kronecker, pack, pow_int, try_div_exact,
 )
@@ -103,7 +126,7 @@ from .tensor import (
     scalar_scale,
     trace,
 )
-from .catalog import restricted_matrix
+from .catalog import check_ybe, restricted_matrix
 
 
 def _states(base, n):
@@ -258,6 +281,24 @@ def _pullback(op, positive):
                  lambda: (op.r if positive else invert(op.r)).transpose())
 
 
+def _slots(op, n):
+    """base^n for the states of n strands, after the closure's refusals in
+    its order: the strand cap, then DimensionMismatch for a side-1 weight,
+    which has no slot to close."""
+    base = op.base_dim
+    total = _states(base, n)
+    if base < 2:
+        raise DimensionMismatch(f"a weight of side {base} has no slot to close")
+    return total
+
+
+def _weighted(op, b, total, k):
+    """alpha^(-writhe) total / beta^k for k closed slots, with beta^k kept on
+    ``op`` per k."""
+    scale = _kept(op, ("beta", k), pow_int, op.beta, k)
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(total, scale)
+
+
 def _closure(op, b, keep):
     """alpha^(-writhe) beta^(-k) times the multiple of the identity left on
     strands 1..keep when rep(b) mu^(x k) is traced over the other k strands.
@@ -272,17 +313,14 @@ def _closure(op, b, keep):
     (a full closure leaves a 1x1 block, which always is one).
     """
     _check_sides(op)
-    n, base, ctx = b.strands, op.base_dim, op.ctx
-    total = _states(base, n)
-    if base < 2:
-        raise DimensionMismatch(f"a weight of side {base} has no slot to close")
+    n, ctx = b.strands, op.ctx
+    total = _slots(op, n)
     value = None
     if len(ctx.generators) == 1 and not ctx.root_names:
         value = _closure_on_ints(op, b, keep, total)
     if value is None:
         value = _half_word_closure(op, b, keep, total)
-    scale = _kept(op, ("beta", n - keep), pow_int, op.beta, n - keep)
-    return pow_int(op.alpha, -b.writhe) * try_div_exact(value, scale)
+    return _weighted(op, b, value, n - keep)
 
 
 def _diagonal(block, side):
@@ -444,9 +482,7 @@ def _coloring_trace(op, b, graded):
     DimensionMismatch for a side-1 weight.
     """
     n, base = b.strands, op.base_dim
-    _states(base, n)
-    if base < 2:
-        raise DimensionMismatch(f"a weight of side {base} has no slot to close")
+    _slots(op, n)
     swap, diagonal = graded
     weights = {True: swap}
     if any(letter < 0 for letter in b.letters):
@@ -490,8 +526,49 @@ def _coloring_trace(op, b, graded):
                 total = total + value
     if ones:
         total = total + ones
-    scale = _kept(op, ("beta", n), pow_int, op.beta, n)
-    return pow_int(op.alpha, -b.writhe) * try_div_exact(total, scale)
+    return _weighted(op, b, total, n)
+
+
+def _is_hecke(r):
+    """Whether R^2 = c1 R + c0 for a unit c0.  c1 is R^2 over R, exactly, at
+    an off-diagonal entry of R; for a diagonal R it is the sum of two
+    diagonal entries, unequal where R has two such.  c0 is read off at
+    (0, 0), and the whole identity is checked."""
+    square = matmul(r, r)
+    off = next((key for key in r.entries if key[0] != key[1]), None)
+    if off is None:
+        diagonal = [r.get(i, i) for i in range(r.side)]
+        c1 = diagonal[0] + next((x for x in diagonal if x != diagonal[0]), diagonal[0])
+    else:
+        c1 = try_div_exact(square.get(*off), r.entries[off])
+    rest = matadd(square, scalar_scale(r, -c1))
+    c0 = rest.get(0, 0)
+    return c0.is_unit() and rest == SquareMatrix.diagonal(r.ctx, [c0] * r.side)
+
+
+def _vanishes(op):
+    """The vanishing gate (module docstring): Tr(mu) = 0 first, as it is
+    the cheapest, then the braid relation, the enhancement conditions and
+    the quadratic relation.  A documented refusal inside the gate means
+    no."""
+    if not trace(op.mu).is_zero():
+        return False
+    try:
+        return bool(check_ybe(op.r) and verify_eyb(op) and _is_hecke(op.r))
+    except (NotAUnit, DimensionMismatch, ExponentOverflow, NotDivisible, NonInvertible,
+            InverseOutsideRing):
+        return False
+
+
+def _vanishing_trace(op, b):
+    """The value 0 of an operator that passes ``_vanishes``, after the
+    coloring sum's refusals in its order: the strand cap, a side-1 weight,
+    R's kept inverse when the word has a negative letter, then beta^n and
+    alpha^(-w)."""
+    _slots(op, b.strands)
+    if any(letter < 0 for letter in b.letters):
+        _pullback(op, False)
+    return _weighted(op, b, op.ctx.zero(), b.strands)
 
 
 def compute_ts(op, b, normalized=False):
@@ -501,13 +578,17 @@ def compute_ts(op, b, normalized=False):
     (Tr(mu) / beta)^n when (v (x) v)^T R = c (v (x) v)^T for a unit c.
     Without such a c, an operator that the charge filtration grades to a
     weighted swap with a diagonal weight takes the sum over the colorings
-    of the closure's components, and any other the half-word closure
-    (module docstring).  Before any route, mu's side squared must be R's
-    side, else DimensionMismatch (as in ``verify_eyb``).  Every route then
-    checks the strand cap first, and raises NotAUnit and ExponentOverflow
-    on the same inputs: c^w and alpha^(-w) are formed apart.  The coloring
-    sum inverts R, through the half-word closure's kept transpose, exactly
-    when the word has a negative letter, so it raises NonInvertible and
+    of the closure's components; without that, one that passes the
+    vanishing gate (Tr(mu) = 0, the braid relation, the enhancement
+    conditions and a quadratic relation with a unit constant) gets 0; any
+    other takes the half-word closure (module docstring).  Before any
+    route, mu's side squared must be R's side, else DimensionMismatch (as
+    in ``verify_eyb``); a refusal inside the gate only means that the gate
+    is not passed.  Every route then checks the strand cap first, and
+    raises NotAUnit and ExponentOverflow on the same inputs: c^w and
+    alpha^(-w) are formed apart.  The coloring sum and the vanishing route
+    invert R, through the half-word closure's kept transpose, exactly when
+    the word has a negative letter, so they raise NonInvertible and
     InverseOutsideRing where the closure does.  The closed
     form does not invert R, so on a singular R it gives a value where the
     closure raises NonInvertible for a negative letter; an operator that
@@ -519,7 +600,8 @@ def compute_ts(op, b, normalized=False):
     NotDivisible when that is impossible (in particular when the unknot
     value is zero or not in the ring).  The eigenvalue c or the
     verdict that there is none, then the filtration's weights or the verdict
-    that they do not apply, the unknot value and the constants of each
+    that they do not apply, then the vanishing gate's verdict, the unknot
+    value and the constants of each
     route are computed on the first call that needs them and kept on
     ``op``, and a later call reads each with one dict lookup and builds no
     function object for it.
@@ -534,9 +616,12 @@ def compute_ts(op, b, normalized=False):
         c = op._closure["eigen"] = _eigenvalue(op)
     if c is not None:
         raw = _rank_one_trace(op, b, c)
+    elif (graded := _kept(op, "graded", _graded, op)) is not None:
+        raw = _coloring_trace(op, b, graded)
+    elif _kept(op, "vanishes", _vanishes, op):
+        raw = _vanishing_trace(op, b)
     else:
-        graded = _kept(op, "graded", _graded, op)
-        raw = _closure(op, b, 0) if graded is None else _coloring_trace(op, b, graded)
+        raw = _closure(op, b, 0)
     if not normalized:
         try:
             unknot = _kept(op, "unknot", unknot_value, op)

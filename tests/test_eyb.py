@@ -267,9 +267,9 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     and they give the fresh operators' values on the named links and keep the
     fresh operators' closure constants: the eigenvalue verdict and the
     unknot value's powers per strand count of the rank-one weights, the
-    charge filtration's verdict, the half-word closure's weight rows per
-    strand and kept slot count, beta^k for k closed slots on every route,
-    and the transposed crossings.  Each kept constant is replayed on the
+    charge filtration's verdict, the vanishing gate's verdict, the
+    half-word closure's weight rows per strand and kept slot count, beta^k
+    for k closed slots on every route, and the transposed crossings.  Each kept constant is replayed on the
     fresh operator by itself, by the call that keeps it, so whatever ran
     before on the shared operators, the two keep the same constants."""
     for sign in "+-":
@@ -299,6 +299,8 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
                     invariant._pullback(fresh, key[1])
                 elif key == "graded":  # the charge filtration's verdict
                     assert invariant._graded(fresh) == shared._closure[key]
+                elif key == "vanishes":  # the vanishing gate's verdict
+                    assert invariant._vanishes(fresh) == shared._closure[key]
                 elif key[0] == "beta":  # kept by the closure and the coloring sum alike
                     invariant._kept(fresh, key, pow_int, fresh.beta, key[1])
                 else:

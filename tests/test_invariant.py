@@ -28,7 +28,7 @@ from ybtrace.braid import (
     parse_braid,
     stabilize,
 )
-from ybtrace.catalog import TransformSpec, restricted_matrix, transform_rmatrix
+from ybtrace.catalog import TransformSpec, check_ybe, restricted_matrix, transform_rmatrix
 from ybtrace.dressing import (
     DiagonalDressingSpec, dress_diagonal, dressed_eyb, preset_dressings, preset_names,
 )
@@ -551,11 +551,14 @@ RANK_ONE_ROWS = [("R3.1", 3), ("R3.1", 4), ("R2.1", 2), ("R2.1", 3), ("R2.1", 4)
 WEIGHTED_SWAP_ROWS = [("R3.1", 1), ("R3.1", 2), ("R2.3", 1), ("R1.3", 1)]
 # the closure rows over one generator and no root
 INT_ROWS = [("R1.1", 1), ("R1.4", 1)]
+# the alexander-zero rows, whose Tr(mu) is 0
+VANISHING_ROWS = [("R2.2", 1), ("R1.2", 1), ("R1.1", 1)]
 # the route compute_ts takes for each row, with either sign
 ROUTES = {(e.rmatrix, e.row): "closure" for e in table1_entries()}
 ROUTES.update(dict.fromkeys(RANK_ONE_ROWS, "closed form"))
 ROUTES.update(dict.fromkeys(WEIGHTED_SWAP_ROWS, "coloring"))
 ROUTES.update(dict.fromkeys(INT_ROWS, "ints"))
+ROUTES.update(dict.fromkeys(VANISHING_ROWS, "vanishing"))
 
 
 def _route(op):
@@ -566,6 +569,8 @@ def _route(op):
         return "closed form"
     if op._closure["graded"] is not None:
         return "coloring"
+    if op._closure["vanishes"]:
+        return "vanishing"
     ctx = op.ctx
     return "ints" if len(ctx.generators) == 1 and not ctx.root_names else "closure"
 
@@ -675,6 +680,7 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
         assert _route(op) == route
         assert built == ([half] if route == "closure" else [])
     assert sorted(route for route, _ in ops).count("coloring") == 8
+    assert sorted(route for route, _ in ops).count("vanishing") == 6
     built.clear()
     open_trace(get_table1_eyb("R1.2", 1), b)
     assert built == [half]
@@ -965,9 +971,10 @@ def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
     # count keep, and the transposed crossings of the left halves' letters:
     # the trefoil's is positive, the figure eight's (1, -2) both
     assert set(op._closure) == {
-        "eigen", "graded", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0),
+        "eigen", "graded", "vanishes", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0),
         ("rows", 3, 0), ("rows", 3, 1), ("transpose", True), ("transpose", False)}
     assert op._closure["eigen"] is None and op._closure["graded"] is None
+    assert op._closure["vanishes"] is False
     assert op._closure[("transpose", True)] == op.r.transpose()
     assert op._closure[("transpose", False)] == invert(op.r).transpose()
     for n, keep in ((2, 0), (3, 0), (3, 1)):
@@ -1122,15 +1129,16 @@ def test_tags_build_no_scalar_on_a_cell(monkeypatch):
 
 
 def test_a_braid_over_the_strand_cap_is_refused_every_time_and_keeps_nothing(monkeypatch):
-    """Nothing but the operator's verdicts (its eigenvalue, and the charge
-    filtration's when there is none) is kept, and no weight row is built or
-    packed."""
+    """Nothing but the operator's verdicts (its eigenvalue, the charge
+    filtration's when there is none, and the vanishing gate's when that
+    does not apply) is kept, and no weight row is built or packed."""
     def refuse(*args):
         raise AssertionError("a weight row was built or packed")
 
     monkeypatch.setattr(invariant, "_weight_rows", refuse)
     monkeypatch.setattr(invariant, "pack", refuse)
-    for rmatrix, row, verdicts in (("R1.1", 2, {"eigen"}), ("R2.1", 1, {"eigen", "graded"})):
+    for rmatrix, row, verdicts in (("R1.1", 2, {"eigen"}),
+                                   ("R2.1", 1, {"eigen", "graded", "vanishes"})):
         entry = get_table1_entry(rmatrix, row)
         op = entry.build(ctx=entry.context())
         for _ in range(2):
@@ -1464,3 +1472,150 @@ def test_the_weighted_swap_rows_keep_their_tags_on_every_braid():
                 asserted += matched is not None
             assert _route(enhanced) == "coloring"
             assert asserted >= 40, (rmatrix, row)
+
+
+# -- the vanishing route of the alexander-zero rows --------------------------------
+
+
+def _flip(op):
+    """``op`` with R's two slots exchanged and its weight data kept."""
+    return EnhancedOperator(transform_rmatrix(op.r, TransformSpec("flip")),
+                            op.mu, op.alpha, op.beta)
+
+
+def test_the_vanishing_route_matches_the_matrix_path():
+    """The three alexander-zero rows with both signs and their similarity,
+    transpose, shift and flip images, against the whole word's matrix: the
+    named links, 30 seeded words with letters of both signs and T(p, p+1)
+    for p <= 5.  Every image but the flips of R2.2/1 and R1.2/1, which are
+    not enhanced, takes the route and gives 0; those two stay on the
+    half-word closure and match too."""
+    rng = random.Random(37)
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += _mixed_words(rng, 30, 4, 8) + [_torus(p, p + 1) for p in range(2, 6)]
+    taken = []
+    for rmatrix, row in VANISHING_ROWS:
+        for sign in "+-":
+            op = get_table1_eyb(rmatrix, row, sign=sign)
+            kappa = op.ctx.gen(op.ctx.generators[-1], rng.choice((-1, 1)))
+            images = dict(_images(op, rng.choice((1, -1, 2)), kappa), flip=_flip(op))
+            for kind, image in [("row", op), *images.items()]:
+                label = (rmatrix, row, sign, kind)
+                for b in words:
+                    value = compute_ts(image, b).value
+                    assert value == _matrix_path(image, b), (label, b)
+                    assert value.is_zero() or _route(image) != "vanishing", (label, b)
+                if _route(image) == "vanishing":
+                    taken.append(label)
+                else:
+                    assert kind == "flip" and rmatrix != "R1.1", label
+                    assert not verify_eyb(image), label
+    assert len(taken) == 3 * 2 * 5 - 4
+
+
+def _conjugated_r31():
+    """R3.1 at s = -1 with mu = diag(1, -1) and alpha = beta = 1, conjugated
+    by Q = [[1, 1], [1, 2]]: enhanced, with Tr(mu) = 0, neither rank one nor
+    graded, and R has four distinct eigenvalues, so no quadratic relation."""
+    ctx = ScalarContext(("p", "q"))
+    q = SquareMatrix.from_rows(ctx, [[1, 1], [1, 2]])
+    qq = kron(q, q)
+    r = matmul(matmul(qq, restricted_matrix("R3.1", (("s", "-1"),), ctx)), invert(qq))
+    mu = matmul(matmul(q, SquareMatrix.diagonal(ctx, [1, -1])), invert(q))
+    return EnhancedOperator(r, mu, ctx.one(), ctx.one())
+
+
+def _jones_r_with_a_traceless_weight():
+    """R2.1's R, which meets the braid relation and R^2 = (1 - pq) R + pq,
+    with mu = diag(1, -1): Tr(mu) = 0, but the operator is not enhanced."""
+    op = get_table1_eyb("R2.1", 1)
+    return EnhancedOperator(op.r, SquareMatrix.diagonal(op.ctx, [1, -1]), op.alpha, op.beta)
+
+
+def _is_hecke_or_refused(r):
+    """``invariant._is_hecke``, with a refusal inside it read as False."""
+    try:
+        return invariant._is_hecke(r)
+    except NotDivisible:
+        return False
+
+
+def test_an_operator_failing_one_condition_of_the_gate_keeps_the_state_sum():
+    """Each operator has Tr(mu) = 0 and a nonzero value, and meets every
+    condition of the gate but one: the quadratic relation for the
+    conjugated R3.1, the enhancement for R2.1's R with diag(1, -1).  Each
+    keeps the verdict that the gate fails and matches the matrix path."""
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += _mixed_words(random.Random(19), 10, 4, 6)
+    hopf = get_named_braid("2^2_1").braid
+    quadratic, enhancement = _conjugated_r31(), _jones_r_with_a_traceless_weight()
+    for op, enhanced, hecke in ((quadratic, True, False), (enhancement, False, True)):
+        assert tensor.trace(op.mu).is_zero()
+        assert check_ybe(op.r) and bool(verify_eyb(op)) is enhanced
+        assert _is_hecke_or_refused(op.r) is hecke
+        for b in words:
+            assert compute_ts(op, b).value == _matrix_path(op, b), b
+        assert op._closure["eigen"] is None and op._closure["graded"] is None
+        assert op._closure["vanishes"] is False
+        assert not compute_ts(op, hopf).value.is_zero()
+    assert compute_ts(quadratic, hopf).value == quadratic.ctx.parse("2 - 2*p*q")
+
+
+def test_a_refusal_inside_the_gate_means_no():
+    """R1.1/1 with alpha = 1 + q: verify_eyb refuses the alpha that is no
+    unit inside the gate, which reads as no, so compute_ts raises NotAUnit
+    at writhe 2 and gives a value at writhe -2, as the closure does."""
+    row = get_table1_entry("R1.1", 1)
+    row = row.build(ctx=row.context())
+    op = EnhancedOperator(row.r, row.mu, row.ctx.parse("1 + q"), row.beta)
+    with pytest.raises(NotAUnit):
+        verify_eyb(op)
+    for route in (lambda b: compute_ts(op, b).value, lambda b: invariant._closure(op, b, 0)):
+        with pytest.raises(NotAUnit):
+            route(BraidWord(2, (1, 1)))
+        assert route(BraidWord(2, (-1, -1))) == _matrix_path(op, BraidWord(2, (-1, -1)))
+    assert op._closure["vanishes"] is False
+
+
+def test_the_quadratic_check_of_a_diagonal_r_reads_two_unequal_entries():
+    """A diagonal R is quadratic with a unit c0 when its entries take at
+    most two values whose product is a unit: c1 is their sum, or twice the
+    one value.  Three values, or a value whose square is no unit, fail; so
+    does an R with an off-diagonal entry and three eigenvalues."""
+    ctx = ScalarContext(("q",))
+    for values, hecke in ((["q", "-q^-1", "q", "q"], True), (["q"] * 4, True),
+                          (["q", 1, 2, "q"], False), (["1+q"] * 4, False)):
+        assert invariant._is_hecke(SquareMatrix.diagonal(ctx, values)) is hecke, values
+    swap = SquareMatrix.from_rows(ctx, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    assert invariant._is_hecke(swap)
+    assert not invariant._is_hecke(matadd(swap, SquareMatrix.diagonal(ctx, [0, 0, 0, 1])))
+
+
+def test_the_alexander_zero_rows_vanish_above_the_state_sums_reach(monkeypatch):
+    """With both closures patched to raise, the three rows with both signs
+    give 0 on T(11, 12) and on a seeded 12-strand, 60-letter word with
+    letters of both signs.  On 13 strands the strand cap still refuses,
+    every time, and a fresh operator keeps nothing but its verdicts: R is
+    not inverted for the negative letter."""
+    def refuse(*args):
+        raise AssertionError("a state sum ran")
+
+    monkeypatch.setattr(invariant, "_closure_on_ints", refuse)
+    monkeypatch.setattr(invariant, "_half_word_closure", refuse)
+    rng = random.Random(12)
+    signs = [1, -1] * 30
+    rng.shuffle(signs)
+    mixed = BraidWord(12, tuple(sign * rng.randint(1, 11) for sign in signs))
+    over = [_torus(13, 14), BraidWord(13, (1, -2, 12))]
+    for rmatrix, row in VANISHING_ROWS:
+        entry = get_table1_entry(rmatrix, row)
+        for sign in "+-":
+            op = entry.build(sign, ctx=entry.context())
+            for b in over:
+                for _ in range(2):
+                    with pytest.raises(StrandBoundViolation, match="2\\^13 states"):
+                        compute_ts(op, b)
+            assert set(op._closure) == {"eigen", "graded", "vanishes"}
+            assert op._closure["vanishes"] is True and op.r._inverse is None
+            for b in (_torus(11, 12), mixed):
+                assert compute_ts(op, b).value.is_zero(), (rmatrix, row, sign, b)
