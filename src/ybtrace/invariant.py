@@ -23,11 +23,34 @@ entries of mu all change the charge one way or not at all, R, R^-1, every
 embedding and mu^(x n) are block triangular, and the trace of a product
 of such matrices is that of the product of their diagonal blocks.  So the
 invariant is that of the graded operator, R and mu with their
-charge-changing entries deleted (``_graded``).  When the graded R is a
-weighted swap, with entries only at (ab, ba), each label travels along its
-strand and the closure's labels are constant on its components: the trace
-is a sum over the colorings of the components (``_coloring_trace``), and
-rows R3.1/1-2, R2.3/1 and R1.3/1 take it.
+charge-changing entries deleted (``_graded``).  Let J hold the labels of
+its entries that are no swap, at (ab, cd) with (c, d) != (b, a): every
+other entry is a swap, at (ab, ba), on a pair with a label outside J, and
+R keeps J x J as R_J.  Outside labels ride their strands and J is kept
+along strands, so the trace sums over the colorings kappa of the closure's
+components by the outside labels and J (``_coloring_trace``).  With J
+empty (rows R3.1/1-2, R2.3/1, R1.3/1) kappa weighs a product of weights.
+Else a sector gate must pass: a label outside J; for each outside o, the
+weights g_o(x) = R[(xo), (ox)] and R[(ox), (xo)], x in J, are units whose
+product P_o does not depend on x, and g_o (x) g_o commutes with R_J; alpha
+and beta are units.  Then kappa weighs the outside weights, prod
+mu_o^size, per crossing of J with o a constant (P_o for a positive letter
+with J on the right, P_o^-1 for a negative one with J on the left, else
+1), and Tr(rep_J(b_k) mu_J^(x k)) for the word b_k of the k strands colored
+J: alpha^w(b_k) beta^k times ``compute_ts`` of op_J = (R_J, mu_J, alpha,
+beta), by op_J's own route, or (Tr mu_J)^k when b_k has no letter.  Proof:
+conjugate the J strands by Gamma = (x)_i prod_o g_o^l(i,o), l(i,o) the
+o-colored strands left of J strand i.  A J-o crossing moves one l by one,
+and its weight (g_o(x) or P_o/g_o(x) for R, their inverses for R^-1) is
+Gamma's change times the constant; a J-J crossing joins strands with equal
+l, and Gamma passes R_J; an outside-outside crossing moves no l.  The
+closure joins positions of one color, where Gamma agrees, and Gamma
+commutes with mu_J: an identity of traces on every word, with no
+enhancement.  The presets and the collapsed ``d3``, ``d4`` operators of
+tables 2-4 take it; a row's J, at base 2, is empty or every label.  A
+singular R_J makes R singular, so the refusals are the coloring sum's: the
+strand cap at base N, a side-1 weight, R's kept inverse for a negative
+letter, then ``_weighted``.
 
 Otherwise an operator that passes the vanishing gate (``_vanishes``) gets
 0 with no state sum: Tr(mu) = 0, R meets the braid relation
@@ -45,8 +68,9 @@ as Tr_2(R (mu (x) mu)) = alpha beta mu.  From Tr(mu) = 0 at n = 1,
 induction on n gives Tr(a M) = 0 for every a in A_n.  The route
 (``_vanishing_trace``) refuses where the coloring sum does and builds
 nothing keyed by the word.  Rows R2.2/1, R1.2/1 and R1.1/1 pass the gate
-with either sign, so ``alexander-zero`` follows from a checked structure;
-no other row, preset or table operator does, as their Tr(mu) is not 0.
+with either sign, so ``alexander-zero`` follows from a checked structure,
+and so does the block operator of the R2.2-based presets; no other row,
+preset or table operator does, as their Tr(mu) is not 0.
 
 Every other operator takes the half-word closure, which ``open_trace``
 shares with the strands 2..n closed instead of all of them.  With rep = A B for
@@ -81,15 +105,15 @@ ints).
 
 What depends only on the operator is kept on it on first use: the
 eigenvalue c, or the verdict that there is none, and when there is none
-the filtration's weights or the verdict that it does not apply, and when
-it does not the vanishing gate's verdict; the unknot value; per
-strand count n the unknot value's n-th power when there is a c; per
-strand count and kept strand count the packed rows of 1 (x) M, when they
-hold at most ``tensor.MAX_ENTRIES`` entries; per closed-slot count k
-beta^k; and the transposes of R and R^-1.  The crossings keep their
-tables and embeddings on their matrices.  Nothing keyed by a braid word
-or a writhe is kept, so the int route, whose map depends on the word's
-length, keeps only the transposes.
+the filtration's weights, with op_J, or the verdict that it does not
+apply, and when it does not the vanishing gate's verdict; the unknot
+value; per strand count n the unknot value's n-th power when there is a
+c; per strand count and kept strand count the packed rows of 1 (x) M,
+when they hold at most ``tensor.MAX_ENTRIES`` entries; per closed-slot
+count k beta^k; and the transposes of R and R^-1.  The crossings keep
+their tables and embeddings on their matrices.  Nothing keyed by a braid
+word or a writhe is kept, so the int route, whose map depends on the
+word's length, keeps only the transposes.
 """
 
 import itertools
@@ -109,7 +133,9 @@ from .errors import (
     StrandBoundViolation,
     UnknownName,
 )
-from .eyb import _check_sides, get_table1_eyb, specialize, table1_entries, verify_eyb
+from .eyb import (
+    EnhancedOperator, _check_sides, get_table1_eyb, specialize, table1_entries, verify_eyb,
+)
 from .ring import (
     ScalarContext, contract, format_scalar, kronecker, pack, pow_int, try_div_exact,
 )
@@ -441,55 +467,111 @@ def _closure_on_ints(op, b, keep, total):
 
 
 def _graded(op):
-    """(swap, diagonal) when the charge filtration grades ``op`` to a weighted
-    swap with a diagonal weight, else None.
+    """(swap, diagonal, block) when the charge filtration grades ``op`` to a
+    weighted swap outside a block J of labels that is empty or passes the
+    sector gate, else None (module docstring).
 
-    A label's charge is its digit, a pair index's the sum of its two digits.
-    Every entry of R and every off-diagonal entry of mu must change the
-    charge in one shared direction or not at all, and R's charge-preserving
-    entries must sit at (ab, ba).  ``swap`` maps (a, b) to R[(ab), (ba)] and
-    ``diagonal`` maps d to mu[d, d]; both hold nonzero entries only."""
+    A label's charge is its digit, a pair index's the sum of its digits.
+    ``swap`` maps (a, b) to R[(ab), (ba)] and ``diagonal`` maps d to
+    mu[d, d], both nonzero, for the labels outside J.  With J empty
+    ``block`` is None.  Else J's components take the color -1: ``diagonal``
+    maps -1 to 1, ``swap`` maps (-1, o) and (o, -1) to a positive letter's
+    constants 1 and P_o, and ``block`` is (op_J, op_J's unknot value
+    Tr(mu_J) / beta, a negative letter's constants P_o^-1 and 1)."""
     base = op.base_dim
-    directions, swap = set(), {}
+    directions, kept = set(), {}
     for (row, col), x in op.r.entries.items():
         a, b = divmod(row, base)
         c, d = divmod(col, base)
         if a + b != c + d:
             directions.add(a + b > c + d)
-        elif (c, d) == (b, a):
-            swap[a, b] = x
         else:
-            return None
+            kept[a, b, c, d] = x
     diagonal = {}
     for (row, col), x in op.mu.entries.items():
         if row == col:
             diagonal[row] = x
         else:
             directions.add(row > col)
-    return None if len(directions) > 1 else (swap, diagonal)
+    if len(directions) > 1:
+        return None
+    block = sorted({label for (a, b, c, d) in kept if (c, d) != (b, a) for label in (a, b, c, d)})
+    swap = {(a, b): x for (a, b, c, d), x in kept.items() if c not in block or d not in block}
+    if not block:
+        return swap, diagonal, None
+    if len(block) == base or not (op.alpha.is_unit() and op.beta.is_unit()):
+        return None
+    inside = {key: x for key, x in kept.items() if key[2] in block and key[3] in block}
+    outside = {o: diagonal[o] for o in diagonal if o not in block}
+    swap[-1, -1], negative = 1, {(-1, -1): 1}
+    for o in outside:
+        g = {x: swap.get((x, o)) for x in block}
+        h = {x: swap.get((o, x)) for x in block}
+        if not all(w is not None and w.is_unit() for w in (*g.values(), *h.values())):
+            return None
+        p = {g[x] * h[x] for x in block}
+        if len(p) != 1 or any(g[a] * g[b] != g[c] * g[d] for a, b, c, d in inside):
+            return None
+        swap[-1, o], swap[o, -1] = 1, p.pop()
+        negative[-1, o], negative[o, -1] = pow_int(swap[o, -1], -1), 1
+    at, m = {label: i for i, label in enumerate(block)}, len(block)
+    r = SquareMatrix(op.ctx, m * m, {(at[a] * m + at[b], at[c] * m + at[d]): x
+                                     for (a, b, c, d), x in inside.items()})
+    mu = SquareMatrix(op.ctx, m, {(at[x], at[x]): diagonal[x] for x in block if x in diagonal})
+    op_j = EnhancedOperator(r, mu, op.alpha, op.beta)
+    return swap, {**outside, -1: 1}, (op_j, unknot_value(op_j), negative)
+
+
+def _block_trace(block, b, strands):
+    """alpha^(-w) beta^(-n) Tr(rep_J(b') mu_J^(x k)), w and n those of
+    ``b``, for the word b' of its k strands in ``strands`` (by top
+    position), each letter numbered by the strands of b' left of it:
+    ``compute_ts(op_J, b')``, by op_J's own route, or op_J's unknot value
+    to the k when b' has no letter, times alpha^(w'-w) beta^(k-n) for the
+    writhe w' of b', which is 1 when b' is ``b``."""
+    op_j, unknot, _ = block
+    word = b
+    if len(strands) < b.strands:
+        at, letters = list(range(b.strands)), []
+        for letter in b.letters:
+            j = abs(letter) - 1
+            if at[j] in strands and at[j + 1] in strands:
+                i = 1 + sum(s in strands for s in at[:j])
+                letters.append(i if letter > 0 else -i)
+            at[j], at[j + 1] = at[j + 1], at[j]
+        word = BraidWord(len(strands), letters)
+    value = compute_ts(op_j, word).value if word.letters else pow_int(unknot, word.strands)
+    if value.is_zero() or word is b:
+        return value
+    return (value * pow_int(op_j.alpha, word.writhe - b.writhe)
+            * pow_int(op_j.beta, word.strands - b.strands))
 
 
 def _coloring_trace(op, b, graded):
-    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n as a sum over the labellings
+    """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n as a sum over the colorings
     of the closure's components, for the weights ``graded`` of ``_graded``.
 
-    A weighted swap carries each label along its strand, so a labelling
-    weighs prod_positions mu[l, l] times, per letter on slots (j, j+1),
-    R^(+-1)[(l_j l_j+1), (l_j+1 l_j)].  A negative letter's weight is read
-    off the transposed inverse that the half-word closure keeps
-    (``_pullback``), so R is inverted on the same inputs.  The refusals come
-    first and in the half-word closure's order: the strand cap, then
-    DimensionMismatch for a side-1 weight.
+    A coloring weighs prod_positions mu[l, l] times, per letter on slots
+    (j, j+1), R^(+-1)[(l_j l_j+1), (l_j+1 l_j)], with the constants of J
+    (-1) for l in J; one with J components starts from ``_block_trace`` on
+    their strands, taken once per set of J components and weighted by
+    alpha^(-w) beta^(-n) already.  A negative letter's weight is read off the
+    transposed inverse that the half-word closure keeps (``_pullback``), so
+    R is inverted on the same inputs.  The refusals come first and in the
+    half-word closure's order: the strand cap, then DimensionMismatch for a
+    side-1 weight.
     """
     n, base = b.strands, op.base_dim
     _slots(op, n)
-    swap, diagonal = graded
+    swap, diagonal, block = graded
     weights = {True: swap}
     if any(letter < 0 for letter in b.letters):
         inverse = _pullback(op, False).entries
         weights[False] = {(x, y): inverse[y * base + x, x * base + y]
                           for x in range(base) for y in range(base)
                           if (y * base + x, x * base + y) in inverse}
+        if block is not None:
+            weights[False].update(block[2])
     # the strand at each position, by its top position; each letter's pair
     at, pairs = list(range(n)), []
     for letter in b.letters:
@@ -502,11 +584,21 @@ def _coloring_trace(op, b, graded):
     for positive, s, t in pairs:
         key = (positive, component[s], component[t])
         crossings[key] = crossings.get(key, 0) + 1
-    # a labelling's product skips its factors equal to 1, and the products
+    # a coloring's product skips its factors equal to 1, and the products
     # that are 1 are counted apart
-    ones, total = 0, op.ctx.zero()
+    # a coloring with J components starts from their weighted trace, and
+    # those colorings are summed apart from the others, whose sum is weighted
+    ones, total, weighted, sectors = 0, op.ctx.zero(), None, {}
     for colors in itertools.product(diagonal, repeat=len(sizes)):
-        value = None
+        value = sector = None
+        if -1 in colors:
+            sector = tuple(color < 0 for color in colors)
+            if sector not in sectors:
+                sectors[sector] = _block_trace(
+                    block, b, {s for s in range(n) if sector[component[s]]})
+            value = sectors[sector]
+            if value.is_zero():
+                continue
         for (positive, s, t), count in crossings.items():
             w = weights[positive].get((colors[s], colors[t]))
             if w is None:
@@ -522,11 +614,14 @@ def _coloring_trace(op, b, graded):
                     value = w if value is None else value * w
             if value is None:
                 ones += 1
-            else:
+            elif sector is None:
                 total = total + value
+            else:
+                weighted = value if weighted is None else weighted + value
     if ones:
         total = total + ones
-    return _weighted(op, b, total, n)
+    total = _weighted(op, b, total, n)
+    return total if weighted is None else total + weighted
 
 
 def _is_hecke(r):
@@ -577,37 +672,44 @@ def compute_ts(op, b, normalized=False):
     A weight mu of rank one takes the closed form c^w alpha^(-w)
     (Tr(mu) / beta)^n when (v (x) v)^T R = c (v (x) v)^T for a unit c.
     Without such a c, an operator that the charge filtration grades to a
-    weighted swap with a diagonal weight takes the sum over the colorings
-    of the closure's components; without that, one that passes the
+    weighted swap outside a block J of labels takes the sum over the
+    colorings of the closure's components by the outside labels and J,
+    when J is empty or passes the sector gate, decided once: a label
+    outside J; for each outside o, units g_o(x) = R[(xo), (ox)] and
+    R[(ox), (xo)] over x in J whose product P_o does not depend on x;
+    g_o (x) g_o commuting with R_J; units alpha and beta.  Each set of J
+    components then takes ``compute_ts`` of op_J = (R_J, mu_J, alpha,
+    beta) on the word of its strands, by op_J's own route, the gauge
+    argument of the module docstring.  Without that, one that passes the
     vanishing gate (Tr(mu) = 0, the braid relation, the enhancement
     conditions and a quadratic relation with a unit constant) gets 0; any
     other takes the half-word closure (module docstring).  Before any
     route, mu's side squared must be R's side, else DimensionMismatch (as
-    in ``verify_eyb``); a refusal inside the gate only means that the gate
+    in ``verify_eyb``); a refusal inside a gate only means that the gate
     is not passed.  Every route then checks the strand cap first, and
     raises NotAUnit and ExponentOverflow on the same inputs: c^w and
-    alpha^(-w) are formed apart.  The coloring sum and the vanishing route
-    invert R, through the half-word closure's kept transpose, exactly when
-    the word has a negative letter, so they raise NonInvertible and
-    InverseOutsideRing where the closure does.  The closed
-    form does not invert R, so on a singular R it gives a value where the
-    closure raises NonInvertible for a negative letter; an operator that
-    ``verify_eyb`` accepts has an invertible R.  Division by beta^n is
-    performed exactly, so beta need not be a unit.  The result's
+    alpha^(-w) are formed apart.  The coloring sum, the sector route
+    included, and the vanishing route invert R, through the half-word
+    closure's kept transpose, exactly when the word has a negative letter,
+    so they raise NonInvertible and InverseOutsideRing where the closure
+    does, before a sector is taken: a singular R_J makes R singular.  The
+    closed form does not invert R, so on a singular R it gives a value
+    where the closure raises NonInvertible for a negative letter; an
+    operator that ``verify_eyb`` accepts has an invertible R.  Division by
+    beta^n is performed exactly, so beta need not be a unit.  The result's
     ``unknot_value`` is Tr(mu)/beta, or None on a raw call when that
     quotient is not in the ring: the raw value needs only the division by
     beta^n.  Normalization divides by the unknot value and raises
     NotDivisible when that is impossible (in particular when the unknot
-    value is zero or not in the ring).  The eigenvalue c or the
-    verdict that there is none, then the filtration's weights or the verdict
-    that they do not apply, then the vanishing gate's verdict, the unknot
-    value and the constants of each
-    route are computed on the first call that needs them and kept on
-    ``op``, and a later call reads each with one dict lookup and builds no
-    function object for it.
-    Per call the closed form forms only c^w, alpha^(-w) and two products,
-    by the ring's key arithmetic when c and alpha are units; the writhe is
-    kept on the braid word.
+    value is zero or not in the ring).  The eigenvalue c or the verdict
+    that there is none, then the filtration's weights with op_J or the
+    verdict that they do not apply, then the vanishing gate's verdict, the
+    unknot value and the constants of each route are computed on the first
+    call that needs them and kept on ``op``, and a later call reads each
+    with one dict lookup and builds no function object for it.  Per call
+    the closed form forms only c^w, alpha^(-w) and two products, by the
+    ring's key arithmetic when c and alpha are units; the writhe is kept on
+    the braid word.
     """
     try:
         c = op._closure["eigen"]

@@ -134,7 +134,8 @@ class ScalarContext:
     imaginary unit.
     """
 
-    __slots__ = ("generators", "root_names", "names", "_index", "_radicands", "_layout")
+    __slots__ = ("generators", "root_names", "names", "_index", "_radicands", "_layout",
+                 "_rooted")
 
     def __init__(self, generators, roots=()):
         self.generators = tuple(generators)
@@ -149,7 +150,7 @@ class ScalarContext:
             seen.add(name)
         self._index = {name: k for k, name in enumerate(self.names)}
         self._layout = _Layout(len(self.generators), len(self.root_names))
-        self._radicands = []
+        self._radicands, self._rooted = [], {}
         ngens = len(self.generators)
         for j, (name, rad_text) in enumerate(roots):
             rad = self.parse(rad_text) if isinstance(rad_text, str) else rad_text
@@ -807,10 +808,11 @@ def kronecker(ctx, entries, count, degree=3, reach=None, rooted=()):
 
 
 def pow_int(x, k):
-    """Exact integer power.  A one-term x with no root factor is raised as
-    one key by ``_monomial_power``; any other x by squaring, where a
-    negative power needs a unit base, which ``_unit_inverse`` inverts by key
-    arithmetic before the positive power."""
+    """Exact integer power.  A one-term x is raised as one key, by
+    ``_monomial_power``, or by ``_rooted_power`` when it has a root factor;
+    any other x by squaring, where a negative power needs a unit base,
+    which ``_unit_inverse`` inverts by key arithmetic before the positive
+    power."""
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
     if k == 0:
@@ -820,8 +822,12 @@ def pow_int(x, k):
     nums = x._nums
     if len(nums) == 1 or len(nums) == 2 and x.term_count() == 1:
         m = min(nums) & ~1
-        if not m & x.ctx._layout.root_fields:
+        roots = m & x.ctx._layout.root_fields
+        if not roots:
             return _monomial_power(x, k, m)
+        power = _rooted_power(x, k, m, roots)
+        if power is not None:
+            return power
     if k < 0:
         x, k = _unit_inverse(x), -k
     result = None
@@ -853,6 +859,16 @@ def _monomial_power(x, k, m):
         a, b, d, k = d * a, -d * b, a * a + b * b, -k
     if not b:
         return _scalar(x.ctx, {key: a ** k}, d ** k)
+    re, im, den = _gaussian_power(a, b, d, k)
+    return _scalar(x.ctx, {slot: v for slot, v in ((key, re), (key + 1, im)) if v}, den)
+
+
+def _gaussian_power(a, b, d, k):
+    """((a + b*i)/d)^k, k != 0, as ints (re, im, den)."""
+    if k < 0:
+        a, b, d, k = d * a, -d * b, a * a + b * b, -k
+    if not b:
+        return a ** k, 0, d ** k
     re, im, den = 1, 0, d ** k
     while k:
         if k & 1:
@@ -860,7 +876,42 @@ def _monomial_power(x, k, m):
         k >>= 1
         if k:
             a, b = a * a - b * b, 2 * a * b
-    return _scalar(x.ctx, {slot: v for slot, v in ((key, re), (key + 1, im)) if v}, den)
+    return re, im, den
+
+
+def _rooted_power(x, k, m, roots):
+    """x^k, k not 0 or 1, for the monomial x of key m with root fields
+    ``roots``, as one key: root^k = root^(k mod 2) radicand^(k div 2).  None,
+    for the squaring route, when the radicands' product is no root-free
+    monomial, or when |k| (|e| + 2 e') reaches the range, e a generator's
+    doubled exponent in x and e' the sum of its magnitudes in the
+    radicands: below that no product of squaring leaves the range, so
+    ExponentOverflow comes from the same inputs.  The product and e' are
+    kept on ``ctx`` per root pattern."""
+    ctx, n = x.ctx, abs(k)
+    layout = ctx._layout
+    if roots not in ctx._rooted:
+        strip, reach, rad = roots, [0] * layout.ngens, ctx.one()
+        for j, s in enumerate(layout.shifts[layout.ngens:]):
+            if roots >> s & 7:
+                factor = _radicand(ctx, j)
+                rad, strip = rad * factor, strip + (2 << layout.total_shift)
+                reach = [e + 2 * max(abs(((f >> g) & _GEN_VALUES) - _BIAS) for f in factor._nums)
+                         for e, g in zip(reach, layout.gen_shifts)]
+        rm, nums = min(rad._nums) & ~1, rad._nums
+        ctx._rooted[roots] = (rad.term_count() == 1 and not rm & layout.root_fields) and (
+            strip, reach, rm - layout.zero, nums.get(rm, 0), nums.get(rm + 1, 0), rad._den)
+    if not ctx._rooted[roots]:
+        return None
+    strip, reach, shift, a, b, d = ctx._rooted[roots]
+    for s, e in zip(layout.gen_shifts, reach):
+        if n * (abs(((m >> s) & _GEN_VALUES) - _BIAS) + e) >= _BIAS:
+            return None
+    key = layout.zero + k * (m - strip - layout.zero) + k // 2 * shift + k % 2 * strip
+    a, b, d = _gaussian_power(a, b, d, k // 2)
+    re, im, den = _gaussian_power(x._nums.get(m, 0), x._nums.get(m + 1, 0), x._den, k)
+    re, im = re * a - im * b, re * b + im * a
+    return _scalar(ctx, {slot: v for slot, v in ((key, re), (key + 1, im)) if v}, den * d)
 
 
 def _unit_inverse(x):

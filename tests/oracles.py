@@ -5,7 +5,9 @@ contracts tensor indices with explicit sums over nonzero entries, and the
 skein oracle computes the one-variable invariant by descending-diagram
 induction on braid closures, using no matrices at all, and
 ``nabla_by_burau`` computes it as a Burau determinant over int Laurent
-dicts, with no state sum.  The Kronecker-power
+dicts, with no state sum.  ``dressed_sectors`` splits a dressed
+operator's trace into its color sectors with the diagonal insertions on
+the block's strands kept as they come.  The Kronecker-power
 contractions form mu^(x n) and the product with it, and are the reference
 for ``weighted_trace_sequential``, the weighted trace the invariant tests
 close a whole word's matrix with; the engine never forms either.  The
@@ -29,14 +31,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, product
 from operator import or_
 
 from ybtrace.errors import ContextMismatch, DimensionMismatch
 from ybtrace.ring import PackedVector, _scalar, _settle, dot, pack
 from ybtrace.tensor import (
     MAX_STATES, SquareMatrix, Verdict, _check_ctx, _check_operands, _crossing_base, _slot_base,
-    embed_generator, kron, matmul, matmul_sub, push_at,
+    embed_generator, invert, kron, matmul, matmul_sub, push_at,
 )
 
 
@@ -340,6 +342,87 @@ def nabla_by_burau(strands, word):
     writhe = sum(1 if letter > 0 else -1 for letter in word)
     sign = -1 if components % 2 == 0 else 1
     return {2 * e - (writhe + n - 1): sign * c for e, c in d.items()}
+
+
+# -- the color sectors of a dressed operator --------------------------------------
+
+
+def dressed_sectors(op, block, word):
+    """Tr(rep(word) mu^(x n)) of an operator whose R is a weighted swap on
+    every pair of labels not both in ``block`` and whose mu is diagonal,
+    split into sectors: {coloring: share of the trace}, a coloring giving
+    each component of the closure, in the order of its least strand, an
+    outside label or None for the block.  A sector multiplies the swap
+    weights of the crossings of two outside strands and their mu entries
+    by the trace, on the block's strands alone, of the product in word
+    order of R's block where two block strands cross and, where a block
+    strand crosses an outside one, of the diagonal of that crossing's
+    weights over the block's labels, on the block strand: the diagonal
+    insertions as they come, with no gauge.  R^-1 is ``tensor.invert``'s.
+    A letter's strands are followed by hand, and the block's matrices are
+    explicit Kronecker products."""
+    base, ctx, strands = op.mu.side, op.ctx, word.strands
+    inside = sorted(block)
+    m, index = len(inside), {x: i for i, x in enumerate(inside)}
+    outside = [o for o in range(base) if o not in index]
+    crossings = {1: op.r, -1: invert(op.r) if any(k < 0 for k in word.letters) else None}
+
+    def weight(sign, row, col):
+        return crossings[sign].entries.get((row[0] * base + row[1], col[0] * base + col[1]),
+                                           ctx.zero())
+
+    for row, col in op.r.entries:
+        (a, b), (c, d) = divmod(row, base), divmod(col, base)
+        assert {a, b, c, d} <= set(inside) or (c, d) == (b, a), "not a swap outside the block"
+    assert all(r == c for r, c in op.mu.entries), "mu is not diagonal"
+    restricted = {sign: SquareMatrix(ctx, m * m, {
+        (index[a] * m + index[b], index[c] * m + index[d]): weight(sign, (a, b), (c, d))
+        for a in inside for b in inside for c in inside for d in inside
+        if not weight(sign, (a, b), (c, d)).is_zero()})
+        for sign, matrix in crossings.items() if matrix is not None}
+
+    # the closure joins the strand ending at each position to the one starting there
+    ends = list(range(strands))
+    for k in word.letters:
+        ends[abs(k) - 1], ends[abs(k)] = ends[abs(k)], ends[abs(k) - 1]
+    component, count = {}, 0
+    for start in range(strands):
+        if start not in component:
+            strand = start
+            while strand not in component:
+                component[strand], strand = count, ends[strand]
+            count += 1
+    mu_block = SquareMatrix.diagonal(ctx, [op.mu.get(x, x) for x in inside])
+    sectors = {}
+    for coloring in product(outside + [None], repeat=count):
+        color = [coloring[component[s]] for s in range(strands)]
+        k = color.count(None)
+        scalar, matrix = ctx.one(), SquareMatrix.identity(ctx, m ** k)
+        at = list(range(strands))
+        for letter in word.letters:
+            i, sign = abs(letter) - 1, 1 if letter > 0 else -1
+            left, right = color[at[i]], color[at[i + 1]]
+            j = sum(color[at[p]] is None for p in range(i))  # block strands left of i
+            if left is None and right is None:
+                factor = embed_generator(restricted[sign], j + 1, k)
+            elif left is None or right is None:
+                o = right if left is None else left
+                pairs = [((x, o), (o, x)) if left is None else ((o, x), (x, o)) for x in inside]
+                factor = kron(kron(SquareMatrix.identity(ctx, m ** j), SquareMatrix.diagonal(
+                    ctx, [weight(sign, row, col) for row, col in pairs])),
+                    SquareMatrix.identity(ctx, m ** (k - j - 1)))
+            else:
+                scalar, factor = scalar * weight(sign, (left, right), (right, left)), None
+            if factor is not None:
+                matrix = matmul(matrix, factor)
+            at[i], at[i + 1] = at[i + 1], at[i]
+        for c in color:
+            if c is not None:
+                scalar = scalar * op.mu.get(c, c)
+        if k:
+            scalar = scalar * trace_product(matrix, kron_power(mu_block, k))
+        sectors[coloring] = scalar
+    return sectors
 
 
 # -- Kronecker-power contractions ----------------------------------------------

@@ -158,6 +158,63 @@ def test_monomial_powers_match_the_squaring_route(ctx):
     assert {"i", "half", "negative", "root", "edge", ExponentOverflow} <= seen
 
 
+def _repeated(x, k):
+    """x^k as |k| products of x, or of the squaring route's x^-1."""
+    factor = x if k > 0 else oracles.pow_int_by_terms(x, -1)
+    result = x.ctx.one()
+    for _ in range(abs(k)):
+        result = result * factor
+    return result
+
+
+def _first(holds, low=1, high=1 << 15):
+    """The least k in [low, high) with holds(k), for a predicate that stays
+    true once it holds; high when none."""
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if holds(mid) else (mid + 1, high)
+    return low
+
+
+def test_every_rows_alpha_and_c_raise_by_key_arithmetic_as_the_products_do():
+    """alpha and the closed form's c of the 23 rows with both signs, among
+    them R2.1/1's p^-1*q^-1*sqrt_pq, R2.2/1's sqrt_pq and R1.2/1's sqrt_q,
+    whose roots pow_int raises by key arithmetic (``ring._rooted_power``):
+    x^k equals |k| products for -12 <= k <= 12.  Where the key route hands
+    over to squaring, and at each end of the exponent range, the outcome,
+    a value or ExponentOverflow, is the squaring route's (|k| products
+    refuse one step early there, at the product before a root's square is
+    replaced by its radicand)."""
+    values = []
+    for entry in eyb.table1_entries():
+        for sign in "+-":
+            op = entry.build(sign, ctx=entry.context())
+            c = invariant._eigenvalue(op)
+            values += [op.alpha] + ([c] if c is not None else [])
+    rooted = [x for x in values if ring._root_mask(x)]
+    assert len(rooted) == 6
+    for x in values:
+        for k in range(-12, 13):
+            assert pow_int(x, k) == _repeated(x, k), (x, k)
+    for x in values:
+        if not any(any(exps[:len(x.ctx.generators)]) for exps in terms_of(x)):
+            continue  # a constant has no end of the range
+        m = min(x._nums) & ~1
+        roots = m & x.ctx._layout.root_fields
+        for sign in (1, -1):
+            edge = _first(lambda k: _outcome(oracles.pow_int_by_terms, x, sign * k)
+                          is ExponentOverflow)
+            ks = [edge - 2, edge - 1, edge, edge + 1]
+            if roots:
+                handover = _first(lambda k: ring._rooted_power(x, sign * k, m, roots) is None, 2)
+                assert 2 < handover < edge, (x, sign)
+                ks += [handover - 1, handover]
+            for k in ks:
+                got = _outcome(pow_int, x, sign * k)
+                assert got == _outcome(oracles.pow_int_by_terms, x, sign * k), (x, sign * k)
+                assert (got is ExponentOverflow) == (k >= edge), (x, sign * k)
+
+
 def test_the_inverse_refuses_the_one_exponent_it_cannot_negate():
     ctx = CTX_UNITS
     low = ctx.monomial(1, {"t": -MAX_EXPONENT})

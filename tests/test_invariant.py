@@ -568,7 +568,7 @@ def _route(op):
     if op._closure["eigen"] is not None:
         return "closed form"
     if op._closure["graded"] is not None:
-        return "coloring"
+        return "coloring" if op._closure["graded"][2] is None else "sectors"
     if op._closure["vanishes"]:
         return "vanishing"
     ctx = op.ctx
@@ -660,7 +660,10 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
     """The closed form and the coloring sum build no representation matrix;
     the half-word closure, and every open trace, build that of the right
     half of the word only.  Each of the 23 rows with either sign, fresh,
-    takes the route that ROUTES pins, and so does each preset."""
+    takes the route that ROUTES pins, and each preset the sector route:
+    d3_R21's J sector, R2.1/1 on the whole knot, builds the right half of
+    its word on R_J, and d3_R22 and d4_R22, whose J sectors vanish, build
+    no matrix."""
     built = []
 
     def spy(r, b):
@@ -673,12 +676,19 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
     assert half.letters == (2, 1, 1)
     ops = [(ROUTES[e.rmatrix, e.row], e.build(sign, ctx=e.context()))
            for e in table1_entries() for sign in "+-"]
-    ops += [("closure", preset_dressings(name).eyb) for name in preset_names()]
+    assert preset_names() == ("d3_R21", "d3_R22", "d4_R22")
+    ops += [("sectors", preset_dressings(name).eyb) for name in preset_names()]
+    d3_r21 = preset_dressings("d3_R21").eyb
     for route, op in ops:
         built.clear()
         compute_ts(op, b)
         assert _route(op) == route
-        assert built == ([half] if route == "closure" else [])
+        if route == "sectors":
+            assert _route(op._closure["graded"][2][0]) == (
+                "closure" if op is d3_r21 else "vanishing")
+            assert built == ([half] if op is d3_r21 else [])
+        else:
+            assert built == ([half] if route == "closure" else [])
     assert sorted(route for route, _ in ops).count("coloring") == 8
     assert sorted(route for route, _ in ops).count("vanishing") == 6
     built.clear()
