@@ -23,34 +23,39 @@ entries of mu all change the charge one way or not at all, R, R^-1, every
 embedding and mu^(x n) are block triangular, and the trace of a product
 of such matrices is that of the product of their diagonal blocks.  So the
 invariant is that of the graded operator, R and mu with their
-charge-changing entries deleted (``_graded``).  Let J hold the labels of
-its entries that are no swap, at (ab, cd) with (c, d) != (b, a): every
-other entry is a swap, at (ab, ba), on a pair with a label outside J, and
-R keeps J x J as R_J.  Outside labels ride their strands and J is kept
-along strands, so the trace sums over the colorings kappa of the closure's
-components by the outside labels and J (``_coloring_trace``).  With J
-empty (rows R3.1/1-2, R2.3/1, R1.3/1) kappa weighs a product of weights.
-Else a sector gate must pass: a label outside J; for each outside o, the
-weights g_o(x) = R[(xo), (ox)] and R[(ox), (xo)], x in J, are units whose
-product P_o does not depend on x, and g_o (x) g_o commutes with R_J; alpha
-and beta are units.  Then kappa weighs the outside weights, prod
-mu_o^size, per crossing of J with o a constant (P_o for a positive letter
-with J on the right, P_o^-1 for a negative one with J on the left, else
-1), and Tr(rep_J(b_k) mu_J^(x k)) for the word b_k of the k strands colored
-J: alpha^w(b_k) beta^k times ``compute_ts`` of op_J = (R_J, mu_J, alpha,
-beta), by op_J's own route, or (Tr mu_J)^k when b_k has no letter.  Proof:
-conjugate the J strands by Gamma = (x)_i prod_o g_o^l(i,o), l(i,o) the
-o-colored strands left of J strand i.  A J-o crossing moves one l by one,
-and its weight (g_o(x) or P_o/g_o(x) for R, their inverses for R^-1) is
-Gamma's change times the constant; a J-J crossing joins strands with equal
-l, and Gamma passes R_J; an outside-outside crossing moves no l.  The
-closure joins positions of one color, where Gamma agrees, and Gamma
-commutes with mu_J: an identity of traces on every word, with no
-enhancement.  The presets and the collapsed ``d3``, ``d4`` operators of
-tables 2-4 take it; a row's J, at base 2, is empty or every label.  A
-singular R_J makes R singular, so the refusals are the coloring sum's: the
-strand cap at base N, a side-1 weight, R's kept inverse for a negative
-letter, then ``_weighted``.
+charge-changing entries deleted (``_graded``), or the operator itself with
+a diagonal mu.  If the graded R has one entry per column, at row
+(phi(b), psi(a)) for column (a, b), phi and psi permutations of the
+labels, each state goes to one state (R^-1 at psi^-1, phi^-1), and the
+trace sums over the colorings of the closure's components by the labels
+their monodromy fixes (``_coloring_trace``): R3.1/1-2, R2.3/1 and R1.3/1
+with phi = psi = 1, R1.4/1 with the swap of 0 and 1.  One-term weights
+multiply there as sums of exponent keys (``Scalar._term``).  Else let J
+hold the labels of the entries that are no swap: every other entry is a
+swap on a pair with a label outside J, and R keeps J x J as R_J.  A sector
+gate must pass: a label outside J; for each outside o, the weights g_o(x)
+= R[(xo), (ox)] and R[(ox), (xo)], x in J, are units whose product P_o
+does not depend on x, and g_o (x) g_o commutes with R_J; alpha and beta
+are units.  Outside labels ride their strands and J is kept along strands,
+so the colorings kappa are by the outside labels and J, and kappa weighs
+the outside weights, prod mu_o^size, per crossing of J with o a constant
+(P_o for a positive letter with J on the right, P_o^-1 for a negative one
+with J on the left, else 1), and Tr(rep_J(b_k) mu_J^(x k)) for the word
+b_k of the k strands colored J: alpha^w(b_k) beta^k ``compute_ts`` of
+op_J = (R_J, mu_J, alpha, beta), by op_J's own route, or (Tr mu_J)^k when
+b_k has no letter.  Proof: conjugate the J strands by Gamma = (x)_i prod_o
+g_o^l(i,o), l(i,o) the o-colored strands left of J strand i.  A J-o
+crossing moves one l by one, and its weight (g_o(x) or P_o/g_o(x) for R,
+their inverses for R^-1) is Gamma's change times the constant; a J-J
+crossing joins strands with equal l, and Gamma passes R_J; an
+outside-outside crossing moves no l.  The closure joins positions of one
+color, where Gamma agrees, and Gamma commutes with mu_J: an identity of
+traces on every word, with no enhancement.  The presets and the collapsed
+``d3``, ``d4`` operators of tables 2-4 take it; when op_J takes the
+vanishing route below (``d4``, ``d3_R22``, ``d4_R22``), every J sector is
+0 and J colors nothing.  A singular R_J makes R singular, so the refusals
+are the coloring sum's: the strand cap at base N, a side-1 weight, R's
+kept inverse for a negative letter, then beta^n and alpha^(-w).
 
 Otherwise an operator that passes the vanishing gate (``_vanishes``) gets
 0 with no state sum: Tr(mu) = 0, R meets the braid relation
@@ -97,20 +102,21 @@ of them, counting the difference the proportionality test takes; these
 are the map's degree and count, so the test is exact on the ints and one
 int is read back.  Where the map does not apply (an i, an exponent past
 the gate, an int past ``ring.MAX_KRONECKER_BITS``) the half-word closure
-runs.  Row R1.4/1, the open traces of R1.1/1 and ``alexander_nabla``'s
-operator take the int route; a ring with two generators or a root never
-does, because the mixed-radix packing of two exponents is dense (the
-collapsed Jones operator of tables 2-4, over (t, q), ran 4.5x slower on
-ints).
+runs.  No row's ``compute_ts`` reaches it: it serves the open traces,
+``alexander_nabla``'s among them; a ring with two generators or a root
+never takes it, because the mixed-radix packing of two exponents is dense
+(the collapsed Jones operator of tables 2-4, over (t, q), ran 4.5x slower
+on ints).
 
 What depends only on the operator is kept on it on first use: the
 eigenvalue c, or the verdict that there is none, and when there is none
 the filtration's weights, with op_J, or the verdict that it does not
-apply, and when it does not the vanishing gate's verdict; the unknot
-value; per strand count n the unknot value's n-th power when there is a
-c; per strand count and kept strand count the packed rows of 1 (x) M,
-when they hold at most ``tensor.MAX_ENTRIES`` entries; per closed-slot
-count k beta^k; and the transposes of R and R^-1.  The crossings keep
+apply, and when it does not the vanishing gate's verdict; R^-1's weights
+for the coloring sum; the unknot value; per strand count n the unknot
+value's n-th power when there is a c; per strand count and kept strand
+count the packed rows of 1 (x) M, when they hold at most
+``tensor.MAX_ENTRIES`` entries; per closed-slot count k beta^k; and the
+transposes of R and R^-1.  The crossings keep
 their tables and embeddings on their matrices.  Nothing keyed by a braid
 word or a writhe is kept, so the int route, whose map depends on the
 word's length, keeps only the transposes.
@@ -137,7 +143,8 @@ from .eyb import (
     EnhancedOperator, _check_sides, get_table1_eyb, specialize, table1_entries, verify_eyb,
 )
 from .ring import (
-    ScalarContext, contract, format_scalar, kronecker, pack, pow_int, try_div_exact,
+    MAX_EXPONENT, ScalarContext, contract, format_scalar, kronecker, pack, pow_int,
+    try_div_exact,
 )
 from .tensor import (
     MAX_ENTRIES,
@@ -466,69 +473,112 @@ def _closure_on_ints(op, b, keep, total):
     return ctx.zero() if value is None else read(value)
 
 
-def _graded(op):
-    """(swap, diagonal, block) when the charge filtration grades ``op`` to a
-    weighted swap outside a block J of labels that is empty or passes the
-    sector gate, else None (module docstring).
+def _terms(weights):
+    """({label: (key, coefficient, None) by ``Scalar._term``, or (0, 1,
+    weight) where it keys none}, the keyed terms' largest reach)."""
+    terms = {label: w._term() for label, w in weights.items()}
+    return ({label: (0, 1, weights[label]) if t is None else (*t[:2], None)
+             for label, t in terms.items()}, max([t[2] for t in terms.values() if t], default=0))
 
-    A label's charge is its digit, a pair index's the sum of its digits.
-    ``swap`` maps (a, b) to R[(ab), (ba)] and ``diagonal`` maps d to
-    mu[d, d], both nonzero, for the labels outside J.  With J empty
-    ``block`` is None.  Else J's components take the color -1: ``diagonal``
-    maps -1 to 1, ``swap`` maps (-1, o) and (o, -1) to a positive letter's
-    constants 1 and P_o, and ``block`` is (op_J, op_J's unknot value
-    Tr(mu_J) / beta, a negative letter's constants P_o^-1 and 1)."""
-    base = op.base_dim
-    directions, kept = set(), {}
+
+def _graded(op):
+    """(tables, reach, block, moves, scale) when the graded R has one entry
+    per column, at label maps or as a weighted swap outside a block J of
+    labels that passes the sector gate, else None (module docstring).
+
+    tables[True] holds the terms (``_terms``) of R[(ab), (cd)] keyed by
+    (a, b), tables[None] those of mu[d, d] keyed by (d, d), and ``scale``
+    alpha's and beta's ``Scalar._term`` when both have coefficient +-1;
+    ``reach`` is the largest of their reaches.  A letter of sign s leaves
+    the labels (a, b) as (right[b], left[a]), (left, right) = moves[s], or
+    as (b, a) when ``moves`` is None.  With J empty ``block`` is None.  Else
+    J's components take the color -1, which mu weighs 1, a positive letter
+    1 on (-1, o) and P_o on (o, -1), and ``block`` is (op_J, Tr(mu_J) /
+    beta, a negative letter's weights P_o^-1 and 1); -1 colors nothing when
+    op_J takes the vanishing route."""
+    base, one = op.base_dim, op.ctx.one()
+    directions, kept, moved = set(), {}, {}
     for (row, col), x in op.r.entries.items():
         a, b = divmod(row, base)
         c, d = divmod(col, base)
         if a + b != c + d:
             directions.add(a + b > c + d)
+            moved[a, b, c, d] = x
         else:
             kept[a, b, c, d] = x
     diagonal = {}
     for (row, col), x in op.mu.entries.items():
         if row == col:
-            diagonal[row] = x
+            diagonal[row, row] = x
         else:
             directions.add(row > col)
     if len(directions) > 1:
-        return None
+        if len(diagonal) < len(op.mu.entries):
+            return None
+        kept.update(moved)
     block = sorted({label for (a, b, c, d) in kept if (c, d) != (b, a) for label in (a, b, c, d)})
     swap = {(a, b): x for (a, b, c, d), x in kept.items() if c not in block or d not in block}
-    if not block:
-        return swap, diagonal, None
-    if len(block) == base or not (op.alpha.is_unit() and op.beta.is_unit()):
-        return None
-    inside = {key: x for key, x in kept.items() if key[2] in block and key[3] in block}
-    outside = {o: diagonal[o] for o in diagonal if o not in block}
-    swap[-1, -1], negative = 1, {(-1, -1): 1}
-    for o in outside:
-        g = {x: swap.get((x, o)) for x in block}
-        h = {x: swap.get((o, x)) for x in block}
-        if not all(w is not None and w.is_unit() for w in (*g.values(), *h.values())):
+    left, right, moves = {}, {}, None
+    if block and all(left.setdefault(a, d) == d and right.setdefault(b, c) == c
+                     for a, b, c, d in kept) and (
+            sorted(left.values()) == sorted(right.values()) == list(range(base))):
+        left, right = (tuple(m[x] for x in range(base)) for m in (left, right))
+        moves = {True: (left, right), False: tuple(tuple(sorted(range(base), key=m.__getitem__))
+                                                   for m in (right, left))}
+        swap, block = {(a, b): x for (a, b, _, _), x in kept.items()}, []
+    if block:
+        if len(directions) > 1 or len(block) == base or not (
+                op.alpha.is_unit() and op.beta.is_unit()):
             return None
-        p = {g[x] * h[x] for x in block}
-        if len(p) != 1 or any(g[a] * g[b] != g[c] * g[d] for a, b, c, d in inside):
-            return None
-        swap[-1, o], swap[o, -1] = 1, p.pop()
-        negative[-1, o], negative[o, -1] = pow_int(swap[o, -1], -1), 1
-    at, m = {label: i for i, label in enumerate(block)}, len(block)
-    r = SquareMatrix(op.ctx, m * m, {(at[a] * m + at[b], at[c] * m + at[d]): x
-                                     for (a, b, c, d), x in inside.items()})
-    mu = SquareMatrix(op.ctx, m, {(at[x], at[x]): diagonal[x] for x in block if x in diagonal})
-    op_j = EnhancedOperator(r, mu, op.alpha, op.beta)
-    return swap, {**outside, -1: 1}, (op_j, unknot_value(op_j), negative)
+        inside = {key: x for key, x in kept.items() if key[2] in block and key[3] in block}
+        outside = [o for o, _ in diagonal if o not in block]
+        swap[-1, -1], negative = one, {(-1, -1): one}
+        for o in outside:
+            g = {x: swap.get((x, o)) for x in block}
+            h = {x: swap.get((o, x)) for x in block}
+            if not all(w is not None and w.is_unit() for w in (*g.values(), *h.values())):
+                return None
+            p = {g[x] * h[x] for x in block}
+            if len(p) != 1 or any(g[a] * g[b] != g[c] * g[d] for a, b, c, d in inside):
+                return None
+            swap[-1, o], swap[o, -1] = one, p.pop()
+            negative[-1, o], negative[o, -1] = pow_int(swap[o, -1], -1), one
+        at, m = {label: i for i, label in enumerate(block)}, len(block)
+        r = SquareMatrix(op.ctx, m * m, {(at[a] * m + at[b], at[c] * m + at[d]): x
+                                         for (a, b, c, d), x in inside.items()})
+        mu = SquareMatrix(op.ctx, m, {(at[x], at[x]): diagonal[x, x] for x in block
+                                      if (x, x) in diagonal})
+        op_j = EnhancedOperator(r, mu, op.alpha, op.beta)
+        diagonal = {(o, o): diagonal[o, o] for o in outside}
+        if not (_kept(op_j, "eigen", _eigenvalue, op_j) is None
+                and _kept(op_j, "graded", _graded, op_j) is None
+                and _kept(op_j, "vanishes", _vanishes, op_j)):
+            diagonal[-1, -1] = one
+        block = (op_j, unknot_value(op_j), negative)
+    scale = (op.alpha._term(), op.beta._term())
+    scale = scale if None not in scale and all(t[1] ** 2 == 1 for t in scale) else None
+    (swap, reach), (diagonal, far) = _terms(swap), _terms(diagonal)
+    reach = max(reach, far, *(term[2] for term in scale or ()))
+    return {True: swap, None: diagonal}, reach, block or None, moves, scale
+
+
+def _inverse_weights(op, graded):
+    """R^-1's terms as ``_graded`` gives R's, and J's for a negative letter,
+    read off the half-word closure's kept transposed inverse (``_pullback``),
+    so that R is inverted on the same inputs."""
+    block, moves = graded[2:4]
+    base, inverse = op.base_dim, _pullback(op, False).entries
+    left, right = moves[False] if moves else (range(base), range(base))
+    weights = {(a, b): inverse[key] for a in range(base) for b in range(base)
+               if (key := (right[b] * base + left[a], a * base + b)) in inverse}
+    return _terms({**weights, **(block[2] if block else {})})
 
 
 def _block_trace(block, b, strands):
-    """alpha^(-w) beta^(-n) Tr(rep_J(b') mu_J^(x k)), w and n those of
-    ``b``, for the word b' of its k strands in ``strands`` (by top
-    position), each letter numbered by the strands of b' left of it:
-    ``compute_ts(op_J, b')``, by op_J's own route, or op_J's unknot value
-    to the k when b' has no letter, times alpha^(w'-w) beta^(k-n) for the
-    writhe w' of b', which is 1 when b' is ``b``."""
+    """(alpha^(-w') beta^(-k) Tr(rep_J(b') mu_J^(x k)), b'), b' the word of
+    the k strands of ``b`` in ``strands`` (by top position), each letter
+    numbered by the strands of b' left of it: ``compute_ts(op_J, b')``, by
+    op_J's route, or op_J's unknot value to the k when b' has no letter."""
     op_j, unknot, _ = block
     word = b
     if len(strands) < b.strands:
@@ -540,88 +590,106 @@ def _block_trace(block, b, strands):
                 letters.append(i if letter > 0 else -i)
             at[j], at[j + 1] = at[j + 1], at[j]
         word = BraidWord(len(strands), letters)
-    value = compute_ts(op_j, word).value if word.letters else pow_int(unknot, word.strands)
-    if value.is_zero() or word is b:
-        return value
-    return (value * pow_int(op_j.alpha, word.writhe - b.writhe)
-            * pow_int(op_j.beta, word.strands - b.strands))
+    return compute_ts(op_j, word).value if word.letters else pow_int(unknot, word.strands), word
 
 
 def _coloring_trace(op, b, graded):
     """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n as a sum over the colorings
     of the closure's components, for the weights ``graded`` of ``_graded``.
 
-    A coloring weighs prod_positions mu[l, l] times, per letter on slots
-    (j, j+1), R^(+-1)[(l_j l_j+1), (l_j+1 l_j)], with the constants of J
-    (-1) for l in J; one with J components starts from ``_block_trace`` on
-    their strands, taken once per set of J components and weighted by
-    alpha^(-w) beta^(-n) already.  A negative letter's weight is read off the
-    transposed inverse that the half-word closure keeps (``_pullback``), so
-    R is inverted on the same inputs.  The refusals come first and in the
-    half-word closure's order: the strand cap, then DimensionMismatch for a
-    side-1 weight.
+    A component's colorings are the labels its monodromy fixes.  A coloring
+    weighs mu[l, l] per top position and R^(+-1) per letter at the labels
+    it meets, and ``_block_trace`` of its J components' strands times
+    alpha^w' beta^k, once per set of J components.  Keyed terms multiply
+    as a sum of keys and a product of coefficients while every product
+    stays in the exponent range, and so do alpha^-w beta^-n when ``scale``
+    keys them; other weights multiply as Scalars.  The refusals come first
+    and in the half-word closure's order: the strand cap, a side-1 weight,
+    then R's inverse for a negative letter.
     """
-    n, base = b.strands, op.base_dim
+    n, letters, ctx = b.strands, b.letters, op.ctx
     _slots(op, n)
-    swap, diagonal, block = graded
-    weights = {True: swap}
-    if any(letter < 0 for letter in b.letters):
-        inverse = _pullback(op, False).entries
-        weights[False] = {(x, y): inverse[y * base + x, x * base + y]
-                          for x in range(base) for y in range(base)
-                          if (y * base + x, x * base + y) in inverse}
-        if block is not None:
-            weights[False].update(block[2])
-    # the strand at each position, by its top position; each letter's pair
-    at, pairs = list(range(n)), []
-    for letter in b.letters:
-        j = abs(letter) - 1
-        pairs.append((letter > 0, at[j], at[j + 1]))
-        at[j], at[j + 1] = at[j + 1], at[j]
-    # the closure joins the strand ending at position p to the one starting there
+    tables, reach, block, moves, scale = graded
+    if any(letter < 0 for letter in letters):
+        negative, far = _kept(op, ("weights", False), _inverse_weights, op, graded)
+        tables, reach = {**tables, False: negative}, max(reach, far)
+    if (len(letters) + n) * reach >= MAX_EXPONENT:  # every product a Scalar's
+        tables = {sign: {label: (0, 1, ctx._keyed({k: c}) if w is None else w)
+                         for label, (k, c, w) in table.items()} for sign, table in tables.items()}
+        scale = None
+    # each letter's pair and strands' label maps since their tops (None for a swap)
+    identity = tuple(range(op.base_dim)) if moves else None
+    at, maps, pairs = list(range(n)), [identity] * n, {}
+    for letter in letters:
+        j, positive = abs(letter) - 1, letter > 0
+        s, t = at[j], at[j + 1]
+        key = (positive, s, maps[s], t, maps[t])
+        pairs[key] = pairs.get(key, 0) + 1
+        if moves:
+            left, right = moves[positive]
+            maps[s], maps[t] = tuple(map(left.__getitem__, maps[s])), tuple(
+                map(right.__getitem__, maps[t]))
+        at[j], at[j + 1] = t, s
+    # the closure joins the strand ending at position p to the one starting
+    # there; tops[s] maps its component's label at its least strand to s's top
     component, sizes = _cycles(at)
-    crossings = {}
-    for positive, s, t in pairs:
-        key = (positive, component[s], component[t])
-        crossings[key] = crossings.get(key, 0) + 1
-    # a coloring's product skips its factors equal to 1, and the products
-    # that are 1 are counted apart
-    # a coloring with J components starts from their weighted trace, and
-    # those colorings are summed apart from the others, whose sum is weighted
-    ones, total, weighted, sectors = 0, op.ctx.zero(), None, {}
-    for colors in itertools.product(diagonal, repeat=len(sizes)):
-        value = sector = None
+    labels = [x for x, _ in tables[None]]
+    tops, choices = [None] * n, [labels] * len(sizes)
+    if moves:
+        ends = {s: p for p, s in enumerate(at)}
+        for first in range(n):
+            s, h = first, identity
+            while tops[s] is None:
+                tops[s], h, s = h, tuple(map(maps[s].__getitem__, h)), ends[s]
+            if h is not identity:  # the monodromy
+                choices[component[first]] = [x for x in labels if h[x] == x]
+    groups = {}  # mu at each top position last
+    for (p, s, f, t, g), count in [*pairs.items(),
+                                   *[((None, s, identity, s, identity), 1) for s in range(n)]]:
+        if moves:
+            f, g = tuple(map(f.__getitem__, tops[s])), tuple(map(g.__getitem__, tops[t]))
+        key = (p, component[s], f, component[t], g)
+        groups[key] = groups.get(key, 0) + count
+    (ka, ca, _), (kb, cb, _) = scale or ((0, 1, 0), (0, 1, 0))  # alpha, beta
+    start = -b.writhe * ka - n * kb, ca ** abs(b.writhe) * cb ** n
+    acc, total, sectors = {}, None, {}
+    for colors in itertools.product(*choices):
+        (key, coeff), value = start, None
         if -1 in colors:
+            # J's sector unweighted, times alpha^w' beta^k by keys or Scalars
             sector = tuple(color < 0 for color in colors)
             if sector not in sectors:
-                sectors[sector] = _block_trace(
+                value, word = _block_trace(
                     block, b, {s for s in range(n) if sector[component[s]]})
-            value = sectors[sector]
+                if scale is None and not value.is_zero():
+                    value = (value * pow_int(op.alpha, word.writhe)
+                             * pow_int(op.beta, word.strands))
+                sectors[sector] = (word.writhe * ka + word.strands * kb,
+                                   ca ** abs(word.writhe) * cb ** word.strands, value)
+            shift, factor, value = sectors[sector]
             if value.is_zero():
                 continue
-        for (positive, s, t), count in crossings.items():
-            w = weights[positive].get((colors[s], colors[t]))
-            if w is None:
+            key, coeff = key + shift, coeff * factor
+        for (positive, cs, f, ct, g), count in groups.items():
+            x, y = colors[cs], colors[ct]
+            term = tables[positive].get((x if f is None else f[x], y if g is None else g[y]))
+            if term is None:
                 break
-            if w != 1:
+            k, c, w = term
+            key += k * count
+            if c != 1:
+                coeff *= c ** count
+            if w is not None:
                 w = pow_int(w, count)
                 value = w if value is None else value * w
         else:
-            for color, size in zip(colors, sizes):
-                w = diagonal[color]
-                if w != 1:
-                    w = pow_int(w, size)
-                    value = w if value is None else value * w
             if value is None:
-                ones += 1
-            elif sector is None:
-                total = total + value
+                acc[key] = acc.get(key, 0) + coeff
             else:
-                weighted = value if weighted is None else weighted + value
-    if ones:
-        total = total + ones
-    total = _weighted(op, b, total, n)
-    return total if weighted is None else total + weighted
+                value = value * ctx._keyed({key: coeff}) if key or coeff != 1 else value
+                total = value if total is None else total + value
+    value = ctx._keyed(acc) if total is None else ctx._keyed(acc) + total
+    return value if scale else _weighted(op, b, value, n)
 
 
 def _is_hecke(r):
@@ -669,47 +737,36 @@ def _vanishing_trace(op, b):
 def compute_ts(op, b, normalized=False):
     """The trace invariant of the closure of ``b`` under operator ``op``.
 
-    A weight mu of rank one takes the closed form c^w alpha^(-w)
-    (Tr(mu) / beta)^n when (v (x) v)^T R = c (v (x) v)^T for a unit c.
-    Without such a c, an operator that the charge filtration grades to a
-    weighted swap outside a block J of labels takes the sum over the
-    colorings of the closure's components by the outside labels and J,
-    when J is empty or passes the sector gate, decided once: a label
-    outside J; for each outside o, units g_o(x) = R[(xo), (ox)] and
-    R[(ox), (xo)] over x in J whose product P_o does not depend on x;
-    g_o (x) g_o commuting with R_J; units alpha and beta.  Each set of J
-    components then takes ``compute_ts`` of op_J = (R_J, mu_J, alpha,
-    beta) on the word of its strands, by op_J's own route, the gauge
-    argument of the module docstring.  Without that, one that passes the
-    vanishing gate (Tr(mu) = 0, the braid relation, the enhancement
-    conditions and a quadratic relation with a unit constant) gets 0; any
-    other takes the half-word closure (module docstring).  Before any
-    route, mu's side squared must be R's side, else DimensionMismatch (as
-    in ``verify_eyb``); a refusal inside a gate only means that the gate
-    is not passed.  Every route then checks the strand cap first, and
-    raises NotAUnit and ExponentOverflow on the same inputs: c^w and
-    alpha^(-w) are formed apart.  The coloring sum, the sector route
-    included, and the vanishing route invert R, through the half-word
-    closure's kept transpose, exactly when the word has a negative letter,
-    so they raise NonInvertible and InverseOutsideRing where the closure
-    does, before a sector is taken: a singular R_J makes R singular.  The
-    closed form does not invert R, so on a singular R it gives a value
-    where the closure raises NonInvertible for a negative letter; an
-    operator that ``verify_eyb`` accepts has an invertible R.  Division by
-    beta^n is performed exactly, so beta need not be a unit.  The result's
+    The first route that applies takes it (module docstring): the closed
+    form c^w alpha^(-w) (Tr(mu) / beta)^n when mu has rank one and
+    (v (x) v)^T R = c (v (x) v)^T for a unit c; the coloring sum when the
+    graded R has one entry per column at label maps, or is a weighted swap
+    outside a block J of labels that passes the sector gate, each set of J
+    components by ``compute_ts`` of the block operator op_J unless op_J
+    vanishes; 0 when the vanishing gate passes (Tr(mu) = 0, the braid
+    relation, the enhancement conditions and a quadratic relation with a
+    unit constant); else the half-word closure, on ints where the ring has
+    one generator and no root.  Before any route, mu's side squared must be
+    R's side, else DimensionMismatch (as in ``verify_eyb``); a refusal
+    inside a gate only means that the gate is not passed.  Every route then
+    checks the strand cap first, and raises NotAUnit and ExponentOverflow on
+    the same inputs: c^w and alpha^(-w) are formed apart.  The coloring sum
+    and the vanishing route invert R, through the half-word closure's kept
+    transpose, exactly when the word has a negative letter, so they raise
+    NonInvertible and InverseOutsideRing where the closure does, before a
+    sector is taken: a singular R_J makes R singular.  The closed form does
+    not invert R, so on a singular R it gives a value where the closure
+    raises NonInvertible for a negative letter; an operator that
+    ``verify_eyb`` accepts has an invertible R.  Division by beta^n is
+    performed exactly, so beta need not be a unit.  The result's
     ``unknot_value`` is Tr(mu)/beta, or None on a raw call when that
     quotient is not in the ring: the raw value needs only the division by
     beta^n.  Normalization divides by the unknot value and raises
     NotDivisible when that is impossible (in particular when the unknot
-    value is zero or not in the ring).  The eigenvalue c or the verdict
-    that there is none, then the filtration's weights with op_J or the
-    verdict that they do not apply, then the vanishing gate's verdict, the
-    unknot value and the constants of each route are computed on the first
-    call that needs them and kept on ``op``, and a later call reads each
-    with one dict lookup and builds no function object for it.  Per call
-    the closed form forms only c^w, alpha^(-w) and two products, by the
-    ring's key arithmetic when c and alpha are units; the writhe is kept on
-    the braid word.
+    value is zero or not in the ring).  The verdicts and constants of each
+    route are computed on the first call that needs them and kept on
+    ``op``, and a later call reads each with one dict lookup and builds no
+    function object for it; the writhe is kept on the braid word.
     """
     try:
         c = op._closure["eigen"]

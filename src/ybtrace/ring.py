@@ -224,6 +224,11 @@ class ScalarContext:
     def parse(self, text):
         return parse_scalar(self, text)
 
+    def _keyed(self, terms):
+        """The Scalar of {key: int}, keys sums of ``Scalar._term``'s in range."""
+        zero = self._layout.zero
+        return _scalar(self, {zero + k: c for k, c in terms.items() if c})
+
 
 def _scalar(ctx, nums, den=1):
     """The Scalar with numerators ``nums`` over ``den``, reduced by one gcd."""
@@ -301,9 +306,11 @@ def _settle(ctx, flagged, acc, den):
     ``ctx.names`` order whose field has reached 4 goes first: its radicand
     adds at most 2 to the roots declared before it, which are below 4, so
     no field passes 4 and none carries into the next.  A generator's
-    exponent out of range raises ExponentOverflow.  A radicand with a
-    denominator gives Fraction numerators, which are scaled back to ints
-    over a larger denominator at the end.  Returns (acc, den).
+    exponent out of range raises ExponentOverflow once every root's square
+    is replaced, as a radicand may bring it back (the key's arithmetic is
+    exact, and root fields lie below a generator's borrow).  A radicand
+    with a denominator gives Fraction numerators, which are scaled back to
+    ints over a larger denominator at the end.  Returns (acc, den).
     """
     layout = ctx._layout
     zero, total, ngens = layout.zero, layout.total_shift, layout.ngens
@@ -313,8 +320,6 @@ def _settle(ctx, flagged, acc, den):
         k, c = pending.pop()
         if (k & 3) == 2:
             k, c = k - 2, -c
-        if k & layout.gen_guard:
-            raise ExponentOverflow(_OUTSIDE)
         if k & layout.root_guard:
             for j, s in enumerate(layout.shifts[ngens:]):
                 if (k >> s) & 4:
@@ -326,6 +331,8 @@ def _settle(ctx, flagged, acc, den):
                 pending.append((base + rk, v))
             fractions = fractions or rad._den != 1
             continue
+        if k & layout.gen_guard:
+            raise ExponentOverflow(_OUTSIDE)
         prev = acc.get(k)
         c = c if prev is None else prev + c
         if c:
@@ -384,6 +391,20 @@ class Scalar:
             if (k >> layout.shifts[layout.ngens + j]) & 7 and not rad.is_unit():
                 return False
         return True
+
+    def _term(self):
+        """(key, coefficient, reach) of a one-term Scalar with an int
+        coefficient and no i or root, else None.  Keys add as monomials
+        multiply, and reach is the largest size of a doubled exponent, so a
+        product of m such terms is in range when m * reach < 2 * MAX_EXPONENT."""
+        if self._den != 1 or len(self._nums) != 1:
+            return None
+        (k, c), = self._nums.items()
+        layout = self.ctx._layout
+        if k & (layout.root_fields | 1):
+            return None
+        return k - layout.zero, c, max([abs(((k >> s) & _GEN_VALUES) - _BIAS)
+                                        for s in layout.gen_shifts], default=0)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -190,20 +190,20 @@ def test_rows_past_the_entry_cap_are_pushed_one_at_a_time(monkeypatch):
 
 
 def test_the_tables_and_alexander_nabla_never_need_the_half_word_closure(monkeypatch):
-    """Every R1.4/1 cell of Table 1, each a one-cell classification as the
-    tables benchmark asks for it, and ``alexander_nabla`` on the named links
-    take the int route and match; R1.1/1's cells take the vanishing route
-    and reach neither closure.  R2.1/1, R1.2/1, R2.2/1, the presets and the
-    collapsed operators of tables 2-4 never reach the int route."""
+    """Every R1.1/1 and R1.4/1 cell of Table 1, each a one-cell
+    classification as the tables benchmark asks for it, matches and reaches
+    neither closure: R1.1/1 takes the vanishing route, R1.4/1 the coloring
+    sum.  ``alexander_nabla`` on the named links takes the int route and
+    matches.  R2.1/1, R1.2/1, R2.2/1, the presets and the collapsed
+    operators of tables 2-4 never reach the int route."""
     links = [get_named_braid(name) for name in NAMED_LINKS]
     expected = {(row["rmatrix"], row["row"], row["link"]): row for row in classification_report()}
     monkeypatch.setattr(invariant, "_half_word_closure", _refuse)
-    assert [key for key in INT_ROWS if ROUTES[key] == "vanishing"] == [("R1.1", 1)]
+    assert [ROUTES[key] for key in INT_ROWS] == ["vanishing", "coloring"]
     for rmatrix, row in INT_ROWS:
         entry = get_table1_entry(rmatrix, row)
         with monkeypatch.context() as patch:
-            if ROUTES[rmatrix, row] == "vanishing":
-                patch.setattr(invariant, "_closure_on_ints", _refuse)
+            patch.setattr(invariant, "_closure_on_ints", _refuse)
             for link in links:
                 cell, = classification_report(entries=[entry], links=[link])
                 assert cell == expected[rmatrix, row, link.name]

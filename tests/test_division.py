@@ -182,9 +182,9 @@ def test_every_rows_alpha_and_c_raise_by_key_arithmetic_as_the_products_do():
     whose roots pow_int raises by key arithmetic (``ring._rooted_power``):
     x^k equals |k| products for -12 <= k <= 12.  Where the key route hands
     over to squaring, and at each end of the exponent range, the outcome,
-    a value or ExponentOverflow, is the squaring route's (|k| products
-    refuse one step early there, at the product before a root's square is
-    replaced by its radicand)."""
+    a value or ExponentOverflow, is the squaring route's and that of one
+    more product, x^(k-1) times x (or x^-1): a product settles a root's
+    square before it tests the range."""
     values = []
     for entry in eyb.table1_entries():
         for sign in "+-":
@@ -209,10 +209,33 @@ def test_every_rows_alpha_and_c_raise_by_key_arithmetic_as_the_products_do():
                 handover = _first(lambda k: ring._rooted_power(x, sign * k, m, roots) is None, 2)
                 assert 2 < handover < edge, (x, sign)
                 ks += [handover - 1, handover]
+            factor = x if sign > 0 else oracles.pow_int_by_terms(x, -1)
             for k in ks:
                 got = _outcome(pow_int, x, sign * k)
                 assert got == _outcome(oracles.pow_int_by_terms, x, sign * k), (x, sign * k)
                 assert (got is ExponentOverflow) == (k >= edge), (x, sign * k)
+                if k - 1 < edge:
+                    product = _outcome(lambda: pow_int(x, sign * (k - 1)) * factor)
+                    assert product == got, (x, sign * k)
+
+
+def test_a_product_settles_a_roots_square_before_it_tests_the_range():
+    """R2.1/1's alpha = p^-1*q^-1*sqrt_pq: alpha^8191 * alpha is
+    alpha^8192 = p^-4096*q^-4096, in range, though p and q leave the range
+    until sqrt_pq^2 is replaced by p*q, by a product, by ``ring.dot`` and
+    by ``ring.contract``.  Products whose result is out of range still
+    raise ExponentOverflow, with a root's square or without."""
+    alpha = eyb.get_table1_eyb("R2.1", 1).alpha
+    ctx = alpha.ctx
+    high, top = pow_int(alpha, 8191), ctx.parse("p^-4096*q^-4096")
+    assert high == ctx.parse("p^-4096*q^-4096*sqrt_pq")
+    assert high * alpha == alpha * high == pow_int(alpha, 8192) == top
+    assert ring.dot(ctx, [(high, alpha)]) == top
+    assert ring.contract(ring.pack(ctx, {0: high}), {0: [("x", alpha)]}) == {"x": top}
+    for product in (lambda: top * alpha, lambda: high * high, lambda: top * ctx.gen("p", -1),
+                    lambda: ring.dot(ctx, [(high, alpha * alpha)])):
+        with pytest.raises(ExponentOverflow):
+            product()
 
 
 def test_the_inverse_refuses_the_one_exponent_it_cannot_negate():

@@ -269,7 +269,8 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     unknot value's powers per strand count of the rank-one weights, the
     charge filtration's verdict, the vanishing gate's verdict, the
     half-word closure's weight rows per strand and kept slot count, beta^k
-    for k closed slots on every route, and the transposed crossings.  Each kept constant is replayed on the
+    for k closed slots on every route, the transposed crossings and the
+    coloring sum's terms of R^-1.  Each kept constant is replayed on the
     fresh operator by itself, by the call that keeps it, so whatever ran
     before on the shared operators, the two keep the same constants."""
     for sign in "+-":
@@ -299,6 +300,9 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
                     invariant._pullback(fresh, key[1])
                 elif key == "graded":  # the charge filtration's verdict
                     assert invariant._graded(fresh) == shared._closure[key]
+                elif key[0] == "weights":  # the coloring sum's terms of R^-1
+                    invariant._kept(fresh, key, invariant._inverse_weights, fresh,
+                                    fresh._closure["graded"])
                 elif key == "vanishes":  # the vanishing gate's verdict
                     assert invariant._vanishes(fresh) == shared._closure[key]
                 elif key[0] == "beta":  # kept by the closure and the coloring sum alike

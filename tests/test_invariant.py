@@ -549,15 +549,17 @@ RANK_ONE_ROWS = [("R3.1", 3), ("R3.1", 4), ("R2.1", 2), ("R2.1", 3), ("R2.1", 4)
                  ("R2.1", 5), ("R2.2", 2), ("R2.2", 3), ("R1.1", 2), ("R1.1", 3),
                  ("R1.1", 4), ("R1.1", 5), ("R1.2", 2), ("R1.2", 3)]
 WEIGHTED_SWAP_ROWS = [("R3.1", 1), ("R3.1", 2), ("R2.3", 1), ("R1.3", 1)]
-# the closure rows over one generator and no root
+# the closure rows over one generator and no root, whose open traces and
+# closures take the int route
 INT_ROWS = [("R1.1", 1), ("R1.4", 1)]
 # the alexander-zero rows, whose Tr(mu) is 0
 VANISHING_ROWS = [("R2.2", 1), ("R1.2", 1), ("R1.1", 1)]
+# the rows whose R has one entry per column at label maps other than a swap
+LABEL_MAP_ROWS = [("R1.4", 1)]
 # the route compute_ts takes for each row, with either sign
 ROUTES = {(e.rmatrix, e.row): "closure" for e in table1_entries()}
 ROUTES.update(dict.fromkeys(RANK_ONE_ROWS, "closed form"))
-ROUTES.update(dict.fromkeys(WEIGHTED_SWAP_ROWS, "coloring"))
-ROUTES.update(dict.fromkeys(INT_ROWS, "ints"))
+ROUTES.update(dict.fromkeys(WEIGHTED_SWAP_ROWS + LABEL_MAP_ROWS, "coloring"))
 ROUTES.update(dict.fromkeys(VANISHING_ROWS, "vanishing"))
 
 
@@ -689,7 +691,7 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
             assert built == ([half] if op is d3_r21 else [])
         else:
             assert built == ([half] if route == "closure" else [])
-    assert sorted(route for route, _ in ops).count("coloring") == 8
+    assert sorted(route for route, _ in ops).count("coloring") == 10
     assert sorted(route for route, _ in ops).count("vanishing") == 6
     built.clear()
     open_trace(get_table1_eyb("R1.2", 1), b)
@@ -858,9 +860,9 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
     monkeypatch.setattr(tensor, "_invert_piece", counted)
     word = get_named_braid("4_1").braid
     assert any(k < 0 for k in word.letters)
-    # R1.1's R with a rank-one weight and R1.4/1 take the half-word closure,
-    # R1.3/1 the coloring sum.  Fresh operators: the shared ones may already
-    # keep R's inverse.
+    # R1.1's R with a rank-one weight takes the half-word closure, R1.4/1
+    # and R1.3/1 the coloring sum.  Fresh operators: the shared ones may
+    # already keep R's inverse.
     rows = [get_table1_entry("R1.4", 1), get_table1_entry("R1.3", 1)]
     for make, route in ((_rank_one_operator_without_c, "closure"),
                         *((lambda e=e: e.build(ctx=e.context()), ROUTES[e.rmatrix, e.row])
@@ -1218,7 +1220,7 @@ def test_compute_ts_matches_the_closure_and_the_matrix_path_on_every_route():
         for sign in "+-":
             op = entry.build(sign, ctx=entry.context())
             label = (entry.rmatrix, entry.row, sign)
-            swap = ROUTES[entry.rmatrix, entry.row] == "coloring"
+            swap = (entry.rmatrix, entry.row) in WEIGHTED_SWAP_ROWS
             torus = [_torus(p, p + 1) for p in range(5, 8 if sign == "+" else 6)]
             _assert_every_route_agrees(op, words + (mixed + torus) * swap, label)
             assert _route(op) == ROUTES[entry.rmatrix, entry.row], label

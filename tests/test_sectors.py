@@ -26,7 +26,7 @@ from ybtrace.braid import NAMED_LINKS, BraidWord, get_named_braid
 from ybtrace.dressing import (
     diagonal_spec_from_json, dress_diagonal, dressed_eyb, preset_dressings, preset_names,
 )
-from ybtrace.errors import PreconditionViolation, StrandBoundViolation
+from ybtrace.errors import ExponentOverflow, PreconditionViolation, StrandBoundViolation
 from ybtrace.eyb import EnhancedOperator, get_table1_entry
 from ybtrace.catalog import restricted_matrix
 from ybtrace.invariant import compute_ts
@@ -230,3 +230,48 @@ def test_an_operator_failing_one_condition_of_the_sector_gate_keeps_the_state_su
         assert values >= 9, condition
         assert invariant._graded(op) is None, condition
         assert _route(op) == "closure", condition
+
+
+def test_a_vanishing_block_colors_no_component(monkeypatch):
+    """d4, d3_R22 and d4_R22, fresh, with ``_block_trace`` patched to raise:
+    their J colorings are dropped before they are enumerated, as every J
+    sector is 0, and the named links, seeded mixed words and T(p, p+1)
+    give the sector oracle's values."""
+    def refuse(*args):
+        raise AssertionError("a J sector was taken")
+
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += _mixed_words(random.Random(39), 12, 4, 8) + [_torus(p, p + 1) for p in (2, 3, 4)]
+    ops = [(name, op, block) for name, op, block in _dressings() if name in VANISHING_BLOCKS]
+    assert [name for name, _, _ in ops] == ["d3_R22", "d4_R22", "d4"]
+    expected = {(name, b): _by_sectors(op, block, b)[0] for name, op, block in ops for b in words}
+    monkeypatch.setattr(invariant, "_block_trace", refuse)
+    for name, op, _ in ops:
+        fresh = EnhancedOperator(op.r, op.mu, op.alpha, op.beta)
+        for b in words:
+            assert compute_ts(fresh, b).value == expected[name, b], (name, b)
+        assert _route(fresh._closure["graded"][2][0]) == "vanishing", name
+
+
+def test_a_vanishing_block_raises_no_power_of_alpha_for_a_sub_word():
+    """d3_R22 with R and alpha scaled by lambda = a^800, but for the outside
+    label's own weight R[(11), (11)]: its J sectors still vanish, and its
+    value on a word of writhe 5 whose J-colorable component has writhe 7
+    is lambda^-5 times d3_R22's, which the whole word's matrix gives.
+    Before J colorings were dropped, that component's sector raised
+    ExponentOverflow, from alpha^-7 on the block operator's route, though
+    the sector is 0."""
+    d3 = _fresh_preset("d3_R22")
+    ctx = d3.ctx
+    lam = ctx.gen("a", 800)
+    entries = {key: x if key == (4, 4) else lam * x for key, x in d3.r.entries.items()}
+    op = EnhancedOperator(SquareMatrix(ctx, 9, entries), d3.mu, lam * d3.alpha, d3.beta)
+    b = BraidWord(3, (1,) * 7 + (-2, -2))
+    assert (b.writhe, b.closure_components()) == (5, 2)
+    value = compute_ts(op, b).value
+    assert value == pow_int(lam, -5) * compute_ts(d3, b).value
+    assert compute_ts(d3, b).value == _matrix_path(d3, b) != 0
+    op_j = op._closure["graded"][2][0]
+    assert _route(op_j) == "vanishing"
+    with pytest.raises(ExponentOverflow):
+        compute_ts(op_j, BraidWord(2, (1,) * 7))
