@@ -14,11 +14,7 @@ import sys
 from . import __version__
 from .braid import NAMED_LINKS, BraidWord, get_named_braid, parse_braid
 from .catalog import (
-    CATALOG_NAMES,
-    check_listed_positions,
-    check_ybe,
-    get_rmatrix,
-    load_rmatrix_json,
+    CATALOG_NAMES, check_listed_positions, check_ybe, get_rmatrix, load_rmatrix_json,
     restricted_matrix,
 )
 from .dressing import (

@@ -25,17 +25,10 @@ from .ring import (
     ScalarContext, dot_entries, json_field, kronecker, scalar_from_json, scalar_to_json,
     substitute,
 )
+# matmul is not called here; perfbench's tracer self-test reads eyb.matmul
 from .tensor import (
-    SquareMatrix,
-    Verdict,
-    invert,
-    kron,
-    matmul,  # not called here; perfbench's tracer self-test reads eyb.matmul
-    matmul_sub,
-    matrix_from_json,
-    matrix_to_json,
-    matrix_substitute,
-    scalar_scale,
+    SquareMatrix, Verdict, invert, kron, matmul, matmul_sub, matrix_from_json, matrix_to_json,
+    matrix_substitute, scalar_scale,
 )
 from .catalog import check_listed_positions, restricted_matrix
 

@@ -282,11 +282,16 @@ def _from_terms(ctx, items):
         for power in powers:
             term = term * power
         factors.append(term)
-    layout = ctx._layout
-    den = math.lcm(*(d for _, (_, _, d) in plain))
+    key = ctx._layout.key
+    return sum(factors, _summed(ctx, [(key(exps), a, b, d) for exps, (a, b, d) in plain]))
+
+
+def _summed(ctx, terms):
+    """The Scalar of the sum of (key, a, b, d) terms, (a + b*i)/d the
+    coefficient at the key's monomial, over one lcm of the d."""
+    den = math.lcm(*(d for _, _, _, d in terms))
     nums = {}
-    for exps, (a, b, d) in plain:
-        k = layout.key(exps)
+    for k, a, b, d in terms:
         scale = den // d
         for key, v in ((k, a), (k + 1, b)):
             prev = nums.get(key)
@@ -295,7 +300,7 @@ def _from_terms(ctx, items):
                 nums[key] = v
             elif prev is not None:
                 del nums[key]
-    return sum(factors, _scalar(ctx, nums, den))
+    return _scalar(ctx, nums, den)
 
 
 def _settle(ctx, flagged, acc, den):
@@ -1541,15 +1546,18 @@ def format_scalar(x):
 def scalar_to_json(x):
     """JSON-ready dict: {"terms": [{"re", "im", "exps"}...]} with exact strings."""
     den = x._den
+    text = str if den == 1 else lambda n: str(_rational(n, den))
     fields = tuple(zip(x.ctx.names, x.ctx._layout.fields))
     return {"terms": [
-        {"re": str(_rational(a, den)), "im": str(_rational(b, den)),
+        {"re": text(a), "im": text(b),
          "exps": {name: f"{d}/2" if d & 1 else str(d // 2)
                   for name, (s, mask, bias) in fields if (d := ((k >> s) & mask) - bias)}}
         for k, a, b in _sorted_keys(x)]}
 
 
 _NUMERAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# the numerals of small ints, nearly all that the writers emit, read by one lookup
+_SMALL_INTS = {str(n): n for n in range(-99, 100)}
 
 _KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
@@ -1573,6 +1581,8 @@ def json_field(obj, key, kind, where, default=None):
 
 def _numeral(text, where):
     """The int or Fraction written as ``-?digits(/digits)?``, the form the writers emit."""
+    if text.__class__ is str and text in _SMALL_INTS:
+        return _SMALL_INTS[text]
     if not isinstance(text, str) or not _NUMERAL_RE.fullmatch(text):
         raise ParseError(f"{where}: expected a numeral such as '-3/2', got {text!r:.40}")
     num, _, den = text.partition("/")
@@ -1587,30 +1597,35 @@ def scalar_from_json(ctx, obj):
 
     Coefficients and exponents are numerals ``-?digits(/digits)?``, an
     adjoined root's exponent is 0 or 1, as the writer emits them, and every
-    exponent lies in [-MAX_EXPONENT, MAX_EXPONENT).
+    exponent lies in [-MAX_EXPONENT, MAX_EXPONENT).  A term's key is built
+    from the layout's fields, and its field path is formatted on error only.
     """
-    ngens = len(ctx.generators)
-    raw = []
-    for k, entry in enumerate(json_field(obj, "terms", list, "scalar")):
-        where = f"scalar.terms[{k}]"
-        exps_obj = json_field(entry, "exps", dict, where, {})
-        coeff = _coeff((_numeral(entry.get("re", "0"), where + ".re"),
-                        _numeral(entry.get("im", "0"), where + ".im")))
-        exps = [0] * len(ctx.names)
-        for name, etext in exps_obj.items():
-            if name not in ctx._index:
-                raise ParseError(f"{where}.exps: unknown generator {name!r:.40}")
-            d = _numeral(etext, f"{where}.exps.{name}") * 2
-            if d.denominator != 1:
-                raise ParseError(f"{where}.exps.{name}: {etext} is not a half-integer")
-            pos = ctx._index[name]
-            if pos >= ngens and d not in (0, 2):
-                raise ParseError(f"{where}.exps.{name}: a root's exponent is 0 or 1")
-            if not -_BIAS <= d < _BIAS:
-                raise ParseError(f"{where}.exps.{name}: {_OUTSIDE}")
-            exps[pos] = int(d)
-        raw.append((tuple(exps), coeff))
-    return _from_terms(ctx, raw)
+    layout, index = ctx._layout, ctx._index
+    shifts, ngens, zero, total = layout.shifts, layout.ngens, layout.zero, layout.total_shift
+    listed, terms = json_field(obj, "terms", list, "scalar"), []
+    try:
+        for k, entry in enumerate(listed):
+            exps = json_field(entry, "exps", dict, "", {})
+            a, b, d = _coeff((_numeral(entry.get("re", "0"), ".re"),
+                              _numeral(entry.get("im", "0"), ".im")))
+            key, degree = zero, 0
+            for name, etext in exps.items():
+                pos = index.get(name)
+                if pos is None:
+                    raise ParseError(f".exps: unknown generator {name!r:.40}")
+                e = _numeral(etext, ".exps." + name) * 2
+                if e.denominator != 1:
+                    raise ParseError(f".exps.{name}: {etext} is not a half-integer")
+                if pos >= ngens and e not in (0, 2):
+                    raise ParseError(f".exps.{name}: a root's exponent is 0 or 1")
+                if not -_BIAS <= e < _BIAS:
+                    raise ParseError(f".exps.{name}: {_OUTSIDE}")
+                key += int(e) << shifts[pos]
+                degree += e
+            terms.append((key + (int(degree) << total), a, b, d))
+    except ParseError as exc:
+        raise ParseError(f"scalar.terms[{k}]{exc}") from None
+    return _summed(ctx, terms)
 
 
 def context_to_json(ctx):

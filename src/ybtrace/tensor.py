@@ -535,9 +535,7 @@ def invert(a):
 def matrix_to_json(a):
     return {
         "side": a.side,
-        "entries": [
-            [r, c, scalar_to_json(a.entries[(r, c)])] for (r, c) in sorted(a.entries)
-        ],
+        "entries": [[r, c, scalar_to_json(v)] for (r, c), v in a.entries.items()],
     }
 
 
@@ -550,19 +548,17 @@ def matrix_from_json(ctx, obj):
     side = json_field(obj, "side", int, "matrix")
     if not 0 <= side <= MAX_STATES:
         raise DimensionMismatch(f"matrix side {side} outside 0..{MAX_STATES}, the cap on states")
-    entries = {}
-    listed = json_field(obj, "entries", list, "matrix")
-    for k, item in enumerate(listed):
-        where = f"matrix.entries[{k}]"
-        if not (isinstance(item, list) and len(item) == 3
-                and type(item[0]) is type(item[1]) is int):
-            raise ParseError(f"{where}: expected [row, column, scalar]")
-        if (item[0], item[1]) in entries:
-            first = next(j for j, other in enumerate(listed) if other[:2] == item[:2])
-            raise ParseError(f"{where}: position ({item[0]}, {item[1]}) is listed "
-                             f"already at matrix.entries[{first}]")
-        try:
+    entries, listed = {}, json_field(obj, "entries", list, "matrix")
+    try:
+        for k, item in enumerate(listed):
+            if not (isinstance(item, list) and len(item) == 3
+                    and type(item[0]) is type(item[1]) is int):
+                raise ParseError("expected [row, column, scalar]")
+            if (item[0], item[1]) in entries:
+                first = next(j for j, other in enumerate(listed) if other[:2] == item[:2])
+                raise ParseError(f"position ({item[0]}, {item[1]}) is listed "
+                                 f"already at matrix.entries[{first}]")
             entries[(item[0], item[1])] = scalar_from_json(ctx, item[2])
-        except ParseError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+    except ParseError as exc:
+        raise ParseError(f"matrix.entries[{k}]: {exc}") from None
     return SquareMatrix(ctx, side, entries)

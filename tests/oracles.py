@@ -23,7 +23,7 @@ before ``ring.join``.  The checked inverse and division are the ring's routes be
 term-dict arithmetic, over the Fraction-based GaussianRational below, is
 the reference for the ring's packed terms and int coefficients, and the
 ``*_by_exps`` text forms at the end are the scalar text and JSON as the
-packed ring printed them before their fast paths.
+packed ring printed and read them before their fast paths.
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ from functools import reduce
 from itertools import chain, product
 from operator import or_
 
-from ybtrace.errors import ContextMismatch, DimensionMismatch
-from ybtrace.ring import PackedVector, _scalar, _settle, dot, pack
+from ybtrace.errors import ContextMismatch, DimensionMismatch, ParseError
+from ybtrace.ring import (
+    _BIAS, _NUMERAL_RE, _OUTSIDE, PackedVector, _coeff, _from_terms, _scalar, _settle, dot,
+    json_field, pack,
+)
 from ybtrace.tensor import (
     MAX_STATES, SquareMatrix, Verdict, _check_ctx, _check_operands, _crossing_base, _slot_base,
     embed_generator, invert, kron, matmul, matmul_sub, push_at,
@@ -1419,3 +1422,42 @@ def scalar_to_json_by_exps(x):
                      for name, d in zip(x.ctx.names, exps) if d},
         })
     return {"terms": terms}
+
+
+def _numeral_by_fraction(text, where):
+    """The int or Fraction written as ``-?digits(/digits)?``, the form the writers emit."""
+    if not isinstance(text, str) or not _NUMERAL_RE.fullmatch(text):
+        raise ParseError(f"{where}: expected a numeral such as '-3/2', got {text!r:.40}")
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if den else int(num)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def scalar_from_json_by_exps(ctx, obj):
+    """``ring.scalar_from_json`` as it was before it built packed keys from the
+    layout's fields: an exponent tuple and a Fraction coefficient per term,
+    through ``ring._from_terms``, with each field path formatted per term."""
+    ngens = len(ctx.generators)
+    raw = []
+    for k, entry in enumerate(json_field(obj, "terms", list, "scalar")):
+        where = f"scalar.terms[{k}]"
+        exps_obj = json_field(entry, "exps", dict, where, {})
+        coeff = _coeff((_numeral_by_fraction(entry.get("re", "0"), where + ".re"),
+                        _numeral_by_fraction(entry.get("im", "0"), where + ".im")))
+        exps = [0] * len(ctx.names)
+        for name, etext in exps_obj.items():
+            if name not in ctx._index:
+                raise ParseError(f"{where}.exps: unknown generator {name!r:.40}")
+            d = _numeral_by_fraction(etext, f"{where}.exps.{name}") * 2
+            if d.denominator != 1:
+                raise ParseError(f"{where}.exps.{name}: {etext} is not a half-integer")
+            pos = ctx._index[name]
+            if pos >= ngens and d not in (0, 2):
+                raise ParseError(f"{where}.exps.{name}: a root's exponent is 0 or 1")
+            if not -_BIAS <= d < _BIAS:
+                raise ParseError(f"{where}.exps.{name}: {_OUTSIDE}")
+            exps[pos] = int(d)
+        raw.append((tuple(exps), coeff))
+    return _from_terms(ctx, raw)

@@ -3,17 +3,25 @@ only library errors.
 
 Each JSON case starts from a document the matching writer emits, then
 replaces one node with an arbitrary JSON value or drops one key, so that
-the loaders see input that is wrong in one place at every depth.
+the loaders see input that is wrong in one place at every depth.  The
+scalar, matrix and operator loaders must also answer each such document as
+they do with ``oracles.scalar_from_json_by_exps`` as their scalar reader:
+with an equal value, or with an error of the same class and message.
 """
 
+import contextlib
 import json
+import sys
+from unittest import mock
 
+import oracles
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from ybtrace import eyb, tensor
 from ybtrace.braid import parse_braid
 from ybtrace.dressing import diagonal_spec_from_json, diagonal_spec_to_json, preset_dressings
 from ybtrace.errors import YbtraceError
@@ -98,6 +106,30 @@ def test_unmutated_documents_load(name):
 def test_json_loaders_raise_only_library_errors(name, data):
     doc, load = CASES[name]
     _only_library_errors(load, _mutated(doc, data))
+
+
+def _outcome(load, obj):
+    """The loaded value, or (error class, message)."""
+    try:
+        return load(obj)
+    except YbtraceError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["matrix", "operator", "scalar"])
+@FUZZ
+@given(data=st.data())
+def test_json_loaders_answer_as_with_the_exponent_tuple_reader(name, data):
+    doc, load = CASES[name]
+    obj = _mutated(doc, data)
+    got = _outcome(load, obj)
+    with contextlib.ExitStack() as patches:
+        # every loader, the scalar case's lambda here included, reads scalars
+        # with the oracle
+        for namespace in (tensor, eyb, sys.modules[__name__]):
+            patches.enter_context(mock.patch.object(
+                namespace, "scalar_from_json", oracles.scalar_from_json_by_exps))
+        assert got == _outcome(load, obj)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
