@@ -4,7 +4,10 @@ For an enhanced operator S and a braid word on n strands, the raw invariant
 is alpha^(-writhe) beta^(-n) Tr(rep(word) mu^(x n)) (Turaev, Invent. Math.
 92, 1988); dividing by the one-strand value Tr(mu)/beta gives the
 unknot-normalized form.  No representation of the whole word is formed.
-``compute_ts`` takes one of four routes.
+One verdict per operator (``_structure``), decided on first use, sends
+``compute_ts`` down one of four routes, the first that applies of those
+below: the closed form, the coloring sum with its sectors, the vanishing
+route and the half-word closure.
 
 When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
 column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n.
@@ -57,8 +60,8 @@ vanishing route below (``d4``, ``d3_R22``, ``d4_R22``), every J sector is
 are the coloring sum's: the strand cap at base N, a side-1 weight, R's
 kept inverse for a negative letter, then beta^n and alpha^(-w).
 
-Otherwise an operator that passes the vanishing gate (``_vanishes``) gets
-0 with no state sum: Tr(mu) = 0, R meets the braid relation
+Otherwise an operator that passes the vanishing gate gets 0 with no state
+sum: Tr(mu) = 0, R meets the braid relation
 (``check_ybe``), the operator is enhanced (``verify_eyb``), and
 R^2 = c1 R + c0 for a unit c0 (``_is_hecke``).  Proof, the Markov-trace
 induction on the Hecke algebra (Jones, Ann. of Math. 126, 1987) applied to
@@ -70,12 +73,12 @@ A_(n-1) + A_(n-1) R_(n-1) A_(n-1).  RM = MR makes M commute with A_n, and
 for x, y in A_(n-1), Tr(x M) = Tr_(n-1)(x mu^(x n-1)) Tr(mu) and
 Tr(x R_(n-1) y M) = Tr(yx R_(n-1) M) = alpha beta Tr_(n-1)(yx mu^(x n-1)),
 as Tr_2(R (mu (x) mu)) = alpha beta mu.  From Tr(mu) = 0 at n = 1,
-induction on n gives Tr(a M) = 0 for every a in A_n.  The route
-(``_vanishing_trace``) refuses where the coloring sum does and builds
-nothing keyed by the word.  Rows R2.2/1, R1.2/1 and R1.1/1 pass the gate
-with either sign, so ``alexander-zero`` follows from a checked structure,
-and so does the block operator of the R2.2-based presets; no other row,
-preset or table operator does, as their Tr(mu) is not 0.
+induction on n gives Tr(a M) = 0 for every a in A_n.  The route refuses
+where the coloring sum does and builds nothing keyed by the word.  Rows
+R2.2/1, R1.2/1 and R1.1/1 pass the gate with either sign, so
+``alexander-zero`` follows from a checked structure, and so does the block
+operator of the R2.2-based presets; no other row, preset or table operator
+does, as their Tr(mu) is not 0.
 
 Every other operator takes the half-word closure, which ``open_trace``
 shares with the strands 2..n closed instead of all of them.  With rep = A B for
@@ -90,40 +93,18 @@ divided by beta once per closed slot and multiplied by alpha^(-writhe).
 ``alexander_nabla`` is the open trace of row R1.2/1's image at q = t^-2
 (sqrt_q -> t^-1), kept after its first call.
 
-Over a ring with one generator and no root the closure runs on ints first
-(``_closure_on_ints``), as ``verify_eyb`` does: ``ring.kronecker`` maps
-mu's entries and those of the kept transposes of R and R^-1 to ints, so a
-product of polynomials is one int product (Kronecker substitution).  The
-identity's rows are pushed through mu on each closed slot and then through
-every letter, and the closed diagonal is summed per block entry.  Each
-product there has exactly k + L entry factors for L letters, and a block
-entry sums at most 2 base^k (widest mu row)^k (widest crossing column)^L
-of them, counting the difference the proportionality test takes; these
-are the map's degree and count, so the test is exact on the ints and one
-int is read back.  Where the map does not apply (an i, an exponent past
-the gate, an int past ``ring.MAX_KRONECKER_BITS``) the half-word closure
-runs.  No row's ``compute_ts`` reaches it: it serves the open traces,
-``alexander_nabla``'s among them; a ring with two generators or a root
-never takes it, because the mixed-radix packing of two exponents is dense
-(the collapsed Jones operator of tables 2-4, over (t, q), ran 4.5x slower
-on ints).
-
 What depends only on the operator is kept on it on first use: the
-eigenvalue c, or the verdict that there is none, and when there is none
-the filtration's weights, with op_J, or the verdict that it does not
-apply, and when it does not the vanishing gate's verdict; R^-1's weights
-for the coloring sum; the unknot value; per strand count n the unknot
-value's n-th power when there is a c; per strand count and kept strand
-count the packed rows of 1 (x) M, when they hold at most
-``tensor.MAX_ENTRIES`` entries; per closed-slot count k beta^k; and the
-transposes of R and R^-1.  The crossings keep
-their tables and embeddings on their matrices.  Nothing keyed by a braid
-word or a writhe is kept, so the int route, whose map depends on the
-word's length, keeps only the transposes.
+verdict, with the eigenvalue c for the closed form and the filtration's
+weights, with op_J, for the coloring sum; R^-1's weights for the coloring
+sum; the unknot value; per strand count n the unknot value's n-th power
+when there is a c; per strand count and kept strand count the packed rows
+of 1 (x) M, when they hold at most ``tensor.MAX_ENTRIES`` entries; per
+closed-slot count k beta^k; and the transposes of R and R^-1.  The
+crossings keep their tables and embeddings on their matrices.  Nothing
+keyed by a braid word or a writhe is kept.
 """
 
 import itertools
-from collections import Counter
 
 from ._record import Record
 from .braid import BraidWord, _cycles, get_named_braid, NAMED_LINKS
@@ -143,8 +124,7 @@ from .eyb import (
     EnhancedOperator, _check_sides, get_table1_eyb, specialize, table1_entries, verify_eyb,
 )
 from .ring import (
-    MAX_EXPONENT, ScalarContext, contract, format_scalar, kronecker, pack, pow_int,
-    try_div_exact,
+    MAX_EXPONENT, ScalarContext, contract, format_scalar, pack, pow_int, try_div_exact,
 )
 from .tensor import (
     MAX_ENTRIES,
@@ -338,22 +318,14 @@ def _closure(op, b, keep):
 
     Raises DimensionMismatch unless mu's side squared is R's side, then
     StrandBoundViolation, both before anything is built or kept, and
-    DimensionMismatch for a side-1 weight, which has no slot to close.  An
-    operator whose ring has one generator and no root takes the int route
-    (``_closure_on_ints``); any other, and one that ``ring.kronecker``
-    cannot map, the half-word closure (``_half_word_closure``).  Both raise
-    ProportionalityFailure when the block is not a multiple of the identity
-    (a full closure leaves a 1x1 block, which always is one).
+    DimensionMismatch for a side-1 weight, which has no slot to close.  The
+    block comes from the half-word closure (``_half_word_closure``) on every
+    ring, which raises ProportionalityFailure when it is not a multiple of
+    the identity (a full closure leaves a 1x1 block, which always is one).
     """
     _check_sides(op)
-    n, ctx = b.strands, op.ctx
-    total = _slots(op, n)
-    value = None
-    if len(ctx.generators) == 1 and not ctx.root_names:
-        value = _closure_on_ints(op, b, keep, total)
-    if value is None:
-        value = _half_word_closure(op, b, keep, total)
-    return _weighted(op, b, value, n - keep)
+    n = b.strands
+    return _weighted(op, b, _half_word_closure(op, b, keep, _slots(op, n)), n - keep)
 
 
 def _diagonal(block, side):
@@ -404,73 +376,6 @@ def _half_word_closure(op, b, keep, total):
             block[key] = block[key] + v if key in block else v
     value = _diagonal({key: v for key, v in block.items() if not v.is_zero()}, base ** keep)
     return ctx.zero() if value is None else value
-
-
-def _closure_on_ints(op, b, keep, total):
-    """The block value of ``_closure`` on Kronecker ints, or None where
-    ``ring.kronecker`` does not map the entries.
-
-    mu's entries and those of the kept transposes of R and R^-1 that the
-    letters use (``_pullback``, so R is inverted where the half-word
-    closure inverts it) become ints.  The identity's rows, keyed by
-    row * states + column and in the half-word closure's batches, are
-    pushed as {state: int} dicts through mu on each closed slot, which
-    makes them the rows of 1^(x keep) (x) mu^(x k), and then through every
-    letter; block entry (i, j) sums the pushed row (i, s) at column (j, s)
-    over the closed states s.  Each such product has exactly k + L entry
-    factors for L letters, and an entry sums at most
-    base^k (widest mu row)^k (widest crossing column)^L of them; twice that
-    bounds the difference of two entries, so the ints decide the
-    proportionality test, and one is read back.  Nothing keyed by the word
-    is kept.
-    """
-    n, base, ctx, letters = b.strands, op.base_dim, op.ctx, b.letters
-    k = n - keep
-    mu = op.mu.entries
-    crossings = {positive: _pullback(op, positive).entries
-                 for positive in {letter > 0 for letter in letters}}
-    entries = dict(mu)
-    for positive, m in crossings.items():
-        entries.update(((positive, r, c), x) for (r, c), x in m.items())
-    rows = Counter(r for r, _ in mu).values()
-    columns = Counter((positive, c) for positive, m in crossings.items() for _, c in m).values()
-    count = 2 * base ** k * max(rows, default=0) ** k * max(columns, default=0) ** len(letters)
-    mapped = kronecker(ctx, entries, count, degree=k + len(letters))
-    if mapped is None:
-        return None
-    ints, read = mapped
-    # a step reads a state's digit at its slots, state // right % side, and
-    # moves the state by (row - column) * right per entry of that column
-    mu_table = {}
-    for r, c in mu:
-        mu_table.setdefault(r, []).append((c - r, ints[r, c]))
-    steps = [(mu_table, base, base ** (n - slot)) for slot in range(keep + 1, n + 1)]
-    pulls = {positive: {} for positive in crossings}
-    for positive, m in crossings.items():
-        for r, c in m:
-            pulls[positive].setdefault(c, []).append((r - c, ints[positive, r, c]))
-    steps += [(pulls[letter > 0], base * base, base ** (n - abs(letter) - 1))
-              for letter in letters]
-    batches = ({state * (total + 1): 1} for state in range(total))
-    if base ** keep * len(mu) ** k <= MAX_ENTRIES:
-        batches = ({state * (total + 1): 1 for state in range(total)},)
-    closed, block = base ** k, {}
-    for vec in batches:
-        for table, side, right in steps:
-            pushed = {}
-            get = pushed.get
-            for state, x in vec.items():
-                for delta, y in table.get(state // right % side, ()):
-                    key = state + delta * right
-                    pushed[key] = get(key, 0) + x * y
-            vec = pushed
-        for key, v in vec.items():
-            row, column = divmod(key, total)
-            if row % closed == column % closed:
-                at = row // closed, column // closed
-                block[at] = block.get(at, 0) + v
-    value = _diagonal({key: v for key, v in block.items() if v}, base ** keep)
-    return ctx.zero() if value is None else read(value)
 
 
 def _terms(weights):
@@ -550,9 +455,7 @@ def _graded(op):
                                       if (x, x) in diagonal})
         op_j = EnhancedOperator(r, mu, op.alpha, op.beta)
         diagonal = {(o, o): diagonal[o, o] for o in outside}
-        if not (_kept(op_j, "eigen", _eigenvalue, op_j) is None
-                and _kept(op_j, "graded", _graded, op_j) is None
-                and _kept(op_j, "vanishes", _vanishes, op_j)):
+        if _structure(op_j).route != "vanishing":
             diagonal[-1, -1] = one
         block = (op_j, unknot_value(op_j), negative)
     scale = (op.alpha._term(), op.beta._term())
@@ -709,78 +612,95 @@ def _is_hecke(r):
     return c0.is_unit() and rest == SquareMatrix.diagonal(r.ctx, [c0] * r.side)
 
 
-def _vanishes(op):
-    """The vanishing gate (module docstring): Tr(mu) = 0 first, as it is
-    the cheapest, then the braid relation, the enhancement conditions and
-    the quadratic relation.  A documented refusal inside the gate means
-    no."""
-    if not trace(op.mu).is_zero():
-        return False
-    try:
-        return bool(check_ybe(op.r) and verify_eyb(op) and _is_hecke(op.r))
-    except (NotAUnit, DimensionMismatch, ExponentOverflow, NotDivisible, NonInvertible,
-            InverseOutsideRing):
-        return False
+class _Structure(Record):
+    """The route ``compute_ts`` takes for an operator and what it reads: c
+    for "closed form", ``_graded``'s weights for "coloring" and "sectors",
+    None for "vanishing" and "closure"."""
+
+    _fields = ("route", "params")
+
+    def __init__(self, route, params):
+        self.__dict__.update(route=route, params=params)
 
 
-def _vanishing_trace(op, b):
-    """The value 0 of an operator that passes ``_vanishes``, after the
-    coloring sum's refusals in its order: the strand cap, a side-1 weight,
-    R's kept inverse when the word has a negative letter, then beta^n and
-    alpha^(-w)."""
-    _slots(op, b.strands)
-    if any(letter < 0 for letter in b.letters):
-        _pullback(op, False)
-    return _weighted(op, b, op.ctx.zero(), b.strands)
+def _structure(op):
+    """The verdict of ``op``'s route, decided on first use and kept under
+    "route": after DimensionMismatch unless mu's side squared is R's side,
+    the first that applies of the closed form (``_eigenvalue``), the
+    coloring sum or its sectors (``_graded``), the vanishing gate and the
+    half-word closure (module docstring).  The gate asks Tr(mu) = 0 first,
+    as it is the cheapest, then the braid relation, the enhancement
+    conditions and the quadratic relation; a documented refusal inside a
+    gate means that it is not passed."""
+    if "route" in op._closure:
+        return op._closure["route"]
+    _check_sides(op)
+    if (c := _eigenvalue(op)) is not None:
+        verdict = _Structure("closed form", c)
+    elif (graded := _graded(op)) is not None:
+        verdict = _Structure("coloring" if graded[2] is None else "sectors", graded)
+    else:
+        route = "closure"
+        if trace(op.mu).is_zero():
+            try:
+                if check_ybe(op.r) and verify_eyb(op) and _is_hecke(op.r):
+                    route = "vanishing"
+            except (NotAUnit, DimensionMismatch, ExponentOverflow, NotDivisible,
+                    NonInvertible, InverseOutsideRing):
+                pass
+        verdict = _Structure(route, None)
+    op._closure["route"] = verdict
+    return verdict
 
 
 def compute_ts(op, b, normalized=False):
     """The trace invariant of the closure of ``b`` under operator ``op``.
 
-    The first route that applies takes it (module docstring): the closed
-    form c^w alpha^(-w) (Tr(mu) / beta)^n when mu has rank one and
+    One verdict (``_structure``), decided on the first call and kept on
+    ``op``, names the route (module docstring): the closed form
+    c^w alpha^(-w) (Tr(mu) / beta)^n when mu has rank one and
     (v (x) v)^T R = c (v (x) v)^T for a unit c; the coloring sum when the
     graded R has one entry per column at label maps, or is a weighted swap
     outside a block J of labels that passes the sector gate, each set of J
     components by ``compute_ts`` of the block operator op_J unless op_J
     vanishes; 0 when the vanishing gate passes (Tr(mu) = 0, the braid
     relation, the enhancement conditions and a quadratic relation with a
-    unit constant); else the half-word closure, on ints where the ring has
-    one generator and no root.  Before any route, mu's side squared must be
-    R's side, else DimensionMismatch (as in ``verify_eyb``); a refusal
-    inside a gate only means that the gate is not passed.  Every route then
-    checks the strand cap first, and raises NotAUnit and ExponentOverflow on
-    the same inputs: c^w and alpha^(-w) are formed apart.  The coloring sum
-    and the vanishing route invert R, through the half-word closure's kept
-    transpose, exactly when the word has a negative letter, so they raise
-    NonInvertible and InverseOutsideRing where the closure does, before a
-    sector is taken: a singular R_J makes R singular.  The closed form does
-    not invert R, so on a singular R it gives a value where the closure
-    raises NonInvertible for a negative letter; an operator that
-    ``verify_eyb`` accepts has an invertible R.  Division by beta^n is
-    performed exactly, so beta need not be a unit.  The result's
-    ``unknot_value`` is Tr(mu)/beta, or None on a raw call when that
-    quotient is not in the ring: the raw value needs only the division by
-    beta^n.  Normalization divides by the unknot value and raises
-    NotDivisible when that is impossible (in particular when the unknot
-    value is zero or not in the ring).  The verdicts and constants of each
-    route are computed on the first call that needs them and kept on
-    ``op``, and a later call reads each with one dict lookup and builds no
-    function object for it; the writhe is kept on the braid word.
+    unit constant); else the half-word closure.  Before the verdict, mu's
+    side squared must be R's side, else DimensionMismatch (as in
+    ``verify_eyb``); a refusal inside a gate only means that the gate is
+    not passed.  Every route then checks the strand cap first, and raises
+    NotAUnit and ExponentOverflow on the same inputs: c^w and alpha^(-w)
+    are formed apart.  The coloring sum and the vanishing route invert R,
+    through the half-word closure's kept transpose, exactly when the word
+    has a negative letter, so they raise NonInvertible and
+    InverseOutsideRing where the closure does, before a sector is taken: a
+    singular R_J makes R singular.  The closed form does not invert R, so
+    on a singular R it gives a value where the closure raises
+    NonInvertible for a negative letter; an operator that ``verify_eyb``
+    accepts has an invertible R.  Division by beta^n is performed exactly,
+    so beta need not be a unit.  The result's ``unknot_value`` is
+    Tr(mu)/beta, or None on a raw call when that quotient is not in the
+    ring: the raw value needs only the division by beta^n.  Normalization
+    divides by the unknot value and raises NotDivisible when that is
+    impossible (in particular when the unknot value is zero or not in the
+    ring).  The verdict and each route's constants are kept on ``op``, and
+    a later call reads each with one dict lookup and builds no function
+    object for it; the writhe is kept on the braid word.
     """
-    try:
-        c = op._closure["eigen"]
-    except KeyError:
-        _check_sides(op)
-        c = op._closure["eigen"] = _eigenvalue(op)
-    if c is not None:
-        raw = _rank_one_trace(op, b, c)
-    elif (graded := _kept(op, "graded", _graded, op)) is not None:
-        raw = _coloring_trace(op, b, graded)
-    elif _kept(op, "vanishes", _vanishes, op):
-        raw = _vanishing_trace(op, b)
-    else:
+    verdict = op._closure.get("route") or _structure(op)
+    route, params = verdict.route, verdict.params
+    if route == "closed form":
+        raw = _rank_one_trace(op, b, params)
+    elif route == "closure":
         raw = _closure(op, b, 0)
+    elif route == "vanishing":  # 0, after the coloring sum's refusals in its order
+        n = b.strands
+        _slots(op, n)
+        if any(letter < 0 for letter in b.letters):
+            _pullback(op, False)
+        raw = _weighted(op, b, op.ctx.zero(), n)
+    else:  # the coloring sum and its sectors
+        raw = _coloring_trace(op, b, params)
     if not normalized:
         try:
             unknot = _kept(op, "unknot", unknot_value, op)

@@ -150,11 +150,12 @@ def test_intertwining_rows():
         for sign in "+-":
             op = entry.build(sign, ctx=entry.context())
             compute_ts(op, BraidWord(2, (1,)))
+            verdict = invariant._structure(op)
             if c_text is None:
-                assert op._closure.get("eigen") is None, (entry.rmatrix, entry.row, sign)
+                assert verdict.route != "closed form", (entry.rmatrix, entry.row, sign)
                 continue
             c = op.ctx.parse(c_text)
-            assert c.is_unit() and op._closure["eigen"] == c
+            assert c.is_unit() and verdict == invariant._Structure("closed form", c)
             mumu = kron(op.mu, op.mu)
             lhs = matmul(mumu, op.r)
             rhs = scalar_scale(mumu, c)
@@ -265,9 +266,8 @@ def test_bad_sign_raises_every_time_and_stores_nothing():
 def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     """Every caller through build(sign) leaves the shared operators as built,
     and they give the fresh operators' values on the named links and keep the
-    fresh operators' closure constants: the eigenvalue verdict and the
+    fresh operators' closure constants: the route's one verdict, the
     unknot value's powers per strand count of the rank-one weights, the
-    charge filtration's verdict, the vanishing gate's verdict, the
     half-word closure's weight rows per strand and kept slot count, beta^k
     for k closed slots on every route, the transposed crossings and the
     coloring sum's terms of R^-1.  Each kept constant is replayed on the
@@ -298,15 +298,13 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
                     invariant._half_word_closure(fresh, BraidWord(n), keep, fresh.base_dim ** n)
                 elif key[0] == "transpose":
                     invariant._pullback(fresh, key[1])
-                elif key == "graded":  # the charge filtration's verdict
-                    assert invariant._graded(fresh) == shared._closure[key]
+                elif key == "route":  # the one verdict
+                    invariant._structure(fresh)
                 elif key[0] == "weights":  # the coloring sum's terms of R^-1
                     invariant._kept(fresh, key, invariant._inverse_weights, fresh,
-                                    fresh._closure["graded"])
-                elif key == "vanishes":  # the vanishing gate's verdict
-                    assert invariant._vanishes(fresh) == shared._closure[key]
+                                    invariant._structure(fresh).params)
                 elif key[0] == "beta":  # kept by the closure and the coloring sum alike
                     invariant._kept(fresh, key, pow_int, fresh.beta, key[1])
                 else:
-                    assert key in ("eigen", "unknot"), key
+                    assert key == "unknot", key
             assert shared._closure == fresh._closure

@@ -20,6 +20,7 @@ from test_acceptance import _shift_mu
 
 from ybtrace import eyb, invariant, ring, tensor
 from ybtrace.braid import (
+    KNOT_NAMES,
     NAMED_LINKS,
     BraidWord,
     NamedLink,
@@ -298,6 +299,46 @@ def test_nabla_matches_the_torus_knot_closed_form():
         assert equal_up_to_unit(alexander_nabla(_torus(p, q)), closed), (p, q)
 
 
+# -- the Burau oracle of alexander_nabla --------------------------------------------
+
+
+def _by_exponent(value):
+    """{t-exponent: int} of a Scalar in t with integral exponents and
+    coefficients."""
+    out = {}
+    for (doubled,), (re, im) in value.terms.items():
+        assert doubled % 2 == 0 and im == 0 and re.denominator == 1
+        out[doubled // 2] = int(re)
+    return out
+
+
+def test_alexander_nabla_is_the_burau_determinant():
+    """The named links, T(p, p+1) for p = 2..6 and seeded braids of 1 to 6
+    strands with letters of both signs."""
+    rng = random.Random(5)
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    words += [_torus(p, p + 1) for p in range(2, 7)]
+    words += _random_words(rng, 30, 5, 9) + _mixed_words(rng, 6, 6, 10)
+    assert max(b.strands for b in words) == 6
+    for b in words:
+        assert _by_exponent(alexander_nabla(b)) == nabla_by_burau(b.strands, b.letters), b
+
+
+def test_the_burau_oracle_gives_the_alexander_polynomials_of_the_named_knots():
+    """Up to a unit, nabla is Delta(t^2): the trefoil's 1 - x + x^2 and the
+    figure eight's -1 + 3x - x^2, x = t^2, and 1 on the unknot."""
+    def up_to_unit(poly):
+        low = min(poly)
+        sign = 1 if poly[low] > 0 else -1
+        return {e - low: sign * c for e, c in poly.items()}
+
+    expected = {"0_1": {0: 1}, "3_1": {0: 1, 2: -1, 4: 1}, "4_1": {0: 1, 2: -3, 4: 1}}
+    for name, poly in expected.items():
+        b = get_named_braid(name).braid
+        assert name in KNOT_NAMES
+        assert up_to_unit(nabla_by_burau(b.strands, b.letters)) == poly, name
+
+
 # -- the open-strand closure ----------------------------------------------------
 
 # the three alexander-zero rows, each with the substitution that makes its
@@ -330,9 +371,17 @@ def test_open_trace_of_each_alexander_row_matches_the_skein_oracle():
 
 
 def test_open_trace_refuses_a_partial_closure_off_the_identity():
+    """R2.1/2, d3_R21 and R1.4/1's R with mu = diag(1, q), which is not
+    enhanced, leave no multiple of the identity on the trefoil's first
+    strand."""
     trefoil = get_named_braid("3_1").braid
-    for op in (get_table1_eyb("R2.1", 2), preset_dressings("d3_R21").eyb):
-        with pytest.raises(ProportionalityFailure, match="not a multiple of the identity"):
+    row = get_table1_eyb("R1.4", 1)
+    unenhanced = EnhancedOperator(row.r, SquareMatrix.diagonal(row.ctx, [1, "q"]), row.alpha,
+                                  row.beta)
+    assert not verify_eyb(unenhanced)
+    for op in (get_table1_eyb("R2.1", 2), preset_dressings("d3_R21").eyb, unenhanced):
+        with pytest.raises(ProportionalityFailure,
+                           match="^partial closure is not a multiple of the identity$"):
             open_trace(op, trefoil)
     for rmatrix, row in ALEXANDER_ROWS:
         assert not open_trace(get_table1_eyb(rmatrix, row), trefoil).is_zero()
@@ -549,9 +598,6 @@ RANK_ONE_ROWS = [("R3.1", 3), ("R3.1", 4), ("R2.1", 2), ("R2.1", 3), ("R2.1", 4)
                  ("R2.1", 5), ("R2.2", 2), ("R2.2", 3), ("R1.1", 2), ("R1.1", 3),
                  ("R1.1", 4), ("R1.1", 5), ("R1.2", 2), ("R1.2", 3)]
 WEIGHTED_SWAP_ROWS = [("R3.1", 1), ("R3.1", 2), ("R2.3", 1), ("R1.3", 1)]
-# the closure rows over one generator and no root, whose open traces and
-# closures take the int route
-INT_ROWS = [("R1.1", 1), ("R1.4", 1)]
 # the alexander-zero rows, whose Tr(mu) is 0
 VANISHING_ROWS = [("R2.2", 1), ("R1.2", 1), ("R1.1", 1)]
 # the rows whose R has one entry per column at label maps other than a swap
@@ -564,17 +610,13 @@ ROUTES.update(dict.fromkeys(VANISHING_ROWS, "vanishing"))
 
 
 def _route(op):
-    """The route that compute_ts took for ``op``, read off its kept verdicts
-    and its ring: the closure over one generator and no root is the int
-    route, on words that ``ring.kronecker`` maps."""
-    if op._closure["eigen"] is not None:
-        return "closed form"
-    if op._closure["graded"] is not None:
-        return "coloring" if op._closure["graded"][2] is None else "sectors"
-    if op._closure["vanishes"]:
-        return "vanishing"
-    ctx = op.ctx
-    return "ints" if len(ctx.generators) == 1 and not ctx.root_names else "closure"
+    """The route that compute_ts takes for ``op``, by its one verdict."""
+    return invariant._structure(op).route
+
+
+def _block_operator(op):
+    """The block operator op_J of an operator on the sector route."""
+    return invariant._structure(op).params[2][0]
 
 
 def _matrix_path(op, b, keep=0):
@@ -686,7 +728,7 @@ def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
         compute_ts(op, b)
         assert _route(op) == route
         if route == "sectors":
-            assert _route(op._closure["graded"][2][0]) == (
+            assert _route(_block_operator(op)) == (
                 "closure" if op is d3_r21 else "vanishing")
             assert built == ([half] if op is d3_r21 else [])
         else:
@@ -712,8 +754,8 @@ def test_rank_one_weights_match_matrix_path():
     for label, op in ops:
         for b in words:
             assert compute_ts(op, b).value == _matrix_path(op, b), (label, b)
-    assert ops[-1][1]._closure["eigen"] is None
-    assert all(op._closure["eigen"] is not None for _, op in ops[:-1])
+    assert _route(ops[-1][1]) == "closure"
+    assert all(_route(op) == "closed form" for _, op in ops[:-1])
 
 
 def _images(op, m, kappa):
@@ -751,7 +793,8 @@ def test_images_of_the_rank_one_rows_keep_the_closed_form():
                 assert verify_eyb(image), label
                 for b in words:
                     assert compute_ts(image, b).value == _matrix_path(image, b), (label, b)
-                assert image._closure["eigen"].is_unit(), label
+                verdict = invariant._structure(image)
+                assert verdict.route == "closed form" and verdict.params.is_unit(), label
 
 
 def test_every_enhanced_rank_one_weight_the_library_builds_has_a_unit_eigenvalue():
@@ -807,7 +850,7 @@ def test_rank_one_weights_match_matrix_path_in_base_three():
         _assert_factors(mu, factors)
         for b in _random_words(rng, 5, 4, 5):
             assert compute_ts(op, b).value == _matrix_path(op, b), (trial, b)
-        assert op._closure["eigen"] is None, trial
+        assert _route(op) == "closure", trial
 
 
 def test_rank_one_push_refuses_a_state_space_above_the_cap(monkeypatch):
@@ -983,10 +1026,9 @@ def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
     # count keep, and the transposed crossings of the left halves' letters:
     # the trefoil's is positive, the figure eight's (1, -2) both
     assert set(op._closure) == {
-        "eigen", "graded", "vanishes", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0),
-        ("rows", 3, 0), ("rows", 3, 1), ("transpose", True), ("transpose", False)}
-    assert op._closure["eigen"] is None and op._closure["graded"] is None
-    assert op._closure["vanishes"] is False
+        "route", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0), ("rows", 3, 0),
+        ("rows", 3, 1), ("transpose", True), ("transpose", False)}
+    assert op._closure["route"] == invariant._Structure("closure", None)
     assert op._closure[("transpose", True)] == op.r.transpose()
     assert op._closure[("transpose", False)] == invert(op.r).transpose()
     for n, keep in ((2, 0), (3, 0), (3, 1)):
@@ -1038,10 +1080,46 @@ def test_the_closed_form_pushes_nothing_and_checks_each_operator_once(monkeypatc
         for b in words:
             assert compute_ts(op, b).value == expected[entry, b], (entry.rmatrix, b)
         assert calls == dict.fromkeys(calls, 0)
-        assert set(op._closure) == {"eigen", "unknot", ("unknot", 2), ("unknot", 3)}
-        assert op._closure["eigen"] == op.ctx.parse(entry.intertwine)
+        assert set(op._closure) == {"route", "unknot", ("unknot", 2), ("unknot", 3)}
+        assert op._closure["route"] == invariant._Structure(
+            "closed form", op.ctx.parse(entry.intertwine))
         for n in (2, 3):
             assert op._closure[("unknot", n)] == pow_int(unknot_value(op), n)
+
+
+def test_each_route_is_decided_once_per_operator(monkeypatch):
+    """A fresh operator per route: R3.1/1 (coloring), the d3_R21 preset
+    (sectors, its block operator R2.1/1 on the closure), R2.2/1 (vanishing)
+    and R2.1/1 (closure).  On a first pass over the named links each gate
+    runs at most once per operator or per R, and on a second pass none
+    runs; both passes give the same values."""
+    seen = {}  # per gate, the id of each operator or R it ran on
+    for name in ("_eigenvalue", "_graded", "_is_hecke", "check_ybe", "verify_eyb"):
+        original, seen[name] = getattr(invariant, name), []
+
+        def counted(x, *args, original=original, calls=seen[name]):
+            calls.append(id(x))
+            return original(x, *args)
+
+        monkeypatch.setattr(invariant, name, counted)
+    preset = preset_dressings("d3_R21").eyb
+    ops = {"coloring": get_table1_entry("R3.1", 1), "vanishing": get_table1_entry("R2.2", 1),
+           "closure": get_table1_entry("R2.1", 1)}
+    ops = {route: e.build(ctx=e.context()) for route, e in ops.items()}
+    ops["sectors"] = EnhancedOperator(preset.r, preset.mu, preset.alpha, preset.beta)
+    words = [get_named_braid(name).braid for name in NAMED_LINKS]
+    first = {route: [compute_ts(op, b).value for b in words] for route, op in ops.items()}
+    for name, calls in seen.items():
+        assert len(calls) == len(set(calls)), name
+    assert len(seen["_eigenvalue"]) == 5  # the four operators and op_J
+    assert len(seen["verify_eyb"]) == len(seen["_is_hecke"]) == 1
+    for name in seen:
+        seen[name].clear()
+    for route, op in ops.items():
+        assert [compute_ts(op, b).value for b in words] == first[route], route
+        assert _route(op) == route
+    assert _route(_block_operator(ops["sectors"])) == "closure"
+    assert seen == dict.fromkeys(seen, [])
 
 
 def test_the_closed_form_overflows_where_the_push_does():
@@ -1057,7 +1135,7 @@ def test_the_closed_form_overflows_where_the_push_does():
             assert route(BraidWord(2, (letter,) * 4095)) == op.ctx.one()
             with pytest.raises(ExponentOverflow):
                 route(BraidWord(2, (letter,) * 4096))
-    assert op._closure["eigen"] == op.ctx.gen("s")
+    assert op._closure["route"] == invariant._Structure("closed form", op.ctx.gen("s"))
 
 
 def test_the_closed_form_refuses_a_non_unit_alpha_where_the_push_does():
@@ -1072,13 +1150,13 @@ def test_the_closed_form_refuses_a_non_unit_alpha_where_the_push_does():
         with pytest.raises(NotAUnit):
             route(BraidWord(2, (1, 1)))
         assert route(BraidWord(2, (-1, -1))) == op.ctx.parse("1 + 2*p + p^2")
-    assert op._closure["eigen"] == op.ctx.one()
+    assert op._closure["route"] == invariant._Structure("closed form", op.ctx.one())
 
 
 def test_a_warm_classification_pushes_nothing_for_the_rank_one_rows(monkeypatch):
     """Every push_at call of a warm classification_report comes from the
-    three rows that take the half-word closure; the 14 in closed form, the
-    four weighted swaps and the two on ints push nothing."""
+    rows outside these: the 14 in closed form and the four weighted swaps
+    push nothing."""
     report = classification_report()
     calls = {}
     _spy(monkeypatch, calls, invariant, "push_at")
@@ -1141,22 +1219,20 @@ def test_tags_build_no_scalar_on_a_cell(monkeypatch):
 
 
 def test_a_braid_over_the_strand_cap_is_refused_every_time_and_keeps_nothing(monkeypatch):
-    """Nothing but the operator's verdicts (its eigenvalue, the charge
-    filtration's when there is none, and the vanishing gate's when that
-    does not apply) is kept, and no weight row is built or packed."""
+    """Nothing but the operator's one verdict is kept, and no weight row is
+    built or packed."""
     def refuse(*args):
         raise AssertionError("a weight row was built or packed")
 
     monkeypatch.setattr(invariant, "_weight_rows", refuse)
     monkeypatch.setattr(invariant, "pack", refuse)
-    for rmatrix, row, verdicts in (("R1.1", 2, {"eigen"}),
-                                   ("R2.1", 1, {"eigen", "graded", "vanishes"})):
+    for rmatrix, row in (("R1.1", 2), ("R2.1", 1)):
         entry = get_table1_entry(rmatrix, row)
         op = entry.build(ctx=entry.context())
         for _ in range(2):
             with pytest.raises(StrandBoundViolation, match="2\\^40 states"):
                 compute_ts(op, BraidWord(40, (1,)))
-        assert set(op._closure) == verdicts
+        assert set(op._closure) == {"route"}
 
 
 # -- the coloring sum of the weighted swaps ----------------------------------------
@@ -1256,7 +1332,7 @@ def test_an_operator_moving_the_charge_both_ways_declines_the_coloring_sum():
         value = compute_ts(op, b).value
         assert value == _matrix_path(op, b), b
         differ += value != compute_ts(graded, b).value
-    assert op._closure["eigen"] is None and op._closure["graded"] is None
+    assert _route(op) == "closure"
     assert _route(graded) == "coloring" and differ > 0
 
 
@@ -1264,8 +1340,8 @@ def test_a_singular_weighted_swap_raises_what_the_closure_raises():
     """A weighted swap with a zero weight is singular, and one with the
     weight 1 + q inverts outside the ring: a negative letter raises
     NonInvertible, or InverseOutsideRing, by the coloring sum as by the
-    half-word closure, every time; positive words invert nothing and
-    match."""
+    half-word closure and the open trace, with one message, every time;
+    positive words invert nothing and match."""
     ctx = ScalarContext(("q",))
     b = BraidWord(3, (1, -2, 1))
     positive = [BraidWord(3, (1, 2, 1)), BraidWord(2, (1, 1)), get_named_braid("5_1").braid]
@@ -1273,11 +1349,15 @@ def test_a_singular_weighted_swap_raises_what_the_closure_raises():
         r = SquareMatrix.from_rows(ctx, [[1, 0, 0, 0], [0, 0, "q", 0],
                                          [0, weight, 0, 0], [0, 0, 0, "q^-1"]])
         mu = SquareMatrix.diagonal(ctx, [1, "q"])
-        fresh = [EnhancedOperator(r, mu, ctx.one(), ctx.one()) for _ in range(2)]
-        for route in (lambda: compute_ts(fresh[0], b), lambda: invariant._closure(fresh[1], b, 0)):
+        fresh = [EnhancedOperator(r, mu, ctx.one(), ctx.one()) for _ in range(3)]
+        messages = set()
+        for route in (lambda: compute_ts(fresh[0], b), lambda: invariant._closure(fresh[1], b, 0),
+                      lambda: open_trace(fresh[2], b)):
             for _ in range(2):
-                with pytest.raises(error):
+                with pytest.raises(error) as raised:
                     route()
+                messages.add(str(raised.value))
+        assert len(messages) == 1, messages
         assert _route(fresh[0]) == "coloring"
         op = EnhancedOperator(SquareMatrix(ctx, 4, dict(r.entries)), mu, ctx.one(), ctx.one())
         for word in positive:
@@ -1399,7 +1479,7 @@ def test_seeded_operators_that_are_not_enhanced_match_the_matrix_path():
                 if got != want:  # the closed form on an R not invertible in the ring
                     assert want[1] in (NonInvertible, InverseOutsideRing), (k, b, keep)
                     assert got[0] == "value" or got[1] is NotDivisible, (k, b, keep)
-                    assert op._closure["eigen"] is not None, (k, b, keep)
+                    assert _route(op) == "closed form", (k, b, keep)
                     closed += 1
                     continue
                 values += got[0] == "value"
@@ -1407,13 +1487,13 @@ def test_seeded_operators_that_are_not_enhanced_match_the_matrix_path():
                 outside += keep == 0 and got[0] == "value" and "unknot" not in op._closure
         routes.add(_route(op))
     assert values >= 250 and closed > 0 and outside > 0
-    assert routes == {"closed form", "coloring", "ints", "closure"}
+    assert routes == {"closed form", "coloring", "closure"}
 
 
 def test_the_coloring_sum_refuses_a_braid_over_the_strand_cap_and_keeps_nothing(monkeypatch):
     """R1.3/1 on 13 strands needs 2^13 states: compute_ts raises
     StrandBoundViolation every time, as the half-word closure does, and
-    keeps nothing but its two verdicts; R is not inverted."""
+    keeps nothing but its verdict; R is not inverted."""
     def refuse(*args):
         raise AssertionError("a product was formed")
 
@@ -1425,7 +1505,7 @@ def test_the_coloring_sum_refuses_a_braid_over_the_strand_cap_and_keeps_nothing(
         for _ in range(2):
             with pytest.raises(StrandBoundViolation, match="2\\^13 states, above the cap"):
                 route()
-    assert op._closure == {"eigen": None, "graded": invariant._graded(op)}
+    assert op._closure == {"route": invariant._Structure("coloring", invariant._graded(op))}
     assert op.r._inverse is None
 
 
@@ -1567,8 +1647,7 @@ def test_an_operator_failing_one_condition_of_the_gate_keeps_the_state_sum():
         assert _is_hecke_or_refused(op.r) is hecke
         for b in words:
             assert compute_ts(op, b).value == _matrix_path(op, b), b
-        assert op._closure["eigen"] is None and op._closure["graded"] is None
-        assert op._closure["vanishes"] is False
+        assert op._closure["route"] == invariant._Structure("closure", None)
         assert not compute_ts(op, hopf).value.is_zero()
     assert compute_ts(quadratic, hopf).value == quadratic.ctx.parse("2 - 2*p*q")
 
@@ -1586,7 +1665,7 @@ def test_a_refusal_inside_the_gate_means_no():
         with pytest.raises(NotAUnit):
             route(BraidWord(2, (1, 1)))
         assert route(BraidWord(2, (-1, -1))) == _matrix_path(op, BraidWord(2, (-1, -1)))
-    assert op._closure["vanishes"] is False
+    assert op._closure["route"] == invariant._Structure("closure", None)
 
 
 def test_the_quadratic_check_of_a_diagonal_r_reads_two_unequal_entries():
@@ -1604,15 +1683,14 @@ def test_the_quadratic_check_of_a_diagonal_r_reads_two_unequal_entries():
 
 
 def test_the_alexander_zero_rows_vanish_above_the_state_sums_reach(monkeypatch):
-    """With both closures patched to raise, the three rows with both signs
-    give 0 on T(11, 12) and on a seeded 12-strand, 60-letter word with
+    """With the half-word closure patched to raise, the three rows with both
+    signs give 0 on T(11, 12) and on a seeded 12-strand, 60-letter word with
     letters of both signs.  On 13 strands the strand cap still refuses,
-    every time, and a fresh operator keeps nothing but its verdicts: R is
+    every time, and a fresh operator keeps nothing but its verdict: R is
     not inverted for the negative letter."""
     def refuse(*args):
         raise AssertionError("a state sum ran")
 
-    monkeypatch.setattr(invariant, "_closure_on_ints", refuse)
     monkeypatch.setattr(invariant, "_half_word_closure", refuse)
     rng = random.Random(12)
     signs = [1, -1] * 30
@@ -1627,7 +1705,7 @@ def test_the_alexander_zero_rows_vanish_above_the_state_sums_reach(monkeypatch):
                 for _ in range(2):
                     with pytest.raises(StrandBoundViolation, match="2\\^13 states"):
                         compute_ts(op, b)
-            assert set(op._closure) == {"eigen", "graded", "vanishes"}
-            assert op._closure["vanishes"] is True and op.r._inverse is None
+            assert op._closure == {"route": invariant._Structure("vanishing", None)}
+            assert op.r._inverse is None
             for b in (_torus(11, 12), mixed):
                 assert compute_ts(op, b).value.is_zero(), (rmatrix, row, sign, b)

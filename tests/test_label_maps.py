@@ -116,20 +116,19 @@ def test_label_maps_match_the_half_word_closure_and_the_matrix_path():
             values += got[0] == "value"
             errors += got[0] == "error"
         assert _route(op) == "coloring", label
-        assert op._closure["graded"][3] is not None, label
+        assert invariant._structure(op).params[3] is not None, label
     assert values > 700 and errors > 20
 
 
 def test_r14_never_reaches_a_state_sum(monkeypatch):
     """R1.4/1 with both signs takes the coloring sum: with the half-word
-    closure and the int route patched to raise, the named links give the
-    whole word's matrix's value, the knots the unknot value, as the
-    knots-1 tag asks, and so does T(12, 13), at the strand cap."""
+    closure patched to raise, the named links give the whole word's
+    matrix's value, the knots the unknot value, as the knots-1 tag asks,
+    and so does T(12, 13), at the strand cap."""
     def refuse(*args):
         raise AssertionError("a state sum ran")
 
     monkeypatch.setattr(invariant, "_half_word_closure", refuse)
-    monkeypatch.setattr(invariant, "_closure_on_ints", refuse)
     entry = get_table1_entry("R1.4", 1)
     for sign in "+-":
         op = entry.build(sign, ctx=entry.context())

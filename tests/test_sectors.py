@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from oracles import dressed_sectors
-from test_invariant import _matrix_path, _mixed_words, _outcome, _route, _torus
+from test_invariant import _block_operator, _matrix_path, _mixed_words, _outcome, _route, _torus
 
 from ybtrace import invariant
 from ybtrace.braid import NAMED_LINKS, BraidWord, get_named_braid
@@ -116,7 +116,7 @@ def test_compute_ts_matches_the_sector_oracle_and_the_matrix_path_on_every_dress
             if vanishing:
                 assert all(v.is_zero() for colors, v in sectors.items() if None in colors), b
         assert _route(op) == "sectors", label
-        assert _route(op._closure["graded"][2][0]) == ("vanishing" if vanishing else "closure")
+        assert _route(_block_operator(op)) == ("vanishing" if vanishing else "closure")
 
 
 def test_torus_knots_up_to_the_strand_cap_match_the_sector_oracle():
@@ -143,10 +143,10 @@ def _fresh_preset(name):
 
 
 def test_the_vanishing_block_presets_need_no_state_sum_up_to_the_cap(monkeypatch):
-    """With the half-word closure and the int route patched to raise,
-    d4_R22 and d3_R22 still answer the named links and seeded words of up to
-    the strand cap, as the oracle does; 7 strands of d4_R22 still raise
-    StrandBoundViolation, every time, keeping only the two verdicts."""
+    """With the half-word closure patched to raise, d4_R22 and d3_R22 still
+    answer the named links and seeded words of up to the strand cap, as the
+    oracle does; 7 strands of d4_R22 still raise StrandBoundViolation,
+    every time, keeping only the verdict."""
     def refuse(*args):
         raise AssertionError("a state sum ran")
 
@@ -159,7 +159,6 @@ def test_the_vanishing_block_presets_need_no_state_sum_up_to_the_cap(monkeypatch
         assert max(b.strands for b in words) == cap
         expected = {b: _by_sectors(op, _block(preset_dressings(name).spec), b)[0] for b in words}
         monkeypatch.setattr(invariant, "_half_word_closure", refuse)
-        monkeypatch.setattr(invariant, "_closure_on_ints", refuse)
         for b in words:
             assert compute_ts(op, b).value == expected[b], (name, b)
         monkeypatch.undo()
@@ -168,7 +167,7 @@ def test_the_vanishing_block_presets_need_no_state_sum_up_to_the_cap(monkeypatch
     for _ in range(2):
         with pytest.raises(StrandBoundViolation, match="4\\^7 states, above the cap"):
             compute_ts(op, _torus(7, 8))
-    assert set(op._closure) == {"eigen", "graded"}
+    assert set(op._closure) == {"route"} and _route(op) == "sectors"
 
 
 def _with_swaps(op, weights):
@@ -228,7 +227,6 @@ def test_an_operator_failing_one_condition_of_the_sector_gate_keeps_the_state_su
             assert got == _outcome(lambda: _matrix_path(op, b)), (condition, b)
             values += got[0] == "value"
         assert values >= 9, condition
-        assert invariant._graded(op) is None, condition
         assert _route(op) == "closure", condition
 
 
@@ -250,7 +248,7 @@ def test_a_vanishing_block_colors_no_component(monkeypatch):
         fresh = EnhancedOperator(op.r, op.mu, op.alpha, op.beta)
         for b in words:
             assert compute_ts(fresh, b).value == expected[name, b], (name, b)
-        assert _route(fresh._closure["graded"][2][0]) == "vanishing", name
+        assert _route(_block_operator(fresh)) == "vanishing", name
 
 
 def test_a_vanishing_block_raises_no_power_of_alpha_for_a_sub_word():
@@ -271,7 +269,7 @@ def test_a_vanishing_block_raises_no_power_of_alpha_for_a_sub_word():
     value = compute_ts(op, b).value
     assert value == pow_int(lam, -5) * compute_ts(d3, b).value
     assert compute_ts(d3, b).value == _matrix_path(d3, b) != 0
-    op_j = op._closure["graded"][2][0]
+    op_j = _block_operator(op)
     assert _route(op_j) == "vanishing"
     with pytest.raises(ExponentOverflow):
         compute_ts(op_j, BraidWord(2, (1,) * 7))
