@@ -7,7 +7,8 @@ unknot-normalized form.  No representation of the whole word is formed.
 One verdict per operator (``_structure``), decided on first use, sends
 ``compute_ts`` down one of four routes, the first that applies of those
 below: the closed form, the coloring sum with its sectors, the vanishing
-route and the half-word closure.
+route and the half-word closure.  ``compute_ts`` refuses for all four, in
+one order, before it takes a route.
 
 When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
 column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n.
@@ -56,9 +57,7 @@ color, where Gamma agrees, and Gamma commutes with mu_J: an identity of
 traces on every word, with no enhancement.  The presets and the collapsed
 ``d3``, ``d4`` operators of tables 2-4 take it; when op_J takes the
 vanishing route below (``d4``, ``d3_R22``, ``d4_R22``), every J sector is
-0 and J colors nothing.  A singular R_J makes R singular, so the refusals
-are the coloring sum's: the strand cap at base N, a side-1 weight, R's
-kept inverse for a negative letter, then beta^n and alpha^(-w).
+0 and J colors nothing.
 
 Otherwise an operator that passes the vanishing gate gets 0 with no state
 sum: Tr(mu) = 0, R meets the braid relation
@@ -73,8 +72,8 @@ A_(n-1) + A_(n-1) R_(n-1) A_(n-1).  RM = MR makes M commute with A_n, and
 for x, y in A_(n-1), Tr(x M) = Tr_(n-1)(x mu^(x n-1)) Tr(mu) and
 Tr(x R_(n-1) y M) = Tr(yx R_(n-1) M) = alpha beta Tr_(n-1)(yx mu^(x n-1)),
 as Tr_2(R (mu (x) mu)) = alpha beta mu.  From Tr(mu) = 0 at n = 1,
-induction on n gives Tr(a M) = 0 for every a in A_n.  The route refuses
-where the coloring sum does and builds nothing keyed by the word.  Rows
+induction on n gives Tr(a M) = 0 for every a in A_n.  The route builds
+nothing keyed by the word.  Rows
 R2.2/1, R1.2/1 and R1.1/1 pass the gate with either sign, so
 ``alexander-zero`` follows from a checked structure, and so does the block
 operator of the R2.2-based presets; no other row, preset or table operator
@@ -115,7 +114,6 @@ from .errors import (
     NonInvertible,
     NotAUnit,
     NotDivisible,
-    PositionOutOfRange,
     ProportionalityFailure,
     StrandBoundViolation,
     UnknownName,
@@ -124,7 +122,8 @@ from .eyb import (
     EnhancedOperator, _check_sides, get_table1_eyb, specialize, table1_entries, verify_eyb,
 )
 from .ring import (
-    MAX_EXPONENT, ScalarContext, contract, format_scalar, pack, pow_int, try_div_exact,
+    MAX_EXPONENT, ScalarContext, contract, dot_entries, format_scalar, pack, pow_int,
+    try_div_exact,
 )
 from .tensor import (
     MAX_ENTRIES,
@@ -235,10 +234,8 @@ def _eigenvalue(op):
     j = next(j for j, x in v.items() if x == piv)
     try:
         vv = {i * base + k: x * y for i, x in v.items() for k, y in v.items()}
-        image = {}
-        for (row, col), x in op.r.entries.items():
-            if row in vv:
-                image[col] = image.get(col, zero) + vv[row] * x
+        image = dot_entries(op.ctx, [(col, vv[row], x) for (row, col), x in op.r.entries.items()
+                                     if row in vv], ())
         c = try_div_exact(image.get(j * (base + 1), zero), piv * piv)
         scaled = {key: c * x for key, x in vv.items()}
     except (NotDivisible, ExponentOverflow):
@@ -253,13 +250,11 @@ def _rank_one_trace(op, b, c):
     """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n in closed form,
     c^w alpha^(-w) (Tr(mu) / beta)^n, for the eigenvalue c of ``_eigenvalue``.
 
-    The strand cap is checked first, as on the half-word closure.  The
-    unknot value's n-th power is kept on ``op`` per n.  c^w and alpha^(-w)
-    are formed apart, so NotAUnit and ExponentOverflow come from the same
-    inputs as on the half-word closure.
+    The unknot value's n-th power is kept on ``op`` per n.  c^w and
+    alpha^(-w) are formed apart, so NotAUnit and ExponentOverflow come from
+    the same inputs as on the half-word closure.
     """
     n = b.strands
-    _states(op.base_dim, n)
     try:
         power = op._closure["unknot", n]
     except KeyError:
@@ -506,12 +501,9 @@ def _coloring_trace(op, b, graded):
     alpha^w' beta^k, once per set of J components.  Keyed terms multiply
     as a sum of keys and a product of coefficients while every product
     stays in the exponent range, and so do alpha^-w beta^-n when ``scale``
-    keys them; other weights multiply as Scalars.  The refusals come first
-    and in the half-word closure's order: the strand cap, a side-1 weight,
-    then R's inverse for a negative letter.
+    keys them; other weights multiply as Scalars.
     """
     n, letters, ctx = b.strands, b.letters, op.ctx
-    _slots(op, n)
     tables, reach, block, moves, scale = graded
     if any(letter < 0 for letter in letters):
         negative, far = _kept(op, ("weights", False), _inverse_weights, op, graded)
@@ -668,19 +660,20 @@ def compute_ts(op, b, normalized=False):
     unit constant); else the half-word closure.  Before the verdict, mu's
     side squared must be R's side, else DimensionMismatch (as in
     ``verify_eyb``); a refusal inside a gate only means that the gate is
-    not passed.  Every route then checks the strand cap first, and raises
-    NotAUnit and ExponentOverflow on the same inputs: c^w and alpha^(-w)
-    are formed apart.  The coloring sum and the vanishing route invert R,
-    through the half-word closure's kept transpose, exactly when the word
-    has a negative letter, so they raise NonInvertible and
-    InverseOutsideRing where the closure does, before a sector is taken: a
-    singular R_J makes R singular.  The closed form does not invert R, so
-    on a singular R it gives a value where the closure raises
-    NonInvertible for a negative letter; an operator that ``verify_eyb``
-    accepts has an invertible R.  Division by beta^n is performed exactly,
-    so beta need not be a unit.  The result's ``unknot_value`` is
-    Tr(mu)/beta, or None on a raw call when that quotient is not in the
-    ring: the raw value needs only the division by beta^n.  Normalization
+    not passed.  After the verdict every route refuses in one order,
+    checked here once: StrandBoundViolation over the strand cap,
+    DimensionMismatch for a side-1 weight, then, on every route but the
+    closed form and before a sector is taken, NonInvertible or
+    InverseOutsideRing from inverting R when the word has a negative letter
+    (a singular R_J makes R singular).  The closed form does not invert R,
+    so on a singular R it gives a value where the other routes refuse a
+    negative letter; an operator that ``verify_eyb`` accepts has an
+    invertible R.  Every route raises NotAUnit and ExponentOverflow on the
+    same inputs: c^w and alpha^(-w) are formed apart.  Division by beta^n
+    is performed exactly, so beta need not be a unit.  The result's
+    ``unknot_value`` is Tr(mu)/beta, or None on a raw call when that
+    quotient is not in the ring: the raw value needs only the division by
+    beta^n.  Normalization
     divides by the unknot value and raises NotDivisible when that is
     impossible (in particular when the unknot value is zero or not in the
     ring).  The verdict and each route's constants are kept on ``op``, and
@@ -689,16 +682,15 @@ def compute_ts(op, b, normalized=False):
     """
     verdict = op._closure.get("route") or _structure(op)
     route, params = verdict.route, verdict.params
+    _slots(op, b.strands)
+    if route != "closed form" and min(b.letters, default=0) < 0:
+        invert(op.r)
     if route == "closed form":
         raw = _rank_one_trace(op, b, params)
     elif route == "closure":
         raw = _closure(op, b, 0)
-    elif route == "vanishing":  # 0, after the coloring sum's refusals in its order
-        n = b.strands
-        _slots(op, n)
-        if any(letter < 0 for letter in b.letters):
-            _pullback(op, False)
-        raw = _weighted(op, b, op.ctx.zero(), n)
+    elif route == "vanishing":
+        raw = _weighted(op, b, op.ctx.zero(), b.strands)
     else:  # the coloring sum and its sectors
         raw = _coloring_trace(op, b, params)
     if not normalized:
@@ -793,24 +785,18 @@ def get_relation(name):
 class SkeinFamily(Record):
     """Braids differing by a power of one crossing at a fixed word position.
 
-    ``terms`` are (power, coefficient Scalar) pairs.  The powers are inserted
-    before letter ``insert_at`` of the base word, which must lie in
-    0..len(base.letters), else PositionOutOfRange; None means at the end.
+    ``terms`` are (power, coefficient Scalar) pairs; the powers are appended
+    to the base word.
     """
 
-    _fields = ("base", "position", "terms", "insert_at")
+    _fields = ("base", "position", "terms")
 
-    def __init__(self, base, position, terms, insert_at=None):
-        if insert_at is not None and not 0 <= insert_at <= len(base.letters):
-            raise PositionOutOfRange(f"insert_at {insert_at} outside 0..{len(base.letters)}")
-        self.__dict__.update(base=base, position=position, terms=terms, insert_at=insert_at)
+    def __init__(self, base, position, terms):
+        self.__dict__.update(base=base, position=position, terms=terms)
 
     def member(self, power):
-        at = len(self.base.letters) if self.insert_at is None else self.insert_at
         letter = self.position if power > 0 else -self.position
-        insert = (letter,) * abs(power)
-        letters = self.base.letters[:at] + insert + self.base.letters[at:]
-        return BraidWord(self.base.strands, letters)
+        return BraidWord(self.base.strands, self.base.letters + (letter,) * abs(power))
 
 
 def check_skein_family(op, fam):

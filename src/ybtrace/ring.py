@@ -1004,8 +1004,7 @@ def substitute(x, bindings, target):
     map to the declared root of the substituted radicand when the target
     declares one, otherwise to an exact monomial square root when that
     exists.  Each generator's image is raised once per distinct exponent, and
-    the images of the terms are added into one accumulator over one
-    denominator.
+    the images of the terms are summed by one ``dot``.
     """
     ctx = x.ctx
     images = {}
@@ -1060,11 +1059,10 @@ def substitute(x, bindings, target):
     exps, one = ctx._layout.exps, target._layout.zero
 
     def apply(y):
-        # each term's monomial maps to a product of kept powers, which goes
-        # into one raw accumulator over one denominator times the term's
-        # numerator, or times i for the imaginary part of a coefficient
-        acc, den = {}, 1
-        get = acc.get
+        # each term pairs its coefficient (an imaginary part under the key
+        # one + 1, so that dot turns i*i into a sign) with the product of
+        # its monomial's kept powers
+        pairs = []
         for k, v in y._nums.items():
             image = None
             for pos, d in enumerate(exps(k)):
@@ -1073,18 +1071,9 @@ def substitute(x, bindings, target):
                     if power is None:
                         power = powers[pos, d] = _pow_half(factor_image(pos), d)
                     image = power if image is None else image * power
-            nums, d = ({one: 1}, 1) if image is None else (image._nums, image._den)
-            if den % d:  # over the lcm of the denominators
-                up = d // math.gcd(den, d)
-                den *= up
-                for key in acc:
-                    acc[key] *= up
-            v *= den // d
-            for key, c in nums.items():
-                if k & 1:  # the i field moves up, or i*i gives a sign
-                    key, c = (key - 1, -c) if key & 1 else (key + 1, c)
-                acc[key] = get(key, 0) + v * c
-        return _scalar(target, {key: c for key, c in acc.items() if c}, den * y._den)
+            pairs.append((_scalar(target, {one + (k & 1): v}, y._den),
+                          target.one() if image is None else image))
+        return dot(target, pairs)
 
     return apply(x)
 

@@ -360,8 +360,7 @@ def matrix_substitute(a, bindings, target):
 
 # -- inversion ----------------------------------------------------------------
 
-_COFACTOR_SIDE = 4  # the largest piece that invert takes by cofactors
-_RETRY_SIDE = 8  # the largest piece whose failed elimination is retried by cofactors
+_COFACTOR_SIDE = 8  # the largest piece that invert takes by cofactors
 
 
 def _pieces(a):
@@ -476,48 +475,32 @@ def _invert_piece(work, rows, cols, n):
     }
 
 
-def _augmented(a, rows):
-    """{r: row r of [A | I]} for the ``rows``: entry (r, c) of A under key c,
-    the 1 of I under side + r."""
-    n, one = a.side, a.ctx.one()
-    work = {r: {n + r: one} for r in rows}
-    for (r, c), v in a.entries.items():
-        if r in work:
-            work[r][c] = v
-    return work
-
-
 def invert(a):
     """Exact inverse, by cofactors or fraction-free (Bareiss) elimination.
 
     The rows and columns split into the connected pieces of the entry
-    pattern, each inverted on its own: as adj/det up to _COFACTOR_SIDE, the
-    side of every piece of a two-dimensional solution, else by elimination,
-    whose cost alone is polynomial in the side.  Over a ring with zero
-    divisors an exact division of the elimination may have no quotient
-    although the determinant is a unit; such a piece up to _RETRY_SIDE is
-    inverted again by cofactors from its own rows.  Raises NonInvertible
+    pattern, each inverted on its own: as adj/det up to _COFACTOR_SIDE,
+    twice the side of every piece of a two-dimensional solution, else by
+    elimination, whose cost alone is polynomial in the side.  Over a ring
+    with zero divisors an exact division of the elimination may have no
+    quotient although the determinant is a unit.  Raises NonInvertible
     when the matrix is singular and InverseOutsideRing when its determinant
     is not a unit, or when elimination fails so on a piece above
-    _RETRY_SIDE.  The inverse is kept on ``a``; a failure is raised again on
-    every call.
+    _COFACTOR_SIDE.  The inverse is kept on ``a``; a failure is raised
+    again on every call.
     """
     if a._inverse is not None:
         return a._inverse
-    n = a.side
-    work = _augmented(a, range(n))
+    n, one = a.side, a.ctx.one()
+    work = {r: {n + r: one} for r in range(n)}  # row r of [A | I], I's 1 under n + r
+    for (r, c), v in a.entries.items():
+        work[r][c] = v
     entries = {}
     for rows, cols in _pieces(a):
         if len(rows) != len(cols):
             raise NonInvertible("matrix is singular")
         try:
-            try:
-                piece = _invert_piece(work, rows, cols, n)
-            except NotDivisible:
-                if not _COFACTOR_SIDE < len(rows) <= _RETRY_SIDE:
-                    raise
-                work.update(_augmented(a, rows))  # elimination changed the rows
-                piece = _cofactor_piece(work, rows, cols, n)
+            piece = _invert_piece(work, rows, cols, n)
         except NotDivisible:
             raise InverseOutsideRing(
                 "the determinant is not a unit; the inverse leaves the ring"

@@ -352,9 +352,9 @@ def test_every_division_of_a_block_inversion_matches_the_checked_division(monkey
         for _ in range(4):
             invert(_unimodular(ctx, side, rng))
     assert census == {"unit": 8}, census
-    # blocks of side 5 and 6 take elimination, which divides by its pivots
+    # blocks of side 9 and 10 take elimination, which divides by its pivots
     census.clear()
-    for side in (5, 6):
+    for side in (9, 10):
         for _ in range(2):
             invert(_unimodular(ctx, side, rng))
     assert {"plain", "root"} <= set(census), census
@@ -363,11 +363,13 @@ def test_every_division_of_a_block_inversion_matches_the_checked_division(monkey
 # -- small pieces by cofactors against elimination ---------------------------------
 
 
-def _invert_fresh(m, monkeypatch, cut):
+def _invert_fresh(m, monkeypatch, cut=None):
     """invert on a fresh copy of m with pieces up to side ``cut`` by cofactors
-    (0: all by elimination), or the class of the error it raises."""
+    (0: all by elimination; None: the library's cut), or the class of the
+    error it raises."""
     with monkeypatch.context() as patch:
-        patch.setattr(tensor, "_COFACTOR_SIDE", cut)
+        if cut is not None:
+            patch.setattr(tensor, "_COFACTOR_SIDE", cut)
         return _outcome(invert, tensor.SquareMatrix(m.ctx, m.side, m.entries))
 
 
@@ -432,24 +434,44 @@ def test_a_unit_det_piece_divides_only_1_by_its_unit_det(monkeypatch):
             assert tensor.matmul(m, inv) == _identity(ctx, side)
 
 
+def _chained(m, side):
+    """m of side 5, continued to ``side`` by 1s on the diagonal and on the
+    superdiagonal from (4, 5): one piece whose det is m's."""
+    one = CTX_SQUARE.one()
+    return tensor.SquareMatrix(CTX_SQUARE, side, {
+        **m.entries, **{(k, k): one for k in range(5, side)},
+        **{(k, k + 1): one for k in range(4, side - 1)}})
+
+
 def test_elimination_leaves_the_ring_where_cofactors_do_not(monkeypatch):
     """A unimodular block of side 5 over a ring with zero divisors (x*x = q*q):
     its det is a unit, but an exact division of the elimination has no
-    quotient, so ``invert`` inverts the piece again by cofactors.  The same
-    block with a row scaled by 1 + q, whose det is no unit, still raises
-    InverseOutsideRing, and so does the block when pieces above side 4 are
-    not retried."""
+    quotient.  Chained to sides 5-8 it is one piece that ``invert`` takes
+    by cofactors, never entering elimination; chained to side 9 it is
+    eliminated and raises InverseOutsideRing, though cofactors invert it.
+    With pieces above side 4 eliminated (a patched _COFACTOR_SIDE) the
+    side-5 block raises InverseOutsideRing too.  The same block with a row
+    scaled by 1 + q, whose det is no unit, raises it both ways."""
+    def refuse(*args):
+        raise AssertionError("a piece of side at most 8 was eliminated")
+
     rng = random.Random(5)
     m = [_unimodular(CTX_SQUARE, 5, rng) for _ in range(3)][2]
-    cofactors = _invert_fresh(m, monkeypatch, 5)
-    for cut in (4, 0):
-        inverse = _invert_fresh(m, monkeypatch, cut)
-        assert inverse == cofactors
-        assert tensor.matmul(m, inverse) == tensor.matmul(inverse, m) == _identity(CTX_SQUARE, 5)
     with monkeypatch.context() as patch:
-        patch.setattr(tensor, "_RETRY_SIDE", 4)
-        assert _invert_fresh(m, monkeypatch, 4) is InverseOutsideRing
+        patch.setattr(tensor, "_bareiss_row", refuse)
+        for side in (5, 6, 7, 8):
+            block = _chained(m, side)
+            assert len(tensor._pieces(block)) == 1
+            inverse = _invert_fresh(block, monkeypatch)
+            assert (tensor.matmul(block, inverse) == tensor.matmul(inverse, block)
+                    == _identity(CTX_SQUARE, side))
+    for cut in (4, 0):
+        assert _invert_fresh(m, monkeypatch, cut) is InverseOutsideRing
+    block = _chained(m, 9)
+    assert len(tensor._pieces(block)) == 1
+    assert _invert_fresh(block, monkeypatch) is InverseOutsideRing
+    assert tensor.matmul(block, _invert_fresh(block, monkeypatch, 9)) == _identity(CTX_SQUARE, 9)
     scaled = tensor.SquareMatrix(CTX_SQUARE, 5, {
         (r, c): v * CTX_SQUARE.parse("1 + q") if r == 0 else v for (r, c), v in m.entries.items()})
-    for cut in (4, 5):
+    for cut in (4, None):
         assert _invert_fresh(scaled, monkeypatch, cut) is InverseOutsideRing

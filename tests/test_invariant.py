@@ -35,7 +35,7 @@ from ybtrace.dressing import (
 )
 from ybtrace.errors import (
     DimensionMismatch, ExponentOverflow, InverseOutsideRing, NonInvertible, NotAUnit,
-    NotDivisible, PositionOutOfRange, ProportionalityFailure, StrandBoundViolation,
+    NotDivisible, ProportionalityFailure, StrandBoundViolation,
 )
 from ybtrace.eyb import (
     EnhancedOperator, get_table1_entry, get_table1_eyb, sign_variants, table1_entries,
@@ -159,25 +159,6 @@ def test_skein_family_zero_coefficients(jones):
     )
     verdict = check_skein_family(jones, fam)
     assert verdict and verdict.residual is None
-
-
-def test_skein_family_insert_position(jones):
-    ctx = jones.ctx
-    terms = ((1, ctx.one()), (0, ctx.parse("p*q-1")), (-1, ctx.parse("-p*q")))
-    for at in (0, 1, 2):
-        fam = SkeinFamily(parse_braid("1 1"), 1, terms, insert_at=at)
-        assert check_skein_family(jones, fam)
-
-
-def test_skein_family_refuses_an_insert_position_outside_the_base_word(jones):
-    ctx = jones.ctx
-    terms = ((1, ctx.one()), (0, ctx.parse("p*q-1")), (-1, ctx.parse("-p*q")))
-    base = parse_braid("1 2 1")
-    assert SkeinFamily(base, 1, terms, insert_at=0).member(1).letters == (1, 1, 2, 1)
-    assert SkeinFamily(base, 1, terms, insert_at=3).member(-1).letters == (1, 2, 1, -1)
-    for at in (-1, 4, 99):
-        with pytest.raises(PositionOutOfRange, match=f"insert_at {at} outside 0..3"):
-            SkeinFamily(base, 1, terms, insert_at=at)
 
 
 def test_jones_against_bracket_state_sum():
@@ -904,9 +885,9 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
     word = get_named_braid("4_1").braid
     assert any(k < 0 for k in word.letters)
     # R1.1's R with a rank-one weight takes the half-word closure, R1.4/1
-    # and R1.3/1 the coloring sum.  Fresh operators: the shared ones may
-    # already keep R's inverse.
-    rows = [get_table1_entry("R1.4", 1), get_table1_entry("R1.3", 1)]
+    # and R1.3/1 the coloring sum, R2.2/1 the vanishing route.  Fresh
+    # operators: the shared ones may already keep R's inverse.
+    rows = [get_table1_entry(*key) for key in (("R1.4", 1), ("R1.3", 1), ("R2.2", 1))]
     for make, route in ((_rank_one_operator_without_c, "closure"),
                         *((lambda e=e: e.build(ctx=e.context()), ROUTES[e.rmatrix, e.row])
                           for e in rows)):
@@ -920,6 +901,12 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
         assert compute_ts(op, word).value == first
         assert len(pieces) == inverted
         assert _route(op) == route
+    # the closed form never inverts R
+    entry = get_table1_entry("R2.1", 2)
+    op = entry.build(ctx=entry.context())
+    pieces.clear()
+    compute_ts(op, word)
+    assert pieces == [] and _route(op) == "closed form"
 
 
 def _spy(monkeypatch, calls, module, name):
@@ -1219,20 +1206,41 @@ def test_tags_build_no_scalar_on_a_cell(monkeypatch):
 
 
 def test_a_braid_over_the_strand_cap_is_refused_every_time_and_keeps_nothing(monkeypatch):
-    """Nothing but the operator's one verdict is kept, and no weight row is
-    built or packed."""
+    """A fresh operator on each route, given braids with a negative letter
+    over the strand cap: compute_ts raises StrandBoundViolation every time,
+    as ``invariant._closure`` does, with one message per base.  Nothing but
+    the operator's one verdict is kept, R is not inverted, and no power is
+    raised and no weight row built or packed.  The verdicts are decided
+    first, as the sector gate raises a power."""
     def refuse(*args):
-        raise AssertionError("a weight row was built or packed")
+        raise AssertionError("a power was raised or a weight row built or packed")
 
     monkeypatch.setattr(invariant, "_weight_rows", refuse)
     monkeypatch.setattr(invariant, "pack", refuse)
-    for rmatrix, row in (("R1.1", 2), ("R2.1", 1)):
+    cases = []
+    for rmatrix, row, route in (("R1.1", 2, "closed form"), ("R3.1", 1, "coloring"),
+                                ("R1.4", 1, "coloring"), ("R2.2", 1, "vanishing"),
+                                ("R2.1", 1, "closure")):
         entry = get_table1_entry(rmatrix, row)
-        op = entry.build(ctx=entry.context())
-        for _ in range(2):
-            with pytest.raises(StrandBoundViolation, match="2\\^40 states"):
-                compute_ts(op, BraidWord(40, (1,)))
-        assert set(op._closure) == {"route"}
+        cases.append((entry.build(ctx=entry.context()), route, 13))
+    d3 = preset_dressings("d3_R21").eyb
+    r = SquareMatrix(d3.ctx, d3.r.side, d3.r.entries)  # the preset's R may keep its inverse
+    cases.append((EnhancedOperator(r, d3.mu, d3.alpha, d3.beta), "sectors", 8))
+    verdicts = [invariant._structure(op) for op, _, _ in cases]
+    assert [verdict.route for verdict in verdicts] == [route for _, route, _ in cases]
+    monkeypatch.setattr(invariant, "pow_int", refuse)
+    for (op, _, strands), verdict in zip(cases, verdicts):
+        base = op.base_dim
+        for n in (strands, 40):
+            b = BraidWord(n, (1, -2, n - 1))
+            message = f"{n} strands of dimension {base} need {base}^{n} states, above the cap of 4096"
+            for route in (lambda: compute_ts(op, b), lambda: invariant._closure(op, b, 0)):
+                for _ in range(2):
+                    with pytest.raises(StrandBoundViolation) as raised:
+                        route()
+                    assert str(raised.value) == message
+        assert op._closure == {"route": verdict}
+        assert op.r._inverse is None
 
 
 # -- the coloring sum of the weighted swaps ----------------------------------------
@@ -1488,25 +1496,6 @@ def test_seeded_operators_that_are_not_enhanced_match_the_matrix_path():
         routes.add(_route(op))
     assert values >= 250 and closed > 0 and outside > 0
     assert routes == {"closed form", "coloring", "closure"}
-
-
-def test_the_coloring_sum_refuses_a_braid_over_the_strand_cap_and_keeps_nothing(monkeypatch):
-    """R1.3/1 on 13 strands needs 2^13 states: compute_ts raises
-    StrandBoundViolation every time, as the half-word closure does, and
-    keeps nothing but its verdict; R is not inverted."""
-    def refuse(*args):
-        raise AssertionError("a product was formed")
-
-    monkeypatch.setattr(invariant, "pow_int", refuse)
-    entry = get_table1_entry("R1.3", 1)
-    op = entry.build(ctx=entry.context())
-    b = BraidWord(13, (1, -2, 12))
-    for route in (lambda: compute_ts(op, b), lambda: invariant._closure(op, b, 0)):
-        for _ in range(2):
-            with pytest.raises(StrandBoundViolation, match="2\\^13 states, above the cap"):
-                route()
-    assert op._closure == {"route": invariant._Structure("coloring", invariant._graded(op))}
-    assert op.r._inverse is None
 
 
 def test_each_row_triangular_in_one_direction_equals_its_graded_operator():

@@ -81,7 +81,7 @@ RECORDS = {
                      "coefficients=((2, '1'), (0, '-1')))", True),
     "SkeinFamily": (lambda: SkeinFamily(BraidWord(2, (1,)), 1, ((1, CTX.one()),)),
                     "SkeinFamily(base=BraidWord(strands=2, letters=(1,)), position=1, "
-                    "terms=((1, <Scalar 1>),), insert_at=None)", True),
+                    "terms=((1, <Scalar 1>),))", True),
     "TableCell": (lambda: TableCell(2, "3_1", "J", "t", "t", True),
                   "TableCell(table=2, link='3_1', column='J', computed='t', expected='t', "
                   "match=True)", True),
@@ -160,7 +160,6 @@ def test_defaults():
         == (None, None, 0)
     verdict = Verdict(True)
     assert (verdict.condition, verdict.index, verdict.residual) == (None, None, None)
-    assert SkeinFamily(BraidWord(1), 1, ()).insert_at is None
     entry = Table1Entry("R1.2", 9, ("q",))
     assert (entry.roots, entry.restrictions, entry.mu_rows, entry.alpha, entry.beta,
             entry.tag, entry.intertwine) == ((), (), (), "1", "1", "const-1", None)
@@ -172,7 +171,7 @@ def test_keyword_arguments_keep_their_names():
     assert BraidWord(strands=2, letters=(1,)) == BraidWord(2, (1,))
     assert TransformSpec(kind="shift", n=1) == TransformSpec("shift", None, None, 1)
     assert Verdict(ok=False, residual=1).residual == 1
-    assert SkeinFamily(base=BraidWord(2), position=1, terms=(), insert_at=0).insert_at == 0
+    assert SkeinFamily(base=BraidWord(2), position=1, terms=()).terms == ()
     assert DiagonalDressingSpec(ctx=CTX, n=2, j=(1,), s={}).j == (1,)
     assert _table1_entry() == TABLE1[0]
     assert RECORDS["RelationSpec"][0]() == get_relation("R1.3")
