@@ -1243,6 +1243,25 @@ def test_a_braid_over_the_strand_cap_is_refused_every_time_and_keeps_nothing(mon
         assert op.r._inverse is None
 
 
+def test_the_coloring_sum_refuses_a_braid_over_the_strand_cap_and_keeps_nothing(monkeypatch):
+    """R1.3/1 on 13 strands needs 2^13 states: compute_ts raises
+    StrandBoundViolation every time, as the half-word closure does, and
+    keeps nothing but its verdict; R is not inverted."""
+    def refuse(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(invariant, "pow_int", refuse)
+    entry = get_table1_entry("R1.3", 1)
+    op = entry.build(ctx=entry.context())
+    b = BraidWord(13, (1, -2, 12))
+    for route in (lambda: compute_ts(op, b), lambda: invariant._closure(op, b, 0)):
+        for _ in range(2):
+            with pytest.raises(StrandBoundViolation, match="2\\^13 states, above the cap"):
+                route()
+    assert op._closure == {"route": invariant._Structure("coloring", invariant._graded(op))}
+    assert op.r._inverse is None
+
+
 # -- the coloring sum of the weighted swaps ----------------------------------------
 
 
