@@ -221,8 +221,9 @@ class Table1Entry(Record):
     ``tag`` is one of jones, alexander-zero, const-0, const-1, two-power-l,
     knots-1, knots-0.  ``intertwine`` holds the unit c with
     (mu x mu) R = c (mu x mu), set on exactly the 14 rows whose weight has
-    rank one; it makes their invariant c^w alpha^-w (Tr mu / beta)^n, which
-    ``invariant.compute_ts`` takes in closed form.  Sign '+' selects the
+    rank one.  For M = mu^(x n) it gives M rep = c^w M, so their invariant
+    is c^w alpha^-w (Tr mu / beta)^n, which ``invariant.compute_ts`` takes
+    in closed form on that identity.  Sign '+' selects the
     stored representative; '-' the companion with mu and alpha negated.
     """
 

@@ -10,16 +10,13 @@ below: the closed form, the coloring sum with its sectors, the vanishing
 route and the half-word closure.  ``compute_ts`` refuses for all four, in
 one order, before it takes a route.
 
-When mu has rank one, piv * mu = u v^T for a pivot entry piv of mu, its
-column u and its row v, and the trace is (v^(x n))^T rep u^(x n) / piv^n.
-If (v (x) v)^T R = c (v (x) v)^T for a unit c, the value is in closed
-form, c^w alpha^(-w) (Tr(mu) / beta)^n for writhe w.  Proof: then
-(v (x) v)^T R^(+-1) = c^(+-1) (v (x) v)^T on the two slots each letter
-acts on, so (v^(x n))^T rep = c^w (v^(x n))^T; and (v^(x n))^T u^(x n) =
-(v^T u)^n = (piv Tr(mu))^n.  This is the registry's ``intertwine``
-column, (mu x mu) R = c (mu x mu), and holds on all 14 rank-one rows and
-on every enhanced operator the library builds from them.  Nothing is
-pushed or divided, and R is not inverted.
+When (mu (x) mu) R = c (mu (x) mu) for a unit c, the value is in closed
+form, c^w alpha^(-w) (Tr(mu) / beta)^n for writhe w.  Proof: write
+M = mu^(x n).  Then M R_i^(+-1) = c^(+-1) M, so M rep = c^w M, and
+Tr(rep M) = Tr(M rep) = c^w Tr(mu)^n.  This is the registry's
+``intertwine`` column, and holds on all 14 rank-one rows and on every
+enhanced operator the library builds from them.  Nothing is pushed or
+divided, and R is not inverted.
 
 Otherwise a charge filtration may apply: give label d the charge d and a
 state the sum of its digits.  If the entries of R and the off-diagonal
@@ -131,6 +128,7 @@ from .tensor import (
     SquareMatrix,
     Verdict,
     _crossing_base,
+    _triples,
     invert,
     matadd,
     matmul,
@@ -197,56 +195,31 @@ def _kept(op, key, make, *args):
         return value
 
 
-def rank_one_factors(mu):
-    """(u, v, piv) with piv * mu == u v^T entrywise, or None when the rank of
-    mu is not one.
-
-    piv is a unit entry of mu if there is one, else the entry with the fewest
-    terms; u is its column and v its row, as sparse vectors.
-    """
-    if not mu.entries:
-        return None
-    pr, pc = min(mu.entries, key=lambda k: (not mu.entries[k].is_unit(),
-                                            mu.entries[k].term_count()))
-    piv = mu.entries[(pr, pc)]
-    u = {r: x for (r, c), x in mu.entries.items() if c == pc}
-    v = {c: x for (r, c), x in mu.entries.items() if r == pr}
-    if len(mu.entries) != len(u) * len(v) or any(
-        r not in u or c not in v or piv * x != u[r] * v[c]
-        for (r, c), x in mu.entries.items()
-    ):
-        return None
-    return u, v, piv
-
-
 def _eigenvalue(op):
-    """The unit c with (v (x) v)^T R = c (v (x) v)^T for piv * mu = u v^T
-    (``rank_one_factors``), or None when there is none: when mu is not of
-    rank one or has side 1, or when no unit c fits.  c is read off at the
-    slot (j, j) with v[j] = piv, where v (x) v holds piv^2.  A check that
-    cannot be finished in the ring (a division that does not come out, an
-    exponent out of range) gives None too."""
-    factors = rank_one_factors(op.mu) if op.base_dim > 1 else None
-    if factors is None:
+    """The unit c with (mu (x) mu) R = c (mu (x) mu), or None when there is
+    none: when mu has side 1 or is zero, or when no unit c fits.  c is read
+    off at the entry piv^2 of mu (x) mu, for piv the entry of mu that is a
+    unit if one is, else the one with the fewest terms, and every entry is
+    checked.  A check that cannot be finished in the ring (a division that
+    does not come out, an exponent out of range) gives None too."""
+    base, mu, zero = op.base_dim, op.mu.entries, op.ctx.zero()
+    if base < 2 or not mu:
         return None
-    _, v, piv = factors
-    base, zero = op.base_dim, op.ctx.zero()
-    j = next(j for j, x in v.items() if x == piv)
-    try:
-        vv = {i * base + k: x * y for i, x in v.items() for k, y in v.items()}
-        image = dot_entries(op.ctx, [(col, vv[row], x) for (row, col), x in op.r.entries.items()
-                                     if row in vv], ())
-        c = try_div_exact(image.get(j * (base + 1), zero), piv * piv)
-        scaled = {key: c * x for key, x in vv.items()}
+    (pr, pc), piv = min(mu.items(), key=lambda item: (not item[1].is_unit(),
+                                                      item[1].term_count()))
+    try:  # (mu (x) mu)[(ij), (kl)] = mu[i, k] mu[j, l]
+        square = SquareMatrix(op.ctx, base * base, {
+            (i * base + j, k * base + l): x * y for (i, k), x in mu.items()
+            for (j, l), y in mu.items()})
+        image = dot_entries(op.ctx, _triples(square, op.r), ())
+        c = try_div_exact(image.get((pr * (base + 1), pc * (base + 1)), zero), piv * piv)
+        scaled = {key: c * x for key, x in square.entries.items()}
     except (NotDivisible, ExponentOverflow):
         return None
-    if c.is_unit() and all(image.get(key, zero) == scaled.get(key, zero)
-                           for key in image.keys() | scaled.keys()):
-        return c
-    return None
+    return c if c.is_unit() and image == scaled else None
 
 
-def _rank_one_trace(op, b, c):
+def _closed_form(op, b, c):
     """alpha^(-w) Tr(rep(b) mu^(x n)) / beta^n in closed form,
     c^w alpha^(-w) (Tr(mu) / beta)^n, for the eigenvalue c of ``_eigenvalue``.
 
@@ -263,11 +236,12 @@ def _rank_one_trace(op, b, c):
     return pow_int(c, w) * pow_int(op.alpha, -w) * power
 
 
-def _weight_rows(mu, keep, k, total, one):
+def _weight_rows(mu, keep, k):
     """The nonzero rows of 1^(x keep) (x) mu^(x k), one at a time in row
-    order, each a sparse vector keyed by row * total + column, so that rows
-    merge into one vector; a row is built when it is asked for."""
-    base = mu.side
+    order, each a sparse vector keyed by row * base^(keep + k) + column, so
+    that rows merge into one vector; a row is built when it is asked for."""
+    base, one = mu.side, mu.ctx.one()
+    total = base ** (keep + k)
     mu_rows = {}
     for (r, c), x in mu.entries.items():
         mu_rows.setdefault(r, {})[c] = x
@@ -290,21 +264,19 @@ def _pullback(op, positive):
 
 
 def _slots(op, n):
-    """base^n for the states of n strands, after the closure's refusals in
-    its order: the strand cap, then DimensionMismatch for a side-1 weight,
-    which has no slot to close."""
+    """The closure's refusals for n strands in its order: the strand cap,
+    then DimensionMismatch for a side-1 weight, which has no slot to close."""
     base = op.base_dim
-    total = _states(base, n)
+    _states(base, n)
     if base < 2:
         raise DimensionMismatch(f"a weight of side {base} has no slot to close")
-    return total
 
 
-def _weighted(op, b, total, k):
-    """alpha^(-writhe) total / beta^k for k closed slots, with beta^k kept on
+def _weighted(op, b, value, k):
+    """alpha^(-writhe) value / beta^k for k closed slots, with beta^k kept on
     ``op`` per k."""
     scale = _kept(op, ("beta", k), pow_int, op.beta, k)
-    return pow_int(op.alpha, -b.writhe) * try_div_exact(total, scale)
+    return pow_int(op.alpha, -b.writhe) * try_div_exact(value, scale)
 
 
 def _closure(op, b, keep):
@@ -319,8 +291,8 @@ def _closure(op, b, keep):
     the identity (a full closure leaves a 1x1 block, which always is one).
     """
     _check_sides(op)
-    n = b.strands
-    return _weighted(op, b, _half_word_closure(op, b, keep, _slots(op, n)), n - keep)
+    _slots(op, b.strands)
+    return _weighted(op, b, _half_word_closure(op, b, keep), b.strands - keep)
 
 
 def _diagonal(block, side):
@@ -333,7 +305,7 @@ def _diagonal(block, side):
     return value
 
 
-def _half_word_closure(op, b, keep, total):
+def _half_word_closure(op, b, keep):
     """The block value of ``_closure`` on Scalars (module docstring).
 
     Block entry (i, j) sums row (i, s) of (1 (x) mu^(x k)) A against column
@@ -345,16 +317,16 @@ def _half_word_closure(op, b, keep, total):
     pulled rows against B's columns, both front ends of ``ring.join``.
     """
     n, base, ctx = b.strands, op.base_dim, op.ctx
-    k = n - keep
+    k, total = n - keep, base ** n
     split = len(b.letters) // 2
     left = b.letters[:split]
     right = braid_representation(op.r, BraidWord(n, b.letters[split:])).entries
     pullbacks = {positive: _pullback(op, positive) for positive in {letter > 0 for letter in left}}
     if base ** keep * len(op.mu.entries) ** k > MAX_ENTRIES:
-        batches = (pack(ctx, row) for row in _weight_rows(op.mu, keep, k, total, ctx.one()))
+        batches = (pack(ctx, row) for row in _weight_rows(op.mu, keep, k))
     else:
         batches = (_kept(op, ("rows", n, keep), lambda: pack(ctx, {
-            key: x for row in _weight_rows(op.mu, keep, k, total, ctx.one())
+            key: x for row in _weight_rows(op.mu, keep, k)
             for key, x in row.items()})),)
     # B's entry (x, (j, s)) meets the pulled row (i, s) at column x
     closed = base ** k
@@ -462,13 +434,13 @@ def _graded(op):
 
 def _inverse_weights(op, graded):
     """R^-1's terms as ``_graded`` gives R's, and J's for a negative letter,
-    read off the half-word closure's kept transposed inverse (``_pullback``),
-    so that R is inverted on the same inputs."""
+    read off R's inverse, which ``compute_ts`` has formed on the same
+    inputs."""
     block, moves = graded[2:4]
-    base, inverse = op.base_dim, _pullback(op, False).entries
+    base, inverse = op.base_dim, invert(op.r).entries
     left, right = moves[False] if moves else (range(base), range(base))
     weights = {(a, b): inverse[key] for a in range(base) for b in range(base)
-               if (key := (right[b] * base + left[a], a * base + b)) in inverse}
+               if (key := (a * base + b, right[b] * base + left[a])) in inverse}
     return _terms({**weights, **(block[2] if block else {})})
 
 
@@ -650,8 +622,8 @@ def compute_ts(op, b, normalized=False):
 
     One verdict (``_structure``), decided on the first call and kept on
     ``op``, names the route (module docstring): the closed form
-    c^w alpha^(-w) (Tr(mu) / beta)^n when mu has rank one and
-    (v (x) v)^T R = c (v (x) v)^T for a unit c; the coloring sum when the
+    c^w alpha^(-w) (Tr(mu) / beta)^n when (mu (x) mu) R = c (mu (x) mu)
+    for a unit c; the coloring sum when the
     graded R has one entry per column at label maps, or is a weighted swap
     outside a block J of labels that passes the sector gate, each set of J
     components by ``compute_ts`` of the block operator op_J unless op_J
@@ -686,7 +658,7 @@ def compute_ts(op, b, normalized=False):
     if route != "closed form" and min(b.letters, default=0) < 0:
         invert(op.r)
     if route == "closed form":
-        raw = _rank_one_trace(op, b, params)
+        raw = _closed_form(op, b, params)
     elif route == "closure":
         raw = _closure(op, b, 0)
     elif route == "vanishing":

@@ -7,10 +7,12 @@ induction on braid closures, using no matrices at all, and
 ``nabla_by_burau`` computes it as a Burau determinant over int Laurent
 dicts, with no state sum.  ``dressed_sectors`` splits a dressed
 operator's trace into its color sectors with the diagonal insertions on
-the block's strands kept as they come.  The Kronecker-power
-contractions form mu^(x n) and the product with it, and are the reference
-for ``weighted_trace_sequential``, the weighted trace the invariant tests
-close a whole word's matrix with; the engine never forms either.  The
+the block's strands kept as they come.  ``is_rank_one`` decides a
+weight's rank one by its 2x2 minors, with no factorization.  The
+Kronecker-power contractions form mu^(x n) and the product with it, and
+are the reference for ``weighted_trace_sequential``, the weighted trace
+the invariant tests close a whole word's matrix with; the engine never
+forms either.  The
 ``*_sequential`` contractions add each product to its entry with +, as the
 library did before it summed each entry with ``ring.dot``, and
 ``matmul_sub_by_pairs`` is the product residual as it was before its keyed
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, product
+from itertools import chain, combinations, product
 from operator import or_
 
 from ybtrace.errors import ContextMismatch, DimensionMismatch, ParseError
@@ -426,6 +428,14 @@ def dressed_sectors(op, block, word):
             scalar = scalar * trace_product(matrix, kron_power(mu_block, k))
         sectors[coloring] = scalar
     return sectors
+
+
+def is_rank_one(mu):
+    """Whether the matrix ``mu`` has rank one, by its 2x2 minors: mu is not
+    zero, and mu[r, c] mu[s, d] = mu[r, d] mu[s, c] for all r < s, c < d."""
+    pairs = list(combinations(range(mu.side), 2))
+    return bool(mu.entries) and all(mu.get(r, c) * mu.get(s, d) == mu.get(r, d) * mu.get(s, c)
+                                    for r, s in pairs for c, d in pairs)
 
 
 # -- Kronecker-power contractions ----------------------------------------------

@@ -134,7 +134,7 @@ def test_sign_variants_verify_and_involute():
 def test_intertwining_rows():
     """``intertwine`` is set on the 14 rank-one rows: (mu x mu) R = c (mu x mu)
     for both signs, with c a unit.  On every row and sign it is set exactly
-    where compute_ts finds an eigenvalue of R for v (x) v, and equals it."""
+    where compute_ts finds such a c, and equals it."""
     expectations = {
         ("R3.1", 3): "1",
         ("R3.1", 4): "s",
@@ -295,7 +295,7 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
                     compute_ts(fresh, BraidWord(key[1]))
                 elif key[0] == "rows":  # kept by the half-word closure alone
                     n, keep = key[1:]
-                    invariant._half_word_closure(fresh, BraidWord(n), keep, fresh.base_dim ** n)
+                    invariant._half_word_closure(fresh, BraidWord(n), keep)
                 elif key[0] == "transpose":
                     invariant._pullback(fresh, key[1])
                 elif key == "route":  # the one verdict

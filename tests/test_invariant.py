@@ -11,6 +11,7 @@ from oracles import (
     conway_in_t,
     conway_polynomial,
     equal_up_to_unit,
+    is_rank_one,
     kron_power,
     nabla_by_burau,
     trace_product,
@@ -51,7 +52,6 @@ from ybtrace.invariant import (
     compute_ts,
     get_relation,
     open_trace,
-    rank_one_factors,
     unknot_value,
     verify_annihilating,
 )
@@ -426,7 +426,7 @@ def test_half_word_closure_keeps_no_rows_above_the_entry_cap():
     they are built row by row and not kept, and the values still match."""
     jones = get_table1_eyb("R2.1", 1)
     mu = SquareMatrix.from_rows(jones.ctx, [["1", "p"], ["2", "q"]])
-    assert rank_one_factors(mu) is None
+    assert not is_rank_one(mu)
     op = EnhancedOperator(jones.r, mu, jones.alpha, jones.beta)
     assert 4 ** 8 > MAX_ENTRIES >= 4 ** 7
     b = BraidWord(8, (3, -5))
@@ -639,17 +639,10 @@ def _mixed_words(rng, count, max_strands, max_letters):
     return words
 
 
-def _assert_factors(mu, factors):
-    u, v, piv = factors
-    outer = SquareMatrix(mu.ctx, mu.side, {(r, c): x * y for r, x in u.items()
-                                           for c, y in v.items()})
-    assert scalar_scale(mu, piv) == outer
-
-
 def _rank_one_operator_without_c():
     """A fresh operator on R1.1's R, over row 2's ring, whose rank-one weight
-    [[1, 1], [0, 0]] takes the half-word closure: v (x) v = (1, 1, 1, 1) is
-    not a left eigenvector of R.  It is not enhanced, which compute_ts does
+    [[1, 1], [0, 0]] takes the half-word closure: (mu (x) mu) R is no
+    multiple of mu (x) mu.  It is not enhanced, which compute_ts does
     not need."""
     entry = get_table1_entry("R1.1", 2)
     op = entry.build(ctx=entry.context())
@@ -661,24 +654,12 @@ def test_rank_one_rows_are_the_fourteen_const_one_rows():
     assert len(RANK_ONE_ROWS) == 14
     for e in table1_entries():
         for sign in "+-":
-            mu = e.build(sign).mu
-            factors = rank_one_factors(mu)
-            if (e.rmatrix, e.row) in RANK_ONE_ROWS:
+            rank_one = is_rank_one(e.build(sign).mu)
+            assert rank_one == ((e.rmatrix, e.row) in RANK_ONE_ROWS), (e.rmatrix, e.row, sign)
+            if rank_one:
                 assert e.tag == "const-1"
-                _assert_factors(mu, factors)
-            else:
-                assert factors is None, (e.rmatrix, e.row, sign)
     for name in preset_names():
-        assert rank_one_factors(preset_dressings(name).eyb.mu) is None, name
-
-
-def test_rank_one_factors_refuses_a_full_pattern_of_rank_two():
-    ctx = ScalarContext(("p", "q"))
-    assert rank_one_factors(SquareMatrix.from_rows(ctx, [[1, 1], [1, 2]])) is None
-    assert rank_one_factors(SquareMatrix.from_rows(ctx, [[1, 0], [0, 0]])) is not None
-    assert rank_one_factors(SquareMatrix.from_rows(ctx, [[0, 0], [0, 0]])) is None
-    mu = SquareMatrix.from_rows(ctx, [["p", "p*q"], ["1+q", "q+q^2"]])
-    _assert_factors(mu, rank_one_factors(mu))
+        assert not is_rank_one(preset_dressings(name).eyb.mu), name
 
 
 def test_only_rank_one_weights_leave_the_matrix_path(monkeypatch):
@@ -803,7 +784,7 @@ def test_every_enhanced_rank_one_weight_the_library_builds_has_a_unit_eigenvalue
             for k, enhanced in enumerate(ops):
                 label = (rmatrix, row, sign, k)
                 assert verify_eyb(enhanced), label
-                assert rank_one_factors(enhanced.mu) is not None, label
+                assert is_rank_one(enhanced.mu), label
                 c = invariant._eigenvalue(enhanced)
                 assert c is not None and c.is_unit(), label
                 checked += 1
@@ -827,11 +808,60 @@ def test_rank_one_weights_match_matrix_path_in_base_three():
         v = [rng.choice(monomials[2:]) for _ in range(3)]
         mu = SquareMatrix.from_rows(ctx, [[f"({a})*({b})" for b in v] for a in u])
         op = EnhancedOperator(r, mu, ctx.parse("p"), ctx.parse("q^-1"))
-        factors = rank_one_factors(mu)
-        _assert_factors(mu, factors)
+        assert is_rank_one(mu), trial
         for b in _random_words(rng, 5, 4, 5):
             assert compute_ts(op, b).value == _matrix_path(op, b), (trial, b)
         assert _route(op) == "closure", trial
+
+
+def _singular_rank_two_operator(c="-1", changed=None):
+    """A base-3 operator in q with mu = diag(1, 1, 0), of rank two: R is
+    the scalar ``c`` on the pairs of labels 0 and 1, a unit swap of each
+    pair with a label 2, and R[(22), (00)] = 1.  So (mu (x) mu) R =
+    c (mu (x) mu), but R (mu (x) mu) has R[(22), (00)] where mu (x) mu has
+    0.  ``changed`` replaces R's entry at ((01), (01)) by its text."""
+    ctx = ScalarContext(("q",))
+    entries = {(a * 3 + b, a * 3 + b): ctx.parse(c) for a in (0, 1) for b in (0, 1)}
+    entries.update({(b * 3 + a, a * 3 + b): ctx.one()
+                    for a in range(3) for b in range(3) if 2 in (a, b)})
+    entries[8, 0] = ctx.one()
+    if changed is not None:
+        entries[1, 1] = ctx.parse(changed)
+    r = SquareMatrix(ctx, 9, entries)
+    return EnhancedOperator(r, SquareMatrix.diagonal(ctx, [1, 1, 0]), ctx.one(), ctx.one())
+
+
+def test_the_closed_form_takes_a_singular_weight_of_rank_two_that_meets_the_identity():
+    """The closed form is decided on (mu (x) mu) R = c (mu (x) mu) itself:
+    a weight of rank two that meets it with c = -1 takes it and equals the
+    matrix path on seeded words with letters of both signs.  The same
+    operator with R[(01), (01)] changed to 1 meets it for no c, and with
+    -(1 + q) for -1 on every pair of labels 0 and 1 for a c that is no
+    unit; both leave the closed form, and both still match (the latter on
+    positive words, as R^-1 is not in the ring).  A full rank-two weight on
+    R2.1/1's R meets it for no c."""
+    rng = random.Random(44)
+    words = _mixed_words(rng, 30, 4, 8)
+    op = _singular_rank_two_operator()
+    assert not is_rank_one(op.mu) and op.r.get(8, 0) == 1
+    assert invariant._structure(op) == invariant._Structure("closed form", op.ctx.scalar(-1))
+    changed = _singular_rank_two_operator(changed="1")
+    for label, checked in (("closed form", op), ("changed", changed)):
+        for b in words:
+            assert compute_ts(checked, b).value == _matrix_path(checked, b), (label, b)
+    no_unit = _singular_rank_two_operator("-(1+q)")
+    for b in words:
+        b = BraidWord(b.strands, tuple(map(abs, b.letters)))
+        assert compute_ts(no_unit, b).value == _matrix_path(no_unit, b), b
+    assert _route(changed) != "closed form" and _route(no_unit) != "closed form"
+    jones = get_table1_eyb("R2.1", 1)
+    mu = SquareMatrix.from_rows(jones.ctx, [[1, 1], [1, 2]])
+    assert invariant._eigenvalue(EnhancedOperator(jones.r, mu, jones.alpha, jones.beta)) is None
+    # the oracle's verdicts on the weights that the factorization was pinned on
+    ctx = ScalarContext(("p", "q"))
+    assert not is_rank_one(mu) and not is_rank_one(SquareMatrix.from_rows(ctx, [[0, 0], [0, 0]]))
+    assert is_rank_one(SquareMatrix.from_rows(ctx, [[1, 0], [0, 0]]))
+    assert is_rank_one(SquareMatrix.from_rows(ctx, [["p", "p*q"], ["1+q", "q+q^2"]]))
 
 
 def test_rank_one_push_refuses_a_state_space_above_the_cap(monkeypatch):
@@ -907,6 +937,13 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
     pieces.clear()
     compute_ts(op, word)
     assert pieces == [] and _route(op) == "closed form"
+    # the coloring sum reads R^-1's weights off R's inverse, and keeps no
+    # transposed inverse
+    entry = get_table1_entry("R3.1", 1)
+    op = entry.build(ctx=entry.context())
+    compute_ts(op, word)
+    assert _route(op) == "coloring" and ("weights", False) in op._closure
+    assert ("transpose", False) not in op._closure
 
 
 def _spy(monkeypatch, calls, module, name):
@@ -956,9 +993,9 @@ def test_compute_ts_keeps_its_closure_constants_per_operator_and_strand_count(mo
     trefoil, figure_eight, cinquefoil = (
         get_named_braid(name).braid for name in ("3_1", "4_1", "5_1"))
     expected = {b: _matrix_path(_rank_one_operator_without_c(), b) for b in (trefoil, cinquefoil)}
-    for name in ("rank_one_factors", "unknot_value", "_weight_rows", "pack"):
+    for name in ("_eigenvalue", "unknot_value", "_weight_rows", "pack"):
         _spy(monkeypatch, calls, invariant, name)
-    built = {"rank_one_factors": 1, "unknot_value": 1, "_weight_rows": 1, "pack": 1}
+    built = {"_eigenvalue": 1, "unknot_value": 1, "_weight_rows": 1, "pack": 1}
     op = _rank_one_operator_without_c()
     first = compute_ts(op, trefoil, normalized=True)
     # the unknot value Tr(mu) / beta is 1, so the normalized value is the raw one
@@ -972,7 +1009,7 @@ def test_compute_ts_keeps_its_closure_constants_per_operator_and_strand_count(mo
     # another strand count packs its own weight rows
     assert figure_eight.strands != trefoil.strands
     compute_ts(op, figure_eight)
-    assert calls == dict(built, rank_one_factors=0, unknot_value=0)
+    assert calls == dict(built, _eigenvalue=0, unknot_value=0)
     # and a fresh build of the same row computes everything again
     calls.update(dict.fromkeys(calls, 0))
     assert compute_ts(_rank_one_operator_without_c(), trefoil, normalized=True) == first
@@ -993,7 +1030,7 @@ def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
                         lambda x, k: powers.append((x, k)) or original(x, k))
     entry = get_table1_entry("R2.1", 1)
     op = entry.build(ctx=entry.context())
-    assert rank_one_factors(op.mu) is None
+    assert not is_rank_one(op.mu)
     trefoil, figure_eight = (get_named_braid(name).braid for name in ("3_1", "4_1"))
     first = compute_ts(op, trefoil).value
     assert (op.beta, 2) in powers
@@ -1032,7 +1069,7 @@ def test_a_second_push_builds_no_crossing_table(monkeypatch):
     monkeypatch.setattr(tensor, "_crossing_table", lambda r: built.append(r) or original(r))
     op = _rank_one_operator_without_c()
     word = get_named_braid("4_1").braid
-    assert rank_one_factors(op.mu) is not None and any(k < 0 for k in word.letters)
+    assert is_rank_one(op.mu) and any(k < 0 for k in word.letters)
     first = compute_ts(op, word).value
     # the left half (1, -2) pulls back through R^T and (R^-1)^T, each tabulated once
     kept = [op._closure[("transpose", positive)] for positive in (True, False)]
@@ -1044,7 +1081,7 @@ def test_a_second_push_builds_no_crossing_table(monkeypatch):
 
 
 def test_the_closed_form_pushes_nothing_and_checks_each_operator_once(monkeypatch):
-    """A rank-one row whose v (x) v is a left eigenvector of R packs, pushes,
+    """A rank-one row with (mu (x) mu) R = c (mu (x) mu) packs, pushes,
     inverts and tabulates nothing, and divides only to find its eigenvalue
     and its unknot value, once per operator; the unknot value's n-th power
     is kept per strand count."""
@@ -1163,11 +1200,11 @@ def test_classification_report_warm_equals_cold_and_the_goldens(monkeypatch):
     golden = Path(__file__).resolve().parent / "golden"
     monkeypatch.setattr(eyb, "_shared_ops", {})
     calls = {}
-    for spied in ("rank_one_factors", "unknot_value", "_weight_rows", "pack"):
+    for spied in ("_eigenvalue", "unknot_value", "_weight_rows", "pack"):
         _spy(monkeypatch, calls, invariant, spied)
     for sign, name in (("+", "classify_plus.json"), ("-", "classify_minus.json")):
         cold = classification_report(sign=sign)
-        assert calls["rank_one_factors"] == calls["unknot_value"] == len(table1_entries())
+        assert calls["_eigenvalue"] == calls["unknot_value"] == len(table1_entries())
         calls.update(dict.fromkeys(calls, 0))
         warm = classification_report(sign=sign)
         assert calls == dict.fromkeys(calls, 0)

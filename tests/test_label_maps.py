@@ -33,9 +33,8 @@ OTHERS = ["1+x", "x-2", "x^2+x^-1"]
 def _by_half_word_closure(op, b):
     """alpha^-w beta^-n Tr(rep mu^(x n)) by the half-word closure, with its
     refusals: the strand cap, then R^-1 for a negative letter."""
-    n = b.strands
-    total = invariant._slots(op, n)
-    return invariant._weighted(op, b, invariant._half_word_closure(op, b, 0, total), n)
+    invariant._slots(op, b.strands)
+    return invariant._weighted(op, b, invariant._half_word_closure(op, b, 0), b.strands)
 
 
 def _one_entry_per_column(op):
