@@ -38,52 +38,24 @@ class RMatrixSpec(Record):
         self.__dict__.update(name=name, ctx=ctx, matrix=matrix, constraints=constraints)
 
 
+# name: (generators, table in pair order, generators that must be nonzero)
 _CATALOG_TABLES = {
-    "R3.1": (
-        ("p", "q", "s"),
-        [[1, 0, 0, 0], [0, 0, "q", 0], [0, "p", 0, 0], [0, 0, 0, "s"]],
-        ("p", "q", "s"),
-    ),
-    "R2.1": (
-        ("p", "q"),
-        [[1, 0, 0, 0], [0, 0, "q", 0], [0, "p", "1-p*q", 0], [0, 0, 0, 1]],
-        ("p", "q"),
-    ),
-    "R2.2": (
-        ("p", "q"),
-        [[1, 0, 0, 0], [0, 0, "q", 0], [0, "p", "1-p*q", 0], [0, 0, 0, "-p*q"]],
-        ("p", "q"),
-    ),
-    "R2.3": (
-        ("p", "q"),
-        [[1, 1, "p", "q"], [0, 0, 1, 1], [0, 1, 0, "p"], [0, 0, 0, 1]],
-        (),
-    ),
-    "R1.1": (
-        ("q",),
-        [
-            ["1+2*q-q^2", 0, 0, "1-q^2"],
-            [0, "1-q^2", "1+q^2", 0],
-            [0, "1+q^2", "1-q^2", 0],
-            ["1-q^2", 0, 0, "1-2*q-q^2"],
-        ],
-        ("q",),
-    ),
-    "R1.2": (
-        ("q",),
-        [[1, 0, 0, 1], [0, 0, "q", 0], [0, 1, "1-q", 0], [0, 0, 0, "-q"]],
-        ("q",),
-    ),
-    "R1.3": (
-        ("q",),
-        [[1, 1, -1, "q"], [0, 0, 1, "-q"], [0, 1, 0, "q"], [0, 0, 0, 1]],
-        (),
-    ),
-    "R1.4": (
-        ("q",),
-        [[0, 0, 0, "q"], [0, 1, 0, 0], [0, 0, 1, 0], ["q", 0, 0, 0]],
-        ("q",),
-    ),
+    "R3.1": (("p", "q", "s"), [[1, 0, 0, 0], [0, 0, "q", 0], [0, "p", 0, 0], [0, 0, 0, "s"]],
+             ("p", "q", "s")),
+    "R2.1": (("p", "q"), [[1, 0, 0, 0], [0, 0, "q", 0], [0, "p", "1-p*q", 0], [0, 0, 0, 1]],
+             ("p", "q")),
+    "R2.2": (("p", "q"), [[1, 0, 0, 0], [0, 0, "q", 0], [0, "p", "1-p*q", 0],
+                          [0, 0, 0, "-p*q"]], ("p", "q")),
+    "R2.3": (("p", "q"), [[1, 1, "p", "q"], [0, 0, 1, 1], [0, 1, 0, "p"], [0, 0, 0, 1]],
+             ()),
+    "R1.1": (("q",), [["1+2*q-q^2", 0, 0, "1-q^2"], [0, "1-q^2", "1+q^2", 0],
+                      [0, "1+q^2", "1-q^2", 0], ["1-q^2", 0, 0, "1-2*q-q^2"]], ("q",)),
+    "R1.2": (("q",), [[1, 0, 0, 1], [0, 0, "q", 0], [0, 1, "1-q", 0], [0, 0, 0, "-q"]],
+             ("q",)),
+    "R1.3": (("q",), [[1, 1, -1, "q"], [0, 0, 1, "-q"], [0, 1, 0, "q"], [0, 0, 0, 1]],
+             ()),
+    "R1.4": (("q",), [[0, 0, 0, "q"], [0, 1, 0, 0], [0, 0, 1, 0], ["q", 0, 0, 0]],
+             ("q",)),
 }
 
 CATALOG_NAMES = tuple(_CATALOG_TABLES)
@@ -122,15 +94,16 @@ def check_ybe(r):
     r's context.
 
     The residual R12 R23 R12 - R23 R12 R23 is P R12 - R23 P, P = R12 R23,
-    and the rows of R12 and R23 are built from R's entries by index
-    arithmetic.  Each residual entry is a signed sum of 2 * b**3 products of
-    three entries of R, so ``ring.kronecker(ctx, entries, 2 * b**3)``
-    maps R's entries to ints on which P and the residual are exact int
-    products and sums: an entry is zero exactly when its int is 0, and only
-    the first nonzero one is read back to a Scalar.  Where that map does not
-    apply (roots, i, exponents near the edge of the range, ints above its
-    bit cap), R12 and R23 are embedded as matrices, ``tensor.matmul`` forms
-    P and ``tensor.matmul_sub`` the residual.
+    and the rows of R12 and R23, lists of (column, int) pairs, are built
+    from R's nonzero entries by index arithmetic.  Each residual entry is a
+    signed sum of 2 * b**3 products of three entries of R, so
+    ``ring.kronecker(ctx, entries, 2 * b**3)`` maps R's entries to ints on
+    which P and the residual are exact int products and sums: an entry is
+    zero exactly when its int is 0, and only the first nonzero one, the
+    smallest violated index, is read back to a Scalar.  Where that map does
+    not apply (roots, i, exponents near the edge of the range, ints above
+    its bit cap), R12 and R23 are embedded as matrices, ``tensor.matmul``
+    forms P and ``tensor.matmul_sub`` the residual.
     """
     base = _crossing_base(r.side)
     if base ** 3 > MAX_STATES:
@@ -148,40 +121,34 @@ def check_ybe(r):
             return Verdict(True)
         index = min(diff)
         return Verdict(False, index=index, residual=diff[index])
-    ints, read = ints
-    r12, r23 = _crossings(ints, base, r.side)
-    p, none = {}, {}
-    for row, left in r12.items():
-        acc = p[row] = {}
-        get = acc.get
-        for mid, x in left.items():
-            for col, y in r23.get(mid, none).items():
-                acc[col] = get(col, 0) + x * y
-    for row in sorted(p.keys() | r23.keys()):  # P R12 - R23 P, one row at a time
+    ints, read, _ = ints
+    # the rows of R12 and R23 on b**3 states, lists of (column, int), by index arithmetic
+    r12, r23 = [[] for _ in range(base * r.side)], [[] for _ in range(base * r.side)]
+    for (row, col), x in ints.items():
+        for k in range(base):
+            r12[row * base + k].append((col * base + k, x))
+            r23[k * r.side + row].append((k * r.side + col, x))
+    p = []
+    for left in r12:
         acc = {}
         get = acc.get
-        for mid, x in p.get(row, none).items():
-            for col, y in r12.get(mid, none).items():
+        for mid, x in left:
+            for col, y in r23[mid]:
                 acc[col] = get(col, 0) + x * y
-        for mid, x in r23.get(row, none).items():
-            for col, y in p.get(mid, none).items():
+        p.append(list(acc.items()))
+    for row, (left, right) in enumerate(zip(p, r23)):  # P R12 - R23 P, one row at a time
+        acc = {}
+        get = acc.get
+        for mid, x in left:
+            for col, y in r12[mid]:
+                acc[col] = get(col, 0) + x * y
+        for mid, x in right:
+            for col, y in p[mid]:
                 acc[col] = get(col, 0) - x * y
         cols = [col for col, v in acc.items() if v]
         if cols:
-            col = min(cols)
-            return Verdict(False, index=(row, col), residual=read(acc[col]))
+            return Verdict(False, index=(row, min(cols)), residual=read(acc[min(cols)]))
     return Verdict(True)
-
-
-def _crossings(entries, base, side):
-    """The rows of R12 and R23 on base**3 states, {row: {col: value}}, from
-    R's {(row, col): value} ``entries``, by index arithmetic."""
-    r12, r23 = {}, {}
-    for (row, col), x in entries.items():
-        for k in range(base):
-            r12.setdefault(row * base + k, {})[col * base + k] = x
-            r23.setdefault(k * side + row, {})[k * side + col] = x
-    return r12, r23
 
 
 class TransformSpec(Record):

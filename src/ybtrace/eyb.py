@@ -4,10 +4,10 @@ A quadruple is *enhanced* when R commutes with mu (x) mu and the partial
 trace over the second slot of R^{+-1} composed with mu (x) mu reproduces
 alpha^{+-1} beta mu.  These conditions make the weighted braid trace a link
 invariant.  ``verify_eyb`` decides an operator of base 2 whose R holds no
-root on Kronecker-substituted ints first: three int identities, the third
-with R^-1 replaced by its adjugate, under an exponent gate that keeps
-every product of either path in range.  Every other operator, and every
-one the ints do not show to pass, takes the exact path on Scalars.
+root on Kronecker-substituted ints first, multiplying only nonzero ones:
+three int identities, the third with R^-1 replaced by its adjugate, and
+det R a unit, read off its int.  Every other operator, and every one the
+ints do not show to pass, takes the exact path on Scalars.
 
 The registry below lists, for each catalog R-matrix, its enhancing rows
 together with their parameter restrictions and the character of the
@@ -68,19 +68,19 @@ def verify_eyb(op):
 
     With M = mu (x) mu, P = alpha beta mu and N = alpha^-1 beta mu, the
     conditions are RM = MR, Tr_2(RM) = P and Tr_2(R^-1 M) = N, as
-    Tr_2(Y (1 x mu)) mu = Tr_2(Y M).  An R of side 4 with no root, sharing
-    one context with mu, alpha and beta, goes first to ``_holds_on_ints``.
-    It forms M, P and N as Scalars, which carry the roots, and maps R, M,
-    P, N and 1 by ``ring.kronecker`` for products of degree 5.  There
-    RM = MR, Tr_2(RM) = P and Tr_2(adj(R) M) = det(R) N, the third
-    condition times det R, must hold, and det R, the one int read back,
-    must be a unit, so R is never inverted.  The map's exponent gate has
-    reach 9 plus one per root: R^-1's entries reach 3 hi - 4 lo over R's
-    exponents, the exact path multiplies them by two of mu's, and reducing
-    a root's square, at most once per root, multiplies in a radicand term,
-    so no product of either path overflows.  Every other operator, and any
-    the ints do not pass (a refused map, an overflow forming P or N
-    included), takes the exact path, which builds the failing residual.
+    Tr_2(Y (1 x mu)) mu = Tr_2(Y M).  M forms each of its mirrored products
+    once.  An R of side 4 with no root, sharing one context with mu, alpha
+    and beta, goes first to ``_holds_on_ints``.  It maps R, M, P, N and 1 by
+    ``ring.kronecker`` for products of degree 5, where RM = MR, Tr_2(RM) = P
+    and Tr_2(adj(R) M) = det(R) N, the third condition times det R, must
+    hold, and det R must be a unit, so R is never inverted and no int is
+    read back.  The map's exponent gate has reach 9 plus one per root: R^-1's
+    entries reach 3 hi - 4 lo over R's exponents, the exact path multiplies
+    them by two of mu's, and reducing a root's square, at most once per
+    root, multiplies in a radicand term, so no product of either path
+    overflows.  Every other operator, and any the ints do not pass (a
+    refused map, an overflow forming P or N included), takes the exact
+    path, which builds the failing residual.
     """
     if op.alpha.is_zero() or not op.alpha.is_unit():
         raise NotAUnit("alpha must be an invertible monomial")
@@ -119,26 +119,32 @@ def _exact_conditions(op, mumu):
     return Verdict(True)
 
 
-# the (column, other two columns) of the three terms, signed + - +, of a 3x3
-# cofactor of a 4x4 matrix that leaves out column j, for j = 0..3
-_COFACTOR = [[(k, tuple(c for c in cols if c != k)) for k in cols]
-             for cols in ([c for c in range(4) if c != j] for j in range(4))]
+# in a 4x4 cofactor without column i, the sign (+ - +) and other two columns of column k
+_COFACTOR = [{k: (-1 if n == 1 else 1, tuple(c for c in cols if c != k))
+              for n, k in enumerate(cols)}
+             for cols in ([c for c in range(4) if c != i] for i in range(4))]
 
 
-def _adjugate(a):
-    """(adj a, det a) for a 4x4 matrix of ints, a list of rows.  The cofactor
-    of (i, j) is expanded along row i ^ 1, the other row of i's pair,
-    against the 2x2 minors of the other pair of rows, which sits below it
-    for i < 2 and above it for i >= 2; either way the signs run + - +."""
-    minors = [{(j, k): x[j] * y[k] - x[k] * y[j] for j in range(4) for k in range(j + 1, 4)}
-              for x, y in (a[2:], a[:2])]
-    adj = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        row, minor = a[i ^ 1], minors[i // 2]
-        for j, ((k0, m0), (k1, m1), (k2, m2)) in enumerate(_COFACTOR):
-            c = row[k0] * minor[m0] - row[k1] * minor[m1] + row[k2] * minor[m2]
-            adj[j][i] = -c if (i + j) % 2 else c
-    return adj, sum([x * adj[j][0] for j, x in enumerate(a[0])])
+def _minors(x, y):
+    """The 2x2 minors {(j, k): x[j] y[k] - x[k] y[j], j < k} of rows of nonzero ints."""
+    minors = {}
+    for j, u in x.items():
+        for k, v in y.items():
+            if j != k:
+                key, uv = ((j, k), u * v) if j < k else ((k, j), -u * v)
+                minors[key] = minors.get(key, 0) + uv
+    return minors
+
+
+def _product(a, b):
+    """The nonzero entries, by 4 row + column, of the product of two 4x4
+    matrices of ints given as rows {column: int} of nonzero ints."""
+    out = {}
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            for k, y in b[j].items():
+                out[4 * i + k] = out.get(4 * i + k, 0) + x * y
+    return {key: v for key, v in out.items() if v}
 
 
 def _holds_on_ints(op, mumu):
@@ -148,7 +154,8 @@ def _holds_on_ints(op, mumu):
     as many entries, one side times the int of 1 where needed.  An entry of
     adj(R) is 6 products of three of R's, and det R 24 of four, so a
     difference sums at most 2 * 4 * 6 + 24 = 72 products.  mu is mapped for
-    the exponent gate only."""
+    the exponent gate only.  Only nonzero ints are multiplied, and only the
+    entries of adj(R) that det R and Tr_2(adj(R) M) read are formed."""
     ctx, r = op.ctx, op.r
     if r.side != 4 or not (r.ctx is ctx and op.alpha.ctx is ctx and op.beta.ctx is ctx):
         return False
@@ -165,23 +172,46 @@ def _holds_on_ints(op, mumu):
     mapped = kronecker(ctx, entries, 72, 5, 9 + len(ctx.root_names), range(16, 44))
     if mapped is None:
         return False
-    ints, read = mapped
-    v = [ints.get(k, 0) for k in range(45)]
-    rows, one = [v[k:k + 4] for k in range(0, 16, 4)], v[44]
-    cols = list(zip(*[v[k:k + 4] for k in range(16, 32, 4)]))  # M's columns
-    rm = [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in rows]
-    if rm != [[sum([x * y for x, y in zip(row, col)]) for col in zip(*rows)]
-              for row in zip(*cols)]:
+    ints, _, width = mapped
+    rows, m_rows = [{}, {}, {}, {}], [{}, {}, {}, {}]  # R's and M's ints by row
+    for i, j in r.entries:
+        rows[i][j] = ints[4 * i + j]
+    for j, k in mumu.entries:
+        m_rows[j][k] = ints[16 + 4 * j + k]
+    rm = _product(rows, m_rows)
+    if rm != _product(m_rows, rows):
         return False
-    adj, det = _adjugate(rows)
-    for a in range(2):
-        for c in range(2):
-            traced = [(2 * a + b, 2 * c + b) for b in range(2)]
-            if (sum([rm[i][j] for i, j in traced]) != v[36 + 2 * a + c] * one
-                    or sum([x * y for i, j in traced for x, y in zip(adj[i], cols[j])]) * one
-                    != det * v[40 + 2 * a + c]):
-                return False
-    return read(det * one).is_unit()
+    minors, adj = [_minors(*rows[2:]), _minors(*rows[:2])], {}
+
+    def adjugate(i, j):
+        """adj(R)[i, j], formed once: the cofactor of (j, i) along row j ^ 1,
+        against the minors of the other pair of rows, signed + - +."""
+        z = adj.get((i, j))
+        if z is None:
+            z, terms, minor = 0, _COFACTOR[i], minors[j >> 1]
+            for k, x in rows[j ^ 1].items():
+                if k != i:
+                    sign, rest = terms[k]
+                    z += sign * x * minor.get(rest, 0)
+            z = adj[i, j] = -z if (i + j) & 1 else z
+        return z
+
+    det = sum([x * adjugate(i, 0) for i, x in rows[0].items()])
+    low = (det & -det).bit_length() - 1
+    # R holds no root, so det R is a unit when its int is one nonzero
+    # balanced digit of the map's width
+    if not det or abs(det >> low // width * width).bit_length() >= width:
+        return False
+    one, traced = ints[44], [0] * 4  # Tr_2(adj(R) M), entry (a, c) at 2 a + c
+    for j, m_row in enumerate(m_rows):
+        for k, y in m_row.items():
+            for i in (k & 1, 2 + (k & 1)):
+                traced[i & 2 | k >> 1] += adjugate(i, j) * y
+    # entry (a, c) of Tr_2(RM) sums RM at (2 a + b, 2 c + b), 8 a + 2 c + 5 b
+    return all([rm.get(8 * a + 2 * c, 0) + rm.get(8 * a + 2 * c + 5, 0)
+                == ints.get(36 + 2 * a + c, 0) * one
+                and traced[2 * a + c] * one == det * ints.get(40 + 2 * a + c, 0)
+                for a in (0, 1) for c in (0, 1)])
 
 
 def specialize(op, bindings, target):

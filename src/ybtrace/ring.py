@@ -743,9 +743,9 @@ MAX_KRONECKER_BITS = 1 << 16
 
 
 def kronecker(ctx, entries, count, degree=3, reach=None, rooted=()):
-    """({index: int}, read) for the Scalars ``entries`` of ``ctx`` by Kronecker
-    substitution, or None where it does not apply; ContextMismatch for an
-    entry outside ``ctx``.
+    """({index: int}, read, width) for the Scalars ``entries`` of ``ctx`` by
+    Kronecker substitution, or None where it does not apply; ContextMismatch
+    for an entry outside ``ctx``.
 
     The ints add and multiply as the entries do, and ``read(v)`` is the exact
     Scalar of an int v formed as a signed sum of at most ``count`` products
@@ -764,7 +764,8 @@ def kronecker(ctx, entries, count, degree=3, reach=None, rooted=()):
     * A coefficient of such a sum is at most count * N^degree in size, N the
       largest l1 norm of an entry's numerators over L, and B is one bit more
       than that bound has, so the sum is the int with each coefficient one
-      balanced base-2^B digit, below 2^(B-1) in size: ``read`` gives them back.
+      balanced base-2^B digit, below 2^(B-1) in size: ``read`` gives them back,
+      and ``width`` is B.
 
     Only the entries whose index is in ``rooted`` may hold a root, whose 0/1
     exponent is one more digit.  The caller's sums must multiply at most one
@@ -830,7 +831,7 @@ def kronecker(ctx, entries, count, degree=3, reach=None, rooted=()):
             idx += 1
         return _from_terms(ctx, terms)
 
-    return ints, read
+    return ints, read, width
 
 
 def pow_int(x, k):

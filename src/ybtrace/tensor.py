@@ -252,7 +252,8 @@ def matmul_sub(a, b, c, d):
 def kron(a, b):
     """Kronecker product; the left factor is most significant.  Raises
     DimensionMismatch, before anything is built, when the product would store
-    more than MAX_ENTRIES entries."""
+    more than MAX_ENTRIES entries.  kron(a, a) forms each mirrored pair of
+    its products once."""
     _check_ctx(a, b)
     stored = len(a.entries) * len(b.entries)
     if stored > MAX_ENTRIES:
@@ -260,11 +261,12 @@ def kron(a, b):
             f"Kronecker product of {len(a.entries)} and {len(b.entries)} entries "
             f"stores {stored} entries, above the cap of {MAX_ENTRIES}"
         )
-    side = a.side * b.side
+    side, s = a.side * b.side, b.side
     entries = {}
-    for (ra, ca), va in a.entries.items():
-        for (rb, cb), vb in b.entries.items():
-            entries[(ra * b.side + rb, ca * b.side + cb)] = va * vb
+    for n, ((ra, ca), va) in enumerate(a.entries.items()):
+        for m, ((rb, cb), vb) in enumerate(b.entries.items()):
+            entries[(ra * s + rb, ca * s + cb)] = (
+                entries[(rb * s + ra, cb * s + ca)] if a is b and m < n else va * vb)
     return SquareMatrix(a.ctx, side, entries)
 
 

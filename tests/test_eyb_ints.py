@@ -6,7 +6,8 @@ every other operator, and every one those ints do not show to pass, to the
 exact path (``eyb._exact_conditions``).  The operators the ``verify``
 benchmark checks must never need the exact path; perturbed and edge-case
 operators must get the exact path's verdict, residual, error and message;
-and the kernel's degree-5 and rooted maps must read back as the Scalar sums.
+a passing check reads no int back; and the kernel's degree-5 and rooted
+maps must read back as the Scalar sums.
 """
 
 import json
@@ -15,9 +16,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from test_dot import CONTEXTS, _assert_same, _assert_same_matrix
 
-from ybtrace import eyb
+from ybtrace import catalog, eyb
 from ybtrace.cli import main
 from ybtrace.dressing import preset_dressings
 from ybtrace.errors import (
@@ -26,7 +28,7 @@ from ybtrace.errors import (
 )
 from ybtrace.eyb import EnhancedOperator, eyb_to_json, get_table1_eyb, verify_eyb
 from ybtrace.ring import MAX_EXPONENT, MAX_KRONECKER_BITS, Scalar, ScalarContext, kronecker
-from ybtrace.tensor import SquareMatrix, kron, matmul, scalar_scale
+from ybtrace.tensor import SquareMatrix, embed_generator, kron, matmul, matmul_sub, scalar_scale
 
 # the off-diagonal slot of the benchmark similarity's Q, by the row's sign
 SLOTS = {"+": (0, 1), "-": (1, 0)}
@@ -232,6 +234,116 @@ def test_a_weight_of_side_one_is_refused_before_any_product(monkeypatch, capsys,
     assert (code, captured.err, captured.out) == (1, f"error: {message}\n", "")
 
 
+def _reads(monkeypatch):
+    """A list that grows by the int on each read back to a Scalar by
+    ``check_ybe`` or ``verify_eyb``."""
+    reads = []
+
+    def mapped(*args):
+        got = kronecker(*args)
+        if got is None:
+            return None
+        ints, read, *rest = got
+
+        def counted(v):
+            reads.append(v)
+            return read(v)
+
+        return (ints, counted, *rest)
+
+    for module in (catalog, eyb):
+        monkeypatch.setattr(module, "kronecker", mapped)
+    return reads
+
+
+# R = 2 E00 + 2 E31 - q E32 + 2 E33: the only nonzero entry of its residual
+# is at (7, 5), in the last row of the check's scan
+_LAST_ROW_ONLY = {(0, 0): "2", (3, 1): "2", (3, 2): "-q", (3, 3): "2"}
+
+
+def _last_row_only():
+    ctx = ScalarContext(("q",))
+    return SquareMatrix(ctx, 4, {key: ctx.parse(v) for key, v in _LAST_ROW_ONLY.items()})
+
+
+def test_a_passing_check_reads_no_int_back_and_a_failing_ybe_check_one(monkeypatch):
+    reads = _reads(monkeypatch)
+    ops = [op for _, op in _table1()]
+    for seed in (1, 2, 3):
+        rng = random.Random(f"verify-{seed}")
+        ops += [c for sign, op in _table1() for c in _candidates(op, sign, rng)]
+    assert len(ops) == 46 + 3 * 138
+    for op in ops:
+        assert catalog.check_ybe(op.r) and verify_eyb(op)
+    assert reads == []
+    r = _last_row_only()
+    got = catalog.check_ybe(r)
+    assert got == oracles.check_ybe_by_embedding(r) and got.index == (7, 5)
+    assert len(reads) == 1 and got.residual == r.ctx.parse("-8 - 4*q")
+
+
+def _cancelling(ctx):
+    """An operator whose RM holds, at (0, 2), two products that cancel where
+    MR stores none, and whose MR does so at (2, 0): with mu = [[0, 1], [-1,
+    -1]], this R commutes with mu (x) mu, and both traces are -mu."""
+    rows = [[1, 2, 0, 2], [-2, -3, 0, -2], [0, 0, -1, 0], [2, 2, 0, 1]]
+    q = ctx.gen("q")
+    r = SquareMatrix(ctx, 4, {(i, j): q * v for i, row in enumerate(rows)
+                              for j, v in enumerate(row) if v})
+    mu = SquareMatrix(ctx, 2, {(0, 1): ctx.one(), (1, 0): -ctx.one(), (1, 1): -ctx.one()})
+    return EnhancedOperator(r, mu, q, -ctx.one())
+
+
+def test_the_sparse_kernels_edge_cases_get_the_exact_paths_verdicts(monkeypatch):
+    """Each case against the exact path and its R against the embedding
+    route; an operator that passes never takes the exact path."""
+    ctx = ScalarContext(("q",))
+    one, q = ctx.one(), ctx.gen("q")
+    zero_mu = SquareMatrix(ctx, 2, {})
+    corner = SquareMatrix(ctx, 2, {(0, 0): one})  # mu of rank one: M holds one entry
+    # q on the first state, a swap of the middle two and q^-1 on the last
+    block = SquareMatrix(ctx, 4, {(0, 0): q, (1, 2): one, (2, 1): one, (3, 3): q ** -1})
+    cancelling = _cancelling(ctx)
+    dense = _candidates(get_table1_eyb("R1.1", 2), "+", random.Random("verify-1"))[0]
+    assert len(dense.r.entries) == 16 and len(dense.mu.entries) == 4
+    cases = {
+        "RM cancels where MR is empty": (cancelling, True),
+        "MR cancels where RM is empty": (EnhancedOperator(
+            cancelling.r.transpose(), cancelling.mu.transpose(), q, -one), True),
+        "an empty row": (EnhancedOperator(
+            SquareMatrix.diagonal(ctx, [1, 1, 1, 0]), corner, one, one), NonInvertible),
+        "mu of rank one": (EnhancedOperator(block, corner, q, one), True),
+        "mu of rank one, beta off": (EnhancedOperator(block, corner, q, 2 * one), "trace2"),
+        "a dense R": (dense, True),
+        "a dense R with R off": (EnhancedOperator(
+            SquareMatrix(dense.ctx, 4, {**dense.r.entries,
+                                        (3, 0): dense.r.get(3, 0) + dense.ctx.gen("q")}),
+            dense.mu, dense.alpha, dense.beta), "commute"),
+        "a det of one term": (EnhancedOperator(
+            SquareMatrix.diagonal(ctx, [q, 1, 1, -1]), zero_mu, one, one), True),
+        # det q - 1 is the int 2^width - 1: two digits, the lower one -1
+        "a det of two terms": (EnhancedOperator(
+            SquareMatrix.diagonal(ctx, [q - 1, 1, 1, 1]), zero_mu, one, one),
+            InverseOutsideRing),
+        "a det of two terms, reversed": (EnhancedOperator(
+            SquareMatrix.diagonal(ctx, [1 - q, 1, 1, 1]), zero_mu, one, one),
+            InverseOutsideRing),
+    }
+    calls = _exact_calls(monkeypatch)
+    for name, (op, want) in cases.items():
+        calls.clear()
+        got = _assert_as_exact(monkeypatch, op)
+        assert (got[0] if isinstance(got, tuple) else got.condition or got.ok) == want, name
+        assert len(calls) == (1 if want is True else 2), name  # one for the reference
+        r_got = catalog.check_ybe(op.r)
+        assert r_got == oracles.check_ybe_by_embedding(op.r), name
+    r = _last_row_only()
+    r12, r23 = embed_generator(r, 1, 3), embed_generator(r, 2, 3)
+    p = matmul(r12, r23)
+    assert list(matmul_sub(p, r12, r23, p).entries) == [(7, 5)]
+    assert catalog.check_ybe(r) == oracles.check_ybe_by_embedding(r)
+
+
 # -- the kernel ---------------------------------------------------------------
 
 
@@ -254,7 +366,7 @@ def test_the_int_of_a_sum_of_degree_5_products_with_one_rooted_factor_reads_back
         plain = {k: _scalar(rng, ctx, False) for k in range(rng.randint(1, 4))}
         rooted = {10 + k: _scalar(rng, ctx, True) for k in range(rng.randint(1, 3))}
         entries = {**plain, **rooted}
-        ints, read = kronecker(ctx, entries, 4, 5, 5, rooted)
+        ints, read, _ = kronecker(ctx, entries, 4, 5, 5, rooted)
         total, want = 0, ctx.zero()
         for _ in range(4):
             keys = [rng.choice(list(plain)) for _ in range(4)]
@@ -268,7 +380,7 @@ def test_the_int_of_a_sum_of_degree_5_products_with_one_rooted_factor_reads_back
         _assert_same(read(total), want)
     # the root's digit round-trips alone, and a root outside ``rooted`` refuses the map
     root = ctx.gen(ctx.root_names[-1])
-    ints, read = kronecker(ctx, {0: root, 1: ctx.one()}, 1, 5, 5, (0,))
+    ints, read, _ = kronecker(ctx, {0: root, 1: ctx.one()}, 1, 5, 5, (0,))
     _assert_same(read(ints[0] * ints[1] ** 4), root)
     assert kronecker(ctx, {0: root}, 1, 5) is None
 
