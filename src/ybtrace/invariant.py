@@ -15,8 +15,8 @@ form, c^w alpha^(-w) (Tr(mu) / beta)^n for writhe w.  Proof: write
 M = mu^(x n).  Then M R_i^(+-1) = c^(+-1) M, so M rep = c^w M, and
 Tr(rep M) = Tr(M rep) = c^w Tr(mu)^n.  This is the registry's
 ``intertwine`` column, and holds on all 14 rank-one rows and on every
-enhanced operator the library builds from them.  Nothing is pushed or
-divided, and R is not inverted.
+enhanced operator the library builds from them.  No matrix is
+multiplied, nothing is divided, and R is not inverted.
 
 Otherwise a charge filtration may apply: give label d the charge d and a
 state the sum of its digits.  If the entries of R and the off-diagonal
@@ -80,24 +80,24 @@ Every other operator takes the half-word closure, which ``open_trace``
 shares with the strands 2..n closed instead of all of them.  With rep = A B for
 the left and right halves of the word, the partial trace over the k
 closed slots of rep (1 (x) M), M = mu^(x k), is that of (1 (x) M) A B,
-because 1 (x) M acts on the traced slots only.  B is built as a sparse
-matrix from the embeddings kept on R and R^-1; the rows of 1 (x) M, packed
-as one vector, are pulled back through A, one letter at a time by
-``push_at`` on the transposed crossing, and one ``ring.contract`` against
-B's columns gives the block left on the kept strands.  That block is
-divided by beta once per closed slot and multiplied by alpha^(-writhe).
-``alexander_nabla`` is the open trace of row R1.2/1's image at q = t^-2
-(sqrt_q -> t^-1), kept after its first call.
+because 1 (x) M acts on the traced slots only.  Both halves are products
+of the embeddings kept on R and R^-1, as ``SquareMatrix`` products: B is
+built by ``braid_representation``, and W = 1 (x) M is multiplied by A's
+letters one at a time (``matmul``); one ``ring.dot_entries`` of W A's
+rows against B's columns gives the block left on the kept strands.  That
+block is divided by beta once per closed slot and multiplied by
+alpha^(-writhe).  ``alexander_nabla`` is the open trace of row R1.2/1's
+image at q = t^-2 (sqrt_q -> t^-1), kept after its first call.
 
 What depends only on the operator is kept on it on first use: the
 verdict, with the eigenvalue c for the closed form and the filtration's
 weights, with op_J, for the coloring sum; R^-1's weights for the coloring
 sum; the unknot value; per strand count n the unknot value's n-th power
-when there is a c; per strand count and kept strand count the packed rows
-of 1 (x) M, when they hold at most ``tensor.MAX_ENTRIES`` entries; per
-closed-slot count k beta^k; and the transposes of R and R^-1.  The
-crossings keep their tables and embeddings on their matrices.  Nothing
-keyed by a braid word or a writhe is kept.
+when there is a c; per strand count and kept strand count the matrix W,
+when it holds at most ``tensor.MAX_ENTRIES`` entries; and per
+closed-slot count k beta^k.  R keeps its inverse, and R and R^-1 their
+embeddings, on themselves.  Nothing keyed by a braid word or a writhe is
+kept.
 """
 
 import itertools
@@ -119,8 +119,7 @@ from .eyb import (
     EnhancedOperator, _check_sides, get_table1_eyb, specialize, table1_entries, verify_eyb,
 )
 from .ring import (
-    MAX_EXPONENT, ScalarContext, contract, dot_entries, format_scalar, pack, pow_int,
-    try_div_exact,
+    MAX_EXPONENT, ScalarContext, dot_entries, format_scalar, pow_int, try_div_exact,
 )
 from .tensor import (
     MAX_ENTRIES,
@@ -132,7 +131,6 @@ from .tensor import (
     invert,
     matadd,
     matmul,
-    push_at,
     scalar_scale,
     trace,
 )
@@ -236,31 +234,28 @@ def _closed_form(op, b, c):
     return pow_int(c, w) * pow_int(op.alpha, -w) * power
 
 
-def _weight_rows(mu, keep, k):
-    """The nonzero rows of 1^(x keep) (x) mu^(x k), one at a time in row
-    order, each a sparse vector keyed by row * base^(keep + k) + column, so
-    that rows merge into one vector; a row is built when it is asked for."""
-    base, one = mu.side, mu.ctx.one()
+def _weight_batches(mu, keep, k):
+    """W = 1^(x keep) (x) mu^(x k) as matrices of its side that hold its
+    nonzero rows in row order, at most MAX_ENTRIES entries each; a row is
+    built when its batch is asked for."""
+    base, ctx, one = mu.side, mu.ctx, mu.ctx.one()
     total = base ** (keep + k)
     mu_rows = {}
     for (r, c), x in mu.entries.items():
         mu_rows.setdefault(r, {})[c] = x
     digits = sorted(mu_rows.items())
+    batch = {}
     for i in range(base ** keep):
         for picks in itertools.product(digits, repeat=k):
             state, row = i, {i: one}
             for digit, entries in picks:
                 state = state * base + digit
                 row = {t * base + d: x * y for t, x in row.items() for d, y in entries.items()}
-            yield {state * total + t: x for t, x in row.items()}
-
-
-def _pullback(op, positive):
-    """R^T, or (R^-1)^T when not ``positive``: the crossing that pulls a row
-    vector back through a letter of that sign; kept on ``op`` under the key
-    ("transpose", positive)."""
-    return _kept(op, ("transpose", positive),
-                 lambda: (op.r if positive else invert(op.r)).transpose())
+            if len(batch) + len(row) > MAX_ENTRIES:
+                yield SquareMatrix._built(ctx, total, batch)
+                batch = {}
+            batch.update({(state, t): x for t, x in row.items() if not x.is_zero()})
+    yield SquareMatrix._built(ctx, total, batch)
 
 
 def _slots(op, n):
@@ -308,38 +303,35 @@ def _diagonal(block, side):
 def _half_word_closure(op, b, keep):
     """The block value of ``_closure`` on Scalars (module docstring).
 
-    Block entry (i, j) sums row (i, s) of (1 (x) mu^(x k)) A against column
-    (j, s) of B over the closed states s, for rep(b) = A B split at the
-    middle letter.  Rows within the entry cap are kept on ``op``, packed as
-    one vector keyed by row * states + column, and pulled back through A
-    together; others are built, packed and pulled one at a time.  Each
-    pull is a ``ring.push`` and the block one ``ring.contract`` of the
-    pulled rows against B's columns, both front ends of ``ring.join``.
+    Block entry (i, j) sums row (i, s) of W A against column (j, s) of B
+    over the closed states s, for W = 1^(x keep) (x) mu^(x k) and
+    rep(b) = A B split at the middle letter.  W is kept on ``op`` when it
+    holds at most MAX_ENTRIES entries; else its rows are built in batches
+    of at most that many (``_weight_batches``) and not kept.  Each batch
+    is multiplied by A's letters one at a time, by the embeddings that R
+    and R^-1 keep, and meets B in one ``ring.dot_entries``.
     """
     n, base, ctx = b.strands, op.base_dim, op.ctx
-    k, total = n - keep, base ** n
-    split = len(b.letters) // 2
-    left = b.letters[:split]
+    k, split = n - keep, len(b.letters) // 2
     right = braid_representation(op.r, BraidWord(n, b.letters[split:])).entries
-    pullbacks = {positive: _pullback(op, positive) for positive in {letter > 0 for letter in left}}
     if base ** keep * len(op.mu.entries) ** k > MAX_ENTRIES:
-        batches = (pack(ctx, row) for row in _weight_rows(op.mu, keep, k))
+        batches = _weight_batches(op.mu, keep, k)
     else:
-        batches = (_kept(op, ("rows", n, keep), lambda: pack(ctx, {
-            key: x for row in _weight_rows(op.mu, keep, k)
-            for key, x in row.items()})),)
-    # B's entry (x, (j, s)) meets the pulled row (i, s) at column x
+        batches = (_kept(op, ("rows", n, keep), lambda: next(_weight_batches(op.mu, keep, k))),)
+    # B's entry (x, (j, s)) meets W A's entry ((i, s), x)
     closed = base ** k
     columns = {}
     for (x, c), v in right.items():
         j, s = divmod(c, closed)
-        for i in range(base ** keep):
-            columns.setdefault((i * closed + s) * total + x, []).append(((i, j), v))
+        columns.setdefault((x, s), []).append((j, v))
     block = {}
-    for vec in batches:
-        for letter in left:
-            vec = push_at(pullbacks[letter > 0], abs(letter), n, vec)
-        for key, v in contract(vec, columns).items():
+    for left in batches:
+        for letter in b.letters[:split]:
+            crossing = op.r if letter > 0 else invert(op.r)
+            left = matmul(left, crossing.embedding(abs(letter), n))
+        for key, v in dot_entries(ctx, [
+                ((row // closed, j), u, y) for (row, x), u in left.entries.items()
+                for j, y in columns.get((x, row % closed), ())], ()).items():
             block[key] = block[key] + v if key in block else v
     value = _diagonal({key: v for key, v in block.items() if not v.is_zero()}, base ** keep)
     return ctx.zero() if value is None else value

@@ -40,7 +40,7 @@ integral and a Fraction otherwise: a new dict {doubled exponent tuple:
 own code never builds that view; ``Scalar.term_count()`` counts its terms.
 
 Sums of products run in two loops: ``dot`` for one Scalar, and ``join`` for
-one sum per key, which ``push``, ``contract`` and ``dot_entries`` feed.
+one sum per key, which ``dot_entries`` feeds.
 """
 
 import math
@@ -569,8 +569,8 @@ def dot(ctx, pairs):
 
 def join(ctx, products):
     """({key: raw accumulator}, denominator) of the sums of x * y / d over the
-    (key, x, d, y) ``products``: the ring's keyed loop, behind ``push``,
-    ``contract`` and ``dot_entries``.
+    (key, x, d, y) ``products``: the ring's keyed loop, behind
+    ``dot_entries``.
 
     x is a {packed key: int numerator} dict, y an iterable of (packed key,
     int numerator) pairs and d a nonzero int, whose sign is the product's.
@@ -637,104 +637,12 @@ def dot_entries(ctx, plus, minus):
     return {key: _scalar(ctx, acc, den) for key, acc in out.items()}
 
 
-# -- packed vectors ------------------------------------------------------------
-
-
-class PackedVector:
-    """A sparse vector of ring elements kept as raw terms.
-
-    Entry ``index`` is ``_packed[index]``, a {packed key: int numerator} dict,
-    over the one positive denominator ``_den`` that all entries share.  No
-    entry is empty, but no gcd is taken either: the terms are reduced to a
-    Scalar only by ``unpack`` and ``contract``.  Built by ``pack`` and
-    ``push``; two vectors are equal when their entries are.
-    """
-
-    __slots__ = ("ctx", "_packed", "_den")
-
-    def __init__(self, ctx, packed, den):
-        self.ctx, self._packed, self._den = ctx, packed, den
-
-    def __len__(self):
-        """The number of nonzero entries."""
-        return len(self._packed)
-
-    def unpack(self):
-        """{index: Scalar} of the entries, in the vector's order."""
-        ctx, den = self.ctx, self._den
-        return {index: _scalar(ctx, acc, den) for index, acc in self._packed.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, PackedVector):
-            return NotImplemented
-        return self.ctx == other.ctx and self.unpack() == other.unpack()
-
-
 def _check_scalars(ctx, values):
     """True, or ContextMismatch for a value outside ``ctx``."""
     for x in values:
         if x.ctx is not ctx and x.ctx != ctx:
             raise ContextMismatch(f"contexts differ: {ctx!r} vs {x.ctx!r}")
     return True
-
-
-def pack(ctx, vec):
-    """The PackedVector of the nonzero entries of ``vec``, {index: Scalar of
-    ``ctx``}, over the lcm of their denominators; ContextMismatch for a
-    scalar outside ``ctx``."""
-    _check_scalars(ctx, vec.values())
-    den = math.lcm(*(x._den for x in vec.values()))
-    return PackedVector(ctx, {
-        index: x._nums if x._den == den
-        else {k: c * (den // x._den) for k, c in x._nums.items()}
-        for index, x in vec.items() if x._nums}, den)
-
-
-def crossing_table(ctx, side, columns):
-    """The form of a crossing that ``push`` applies.
-
-    ``columns`` maps each column of an operator of side ``side`` (a digit
-    pair) to its (row - column, Scalar) entries in row order.  Each Scalar
-    is kept as the list of its (key, numerator) pairs, the y terms of
-    ``join``, and its denominator.  ContextMismatch for an entry outside
-    ``ctx``.
-    """
-    _check_scalars(ctx, (x for entries in columns.values() for _, x in entries))
-    return ctx, side, {pair: [(delta, list(x._nums.items()), x._den) for delta, x in entries]
-                       for pair, entries in columns.items()}
-
-
-def push(vec, table, right):
-    """The image of the PackedVector ``vec`` under a crossing table applied at
-    the digit pair just above the lowest ``right`` states.
-
-    A state's pair digit is (state // right) % side; the crossing's column
-    for that digit sends the state to state + (row - column) * right with
-    its entry as factor, so the digits above and below the pair pass
-    through.  One ``join``, so the image is as raw as ``vec``: no gcd, no
-    Scalar.  ContextMismatch when the table belongs to another context.
-    """
-    ctx, side, columns = table
-    if ctx is not vec.ctx and ctx != vec.ctx:
-        raise ContextMismatch(f"contexts differ: {vec.ctx!r} vs {ctx!r}")
-    dx = vec._den
-    return PackedVector(ctx, *join(ctx, [
-        (state + delta * right, x, dx * d, terms) for state, x in vec._packed.items()
-        for delta, terms, d in columns.get(state // right % side, ())]))
-
-
-def contract(vec, pairs):
-    """{key: sum of vec[s] * y over the (key, y) pairs listed under each
-    index s of ``vec``}, holding only the nonzero sums.
-
-    ``pairs`` maps an index to its (key, y) pairs, y a Scalar of the
-    vector's context (ContextMismatch otherwise).  One ``join``.
-    """
-    ctx, dx = vec.ctx, vec._den
-    out, den = join(ctx, [(key, x, dx * y._den, y._nums.items())
-                          for index, x in vec._packed.items() for key, y in pairs.get(index, ())
-                          if y.ctx is ctx or _check_scalars(ctx, (y,))])
-    return {key: _scalar(ctx, acc, den) for key, acc in out.items()}
 
 
 # The integers of ``kronecker`` hold at most this many bits, as MAX_ENTRIES
@@ -774,7 +682,7 @@ def kronecker(ctx, entries, count, degree=3, reach=None, rooted=()):
 
     None for a term with an i, or with a root outside ``rooted``; for
     exponents where a product of ``reach`` (default ``degree``) factors
-    could leave [-MAX_EXPONENT, MAX_EXPONENT) (where the packed kernels
+    could leave [-MAX_EXPONENT, MAX_EXPONENT) (where ``dot`` and ``join``
     raise ExponentOverflow), each factor a term of an entry or, with
     ``rooted`` entries, of a radicand, which reducing a root's square
     multiplies in; and for ints of S * B bits above MAX_KRONECKER_BITS.

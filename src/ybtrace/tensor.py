@@ -20,8 +20,8 @@ from .errors import (
     PositionOutOfRange,
 )
 from .ring import (
-    Scalar, crossing_table, dot, dot_entries, json_field, push, scalar_from_json,
-    scalar_to_json, substitute, try_div_exact,
+    Scalar, dot, dot_entries, json_field, scalar_from_json, scalar_to_json, substitute,
+    try_div_exact,
 )
 
 # Largest state count (matrix side) that braid_representation and
@@ -67,17 +67,17 @@ class SquareMatrix:
     entries are kept in (row, column) order.
 
     What is derived from the entries alone is kept on first use: the
-    inverse (``invert``), the crossing table that ``push_at`` applies, the
-    entries grouped by row (``matmul``'s right operand) and the embeddings
-    asked for by ``embedding``, these up to MAX_ENTRIES entries in total.
+    inverse (``invert``), the entries grouped by row (``matmul``'s right
+    operand) and the embeddings asked for by ``embedding``, these up to
+    MAX_ENTRIES entries in total.
     """
 
-    __slots__ = ("ctx", "side", "entries", "_inverse", "_table", "_row_index", "_embeddings")
+    __slots__ = ("ctx", "side", "entries", "_inverse", "_row_index", "_embeddings")
 
     def __init__(self, ctx, side, entries):
         self.ctx = ctx
         self.side = side
-        self._inverse = self._table = self._row_index = self._embeddings = None
+        self._inverse = self._row_index = self._embeddings = None
         clean = {}
         for (r, c) in sorted(entries):
             if not (0 <= r < side and 0 <= c < side):
@@ -93,7 +93,7 @@ class SquareMatrix:
         ``side``: sorted, with neither check."""
         a = object.__new__(cls)
         a.ctx, a.side, a.entries = ctx, side, {key: entries[key] for key in sorted(entries)}
-        a._inverse = a._table = a._row_index = a._embeddings = None
+        a._inverse = a._row_index = a._embeddings = None
         return a
 
     @classmethod
@@ -318,32 +318,6 @@ def embed_generator(r, i, n):
             for b in range(right):
                 entries[(row_hi + b, col_hi + b)] = v
     return SquareMatrix._built(r.ctx, base ** n, entries)
-
-
-def _crossing_table(r):
-    """r's columns as the ``ring.crossing_table`` that ``ring.push`` applies,
-    kept on r."""
-    columns = {}
-    for (rr, rc), v in r.entries.items():
-        columns.setdefault(rc, []).append((rr - rc, v))
-    r._table = crossing_table(r.ctx, r.side, columns)
-    return r._table
-
-
-def push_at(r, i, n, packed):
-    """The image of a ``ring.PackedVector`` under a two-slot operator at
-    tensor slots (i, i+1) of an n-fold space of r's base.
-
-    A state's digit pair at (i, i+1) selects a column of r, and only that
-    column's stored entries are applied (``ring.push``, a front end of
-    ``ring.join``), so nothing is embedded.  The digits above the n slots
-    pass through, so vectors packed under keys index * base^n + state are
-    pushed as one.  r's crossing table is kept on r, so a push builds it
-    once per crossing.
-    """
-    base = _slot_base(r, i, n)
-    table = _crossing_table(r) if r._table is None else r._table
-    return push(packed, table, base ** (n - i - 1))
 
 
 def trace(a):

@@ -11,17 +11,16 @@ the block's strands kept as they come.  ``is_rank_one`` decides a
 weight's rank one by its 2x2 minors, with no factorization.  The
 Kronecker-power contractions form mu^(x n) and the product with it, and
 are the reference for ``weighted_trace_sequential``, the weighted trace
-the invariant tests close a whole word's matrix with; the engine never
-forms either.  The
+the invariant tests close a whole word's matrix with; the engine builds
+mu^(x k) only row by row, as the half-word closure's weight.  The
 ``*_sequential`` contractions add each product to its entry with +, as the
 library did before it summed each entry with ``ring.dot``, and
 ``matmul_sub_by_pairs`` is the product residual as it was before its keyed
 kernel, one ``ring.dot`` per entry, and ``check_ybe_by_embedding`` the
 Yang-Baxter check on embedded matrices, the reference of its integer
-route; ``apply_at_by_pairs`` is the push as it was before the packed
-vector, one ``ring.dot`` per output state; ``keyed_sums`` and
-``push_by_offset_table`` are the keyed loop and the push as they were
-before ``ring.join``.  The checked inverse and division are the ring's routes before its fast paths.  The
+route; ``keyed_sums`` is the keyed loop as it was before ``ring.join``.
+``apply_at_sequential``, the image of a vector under a crossing at two
+slots, is the reference of ``tensor.embed_generator``.  The checked inverse and division are the ring's routes before its fast paths.  The
 term-dict arithmetic, over the Fraction-based GaussianRational below, is
 the reference for the ring's packed terms and int coefficients, and the
 ``*_by_exps`` text forms at the end are the scalar text and JSON as the
@@ -33,17 +32,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from operator import or_
 
 from ybtrace.errors import ContextMismatch, DimensionMismatch, ParseError
 from ybtrace.ring import (
-    _BIAS, _NUMERAL_RE, _OUTSIDE, PackedVector, _coeff, _from_terms, _scalar, _settle, dot,
-    json_field, pack,
+    _BIAS, _NUMERAL_RE, _OUTSIDE, _coeff, _from_terms, _scalar, _settle, dot, json_field,
 )
 from ybtrace.tensor import (
     MAX_STATES, SquareMatrix, Verdict, _check_ctx, _check_operands, _crossing_base, _slot_base,
-    embed_generator, invert, kron, matmul, matmul_sub, push_at,
+    embed_generator, invert, kron, matmul, matmul_sub,
 )
 
 
@@ -510,10 +508,11 @@ def partial_trace(a, slots, base):
 
 # -- contractions summed one product at a time ----------------------------------
 #
-# The library's matmul, the push and weighted_trace (since removed; verify_eyb
-# contracts its one traced slot itself) as they were before their entries
-# became one ring.dot each: every product is added to its entry's running
-# Scalar with +.
+# The library's matmul, the push of a vector through a crossing at two slots
+# and weighted_trace (the last two since removed; an embedding multiplies a
+# crossing in, and verify_eyb contracts its one traced slot itself) as they
+# were before their entries became one ring.dot each: every product is added
+# to its entry's running Scalar with +.
 
 
 def matmul_sequential(a, b):
@@ -547,25 +546,6 @@ def apply_at_sequential(r, i, n, vec):
             term = v * x
             out[key] = out[key] + term if key in out else term
     return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def apply_at_by_pairs(r, i, n, vec):
-    """``apply_at`` above as it was before ``ring.push``: each output state's
-    (entry, x) pairs listed under it and summed by one ``ring.dot`` (a lone
-    pair by *), zeros dropped."""
-    base = _slot_base(r, i, n)
-    right = base ** (n - i - 1)
-    column = {}
-    for (rr, rc), v in r.entries.items():
-        column.setdefault(rc, []).append((rr, v))
-    pairs = {}
-    for state, x in vec.items():
-        head, low = divmod(state, right)
-        head, pair = divmod(head, r.side)
-        for row, v in column.get(pair, ()):
-            pairs.setdefault((head * r.side + row) * right + low, []).append((v, x))
-    sums = {k: p[0][0] * p[0][1] if len(p) == 1 else dot(r.ctx, p) for k, p in pairs.items()}
-    return {k: v for k, v in sums.items() if not v.is_zero()}
 
 
 def weighted_trace_sequential(a, mu, slots):
@@ -658,10 +638,8 @@ def check_ybe_by_embedding(r):
 
 # -- the keyed loops before ring.join --------------------------------------------
 #
-# ``ring.push``, ``ring.contract`` and ``ring.dot_entries`` as they were when
-# each summed its own products: the push with its own packed loop and finish
-# over a crossing table whose term keys are offset by the zero key, and the
-# other two through ``keyed_sums``, with a running denominator per key.
+# ``ring.dot_entries`` as it was when it summed its own products, through
+# ``keyed_sums``, with a running denominator per key.
 
 
 def settled(ctx, acc, den):
@@ -678,7 +656,7 @@ def settled(ctx, acc, den):
 def keyed_sums(ctx, products):
     """{key: sum of sign * x * y over the (key, x, x denominator, y, sign)
     ``products``}, holding only the nonzero sums: the ring's keyed loop
-    before ``ring.join``, reached by ``dot_entries`` and ``contract``.
+    before ``ring.join``, reached by ``dot_entries``.
 
     x is a raw {packed key: int numerator} dict and y a Scalar, which must
     lie in ``ctx`` (ContextMismatch otherwise).  Each key is ``dot`` with its
@@ -737,92 +715,9 @@ def dot_entries_by_keyed_sums(ctx, plus, minus):
     return keyed_sums(ctx, products)
 
 
-def contract_by_keyed_sums(vec, pairs):
-    """{key: sum of vec[s] * y over the (key, y) pairs listed under each
-    index s of ``vec``}, holding only the nonzero sums.
-
-    ``pairs`` maps an index to its (key, y) pairs, y a Scalar of the
-    vector's context (ContextMismatch otherwise).  One ``keyed_sums``, each
-    entry's terms over the vector's denominator.
-    """
-    den = vec._den
-    return keyed_sums(vec.ctx, [(key, x, den, y, 1) for index, x in vec._packed.items()
-                                for key, y in pairs.get(index, ())])
-
-
-def offset_crossing_table(table):
-    """The crossing table that ``push_by_offset_table`` reads, from a
-    ``ring.crossing_table``: every term key less the zero key, and the
-    numerators over the lcm of the entries' denominators."""
-    ctx, side, columns = table
-    zero = ctx._layout.zero
-    den = math.lcm(*(d for entries in columns.values() for _, _, d in entries))
-    return ctx, side, {pair: [(delta, [(k - zero, c * (den // d)) for k, c in terms])
-                              for delta, terms, d in entries]
-                       for pair, entries in columns.items()}, den
-
-
-def push_by_offset_table(vec, table, right):
-    """The image of the PackedVector ``vec`` under a crossing table applied at
-    the digit pair just above the lowest ``right`` states.
-
-    A state's pair digit is (state // right) % side; the crossing's column
-    for that digit sends the state to state + (row - column) * right with
-    its entry as factor, so the digits above and below the pair pass
-    through.  Every output index has one raw accumulator over the product of
-    the two denominators; an entry landing on a fresh index fills it with
-    its first term in one comprehension, which forms no zero.  Guard-bit
-    keys and zeros stay in the accumulators until the finish, so a product
-    past the exponent range raises ExponentOverflow even when it cancels.
-    The finish tests all keys at once for a guard bit; if one is set, every
-    accumulator goes through ``settled``, and the vector goes over one
-    denominator again when a radicand with a denominator grew one.  Then
-    zeros and empty accumulators are dropped.  Neither a gcd nor a Scalar
-    is formed.  ContextMismatch when the table belongs to another context.
-    """
-    ctx, side, columns, den = table
-    if ctx is not vec.ctx and ctx != vec.ctx:
-        raise ContextMismatch(f"contexts differ: {vec.ctx!r} vs {ctx!r}")
-    out = {}
-    get = out.get
-    for state, x in vec._packed.items():
-        entries = columns.get(state // right % side)
-        if entries is None:
-            continue
-        x_items = x.items()
-        for delta, terms in entries:
-            index = state + delta * right
-            acc = get(index)
-            if acc is None:
-                k2, c2 = terms[0]
-                acc = out[index] = {k1 + k2: c1 * c2 for k1, c1 in x_items}
-                if len(terms) == 1:
-                    continue
-                terms = terms[1:]
-            acc_get = acc.get
-            for k2, c2 in terms:
-                for k1, c1 in x_items:
-                    k = k1 + k2
-                    acc[k] = acc_get(k, 0) + c1 * c2
-    den *= vec._den
-    if reduce(or_, chain.from_iterable(out.values()), 0) & ctx._layout.guard:
-        out = {index: settled(ctx, acc, den) for index, acc in out.items()}
-        up = math.lcm(*(d // den for _, d in out.values()))
-        out = {index: acc if d == den * up else {k: c * (den * up // d) for k, c in acc.items()}
-               for index, (acc, d) in out.items()}
-        den *= up
-    if not (all(out.values()) and all(map(all, map(dict.values, out.values())))):
-        out = {index: acc for index, acc in out.items() if any(acc.values())}
-        for acc in out.values():
-            if not all(acc.values()):  # a few zeros: deleted in place
-                for k in [k for k, c in acc.items() if not c]:
-                    del acc[k]
-    return PackedVector(ctx, out, den)
-
-
-# -- matrix difference and dict push ---------------------------------------------
+# -- matrix difference -----------------------------------------------------------
 #
-# No library code calls these; the tests state residuals and pushes with them.
+# No library code calls it; the tests state residuals with it.
 
 
 def matsub(a, b):
@@ -832,14 +727,6 @@ def matsub(a, b):
     for key, v in b.entries.items():
         acc[key] = acc[key] - v if key in acc else -v
     return SquareMatrix(a.ctx, a.side, acc)
-
-
-def apply_at(r, i, n, vec):
-    """Image of a sparse vector, {state index: Scalar}, under a two-slot
-    operator at tensor slots (i, i+1) of an n-fold space: ``vec`` packed,
-    pushed by ``tensor.push_at`` and unpacked to its nonzero entries.
-    """
-    return push_at(r, i, n, pack(r.ctx, vec)).unpack()
 
 
 # -- the ring's checked routes ---------------------------------------------------

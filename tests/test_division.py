@@ -223,7 +223,7 @@ def test_a_product_settles_a_roots_square_before_it_tests_the_range():
     """R2.1/1's alpha = p^-1*q^-1*sqrt_pq: alpha^8191 * alpha is
     alpha^8192 = p^-4096*q^-4096, in range, though p and q leave the range
     until sqrt_pq^2 is replaced by p*q, by a product, by ``ring.dot`` and
-    by ``ring.contract``.  Products whose result is out of range still
+    by ``ring.dot_entries``.  Products whose result is out of range still
     raise ExponentOverflow, with a root's square or without."""
     alpha = eyb.get_table1_eyb("R2.1", 1).alpha
     ctx = alpha.ctx
@@ -231,7 +231,7 @@ def test_a_product_settles_a_roots_square_before_it_tests_the_range():
     assert high == ctx.parse("p^-4096*q^-4096*sqrt_pq")
     assert high * alpha == alpha * high == pow_int(alpha, 8192) == top
     assert ring.dot(ctx, [(high, alpha)]) == top
-    assert ring.contract(ring.pack(ctx, {0: high}), {0: [("x", alpha)]}) == {"x": top}
+    assert ring.dot_entries(ctx, [("x", high, alpha)], ()) == {"x": top}
     for product in (lambda: top * alpha, lambda: high * high, lambda: top * ctx.gen("p", -1),
                     lambda: ring.dot(ctx, [(high, alpha * alpha)])):
         with pytest.raises(ExponentOverflow):

@@ -1,8 +1,9 @@
 """``ring.dot`` against the sum of products it replaces, ``ring.dot_entries``
-and the packed vector's contraction against one ``dot`` per key, the
-contractions built on them against the sequential ones and the earlier
-residual and push routes in ``oracles``, and the front ends of
-``ring.join`` against the push and keyed loop it replaced.
+against one ``dot`` per key, the contractions built on them against the
+sequential ones and the earlier residual routes in ``oracles``, a crossing
+applied to a vector by its embedding against the sequential push, and
+``ring.dot_entries``, the front end of ``ring.join``, against the keyed
+loop it replaced.
 
 ``dot`` must give the very Scalar that adding x * y one pair at a time
 gives: equal, with the same text and the same numerators over the same
@@ -23,10 +24,7 @@ from ybtrace import catalog, eyb, invariant, tensor
 from ybtrace.braid import BraidWord
 from ybtrace.dressing import preset_dressings
 from ybtrace.errors import ContextMismatch, DimensionMismatch, ExponentOverflow
-from ybtrace.ring import (
-    MAX_EXPONENT, PackedVector, Scalar, ScalarContext, contract, dot, dot_entries,
-    format_scalar, pack, push,
-)
+from ybtrace.ring import MAX_EXPONENT, Scalar, ScalarContext, dot, dot_entries, format_scalar
 
 CONTEXTS = {
     "R1.1": ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),)),
@@ -149,6 +147,22 @@ def _assert_same_matrix(got, want):
         _assert_same(value, want.entries[key])
 
 
+def _applied(r, i, n, vec):
+    """The image of the sparse vector ``vec`` under r at slots (i, i+1) of n
+    on the matrix kernels, as the half-word closure applies a crossing: r's
+    kept ``embedding`` times the column of vec, by ``matmul``."""
+    embedding = r.embedding(i, n)
+    column = tensor.SquareMatrix(embedding.ctx, embedding.side, {(s, 0): x for s, x in vec.items()})
+    return {s: x for (s, _), x in tensor.matmul(embedding, column).entries.items()}
+
+
+def _assert_same_vectors(got, want):
+    """The same entries, ``got`` in state order as ``matmul`` leaves them."""
+    assert list(got) == sorted(want)
+    for state, value in got.items():
+        _assert_same(value, want[state])
+
+
 def test_matmul_is_the_sequential_product_on_every_row():
     for k, op in enumerate(_operators()):
         r, rinv = op.r, tensor.invert(op.r)
@@ -174,11 +188,8 @@ def test_seeded_words_push_and_multiply_as_the_sequential_ones():
             _assert_same_matrix(invariant.braid_representation(op.r, word), rep)
             vec = {state: rng.choice(entries) for state in range(rep.side)}
             for g, i in gens:
-                pushed = oracles.apply_at(g, i, 3, vec)
-                want = oracles.apply_at_sequential(g, i, 3, vec)
-                assert list(pushed) == list(want)
-                for state, value in pushed.items():
-                    _assert_same(value, want[state])
+                pushed = _applied(g, i, 3, vec)
+                _assert_same_vectors(pushed, oracles.apply_at_sequential(g, i, 3, vec))
                 vec = pushed
 
 
@@ -363,16 +374,16 @@ def test_matmul_sub_raises_for_an_overflow_that_cancels_and_for_a_foreign_entry(
 
 
 def test_contract_and_weighted_trace_raise_for_an_overflow_that_cancels():
-    """The push's contraction, the sequential weighted trace and verify_eyb's
-    trace condition on Scalars raise where products leave the exponent
-    range, though their sum cancels."""
+    """The half-word closure's contraction (``dot_entries``), the sequential
+    weighted trace and verify_eyb's trace condition on Scalars raise where
+    products leave the exponent range, though their sum cancels."""
     ctx = ScalarContext(("q",))
     q = ctx.gen("q")
     for big, small in ((ctx.gen("q", MAX_EXPONENT - 1), q),
                        (ctx.gen("q", -MAX_EXPONENT), q ** -1)):
         # big*small - big*small is zero in its key, but both products leave the range
         with pytest.raises(ExponentOverflow):
-            contract(pack(ctx, {0: big, 1: q}), {0: [(0, small), (0, -small)], 1: [(1, q)]})
+            dot_entries(ctx, [(0, big, small), (0, big, -small), (1, q, q)], ())
         a = tensor.SquareMatrix(ctx, 4, {(0, 0): big, (1, 1): -big, (2, 2): q})
         mu = tensor.SquareMatrix(ctx, 2, {(0, 0): small, (1, 1): small})
         with pytest.raises(ExponentOverflow):
@@ -450,7 +461,7 @@ def test_verify_eyb_fails_each_condition_with_the_matrix_routes_residual():
             assert not verdict.residual.is_zero()
 
 
-# -- the packed push against the pair-list and sequential oracles -------------------
+# -- a crossing applied by its embedding against the sequential push -------------
 
 
 def _random_vector(rng, ctx, states):
@@ -459,66 +470,23 @@ def _random_vector(rng, ctx, states):
     return {s: x for s, x in vec.items() if not x.is_zero()}
 
 
-def _pushes(r, i, n, vec):
-    """The image of vec by every route: push_at on the packed vector,
-    apply_at, and the two oracles."""
-    return (tensor.push_at(r, i, n, pack(r.ctx, vec)).unpack(),
-            oracles.apply_at(r, i, n, vec),
-            oracles.apply_at_by_pairs(r, i, n, vec),
-            oracles.apply_at_sequential(r, i, n, vec))
-
-
-def _assert_same_vectors(got, want):
-    assert list(got) == list(want)
-    for state, value in got.items():
-        _assert_same(value, want[state])
-
-
-@pytest.mark.parametrize("name", sorted(CONTEXTS))
-def test_push_at_and_apply_at_are_the_pair_list_and_sequential_pushes(name):
-    """Random crossings of base 2 and 3 at every slot of 2 to 4 slots, on
-    vectors of the n slots and on vectors packed above them (index *
-    base^n + state); the images agree entry by entry and in order."""
-    ctx = CONTEXTS[name]
-    rng = random.Random(20261019)
-    for _ in range(40):
-        base = rng.choice((2, 2, 3))
-        n = rng.randint(2, 3 if base == 3 else 4)
-        r = _random_matrix(rng, ctx, base * base)
-        states = base ** n
-        vec = _random_vector(rng, ctx, states)
-        above = {k * states + s: x for k in range(3) for s, x in _random_vector(rng, ctx, states).items()}
-        for i in range(1, n):
-            for v in (vec, above):
-                routes = _pushes(r, i, n, v)
-                for want in routes[1:]:
-                    _assert_same_vectors(routes[0], want)
-
-
 def test_push_settles_guard_bits_as_the_oracles_do():
-    """i * i, a root squared onto a radicand with a denominator (which puts
-    the whole vector over a larger denominator), and an overflowing product
-    that cancels, which still raises."""
+    """A crossing applied by its embedding (``matmul``) settles i * i, a
+    root squared onto a radicand with a denominator, and an overflowing
+    product that cancels, which still raises, as the sequential push does."""
     ctx = CONTEXTS["radicand-with-denominator"]
     i, s, q = ctx.i(), ctx.gen("s"), ctx.gen("q")
     r = tensor.SquareMatrix(ctx, 4, {(0, 0): i, (1, 0): s, (2, 1): q + s, (1, 2): s,
                                      (3, 3): ctx.scalar(2)})
     vec = {0: i + q, 1: s * q, 3: ctx.parse("p/5"), 4: 3 * s}
-    packed = tensor.push_at(r, 1, 3, pack(ctx, vec))
-    routes = _pushes(r, 1, 3, vec)
-    for want in routes[1:]:
-        _assert_same_vectors(packed.unpack(), want)
-    assert packed == pack(ctx, routes[3]) and len(packed) == len(routes[3])
+    _assert_same_vectors(_applied(r, 1, 3, vec), oracles.apply_at_sequential(r, 1, 3, vec))
     # a product past the exponent range that cancels in its output state
     plain = ScalarContext(("q",))
     big, q = plain.gen("q", MAX_EXPONENT - 1), plain.gen("q")
     r = tensor.SquareMatrix(plain, 4, {(0, 0): big, (0, 1): big, (3, 3): q})
-    for route in (lambda v: tensor.push_at(r, 1, 2, pack(plain, v)),
-                  lambda v: oracles.apply_at(r, 1, 2, v),
-                  lambda v: oracles.apply_at_by_pairs(r, 1, 2, v),
-                  lambda v: oracles.apply_at_sequential(r, 1, 2, v)):
+    for route in (_applied, oracles.apply_at_sequential):
         with pytest.raises(ExponentOverflow):
-            route({0: q, 1: -q, 3: q})
+            route(r, 1, 2, {0: q, 1: -q, 3: q})
 
 
 def test_push_refuses_a_scalar_of_another_context():
@@ -527,28 +495,32 @@ def test_push_refuses_a_scalar_of_another_context():
     r = tensor.SquareMatrix(ctx, 4, {(0, 0): q, (1, 2): q, (2, 1): q, (3, 3): q})
     foreign_vec = {0: q, 2: other.gen("q")}
     foreign_r = tensor.SquareMatrix(ctx, 4, {(0, 0): q, (3, 3): other.gen("q")})
-    routes = (lambda r, v: tensor.push_at(r, 1, 2, pack(ctx, v)),
-              lambda r, v: oracles.apply_at(r, 1, 2, v),
-              lambda r, v: oracles.apply_at_by_pairs(r, 1, 2, v),
-              lambda r, v: oracles.apply_at_sequential(r, 1, 2, v))
-    for route in routes:
+    for route in (_applied, oracles.apply_at_sequential):
         for args in ((r, foreign_vec), (foreign_r, {0: q, 3: q})):
             with pytest.raises(ContextMismatch):
-                route(*args)
-    # a vector of one context pushed by the crossing of another
+                route(args[0], 1, 2, args[1])
+    # a vector of one context multiplied by the embedding of another's crossing
     with pytest.raises(ContextMismatch):
-        tensor.push_at(r, 1, 2, pack(other, {0: other.gen("q")}))
+        tensor.matmul(r.embedding(1, 2), tensor.SquareMatrix(other, 4, {(0, 0): other.gen("q")}))
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_contract_is_one_dot_per_key(name):
+    """The half-word closure's contraction of a vector's entries against
+    the (key, y) pairs listed under each index, one ``dot_entries`` of
+    their triples, is one ``dot`` per key."""
     ctx = CONTEXTS[name]
     rng = random.Random(20261020)
+
+    def contract(vec, pairs):
+        return dot_entries(ctx, [(key, x, y) for s, x in vec.items()
+                                 for key, y in pairs.get(s, ())], ())
+
     for _ in range(150):
         vec = _random_vector(rng, ctx, 6)
         pairs = {s: [(rng.randrange(3), _random_scalar(rng, ctx)) for _ in range(rng.randint(0, 3))]
                  for s in range(8) if rng.random() < 0.7}
-        got = contract(pack(ctx, vec), pairs)
+        got = contract(vec, pairs)
         for key in range(3):
             want = dot(ctx, [(vec[s], y) for s, listed in pairs.items() if s in vec
                              for k, y in listed if k == key])
@@ -557,31 +529,11 @@ def test_contract_is_one_dot_per_key(name):
             else:
                 _assert_same(got[key], want)
     with pytest.raises(ContextMismatch):
-        contract(pack(ctx, {0: ctx.one()}), {0: [(0, ScalarContext(("z",)).one())]})
-    assert contract(pack(ctx, {}), {0: [(0, ctx.one())]}) == {}
+        contract({0: ctx.one()}, {0: [(0, ScalarContext(("z",)).one())]})
+    assert contract({}, {0: [(0, ctx.one())]}) == {}
 
 
-def test_a_packed_vector_is_its_nonzero_entries():
-    ctx = CONTEXTS["R1.1"]
-    vec = {3: ctx.parse("1/2*q"), 0: ctx.zero(), 5: ctx.parse("sqrt_1mq2/3 - 1")}
-    packed = pack(ctx, vec)
-    assert isinstance(packed, PackedVector) and len(packed) == 2
-    assert list(packed.unpack()) == [3, 5]
-    assert packed.unpack() == {3: vec[3], 5: vec[5]}
-    assert packed == pack(ctx, {5: vec[5], 3: vec[3]}) != pack(ctx, {3: vec[3]})
-
-
-# -- the join's front ends against the kernels they replace ----------------------
-
-
-def _old_push(vec, table, right):
-    return oracles.push_by_offset_table(vec, oracles.offset_crossing_table(table), right)
-
-
-def _assert_same_packed(got, want):
-    """The same entries in the same order, none of them zero."""
-    assert len(got) == len(want)
-    _assert_same_vectors(got.unpack(), want.unpack())
+# -- the join's front end against the kernel it replaces ------------------------
 
 
 def _assert_same_sums(got, want):
@@ -592,22 +544,12 @@ def _assert_same_sums(got, want):
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_the_join_front_ends_are_the_kernels_they_replace(name):
-    """``push``, ``contract`` and ``dot_entries`` against the parent's packed
-    push and keyed loop (``oracles``) on seeded packed vectors, crossings
-    and triples, zeros and mixed denominators included, and with every
-    minus triple's terms listed on the plus side as well."""
+    """``dot_entries`` against the keyed loop it had before ``ring.join``
+    (``oracles``) on seeded triples, zeros and mixed denominators included,
+    and with every minus triple's terms listed on the plus side as well."""
     ctx = CONTEXTS[name]
     rng = random.Random(20261021)
     for _ in range(120):
-        base = rng.choice((2, 3))
-        r = _random_matrix(rng, ctx, base * base)
-        table = tensor._crossing_table(r)
-        vec = pack(ctx, _random_vector(rng, ctx, base ** 3))
-        for right in (1, base):
-            _assert_same_packed(push(vec, table, right), _old_push(vec, table, right))
-        pairs = {s: [(rng.randrange(3), _random_scalar(rng, ctx)) for _ in range(rng.randint(0, 3))]
-                 for s in range(base ** 3) if rng.random() < 0.7}
-        _assert_same_sums(contract(vec, pairs), oracles.contract_by_keyed_sums(vec, pairs))
         plus, minus = ([(rng.randrange(4), _random_scalar(rng, ctx), _random_scalar(rng, ctx))
                         for _ in range(rng.randint(0, 8))] for _ in range(2))
         for args in ((plus, minus), (minus, plus), (plus + minus, minus)):
@@ -627,14 +569,6 @@ def test_the_join_settles_i_squared_and_roots_that_grow_the_denominator():
     got = dot_entries(ctx, plus, minus)
     _assert_same_sums(got, oracles.dot_entries_by_keyed_sums(ctx, plus, minus))
     _assert_same(got[0], ctx.parse("-1 + q/2 + i*r/3"))
-    vec = pack(ctx, {0: s, 1: i, 2: ctx.parse("p/3")})
-    pairs = {0: [(0, s)], 1: [(0, i), (1, q)], 2: [(1, ctx.one())]}
-    _assert_same_sums(contract(vec, pairs), oracles.contract_by_keyed_sums(vec, pairs))
-    m = tensor.SquareMatrix(ctx, 4, {(0, 0): s, (1, 1): i, (2, 3): q, (3, 3): ctx.parse("1/3")})
-    table = tensor._crossing_table(m)
-    image = push(vec, table, 1)
-    _assert_same_packed(image, _old_push(vec, table, 1))
-    assert image._den % 2 == 0  # s * s brought its radicand's 1/2
 
 
 def test_the_join_raises_for_a_cancelling_overflow_and_a_foreign_scalar():
@@ -649,28 +583,10 @@ def test_the_join_raises_for_a_cancelling_overflow_and_a_foreign_scalar():
                             ctx, [(0, big, small)], [(0, big, small)])):
             with pytest.raises(ExponentOverflow):
                 entries()
-        vec = pack(ctx, {0: big, 1: -big})
-        m = tensor.SquareMatrix(ctx, 4, {(0, 0): small, (0, 1): small, (3, 3): q})
-        table = tensor._crossing_table(m)
-        for route in (lambda: push(vec, table, 1), lambda: _old_push(vec, table, 1),
-                      lambda: contract(vec, {0: [(0, small)], 1: [(0, small)]}),
-                      lambda: oracles.contract_by_keyed_sums(
-                          vec, {0: [(0, small)], 1: [(0, small)]})):
-            with pytest.raises(ExponentOverflow):
-                route()
     for triples in ([(0, q, other)], [(0, other, q)]):
         for entries in (dot_entries, oracles.dot_entries_by_keyed_sums):
             with pytest.raises(ContextMismatch):
                 entries(ctx, triples, [])
             with pytest.raises(ContextMismatch):
                 entries(ctx, [], triples)
-    for route in (contract, oracles.contract_by_keyed_sums):
-        with pytest.raises(ContextMismatch):
-            route(pack(ctx, {0: q}), {0: [(0, q), (1, other)]})
-        assert route(pack(ctx, {0: q}), {}) == {} == route(pack(ctx, {}), {0: [(0, q)]})
-    table = tensor._crossing_table(tensor.SquareMatrix(ctx, 4, {(0, 0): q}))
-    for route in (push, _old_push):
-        assert len(route(pack(ctx, {}), table, 1)) == 0
-        with pytest.raises(ContextMismatch):
-            route(pack(CONTEXTS["R1.1"], {0: CONTEXTS["R1.1"].one()}), table, 1)
     assert dot_entries(ctx, [], []) == {} == oracles.dot_entries_by_keyed_sums(ctx, [], [])

@@ -20,7 +20,9 @@ from ybtrace.errors import DimensionMismatch, NotAUnit, ParseError, UnknownName,
 from ybtrace.invariant import alexander_nabla, classification_report, compute_ts
 from ybtrace.ring import ScalarContext, pow_int
 from ybtrace.tables import run_table
-from ybtrace.tensor import SquareMatrix, invert, kron, matadd, matmul, scalar_scale
+from ybtrace.tensor import (
+    SquareMatrix, embed_generator, invert, kron, matadd, matmul, scalar_scale,
+)
 
 
 def test_registry_covers_all_cases():
@@ -268,9 +270,10 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
     and they give the fresh operators' values on the named links and keep the
     fresh operators' closure constants: the route's one verdict, the
     unknot value's powers per strand count of the rank-one weights, the
-    half-word closure's weight rows per strand and kept slot count, beta^k
-    for k closed slots on every route, the transposed crossings and the
-    coloring sum's terms of R^-1.  Each kept constant is replayed on the
+    half-word closure's weight W per strand and kept slot count, beta^k
+    for k closed slots on every route and the coloring sum's terms of
+    R^-1; and the embeddings that R and R^-1 keep are the fresh ones'.
+    Each kept constant is replayed on the
     fresh operator by itself, by the call that keeps it, so whatever ran
     before on the shared operators, the two keep the same constants."""
     for sign in "+-":
@@ -286,8 +289,13 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
             assert shared is not fresh
             assert shared.r == fresh.r and shared.mu == fresh.mu
             assert shared.alpha == fresh.alpha and shared.beta == fresh.beta
+            crossings = [(shared.r, fresh.r)]
             if shared.r._inverse is not None:
                 assert shared.r._inverse == invert(fresh.r)
+                crossings.append((shared.r._inverse, invert(fresh.r)))
+            for crossing, own in crossings:
+                for (i, n), e in (crossing._embeddings or {}).items():
+                    assert e == embed_generator(own, i, n)
             for word in words:
                 assert compute_ts(shared, word).value == compute_ts(fresh, word).value
             for key in shared._closure:
@@ -296,8 +304,6 @@ def test_shared_operators_survive_the_tables_and_match_fresh_builds():
                 elif key[0] == "rows":  # kept by the half-word closure alone
                     n, keep = key[1:]
                     invariant._half_word_closure(fresh, BraidWord(n), keep)
-                elif key[0] == "transpose":
-                    invariant._pullback(fresh, key[1])
                 elif key == "route":  # the one verdict
                     invariant._structure(fresh)
                 elif key[0] == "weights":  # the coloring sum's terms of R^-1

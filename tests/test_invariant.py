@@ -55,7 +55,7 @@ from ybtrace.invariant import (
     unknot_value,
     verify_annihilating,
 )
-from ybtrace.ring import PackedVector, ScalarContext, pow_int, substitute, try_div_exact
+from ybtrace.ring import ScalarContext, pow_int, substitute, try_div_exact
 from ybtrace.tables import run_table
 from ybtrace.tensor import (
     MAX_ENTRIES, SquareMatrix, invert, kron, matadd, matmul, scalar_scale,
@@ -420,10 +420,20 @@ def test_half_word_closure_matches_the_whole_words_matrix_on_every_operator():
     assert failures > 0
 
 
-def test_half_word_closure_keeps_no_rows_above_the_entry_cap():
-    """The weight rows of a dense rank-two mu on 8 strands hold 4^8 entries
+def test_half_word_closure_keeps_no_rows_above_the_entry_cap(monkeypatch):
+    """The weight W of a dense rank-two mu on 8 strands holds 4^8 entries
     for the full closure and 2 * 4^7 for the open one, above MAX_ENTRIES:
-    they are built row by row and not kept, and the values still match."""
+    it is built in batches of its rows, none above MAX_ENTRIES entries,
+    and not kept, and the values still match."""
+    batches = []
+    original = invariant._weight_batches
+
+    def recorded(*args):
+        for batch in original(*args):
+            batches.append(len(batch.entries))
+            yield batch
+
+    monkeypatch.setattr(invariant, "_weight_batches", recorded)
     jones = get_table1_eyb("R2.1", 1)
     mu = SquareMatrix.from_rows(jones.ctx, [["1", "p"], ["2", "q"]])
     assert not is_rank_one(mu)
@@ -431,16 +441,41 @@ def test_half_word_closure_keeps_no_rows_above_the_entry_cap():
     assert 4 ** 8 > MAX_ENTRIES >= 4 ** 7
     b = BraidWord(8, (3, -5))
     assert compute_ts(op, b).value == _matrix_path(op, b)
+    assert sum(batches) == 4 ** 8 and len(batches) > 1 and max(batches) <= MAX_ENTRIES
+    batches.clear()
     assert open_trace(op, b) == _matrix_path(op, b, 1)
+    assert sum(batches) == 2 * 4 ** 7 and len(batches) > 1 and max(batches) <= MAX_ENTRIES
     assert ("rows", 8, 0) not in op._closure and ("rows", 8, 1) not in op._closure
     for key, kept in op._closure.items():
         size = len(kept.entries) if isinstance(kept, SquareMatrix) else (
-            len(kept) if isinstance(kept, (dict, PackedVector)) else 1)
+            len(kept) if isinstance(kept, dict) else 1)
         assert size <= MAX_ENTRIES, key
-    # seven strands fit, and their full closure's rows are kept
+    # seven strands fit, and their full closure's W is kept, built as one batch
+    batches.clear()
     b = BraidWord(7, (3, -5))
     assert compute_ts(op, b).value == _matrix_path(op, b)
-    assert len(op._closure[("rows", 7, 0)]) == 4 ** 7
+    assert batches == [4 ** 7] and len(op._closure[("rows", 7, 0)].entries) == 4 ** 7
+
+
+def test_a_crossing_above_the_embedding_cap_is_refused_in_either_half():
+    """R = 1 + C, C the cyclic shift of 9 labels, stores 18 entries and its
+    inverse all 81, which embed into 7 slots of base 3 as 19683 entries,
+    above MAX_ENTRIES: both halves of the word multiply by the same kept
+    embeddings, so a negative letter is refused on either side of the
+    split, with one message."""
+    ctx = ScalarContext(("q",))
+    one = ctx.one()
+    r = SquareMatrix(ctx, 9, {**{(i, i): one for i in range(9)},
+                              **{(i, (i + 1) % 9): one for i in range(9)}})
+    assert len(r.entries) == 18 and len(invert(r).entries) == 81
+    op = EnhancedOperator(r, SquareMatrix.diagonal(ctx, [1, "q", 2]), one, one)
+    messages = set()
+    for letters in ((-1, 1), (1, -1)):
+        with pytest.raises(DimensionMismatch, match="above the cap") as raised:
+            compute_ts(op, BraidWord(7, letters))
+        messages.add(str(raised.value))
+    assert messages == {"embedding 81 entries into 7 slots of base 3 stores 19683 entries, "
+                        "above the cap of 16384"}
 
 
 def test_kept_embeddings_are_keyed_by_slot_and_bounded():
@@ -866,10 +901,11 @@ def test_the_closed_form_takes_a_singular_weight_of_rank_two_that_meets_the_iden
 
 def test_rank_one_push_refuses_a_state_space_above_the_cap(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a vector was pushed")
+        raise AssertionError("a weight was built or a crossing embedded or multiplied")
 
-    monkeypatch.setattr(invariant, "pack", refuse)
-    monkeypatch.setattr(invariant, "push_at", refuse)
+    monkeypatch.setattr(invariant, "_weight_batches", refuse)
+    monkeypatch.setattr(invariant, "matmul", refuse)
+    monkeypatch.setattr(SquareMatrix, "embedding", refuse)
     for op in (get_table1_eyb("R1.1", 2), _rank_one_operator_without_c()):
         with pytest.raises(StrandBoundViolation, match="2\\^40 states, above the cap"):
             compute_ts(op, BraidWord(40, (1,)))
@@ -937,13 +973,13 @@ def test_compute_ts_inverts_each_operator_once(monkeypatch):
     pieces.clear()
     compute_ts(op, word)
     assert pieces == [] and _route(op) == "closed form"
-    # the coloring sum reads R^-1's weights off R's inverse, and keeps no
-    # transposed inverse
+    # the coloring sum reads R^-1's weights off R's inverse, and embeds
+    # neither crossing
     entry = get_table1_entry("R3.1", 1)
     op = entry.build(ctx=entry.context())
     compute_ts(op, word)
     assert _route(op) == "coloring" and ("weights", False) in op._closure
-    assert ("transpose", False) not in op._closure
+    assert not op.r._embeddings and not op.r._inverse._embeddings
 
 
 def _spy(monkeypatch, calls, module, name):
@@ -993,9 +1029,9 @@ def test_compute_ts_keeps_its_closure_constants_per_operator_and_strand_count(mo
     trefoil, figure_eight, cinquefoil = (
         get_named_braid(name).braid for name in ("3_1", "4_1", "5_1"))
     expected = {b: _matrix_path(_rank_one_operator_without_c(), b) for b in (trefoil, cinquefoil)}
-    for name in ("_eigenvalue", "unknot_value", "_weight_rows", "pack"):
+    for name in ("_eigenvalue", "unknot_value", "_weight_batches"):
         _spy(monkeypatch, calls, invariant, name)
-    built = {"_eigenvalue": 1, "unknot_value": 1, "_weight_rows": 1, "pack": 1}
+    built = {"_eigenvalue": 1, "unknot_value": 1, "_weight_batches": 1}
     op = _rank_one_operator_without_c()
     first = compute_ts(op, trefoil, normalized=True)
     # the unknot value Tr(mu) / beta is 1, so the normalized value is the raw one
@@ -1006,7 +1042,7 @@ def test_compute_ts_keeps_its_closure_constants_per_operator_and_strand_count(mo
     assert compute_ts(op, trefoil, normalized=True) == first
     assert compute_ts(op, cinquefoil).value == expected[cinquefoil]
     assert calls == dict.fromkeys(calls, 0)
-    # another strand count packs its own weight rows
+    # another strand count builds its own weight
     assert figure_eight.strands != trefoil.strands
     compute_ts(op, figure_eight)
     assert calls == dict(built, _eigenvalue=0, unknot_value=0)
@@ -1046,43 +1082,53 @@ def test_the_matrix_path_keeps_beta_powers_per_closed_slot_count(monkeypatch):
     powers.clear()
     open_trace(op, figure_eight)
     assert [x for x, _ in powers] == [op.alpha]
-    # the rows of 1^(x keep) (x) mu^(x k) per strand count n and kept slot
-    # count keep, and the transposed crossings of the left halves' letters:
-    # the trefoil's is positive, the figure eight's (1, -2) both
+    # W = 1^(x keep) (x) mu^(x k) per strand count n and kept slot count
+    # keep; the crossings keep the embeddings of the words' letters on
+    # themselves: the trefoil's and the cinquefoil's 1 on two strands, the
+    # figure eight's 1 and -2 on three
     assert set(op._closure) == {
         "route", "unknot", ("beta", 2), ("beta", 3), ("rows", 2, 0), ("rows", 3, 0),
-        ("rows", 3, 1), ("transpose", True), ("transpose", False)}
+        ("rows", 3, 1)}
     assert op._closure["route"] == invariant._Structure("closure", None)
-    assert op._closure[("transpose", True)] == op.r.transpose()
-    assert op._closure[("transpose", False)] == invert(op.r).transpose()
+    assert set(op.r._embeddings) == {(1, 2), (1, 3)}
+    assert set(invert(op.r)._embeddings) == {(2, 3)}
     for n, keep in ((2, 0), (3, 0), (3, 1)):
         weight = kron(SquareMatrix.identity(op.ctx, 2 ** keep), kron_power(op.mu, n - keep))
-        assert op._closure[("rows", n, keep)].unpack() == {
-            r * 2 ** n + c: x for (r, c), x in weight.entries.items()}, (n, keep)
+        assert op._closure[("rows", n, keep)] == weight, (n, keep)
 
 
 def test_a_second_push_builds_no_crossing_table(monkeypatch):
     """The half-word closure of a rank-one weight without an eigenvalue c
-    tabulates each transposed crossing it keeps once, on its first call."""
+    embeds each crossing it applies once per slot and strand count, on its
+    first call, and keeps the embedding on the crossing: a second call
+    embeds nothing."""
     built = []
-    original = tensor._crossing_table
-    monkeypatch.setattr(tensor, "_crossing_table", lambda r: built.append(r) or original(r))
+    original = tensor.embed_generator
+    monkeypatch.setattr(tensor, "embed_generator",
+                        lambda r, i, n: built.append((r, i, n)) or original(r, i, n))
     op = _rank_one_operator_without_c()
     word = get_named_braid("4_1").braid
     assert is_rank_one(op.mu) and any(k < 0 for k in word.letters)
     first = compute_ts(op, word).value
-    # the left half (1, -2) pulls back through R^T and (R^-1)^T, each tabulated once
-    kept = [op._closure[("transpose", positive)] for positive in (True, False)]
-    assert len(built) == 2 and {id(r) for r in built} == {id(r) for r in kept}
+    # both halves (1, -2) multiply by R at slot 1 and R^-1 at slot 2, each embedded once
+    rinv = invert(op.r)
+    assert built == [(op.r, 1, 3), (rinv, 2, 3)]
+    assert set(op.r._embeddings) == {(1, 3)} and set(rinv._embeddings) == {(2, 3)}
     built.clear()
     assert compute_ts(op, word).value == first
-    compute_ts(op, get_named_braid("5_2").braid)
     assert built == []
+    # the left half (2, 2, -1) and the right half (2, 1, 1) of 5_2 embed the
+    # two crossings the figure eight left out, once
+    word = get_named_braid("5_2").braid
+    value = compute_ts(op, word).value
+    assert sorted(built, key=lambda x: x[1]) == [(rinv, 1, 3), (op.r, 2, 3)]
+    built.clear()
+    assert compute_ts(op, word).value == value and built == []
 
 
 def test_the_closed_form_pushes_nothing_and_checks_each_operator_once(monkeypatch):
-    """A rank-one row with (mu (x) mu) R = c (mu (x) mu) packs, pushes,
-    inverts and tabulates nothing, and divides only to find its eigenvalue
+    """A rank-one row with (mu (x) mu) R = c (mu (x) mu) builds no weight,
+    multiplies, inverts and embeds nothing, and divides only to find its eigenvalue
     and its unknot value, once per operator; the unknot value's n-th power
     is kept per strand count."""
     words = [get_named_braid(name).braid for name in ("3_1", "4_1", "5_2", "2^2_1")]
@@ -1090,9 +1136,9 @@ def test_the_closed_form_pushes_nothing_and_checks_each_operator_once(monkeypatc
     rows = [get_table1_entry(rmatrix, row) for rmatrix, row in (("R2.1", 2), ("R1.1", 2))]
     expected = {(e, b): _matrix_path(e.build(ctx=e.context()), b) for e in rows for b in words}
     calls = {}
-    for module, name in ((invariant, "_eigenvalue"), (invariant, "pack"), (invariant, "push_at"),
-                         (invariant, "try_div_exact"), (tensor, "_invert_piece"),
-                         (tensor, "_crossing_table")):
+    for module, name in ((invariant, "_eigenvalue"), (invariant, "_weight_batches"),
+                         (invariant, "matmul"), (invariant, "try_div_exact"),
+                         (tensor, "_invert_piece"), (tensor, "embed_generator")):
         _spy(monkeypatch, calls, module, name)
     for entry in rows:
         op = entry.build(ctx=entry.context())
@@ -1149,7 +1195,7 @@ def test_each_route_is_decided_once_per_operator(monkeypatch):
 def test_the_closed_form_overflows_where_the_push_does():
     """R3.1/4 has c = alpha = s: c^w alpha^-w is 1 up to 4095 letters of
     either sign, and at 4096 one of the two powers leaves the exponent range,
-    as the half-word closure's pulled rows or alpha's power do."""
+    as the half-word closure's matrix products or alpha's power do."""
     entry = get_table1_entry("R3.1", 4)
     op = entry.build(ctx=entry.context())
     routes = (lambda b: compute_ts(op, b).value,
@@ -1178,29 +1224,29 @@ def test_the_closed_form_refuses_a_non_unit_alpha_where_the_push_does():
 
 
 def test_a_warm_classification_pushes_nothing_for_the_rank_one_rows(monkeypatch):
-    """Every push_at call of a warm classification_report comes from the
+    """Every matrix product of a warm classification_report comes from the
     rows outside these: the 14 in closed form and the four weighted swaps
-    push nothing."""
+    multiply no matrix."""
     report = classification_report()
     calls = {}
-    _spy(monkeypatch, calls, invariant, "push_at")
+    _spy(monkeypatch, calls, invariant, "matmul")
     assert classification_report() == report
-    total = calls["push_at"]
+    total = calls["matmul"]
     assert total > 0
-    pushless = [get_table1_entry(rmatrix, row)
+    productless = [get_table1_entry(rmatrix, row)
                 for rmatrix, row in RANK_ONE_ROWS + WEIGHTED_SWAP_ROWS]
-    calls["push_at"] = 0
-    classification_report(pushless)
-    assert calls["push_at"] == 0
-    classification_report([e for e in table1_entries() if e not in pushless])
-    assert calls["push_at"] == total
+    calls["matmul"] = 0
+    classification_report(productless)
+    assert calls["matmul"] == 0
+    classification_report([e for e in table1_entries() if e not in productless])
+    assert calls["matmul"] == total
 
 
 def test_classification_report_warm_equals_cold_and_the_goldens(monkeypatch):
     golden = Path(__file__).resolve().parent / "golden"
     monkeypatch.setattr(eyb, "_shared_ops", {})
     calls = {}
-    for spied in ("_eigenvalue", "unknot_value", "_weight_rows", "pack"):
+    for spied in ("_eigenvalue", "unknot_value", "_weight_batches"):
         _spy(monkeypatch, calls, invariant, spied)
     for sign, name in (("+", "classify_plus.json"), ("-", "classify_minus.json")):
         cold = classification_report(sign=sign)
@@ -1247,13 +1293,12 @@ def test_a_braid_over_the_strand_cap_is_refused_every_time_and_keeps_nothing(mon
     over the strand cap: compute_ts raises StrandBoundViolation every time,
     as ``invariant._closure`` does, with one message per base.  Nothing but
     the operator's one verdict is kept, R is not inverted, and no power is
-    raised and no weight row built or packed.  The verdicts are decided
-    first, as the sector gate raises a power."""
+    raised and no weight built.  The verdicts are decided first, as the
+    sector gate raises a power."""
     def refuse(*args):
-        raise AssertionError("a power was raised or a weight row built or packed")
+        raise AssertionError("a power was raised or a weight built")
 
-    monkeypatch.setattr(invariant, "_weight_rows", refuse)
-    monkeypatch.setattr(invariant, "pack", refuse)
+    monkeypatch.setattr(invariant, "_weight_batches", refuse)
     cases = []
     for rmatrix, row, route in (("R1.1", 2, "closed form"), ("R3.1", 1, "coloring"),
                                 ("R1.4", 1, "coloring"), ("R2.2", 1, "vanishing"),
@@ -1426,7 +1471,7 @@ def test_a_singular_weighted_swap_raises_what_the_closure_raises():
         op = EnhancedOperator(SquareMatrix(ctx, 4, dict(r.entries)), mu, ctx.one(), ctx.one())
         for word in positive:
             assert compute_ts(op, word).value == _matrix_path(op, word), (weight, word)
-        assert op.r._inverse is None and ("transpose", False) not in op._closure
+        assert op.r._inverse is None
 
 
 def _outcome(route):

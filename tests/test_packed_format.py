@@ -1,15 +1,16 @@
 """The packed scalar format stays behind ``ring.py``.
 
 A Scalar's numerators, denominator and key layout (``_nums``, ``_den`` and
-``_layout``) and a PackedVector's raw entries (``_packed``, over its
-``_den``) are read only inside ``ring.py``, and no other module imports a
-private name from it.  Then a change of the packing touches one file, and
-the kernels built on it are the only way the other layers reach the terms:
-``dot`` and ``pack``; ``kronecker``, whose ints and their reader take the
+``_layout``) are read only inside ``ring.py``, and no other module imports
+a private name from it; ``_packed``, the raw entries of a packed vector the
+ring once had, stays on the list.  Then a change of the packing touches one
+file, and the kernels built on it are the only way the other layers reach
+the terms: ``dot``; ``kronecker``, whose ints and their reader take the
 products of ``catalog.check_ybe``'s integer route; and ``join``, the one
-loop for sums per key, which ``push``, ``contract`` and ``dot_entries``
-feed and ``eyb.verify_eyb``'s trace conditions and ``tensor.matmul_sub``
-(and so the check's fallback) reach through ``dot_entries``.
+loop for sums per key, which ``dot_entries`` feeds and which
+``eyb.verify_eyb``'s trace conditions, ``tensor.matmul_sub`` (and so the
+check's fallback) and the half-word closure's contraction reach through
+``dot_entries``.
 """
 
 import ast

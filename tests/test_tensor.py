@@ -34,7 +34,8 @@ from ybtrace.tensor import (
 )
 
 from oracles import (
-    apply_at, kron_power, matsub, partial_trace, trace_product, weighted_trace_sequential,
+    apply_at_sequential, kron_power, matsub, partial_trace, trace_product,
+    weighted_trace_sequential,
 )
 
 
@@ -113,7 +114,9 @@ def test_embed_matches_kron_oracle():
 
 @pytest.mark.parametrize("base, arity", [(2, 2), (2, 4), (3, 3)])
 def test_apply_at_matches_embedded_product(base, arity):
-    """apply_at(r, i, n, vec) is the embedded r times vec, at every slot."""
+    """The embedded r times vec is ``apply_at_sequential(r, i, n, vec)``,
+    which pushes vec through r's columns one product at a time, at every
+    slot."""
     ctx = ScalarContext(("p", "q"), (("sqrt_1mq2", "1-q^2"),))
     rng = random.Random(base * 10 + arity)
     side = base ** arity
@@ -124,28 +127,10 @@ def test_apply_at_matches_embedded_product(base, arity):
     column = SquareMatrix(ctx, side, {(s, 0): x for s, x in vec.items()})
     for i in range(1, arity):
         image = matmul(embed_generator(r, i, arity), column)
-        assert apply_at(r, i, arity, vec) == {s: x for (s, _), x in image.entries.items()}
+        assert apply_at_sequential(r, i, arity, vec) == {
+            s: x for (s, _), x in image.entries.items()}
     with pytest.raises(PositionOutOfRange):
-        apply_at(r, arity, arity, vec)
-
-
-def test_apply_at_pushes_vectors_packed_above_the_n_slots_in_one_call():
-    """Digits above the n slots pass through, so vectors packed under keys
-    index * base^n + state are pushed as one vector."""
-    ctx = ScalarContext(("p", "q"))
-    rng = random.Random(16)
-    base, arity = 3, 3
-    side = base ** arity
-    texts = ["0", "p", "q^-1", "1-q", "-1/2", "i*p^2"]
-    r = SquareMatrix.from_rows(
-        ctx, [[rng.choice(texts) for _ in range(base * base)] for _ in range(base * base)])
-    vecs = [{s: ctx.parse(rng.choice(texts[1:])) for s in rng.sample(range(side), 5)}
-            for _ in range(4)]
-    packed = {k * side + s: x for k, vec in enumerate(vecs) for s, x in vec.items()}
-    for i in range(1, arity):
-        assert apply_at(r, i, arity, packed) == {
-            k * side + s: x for k, vec in enumerate(vecs)
-            for s, x in apply_at(r, i, arity, vec).items()}
+        embed_generator(r, arity, arity)
 
 
 def test_embeddings_are_kept_per_slot_up_to_the_entry_cap():
