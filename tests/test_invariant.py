@@ -1234,7 +1234,7 @@ def test_a_warm_classification_pushes_nothing_for_the_rank_one_rows(monkeypatch)
     total = calls["matmul"]
     assert total > 0
     productless = [get_table1_entry(rmatrix, row)
-                for rmatrix, row in RANK_ONE_ROWS + WEIGHTED_SWAP_ROWS]
+                   for rmatrix, row in RANK_ONE_ROWS + WEIGHTED_SWAP_ROWS]
     calls["matmul"] = 0
     classification_report(productless)
     assert calls["matmul"] == 0
