@@ -20,7 +20,7 @@ class BraidWord(Record):
     _fields = ("strands", "letters")
 
     def __init__(self, strands, letters=()):
-        if isinstance(strands, bool):
+        if not isinstance(strands, int) or isinstance(strands, bool):
             raise StrandBoundViolation(f"invalid strand count {strands!r}")
         if strands < 1:
             raise StrandBoundViolation("strand count must be at least 1")

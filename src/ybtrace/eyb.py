@@ -22,13 +22,13 @@ from .errors import (
     DimensionMismatch, ExponentOverflow, NotAUnit, ParseError, UnknownName, UnknownRow,
 )
 from .ring import (
-    ScalarContext, dot_entries, json_field, kronecker, scalar_from_json, scalar_to_json,
+    ScalarContext, json_field, kronecker, scalar_from_json, scalar_to_json,
     substitute,
 )
 # matmul is not called here; perfbench's tracer self-test reads eyb.matmul
 from .tensor import (
-    SquareMatrix, Verdict, invert, kron, matmul, matmul_sub, matrix_from_json, matrix_to_json,
-    matrix_substitute, scalar_scale,
+    SquareMatrix, Verdict, _sums, invert, kron, matmul, matmul_sub, matrix_from_json,
+    matrix_to_json, matrix_substitute, scalar_scale,
 )
 from .catalog import check_listed_positions, restricted_matrix
 
@@ -107,12 +107,12 @@ def _exact_conditions(op, mumu):
         y = op.r if power == 1 else invert(op.r)
         c = SquareMatrix.diagonal(op.ctx, [op.alpha ** power * op.beta] * base)
         # Tr_2(Y (1 x mu)): entry ((i s), (j t)) of Y times mu[t, s] adds to (i, j)
-        triples = []
+        pairs = {}
         for (row, col), v in y.entries.items():
             (i, s), (j, t) = divmod(row, base), divmod(col, base)
             if (t, s) in weights:
-                triples.append(((i, j), v, weights[t, s]))
-        traced = SquareMatrix(op.ctx, base, dot_entries(op.ctx, triples, ()))
+                pairs.setdefault((i, j), []).append((v, weights[t, s]))
+        traced = SquareMatrix(op.ctx, base, _sums(op.ctx, pairs))
         diff = matmul_sub(traced, op.mu, c, op.mu)
         if not diff.is_zero():
             return Verdict(False, condition, residual=diff)

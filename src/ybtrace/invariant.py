@@ -83,11 +83,12 @@ closed slots of rep (1 (x) M), M = mu^(x k), is that of (1 (x) M) A B,
 because 1 (x) M acts on the traced slots only.  Both halves are products
 of the embeddings kept on R and R^-1, as ``SquareMatrix`` products: B is
 built by ``braid_representation``, and W = 1 (x) M is multiplied by A's
-letters one at a time (``matmul``); one ``ring.dot_entries`` of W A's
-rows against B's columns gives the block left on the kept strands.  That
-block is divided by beta once per closed slot and multiplied by
-alpha^(-writhe).  ``alexander_nabla`` is the open trace of row R1.2/1's
-image at q = t^-2 (sqrt_q -> t^-1), kept after its first call.
+letters one at a time (``matmul``); W A's rows against B's columns,
+summed per block entry (``tensor._sums``), give the block left on the
+kept strands.  That block is divided by beta once per closed slot and
+multiplied by alpha^(-writhe).  ``alexander_nabla`` is the open trace
+of row R1.2/1's image at q = t^-2 (sqrt_q -> t^-1), kept after its first
+call.
 
 What depends only on the operator is kept on it on first use: the
 verdict, with the eigenvalue c for the closed form and the filtration's
@@ -119,15 +120,16 @@ from .eyb import (
     EnhancedOperator, _check_sides, get_table1_eyb, specialize, table1_entries, verify_eyb,
 )
 from .ring import (
-    MAX_EXPONENT, ScalarContext, dot_entries, format_scalar, pow_int, try_div_exact,
+    MAX_EXPONENT, ScalarContext, format_scalar, pow_int, try_div_exact,
 )
 from .tensor import (
     MAX_ENTRIES,
     MAX_STATES,
     SquareMatrix,
     Verdict,
+    _add_pairs,
     _crossing_base,
-    _triples,
+    _sums,
     invert,
     matadd,
     matmul,
@@ -209,7 +211,7 @@ def _eigenvalue(op):
         square = SquareMatrix(op.ctx, base * base, {
             (i * base + j, k * base + l): x * y for (i, k), x in mu.items()
             for (j, l), y in mu.items()})
-        image = dot_entries(op.ctx, _triples(square, op.r), ())
+        image = _sums(op.ctx, _add_pairs(square.entries, op.r, {}))
         c = try_div_exact(image.get((pr * (base + 1), pc * (base + 1)), zero), piv * piv)
         scaled = {key: c * x for key, x in square.entries.items()}
     except (NotDivisible, ExponentOverflow):
@@ -309,7 +311,8 @@ def _half_word_closure(op, b, keep):
     holds at most MAX_ENTRIES entries; else its rows are built in batches
     of at most that many (``_weight_batches``) and not kept.  Each batch
     is multiplied by A's letters one at a time, by the embeddings that R
-    and R^-1 keep, and meets B in one ``ring.dot_entries``.
+    and R^-1 keep, and meets B in one ``tensor._sums``, so the pairs
+    listed at once are bounded per batch.
     """
     n, base, ctx = b.strands, op.base_dim, op.ctx
     k, split = n - keep, len(b.letters) // 2
@@ -329,9 +332,11 @@ def _half_word_closure(op, b, keep):
         for letter in b.letters[:split]:
             crossing = op.r if letter > 0 else invert(op.r)
             left = matmul(left, crossing.embedding(abs(letter), n))
-        for key, v in dot_entries(ctx, [
-                ((row // closed, j), u, y) for (row, x), u in left.entries.items()
-                for j, y in columns.get((x, row % closed), ())], ()).items():
+        pairs = {}
+        for (row, x), u in left.entries.items():
+            for j, y in columns.get((x, row % closed), ()):
+                pairs.setdefault((row // closed, j), []).append((u, y))
+        for key, v in _sums(ctx, pairs).items():
             block[key] = block[key] + v if key in block else v
     value = _diagonal({key: v for key, v in block.items() if not v.is_zero()}, base ** keep)
     return ctx.zero() if value is None else value

@@ -39,15 +39,14 @@ integral and a Fraction otherwise: a new dict {doubled exponent tuple:
 (re, im)} on each access, so ``Scalar(ctx, x.terms) == x``.  The library's
 own code never builds that view; ``Scalar.term_count()`` counts its terms.
 
-Sums of products run in two loops: ``dot`` for one Scalar, and ``join`` for
-one sum per key, which ``dot_entries`` feeds.
+Sums of products run in one loop, ``dot``; a sum per key, as a matrix
+product's entries, is one ``dot`` per key (``tensor._sums``).
 """
 
 import math
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
 from operator import or_
 
 from .errors import (
@@ -567,82 +566,11 @@ def dot(ctx, pairs):
     return _scalar(ctx, acc, den)
 
 
-def join(ctx, products):
-    """({key: raw accumulator}, denominator) of the sums of x * y / d over the
-    (key, x, d, y) ``products``: the ring's keyed loop, behind
-    ``dot_entries``.
-
-    x is a {packed key: int numerator} dict, y an iterable of (packed key,
-    int numerator) pairs and d a nonzero int, whose sign is the product's.
-    All accumulators are over one running denominator, the lcm of the d's.
-    Guard-bit keys and zeros stay in the accumulators until the finish, so
-    a product past the exponent range raises ExponentOverflow even when it
-    cancels.  The finish tests all keys at once for a guard bit; if one is
-    set, the accumulators that hold one are settled (``_settle``), and all
-    go over one denominator again when a radicand with a denominator grew
-    one.  Then zeros and empty accumulators are dropped.  Neither a gcd nor
-    a Scalar is formed.
-    """
-    zero = ctx._layout.zero
-    out, den, last = {}, 1, None
-    get = out.get
-    for key, x, d, y in products:
-        if d != last:
-            if den % d:  # over the lcm of the denominators
-                up = abs(d) // math.gcd(den, d)
-                den *= up
-                for acc in out.values():
-                    for k in acc:
-                        acc[k] *= up
-            last, scale = d, den // d
-        acc = get(key)
-        if acc is None:
-            acc = out[key] = {}
-        acc_get = acc.get
-        for k1, c1 in x.items():
-            k1 -= zero
-            c1 *= scale
-            for k2, c2 in y:
-                k = k1 + k2
-                acc[k] = acc_get(k, 0) + c1 * c2
-    guard = ctx._layout.guard
-    if reduce(or_, chain.from_iterable(out.values()), 0) & guard:
-        dens = {}
-        for key, acc in out.items():
-            if reduce(or_, acc, 0) & guard:
-                flagged = [(k, c) for k, c in acc.items() if k & guard]
-                for k, _ in flagged:
-                    del acc[k]
-                out[key], dens[key] = _settle(ctx, flagged, acc, den)
-        up = math.lcm(den, *dens.values()) // den  # a radicand with a denominator
-        if up != 1:
-            out = {key: {k: c * (den * up // dens.get(key, den)) for k, c in acc.items()}
-                   for key, acc in out.items()}
-            den *= up
-    if not (all(out.values()) and all(map(all, map(dict.values, out.values())))):
-        out = {key: acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
-               for key, acc in out.items() if any(acc.values())}
-    return out, den
-
-
-def dot_entries(ctx, plus, minus):
-    """{key: sum of x * y over plus' (key, x, y) triples minus the same sum over
-    minus'}, holding only the nonzero sums; ContextMismatch for a scalar
-    outside ``ctx``.  One ``join``, a minus triple's sign in its denominator.
-    """
-    products = [(key, x._nums, sign * x._den * y._den, y._nums.items())
-                for triples, sign in ((plus, 1), (minus, -1)) for key, x, y in triples
-                if x.ctx is ctx is y.ctx or _check_scalars(ctx, (x, y))]
-    out, den = join(ctx, products)
-    return {key: _scalar(ctx, acc, den) for key, acc in out.items()}
-
-
 def _check_scalars(ctx, values):
-    """True, or ContextMismatch for a value outside ``ctx``."""
+    """ContextMismatch for a value outside ``ctx``."""
     for x in values:
         if x.ctx is not ctx and x.ctx != ctx:
             raise ContextMismatch(f"contexts differ: {ctx!r} vs {x.ctx!r}")
-    return True
 
 
 # The integers of ``kronecker`` hold at most this many bits, as MAX_ENTRIES
@@ -682,8 +610,8 @@ def kronecker(ctx, entries, count, degree=3, reach=None, rooted=()):
 
     None for a term with an i, or with a root outside ``rooted``; for
     exponents where a product of ``reach`` (default ``degree``) factors
-    could leave [-MAX_EXPONENT, MAX_EXPONENT) (where ``dot`` and ``join``
-    raise ExponentOverflow), each factor a term of an entry or, with
+    could leave [-MAX_EXPONENT, MAX_EXPONENT) (where ``dot`` raises
+    ExponentOverflow), each factor a term of an entry or, with
     ``rooted`` entries, of a radicand, which reducing a root's square
     multiplies in; and for ints of S * B bits above MAX_KRONECKER_BITS.
     """

@@ -20,7 +20,7 @@ from .errors import (
     PositionOutOfRange,
 )
 from .ring import (
-    Scalar, dot, dot_entries, json_field, scalar_from_json, scalar_to_json, substitute,
+    Scalar, dot, json_field, scalar_from_json, scalar_to_json, substitute,
     try_div_exact,
 )
 
@@ -67,9 +67,9 @@ class SquareMatrix:
     entries are kept in (row, column) order.
 
     What is derived from the entries alone is kept on first use: the
-    inverse (``invert``), the entries grouped by row (``matmul``'s right
-    operand) and the embeddings asked for by ``embedding``, these up to
-    MAX_ENTRIES entries in total.
+    inverse (``invert``), the entries grouped by row (a right operand of
+    ``matmul`` or ``matmul_sub``) and the embeddings asked for by
+    ``embedding``, these up to MAX_ENTRIES entries in total.
     """
 
     __slots__ = ("ctx", "side", "entries", "_inverse", "_row_index", "_embeddings")
@@ -192,8 +192,8 @@ def scalar_scale(a, s):
 
 def _sums(ctx, pairs):
     """{key: sum of x * y over the (x, y) pairs listed under key}, holding
-    only the nonzero sums.  A lone product is formed by ``*``, which is
-    faster than ``dot`` on one pair."""
+    only the nonzero sums: the library's sum per key.  A lone product is
+    formed by ``*``, which is faster than ``dot`` on one pair."""
     sums = {key: p[0][0] * p[0][1] if len(p) == 1 else dot(ctx, p)
             for key, p in pairs.items()}
     for key in [key for key, v in sums.items() if v.is_zero()]:
@@ -211,12 +211,12 @@ def _rows(b):
     return rows
 
 
-def _add_pairs(a, b):
-    """{(r, c): the (x, y) pairs of a[r, k] and b[k, c]}; b's rows are indexed
-    once and kept on b."""
+def _add_pairs(a, b, pairs):
+    """``pairs`` with the (x, y) pair of each a[r, k] and b[k, c] added under
+    (r, c), for ``a`` a {(r, k): entry} dict; b's rows are indexed once
+    and kept on b."""
     b_rows = b._row_index = _rows(b)
-    pairs = {}
-    for (r, k), va in a.entries.items():
+    for (r, k), va in a.items():
         for c, vb in b_rows.get(k, ()):
             pairs.setdefault((r, c), []).append((va, vb))
     return pairs
@@ -224,29 +224,21 @@ def _add_pairs(a, b):
 
 def matmul(a, b):
     _check_operands(a, b)
-    return SquareMatrix._built(a.ctx, a.side, _sums(a.ctx, _add_pairs(a, b)))
-
-
-def _triples(a, b):
-    """The ((r, c), a[r, k], b[k, c]) triple of each product; b's rows are indexed once."""
-    b_rows = _rows(b)
-    return [((r, c), va, vb)
-            for (r, k), va in a.entries.items() for c, vb in b_rows.get(k, ())]
+    return SquareMatrix._built(a.ctx, a.side, _sums(a.ctx, _add_pairs(a.entries, b, {})))
 
 
 def matmul_sub(a, b, c, d):
     """a*b - c*d: the residual of a product identity.
 
-    The products of both sides go to one ``ring.dot_entries``, a front end
-    of ``ring.join``, the ring's loop for sums per key: one accumulator per
-    output entry, c*d's products subtracted by their sign, so neither
-    product is built on its own and an entry that cancels builds no
-    Scalar.  The four operands' contexts and sides are checked before any
-    product is formed.
+    c's entries are negated once, and the pairs of both products are
+    listed per output entry and summed by ``_sums``, so neither product is
+    built on its own.  The four operands' contexts and sides are checked
+    before any product is formed.
     """
     _check_operands(a, b, c, d)
-    return SquareMatrix._built(a.ctx, a.side,
-                               dot_entries(a.ctx, _triples(a, b), _triples(c, d)))
+    pairs = _add_pairs(a.entries, b, {})
+    _add_pairs({key: -v for key, v in c.entries.items()}, d, pairs)
+    return SquareMatrix._built(a.ctx, a.side, _sums(a.ctx, pairs))
 
 
 def kron(a, b):

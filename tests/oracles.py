@@ -15,10 +15,11 @@ the invariant tests close a whole word's matrix with; the engine builds
 mu^(x k) only row by row, as the half-word closure's weight.  The
 ``*_sequential`` contractions add each product to its entry with +, as the
 library did before it summed each entry with ``ring.dot``, and
-``matmul_sub_by_pairs`` is the product residual as it was before its keyed
-kernel, one ``ring.dot`` per entry, and ``check_ybe_by_embedding`` the
-Yang-Baxter check on embedded matrices, the reference of its integer
-route; ``keyed_sums`` is the keyed loop as it was before ``ring.join``.
+``matmul_sub_by_pairs`` is the product residual written out with no
+``tensor`` helper, one ``ring.dot`` per entry, and ``check_ybe_by_embedding``
+the Yang-Baxter check on embedded matrices, the reference of its integer
+route; ``keyed_sums`` is a keyed loop the ring once had, the reference of
+``tensor._sums``.
 ``apply_at_sequential``, the image of a vector under a crossing at two
 slots, is the reference of ``tensor.embed_generator``.  The checked inverse and division are the ring's routes before its fast paths.  The
 term-dict arithmetic, over the Fraction-based GaussianRational below, is
@@ -593,9 +594,10 @@ def weighted_trace_sequential(a, mu, slots):
 
 
 def matmul_sub_by_pairs(a, b, c, d):
-    """a*b - c*d as ``tensor.matmul_sub`` formed it before ``ring.dot_entries``:
-    each output entry's (x, y) pairs listed, with every entry of c negated
-    into a new Scalar, and summed by one ``ring.dot`` (a lone pair by *)."""
+    """a*b - c*d with each output entry's (x, y) pairs listed, every entry of
+    c negated into a new Scalar, and summed by one ``ring.dot`` (a lone pair
+    by *): ``tensor.matmul_sub``'s route, written out with no ``tensor``
+    helper."""
     for other in (b, c, d):
         _check_ctx(a, other)
         if a.side != other.side:
@@ -636,10 +638,10 @@ def check_ybe_by_embedding(r):
     index = min(diff.entries)
     return Verdict(False, index=index, residual=diff.entries[index])
 
-# -- the keyed loops before ring.join --------------------------------------------
+# -- the keyed loop the ring once had ---------------------------------------------
 #
-# ``ring.dot_entries`` as it was when it summed its own products, through
-# ``keyed_sums``, with a running denominator per key.
+# A sum per key as the ring formed it before ``tensor._sums`` took one
+# ``ring.dot`` per key: ``keyed_sums``, with a running denominator per key.
 
 
 def settled(ctx, acc, den):
@@ -655,8 +657,8 @@ def settled(ctx, acc, den):
 
 def keyed_sums(ctx, products):
     """{key: sum of sign * x * y over the (key, x, x denominator, y, sign)
-    ``products``}, holding only the nonzero sums: the ring's keyed loop
-    before ``ring.join``, reached by ``dot_entries``.
+    ``products``}, holding only the nonzero sums: the ring's keyed loop as
+    it once was.
 
     x is a raw {packed key: int numerator} dict and y a Scalar, which must
     lie in ``ctx`` (ContextMismatch otherwise).  Each key is ``dot`` with its

@@ -49,11 +49,14 @@ def test_word_validation():
 
 def test_a_bool_strand_count_is_refused_as_bool_letters_are():
     """A bool is an int to Python, but ``True True True``, the text of
-    ``BraidWord(2, (True, True, True))`` if it were accepted, is no braid."""
-    for strands in (True, False):
-        with pytest.raises(StrandBoundViolation) as info:
-            BraidWord(strands)
-        assert str(info.value) == f"invalid strand count {strands}"
+    ``BraidWord(2, (True, True, True))`` if it were accepted, is no braid.
+    A strand count that is no int at all, a float even when integral or
+    text, is refused the same way, with or without letters."""
+    for strands in (True, False, 2.0, 2.5, "3"):
+        for letters in ((), (1, 1, 1)):
+            with pytest.raises(StrandBoundViolation) as info:
+                BraidWord(strands, letters)
+            assert str(info.value) == f"invalid strand count {strands!r}"
     with pytest.raises(ParseError):
         parse_braid("True True True")
 

@@ -223,15 +223,17 @@ def test_a_product_settles_a_roots_square_before_it_tests_the_range():
     """R2.1/1's alpha = p^-1*q^-1*sqrt_pq: alpha^8191 * alpha is
     alpha^8192 = p^-4096*q^-4096, in range, though p and q leave the range
     until sqrt_pq^2 is replaced by p*q, by a product, by ``ring.dot`` and
-    by ``ring.dot_entries``.  Products whose result is out of range still
-    raise ExponentOverflow, with a root's square or without."""
+    by ``tensor._sums``, on a lone pair and on two.  Products whose result
+    is out of range still raise ExponentOverflow, with a root's square or
+    without."""
     alpha = eyb.get_table1_eyb("R2.1", 1).alpha
     ctx = alpha.ctx
     high, top = pow_int(alpha, 8191), ctx.parse("p^-4096*q^-4096")
     assert high == ctx.parse("p^-4096*q^-4096*sqrt_pq")
     assert high * alpha == alpha * high == pow_int(alpha, 8192) == top
     assert ring.dot(ctx, [(high, alpha)]) == top
-    assert ring.dot_entries(ctx, [("x", high, alpha)], ()) == {"x": top}
+    assert tensor._sums(ctx, {"x": [(high, alpha)], "y": [(high, alpha), (alpha, high)]}) == {
+        "x": top, "y": 2 * top}
     for product in (lambda: top * alpha, lambda: high * high, lambda: top * ctx.gen("p", -1),
                     lambda: ring.dot(ctx, [(high, alpha * alpha)])):
         with pytest.raises(ExponentOverflow):

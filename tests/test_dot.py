@@ -1,9 +1,9 @@
-"""``ring.dot`` against the sum of products it replaces, ``ring.dot_entries``
-against one ``dot`` per key, the contractions built on them against the
-sequential ones and the earlier residual routes in ``oracles``, a crossing
-applied to a vector by its embedding against the sequential push, and
-``ring.dot_entries``, the front end of ``ring.join``, against the keyed
-loop it replaced.
+"""``ring.dot`` against the sum of products it replaces, ``tensor._sums``,
+the library's sum per key, against one ``dot`` per key and against the
+keyed loop the ring had before (``oracles.dot_entries_by_keyed_sums``), the
+contractions built on them against the sequential ones and the earlier
+residual routes in ``oracles``, and a crossing applied to a vector by its
+embedding against the sequential push.
 
 ``dot`` must give the very Scalar that adding x * y one pair at a time
 gives: equal, with the same text and the same numerators over the same
@@ -24,7 +24,7 @@ from ybtrace import catalog, eyb, invariant, tensor
 from ybtrace.braid import BraidWord
 from ybtrace.dressing import preset_dressings
 from ybtrace.errors import ContextMismatch, DimensionMismatch, ExponentOverflow
-from ybtrace.ring import MAX_EXPONENT, Scalar, ScalarContext, dot, dot_entries, format_scalar
+from ybtrace.ring import MAX_EXPONENT, Scalar, ScalarContext, dot, format_scalar
 
 CONTEXTS = {
     "R1.1": ScalarContext(("q",), (("sqrt_1mq2", "1-q^2"),)),
@@ -56,6 +56,18 @@ def _assert_same(got, want):
     assert got == want
     assert format_scalar(got) == format_scalar(want)
     assert (got._nums, got._den) == (want._nums, want._den)
+
+
+def _dot_entries(ctx, plus, minus):
+    """{key: sum of x * y over plus' (key, x, y) triples minus the same sum over
+    minus'} by one ``tensor._sums``, each minus triple's x negated as
+    ``tensor.matmul_sub`` negates c's entries: the library's form of
+    ``oracles.dot_entries_by_keyed_sums``."""
+    pairs = {}
+    for triples, sign in ((plus, 1), (minus, -1)):
+        for key, x, y in triples:
+            pairs.setdefault(key, []).append((x if sign > 0 else -x, y))
+    return tensor._sums(ctx, pairs)
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -341,7 +353,8 @@ def test_matmul_sub_checks_every_operand_before_any_product(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", no_product)
     monkeypatch.setattr(Scalar, "__neg__", no_product)
     monkeypatch.setattr(tensor, "dot", no_product)
-    monkeypatch.setattr(tensor, "dot_entries", no_product)
+    monkeypatch.setattr(tensor, "_add_pairs", no_product)
+    monkeypatch.setattr(tensor, "_sums", no_product)
     for bad, error in ((wider, DimensionMismatch), (other, ContextMismatch)):
         for slot in range(4):
             args = [good] * 4
@@ -374,7 +387,7 @@ def test_matmul_sub_raises_for_an_overflow_that_cancels_and_for_a_foreign_entry(
 
 
 def test_contract_and_weighted_trace_raise_for_an_overflow_that_cancels():
-    """The half-word closure's contraction (``dot_entries``), the sequential
+    """The half-word closure's contraction (``tensor._sums``), the sequential
     weighted trace and verify_eyb's trace condition on Scalars raise where
     products leave the exponent range, though their sum cancels."""
     ctx = ScalarContext(("q",))
@@ -383,7 +396,7 @@ def test_contract_and_weighted_trace_raise_for_an_overflow_that_cancels():
                        (ctx.gen("q", -MAX_EXPONENT), q ** -1)):
         # big*small - big*small is zero in its key, but both products leave the range
         with pytest.raises(ExponentOverflow):
-            dot_entries(ctx, [(0, big, small), (0, big, -small), (1, q, q)], ())
+            tensor._sums(ctx, {0: [(big, small), (big, -small)], 1: [(q, q)]})
         a = tensor.SquareMatrix(ctx, 4, {(0, 0): big, (1, 1): -big, (2, 2): q})
         mu = tensor.SquareMatrix(ctx, 2, {(0, 0): small, (1, 1): small})
         with pytest.raises(ExponentOverflow):
@@ -399,7 +412,7 @@ def test_contract_and_weighted_trace_raise_for_an_overflow_that_cancels():
             eyb.verify_eyb(op)
 
 
-# -- dot_entries against one dot per key -------------------------------------------
+# -- the sum per key against one dot per key -----------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -409,7 +422,7 @@ def test_dot_entries_is_one_dot_per_key(name):
     for _ in range(200):
         plus, minus = ([(rng.randrange(4), _random_scalar(rng, ctx), _random_scalar(rng, ctx))
                         for _ in range(rng.randint(0, 8))] for _ in range(2))
-        got = dot_entries(ctx, plus, minus)
+        got = _dot_entries(ctx, plus, minus)
         for key in range(4):
             want = dot(ctx, [(x, y) for k, x, y in plus if k == key]
                        + [(-x, y) for k, x, y in minus if k == key])
@@ -418,8 +431,8 @@ def test_dot_entries_is_one_dot_per_key(name):
             else:
                 _assert_same(got[key], want)
         # the same triples on both sides cancel in every key
-        assert dot_entries(ctx, plus + minus, minus + plus) == {}
-    assert dot_entries(ctx, [], []) == {}
+        assert _dot_entries(ctx, plus + minus, minus + plus) == {}
+    assert _dot_entries(ctx, [], []) == {}
 
 
 # -- verify_eyb's failing verdicts against the matrix route -------------------------
@@ -507,14 +520,17 @@ def test_push_refuses_a_scalar_of_another_context():
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_contract_is_one_dot_per_key(name):
     """The half-word closure's contraction of a vector's entries against
-    the (key, y) pairs listed under each index, one ``dot_entries`` of
-    their triples, is one ``dot`` per key."""
+    the (key, y) pairs listed under each index, their (x, y) pairs listed
+    per key and summed by one ``tensor._sums``, is one ``dot`` per key."""
     ctx = CONTEXTS[name]
     rng = random.Random(20261020)
 
     def contract(vec, pairs):
-        return dot_entries(ctx, [(key, x, y) for s, x in vec.items()
-                                 for key, y in pairs.get(s, ())], ())
+        listed = {}
+        for s, x in vec.items():
+            for key, y in pairs.get(s, ()):
+                listed.setdefault(key, []).append((x, y))
+        return tensor._sums(ctx, listed)
 
     for _ in range(150):
         vec = _random_vector(rng, ctx, 6)
@@ -533,7 +549,7 @@ def test_contract_is_one_dot_per_key(name):
     assert contract({}, {0: [(0, ctx.one())]}) == {}
 
 
-# -- the join's front end against the kernel it replaces ------------------------
+# -- the sum per key against the keyed loop it replaced --------------------------
 
 
 def _assert_same_sums(got, want):
@@ -544,7 +560,7 @@ def _assert_same_sums(got, want):
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_the_join_front_ends_are_the_kernels_they_replace(name):
-    """``dot_entries`` against the keyed loop it had before ``ring.join``
+    """``tensor._sums`` against the ring's keyed loop it replaced
     (``oracles``) on seeded triples, zeros and mixed denominators included,
     and with every minus triple's terms listed on the plus side as well."""
     ctx = CONTEXTS[name]
@@ -553,20 +569,20 @@ def test_the_join_front_ends_are_the_kernels_they_replace(name):
         plus, minus = ([(rng.randrange(4), _random_scalar(rng, ctx), _random_scalar(rng, ctx))
                         for _ in range(rng.randint(0, 8))] for _ in range(2))
         for args in ((plus, minus), (minus, plus), (plus + minus, minus)):
-            _assert_same_sums(dot_entries(ctx, *args),
+            _assert_same_sums(_dot_entries(ctx, *args),
                               oracles.dot_entries_by_keyed_sums(ctx, *args))
 
 
 def test_the_join_settles_i_squared_and_roots_that_grow_the_denominator():
     """i * i turns into a sign, and s * s into s's radicand q/2 + i*r/3, whose
-    denominator puts every key over a larger one; one key keeps no guard
-    bit and has to be rescaled with the others."""
+    denominator grows that key's; a key that hits no guard bit keeps its
+    own denominator."""
     ctx = CONTEXTS["radicand-with-denominator"]
     i, s, r, q = ctx.i(), ctx.gen("s"), ctx.gen("r"), ctx.gen("q")
     plus = [(0, i, i), (0, s, s), (1, ctx.parse("q/5"), q), (2, r, r),
             (2, s, i * s)]
     minus = [(1, q, q), (2, ctx.parse("1/7"), ctx.one())]
-    got = dot_entries(ctx, plus, minus)
+    got = _dot_entries(ctx, plus, minus)
     _assert_same_sums(got, oracles.dot_entries_by_keyed_sums(ctx, plus, minus))
     _assert_same(got[0], ctx.parse("-1 + q/2 + i*r/3"))
 
@@ -578,15 +594,15 @@ def test_the_join_raises_for_a_cancelling_overflow_and_a_foreign_scalar():
     for big, small in ((ctx.gen("q", MAX_EXPONENT - 1), q),
                        (ctx.gen("q", -MAX_EXPONENT), q ** -1)):
         # big * small leaves the exponent range, but cancels in its key
-        for entries in (lambda: dot_entries(ctx, [(0, big, small)], [(0, big, small)]),
+        for entries in (lambda: _dot_entries(ctx, [(0, big, small)], [(0, big, small)]),
                         lambda: oracles.dot_entries_by_keyed_sums(
                             ctx, [(0, big, small)], [(0, big, small)])):
             with pytest.raises(ExponentOverflow):
                 entries()
     for triples in ([(0, q, other)], [(0, other, q)]):
-        for entries in (dot_entries, oracles.dot_entries_by_keyed_sums):
+        for entries in (_dot_entries, oracles.dot_entries_by_keyed_sums):
             with pytest.raises(ContextMismatch):
                 entries(ctx, triples, [])
             with pytest.raises(ContextMismatch):
                 entries(ctx, [], triples)
-    assert dot_entries(ctx, [], []) == {} == oracles.dot_entries_by_keyed_sums(ctx, [], [])
+    assert _dot_entries(ctx, [], []) == {} == oracles.dot_entries_by_keyed_sums(ctx, [], [])

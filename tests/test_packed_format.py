@@ -5,12 +5,10 @@ A Scalar's numerators, denominator and key layout (``_nums``, ``_den`` and
 a private name from it; ``_packed``, the raw entries of a packed vector the
 ring once had, stays on the list.  Then a change of the packing touches one
 file, and the kernels built on it are the only way the other layers reach
-the terms: ``dot``; ``kronecker``, whose ints and their reader take the
-products of ``catalog.check_ybe``'s integer route; and ``join``, the one
-loop for sums per key, which ``dot_entries`` feeds and which
-``eyb.verify_eyb``'s trace conditions, ``tensor.matmul_sub`` (and so the
-check's fallback) and the half-word closure's contraction reach through
-``dot_entries``.
+the terms: ``dot``, the one loop over Scalar products, which every sum
+per key reaches through ``tensor._sums``; and ``kronecker``, whose ints
+and their reader take the products of ``catalog.check_ybe``'s integer
+route.
 """
 
 import ast
